@@ -6,13 +6,9 @@ under perfect and imperfect channel knowledge at the transmitter.
 """
 
 from .channel import (
-    ChannelSet,
     ErrorRegime,
     complex_gaussian,
-    draw_channel_set,
     draw_error_ensemble,
-    dump_channel_sets,
-    load_channel_sets,
     stream_rng,
 )
 from .exceptions import (
@@ -49,7 +45,6 @@ from .rates import (
     rates_from_sinr,
     sinr_imperfect_csit,
     sinr_perfect_csit,
-    sinr_perfect_csit_linear,
     sum_rate_samples,
 )
 from .sweeps import (
@@ -60,7 +55,6 @@ from .sweeps import (
     default_power_split_grid,
     ergodic_sum_rate,
     optimize_power_split,
-    rerun_cell,
     run_sweep,
     snr_db_to_power,
 )
@@ -81,7 +75,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_SCHEME_TAGS",
     "ChainTrace",
-    "ChannelSet",
     "DimensionMismatchError",
     "EmptyGridError",
     "ErrorRegime",
@@ -109,13 +102,10 @@ __all__ = [
     "cross_check_sinr",
     "default_power_split_grid",
     "dominant_right_singular_vector",
-    "draw_channel_set",
     "draw_error_ensemble",
-    "dump_channel_sets",
     "effective_transmit_power",
     "ergodic_sum_rate",
     "estimate_sinr_monte_carlo",
-    "load_channel_sets",
     "lq_decompose",
     "measure_power_loss",
     "modulo_reduce",
@@ -126,11 +116,9 @@ __all__ = [
     "random_feedback_matrix",
     "rates_from_sinr",
     "run_perfect_csit_chain",
-    "rerun_cell",
     "run_sweep",
     "sinr_imperfect_csit",
     "sinr_perfect_csit",
-    "sinr_perfect_csit_linear",
     "snr_db_to_power",
     "stream_rng",
     "sum_rate_samples",

@@ -1,24 +1,23 @@
-"""Channel and CSIT error generation.
+"""CSIT error generation and error regimes.
 
 Every random draw goes through a keyed generator built from a
 SeedSequence tuple, so any quantity can be re-derived from the master
-seed alone. Stream tags keep channel draws, the estimation-error draw
-folded into the true channel, and the per-realization error ensemble on
-independent streams: reading more realizations never shifts the channel,
-and realization m is the same no matter how many are requested.
+seed alone. Stream tags keep channel draws and the per-realization
+error ensemble on independent streams: reading more realizations never
+shifts the channel, and realization m is the same no matter how many
+are requested. The channel draw itself lives in the sweep layer.
 """
 
-import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, InvalidVarianceError
+from .exceptions import InvalidVarianceError
 
 # Stream tags for SeedSequence keys. Values are arbitrary but frozen;
 # changing them changes every simulated number.
 CHANNEL_STREAM = 1
-TRUE_ERROR_STREAM = 2
 ERROR_STREAM = 3
 
 _REGIME_KINDS = ("perfect", "fixed-variance", "snr-scaled")
@@ -62,10 +61,12 @@ class ErrorRegime:
     def __post_init__(self):
         if self.kind not in _REGIME_KINDS:
             raise ValueError(f"unknown regime kind {self.kind!r}")
-        if self.sigma_e2 < 0.0:
+        if not 0.0 <= self.sigma_e2 < math.inf:
             raise InvalidVarianceError(
-                f"error variance must be >= 0, got {self.sigma_e2}"
+                f"error variance must be finite and >= 0, got {self.sigma_e2}"
             )
+        if not math.isfinite(self.alpha):
+            raise InvalidVarianceError(f"alpha must be finite, got {self.alpha}")
 
     @classmethod
     def perfect(cls) -> "ErrorRegime":
@@ -92,36 +93,6 @@ class ErrorRegime:
         return float(e_tr) ** (-self.alpha)
 
 
-@dataclass(frozen=True)
-class ChannelSet:
-    """One channel draw with its CSIT error ensemble.
-
-    h_est rows are the channel estimates the transmitter precodes
-    against; errors[m] are independent error realizations used for
-    averaging, and h_true = h_est + (a separate error draw) is the
-    channel an actual transmission would see.
-    """
-
-    h_true: np.ndarray
-    h_est: np.ndarray
-    errors: np.ndarray
-    sigma_e2: float
-    seed: int
-    channel_index: int
-
-    @property
-    def n_users(self) -> int:
-        return self.h_est.shape[0]
-
-    @property
-    def n_tx(self) -> int:
-        return self.h_est.shape[1]
-
-    @property
-    def n_error_samples(self) -> int:
-        return self.errors.shape[0]
-
-
 def draw_error_ensemble(
     n_users: int,
     n_tx: int,
@@ -145,123 +116,3 @@ def draw_error_ensemble(
             variance=sigma_e2,
         )
     return errors
-
-
-def draw_channel_set(
-    n_users: int,
-    n_tx: int,
-    regime: ErrorRegime,
-    n_error_samples: int,
-    seed: int,
-    channel_index: int = 0,
-    e_tr: float | None = None,
-) -> ChannelSet:
-    """Draw one channel estimate plus its error realizations.
-
-    Entries of h_est are i.i.d. unit-variance complex Gaussian. Under an
-    imperfect regime each errors[m] is i.i.d. CN(0, sigma_e2) keyed by
-    (seed, channel_index, m), and h_true = h_est + e_true for one more
-    independent error draw. Under the perfect regime h_true = h_est and
-    the error array is zero.
-
-    e_tr is only consulted by the snr-scaled regime and may be omitted
-    otherwise.
-    """
-    if n_users < 1 or n_tx < n_users:
-        raise DimensionMismatchError(
-            f"need 1 <= n_users <= n_tx, got n_users={n_users}, n_tx={n_tx}"
-        )
-    if n_error_samples < 1:
-        raise DimensionMismatchError(
-            f"n_error_samples must be >= 1, got {n_error_samples}"
-        )
-    if regime.kind == "snr-scaled" and e_tr is None:
-        raise InvalidVarianceError(
-            "snr-scaled regime needs e_tr to resolve the error variance"
-        )
-
-    h_est = complex_gaussian(
-        stream_rng(seed, CHANNEL_STREAM, channel_index), (n_users, n_tx)
-    )
-    sigma_e2 = regime.variance_at(e_tr if e_tr is not None else 0.0)
-
-    if regime.is_perfect:
-        errors = np.zeros((n_error_samples, n_users, n_tx), dtype=complex)
-        h_true = h_est.copy()
-    else:
-        errors = draw_error_ensemble(
-            n_users, n_tx, sigma_e2, n_error_samples, seed, channel_index
-        )
-        e_true = complex_gaussian(
-            stream_rng(seed, TRUE_ERROR_STREAM, channel_index),
-            (n_users, n_tx),
-            variance=sigma_e2,
-        )
-        h_true = h_est + e_true
-
-    return ChannelSet(
-        h_true=h_true,
-        h_est=h_est,
-        errors=errors,
-        sigma_e2=float(sigma_e2),
-        seed=int(seed),
-        channel_index=int(channel_index),
-    )
-
-
-def _encode_complex(a: np.ndarray) -> dict:
-    """Complex array as shape + interleaved [re, im, re, im, ...] floats."""
-    flat = np.asarray(a, dtype=complex).ravel()
-    interleaved = np.empty(2 * flat.size)
-    interleaved[0::2] = flat.real
-    interleaved[1::2] = flat.imag
-    return {"shape": list(a.shape), "data": interleaved.tolist()}
-
-
-def _decode_complex(record: dict) -> np.ndarray:
-    data = np.asarray(record["data"], dtype=float)
-    flat = data[0::2] + 1j * data[1::2]
-    return flat.reshape(record["shape"])
-
-
-def dump_channel_sets(channel_sets, path) -> None:
-    """Write channel sets to a self-describing JSON file."""
-    records = []
-    for cs in channel_sets:
-        records.append(
-            {
-                "seed": cs.seed,
-                "channel_index": cs.channel_index,
-                "n_users": cs.n_users,
-                "n_tx": cs.n_tx,
-                "sigma_e2": cs.sigma_e2,
-                "h_true": _encode_complex(cs.h_true),
-                "h_est": _encode_complex(cs.h_est),
-                "errors": _encode_complex(cs.errors),
-            }
-        )
-    payload = {"format": "rsthp-channel-sets", "version": 1, "records": records}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
-def load_channel_sets(path) -> list[ChannelSet]:
-    """Inverse of dump_channel_sets; round-trips values exactly."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "rsthp-channel-sets":
-        raise ValueError(f"{path}: not a channel-set dump")
-    out = []
-    for rec in payload["records"]:
-        out.append(
-            ChannelSet(
-                h_true=_decode_complex(rec["h_true"]),
-                h_est=_decode_complex(rec["h_est"]),
-                errors=_decode_complex(rec["errors"]),
-                sigma_e2=rec["sigma_e2"],
-                seed=rec["seed"],
-                channel_index=rec["channel_index"],
-            )
-        )
-    return out

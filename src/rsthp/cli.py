@@ -23,11 +23,11 @@ import sys
 
 import numpy as np
 
-from .channel import CHANNEL_STREAM, ErrorRegime, complex_gaussian, draw_error_ensemble, stream_rng
+from .channel import ErrorRegime, complex_gaussian, draw_error_ensemble, stream_rng
 from .exceptions import SimulatorError
 from .precoding import ALL_SCHEME_TAGS, SchemeTag, build_precoders, parse_scheme_tag
 from .rates import CROSS_CHECK_TOL, cross_check_sinr
-from .sweeps import SweepConfig, SweepResult, run_sweep, snr_db_to_power
+from .sweeps import SweepConfig, SweepResult, draw_channel, run_sweep, snr_db_to_power
 from .thp_chain import (
     measure_power_loss,
     modulo_reduce,
@@ -213,10 +213,10 @@ def _finish_sweep(args, config: SweepConfig) -> int:
 
 
 def cmd_sweep_snr(args) -> int:
-    if args.error_variance > 0.0:
-        regime = ErrorRegime.fixed_variance(args.error_variance)
-    else:
+    if args.error_variance == 0.0:
         regime = ErrorRegime.perfect()
+    else:
+        regime = ErrorRegime.fixed_variance(args.error_variance)
     config = _config_from_args(args, regime, parse_grid(args.snr_db))
     return _finish_sweep(args, config)
 
@@ -280,7 +280,7 @@ def cmd_validate_chain(args) -> int:
     e_tr = snr_db_to_power(15.0)
     worst = 0.0
     for c in range(args.channels):
-        h_est = complex_gaussian(stream_rng(args.seed, CHANNEL_STREAM, c), (4, 4))
+        h_est = draw_channel(args.seed, c, 4, 4)
         noise = complex_gaussian(stream_rng(args.seed, 7, c), (4,))
         s = np.random.default_rng(args.seed + c).choice(qam.points, size=4)
         for base in ("cthp", "dthp"):
@@ -316,15 +316,15 @@ def cmd_cross_check_sinr(args) -> int:
     e_tr = snr_db_to_power(args.snr_db)
     sigma_e2 = args.error_variance
     perfect = sigma_e2 == 0.0
+    h_est = draw_channel(args.seed, 0, args.users, args.tx_antennas)
+    if perfect:
+        h_e = np.zeros_like(h_est)
+    else:
+        h_e = draw_error_ensemble(
+            args.users, args.tx_antennas, sigma_e2, 1, args.seed, 0
+        )[0]
     failed = False
     for scheme in parse_schemes(args.schemes):
-        h_est = complex_gaussian(stream_rng(args.seed, CHANNEL_STREAM, 0), (args.users, args.tx_antennas))
-        if perfect:
-            h_e = np.zeros_like(h_est)
-        else:
-            h_e = draw_error_ensemble(
-                args.users, args.tx_antennas, sigma_e2, 1, args.seed, 0
-            )[0]
         precoders = build_precoders(
             h_est, scheme, e_tr, args.power_loss, power_split=args.split
         )

@@ -94,11 +94,8 @@ class PrecoderSet:
     beta: float | None
     lq: LqFactors | None
     h_est: np.ndarray
-    e_tr: float
     e_private: float
-    power_loss: float
     lambda_eff: float
-    power_split: float
 
     @property
     def n_users(self) -> int:
@@ -163,11 +160,8 @@ def build_precoders(
             beta=None,
             lq=None,
             h_est=h_est,
-            e_tr=float(e_tr),
             e_private=e_private,
-            power_loss=float(power_loss),
             lambda_eff=lambda_eff,
-            power_split=float(power_split),
         )
 
     lq = lq_decompose(h_est)
@@ -200,11 +194,8 @@ def build_precoders(
         beta=beta,
         lq=lq,
         h_est=h_est,
-        e_tr=float(e_tr),
         e_private=e_private,
-        power_loss=float(power_loss),
         lambda_eff=lambda_eff,
-        power_split=float(power_split),
     )
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import complex_gaussian
-from .exceptions import DimensionMismatchError, SchemeMismatchError
+from .exceptions import DimensionMismatchError
 from .precoding import PrecoderSet
 
 SINR_CAP = 1e12
@@ -183,23 +183,7 @@ def sinr_imperfect_csit(
 
 
 def sinr_perfect_csit(precoders: PrecoderSet, sigma_n2: float) -> SinrReport:
-    """Perfect-CSIT SINRs for the THP family (zero-error special case)."""
-    if not precoders.scheme.is_thp:
-        raise SchemeMismatchError(
-            f"scheme {precoders.scheme.tag} is linear, use the linear form"
-        )
-    zero = np.zeros_like(precoders.h_est)
-    return sinr_imperfect_csit(precoders, zero, sigma_n2)
-
-
-def sinr_perfect_csit_linear(
-    precoders: PrecoderSet, sigma_n2: float
-) -> SinrReport:
-    """Perfect-CSIT SINRs for linear zero-forcing."""
-    if precoders.scheme.is_thp:
-        raise SchemeMismatchError(
-            f"scheme {precoders.scheme.tag} is not linear"
-        )
+    """Perfect-CSIT SINRs for any scheme (the zero-error special case)."""
     zero = np.zeros_like(precoders.h_est)
     return sinr_imperfect_csit(precoders, zero, sigma_n2)
 

@@ -24,7 +24,12 @@ from .channel import (
     draw_error_ensemble,
     stream_rng,
 )
-from .exceptions import EmptyGridError, SchemeMismatchError
+from .exceptions import (
+    DimensionMismatchError,
+    EmptyGridError,
+    InvalidVarianceError,
+    SchemeMismatchError,
+)
 from .precoding import ALL_SCHEME_TAGS, SchemeTag, build_precoders
 from .rates import sum_rate_samples
 
@@ -42,46 +47,29 @@ def snr_db_to_power(snr_db: float) -> float:
     return 10.0 ** (snr_db / 10.0)
 
 
+def draw_channel(
+    seed: int, channel_index: int, n_users: int, n_tx: int
+) -> np.ndarray:
+    """(K, N) channel estimate number channel_index, keyed by
+    (seed, channel_index) alone; entries are i.i.d. CN(0, 1)."""
+    return complex_gaussian(
+        stream_rng(seed, CHANNEL_STREAM, channel_index), (n_users, n_tx)
+    )
+
+
 def average_sum_rate(
     h_est: np.ndarray,
     scheme: SchemeTag,
     e_tr: float,
     power_loss: float,
     power_split: float,
-    regime: ErrorRegime,
-    n_error_samples: int,
-    seed: int,
-    channel_index: int = 0,
+    errors: np.ndarray,
     sigma_n2: float = 1.0,
-    errors: np.ndarray | None = None,
-    return_log: bool = False,
-):
-    """Sample-average sum rate over the CSIT error ensemble of one channel.
-
-    Errors are drawn from (seed, channel_index, m) unless a precomputed
-    ensemble is passed in (the sweep layer reuses one ensemble across
-    the whole power-split grid; the draws are identical either way).
-    Under the perfect regime a single zero-error realization is used.
-
-    With return_log=True also returns the (M,) per-realization sum
-    rates; their arithmetic mean is the returned average, exactly.
-    """
-    if errors is None:
-        if regime.is_perfect:
-            errors = np.zeros((1,) + h_est.shape, dtype=complex)
-        else:
-            errors = draw_error_ensemble(
-                h_est.shape[0],
-                h_est.shape[1],
-                regime.variance_at(e_tr),
-                n_error_samples,
-                seed,
-                channel_index,
-            )
+) -> float:
+    """Sample-average sum rate over the (M, K, N) error ensemble of one
+    channel; a single all-zero realization gives the perfect-CSIT rate."""
     precoders = build_precoders(h_est, scheme, e_tr, power_loss, power_split)
-    log = sum_rate_samples(precoders, errors, sigma_n2)
-    asr = float(np.mean(log))
-    return (asr, log) if return_log else asr
+    return float(np.mean(sum_rate_samples(precoders, errors, sigma_n2)))
 
 
 def optimize_power_split(
@@ -89,13 +77,9 @@ def optimize_power_split(
     scheme: SchemeTag,
     e_tr: float,
     power_loss: float,
-    regime: ErrorRegime,
-    n_error_samples: int,
     grid,
-    seed: int,
-    channel_index: int = 0,
+    errors: np.ndarray,
     sigma_n2: float = 1.0,
-    errors: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Best power split on a grid by exhaustive sample-average search.
 
@@ -111,30 +95,11 @@ def optimize_power_split(
         raise SchemeMismatchError(
             f"scheme {scheme.tag} has no common stream to allocate power to"
         )
-    if errors is None and not regime.is_perfect:
-        errors = draw_error_ensemble(
-            h_est.shape[0],
-            h_est.shape[1],
-            regime.variance_at(e_tr),
-            n_error_samples,
-            seed,
-            channel_index,
-        )
     best_split = None
     best_asr = -math.inf
     for split in grid:
         asr = average_sum_rate(
-            h_est,
-            scheme,
-            e_tr,
-            power_loss,
-            split,
-            regime,
-            n_error_samples,
-            seed,
-            channel_index,
-            sigma_n2,
-            errors=errors,
+            h_est, scheme, e_tr, power_loss, split, errors, sigma_n2
         )
         if asr > best_asr or (asr == best_asr and split < best_split):
             best_asr = asr
@@ -189,6 +154,32 @@ class SweepConfig:
                 )
         elif not self.snr_grid_db:
             raise EmptyGridError("SNR grid is empty")
+        if not 1 <= self.n_users <= self.n_tx:
+            raise DimensionMismatchError(
+                f"need 1 <= n_users <= n_tx, got n_users={self.n_users}, "
+                f"n_tx={self.n_tx}"
+            )
+        if self.n_channels < 1:
+            raise DimensionMismatchError(
+                f"n_channels must be >= 1, got {self.n_channels}"
+            )
+        if self.n_error_samples < 1:
+            raise DimensionMismatchError(
+                f"n_error_samples must be >= 1, got {self.n_error_samples}"
+            )
+        if not all(0.0 <= t < 1.0 for t in self.power_split_grid):
+            raise ValueError(
+                f"power splits must be in [0, 1), got {self.power_split_grid}"
+            )
+        if not 0.0 < self.power_loss <= 1.0:
+            raise ValueError(f"power_loss must be in (0, 1], got {self.power_loss}")
+        if not all(math.isfinite(x) for x in self.snr_grid_db):
+            raise ValueError(f"SNR grid must be finite, got {self.snr_grid_db}")
+        if not all(0.0 <= v < math.inf for v in self.error_variance_grid):
+            raise InvalidVarianceError(
+                "error variances must be finite and >= 0, "
+                f"got {self.error_variance_grid}"
+            )
 
 
 @dataclass(frozen=True)
@@ -222,18 +213,17 @@ def ergodic_sum_rate(
     """Ergodic sum rate of one scheme at one grid point.
 
     Averages the per-channel best average sum rate over n_channels
-    channel draws. Rate-splitting schemes search the power-split grid
-    per channel; base schemes evaluate at split 0. The confidence
+    channel draws. Each channel's error ensemble is drawn once (one
+    all-zero realization under perfect CSIT) and shared by every split.
+    Rate-splitting schemes search the power-split grid per channel;
+    base schemes search the one-point grid (0.0,). The confidence
     halfwidth is the 95% normal interval on the channel sample mean.
     """
-    n_samples = 1 if regime.is_perfect else config.n_error_samples
+    grid = config.power_split_grid if scheme.rs else (0.0,)
     asr_values = np.empty(config.n_channels)
     splits = np.empty(config.n_channels)
     for c in range(config.n_channels):
-        h_est = complex_gaussian(
-            stream_rng(config.master_seed, CHANNEL_STREAM, c),
-            (config.n_users, config.n_tx),
-        )
+        h_est = draw_channel(config.master_seed, c, config.n_users, config.n_tx)
         if regime.is_perfect:
             errors = np.zeros((1, config.n_users, config.n_tx), dtype=complex)
         else:
@@ -241,41 +231,13 @@ def ergodic_sum_rate(
                 config.n_users,
                 config.n_tx,
                 regime.variance_at(e_tr),
-                n_samples,
+                config.n_error_samples,
                 config.master_seed,
                 c,
             )
-        if scheme.rs:
-            split, asr = optimize_power_split(
-                h_est,
-                scheme,
-                e_tr,
-                config.power_loss,
-                regime,
-                n_samples,
-                config.power_split_grid,
-                config.master_seed,
-                c,
-                config.sigma_n2,
-                errors=errors,
-            )
-        else:
-            split = 0.0
-            asr = average_sum_rate(
-                h_est,
-                scheme,
-                e_tr,
-                config.power_loss,
-                0.0,
-                regime,
-                n_samples,
-                config.master_seed,
-                c,
-                config.sigma_n2,
-                errors=errors,
-            )
-        asr_values[c] = asr
-        splits[c] = split
+        splits[c], asr_values[c] = optimize_power_split(
+            h_est, scheme, e_tr, config.power_loss, grid, errors, config.sigma_n2
+        )
 
     esr = float(np.mean(asr_values))
     if config.n_channels > 1:
@@ -325,6 +287,8 @@ def run_sweep(config: SweepConfig, n_jobs: int = 1) -> SweepResult:
     pure function of the config, so parallel output is bit-identical to
     serial output.
     """
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     config.validate()
     tasks = [
         (config, scheme, e_tr, regime, x_value)
@@ -339,10 +303,3 @@ def run_sweep(config: SweepConfig, n_jobs: int = 1) -> SweepResult:
         cells = tuple(_evaluate_cell(t) for t in tasks)
     return SweepResult(config=config, x_kind=config.x_kind, cells=cells)
 
-
-def rerun_cell(config: SweepConfig, scheme: SchemeTag, x_value: float) -> SweepCell:
-    """Recompute a single cell of a sweep (diagnostic convenience)."""
-    for (xv, e_tr, regime) in _sweep_points(config):
-        if xv == x_value:
-            return ergodic_sum_rate(config, scheme, e_tr, regime, xv)
-    raise EmptyGridError(f"x value {x_value} not on the sweep grid")

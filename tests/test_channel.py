@@ -1,4 +1,4 @@
-"""Tests for channel/error generation and serialization."""
+"""Tests for channel/error generation and error regimes."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,13 @@ from rsthp import (
     DimensionMismatchError,
     ErrorRegime,
     InvalidVarianceError,
-    draw_channel_set,
+    SchemeTag,
+    SweepConfig,
+    average_sum_rate,
     draw_error_ensemble,
-    dump_channel_sets,
-    load_channel_sets,
+    ergodic_sum_rate,
 )
+from rsthp.sweeps import draw_channel
 
 
 class TestErrorRegime:
@@ -40,46 +42,45 @@ class TestErrorRegime:
         with pytest.raises(InvalidVarianceError):
             ErrorRegime.fixed_variance(-0.1)
 
+    def test_non_finite_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(InvalidVarianceError):
+                ErrorRegime.fixed_variance(bad)
+            with pytest.raises(InvalidVarianceError):
+                ErrorRegime.snr_scaled(bad)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ErrorRegime(kind="weird")
 
 
 class TestDrawChannelSet:
+    """The draws behind one channel: its estimate (draw_channel) and its
+    CSIT error ensemble (draw_error_ensemble)."""
+
     def test_deterministic(self):
-        regime = ErrorRegime.fixed_variance(0.2)
-        a = draw_channel_set(4, 4, regime, 10, seed=42, channel_index=3)
-        b = draw_channel_set(4, 4, regime, 10, seed=42, channel_index=3)
-        assert a.h_est.tobytes() == b.h_est.tobytes()
-        assert a.h_true.tobytes() == b.h_true.tobytes()
-        assert a.errors.tobytes() == b.errors.tobytes()
+        a = draw_channel(42, 3, 4, 4)
+        b = draw_channel(42, 3, 4, 4)
+        assert a.tobytes() == b.tobytes()
+        a = draw_error_ensemble(4, 4, 0.2, 10, seed=42, channel_index=3)
+        b = draw_error_ensemble(4, 4, 0.2, 10, seed=42, channel_index=3)
+        assert a.tobytes() == b.tobytes()
 
     def test_realization_prefix_stable(self):
         # Realization m is keyed by (seed, channel, m): asking for fewer
         # realizations must reproduce a prefix of the longer draw.
-        regime = ErrorRegime.fixed_variance(0.2)
-        long = draw_channel_set(4, 4, regime, 100, seed=7)
-        short = draw_channel_set(4, 4, regime, 50, seed=7)
-        np.testing.assert_array_equal(long.errors[:50], short.errors)
+        long = draw_error_ensemble(4, 4, 0.2, 100, seed=7)
+        short = draw_error_ensemble(4, 4, 0.2, 50, seed=7)
+        np.testing.assert_array_equal(long[:50], short)
 
     def test_perfect_regime(self):
-        cs = draw_channel_set(4, 4, ErrorRegime.perfect(), 5, seed=1)
-        np.testing.assert_array_equal(cs.h_true, cs.h_est)
-        assert not np.any(cs.errors)
-        assert cs.sigma_e2 == 0.0
-
-    def test_true_channel_decomposition(self):
-        regime = ErrorRegime.fixed_variance(0.2)
-        cs = draw_channel_set(4, 4, regime, 1, seed=5)
-        assert np.any(cs.h_true != cs.h_est)
-        # The folded-in error has the same statistics as the ensemble.
-        diff_power = np.mean(np.abs(cs.h_true - cs.h_est) ** 2)
-        assert 0.05 < diff_power < 0.6
+        regime = ErrorRegime.perfect()
+        assert regime.variance_at(31.0) == 0.0
+        assert not np.any(draw_error_ensemble(4, 4, 0.0, 5, seed=1))
 
     def test_pooled_error_variance(self):
-        regime = ErrorRegime.fixed_variance(0.2)
-        cs = draw_channel_set(4, 4, regime, 100, seed=11)
-        pooled = float(np.mean(np.abs(cs.errors) ** 2))
+        errors = draw_error_ensemble(4, 4, 0.2, 100, seed=11)
+        pooled = float(np.mean(np.abs(errors) ** 2))
         assert 0.17 <= pooled <= 0.23
 
     def test_variance_scaling_shares_draws(self):
@@ -89,42 +90,31 @@ class TestDrawChannelSet:
         np.testing.assert_allclose(large, 2.0 * small, atol=1e-15)
 
     def test_channel_independent_of_regime(self):
-        perfect = draw_channel_set(4, 4, ErrorRegime.perfect(), 1, seed=9)
-        noisy = draw_channel_set(4, 4, ErrorRegime.fixed_variance(0.5), 1, seed=9)
-        np.testing.assert_array_equal(perfect.h_est, noisy.h_est)
-
-    def test_snr_scaled_needs_power(self):
-        with pytest.raises(InvalidVarianceError):
-            draw_channel_set(4, 4, ErrorRegime.snr_scaled(0.6), 1, seed=0)
+        # A sweep cell evaluates draw_channel's channel whatever the
+        # regime; only the error ensemble changes.
+        h = draw_channel(9, 0, 4, 4)
+        noisy = ErrorRegime.fixed_variance(0.5)
+        for regime, errors in (
+            (ErrorRegime.perfect(), np.zeros((1, 4, 4), dtype=complex)),
+            (noisy, draw_error_ensemble(4, 4, 0.5, 3, seed=9)),
+        ):
+            config = SweepConfig(
+                schemes=(SchemeTag("zf"),), error_regime=regime,
+                n_channels=1, n_error_samples=3, master_seed=9,
+            )
+            cell = ergodic_sum_rate(config, SchemeTag("zf"), 31.0, regime, 15.0)
+            assert cell.esr == average_sum_rate(
+                h, SchemeTag("zf"), 31.0, 0.75, 0.0, errors
+            )
 
     def test_bad_dimensions(self):
-        with pytest.raises(DimensionMismatchError):
-            draw_channel_set(5, 4, ErrorRegime.perfect(), 1, seed=0)
-        with pytest.raises(DimensionMismatchError):
-            draw_channel_set(4, 4, ErrorRegime.perfect(), 0, seed=0)
-
-
-class TestSerialization:
-    def test_round_trip_exact(self, tmp_path):
-        regime = ErrorRegime.fixed_variance(0.2)
-        sets = [
-            draw_channel_set(4, 4, regime, 3, seed=42, channel_index=c)
-            for c in range(3)
-        ]
-        path = tmp_path / "channels.json"
-        dump_channel_sets(sets, path)
-        loaded = load_channel_sets(path)
-        assert len(loaded) == 3
-        for original, restored in zip(sets, loaded):
-            np.testing.assert_array_equal(original.h_true, restored.h_true)
-            np.testing.assert_array_equal(original.h_est, restored.h_est)
-            np.testing.assert_array_equal(original.errors, restored.errors)
-            assert original.sigma_e2 == restored.sigma_e2
-            assert original.seed == restored.seed
-            assert original.channel_index == restored.channel_index
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(ValueError):
-            load_channel_sets(path)
+        # The dimension and count checks on the channel draw live in
+        # SweepConfig.validate, which runs before any draw.
+        for bad in (
+            dict(n_users=5, n_tx=4),
+            dict(n_users=0),
+            dict(n_channels=0),
+            dict(n_error_samples=0),
+        ):
+            with pytest.raises(DimensionMismatchError):
+                SweepConfig(**bad).validate()

@@ -219,6 +219,36 @@ class TestErrorHandling:
         assert capsys.readouterr().err
 
 
+    def assert_rejected(self, tmp_path, capsys, *argv):
+        out = tmp_path / "x.csv"
+        code = run_cli(*argv, "--out", str(out))
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_error_variance(self, tmp_path, capsys):
+        # Only exactly 0 means perfect CSIT; a negative variance is an error.
+        self.assert_rejected(tmp_path, capsys, "sweep-snr", *SMALL,
+                             "--snr-db", "10", "--error-variance", "-0.1")
+
+    @pytest.mark.parametrize("bad", [
+        ("--channels", "0"),
+        ("--error-samples", "0", "--error-variance", "0.1"),
+        ("--snr-db", "nan"),
+        ("--users", "5", "--tx-antennas", "4"),
+        ("--split-grid", "0,1.5"),
+        ("--lambda", "0"),
+        ("--error-variance", "nan"),
+    ])
+    def test_out_of_range_config(self, tmp_path, capsys, bad):
+        self.assert_rejected(tmp_path, capsys, "sweep-snr", *SMALL,
+                             "--snr-db", "10", *bad)
+
+    def test_jobs_below_one(self, tmp_path, capsys):
+        self.assert_rejected(tmp_path, capsys, "sweep-snr", *SMALL,
+                             "--snr-db", "10", "--jobs", "-3")
+
+
 class TestSeedEnvironment:
     def test_env_seed_is_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RSTHP_SEED", "31337")

@@ -7,11 +7,9 @@ estimator.
 """
 
 import numpy as np
-import pytest
 
 from rsthp import (
     SINR_CAP,
-    SchemeMismatchError,
     SchemeTag,
     SinrReport,
     build_precoders,
@@ -22,7 +20,6 @@ from rsthp import (
     rates_from_sinr,
     sinr_imperfect_csit,
     sinr_perfect_csit,
-    sinr_perfect_csit_linear,
     sum_rate_samples,
 )
 
@@ -106,20 +103,12 @@ class TestIdentityChannelValues:
         report = sinr_perfect_csit(ps, sigma_n2=1.0)
         np.testing.assert_allclose(report.private, np.ones(4), atol=1e-12)
 
-    def test_linear_scheme_needs_linear_entry_point(self):
-        thp = build_precoders(np.eye(4), SchemeTag("dthp"), 4.0, 0.75)
-        zf = build_precoders(np.eye(4), SchemeTag("zf"), 4.0, 0.75)
-        with pytest.raises(SchemeMismatchError):
-            sinr_perfect_csit(zf, 1.0)
-        with pytest.raises(SchemeMismatchError):
-            sinr_perfect_csit_linear(thp, 1.0)
-
 
 class TestZeroForcingOrthogonality:
     def test_interference_free(self):
         h = random_channel(40)
         ps = build_precoders(h, SchemeTag("zf"), 10.0, 0.75)
-        report = sinr_perfect_csit_linear(ps, sigma_n2=1.0)
+        report = sinr_perfect_csit(ps, sigma_n2=1.0)
         gains = h @ ps.p_private
         expected = np.abs(np.diagonal(gains)) ** 2
         np.testing.assert_allclose(report.private, expected, rtol=1e-9)

@@ -6,29 +6,28 @@ import pytest
 from rsthp import (
     EmptyGridError,
     ErrorRegime,
+    InvalidVarianceError,
     SchemeMismatchError,
     SchemeTag,
     SweepConfig,
     average_sum_rate,
-    complex_gaussian,
     default_power_split_grid,
     draw_error_ensemble,
     ergodic_sum_rate,
     optimize_power_split,
     parse_scheme_tag,
-    rerun_cell,
     run_sweep,
     snr_db_to_power,
-    stream_rng,
 )
-from rsthp.channel import CHANNEL_STREAM
+from rsthp.sweeps import draw_channel
 
 FIXED = ErrorRegime.fixed_variance(0.2)
 PERFECT = ErrorRegime.perfect()
+NO_ERROR = np.zeros((1, 4, 4), dtype=complex)
 
 
 def channel_for(seed, index):
-    return complex_gaussian(stream_rng(seed, CHANNEL_STREAM, index), (4, 4))
+    return draw_channel(seed, index, 4, 4)
 
 
 def small_config(**overrides):
@@ -46,49 +45,27 @@ def small_config(**overrides):
 
 
 class TestAverageSumRate:
-    def test_is_mean_of_log(self):
-        h = channel_for(7, 0)
-        asr, log = average_sum_rate(
-            h, SchemeTag("dthp"), 31.0, 0.75, 0.0, FIXED, 40, seed=7,
-            return_log=True,
-        )
-        assert log.shape == (40,)
-        assert abs(asr - float(np.mean(log))) < 1e-12
-
     def test_zero_variance_matches_perfect(self):
         h = channel_for(8, 0)
         degenerate = average_sum_rate(
             h, SchemeTag("dthp"), 31.0, 0.75, 0.0,
-            ErrorRegime.fixed_variance(0.0), 100, seed=8,
+            draw_error_ensemble(4, 4, 0.0, 100, seed=8),
         )
         perfect = average_sum_rate(
-            h, SchemeTag("dthp"), 31.0, 0.75, 0.0, PERFECT, 100, seed=8,
+            h, SchemeTag("dthp"), 31.0, 0.75, 0.0, NO_ERROR
         )
         assert abs(degenerate - perfect) < 1e-12
-
-    def test_explicit_ensemble_matches_internal_draw(self):
-        h = channel_for(9, 3)
-        errors = draw_error_ensemble(4, 4, 0.2, 25, seed=9, channel_index=3)
-        implicit = average_sum_rate(
-            h, SchemeTag("zf"), 31.0, 0.75, 0.0, FIXED, 25,
-            seed=9, channel_index=3,
-        )
-        explicit = average_sum_rate(
-            h, SchemeTag("zf"), 31.0, 0.75, 0.0, FIXED, 25,
-            seed=9, channel_index=3, errors=errors,
-        )
-        assert implicit == explicit
 
 
 class TestOptimizePowerSplit:
     def test_degenerate_grid(self):
         h = channel_for(10, 0)
+        errors = draw_error_ensemble(4, 4, 0.2, 20, seed=10)
         split, asr = optimize_power_split(
-            h, SchemeTag("dthp", rs=True), 31.0, 0.75, FIXED, 20,
-            grid=(0.0,), seed=10,
+            h, SchemeTag("dthp", rs=True), 31.0, 0.75, (0.0,), errors
         )
         base = average_sum_rate(
-            h, SchemeTag("dthp", rs=True), 31.0, 0.75, 0.0, FIXED, 20, seed=10,
+            h, SchemeTag("dthp", rs=True), 31.0, 0.75, 0.0, errors
         )
         assert split == 0.0
         assert abs(asr - base) < 1e-12
@@ -98,13 +75,11 @@ class TestOptimizePowerSplit:
         grid = default_power_split_grid()
         errors = draw_error_ensemble(4, 4, 0.2, 30, seed=11, channel_index=0)
         split, asr = optimize_power_split(
-            h, SchemeTag("dthp", rs=True), 31.0, 0.75, FIXED, 30,
-            grid=grid, seed=11, errors=errors,
+            h, SchemeTag("dthp", rs=True), 31.0, 0.75, grid, errors
         )
         values = [
             average_sum_rate(
-                h, SchemeTag("dthp", rs=True), 31.0, 0.75, t, FIXED, 30,
-                seed=11, errors=errors,
+                h, SchemeTag("dthp", rs=True), 31.0, 0.75, t, errors
             )
             for t in grid
         ]
@@ -119,14 +94,10 @@ class TestOptimizePowerSplit:
                                          channel_index=0)
             _, asr = optimize_power_split(
                 h, SchemeTag("zf", rs=True), 31.0, 0.75,
-                ErrorRegime.fixed_variance(0.3), 20,
-                grid=default_power_split_grid(), seed=seed + 100,
-                errors=errors,
+                default_power_split_grid(), errors,
             )
             base = average_sum_rate(
-                h, SchemeTag("zf", rs=True), 31.0, 0.75, 0.0,
-                ErrorRegime.fixed_variance(0.3), 20, seed=seed + 100,
-                errors=errors,
+                h, SchemeTag("zf", rs=True), 31.0, 0.75, 0.0, errors
             )
             assert asr >= base - 1e-12
 
@@ -137,7 +108,7 @@ class TestOptimizePowerSplit:
             h = channel_for(seed + 200, 0)
             split, _ = optimize_power_split(
                 h, SchemeTag("dthp", rs=True), snr_db_to_power(30.0), 0.75,
-                PERFECT, 1, grid=default_power_split_grid(), seed=seed + 200,
+                default_power_split_grid(), NO_ERROR,
             )
             assert split <= 0.2
 
@@ -145,13 +116,11 @@ class TestOptimizePowerSplit:
         h = channel_for(12, 0)
         with pytest.raises(EmptyGridError):
             optimize_power_split(
-                h, SchemeTag("dthp", rs=True), 31.0, 0.75, FIXED, 10,
-                grid=(), seed=12,
+                h, SchemeTag("dthp", rs=True), 31.0, 0.75, (), NO_ERROR
             )
         with pytest.raises(SchemeMismatchError):
             optimize_power_split(
-                h, SchemeTag("dthp"), 31.0, 0.75, FIXED, 10,
-                grid=(0.0, 0.1), seed=12,
+                h, SchemeTag("dthp"), 31.0, 0.75, (0.0, 0.1), NO_ERROR
             )
 
 
@@ -177,6 +146,28 @@ class TestSweepConfig:
                 error_variance_grid=(0.1,), snr_grid_db=(10.0, 15.0)
             ).validate()
 
+    def test_validate_rejects_out_of_range_values(self):
+        nan = float("nan")
+        for bad, error in (
+            (dict(power_split_grid=(0.0, 1.5)), ValueError),
+            (dict(power_split_grid=(-0.1,)), ValueError),
+            (dict(power_split_grid=(nan,)), ValueError),
+            (dict(power_loss=0.0), ValueError),
+            (dict(power_loss=1.5), ValueError),
+            (dict(snr_grid_db=(nan,)), ValueError),
+            (dict(snr_grid_db=(float("inf"),)), ValueError),
+            (dict(error_variance_grid=(0.1, -0.1)), InvalidVarianceError),
+            (dict(error_variance_grid=(nan,)), InvalidVarianceError),
+        ):
+            with pytest.raises(error):
+                small_config(**bad).validate()
+
+    def test_validate_accepts_edges(self):
+        small_config(
+            n_users=1, n_channels=1, n_error_samples=1, power_loss=1.0,
+            power_split_grid=(0.0, 0.95), error_variance_grid=(0.0, 0.5),
+        ).validate()
+
 
 class TestErgodicSumRate:
     def test_single_channel_is_plain_average(self):
@@ -185,9 +176,11 @@ class TestErgodicSumRate:
             cfg, SchemeTag("zf"), snr_db_to_power(15.0), FIXED, 15.0
         )
         h = channel_for(cfg.master_seed, 0)
+        errors = draw_error_ensemble(
+            4, 4, 0.2, cfg.n_error_samples, cfg.master_seed, channel_index=0
+        )
         asr = average_sum_rate(
-            h, SchemeTag("zf"), snr_db_to_power(15.0), 0.75, 0.0, FIXED,
-            cfg.n_error_samples, cfg.master_seed, channel_index=0,
+            h, SchemeTag("zf"), snr_db_to_power(15.0), 0.75, 0.0, errors
         )
         assert cell.esr == asr
         assert cell.ci_halfwidth == 0.0
@@ -237,14 +230,6 @@ class TestRunSweep:
         parallel = run_sweep(cfg, n_jobs=2)
         assert serial.cells == parallel.cells
 
-    def test_rerun_cell_matches_sweep(self):
-        cfg = small_config(snr_grid_db=(10.0, 15.0))
-        result = run_sweep(cfg)
-        for cell in result.cells:
-            again = rerun_cell(cfg, parse_scheme_tag(cell.scheme_tag),
-                               cell.x_value)
-            assert again == cell
-
     def test_variance_sweep_axis(self):
         cfg = small_config(
             error_variance_grid=(0.1, 0.3),
@@ -264,15 +249,22 @@ class TestRunSweep:
         e_tr = snr_db_to_power(15.0)
         for c in range(cfg.n_channels):
             h = channel_for(cfg.master_seed, c)
+            errors = draw_error_ensemble(
+                4, 4, 0.2, cfg.n_error_samples, cfg.master_seed, channel_index=c
+            )
             recomputed = average_sum_rate(
-                h, SchemeTag("zf"), e_tr, 0.75, 0.0, FIXED,
-                cfg.n_error_samples, cfg.master_seed, channel_index=c,
+                h, SchemeTag("zf"), e_tr, 0.75, 0.0, errors
             )
             assert by_tag["zf"].per_channel_asr[c] == recomputed
 
     def test_validates_before_running(self):
         with pytest.raises(EmptyGridError):
             run_sweep(small_config(power_split_grid=()))
+
+    def test_rejects_jobs_below_one(self):
+        for n_jobs in (0, -3):
+            with pytest.raises(ValueError):
+                run_sweep(small_config(), n_jobs=n_jobs)
 
 
 class TestStatisticalStability:
