@@ -38,8 +38,10 @@ def complex_gaussian(
     variance rescales a fixed realization instead of producing new
     randomness. That keeps error draws common across a variance grid.
     """
-    if variance < 0.0:
-        raise InvalidVarianceError(f"variance must be >= 0, got {variance}")
+    if not 0.0 <= variance < math.inf:
+        raise InvalidVarianceError(
+            f"variance must be finite and >= 0, got {variance}"
+        )
     real = rng.standard_normal(shape)
     imag = rng.standard_normal(shape)
     return np.sqrt(variance / 2.0) * (real + 1j * imag)

@@ -18,6 +18,7 @@ byte-identical. Exit codes: 0 success, 1 a validation check failed,
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -242,7 +243,14 @@ def _print_check(name: str, passed: bool, detail: str) -> bool:
     return passed
 
 
+def _require_count(flag: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{flag} must be >= 1, got {value}")
+
+
 def cmd_validate_chain(args) -> int:
+    _require_count("--channels", args.channels)
+    _require_count("--samples", args.samples)
     qam = qam_constellation(4)
     lattice = qam.lattice()
     tau = lattice.tau
@@ -313,6 +321,9 @@ def cmd_validate_chain(args) -> int:
 
 
 def cmd_cross_check_sinr(args) -> int:
+    if not math.isfinite(args.snr_db):
+        raise ValueError(f"--snr-db must be finite, got {args.snr_db}")
+    _require_count("--samples", args.samples)
     e_tr = snr_db_to_power(args.snr_db)
     sigma_e2 = args.error_variance
     perfect = sigma_e2 == 0.0
@@ -330,20 +341,17 @@ def cmd_cross_check_sinr(args) -> int:
         )
         check = cross_check_sinr(precoders, h_e, 1.0, args.samples, args.seed)
         print(f"scheme {scheme.tag} (csit={check.closed.csit}):")
-        for k in range(args.users):
-            closed = check.closed.private[k]
-            est = check.estimated.private[k]
-            gap = abs(est - closed) / closed
-            print(
-                f"  user {k}: closed {closed:.4f}  simulated {est:.4f}  gap {gap:.2%}"
-            )
-        if check.closed.common is not None:
-            for k in range(args.users):
-                closed = check.closed.common[k]
-                est = check.estimated.common[k]
+        streams = (
+            ("user", check.closed.private, check.estimated.private),
+            ("common@user", check.closed.common, check.estimated.common),
+        )
+        for label, closed_sinr, est_sinr in streams:
+            if closed_sinr is None:
+                continue
+            for k, (closed, est) in enumerate(zip(closed_sinr, est_sinr)):
                 gap = abs(est - closed) / closed
                 print(
-                    f"  common@user {k}: closed {closed:.4f}  simulated {est:.4f}  gap {gap:.2%}"
+                    f"  {label} {k}: closed {closed:.4f}  simulated {est:.4f}  gap {gap:.2%}"
                 )
         for note in check.annotations:
             print(f"  note: {note}")

@@ -19,11 +19,6 @@ from .exceptions import (
 # as row-rank deficient.
 _RANK_RTOL = 1e-10
 
-# Power iteration on the Gram matrix. Tolerance is on the iterate delta,
-# not the eigenvalue, so the returned vector itself is stable.
-_POWER_ITER_TOL = 1e-12
-_POWER_ITER_MAX = 10000
-
 # Components below this magnitude are skipped when picking the entry
 # that anchors the phase convention.
 _PHASE_ANCHOR_MIN = 1e-6
@@ -128,10 +123,11 @@ def pseudo_inverse(a) -> np.ndarray:
 def dominant_right_singular_vector(a) -> np.ndarray:
     """Unit-norm right singular vector for the largest singular value.
 
-    Power iteration on A^H A from a fixed all-ones start, run to a fixed
-    tolerance, so the result is bit-reproducible. The phase is anchored
-    by making the first component of non-negligible magnitude real
-    positive.
+    Taken from LAPACK's SVD as the conjugate of the first row of V^H.
+    The phase is anchored by making the first component of
+    non-negligible magnitude real positive; a unit vector in C^N has a
+    component of magnitude at least 1/sqrt(N), so an anchor always
+    exists.
 
     Args:
         a: (K, N) complex array, not identically zero.
@@ -148,26 +144,6 @@ def dominant_right_singular_vector(a) -> np.ndarray:
         raise ZeroMatrixError(
             "dominant_right_singular_vector: matrix is identically zero"
         )
-    n_cols = a.shape[1]
-    gram = a.conj().T @ a
-    v = np.ones(n_cols, dtype=complex) / np.sqrt(n_cols)
-    for _ in range(_POWER_ITER_MAX):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            # Start vector is orthogonal to the row space; perturb once.
-            v = np.zeros(n_cols, dtype=complex)
-            v[0] = 1.0
-            continue
-        w = w / norm
-        # The iterate can flip sign each step when the start vector has a
-        # negative overlap, so compare against both signs.
-        if min(np.linalg.norm(w - v), np.linalg.norm(w + v)) < _POWER_ITER_TOL:
-            v = w
-            break
-        v = w
-
-    anchors = np.flatnonzero(np.abs(v) > _PHASE_ANCHOR_MIN)
-    anchor = anchors[0] if anchors.size else int(np.argmax(np.abs(v)))
-    v = v * (np.conj(v[anchor]) / np.abs(v[anchor]))
-    return v
+    v = np.linalg.svd(a, full_matrices=False)[2][0].conj()
+    anchor = np.flatnonzero(np.abs(v) > _PHASE_ANCHOR_MIN)[0]
+    return v * (np.conj(v[anchor]) / np.abs(v[anchor]))

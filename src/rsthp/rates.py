@@ -67,11 +67,11 @@ def _cap(values: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def _thp_sinr_batch(
     precoders: PrecoderSet, errors: np.ndarray, sigma_n2: float
-) -> tuple[np.ndarray, np.ndarray | None, bool]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Closed-form SINRs for the THP family, batched over error draws.
 
     errors has shape (M, K, N); all-zero rows give the perfect-CSIT
-    values. Returns (private (M, K), common (M, K) or None, saturated).
+    values. Returns uncapped (private (M, K), common (M, K) or None).
     """
     scheme = precoders.scheme
     diag = precoders.lq.diagonal
@@ -114,16 +114,12 @@ def _thp_sinr_batch(
             )
             common = common_gain / common_den
 
-    private, sat_p = _cap(private)
-    sat_c = False
-    if common is not None:
-        common, sat_c = _cap(common)
-    return private, common, sat_p or sat_c
+    return private, common
 
 
 def _linear_sinr_batch(
     precoders: PrecoderSet, channel_rows: np.ndarray, sigma_n2: float
-) -> tuple[np.ndarray, np.ndarray | None, bool]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Closed-form SINRs for linear precoding on given true channel rows.
 
     channel_rows has shape (M, K, N): the channels the transmission
@@ -142,11 +138,7 @@ def _linear_sinr_batch(
             common_gain = np.abs(channel_rows @ precoders.p_common) ** 2
             common = common_gain / (own_power + interference)
 
-    private, sat_p = _cap(private)
-    sat_c = False
-    if common is not None:
-        common, sat_c = _cap(common)
-    return private, common, sat_p or sat_c
+    return private, common
 
 
 def _batch_sinr(
@@ -158,9 +150,15 @@ def _batch_sinr(
             f"{precoders.h_est.shape}"
         )
     if precoders.scheme.is_thp:
-        return _thp_sinr_batch(precoders, errors, sigma_n2)
-    rows = precoders.h_est[np.newaxis, :, :] + errors
-    return _linear_sinr_batch(precoders, rows, sigma_n2)
+        private, common = _thp_sinr_batch(precoders, errors, sigma_n2)
+    else:
+        rows = precoders.h_est[np.newaxis, :, :] + errors
+        private, common = _linear_sinr_batch(precoders, rows, sigma_n2)
+    private, sat_p = _cap(private)
+    sat_c = False
+    if common is not None:
+        common, sat_c = _cap(common)
+    return private, common, sat_p or sat_c
 
 
 def sinr_imperfect_csit(

@@ -248,6 +248,23 @@ class TestErrorHandling:
         self.assert_rejected(tmp_path, capsys, "sweep-snr", *SMALL,
                              "--snr-db", "10", "--jobs", "-3")
 
+    @pytest.mark.parametrize("argv", [
+        ("cross-check-sinr", "--snr-db", "nan"),
+        ("cross-check-sinr", "--snr-db", "inf"),
+        ("cross-check-sinr", "--error-variance", "nan"),
+        ("cross-check-sinr", "--error-variance", "inf"),
+        ("cross-check-sinr", "--samples", "0"),
+        ("validate-chain", "--channels", "0"),
+        ("validate-chain", "--channels", "-1"),
+        ("validate-chain", "--samples", "0"),
+    ])
+    def test_check_commands_reject_before_output(self, capsys, argv):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        lines = [line.split() for line in captured.out.splitlines()]
+        assert not any(w and w[0] in ("ok", "user") for w in lines)
+
 
 class TestSeedEnvironment:
     def test_env_seed_is_default(self, tmp_path, monkeypatch):

@@ -143,14 +143,21 @@ class TestDominantRightSingularVector:
         np.testing.assert_allclose(v, [0.0, 1.0], atol=1e-10)
 
     def test_matches_svd_oracle(self):
-        for seed in range(30):
-            a = random_complex((4, 4), seed + 100)
+        inputs = [random_complex((4, 4), seed + 100) for seed in range(30)]
+        # The all-ones vector is an eigenvector of this Gram matrix, but
+        # for the smallest singular value (1, against 5).
+        inputs.append(np.array([[3.0, -2.0], [-2.0, 3.0]]))
+        # The top two singular values differ by one part in a million.
+        unitary, _ = np.linalg.qr(random_complex((4, 4), 7))
+        inputs.append(np.diag([1.0 + 1e-6, 1.0, 0.5, 0.1]) @ unitary)
+        for a in inputs:
             v = dominant_right_singular_vector(a)
-            _, _, vh = np.linalg.svd(a)
+            _, s, vh = np.linalg.svd(a)
             ref = vh[0].conj()
             overlap = np.abs(np.vdot(ref, v))
             assert overlap > 1.0 - 1e-9
             assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(a @ v) - s[0]) <= 1e-12 * s[0]
 
     def test_phase_convention(self):
         v = dominant_right_singular_vector(random_complex((4, 4), 3))
