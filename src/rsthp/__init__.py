@@ -17,6 +17,7 @@ from .exceptions import (
     InvalidVarianceError,
     NonUnitDiagonalError,
     RankDeficientError,
+    SaturatedSinrError,
     SchemeMismatchError,
     SimulatorError,
     ZeroMatrixError,
@@ -87,6 +88,7 @@ __all__ = [
     "RankDeficientError",
     "RateReport",
     "SINR_CAP",
+    "SaturatedSinrError",
     "SchemeMismatchError",
     "SchemeTag",
     "SimulatorError",

@@ -296,10 +296,7 @@ def cmd_validate_chain(args) -> int:
             trace = run_perfect_csit_chain(
                 precoders, s, noise, lattice, beta_scale=args.inject_beta_scale
             )
-            if base == "cthp":
-                expected = trace.v + noise / precoders.beta
-            else:
-                expected = trace.v + precoders.g_diag * noise / precoders.beta
+            expected = trace.v + precoders.rx_gain * noise / precoders.beta
             worst = max(worst, float(np.max(np.abs(trace.received - expected))))
     ok = worst < 1e-9
     all_ok &= _print_check(

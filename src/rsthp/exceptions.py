@@ -31,3 +31,7 @@ class SchemeMismatchError(SimulatorError):
 
 class EmptyGridError(SimulatorError):
     """Search grid must contain at least one point."""
+
+
+class SaturatedSinrError(SimulatorError):
+    """An SINR reached the numerical cap or was not finite."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SchemeMismatchError
-from .linalg import LqFactors, dominant_right_singular_vector, lq_decompose, pseudo_inverse
+from .linalg import dominant_right_singular_vector, lq_decompose, pseudo_inverse
 
 _BASES = ("zf", "cthp", "dthp", "zf-dpc")
 
@@ -77,22 +77,26 @@ ALL_SCHEME_TAGS = (
 class PrecoderSet:
     """Everything the transmitter side derives from one channel estimate.
 
-    For THP-family schemes p_private is the effective linear map from
-    feedback-equalized symbols to antennas (scaling beta included);
-    f_matrix, g_diag, b_matrix are the feedforward, receiver gain and
-    feedback factors, and lq holds the underlying triangular
-    factorization. Linear zero-forcing fills only p_private. p_common is
-    None when the power split is zero.
+    build_precoders alone decides where THP's per-user scaling
+    g = 1/diag(L) sits and records it in two fields every reader uses.
+    tx_basis maps one unit of each feedback output (each private symbol
+    for zero-forcing) to the antennas; rx_gain is the gain receiver k
+    applies: ones for cthp (g sits in tx_basis), g_diag for dthp and
+    zf-dpc, None for zero-forcing. For THP schemes p_private =
+    tx_basis B^-1, with b_matrix the unit-diagonal feedback B, so
+    h_est @ p_private = beta diag(1 / rx_gain). Zero-forcing fills only
+    p_private, which is also its tx_basis. p_common is None when the
+    power split is zero.
     """
 
     scheme: SchemeTag
     p_common: np.ndarray | None
     p_private: np.ndarray
-    f_matrix: np.ndarray | None
+    tx_basis: np.ndarray
+    rx_gain: np.ndarray | None
     g_diag: np.ndarray | None
     b_matrix: np.ndarray | None
     beta: float | None
-    lq: LqFactors | None
     h_est: np.ndarray
     e_private: float
     lambda_eff: float
@@ -154,11 +158,11 @@ def build_precoders(
             scheme=scheme,
             p_common=p_common,
             p_private=p_private,
-            f_matrix=None,
+            tx_basis=p_private,
+            rx_gain=None,
             g_diag=None,
             b_matrix=None,
             beta=None,
-            lq=None,
             h_est=h_est,
             e_private=e_private,
             lambda_eff=lambda_eff,
@@ -166,8 +170,7 @@ def build_precoders(
 
     lq = lq_decompose(h_est)
     f_matrix = lq.q_matrix.conj().T
-    diag = lq.diagonal
-    g_diag = 1.0 / diag
+    g_diag = 1.0 / lq.diagonal
 
     if scheme.base == "cthp":
         # Unit-diagonal feedback on the right: B = L diag(g). The
@@ -175,24 +178,25 @@ def build_precoders(
         # power budget by the accumulated inverse-gain energy.
         b_matrix = lq.l_matrix * g_diag[np.newaxis, :]
         beta = float(np.sqrt(lambda_eff * e_private / np.sum(g_diag**2)))
-        feedforward = f_matrix * g_diag[np.newaxis, :]
+        tx_basis = beta * (f_matrix * g_diag[np.newaxis, :])
+        rx_gain = np.ones(n_users)
     else:
         # dthp and zf-dpc: unit-diagonal feedback on the left,
         # B = diag(g) L, receiver gains stay at the users.
         b_matrix = lq.l_matrix * g_diag[:, np.newaxis]
         beta = float(np.sqrt(lambda_eff * e_private / n_users))
-        feedforward = f_matrix
+        tx_basis = beta * f_matrix
+        rx_gain = g_diag
 
-    p_private = beta * feedforward @ np.linalg.inv(b_matrix)
     return PrecoderSet(
         scheme=scheme,
         p_common=p_common,
-        p_private=p_private,
-        f_matrix=f_matrix,
+        p_private=tx_basis @ np.linalg.inv(b_matrix),
+        tx_basis=tx_basis,
+        rx_gain=rx_gain,
         g_diag=g_diag,
         b_matrix=b_matrix,
         beta=beta,
-        lq=lq,
         h_est=h_est,
         e_private=e_private,
         lambda_eff=lambda_eff,
@@ -202,25 +206,13 @@ def build_precoders(
 def effective_transmit_power(precoders: PrecoderSet) -> float:
     """Average radiated power of the transmit chain for this precoder set.
 
-    For linear zero-forcing the private symbols are unit power, so the
-    private part is the Frobenius energy of p_private. For THP schemes
-    the signal actually radiated is beta * feedforward * w where w is the
-    feedback output with per-symbol power 1 / lambda_eff; the feedback
-    inverse never touches the air, so its energy does not count.
+    The private signal on the air is tx_basis times the feedback outputs
+    (the private symbols for zero-forcing), whose per-symbol power is
+    1 / lambda_eff (1 for zero-forcing); the feedback inverse never
+    touches the air, so its energy does not count.
     """
     common = 0.0
     if precoders.p_common is not None:
         common = float(np.real(np.vdot(precoders.p_common, precoders.p_common)))
-    if precoders.scheme.base == "zf":
-        private = float(np.sum(np.abs(precoders.p_private) ** 2))
-    else:
-        if precoders.scheme.base == "cthp":
-            feedforward = precoders.f_matrix * precoders.g_diag[np.newaxis, :]
-        else:
-            feedforward = precoders.f_matrix
-        private = (
-            precoders.beta**2
-            / precoders.lambda_eff
-            * float(np.sum(np.abs(feedforward) ** 2))
-        )
+    private = float(np.sum(np.abs(precoders.tx_basis) ** 2)) / precoders.lambda_eff
     return common + private

@@ -1,10 +1,12 @@
 """SINR and achievable-rate evaluation for every scheme.
 
 Closed forms and a Monte-Carlo estimator live side by side. The closed
-forms are evaluated through one shared kernel for perfect and imperfect
-CSIT (perfect is the zero-error special case), so the reduction between
-the two is exact by construction. The estimator simulates the received
-signal model directly and is the independent check on the algebra.
+forms of all eight schemes are evaluated through one kernel for perfect
+and imperfect CSIT (perfect is the zero-error special case), so the
+reduction between the two is exact by construction. The estimator
+simulates the received signal model directly and is the independent
+check on the algebra. Neither asks where a scheme puts its THP gains:
+PrecoderSet.tx_basis and rx_gain carry that.
 
 Conventions used throughout:
   * Channel rows are conjugated-transposed user channels, so a received
@@ -15,7 +17,8 @@ Conventions used throughout:
   * Feedback outputs are modeled as white with per-symbol power
     1 / lambda_eff when a transmit covariance is needed.
   * SINRs are capped at SINR_CAP; a report whose raw values exceeded the
-    cap (or were non-finite) is flagged saturated.
+    cap (or were non-finite) is flagged saturated, and the sweep path
+    refuses such values instead of averaging them.
 """
 
 from dataclasses import dataclass
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import complex_gaussian
-from .exceptions import DimensionMismatchError
+from .exceptions import DimensionMismatchError, SaturatedSinrError
 from .precoding import PrecoderSet
 
 SINR_CAP = 1e12
@@ -65,100 +68,57 @@ def _cap(values: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.minimum(values, SINR_CAP), saturated
 
 
-def _thp_sinr_batch(
-    precoders: PrecoderSet, errors: np.ndarray, sigma_n2: float
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Closed-form SINRs for the THP family, batched over error draws.
-
-    errors has shape (M, K, N); all-zero rows give the perfect-CSIT
-    values. Returns uncapped (private (M, K), common (M, K) or None).
-    """
-    scheme = precoders.scheme
-    diag = precoders.lq.diagonal
-    n_users = diag.size
-    lam = precoders.lambda_eff
-    e_priv = precoders.e_private
-    beta = precoders.beta
-
-    coupling = errors @ (precoders.p_private / beta)
-    diag_term = np.diagonal(coupling, axis1=1, axis2=2)
-    cross_power = (
-        np.sum(np.abs(coupling) ** 2, axis=2) - np.abs(diag_term) ** 2
-    )
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if scheme.base == "cthp":
-            # Transmit-side gains equalize the streams, so the noise term
-            # is common to all users.
-            numerator = np.abs(1.0 + diag_term) ** 2
-            noise_term = sigma_n2 * np.sum(1.0 / diag**2) / (lam * e_priv)
-            denominator = cross_power + noise_term
-        else:
-            # dthp / zf-dpc: receiver gain 1/l_k shapes both the coupling
-            # and the noise per user.
-            numerator = np.abs(1.0 + diag_term / diag**2) ** 2
-            denominator = cross_power / diag**2 + (
-                n_users * sigma_n2 / (lam * e_priv * diag**2)
-            )
-        private = numerator / denominator
-
-        common = None
-        if precoders.p_common is not None:
-            rows = precoders.h_est[np.newaxis, :, :] + errors
-            common_gain = np.abs(rows @ precoders.p_common) ** 2
-            self_term = diag if scheme.base != "cthp" else np.ones(n_users)
-            common_den = (
-                beta**2 * np.abs(self_term[np.newaxis, :] + diag_term) ** 2
-                + beta**2 * cross_power
-                + sigma_n2
-            )
-            common = common_gain / common_den
-
-    return private, common
-
-
-def _linear_sinr_batch(
-    precoders: PrecoderSet, channel_rows: np.ndarray, sigma_n2: float
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Closed-form SINRs for linear precoding on given true channel rows.
-
-    channel_rows has shape (M, K, N): the channels the transmission
-    actually crosses (estimate plus error, or the estimate itself for
-    perfect CSIT).
-    """
-    gains = channel_rows @ precoders.p_private
-    own = np.diagonal(gains, axis1=1, axis2=2)
-    own_power = np.abs(own) ** 2
-    interference = np.sum(np.abs(gains) ** 2, axis=2) - own_power + sigma_n2
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        private = own_power / interference
-        common = None
-        if precoders.p_common is not None:
-            common_gain = np.abs(channel_rows @ precoders.p_common) ** 2
-            common = common_gain / (own_power + interference)
-
-    return private, common
-
-
 def _batch_sinr(
     precoders: PrecoderSet, errors: np.ndarray, sigma_n2: float
 ) -> tuple[np.ndarray, np.ndarray | None, bool]:
+    """Closed-form SINRs for every scheme, batched over error draws.
+
+    errors has shape (M, K, N); all-zero rows give the perfect-CSIT
+    values. THP private streams see only the error coupling, because
+    h_est @ p_private = beta diag(1 / rx_gain) and the receiver modulo
+    strips the rest; linear private streams see the true channel rows.
+    The common stream treats the whole private signal as interference.
+    Returns capped (private (M, K), common (M, K) or None, saturated).
+    """
     if errors.ndim != 3 or errors.shape[1:] != precoders.h_est.shape:
         raise DimensionMismatchError(
             f"errors shape {errors.shape} does not match channel "
             f"{precoders.h_est.shape}"
         )
-    if precoders.scheme.is_thp:
-        private, common = _thp_sinr_batch(precoders, errors, sigma_n2)
-    else:
-        rows = precoders.h_est[np.newaxis, :, :] + errors
-        private, common = _linear_sinr_batch(precoders, rows, sigma_n2)
-    private, sat_p = _cap(private)
-    sat_c = False
+    rows = precoders.h_est[np.newaxis, :, :] + errors
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if precoders.scheme.is_thp:
+            beta = precoders.beta
+            gain2 = precoders.rx_gain**2
+            coupling = errors @ (precoders.p_private / beta)
+            diag_term = np.diagonal(coupling, axis1=1, axis2=2)
+            cross_power = (
+                np.sum(np.abs(coupling) ** 2, axis=2) - np.abs(diag_term) ** 2
+            )
+            # For dthp the chain and the estimator give 1 + g_k A_kk, not
+            # 1 + g_k^2 A_kk; this form stays until a third witness decides.
+            private = np.abs(1.0 + gain2 * diag_term) ** 2 / (
+                gain2 * (cross_power + sigma_n2 / beta**2)
+            )
+            private_power = beta**2 * (
+                np.abs(1.0 / precoders.rx_gain + diag_term) ** 2 + cross_power
+            )
+        else:
+            gains = rows @ precoders.p_private
+            own_power = np.abs(np.diagonal(gains, axis1=1, axis2=2)) ** 2
+            private_power = np.sum(np.abs(gains) ** 2, axis=2)
+            private = own_power / (private_power - own_power + sigma_n2)
+        common = None
+        if precoders.p_common is not None:
+            common = np.abs(rows @ precoders.p_common) ** 2 / (
+                private_power + sigma_n2
+            )
+
+    private, saturated = _cap(private)
     if common is not None:
         common, sat_c = _cap(common)
-    return private, common, sat_p or sat_c
+        saturated = saturated or sat_c
+    return private, common, saturated
 
 
 def sinr_imperfect_csit(
@@ -217,22 +177,22 @@ def sum_rate_samples(
     (common stream at its per-realization worst user) and the (M,) array
     of sum rates is returned. This is the workhorse the averaging layer
     calls; it matches rates_from_sinr(sinr_imperfect_csit(...)) per row.
+
+    Raises:
+        SaturatedSinrError: an SINR reached SINR_CAP or was not finite,
+            so the capped rate would be averaged in as if it were real.
     """
     errors = np.asarray(errors, dtype=complex)
-    private, common, _ = _batch_sinr(precoders, errors, sigma_n2)
+    private, common, saturated = _batch_sinr(precoders, errors, sigma_n2)
+    if saturated:
+        raise SaturatedSinrError(
+            f"{precoders.scheme.tag}: an SINR reached the cap {SINR_CAP:g} "
+            "or was not finite; lower the SNR"
+        )
     totals = np.sum(np.log2(1.0 + private), axis=1)
     if common is not None:
         totals = totals + np.min(np.log2(1.0 + common), axis=1)
     return totals
-
-
-def _transmit_basis(precoders: PrecoderSet) -> np.ndarray:
-    """Map from white feedback outputs to antenna signals (gain included)."""
-    if precoders.scheme.base == "cthp":
-        return precoders.beta * (
-            precoders.f_matrix * precoders.g_diag[np.newaxis, :]
-        )
-    return precoders.beta * precoders.f_matrix
 
 
 def estimate_sinr_monte_carlo(
@@ -249,9 +209,9 @@ def estimate_sinr_monte_carlo(
     the receiver is credited with removing its own dither but not the
     error-rotated copies of it. For linear schemes the symbols are unit
     power and the model is exact. The common stream, when present,
-    treats the entire private signal as interference, with THP private
-    signals modeled as white feedback outputs through the transmit
-    basis.
+    treats the entire private signal as interference: white feedback
+    outputs of power 1 / lambda_eff (unit-power symbols for linear
+    schemes) through tx_basis.
 
     This estimator is deliberately independent of the closed forms: it
     accumulates sample powers of simulated signals and divides.
@@ -270,22 +230,17 @@ def estimate_sinr_monte_carlo(
         dither = complex_gaussian(rng, (n_samples, n_users), variance=dither_var)
         v = symbols + dither
         coupling = h_e @ (precoders.p_private / precoders.beta)
-        if scheme.base == "cthp":
-            row_scale = np.ones(n_users)
-            noise_scale = np.full(n_users, 1.0 / precoders.beta)
-        else:
-            row_scale = precoders.g_diag
-            noise_scale = precoders.g_diag / precoders.beta
+        gain = precoders.rx_gain
         # Received after receiver gain with the direct-path dither removed.
         # The error-coupled dither copies stay: the receiver modulo only
         # strips d_k from its own direct term.
         received = (
             v
-            + (v @ coupling.T) * row_scale[np.newaxis, :]
-            + noise * noise_scale[np.newaxis, :]
+            + (v @ coupling.T) * gain[np.newaxis, :]
+            + noise * (gain / precoders.beta)[np.newaxis, :]
             - dither
         )
-        desired_coeff = 1.0 + row_scale * np.diagonal(coupling)
+        desired_coeff = 1.0 + gain * np.diagonal(coupling)
         desired = desired_coeff[np.newaxis, :] * symbols
         residual = received - desired
         interference_power = np.mean(np.abs(residual) ** 2, axis=0)
@@ -307,16 +262,10 @@ def estimate_sinr_monte_carlo(
         rows = precoders.h_est + h_e
         common_symbol = complex_gaussian(rng, (n_samples,))
         common_noise = complex_gaussian(rng, (n_samples, n_users), variance=sigma_n2)
-        if scheme.is_thp:
-            white = complex_gaussian(
-                rng, (n_samples, n_users), variance=1.0 / precoders.lambda_eff
-            )
-            x_private = white @ _transmit_basis(precoders).T
-        else:
-            x_private = (
-                complex_gaussian(rng, (n_samples, n_users))
-                @ precoders.p_private.T
-            )
+        white = complex_gaussian(
+            rng, (n_samples, n_users), variance=1.0 / precoders.lambda_eff
+        )
+        x_private = white @ precoders.tx_basis.T
         common_gain = rows @ precoders.p_common
         desired_c = common_symbol[:, np.newaxis] * common_gain[np.newaxis, :]
         clutter = x_private @ rows.T + common_noise

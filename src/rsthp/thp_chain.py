@@ -152,25 +152,18 @@ def run_perfect_csit_chain(
     Raises:
         SchemeMismatchError: scheme without a feedback chain.
     """
-    scheme = precoders.scheme
-    if scheme.base not in ("cthp", "dthp"):
+    if not precoders.scheme.uses_power_loss:
         raise SchemeMismatchError(
-            f"scheme {scheme.tag} has no modulo signal chain"
+            f"scheme {precoders.scheme.tag} has no modulo signal chain"
         )
     symbols = np.asarray(symbols, dtype=complex)
     noise = np.asarray(noise, dtype=complex)
-    beta = precoders.beta * beta_scale
 
     w, d = thp_encode(symbols, precoders.b_matrix, lattice)
     v = symbols + d
-    if scheme.base == "cthp":
-        x = beta * (precoders.f_matrix * precoders.g_diag[np.newaxis, :]) @ w
-        y = precoders.h_est @ x + noise
-        received = y / precoders.beta
-    else:
-        x = beta * precoders.f_matrix @ w
-        y = precoders.h_est @ x + noise
-        received = precoders.g_diag * y / precoders.beta
+    x = beta_scale * precoders.tx_basis @ w
+    y = precoders.h_est @ x + noise
+    received = precoders.rx_gain * y / precoders.beta
     return ChainTrace(s=symbols, v=v, d=d, w=w, x=x, received=received)
 
 

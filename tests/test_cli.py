@@ -248,6 +248,13 @@ class TestErrorHandling:
         self.assert_rejected(tmp_path, capsys, "sweep-snr", *SMALL,
                              "--snr-db", "10", "--jobs", "-3")
 
+    def test_capped_sinr_is_not_averaged(self, tmp_path, capsys):
+        # At 400 dB zero-forcing SINRs pass SINR_CAP; writing the capped
+        # rate (4 log2 SINR_CAP) as a result would hide the limit.
+        self.assert_rejected(tmp_path, capsys, "sweep-snr", "--snr-db", "400",
+                             "--schemes", "zf,dthp-rs", "--channels", "3",
+                             "--error-samples", "2")
+
     @pytest.mark.parametrize("argv", [
         ("cross-check-sinr", "--snr-db", "nan"),
         ("cross-check-sinr", "--snr-db", "inf"),

@@ -13,6 +13,7 @@ from rsthp import (
     SchemeTag,
     build_precoders,
     effective_transmit_power,
+    lq_decompose,
     parse_scheme_tag,
     rates_from_sinr,
     sinr_imperfect_csit,
@@ -63,9 +64,11 @@ class TestHandExamples:
             ps.b_matrix, [[1.0, 0.0], [1.0, 1.0]], atol=1e-12
         )
         np.testing.assert_allclose(ps.g_diag, [0.5, 1.0], atol=1e-12)
-        np.testing.assert_allclose(ps.f_matrix, np.eye(2), atol=1e-12)
         # beta = sqrt(lambda * E / K) = sqrt(8 / 2) = 2.
         assert abs(ps.beta - 2.0) < 1e-12
+        # Gains at the receivers: the transmitter sends beta F w, F = I.
+        np.testing.assert_allclose(ps.rx_gain, [0.5, 1.0], atol=1e-12)
+        np.testing.assert_allclose(ps.tx_basis, 2.0 * np.eye(2), atol=1e-12)
 
     def test_cthp_feedback(self):
         ps = build_precoders(H2, SchemeTag("cthp"), e_tr=10.0, power_loss=1.0)
@@ -74,23 +77,29 @@ class TestHandExamples:
         )
         # beta = sqrt(E / sum(1/l^2)) = sqrt(10 / 1.25).
         assert abs(ps.beta - np.sqrt(8.0)) < 1e-12
+        # Gains at the transmitter: it sends beta F diag(g) w, F = I.
+        np.testing.assert_allclose(ps.rx_gain, [1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(
+            ps.tx_basis, np.sqrt(8.0) * np.diag([0.5, 1.0]), atol=1e-12
+        )
 
-    def test_dthp_triangularizes(self):
+    def test_channel_times_precoder_is_receiver_inverse(self):
+        # cthp diagonalizes to beta I; dthp and zf-dpc triangularize to
+        # beta diag(L), which the receivers' gains 1/l_k undo.
         for seed in range(10):
             h = random_channel(seed)
-            ps = build_precoders(h, SchemeTag("dthp"), 31.0, 0.75)
-            product = h @ ps.p_private
-            expected = ps.beta * np.diag(ps.lq.diagonal)
-            np.testing.assert_allclose(product, expected, atol=1e-9)
-
-    def test_cthp_diagonalizes_to_identity(self):
-        for seed in range(10):
-            h = random_channel(seed)
-            ps = build_precoders(h, SchemeTag("cthp"), 31.0, 0.75)
-            product = h @ ps.p_private
-            np.testing.assert_allclose(
-                product, ps.beta * np.eye(4), atol=1e-9
-            )
+            ell = lq_decompose(h).diagonal
+            for text, rx_gain in (("cthp", np.ones(4)), ("dthp", 1.0 / ell),
+                                  ("zf-dpc", 1.0 / ell)):
+                for split in (0.0, 0.3):
+                    scheme = SchemeTag(text, rs=split > 0.0)
+                    ps = build_precoders(h, scheme, 31.0, 0.75, split)
+                    np.testing.assert_allclose(ps.rx_gain, rx_gain, rtol=1e-12)
+                    np.testing.assert_allclose(
+                        h @ ps.p_private,
+                        ps.beta * np.diag(1.0 / ps.rx_gain),
+                        atol=1e-9,
+                    )
 
     def test_zf_inverts_channel(self):
         h = random_channel(1)

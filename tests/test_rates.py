@@ -16,6 +16,7 @@ from rsthp import (
     cross_check_sinr,
     draw_error_ensemble,
     estimate_sinr_monte_carlo,
+    lq_decompose,
     parse_scheme_tag,
     rates_from_sinr,
     sinr_imperfect_csit,
@@ -32,7 +33,7 @@ def random_channel(seed, shape=(4, 4)):
 def oracle_thp_sinr(ps, h_e, sigma_n2):
     """Term-by-term recomputation of the THP closed forms."""
     n_users = ps.n_users
-    ell = ps.lq.diagonal
+    ell = lq_decompose(ps.h_est).diagonal
     p_over_beta = ps.p_private / ps.beta
     private = np.zeros(n_users)
     common = None if ps.p_common is None else np.zeros(n_users)

@@ -194,11 +194,7 @@ class TestChain:
             ps = build_precoders(random_channel(32), SchemeTag(base), e_tr, 0.75)
             s = rng.choice(qam.points, size=(10000, 4))
             w, _ = thp_encode(s, ps.b_matrix, lattice)
-            if base == "cthp":
-                basis = ps.beta * (ps.f_matrix * ps.g_diag[np.newaxis, :])
-            else:
-                basis = ps.beta * ps.f_matrix
-            x = w @ basis.T
+            x = w @ ps.tx_basis.T
             avg_power = float(np.mean(np.sum(np.abs(x) ** 2, axis=1)))
             assert avg_power <= 1.05 * e_tr
 
