@@ -83,23 +83,33 @@ class TestHandExamples:
             ps.tx_basis, np.sqrt(8.0) * np.diag([0.5, 1.0]), atol=1e-12
         )
 
-    def test_channel_times_precoder_is_receiver_inverse(self):
-        # cthp diagonalizes to beta I; dthp and zf-dpc triangularize to
-        # beta diag(L), which the receivers' gains 1/l_k undo.
+    def test_dthp_triangularizes(self):
+        # h F = L, so dthp and zf-dpc leave beta diag(L) at the receivers,
+        # whose gains 1/l_k undo it.
         for seed in range(10):
             h = random_channel(seed)
             ell = lq_decompose(h).diagonal
-            for text, rx_gain in (("cthp", np.ones(4)), ("dthp", 1.0 / ell),
-                                  ("zf-dpc", 1.0 / ell)):
+            for text in ("dthp", "zf-dpc"):
                 for split in (0.0, 0.3):
                     scheme = SchemeTag(text, rs=split > 0.0)
                     ps = build_precoders(h, scheme, 31.0, 0.75, split)
-                    np.testing.assert_allclose(ps.rx_gain, rx_gain, rtol=1e-12)
-                    np.testing.assert_allclose(
-                        h @ ps.p_private,
-                        ps.beta * np.diag(1.0 / ps.rx_gain),
-                        atol=1e-9,
-                    )
+                    np.testing.assert_allclose(ps.rx_gain, 1.0 / ell, rtol=1e-12)
+                    product = h @ ps.p_private
+                    expected = ps.beta * np.diag(ell)
+                    np.testing.assert_allclose(product, expected, atol=1e-9)
+
+    def test_cthp_diagonalizes_to_identity(self):
+        # cthp applies g at the transmitter, so the receivers see beta I.
+        for seed in range(10):
+            h = random_channel(seed)
+            for split in (0.0, 0.3):
+                scheme = SchemeTag("cthp", rs=split > 0.0)
+                ps = build_precoders(h, scheme, 31.0, 0.75, split)
+                np.testing.assert_allclose(ps.rx_gain, np.ones(4), rtol=1e-12)
+                product = h @ ps.p_private
+                np.testing.assert_allclose(
+                    product, ps.beta * np.eye(4), atol=1e-9
+                )
 
     def test_zf_inverts_channel(self):
         h = random_channel(1)
