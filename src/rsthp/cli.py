@@ -28,7 +28,14 @@ from .channel import ErrorRegime, complex_gaussian, draw_error_ensemble, stream_
 from .exceptions import SimulatorError
 from .precoding import ALL_SCHEME_TAGS, SchemeTag, build_precoders, parse_scheme_tag
 from .rates import CROSS_CHECK_TOL, cross_check_sinr
-from .sweeps import SweepConfig, SweepResult, draw_channel, run_sweep, snr_db_to_power
+from .sweeps import (
+    SIGMA_N2,
+    SweepConfig,
+    SweepResult,
+    draw_channel,
+    run_sweep,
+    snr_db_to_power,
+)
 from .thp_chain import (
     measure_power_loss,
     modulo_reduce,
@@ -45,7 +52,11 @@ _ALL_SCHEME_TEXT = ",".join(s.tag for s in ALL_SCHEME_TAGS)
 
 def default_seed() -> int:
     """Default master seed; the RSTHP_SEED environment variable overrides."""
-    return int(os.environ.get("RSTHP_SEED", "12345"))
+    text = os.environ.get("RSTHP_SEED", "12345")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"RSTHP_SEED must be an integer, got {text!r}") from None
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
@@ -87,7 +98,7 @@ def format_csv(result: SweepResult) -> str:
                 (
                     cell.scheme_tag,
                     _fmt(cell.x_value),
-                    cell.x_kind,
+                    result.config.x_kind,
                     _fmt(cell.esr),
                     _fmt(cell.ci_halfwidth),
                     _fmt(cell.chosen_split_mean),
@@ -103,7 +114,7 @@ def format_structured(result: SweepResult) -> str:
         {
             "scheme": cell.scheme_tag,
             "x_value": cell.x_value,
-            "x_kind": cell.x_kind,
+            "x_kind": result.config.x_kind,
             "esr_bps_hz": cell.esr,
             "ci_halfwidth": cell.ci_halfwidth,
             "chosen_split_mean": cell.chosen_split_mean,
@@ -111,7 +122,7 @@ def format_structured(result: SweepResult) -> str:
         }
         for cell in result.cells
     ]
-    return json.dumps({"x_kind": result.x_kind, "rows": rows}, indent=2, sort_keys=True) + "\n"
+    return json.dumps({"x_kind": result.config.x_kind, "rows": rows}, indent=2, sort_keys=True) + "\n"
 
 
 def config_as_dict(config: SweepConfig) -> dict:
@@ -131,7 +142,7 @@ def config_as_dict(config: SweepConfig) -> dict:
         "power_loss": config.power_loss,
         "power_split_grid": list(config.power_split_grid),
         "master_seed": config.master_seed,
-        "sigma_n2": config.sigma_n2,
+        "sigma_n2": SIGMA_N2,
         "x_kind": config.x_kind,
     }
 
@@ -205,7 +216,7 @@ def _finish_sweep(args, config: SweepConfig) -> int:
     sidecar = write_sweep_outputs(result, args.out, args.format)
     for cell in result.cells:
         print(
-            f"{cell.scheme_tag:12s} {cell.x_kind}={cell.x_value:g} "
+            f"{cell.scheme_tag:12s} {config.x_kind}={cell.x_value:g} "
             f"esr={cell.esr:.4f} +-{cell.ci_halfwidth:.4f} "
             f"split={cell.chosen_split_mean:.3f}"
         )
@@ -293,9 +304,7 @@ def cmd_validate_chain(args) -> int:
         s = np.random.default_rng(args.seed + c).choice(qam.points, size=4)
         for base in ("cthp", "dthp"):
             precoders = build_precoders(h_est, SchemeTag(base), e_tr, 0.75)
-            trace = run_perfect_csit_chain(
-                precoders, s, noise, lattice, beta_scale=args.inject_beta_scale
-            )
+            trace = run_perfect_csit_chain(precoders, s, noise, lattice)
             expected = trace.v + precoders.rx_gain * noise / precoders.beta
             worst = max(worst, float(np.max(np.abs(trace.received - expected))))
     ok = worst < 1e-9
@@ -331,13 +340,15 @@ def cmd_cross_check_sinr(args) -> int:
         h_e = draw_error_ensemble(
             args.users, args.tx_antennas, sigma_e2, 1, args.seed, 0
         )[0]
+    # Build every scheme before the first line so a bad --split fails alone.
+    precoder_sets = [
+        build_precoders(h_est, scheme, e_tr, args.power_loss, power_split=args.split)
+        for scheme in parse_schemes(args.schemes)
+    ]
     failed = False
-    for scheme in parse_schemes(args.schemes):
-        precoders = build_precoders(
-            h_est, scheme, e_tr, args.power_loss, power_split=args.split
-        )
+    for precoders in precoder_sets:
         check = cross_check_sinr(precoders, h_e, 1.0, args.samples, args.seed)
-        print(f"scheme {scheme.tag} (csit={check.closed.csit}):")
+        print(f"scheme {precoders.scheme.tag} (csit={check.closed.csit}):")
         streams = (
             ("user", check.closed.private, check.estimated.private),
             ("common@user", check.closed.common, check.estimated.common),
@@ -407,9 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channels", type=int, default=100)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=default_seed())
-    p.add_argument(
-        "--inject-beta-scale", type=float, default=1.0, help=argparse.SUPPRESS
-    )
     p.set_defaults(handler=cmd_validate_chain)
 
     p = sub.add_parser(
@@ -430,14 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
-    except SimulatorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (SimulatorError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,6 +36,9 @@ from .rates import sum_rate_samples
 # 95% normal-approximation confidence multiplier for the ESR halfwidth.
 _CI_FACTOR = 1.96
 
+# Receiver noise variance of every sweep; snr_db_to_power assumes it.
+SIGMA_N2 = 1.0
+
 
 def default_power_split_grid() -> tuple[float, ...]:
     """Power-split search grid 0, 0.05, ..., 0.95."""
@@ -64,12 +67,11 @@ def average_sum_rate(
     power_loss: float,
     power_split: float,
     errors: np.ndarray,
-    sigma_n2: float = 1.0,
 ) -> float:
     """Sample-average sum rate over the (M, K, N) error ensemble of one
     channel; a single all-zero realization gives the perfect-CSIT rate."""
     precoders = build_precoders(h_est, scheme, e_tr, power_loss, power_split)
-    return float(np.mean(sum_rate_samples(precoders, errors, sigma_n2)))
+    return float(np.mean(sum_rate_samples(precoders, errors, SIGMA_N2)))
 
 
 def optimize_power_split(
@@ -79,7 +81,6 @@ def optimize_power_split(
     power_loss: float,
     grid,
     errors: np.ndarray,
-    sigma_n2: float = 1.0,
 ) -> tuple[float, float]:
     """Best power split on a grid by exhaustive sample-average search.
 
@@ -98,9 +99,7 @@ def optimize_power_split(
     best_split = None
     best_asr = -math.inf
     for split in grid:
-        asr = average_sum_rate(
-            h_est, scheme, e_tr, power_loss, split, errors, sigma_n2
-        )
+        asr = average_sum_rate(h_est, scheme, e_tr, power_loss, split, errors)
         if asr > best_asr or (asr == best_asr and split < best_split):
             best_asr = asr
             best_split = split
@@ -131,7 +130,6 @@ class SweepConfig:
         default_factory=default_power_split_grid
     )
     master_seed: int = 12345
-    sigma_n2: float = 1.0
 
     @property
     def x_kind(self) -> str:
@@ -188,7 +186,6 @@ class SweepCell:
 
     scheme_tag: str
     x_value: float
-    x_kind: str
     esr: float
     ci_halfwidth: float
     chosen_split_mean: float
@@ -199,7 +196,6 @@ class SweepCell:
 @dataclass(frozen=True)
 class SweepResult:
     config: SweepConfig
-    x_kind: str
     cells: tuple[SweepCell, ...]
 
 
@@ -236,7 +232,7 @@ def ergodic_sum_rate(
                 c,
             )
         splits[c], asr_values[c] = optimize_power_split(
-            h_est, scheme, e_tr, config.power_loss, grid, errors, config.sigma_n2
+            h_est, scheme, e_tr, config.power_loss, grid, errors
         )
 
     esr = float(np.mean(asr_values))
@@ -251,7 +247,6 @@ def ergodic_sum_rate(
     return SweepCell(
         scheme_tag=scheme.tag,
         x_value=float(x_value),
-        x_kind=config.x_kind,
         esr=esr,
         ci_halfwidth=ci,
         chosen_split_mean=float(np.mean(splits)),
@@ -301,5 +296,5 @@ def run_sweep(config: SweepConfig, n_jobs: int = 1) -> SweepResult:
             cells = tuple(pool.map(_evaluate_cell, tasks))
     else:
         cells = tuple(_evaluate_cell(t) for t in tasks)
-    return SweepResult(config=config, x_kind=config.x_kind, cells=cells)
+    return SweepResult(config=config, cells=cells)
 

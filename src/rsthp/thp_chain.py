@@ -130,15 +130,12 @@ def run_perfect_csit_chain(
     symbols: np.ndarray,
     noise: np.ndarray,
     lattice: ModuloLattice,
-    beta_scale: float = 1.0,
 ) -> ChainTrace:
     """Run the full THP chain over the channel the precoders were built on.
 
     With matched transmit and receive processing the received signal is
     exactly v plus scaled noise; anything else is an implementation bug,
-    which is what the chain validator checks. beta_scale multiplies the
-    transmit gain only (a fault-injection hook for that validator) and
-    must stay 1.0 for a correct chain.
+    which is what the chain validator checks.
 
     Args:
         precoders: THP precoder set (cthp or dthp family).
@@ -161,7 +158,7 @@ def run_perfect_csit_chain(
 
     w, d = thp_encode(symbols, precoders.b_matrix, lattice)
     v = symbols + d
-    x = beta_scale * precoders.tx_basis @ w
+    x = precoders.tx_basis @ w
     y = precoders.h_est @ x + noise
     received = precoders.rx_gain * y / precoders.beta
     return ChainTrace(s=symbols, v=v, d=d, w=w, x=x, received=received)

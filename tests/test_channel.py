@@ -3,17 +3,9 @@
 import numpy as np
 import pytest
 
-from rsthp import (
-    DimensionMismatchError,
-    ErrorRegime,
-    InvalidVarianceError,
-    SchemeTag,
-    SweepConfig,
-    average_sum_rate,
-    draw_error_ensemble,
-    ergodic_sum_rate,
-)
-from rsthp.sweeps import draw_channel
+from rsthp import ErrorRegime, SchemeTag, SweepConfig, draw_error_ensemble
+from rsthp.exceptions import DimensionMismatchError, InvalidVarianceError
+from rsthp.sweeps import average_sum_rate, draw_channel, ergodic_sum_rate
 
 
 class TestErrorRegime:

@@ -4,13 +4,14 @@ Most tests drive main() in process and then check the written tables
 against the library called directly with the same configuration.
 """
 
+import dataclasses
 import json
 import shutil
 import subprocess
 
 import pytest
 
-from rsthp import ErrorRegime, SweepConfig, parse_scheme_tag, run_sweep
+from rsthp import ErrorRegime, SweepConfig, build_precoders, parse_scheme_tag, run_sweep
 from rsthp.cli import CSV_HEADER, main, parse_grid
 
 SMALL = [
@@ -183,10 +184,14 @@ class TestValidateChain:
         out = capsys.readouterr().out
         assert "ok" in out and "FAIL" not in out
 
-    def test_injected_gain_error_is_caught(self, capsys):
+    def test_injected_gain_error_is_caught(self, capsys, monkeypatch):
+        def mismatched_gain(*args, **kwargs):
+            ps = build_precoders(*args, **kwargs)
+            return dataclasses.replace(ps, tx_basis=1.01 * ps.tx_basis)
+
+        monkeypatch.setattr("rsthp.cli.build_precoders", mismatched_gain)
         code = run_cli("validate-chain", "--channels", "5",
-                       "--samples", "4000", "--seed", "3",
-                       "--inject-beta-scale", "1.01")
+                       "--samples", "4000", "--seed", "3")
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
@@ -264,6 +269,9 @@ class TestErrorHandling:
         ("validate-chain", "--channels", "0"),
         ("validate-chain", "--channels", "-1"),
         ("validate-chain", "--samples", "0"),
+        # zf has no common stream; cthp-rs must not be reported first.
+        ("cross-check-sinr", "--schemes", "cthp-rs,zf", "--split", "0.2",
+         "--samples", "2000"),
     ])
     def test_check_commands_reject_before_output(self, capsys, argv):
         assert run_cli(*argv) == 2
@@ -288,6 +296,21 @@ class TestSeedEnvironment:
                 "--seed", "9", "--out", str(out))
         sidecar = json.loads((tmp_path / "sweep.csv.config.json").read_text())
         assert sidecar["master_seed"] == 9
+
+    @pytest.mark.parametrize("argv", [
+        ("validate-chain",),
+        ("cross-check-sinr", "--help"),
+        ("sweep-snr", *SMALL, "--seed", "9", "--out", "sweep.csv"),
+    ])
+    def test_bad_env_seed_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.setenv("RSTHP_SEED", "abc")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error:") and "RSTHP_SEED" in captured.err
+        assert not list(tmp_path.iterdir())
 
 
 class TestConsoleScript:

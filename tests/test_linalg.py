@@ -8,14 +8,8 @@ convention), and the dominant singular vector against numpy's full SVD.
 import numpy as np
 import pytest
 
-from rsthp import (
-    DimensionMismatchError,
-    RankDeficientError,
-    ZeroMatrixError,
-    dominant_right_singular_vector,
-    lq_decompose,
-    pseudo_inverse,
-)
+from rsthp.exceptions import DimensionMismatchError, RankDeficientError, ZeroMatrixError
+from rsthp.linalg import dominant_right_singular_vector, lq_decompose, pseudo_inverse
 
 
 def random_complex(shape, seed):

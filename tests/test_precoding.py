@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from rsthp import (
-    SchemeMismatchError,
     SchemeTag,
     build_precoders,
-    effective_transmit_power,
-    lq_decompose,
     parse_scheme_tag,
     rates_from_sinr,
     sinr_imperfect_csit,
 )
+from rsthp.exceptions import SchemeMismatchError
+from rsthp.linalg import lq_decompose
+from rsthp.precoding import effective_transmit_power
 
 
 def random_channel(seed, shape=(4, 4)):

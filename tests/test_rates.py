@@ -9,20 +9,18 @@ estimator.
 import numpy as np
 
 from rsthp import (
-    SINR_CAP,
     SchemeTag,
-    SinrReport,
     build_precoders,
     cross_check_sinr,
     draw_error_ensemble,
-    estimate_sinr_monte_carlo,
-    lq_decompose,
     parse_scheme_tag,
     rates_from_sinr,
     sinr_imperfect_csit,
     sinr_perfect_csit,
     sum_rate_samples,
 )
+from rsthp.linalg import lq_decompose
+from rsthp.rates import SINR_CAP, SinrReport, estimate_sinr_monte_carlo
 
 
 def random_channel(seed, shape=(4, 4)):

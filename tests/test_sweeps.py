@@ -4,22 +4,22 @@ import numpy as np
 import pytest
 
 from rsthp import (
-    EmptyGridError,
     ErrorRegime,
-    InvalidVarianceError,
-    SchemeMismatchError,
     SchemeTag,
     SweepConfig,
-    average_sum_rate,
-    default_power_split_grid,
     draw_error_ensemble,
-    ergodic_sum_rate,
-    optimize_power_split,
     parse_scheme_tag,
     run_sweep,
     snr_db_to_power,
 )
-from rsthp.sweeps import draw_channel
+from rsthp.exceptions import EmptyGridError, InvalidVarianceError, SchemeMismatchError
+from rsthp.sweeps import (
+    average_sum_rate,
+    default_power_split_grid,
+    draw_channel,
+    ergodic_sum_rate,
+    optimize_power_split,
+)
 
 FIXED = ErrorRegime.fixed_variance(0.2)
 PERFECT = ErrorRegime.perfect()
@@ -215,7 +215,7 @@ class TestRunSweep:
         first = run_sweep(cfg)
         second = run_sweep(cfg)
         assert first.cells == second.cells
-        assert first.x_kind == "snr_db"
+        assert first.config.x_kind == "snr_db"
 
     def test_cell_order_and_coverage(self):
         cfg = small_config(snr_grid_db=(10.0, 15.0))
@@ -238,7 +238,7 @@ class TestRunSweep:
         )
         result = run_sweep(cfg)
         assert [c.x_value for c in result.cells] == [0.1, 0.3]
-        assert all(c.x_kind == "error_variance" for c in result.cells)
+        assert result.config.x_kind == "error_variance"
 
     def test_common_random_numbers_across_schemes(self):
         # Every scheme sees the same channels and the same error draws,

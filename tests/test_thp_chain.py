@@ -1,12 +1,12 @@
 """Tests for the modulo signal chain."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rsthp import (
     ModuloLattice,
-    NonUnitDiagonalError,
-    SchemeMismatchError,
     SchemeTag,
     build_precoders,
     complex_gaussian,
@@ -18,6 +18,7 @@ from rsthp import (
     stream_rng,
     thp_encode,
 )
+from rsthp.exceptions import NonUnitDiagonalError, SchemeMismatchError
 
 TAU2 = ModuloLattice(tau=2.0)
 
@@ -172,8 +173,9 @@ class TestChain:
         qam = qam_constellation(4)
         lattice = qam.lattice()
         ps = build_precoders(random_channel(28), SchemeTag("dthp"), 10.0, 0.75)
+        ps = dataclasses.replace(ps, tx_basis=1.01 * ps.tx_basis)
         s = np.random.default_rng(29).choice(qam.points, size=4)
-        trace = run_perfect_csit_chain(ps, s, np.zeros(4), lattice, beta_scale=1.01)
+        trace = run_perfect_csit_chain(ps, s, np.zeros(4), lattice)
         assert np.max(np.abs(trace.received - trace.v)) > 1e-3
 
     def test_linear_scheme_rejected(self):
