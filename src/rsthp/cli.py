@@ -18,7 +18,6 @@ byte-identical. Exit codes: 0 success, 1 a validation check failed,
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -236,10 +235,7 @@ def cmd_sweep_snr(args) -> int:
 def cmd_sweep_error_variance(args) -> int:
     snr_grid = parse_grid(args.snr_db)
     variance_grid = parse_grid(args.error_variance)
-    # error_regime is unused on this path; each grid point carries its own.
-    config = _config_from_args(
-        args, ErrorRegime.fixed_variance(variance_grid[0]), snr_grid, variance_grid
-    )
+    config = _config_from_args(args, ErrorRegime.perfect(), snr_grid, variance_grid)
     return _finish_sweep(args, config)
 
 
@@ -327,8 +323,6 @@ def cmd_validate_chain(args) -> int:
 
 
 def cmd_cross_check_sinr(args) -> int:
-    if not math.isfinite(args.snr_db):
-        raise ValueError(f"--snr-db must be finite, got {args.snr_db}")
     _require_count("--samples", args.samples)
     e_tr = snr_db_to_power(args.snr_db)
     sigma_e2 = args.error_variance

@@ -14,8 +14,8 @@ Conventions used throughout:
   * THP coupling matrix A = h_e @ (P / beta), the estimation error hit
     by the feedforward/feedback cascade without the transmit gain; the
     gain cancels between transmitter and receiver scaling.
-  * Feedback outputs are modeled as white with per-symbol power
-    1 / lambda_eff when a transmit covariance is needed.
+  * The closed forms take the effective symbols v = s + d at unit
+    power; the estimator sends 4-QAM v with the real lattice offsets d.
   * SINRs are capped at SINR_CAP; a report whose raw values exceeded the
     cap (or were non-finite) is flagged saturated, and the sweep path
     refuses such values instead of averaging them.
@@ -28,6 +28,7 @@ import numpy as np
 from .channel import complex_gaussian
 from .exceptions import DimensionMismatchError, SaturatedSinrError
 from .precoding import PrecoderSet
+from .thp_chain import qam_constellation, thp_encode
 
 SINR_CAP = 1e12
 
@@ -95,8 +96,8 @@ def _batch_sinr(
             cross_power = (
                 np.sum(np.abs(coupling) ** 2, axis=2) - np.abs(diag_term) ** 2
             )
-            # For dthp the chain and the estimator give 1 + g_k A_kk, not
-            # 1 + g_k^2 A_kk; this form stays until a third witness decides.
+            # The simulated signal (estimate_sinr_monte_carlo) gives
+            # 1 + g_k A_kk, not 1 + g_k^2 A_kk; the published form stays.
             private = np.abs(1.0 + gain2 * diag_term) ** 2 / (
                 gain2 * (cross_power + sigma_n2 / beta**2)
             )
@@ -202,84 +203,54 @@ def estimate_sinr_monte_carlo(
     n_samples: int,
     seed: int,
 ) -> SinrReport:
-    """Estimate per-user SINRs by simulating the received-signal model.
+    """Estimate per-user SINRs by simulating the signal actually sent.
 
-    For THP schemes the effective symbols are data plus a modulo dither,
-    modeled as independent Gaussians with total power 1 / lambda_eff;
-    the receiver is credited with removing its own dither but not the
-    error-rotated copies of it. For linear schemes the symbols are unit
-    power and the model is exact. The common stream, when present,
-    treats the entire private signal as interference: white feedback
-    outputs of power 1 / lambda_eff (unit-power symbols for linear
-    schemes) through tx_basis.
+    Private symbols s are 4-QAM. Schemes with a modulo (cthp, dthp) run
+    them through thp_encode, whose lattice offsets d make v = s + d the
+    effective symbols; zf and zf-dpc send v = s. User k receives
+    y = G v + n with G = (h_est + E) @ p_private, which is tx_basis
+    applied to the feedback outputs. Receiver k strips its own offset at
+    the estimate's nominal gain (h_est @ p_private)_kk, so the
+    error-rotated copy of d_k stays in the residual with the other
+    streams and the noise. The common stream, decoded first, sees all
+    of y as interference.
 
     This estimator is deliberately independent of the closed forms: it
-    accumulates sample powers of simulated signals and divides.
+    divides the signal power (4-QAM symbols have unit modulus) by the
+    sample power of the simulated interference.
     """
     h_e = np.asarray(error_realization, dtype=complex)
     rng = np.random.default_rng(seed)
-    scheme = precoders.scheme
-    n_users = precoders.n_users
-    perfect = not np.any(h_e)
+    qam = qam_constellation(4)
+    symbols = rng.choice(qam.points, size=(n_samples, precoders.n_users))
+    noise = complex_gaussian(rng, symbols.shape, variance=sigma_n2)
+    offsets = np.zeros_like(symbols)
+    if precoders.scheme.uses_power_loss:
+        offsets = thp_encode(symbols, precoders.b_matrix, qam.lattice())[1]
 
-    symbols = complex_gaussian(rng, (n_samples, n_users))
-    noise = complex_gaussian(rng, (n_samples, n_users), variance=sigma_n2)
-
-    if scheme.is_thp:
-        dither_var = 1.0 / precoders.lambda_eff - 1.0
-        dither = complex_gaussian(rng, (n_samples, n_users), variance=dither_var)
-        v = symbols + dither
-        coupling = h_e @ (precoders.p_private / precoders.beta)
-        gain = precoders.rx_gain
-        # Received after receiver gain with the direct-path dither removed.
-        # The error-coupled dither copies stay: the receiver modulo only
-        # strips d_k from its own direct term.
-        received = (
-            v
-            + (v @ coupling.T) * gain[np.newaxis, :]
-            + noise * (gain / precoders.beta)[np.newaxis, :]
-            - dither
-        )
-        desired_coeff = 1.0 + gain * np.diagonal(coupling)
-        desired = desired_coeff[np.newaxis, :] * symbols
-        residual = received - desired
-        interference_power = np.mean(np.abs(residual) ** 2, axis=0)
-        signal_power = np.mean(np.abs(desired) ** 2, axis=0)
-    else:
-        rows = precoders.h_est + h_e
-        gains = rows @ precoders.p_private
-        received = symbols @ gains.T + noise
-        desired = np.diagonal(gains)[np.newaxis, :] * symbols
-        residual = received - desired
-        interference_power = np.mean(np.abs(residual) ** 2, axis=0)
-        signal_power = np.mean(np.abs(desired) ** 2, axis=0)
-
-    private, sat_p = _cap(signal_power / interference_power)
-
-    common = None
-    sat_c = False
-    if precoders.p_common is not None:
-        rows = precoders.h_est + h_e
-        common_symbol = complex_gaussian(rng, (n_samples,))
-        common_noise = complex_gaussian(rng, (n_samples, n_users), variance=sigma_n2)
-        white = complex_gaussian(
-            rng, (n_samples, n_users), variance=1.0 / precoders.lambda_eff
-        )
-        x_private = white @ precoders.tx_basis.T
-        common_gain = rows @ precoders.p_common
-        desired_c = common_symbol[:, np.newaxis] * common_gain[np.newaxis, :]
-        clutter = x_private @ rows.T + common_noise
-        common_raw = np.mean(np.abs(desired_c) ** 2, axis=0) / np.mean(
-            np.abs(clutter) ** 2, axis=0
-        )
-        common, sat_c = _cap(common_raw)
-
+    rows = precoders.h_est + h_e
+    gains = rows @ precoders.p_private
+    own = np.diagonal(gains)
+    nominal = np.diagonal(precoders.h_est @ precoders.p_private)
+    received = (symbols + offsets) @ gains.T + noise
+    residual = received - nominal * offsets - own * symbols
+    with np.errstate(divide="ignore", invalid="ignore"):
+        private = np.abs(own) ** 2 / np.mean(np.abs(residual) ** 2, axis=0)
+        common = None
+        if precoders.p_common is not None:
+            common = np.abs(rows @ precoders.p_common) ** 2 / np.mean(
+                np.abs(received) ** 2, axis=0
+            )
+    private, saturated = _cap(private)
+    if common is not None:
+        common, sat_c = _cap(common)
+        saturated = saturated or sat_c
     return SinrReport(
-        scheme_tag=scheme.tag,
-        csit="perfect" if perfect else "imperfect",
+        scheme_tag=precoders.scheme.tag,
+        csit="perfect" if not np.any(h_e) else "imperfect",
         private=private,
         common=common,
-        saturated=sat_p or sat_c,
+        saturated=saturated,
     )
 
 
@@ -304,9 +275,9 @@ def cross_check_sinr(
     """Compare closed-form SINRs against the signal-model estimator.
 
     Gaps beyond CROSS_CHECK_TOL are recorded as annotations rather than
-    hidden. Under imperfect CSIT the closed forms keep the published
-    structure (no dither self-noise, unit effective-symbol power), so a
-    systematic gap there is expected and documented, not an error.
+    hidden. The THP closed forms keep the published structure (unit-power
+    effective symbols, numerator |1 + g_k^2 A_kk|^2), so a systematic gap
+    there is expected and documented, not an error.
     """
     closed = sinr_imperfect_csit(precoders, error_realization, sigma_n2)
     estimated = estimate_sinr_monte_carlo(
@@ -319,7 +290,7 @@ def cross_check_sinr(
     if gap_p > CROSS_CHECK_TOL:
         annotations.append(
             f"private SINR gap {gap_p:.1%} (csit={closed.csit}): closed form "
-            "ignores dither self-noise and effective-symbol power"
+            "leaves out any lattice offsets' power; numerator |1 + g_k^2 A_kk|^2"
         )
     gap_c = None
     if closed.common is not None:
@@ -329,7 +300,8 @@ def cross_check_sinr(
         if gap_c > CROSS_CHECK_TOL:
             annotations.append(
                 f"common SINR gap {gap_c:.1%} (csit={closed.csit}): closed "
-                "form keeps only the same-index private interference term"
+                "form takes the private effective symbols at unit power, "
+                "without the lattice offsets' power"
             )
     return SinrCrossCheck(
         closed=closed,

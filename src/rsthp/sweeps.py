@@ -45,9 +45,22 @@ def default_power_split_grid() -> tuple[float, ...]:
     return tuple(i / 20 for i in range(20))
 
 
+def _finite_positive(what: str, compute) -> float:
+    """compute(), or ValueError unless finite and > 0 (overflow is inf)."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{what} is {value}, it must be finite and > 0")
+    return value
+
+
 def snr_db_to_power(snr_db: float) -> float:
     """Transmit power budget for a given SNR in dB (unit noise variance)."""
-    return 10.0 ** (snr_db / 10.0)
+    return _finite_positive(
+        f"the transmit power at {snr_db:g} dB", lambda: 10.0 ** (snr_db / 10.0)
+    )
 
 
 def draw_channel(
@@ -171,8 +184,13 @@ class SweepConfig:
             )
         if not 0.0 < self.power_loss <= 1.0:
             raise ValueError(f"power_loss must be in (0, 1], got {self.power_loss}")
-        if not all(math.isfinite(x) for x in self.snr_grid_db):
-            raise ValueError(f"SNR grid must be finite, got {self.snr_grid_db}")
+        for snr_db in self.snr_grid_db:
+            e_tr = snr_db_to_power(snr_db)
+            if self.x_kind == "snr_db_alpha":
+                _finite_positive(
+                    f"the error variance at {snr_db:g} dB",
+                    lambda: self.error_regime.variance_at(e_tr),
+                )
         if not all(0.0 <= v < math.inf for v in self.error_variance_grid):
             raise InvalidVarianceError(
                 "error variances must be finite and >= 0, "

@@ -12,7 +12,7 @@ import subprocess
 import pytest
 
 from rsthp import ErrorRegime, SweepConfig, build_precoders, parse_scheme_tag, run_sweep
-from rsthp.cli import CSV_HEADER, main, parse_grid
+from rsthp.cli import CSV_HEADER, config_as_dict, main, parse_grid
 
 SMALL = [
     "--schemes", "zf,dthp-rs",
@@ -152,6 +152,25 @@ class TestOtherSweepCommands:
         assert all(r[2] == "error_variance" for r in rows)
         assert sorted({r[1] for r in rows}) == ["0.1", "0.3"]
 
+    def test_error_variance_sidecar_matches_library(self, tmp_path):
+        # The sidecar records the same configuration a library run of the
+        # sweep has, with no placeholder error regime.
+        out = tmp_path / "var.csv"
+        assert run_cli("sweep-error-variance", *SMALL, "--snr-db", "15",
+                       "--error-variance", "0.1,0.3", "--seed", "1",
+                       "--out", str(out)) == 0
+        config = SweepConfig(
+            schemes=(parse_scheme_tag("zf"), parse_scheme_tag("dthp-rs")),
+            snr_grid_db=(15.0,),
+            error_variance_grid=(0.1, 0.3),
+            n_channels=2,
+            n_error_samples=5,
+            power_split_grid=(0.0, 0.1, 0.2),
+            master_seed=1,
+        )
+        sidecar = json.loads((tmp_path / "var.csv.config.json").read_text())
+        assert sidecar == config_as_dict(config)
+
     def test_variance_sweep_rejects_snr_grid(self, tmp_path, capsys):
         code = run_cli(
             "sweep-error-variance", *SMALL,
@@ -244,10 +263,24 @@ class TestErrorHandling:
         ("--split-grid", "0,1.5"),
         ("--lambda", "0"),
         ("--error-variance", "nan"),
+        # The transmit power overflows, or underflows to 0.
+        ("--snr-db", "4000"),
+        ("--snr-db", "-4000", "--schemes", "dthp"),
+        ("--snr-db", "-4000", "--schemes", "zf"),
     ])
     def test_out_of_range_config(self, tmp_path, capsys, bad):
         self.assert_rejected(tmp_path, capsys, "sweep-snr", *SMALL,
                              "--snr-db", "10", *bad)
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep-alpha", *SMALL, "--alpha", "-1000", "--snr-db", "30"),
+        ("sweep-error-variance", *SMALL, "--snr-db", "4000",
+         "--error-variance", "0.1"),
+    ])
+    def test_unrepresentable_power_or_variance(self, tmp_path, capsys, argv):
+        # 1000 ** 1000 (the scaled error variance) and 10 ** 400 (the
+        # transmit power) overflow a float.
+        self.assert_rejected(tmp_path, capsys, *argv)
 
     def test_jobs_below_one(self, tmp_path, capsys):
         self.assert_rejected(tmp_path, capsys, "sweep-snr", *SMALL,
@@ -272,6 +305,8 @@ class TestErrorHandling:
         # zf has no common stream; cthp-rs must not be reported first.
         ("cross-check-sinr", "--schemes", "cthp-rs,zf", "--split", "0.2",
          "--samples", "2000"),
+        ("cross-check-sinr", "--snr-db", "4000"),
+        ("cross-check-sinr", "--snr-db", "-4000"),
     ])
     def test_check_commands_reject_before_output(self, capsys, argv):
         assert run_cli(*argv) == 2

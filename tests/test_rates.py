@@ -17,10 +17,13 @@ from rsthp import (
     rates_from_sinr,
     sinr_imperfect_csit,
     sinr_perfect_csit,
+    snr_db_to_power,
     sum_rate_samples,
 )
 from rsthp.linalg import lq_decompose
+from rsthp.precoding import ALL_SCHEME_TAGS
 from rsthp.rates import SINR_CAP, SinrReport, estimate_sinr_monte_carlo
+from rsthp.sweeps import draw_channel
 
 
 def random_channel(seed, shape=(4, 4)):
@@ -321,9 +324,9 @@ class TestMonteCarloAgreement:
         assert check.max_rel_gap_common < 0.05
 
     def test_imperfect_csit_thp_gap_is_reported(self):
-        # The THP closed forms keep the published structure, which drops
-        # dither self-noise and the effective-symbol power, so a
-        # systematic gap is expected; it must be surfaced, not hidden.
+        # The THP closed forms keep the published structure, which leaves
+        # out the lattice offsets' power, so a systematic gap is
+        # expected; it must be surfaced, not hidden.
         h = random_channel(60)
         h_e = draw_error_ensemble(4, 4, 0.2, 1, seed=61)[0]
         for text in ("cthp", "dthp"):
@@ -332,3 +335,44 @@ class TestMonteCarloAgreement:
             assert np.isfinite(check.max_rel_gap_private)
             if check.max_rel_gap_private > 0.05:
                 assert check.annotations
+
+    def test_perfect_csit_every_scheme(self):
+        h = random_channel(62)
+        zero = np.zeros((4, 4), dtype=complex)
+        for scheme in ALL_SCHEME_TAGS:
+            split = 0.3 if scheme.rs else 0.0
+            ps = build_precoders(h, scheme, 31.0, 0.75, power_split=split)
+            check = cross_check_sinr(ps, zero, 1.0, 100000, seed=6)
+            assert check.max_rel_gap_private < 0.05, scheme.tag
+
+    def test_zf_dpc_rs_common_is_exact(self):
+        # ZF-DPC sends v = s through p_private with no modulo, so the
+        # closed-form common SINR holds exactly, with or without error.
+        e_tr = snr_db_to_power(15.0)
+        for c in range(5):
+            h = draw_channel(12345, c, 4, 4)
+            ps = build_precoders(
+                h, parse_scheme_tag("zf-dpc-rs"), e_tr, 0.75, power_split=0.3
+            )
+            for sigma_e2 in (0.0, 0.2):
+                h_e = draw_error_ensemble(4, 4, sigma_e2, 1, 12345, c)[0]
+                check = cross_check_sinr(ps, h_e, 1.0, 100000, seed=c)
+                assert check.max_rel_gap_common < 0.05, (c, sigma_e2)
+
+    def test_zf_dpc_private_matches_linear_oracle(self):
+        # Without a modulo, receiver k sees beta / g_k (1 + g_k A_kk) s_k,
+        # the other streams through beta A and the noise.
+        e_tr = snr_db_to_power(15.0)
+        for c in range(5):
+            h = draw_channel(12345, c, 4, 4)
+            h_e = draw_error_ensemble(4, 4, 0.2, 1, 12345, c)[0]
+            ps = build_precoders(h, SchemeTag("zf-dpc"), e_tr, 0.75)
+            g = 1.0 / lq_decompose(h).diagonal
+            coupling = h_e @ (ps.p_private / ps.beta)
+            own = np.diagonal(coupling)
+            cross = np.sum(np.abs(coupling) ** 2, axis=1) - np.abs(own) ** 2
+            oracle = np.abs(1.0 + g * own) ** 2 / (
+                g**2 * (cross + 1.0 / ps.beta**2)
+            )
+            report = estimate_sinr_monte_carlo(ps, h_e, 1.0, 100000, seed=c)
+            np.testing.assert_allclose(report.private, oracle, rtol=0.02)
