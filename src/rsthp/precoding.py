@@ -38,11 +38,6 @@ class SchemeTag:
         return f"{self.base}-rs" if self.rs else self.base
 
     @property
-    def is_thp(self) -> bool:
-        """True for schemes built on the triangular feedback structure."""
-        return self.base in ("cthp", "dthp", "zf-dpc")
-
-    @property
     def uses_power_loss(self) -> bool:
         """True when the modulo power penalty applies (not for zf-dpc)."""
         return self.base in ("cthp", "dthp")
@@ -79,26 +74,25 @@ class PrecoderSet:
 
     build_precoders alone decides where THP's per-user scaling
     g = 1/diag(L) sits and records it in two fields every reader uses.
-    tx_basis maps one unit of each feedback output (each private symbol
-    for zero-forcing) to the antennas; rx_gain is the gain receiver k
-    applies: ones for cthp (g sits in tx_basis), g_diag for dthp and
-    zf-dpc, None for zero-forcing. For THP schemes p_private =
+    tx_basis = beta * (unit map) sends one unit of each feedback output
+    (each private symbol for zero-forcing) to the antennas; rx_gain is
+    the gain receiver k applies: ones for zf and cthp (g sits in
+    tx_basis), g_diag for dthp and zf-dpc. For THP schemes p_private =
     tx_basis B^-1, with b_matrix the unit-diagonal feedback B, so
-    h_est @ p_private = beta diag(1 / rx_gain). Zero-forcing fills only
-    p_private, which is also its tx_basis. p_common is None when the
-    power split is zero.
+    h_est @ p_private = beta diag(1 / rx_gain); zero-forcing has no B
+    and p_private = tx_basis. p_common is None when the power split is
+    zero.
     """
 
     scheme: SchemeTag
     p_common: np.ndarray | None
     p_private: np.ndarray
     tx_basis: np.ndarray
-    rx_gain: np.ndarray | None
+    rx_gain: np.ndarray
     g_diag: np.ndarray | None
     b_matrix: np.ndarray | None
-    beta: float | None
+    beta: float
     h_est: np.ndarray
-    e_private: float
     lambda_eff: float
 
     @property
@@ -152,53 +146,41 @@ def build_precoders(
 
     if scheme.base == "zf":
         pinv = pseudo_inverse(h_est)
-        columns = pinv / np.linalg.norm(pinv, axis=0, keepdims=True)
-        p_private = columns * np.sqrt(e_private / n_users)
-        return PrecoderSet(
-            scheme=scheme,
-            p_common=p_common,
-            p_private=p_private,
-            tx_basis=p_private,
-            rx_gain=None,
-            g_diag=None,
-            b_matrix=None,
-            beta=None,
-            h_est=h_est,
-            e_private=e_private,
-            lambda_eff=lambda_eff,
-        )
-
-    lq = lq_decompose(h_est)
-    f_matrix = lq.q_matrix.conj().T
-    g_diag = 1.0 / lq.diagonal
-
-    if scheme.base == "cthp":
-        # Unit-diagonal feedback on the right: B = L diag(g). The
-        # per-user gains fold into the transmitter, so beta divides the
-        # power budget by the accumulated inverse-gain energy.
-        b_matrix = lq.l_matrix * g_diag[np.newaxis, :]
-        beta = float(np.sqrt(lambda_eff * e_private / np.sum(g_diag**2)))
-        tx_basis = beta * (f_matrix * g_diag[np.newaxis, :])
-        rx_gain = np.ones(n_users)
+        unit_map = pinv / np.linalg.norm(pinv, axis=0, keepdims=True)
+        unit_power, rx_gain = n_users, np.ones(n_users)
+        g_diag = b_matrix = None
     else:
-        # dthp and zf-dpc: unit-diagonal feedback on the left,
-        # B = diag(g) L, receiver gains stay at the users.
-        b_matrix = lq.l_matrix * g_diag[:, np.newaxis]
-        beta = float(np.sqrt(lambda_eff * e_private / n_users))
-        tx_basis = beta * f_matrix
-        rx_gain = g_diag
+        lq = lq_decompose(h_est)
+        unit_map = lq.q_matrix.conj().T
+        g_diag = 1.0 / lq.diagonal
+        if scheme.base == "cthp":
+            # Unit-diagonal feedback on the right: B = L diag(g). The
+            # per-user gains fold into the transmitter, so beta divides
+            # the power budget by the accumulated inverse-gain energy.
+            b_matrix = lq.l_matrix * g_diag[np.newaxis, :]
+            unit_map = unit_map * g_diag[np.newaxis, :]
+            unit_power, rx_gain = np.sum(g_diag**2), np.ones(n_users)
+        else:
+            # dthp and zf-dpc: unit-diagonal feedback on the left,
+            # B = diag(g) L, receiver gains stay at the users.
+            b_matrix = lq.l_matrix * g_diag[:, np.newaxis]
+            unit_power, rx_gain = n_users, g_diag
 
+    beta = float(np.sqrt(lambda_eff * e_private / unit_power))
+    tx_basis = beta * unit_map
+    p_private = tx_basis
+    if b_matrix is not None:
+        p_private = tx_basis @ np.linalg.inv(b_matrix)
     return PrecoderSet(
         scheme=scheme,
         p_common=p_common,
-        p_private=tx_basis @ np.linalg.inv(b_matrix),
+        p_private=p_private,
         tx_basis=tx_basis,
         rx_gain=rx_gain,
         g_diag=g_diag,
         b_matrix=b_matrix,
         beta=beta,
         h_est=h_est,
-        e_private=e_private,
         lambda_eff=lambda_eff,
     )
 

@@ -11,9 +11,11 @@ PrecoderSet.tx_basis and rx_gain carry that.
 Conventions used throughout:
   * Channel rows are conjugated-transposed user channels, so a received
     sample is row @ x + noise.
-  * THP coupling matrix A = h_e @ (P / beta), the estimation error hit
-    by the feedforward/feedback cascade without the transmit gain; the
-    gain cancels between transmitter and receiver scaling.
+  * Effective channel G = (h_est + E) @ p_private, the private streams
+    as the users really receive them; every closed form reads G, the
+    common-stream gains and the PrecoderSet's beta and rx_gain, never
+    the scheme. For THP, h_est @ p_private = beta diag(1 / rx_gain), so
+    the error coupling of the papers is A = G / beta - diag(1 / rx_gain).
   * The closed forms take the effective symbols v = s + d at unit
     power; the estimator sends 4-QAM v with the real lattice offsets d.
   * SINRs are capped at SINR_CAP; a report whose raw values exceeded the
@@ -75,11 +77,15 @@ def _batch_sinr(
     """Closed-form SINRs for every scheme, batched over error draws.
 
     errors has shape (M, K, N); all-zero rows give the perfect-CSIT
-    values. THP private streams see only the error coupling, because
-    h_est @ p_private = beta diag(1 / rx_gain) and the receiver modulo
-    strips the rest; linear private streams see the true channel rows.
-    The common stream treats the whole private signal as interference.
-    Returns capped (private (M, K), common (M, K) or None, saturated).
+    values. One formula serves all eight schemes: with the effective
+    channel G = (h_est + E) @ p_private and g = rx_gain, the private
+    SINR is |g^2 G_kk + beta (1 - g)|^2 / (g^2 (sum_j |G_kj|^2 -
+    |G_kk|^2 + sigma^2)). For g = 1 (zf, cthp) that is the linear SINR;
+    for dthp and zf-dpc it is the published |1 + g^2 A_kk|^2 /
+    (g^2 (cross + sigma^2 / beta^2)) with A = G / beta - diag(1 / g).
+    The common stream treats the whole private signal, sum_j |G_kj|^2,
+    as interference. Returns capped (private (M, K), common (M, K) or
+    None, saturated).
     """
     if errors.ndim != 3 or errors.shape[1:] != precoders.h_est.shape:
         raise DimensionMismatchError(
@@ -88,27 +94,16 @@ def _batch_sinr(
         )
     rows = precoders.h_est[np.newaxis, :, :] + errors
     with np.errstate(divide="ignore", invalid="ignore"):
-        if precoders.scheme.is_thp:
-            beta = precoders.beta
-            gain2 = precoders.rx_gain**2
-            coupling = errors @ (precoders.p_private / beta)
-            diag_term = np.diagonal(coupling, axis1=1, axis2=2)
-            cross_power = (
-                np.sum(np.abs(coupling) ** 2, axis=2) - np.abs(diag_term) ** 2
-            )
-            # The simulated signal (estimate_sinr_monte_carlo) gives
-            # 1 + g_k A_kk, not 1 + g_k^2 A_kk; the published form stays.
-            private = np.abs(1.0 + gain2 * diag_term) ** 2 / (
-                gain2 * (cross_power + sigma_n2 / beta**2)
-            )
-            private_power = beta**2 * (
-                np.abs(1.0 / precoders.rx_gain + diag_term) ** 2 + cross_power
-            )
-        else:
-            gains = rows @ precoders.p_private
-            own_power = np.abs(np.diagonal(gains, axis1=1, axis2=2)) ** 2
-            private_power = np.sum(np.abs(gains) ** 2, axis=2)
-            private = own_power / (private_power - own_power + sigma_n2)
+        gain2 = precoders.rx_gain**2
+        gains = rows @ precoders.p_private
+        own = np.diagonal(gains, axis1=1, axis2=2)
+        private_power = np.sum(np.abs(gains) ** 2, axis=2)
+        # The simulated signal (estimate_sinr_monte_carlo) gives
+        # 1 + g_k A_kk, not 1 + g_k^2 A_kk; the published form keeps g^2.
+        signal = gain2 * own + precoders.beta * (1.0 - precoders.rx_gain)
+        private = np.abs(signal) ** 2 / (
+            gain2 * (private_power - np.abs(own) ** 2 + sigma_n2)
+        )
         common = None
         if precoders.p_common is not None:
             common = np.abs(rows @ precoders.p_common) ** 2 / (

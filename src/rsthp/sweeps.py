@@ -126,8 +126,8 @@ class SweepConfig:
 
     snr_grid_db is the x grid for SNR sweeps. When error_variance_grid
     is nonempty the sweep instead walks that grid at a fixed SNR
-    (snr_grid_db must then hold exactly one value) and error_regime is
-    ignored, each point using its own fixed error variance.
+    (snr_grid_db must then hold exactly one value), each point using its
+    own fixed error variance; error_regime must then stay perfect.
     """
 
     n_users: int = 4
@@ -196,6 +196,8 @@ class SweepConfig:
                 "error variances must be finite and >= 0, "
                 f"got {self.error_variance_grid}"
             )
+        if self.error_variance_grid and not self.error_regime.is_perfect:
+            raise ValueError("an error-variance sweep needs a perfect error_regime")
 
 
 @dataclass(frozen=True)

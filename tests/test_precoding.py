@@ -47,8 +47,6 @@ class TestSchemeTag:
             parse_scheme_tag("mmse")
 
     def test_flags(self):
-        assert not parse_scheme_tag("zf").is_thp
-        assert parse_scheme_tag("zf-dpc").is_thp
         assert not parse_scheme_tag("zf-dpc").uses_power_loss
         assert parse_scheme_tag("cthp-rs").uses_power_loss
         assert parse_scheme_tag("rs-linear").rs
@@ -117,9 +115,11 @@ class TestHandExamples:
         product = h @ ps.p_private
         off_diag = product - np.diag(np.diagonal(product))
         assert np.max(np.abs(off_diag)) < 1e-9
-        # Equal per-stream power.
+        # Equal per-stream power beta^2 = e_tr / K, no receiver gain.
         norms = np.linalg.norm(ps.p_private, axis=0) ** 2
         np.testing.assert_allclose(norms, 10.0 / 4.0, atol=1e-12)
+        assert ps.beta == np.sqrt(10.0 / 4.0)
+        assert ps.rx_gain.tobytes() == np.ones(4).tobytes()
 
 
 class TestPowerBudget:
@@ -148,7 +148,8 @@ class TestPowerBudget:
         )
         common_power = float(np.real(np.vdot(ps.p_common, ps.p_common)))
         assert abs(common_power - 25.0) < 1e-9
-        assert abs(ps.e_private - 75.0) < 1e-9
+        private_power = effective_transmit_power(ps) - common_power
+        assert abs(private_power - 75.0) < 1e-9
 
     def test_common_direction_is_dominant(self):
         h = random_channel(7)
@@ -173,8 +174,7 @@ class TestReductions:
             base = build_precoders(h, parse_scheme_tag(base_text), 31.0, 0.75)
             assert rs.p_common is None
             assert rs.p_private.tobytes() == base.p_private.tobytes()
-            if rs.beta is not None:
-                assert rs.beta == base.beta
+            assert rs.beta == base.beta
 
     def test_zf_dpc_is_dthp_without_power_loss(self):
         h = random_channel(9)

@@ -18,6 +18,7 @@ from rsthp import (  # noqa: E402
     build_precoders,
     draw_error_ensemble,
     rates_from_sinr,
+    sinr_imperfect_csit,
     sinr_perfect_csit,
     snr_db_to_power,
     sum_rate_samples,
@@ -100,3 +101,34 @@ def test_sum_rates_are_finite_and_nonnegative(case):
     assert values.shape == (N_DRAWS,)
     assert np.all(np.isfinite(values))
     assert np.all(values >= 0.0)
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_closed_forms_read_the_effective_channel(case):
+    # With G = (h_est + E) @ p_private computed here: every common SINR
+    # is |row p_c|^2 / (sum_j |G_kj|^2 + sigma^2), and schemes without a
+    # receiver gain (zf, cthp) have the linear private SINR.
+    scheme = SchemeTag(case["base"], rs=case["rs"])
+    split = case["split"] if case["rs"] else 0.0
+    ps = build_precoders(case["h_est"], scheme, case["e_tr"], case["power_loss"], split)
+    off_diagonal = 1.0 - np.eye(ps.n_users)
+    for error in errors_for(case, case["variance"]):
+        report = sinr_imperfect_csit(ps, error, SIGMA_N2)
+        if report.saturated:
+            continue
+        rows = case["h_est"] + error
+        gains = rows @ ps.p_private
+        if case["base"] in ("zf", "cthp"):
+            own = np.abs(np.diagonal(gains)) ** 2
+            cross = np.sum(np.abs(gains * off_diagonal) ** 2, axis=1)
+            np.testing.assert_allclose(
+                report.private, own / (cross + SIGMA_N2), rtol=1e-9
+            )
+        if ps.p_common is None:
+            assert report.common is None
+            continue
+        interference = np.sum(np.abs(gains) ** 2, axis=1) + SIGMA_N2
+        np.testing.assert_allclose(
+            report.common, np.abs(rows @ ps.p_common) ** 2 / interference, rtol=1e-9
+        )

@@ -31,8 +31,9 @@ def random_channel(seed, shape=(4, 4)):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def oracle_thp_sinr(ps, h_e, sigma_n2):
-    """Term-by-term recomputation of the THP closed forms."""
+def oracle_thp_sinr(ps, h_e, sigma_n2, e_private):
+    """Term-by-term recomputation of the THP closed forms; e_private is
+    the power left to the private streams, e_tr (1 - power_split)."""
     n_users = ps.n_users
     ell = lq_decompose(ps.h_est).diagonal
     p_over_beta = ps.p_private / ps.beta
@@ -48,11 +49,11 @@ def oracle_thp_sinr(ps, h_e, sigma_n2):
             numerator = abs(1.0 + self_coupling) ** 2
             denominator = cross + sigma_n2 * float(
                 np.sum(1.0 / ell**2)
-            ) / (ps.lambda_eff * ps.e_private)
+            ) / (ps.lambda_eff * e_private)
         else:
             numerator = abs(1.0 + self_coupling / ell[k] ** 2) ** 2
             denominator = cross / ell[k] ** 2 + n_users * sigma_n2 / (
-                ps.lambda_eff * ps.e_private * ell[k] ** 2
+                ps.lambda_eff * e_private * ell[k] ** 2
             )
         private[k] = numerator / denominator
         if common is not None:
@@ -125,7 +126,9 @@ class TestTermAccumulationOracles:
             split = 0.3 if scheme.rs else 0.0
             ps = build_precoders(h, scheme, 31.0, 0.75, power_split=split)
             report = sinr_imperfect_csit(ps, h_e, 1.0)
-            private_ref, common_ref = oracle_thp_sinr(ps, h_e, 1.0)
+            private_ref, common_ref = oracle_thp_sinr(
+                ps, h_e, 1.0, 31.0 * (1.0 - split)
+            )
             np.testing.assert_allclose(report.private, private_ref, rtol=1e-12)
             if scheme.rs:
                 np.testing.assert_allclose(report.common, common_ref, rtol=1e-12)

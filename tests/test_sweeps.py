@@ -166,7 +166,17 @@ class TestSweepConfig:
         small_config(
             n_users=1, n_channels=1, n_error_samples=1, power_loss=1.0,
             power_split_grid=(0.0, 0.95), error_variance_grid=(0.0, 0.5),
+            error_regime=PERFECT,
         ).validate()
+
+    def test_validate_rejects_regime_with_variance_grid(self):
+        # A variance sweep sets its own error variances, so any other
+        # regime would be recorded in the sidecar without being used.
+        for regime in (FIXED, ErrorRegime.snr_scaled(0.6)):
+            with pytest.raises(ValueError, match="perfect error_regime"):
+                small_config(
+                    error_regime=regime, error_variance_grid=(0.1,)
+                ).validate()
 
 
 class TestErgodicSumRate:
@@ -235,6 +245,7 @@ class TestRunSweep:
             error_variance_grid=(0.1, 0.3),
             snr_grid_db=(15.0,),
             schemes=(parse_scheme_tag("zf"),),
+            error_regime=PERFECT,
         )
         result = run_sweep(cfg)
         assert [c.x_value for c in result.cells] == [0.1, 0.3]
