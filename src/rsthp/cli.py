@@ -17,6 +17,7 @@ byte-identical. Exit codes: 0 success, 1 a validation check failed,
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -44,7 +45,9 @@ from .thp_chain import (
     thp_encode,
 )
 
-CSV_HEADER = "scheme,x_value,x_kind,esr_bps_hz,ci_halfwidth,chosen_split_mean,seed"
+_COLUMNS = ("scheme", "x_value", "x_kind", "esr_bps_hz", "ci_halfwidth",
+            "chosen_split_mean", "seed")
+CSV_HEADER = ",".join(_COLUMNS)
 
 _ALL_SCHEME_TEXT = ",".join(s.tag for s in ALL_SCHEME_TAGS)
 
@@ -84,66 +87,43 @@ def parse_schemes(text: str) -> tuple[SchemeTag, ...]:
     return tuple(parse_scheme_tag(p) for p in text.split(","))
 
 
-def _fmt(value: float) -> str:
-    # repr keeps full float precision and is stable across runs.
-    return repr(float(value))
+def _rows(result: SweepResult) -> list[dict]:
+    """The table's rows, one per cell, keyed by CSV_HEADER's columns."""
+    config = result.config
+    return [
+        dict(zip(_COLUMNS, (
+            cell.scheme_tag, cell.x_value, config.x_kind, cell.esr,
+            cell.ci_halfwidth, cell.chosen_split_mean, config.master_seed,
+        )))
+        for cell in result.cells
+    ]
 
 
 def format_csv(result: SweepResult) -> str:
-    lines = [CSV_HEADER]
-    for cell in result.cells:
-        lines.append(
-            ",".join(
-                (
-                    cell.scheme_tag,
-                    _fmt(cell.x_value),
-                    result.config.x_kind,
-                    _fmt(cell.esr),
-                    _fmt(cell.ci_halfwidth),
-                    _fmt(cell.chosen_split_mean),
-                    str(result.config.master_seed),
-                )
-            )
-        )
+    # repr keeps full float precision and is stable across runs.
+    lines = [CSV_HEADER] + [
+        ",".join(v if isinstance(v, str) else repr(v) for v in row.values())
+        for row in _rows(result)
+    ]
     return "\n".join(lines) + "\n"
 
 
 def format_structured(result: SweepResult) -> str:
-    rows = [
-        {
-            "scheme": cell.scheme_tag,
-            "x_value": cell.x_value,
-            "x_kind": result.config.x_kind,
-            "esr_bps_hz": cell.esr,
-            "ci_halfwidth": cell.ci_halfwidth,
-            "chosen_split_mean": cell.chosen_split_mean,
-            "seed": result.config.master_seed,
-        }
-        for cell in result.cells
-    ]
-    return json.dumps({"x_kind": result.config.x_kind, "rows": rows}, indent=2, sort_keys=True) + "\n"
+    payload = {"x_kind": result.config.x_kind, "rows": _rows(result)}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def config_as_dict(config: SweepConfig) -> dict:
-    return {
-        "n_users": config.n_users,
-        "n_tx": config.n_tx,
-        "schemes": [s.tag for s in config.schemes],
-        "error_regime": {
-            "kind": config.error_regime.kind,
-            "sigma_e2": config.error_regime.sigma_e2,
-            "alpha": config.error_regime.alpha,
-        },
-        "snr_grid_db": list(config.snr_grid_db),
-        "error_variance_grid": list(config.error_variance_grid),
-        "n_channels": config.n_channels,
-        "n_error_samples": config.n_error_samples,
-        "power_loss": config.power_loss,
-        "power_split_grid": list(config.power_split_grid),
-        "master_seed": config.master_seed,
-        "sigma_n2": SIGMA_N2,
-        "x_kind": config.x_kind,
+    """Every SweepConfig field in JSON form, schemes as their tags, plus
+    the noise variance and the x axis the sweep implies."""
+    record = {
+        name: list(value) if isinstance(value, tuple) else value
+        for name, value in dataclasses.asdict(config).items()
     }
+    record.update(
+        schemes=[s.tag for s in config.schemes], sigma_n2=SIGMA_N2, x_kind=config.x_kind
+    )
+    return record
 
 
 def write_sweep_outputs(result: SweepResult, out_path: str, out_format: str) -> str:
@@ -211,6 +191,11 @@ def _config_from_args(args, regime: ErrorRegime, snr_grid, variance_grid=()) -> 
 
 
 def _finish_sweep(args, config: SweepConfig) -> int:
+    config.validate()
+    # An --out that cannot be written fails now, before any cell runs.
+    target = args.out if os.path.exists(args.out) else os.path.dirname(os.path.abspath(args.out))
+    if os.path.isdir(args.out) or not os.access(target, os.W_OK):
+        raise OSError(f"cannot write {args.out}: it is a directory or not writable")
     result = run_sweep(config, n_jobs=args.jobs)
     sidecar = write_sweep_outputs(result, args.out, args.format)
     for cell in result.cells:
@@ -325,15 +310,11 @@ def cmd_validate_chain(args) -> int:
 def cmd_cross_check_sinr(args) -> int:
     _require_count("--samples", args.samples)
     e_tr = snr_db_to_power(args.snr_db)
-    sigma_e2 = args.error_variance
-    perfect = sigma_e2 == 0.0
     h_est = draw_channel(args.seed, 0, args.users, args.tx_antennas)
-    if perfect:
-        h_e = np.zeros_like(h_est)
-    else:
-        h_e = draw_error_ensemble(
-            args.users, args.tx_antennas, sigma_e2, 1, args.seed, 0
-        )[0]
+    # A zero variance draws the all-zero realization: perfect CSIT.
+    h_e = draw_error_ensemble(
+        args.users, args.tx_antennas, args.error_variance, 1, args.seed, 0
+    )[0]
     # Build every scheme before the first line so a bad --split fails alone.
     precoder_sets = [
         build_precoders(h_est, scheme, e_tr, args.power_loss, power_split=args.split)
@@ -357,7 +338,7 @@ def cmd_cross_check_sinr(args) -> int:
                 )
         for note in check.annotations:
             print(f"  note: {note}")
-        if perfect and check.max_rel_gap_private > CROSS_CHECK_TOL:
+        if check.closed.csit == "perfect" and check.max_rel_gap_private > CROSS_CHECK_TOL:
             failed = True
             print(
                 f"  FAIL perfect-CSIT gap {check.max_rel_gap_private:.2%} "

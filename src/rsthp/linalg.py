@@ -52,10 +52,11 @@ def _as_complex_matrix(a, op_name: str) -> np.ndarray:
     return a
 
 
-def _check_full_row_rank(a: np.ndarray, op_name: str) -> None:
-    if not np.any(a):
+def _check_full_row_rank(singular_values: np.ndarray, op_name: str) -> None:
+    """Raise unless the smallest singular value (they come largest first)
+    exceeds _RANK_RTOL times the largest."""
+    if singular_values[0] == 0.0:
         raise ZeroMatrixError(f"{op_name}: matrix is identically zero")
-    singular_values = np.linalg.svd(a, compute_uv=False)
     if singular_values[-1] <= _RANK_RTOL * singular_values[0]:
         raise RankDeficientError(
             f"{op_name}: matrix is row-rank deficient "
@@ -89,7 +90,7 @@ def lq_decompose(a) -> LqFactors:
         raise DimensionMismatchError(
             f"lq_decompose expects K <= N, got shape {a.shape}"
         )
-    _check_full_row_rank(a, "lq_decompose")
+    _check_full_row_rank(np.linalg.svd(a, compute_uv=False), "lq_decompose")
 
     q_tall, r = np.linalg.qr(a.conj().T)
     l_raw = r.conj().T
@@ -106,6 +107,11 @@ def lq_decompose(a) -> LqFactors:
 def pseudo_inverse(a) -> np.ndarray:
     """Right pseudo-inverse A^H (A A^H)^{-1} of a wide full-row-rank matrix.
 
+    Computed as V S^{-1} U^H from one reduced SVD A = U S V^H, whose
+    singular values also serve the rank check. Forming the Gram matrix
+    A A^H instead would square the condition number and lose the right
+    inverse on ill-conditioned channels that pass that check.
+
     Raises the same errors as lq_decompose for bad input.
     """
     a = _as_complex_matrix(a, "pseudo_inverse")
@@ -114,10 +120,9 @@ def pseudo_inverse(a) -> np.ndarray:
         raise DimensionMismatchError(
             f"pseudo_inverse expects K <= N, got shape {a.shape}"
         )
-    _check_full_row_rank(a, "pseudo_inverse")
-    gram = a @ a.conj().T
-    # X = A^H G^{-1}, solved as G X^H = A using that G is Hermitian.
-    return np.linalg.solve(gram, a).conj().T
+    u, singular_values, vh = np.linalg.svd(a, full_matrices=False)
+    _check_full_row_rank(singular_values, "pseudo_inverse")
+    return (vh.conj().T / singular_values) @ u.conj().T
 
 
 def dominant_right_singular_vector(a) -> np.ndarray:

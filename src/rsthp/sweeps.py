@@ -198,6 +198,15 @@ class SweepConfig:
             )
         if self.error_variance_grid and not self.error_regime.is_perfect:
             raise ValueError("an error-variance sweep needs a perfect error_regime")
+        # A repeated scheme or grid point would be computed again and
+        # written as a duplicate row.
+        for what, values in (
+            ("scheme", [s.tag for s in self.schemes]),
+            ("SNR point", self.snr_grid_db),
+            ("error variance", self.error_variance_grid),
+        ):
+            if len(set(values)) < len(values):
+                raise ValueError(f"each {what} may appear once, got {list(values)}")
 
 
 @dataclass(frozen=True)

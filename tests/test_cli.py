@@ -126,6 +126,15 @@ class TestSweepSnrCommand:
         assert "n_jobs" not in sidecar
         assert list(sidecar) == sorted(sidecar)
 
+    def test_sidecar_keys_are_config_fields(self, tmp_path):
+        # Every SweepConfig field reaches the sidecar, so a new field
+        # cannot be left out of the record.
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep-snr", *SMALL, "--snr-db", "10", "--out", str(out)) == 0
+        sidecar = json.loads((tmp_path / "sweep.csv.config.json").read_text())
+        fields = {f.name for f in dataclasses.fields(SweepConfig)}
+        assert set(sidecar) == fields | {"sigma_n2", "x_kind"}
+
     def test_text_format_is_json(self, tmp_path):
         out = tmp_path / "sweep.txt"
         run_cli("sweep-snr", *SMALL, "--snr-db", "10",
@@ -242,6 +251,22 @@ class TestErrorHandling:
         assert code == 2
         assert capsys.readouterr().err
 
+    @pytest.mark.parametrize("out_name", ["missing-dir/x.csv", "."])
+    def test_unwritable_output_fails_before_any_cell(
+        self, tmp_path, capsys, monkeypatch, out_name
+    ):
+        # A missing directory, or an --out that is a directory, must stop
+        # the command before the sweep starts, not after it.
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before --out was checked")
+
+        monkeypatch.setattr("rsthp.cli.run_sweep", no_sweep)
+        code = run_cli("sweep-snr", *SMALL, "--snr-db", "10",
+                       "--out", str(tmp_path / out_name))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
 
     def assert_rejected(self, tmp_path, capsys, *argv):
         out = tmp_path / "x.csv"
@@ -267,6 +292,9 @@ class TestErrorHandling:
         ("--snr-db", "4000"),
         ("--snr-db", "-4000", "--schemes", "dthp"),
         ("--snr-db", "-4000", "--schemes", "zf"),
+        # A repeated scheme or SNR point would give duplicate rows.
+        ("--schemes", "zf,zf"),
+        ("--snr-db", "10,10"),
     ])
     def test_out_of_range_config(self, tmp_path, capsys, bad):
         self.assert_rejected(tmp_path, capsys, "sweep-snr", *SMALL,

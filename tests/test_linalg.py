@@ -121,6 +121,16 @@ class TestPseudoInverse:
             pseudo_inverse(a), np.linalg.pinv(a), atol=1e-10
         )
 
+    def test_ill_conditioned_right_inverse(self):
+        # Singular values 1 down to 1e-9 pass the 1e-10 rank check; a
+        # solve on the Gram matrix A A^H (condition 1e18) would lose the
+        # right inverse entirely.
+        u, _ = np.linalg.qr(random_complex((4, 4), 1))
+        v, _ = np.linalg.qr(random_complex((4, 4), 2))
+        a = u @ np.diag([1.0, 0.5, 0.3, 1e-9]) @ v.conj().T
+        residual = a @ pseudo_inverse(a) - np.eye(4)
+        assert np.linalg.norm(residual) <= 1e-6
+
     def test_rank_deficient(self):
         a = np.ones((2, 3), dtype=complex)
         with pytest.raises(RankDeficientError):

@@ -158,6 +158,10 @@ class TestSweepConfig:
             (dict(snr_grid_db=(float("inf"),)), ValueError),
             (dict(error_variance_grid=(0.1, -0.1)), InvalidVarianceError),
             (dict(error_variance_grid=(nan,)), InvalidVarianceError),
+            # Repeats would be computed again and written as duplicate rows.
+            (dict(schemes=(parse_scheme_tag("zf"),) * 2), ValueError),
+            (dict(snr_grid_db=(15.0, 15.0)), ValueError),
+            (dict(error_variance_grid=(0.1, 0.1), error_regime=PERFECT), ValueError),
         ):
             with pytest.raises(error):
                 small_config(**bad).validate()
