@@ -126,15 +126,45 @@ def config_as_dict(config: SweepConfig) -> dict:
     return record
 
 
+def _sweep_output_paths(out_path: str) -> tuple[str, str]:
+    """The table's path and its sidecar's."""
+    return out_path, out_path + ".config.json"
+
+
+def _check_writable(out_path: str) -> None:
+    """OSError unless the table and its sidecar can both be written."""
+    directory = os.path.dirname(os.path.abspath(out_path))
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise OSError(f"cannot write {out_path}: {directory} is missing or not writable")
+    for path in _sweep_output_paths(out_path):
+        if os.path.isdir(path) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+            raise OSError(f"cannot write {path}: it is a directory or not writable")
+
+
 def write_sweep_outputs(result: SweepResult, out_path: str, out_format: str) -> str:
-    text = format_csv(result) if out_format == "csv" else format_structured(result)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    sidecar = out_path + ".config.json"
-    with open(sidecar, "w", encoding="utf-8", newline="") as fh:
-        json.dump(config_as_dict(result.config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return sidecar
+    """Write the table and its sidecar; return the sidecar's path.
+
+    Both go to temporary files in the target directory first and are
+    renamed into place only once both are written, so a failed write
+    leaves neither file half written.
+    """
+    table = format_csv(result) if out_format == "csv" else format_structured(result)
+    config = json.dumps(config_as_dict(result.config), indent=2, sort_keys=True) + "\n"
+    paths = _sweep_output_paths(out_path)
+    pending = []
+    try:
+        for path, text in zip(paths, (table, config)):
+            temporary = f"{path}.{os.getpid()}.tmp"
+            pending.append(temporary)
+            with open(temporary, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        for temporary, path in zip(pending, paths):
+            os.replace(temporary, path)
+    finally:
+        for temporary in pending:
+            if os.path.exists(temporary):
+                os.remove(temporary)
+    return paths[1]
 
 
 def _common_sweep_arguments(parser: argparse.ArgumentParser) -> None:
@@ -192,10 +222,8 @@ def _config_from_args(args, regime: ErrorRegime, snr_grid, variance_grid=()) -> 
 
 def _finish_sweep(args, config: SweepConfig) -> int:
     config.validate()
-    # An --out that cannot be written fails now, before any cell runs.
-    target = args.out if os.path.exists(args.out) else os.path.dirname(os.path.abspath(args.out))
-    if os.path.isdir(args.out) or not os.access(target, os.W_OK):
-        raise OSError(f"cannot write {args.out}: it is a directory or not writable")
+    # Outputs that cannot be written fail now, before any cell runs.
+    _check_writable(args.out)
     result = run_sweep(config, n_jobs=args.jobs)
     sidecar = write_sweep_outputs(result, args.out, args.format)
     for cell in result.cells:

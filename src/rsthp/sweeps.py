@@ -7,8 +7,13 @@ and the error realization m for that channel by (seed, c, m), never by
 position in a loop. Every scheme, power split, and grid point therefore
 sees the same channels and the same error draws (common random
 numbers), and a sweep is a pure function of its config. That also makes
-serial and parallel execution bit-identical: workers recompute cells
+serial and parallel execution bit-identical: workers evaluate cells
 independently and results are assembled in a fixed order.
+
+A channel's error ensemble is drawn once per process:
+draw_error_ensemble keeps its unit draws in a bounded cache, and each
+cell rescales them to its own variance. Each --jobs worker fills its
+own cache.
 """
 
 import math
@@ -199,14 +204,23 @@ class SweepConfig:
         if self.error_variance_grid and not self.error_regime.is_perfect:
             raise ValueError("an error-variance sweep needs a perfect error_regime")
         # A repeated scheme or grid point would be computed again and
-        # written as a duplicate row.
+        # written as a duplicate row; a repeated split, searched again.
         for what, values in (
             ("scheme", [s.tag for s in self.schemes]),
             ("SNR point", self.snr_grid_db),
             ("error variance", self.error_variance_grid),
+            ("power split", self.power_split_grid),
         ):
             if len(set(values)) < len(values):
                 raise ValueError(f"each {what} may appear once, got {list(values)}")
+        # The config is recorded as given, and a search that keeps the
+        # first of equal maxima (an argmax over the grid) gives ties to
+        # the smaller split only on an ascending grid.
+        if list(self.power_split_grid) != sorted(self.power_split_grid):
+            raise ValueError(
+                "power splits must be in ascending order, "
+                f"got {list(self.power_split_grid)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -238,8 +252,10 @@ def ergodic_sum_rate(
     """Ergodic sum rate of one scheme at one grid point.
 
     Averages the per-channel best average sum rate over n_channels
-    channel draws. Each channel's error ensemble is drawn once (one
-    all-zero realization under perfect CSIT) and shared by every split.
+    channel draws. Each channel's error ensemble (one all-zero
+    realization under perfect CSIT) is shared by every split; its unit
+    draws are made once per process and rescaled to this cell's
+    variance, so every scheme and grid point sees the same draws.
     Rate-splitting schemes search the power-split grid per channel;
     base schemes search the one-point grid (0.0,). The confidence
     halfwidth is the 95% normal interval on the channel sample mean.

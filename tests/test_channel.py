@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from rsthp import ErrorRegime, SchemeTag, SweepConfig, draw_error_ensemble
+from rsthp import (
+    ErrorRegime,
+    SchemeTag,
+    SweepConfig,
+    complex_gaussian,
+    draw_error_ensemble,
+    stream_rng,
+)
+from rsthp.channel import ERROR_STREAM, _unit_error_draws
 from rsthp.exceptions import DimensionMismatchError, InvalidVarianceError
 from rsthp.sweeps import average_sum_rate, draw_channel, ergodic_sum_rate
 
@@ -110,3 +118,62 @@ class TestDrawChannelSet:
         ):
             with pytest.raises(DimensionMismatchError):
                 SweepConfig(**bad).validate()
+
+
+class TestUnitDrawCache:
+    """draw_error_ensemble serves every call from cached unit draws; the
+    cache must neither change a bit nor leak state between calls."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        _unit_error_draws.cache_clear()
+        yield
+        _unit_error_draws.cache_clear()
+
+    @staticmethod
+    def reference(sigma_e2, n_samples, seed, c, n_users=4, n_tx=4):
+        # The draw before the cache: one complex_gaussian per realization.
+        return np.stack([
+            complex_gaussian(
+                stream_rng(seed, ERROR_STREAM, c, m), (n_users, n_tx), sigma_e2
+            )
+            for m in range(n_samples)
+        ])
+
+    def test_bit_identical_to_per_realization_draws(self):
+        for _ in range(2):  # cold, then warm
+            for c in (0, 5):
+                for sigma_e2 in (0.0, 0.05, 0.2, 0.5, 31.0**-0.6):
+                    got = draw_error_ensemble(4, 4, sigma_e2, 7, seed=12345, channel_index=c)
+                    want = self.reference(sigma_e2, 7, 12345, c)
+                    assert got.shape == want.shape
+                    assert (got == want).all()
+        got = draw_error_ensemble(2, 3, 0.3, 4, seed=8, channel_index=1)
+        assert (got == self.reference(0.3, 4, 8, 1, 2, 3)).all()
+        assert _unit_error_draws.cache_info().hits > 0
+
+    def test_returned_array_is_fresh_and_writable(self):
+        first = draw_error_ensemble(4, 4, 0.2, 5, seed=3, channel_index=2)
+        expected = first.copy()
+        assert first.flags.writeable
+        first[...] = 99.0
+        second = draw_error_ensemble(4, 4, 0.2, 5, seed=3, channel_index=2)
+        assert (second == expected).all()
+        assert second is not first
+        assert not _unit_error_draws(3, 2, 5, 4, 4).flags.writeable
+
+    def test_prefix_and_scaling_on_a_warm_cache(self):
+        for _ in range(2):
+            long = draw_error_ensemble(4, 4, 0.2, 100, seed=7)
+            short = draw_error_ensemble(4, 4, 0.2, 50, seed=7)
+            small = draw_error_ensemble(4, 4, 0.1, 5, seed=3)
+            large = draw_error_ensemble(4, 4, 0.4, 5, seed=3)
+        np.testing.assert_array_equal(long[:50], short)
+        np.testing.assert_allclose(large, 2.0 * small, atol=1e-15)
+        assert _unit_error_draws.cache_info().hits >= 4
+
+    def test_bad_variance_rejected_after_caching(self):
+        draw_error_ensemble(4, 4, 0.2, 5, seed=4)
+        for bad in (-0.1, float("inf"), float("nan")):
+            with pytest.raises(InvalidVarianceError):
+                draw_error_ensemble(4, 4, bad, 5, seed=4)

@@ -126,6 +126,13 @@ class TestSweepSnrCommand:
         assert "n_jobs" not in sidecar
         assert list(sidecar) == sorted(sidecar)
 
+    def test_writes_only_the_table_and_sidecar(self, tmp_path):
+        assert run_cli("sweep-snr", *SMALL, "--snr-db", "10",
+                       "--out", str(tmp_path / "x.csv")) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "x.csv", "x.csv.config.json"
+        ]
+
     def test_sidecar_keys_are_config_fields(self, tmp_path):
         # Every SweepConfig field reaches the sidecar, so a new field
         # cannot be left out of the record.
@@ -266,6 +273,44 @@ class TestErrorHandling:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
+    def test_sidecar_directory_fails_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        # The sidecar is checked like the table: a directory in its place
+        # stops the command before the sweep, and no table is left alone.
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the sidecar path was checked")
+
+        monkeypatch.setattr("rsthp.cli.run_sweep", no_sweep)
+        (tmp_path / "x.csv.config.json").mkdir()
+        code = run_cli("sweep-snr", *SMALL, "--snr-db", "10",
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv.config.json"]
+
+    def test_failed_write_leaves_neither_file(self, tmp_path, monkeypatch):
+        # Both files are written under temporary names and renamed only
+        # once both are complete.
+        def full_disk(temporary, path):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr("rsthp.cli.os.replace", full_disk)
+        code = run_cli("sweep-snr", *SMALL, "--snr-db", "10",
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("grid, message", [
+        ("0.1,0.1,0.2", "each power split may appear once"),
+        ("0.2,0.1,0", "ascending order"),
+    ])
+    def test_split_grid_must_ascend_without_repeats(self, tmp_path, capsys, grid, message):
+        out = tmp_path / "x.csv"
+        code = run_cli("sweep-snr", *SMALL, "--snr-db", "10",
+                       "--split-grid", grid, "--out", str(out))
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def assert_rejected(self, tmp_path, capsys, *argv):

@@ -12,6 +12,7 @@ from rsthp import (
     run_sweep,
     snr_db_to_power,
 )
+from rsthp import channel
 from rsthp.exceptions import EmptyGridError, InvalidVarianceError, SchemeMismatchError
 from rsthp.sweeps import (
     average_sum_rate,
@@ -271,6 +272,28 @@ class TestRunSweep:
                 h, SchemeTag("zf"), e_tr, 0.75, 0.0, errors
             )
             assert by_tag["zf"].per_channel_asr[c] == recomputed
+
+    def test_each_error_draw_is_made_once(self, monkeypatch):
+        # Every cell rescales the same unit draws: one error-stream
+        # generator per (channel, realization), not one per cell.
+        keys = []
+        draw = channel.stream_rng
+
+        def counting(seed, *key):
+            if key[0] == channel.ERROR_STREAM:
+                keys.append((seed, *key))
+            return draw(seed, *key)
+
+        monkeypatch.setattr(channel, "stream_rng", counting)
+        channel._unit_error_draws.cache_clear()
+        n_channels, n_samples = 3, 4
+        run_sweep(small_config(
+            error_regime=PERFECT, error_variance_grid=(0.1, 0.2, 0.3),
+            n_channels=n_channels, n_error_samples=n_samples,
+        ))
+        channel._unit_error_draws.cache_clear()
+        assert len(keys) == n_channels * n_samples
+        assert len(set(keys)) == len(keys)
 
     def test_validates_before_running(self):
         with pytest.raises(EmptyGridError):
