@@ -65,6 +65,11 @@ class RateReport:
 
 
 def _cap(values: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(values capped at SINR_CAP, whether any exceeded it or was not
+    finite). A batch that is finite and within the cap, the usual case,
+    comes back as it is: a NaN or an infinity fails the test below."""
+    if np.abs(values).max(initial=0.0) <= SINR_CAP:
+        return values, False
     finite = np.isfinite(values)
     saturated = bool(np.any(~finite) or np.any(values[finite] > SINR_CAP))
     values = np.where(finite, values, SINR_CAP)

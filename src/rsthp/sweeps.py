@@ -12,8 +12,10 @@ independently and results are assembled in a fixed order.
 
 A channel's error ensemble is drawn once per process:
 draw_error_ensemble keeps its unit draws in a bounded cache, and each
-cell rescales them to its own variance. Each --jobs worker fills its
-own cache.
+cell rescales them to its own variance. Likewise build_precoders keeps
+each (channel, base scheme) geometry, and linalg each channel's SVD, so
+every split and grid point only rescales them. Each --jobs worker fills
+its own caches.
 """
 
 import math

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rsthp.exceptions import DimensionMismatchError, RankDeficientError, ZeroMatrixError
+from rsthp import linalg
 from rsthp.linalg import dominant_right_singular_vector, lq_decompose, pseudo_inverse
 
 
@@ -180,3 +181,70 @@ class TestDominantRightSingularVector:
     def test_zero_matrix(self):
         with pytest.raises(ZeroMatrixError):
             dominant_right_singular_vector(np.zeros((2, 2)))
+
+
+class TestSvdCache:
+    """The pseudo-inverse, the direction and the rank check share one
+    cached SVD per matrix; the cache must neither change a bit nor hide
+    bad input."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        linalg._svd_cache.cache_clear()
+        yield
+        linalg._svd_cache.cache_clear()
+
+    @staticmethod
+    def uncached(a):
+        # The formulas before the cache, each on its own SVD.
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        pinv = (vh.conj().T / s) @ u.conj().T
+        v = vh[0].conj()
+        anchor = np.flatnonzero(np.abs(v) > 1e-6)[0]
+        return pinv, v * (np.conj(v[anchor]) / np.abs(v[anchor]))
+
+    def test_bit_identical_to_uncached_svd(self):
+        for _ in range(2):  # cold, then warm
+            for seed, shape in ((1, (4, 4)), (2, (2, 3)), (3, (3, 6))):
+                a = random_complex(shape, seed)
+                pinv, direction = self.uncached(a)
+                assert (pseudo_inverse(a) == pinv).all()
+                assert (dominant_right_singular_vector(a) == direction).all()
+                lq = lq_decompose(a)
+                np.testing.assert_allclose(lq.l_matrix @ lq.q_matrix, a, atol=1e-12)
+        assert linalg._svd_cache.cache_info().hits > 0
+        assert linalg._svd_cache.cache_info().currsize == 3
+
+    def test_bad_input_raises_on_every_call(self):
+        rank_one = np.outer([1.0, 2.0], [1.0, 1j, 0.5])
+        for _ in range(2):
+            with pytest.raises(RankDeficientError):
+                lq_decompose(rank_one)
+            with pytest.raises(RankDeficientError):
+                pseudo_inverse(rank_one)
+            with pytest.raises(ZeroMatrixError):
+                lq_decompose(np.zeros((2, 3)))
+            with pytest.raises(ZeroMatrixError):
+                pseudo_inverse(np.zeros((2, 3)))
+            with pytest.raises(ZeroMatrixError):
+                dominant_right_singular_vector(np.zeros((2, 3)))
+
+    def test_cached_arrays_are_read_only_and_results_fresh(self):
+        a = random_complex((4, 4), 4)
+        for part in linalg._reduced_svd(a):
+            assert not part.flags.writeable
+        pinv, direction = pseudo_inverse(a), dominant_right_singular_vector(a)
+        assert pinv.flags.writeable and direction.flags.writeable
+        pinv[...] = 0.0
+        direction[...] = 0.0
+        assert (pseudo_inverse(a) == self.uncached(a)[0]).all()
+        assert (dominant_right_singular_vector(a) == self.uncached(a)[1]).all()
+
+    def test_mutated_input_is_a_new_key(self):
+        a = random_complex((4, 4), 5)
+        before = dominant_right_singular_vector(a)
+        a[0, 0] += 1.0
+        pinv, direction = self.uncached(a)
+        assert (dominant_right_singular_vector(a) == direction).all()
+        assert (pseudo_inverse(a) == pinv).all()
+        assert not (direction == before).all()

@@ -15,9 +15,10 @@ from rsthp import (
     rates_from_sinr,
     sinr_imperfect_csit,
 )
-from rsthp.exceptions import SchemeMismatchError
+from rsthp import linalg, precoding
+from rsthp.exceptions import RankDeficientError, SchemeMismatchError, ZeroMatrixError
 from rsthp.linalg import lq_decompose
-from rsthp.precoding import effective_transmit_power
+from rsthp.precoding import ALL_SCHEME_TAGS, effective_transmit_power
 
 
 def random_channel(seed, shape=(4, 4)):
@@ -228,3 +229,124 @@ class TestValidation:
         b = build_precoders(h, SchemeTag("dthp", rs=True), 31.0, 0.75, 0.4)
         assert a.p_private.tobytes() == b.p_private.tobytes()
         assert a.p_common.tobytes() == b.p_common.tobytes()
+
+
+def reference_precoders(h_est, scheme, e_tr, power_loss, power_split=0.0):
+    """The build before the geometry cache, every factor made afresh:
+    LQ and inv(B) directly, the pseudo-inverse and the direction from
+    their own uncached SVD."""
+    h_est = np.asarray(h_est, dtype=complex)
+    n_users = h_est.shape[0]
+    u, s, vh = np.linalg.svd(h_est, full_matrices=False)
+    if power_split > 0.0:
+        v = vh[0].conj()
+        anchor = np.flatnonzero(np.abs(v) > 1e-6)[0]
+        direction = v * (np.conj(v[anchor]) / np.abs(v[anchor]))
+        p_common = np.sqrt(power_split * e_tr) * direction
+        e_private = e_tr - float(np.real(np.vdot(p_common, p_common)))
+    else:
+        p_common = None
+        e_private = float(e_tr)
+    lambda_eff = power_loss if scheme.uses_power_loss else 1.0
+    if scheme.base == "zf":
+        pinv = (vh.conj().T / s) @ u.conj().T
+        unit_map = pinv / np.linalg.norm(pinv, axis=0, keepdims=True)
+        unit_power, rx_gain = n_users, np.ones(n_users)
+        g_diag = b_matrix = None
+    else:
+        lq = lq_decompose(h_est)
+        unit_map = lq.q_matrix.conj().T
+        g_diag = 1.0 / lq.diagonal
+        if scheme.base == "cthp":
+            b_matrix = lq.l_matrix * g_diag[np.newaxis, :]
+            unit_map = unit_map * g_diag[np.newaxis, :]
+            unit_power, rx_gain = np.sum(g_diag**2), np.ones(n_users)
+        else:
+            b_matrix = lq.l_matrix * g_diag[:, np.newaxis]
+            unit_power, rx_gain = n_users, g_diag
+    beta = float(np.sqrt(lambda_eff * e_private / unit_power))
+    tx_basis = beta * unit_map
+    p_private = tx_basis
+    if b_matrix is not None:
+        p_private = tx_basis @ np.linalg.inv(b_matrix)
+    return dict(
+        scheme=scheme, p_common=p_common, p_private=p_private,
+        tx_basis=tx_basis, rx_gain=rx_gain, g_diag=g_diag, b_matrix=b_matrix,
+        beta=beta, h_est=h_est, lambda_eff=lambda_eff,
+    )
+
+
+def assert_same_fields(ps, want):
+    for name, value in want.items():
+        got = getattr(ps, name)
+        if isinstance(value, np.ndarray):
+            assert got.shape == value.shape, name
+            assert (got == value).all(), name
+        else:
+            assert got == value, name
+
+
+class TestGeometryCache:
+    """build_precoders rescales a cached per-channel geometry; every
+    field must stay bit for bit what the uncached build gives."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        precoding._geometry.cache_clear()
+        linalg._svd_cache.cache_clear()
+        yield
+        precoding._geometry.cache_clear()
+        linalg._svd_cache.cache_clear()
+
+    def test_cold_and_warm_builds_match_uncached_build(self):
+        channels = [random_channel(70), random_channel(71, (3, 5))]
+        for _ in range(2):  # cold, then warm
+            for h in channels:
+                for scheme in ALL_SCHEME_TAGS:
+                    splits = (0.0, 0.05, 0.5, 0.95) if scheme.rs else (0.0,)
+                    for e_tr in (1.0, 1000.0):
+                        for t in splits:
+                            ps = build_precoders(h, scheme, e_tr, 0.75, t)
+                            want = reference_precoders(h, scheme, e_tr, 0.75, t)
+                            assert_same_fields(ps, want)
+        info = precoding._geometry.cache_info()
+        assert info.currsize == len(channels) * 4
+        assert info.misses == len(channels) * 4
+
+    def test_shared_arrays_are_read_only(self):
+        h = random_channel(72)
+        for scheme in ALL_SCHEME_TAGS:
+            ps = build_precoders(h, scheme, 10.0, 0.75, 0.3 if scheme.rs else 0.0)
+            for shared in (ps.rx_gain, ps.g_diag, ps.b_matrix):
+                assert shared is None or not shared.flags.writeable
+            assert ps.p_private.flags.writeable and ps.tx_basis.flags.writeable
+            with pytest.raises(ValueError):
+                ps.rx_gain[0] = 2.0
+
+    def test_mutated_channel_gets_a_fresh_geometry(self):
+        h = random_channel(73)
+        for scheme in (SchemeTag("zf"), SchemeTag("cthp"), SchemeTag("dthp", rs=True)):
+            t = 0.2 if scheme.rs else 0.0
+            before = build_precoders(h, scheme, 10.0, 0.75, t)
+            h_new = h.copy()
+            h_new[1, 2] += 0.5
+            after = build_precoders(h_new, scheme, 10.0, 0.75, t)
+            assert_same_fields(after, reference_precoders(h_new, scheme, 10.0, 0.75, t))
+            assert not (after.p_private == before.p_private).all()
+        # The caller's own array, changed in place after a build.
+        ps = build_precoders(h, SchemeTag("dthp"), 10.0, 0.75)
+        first = ps.p_private.copy()
+        h[0, 0] += 1.0
+        ps = build_precoders(h, SchemeTag("dthp"), 10.0, 0.75)
+        assert_same_fields(ps, reference_precoders(h, SchemeTag("dthp"), 10.0, 0.75))
+        assert not (ps.p_private == first).all()
+
+    def test_bad_channel_raises_on_every_call(self):
+        rank_one = np.outer([1.0, 2.0], [1.0, 1j, 0.5])
+        for _ in range(2):
+            for base in ("zf", "cthp", "dthp", "zf-dpc"):
+                with pytest.raises(RankDeficientError):
+                    build_precoders(rank_one, SchemeTag(base), 10.0, 0.75)
+                with pytest.raises(ZeroMatrixError):
+                    build_precoders(np.zeros((2, 3)), SchemeTag(base), 10.0, 0.75)
+        assert precoding._geometry.cache_info().currsize == 0

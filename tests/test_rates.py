@@ -22,7 +22,7 @@ from rsthp import (
 )
 from rsthp.linalg import lq_decompose
 from rsthp.precoding import ALL_SCHEME_TAGS
-from rsthp.rates import SINR_CAP, SinrReport, estimate_sinr_monte_carlo
+from rsthp.rates import SINR_CAP, SinrReport, _cap, estimate_sinr_monte_carlo
 from rsthp.sweeps import draw_channel
 
 
@@ -297,6 +297,38 @@ class TestSaturation:
         )
         assert report.saturated
         assert np.all(report.private == SINR_CAP)
+
+
+def cap_oracle(values):
+    """_cap as it was before its fast path."""
+    finite = np.isfinite(values)
+    saturated = bool(np.any(~finite) or np.any(values[finite] > SINR_CAP))
+    values = np.where(finite, values, SINR_CAP)
+    return np.minimum(values, SINR_CAP), saturated
+
+
+class TestCap:
+    def test_matches_the_full_formula(self):
+        base = np.array([[0.5, 3.0, 1e6, 2.0], [7.0, 0.0, 1e-3, 40.0]])
+        specials = (
+            np.nan, np.inf, -np.inf, SINR_CAP, np.nextafter(SINR_CAP, np.inf),
+            1e15, -1e-17, -0.0, -1e13,
+        )
+        batches = [base, base[:1], base[:, :1]]
+        for special in specials:
+            for index in ((0, 0), (1, 3)):
+                batch = base.copy()
+                batch[index] = special
+                batches.append(batch)
+        mixed = base.copy()
+        mixed[0] = (np.nan, -np.inf, SINR_CAP, -1e-17)
+        batches.append(mixed)
+        for batch in batches:
+            want_values, want_flag = cap_oracle(batch.copy())
+            got_values, got_flag = _cap(batch.copy())
+            assert got_flag is want_flag
+            assert got_values.shape == want_values.shape
+            assert got_values.tobytes() == want_values.tobytes()
 
 
 class TestMonteCarloAgreement:

@@ -12,7 +12,7 @@ from rsthp import (
     run_sweep,
     snr_db_to_power,
 )
-from rsthp import channel
+from rsthp import channel, linalg, precoding
 from rsthp.exceptions import EmptyGridError, InvalidVarianceError, SchemeMismatchError
 from rsthp.sweeps import (
     average_sum_rate,
@@ -294,6 +294,30 @@ class TestRunSweep:
         channel._unit_error_draws.cache_clear()
         assert len(keys) == n_channels * n_samples
         assert len(set(keys)) == len(keys)
+
+    def test_each_geometry_is_built_once(self, monkeypatch):
+        # Every split and SNR rescales the same cached geometry: one LQ
+        # per (channel, THP base), one pseudo-inverse per channel.
+        calls = {"lq_decompose": [], "pseudo_inverse": []}
+        for name in calls:
+            def counting(h, _name=name, _inner=getattr(precoding, name)):
+                calls[_name].append(h.tobytes())
+                return _inner(h)
+            monkeypatch.setattr(precoding, name, counting)
+        precoding._geometry.cache_clear()
+        linalg._svd_cache.cache_clear()
+        n_channels = 3
+        run_sweep(small_config(
+            schemes=tuple(parse_scheme_tag(t) for t in ("zf", "rs-linear", "cthp-rs", "dthp")),
+            snr_grid_db=(10.0, 20.0), n_channels=n_channels,
+        ))
+        precoding._geometry.cache_clear()
+        linalg._svd_cache.cache_clear()
+        lq, pinv = calls["lq_decompose"], calls["pseudo_inverse"]
+        assert len(set(lq)) == n_channels
+        assert len(lq) == 2 * n_channels  # cthp and dthp
+        assert len(pinv) == len(set(pinv)) == n_channels
+        assert set(pinv) == set(lq)
 
     def test_validates_before_running(self):
         with pytest.raises(EmptyGridError):
