@@ -19,6 +19,7 @@ byte-identical. Exit codes: 0 success, 1 a validation check failed,
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -32,6 +33,7 @@ from .sweeps import (
     SIGMA_N2,
     SweepConfig,
     SweepResult,
+    check_dimensions,
     draw_channel,
     run_sweep,
     snr_db_to_power,
@@ -69,16 +71,13 @@ def parse_grid(text: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError(f"grid range must be start:step:stop, got {text!r}")
         start, step, stop = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, step, stop))):
+            raise ValueError(f"grid range must be finite, got {text!r}")
         if step <= 0.0:
             raise ValueError(f"grid step must be positive, got {step}")
         values = []
-        k = 0
-        while True:
-            v = start + k * step
-            if v > stop + 1e-9 * max(1.0, step):
-                break
+        while (v := start + len(values) * step) <= stop + 1e-9 * max(1.0, step):
             values.append(v)
-            k += 1
         return tuple(values)
     return tuple(float(p) for p in text.split(","))
 
@@ -337,6 +336,7 @@ def cmd_validate_chain(args) -> int:
 
 def cmd_cross_check_sinr(args) -> int:
     _require_count("--samples", args.samples)
+    check_dimensions(args.users, args.tx_antennas)
     e_tr = snr_db_to_power(args.snr_db)
     h_est = draw_channel(args.seed, 0, args.users, args.tx_antennas)
     # A zero variance draws the all-zero realization: perfect CSIT.

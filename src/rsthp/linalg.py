@@ -2,10 +2,11 @@
 
 Everything here operates on small matrices (a handful of users and
 antennas). All routines are deterministic: same input bits, same output
-bits. The reduced SVD of a matrix is computed once per process: a
-bounded cache keyed by the matrix's bytes serves the rank check, the
-pseudo-inverse and the dominant direction, so the split search, which
-asks for one channel's direction at every split, pays for one SVD.
+bits. The pseudo-inverse and the LQ factorization each take their own
+SVD for the rank check; the precoder geometry cache calls them once per
+channel. The split search asks for one channel's dominant direction at
+every split, so the anchored direction is kept in a bounded cache keyed
+by the matrix's bytes.
 """
 
 from dataclasses import dataclass
@@ -13,22 +14,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import (
-    DimensionMismatchError,
-    RankDeficientError,
-    ZeroMatrixError,
-)
+from .exceptions import DimensionMismatchError, RankDeficientError, ZeroMatrixError
 
 # Relative threshold on singular values below which a matrix is treated
 # as row-rank deficient.
 _RANK_RTOL = 1e-10
 
-# One entry holds U, S and V^H of a (K, N) complex128 matrix plus its
-# bytes as the key, about 1.6 KB at K=N=4, so the bound costs at most
-# 0.1 MB at those sizes. It holds the 50 channels of a default sweep.
-# Past the bound a sweep still reuses each channel's SVD over that
-# channel's consecutive splits, with the same results.
-_SVD_CACHE_SIZE = 64
+# One entry holds the (N,) direction of a (K, N) complex128 matrix plus
+# its bytes as the key, about 0.6 KB at K=N=4, so the bound costs at
+# most 40 KB at those sizes. It holds the 50 channels of a default
+# sweep. Past the bound a sweep still reuses each channel's direction
+# over that channel's consecutive splits, with the same results.
+_DIRECTION_CACHE_SIZE = 64
 
 # Components below this magnitude are skipped when picking the entry
 # that anchors the phase convention.
@@ -63,35 +60,25 @@ def _as_complex_matrix(a, op_name: str) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=_SVD_CACHE_SIZE)
-def _svd_cache(
-    a_bytes: bytes, shape: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    u, singular_values, vh = np.linalg.svd(
-        np.frombuffer(a_bytes, dtype=complex).reshape(shape), full_matrices=False
-    )
-    for part in (u, singular_values, vh):
-        part.flags.writeable = False
-    return u, singular_values, vh
-
-
-def _reduced_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only np.linalg.svd(a, full_matrices=False) of a 2-D complex
-    array, bit for bit, computed once per distinct matrix."""
-    return _svd_cache(a.tobytes(), a.shape)
-
-
-def _check_full_row_rank(singular_values: np.ndarray, op_name: str) -> None:
-    """Raise unless the smallest singular value (they come largest first)
-    exceeds _RANK_RTOL times the largest."""
-    if singular_values[0] == 0.0:
+def _full_row_rank_svd(a, op_name: str) -> tuple[np.ndarray, ...]:
+    """a as a complex array and its reduced SVD, or the error that
+    lq_decompose documents. The matrix is row-rank deficient unless its
+    smallest singular value exceeds _RANK_RTOL times its largest."""
+    a = _as_complex_matrix(a, op_name)
+    if not 0 < a.shape[0] <= a.shape[1]:
+        raise DimensionMismatchError(
+            f"{op_name} expects 0 < K <= N, got shape {a.shape}"
+        )
+    u, singular_values, vh = np.linalg.svd(a, full_matrices=False)
+    largest, smallest = singular_values[0], singular_values[-1]
+    if largest == 0.0:
         raise ZeroMatrixError(f"{op_name}: matrix is identically zero")
-    if singular_values[-1] <= _RANK_RTOL * singular_values[0]:
+    if smallest <= _RANK_RTOL * largest:
         raise RankDeficientError(
             f"{op_name}: matrix is row-rank deficient "
-            f"(smallest/largest singular value = "
-            f"{singular_values[-1] / singular_values[0]:.3e})"
+            f"(smallest/largest singular value = {smallest / largest:.3e})"
         )
+    return a, u, singular_values, vh
 
 
 def lq_decompose(a) -> LqFactors:
@@ -103,23 +90,17 @@ def lq_decompose(a) -> LqFactors:
     which makes the factorization unique and reproducible.
 
     Args:
-        a: (K, N) complex array with K <= N and full row rank.
+        a: (K, N) complex array with 1 <= K <= N and full row rank.
 
     Returns:
         LqFactors with the normalized factors.
 
     Raises:
-        DimensionMismatchError: if a is not 2-D or K > N.
+        DimensionMismatchError: if a is not 2-D, has no rows or K > N.
         ZeroMatrixError: if a is identically zero.
         RankDeficientError: if a does not have full row rank.
     """
-    a = _as_complex_matrix(a, "lq_decompose")
-    n_rows, n_cols = a.shape
-    if n_rows > n_cols:
-        raise DimensionMismatchError(
-            f"lq_decompose expects K <= N, got shape {a.shape}"
-        )
-    _check_full_row_rank(_reduced_svd(a)[1], "lq_decompose")
+    a = _full_row_rank_svd(a, "lq_decompose")[0]
 
     q_tall, r = np.linalg.qr(a.conj().T)
     l_raw = r.conj().T
@@ -136,32 +117,36 @@ def lq_decompose(a) -> LqFactors:
 def pseudo_inverse(a) -> np.ndarray:
     """Right pseudo-inverse A^H (A A^H)^{-1} of a wide full-row-rank matrix.
 
-    Computed as V S^{-1} U^H from the cached reduced SVD A = U S V^H,
-    whose singular values also serve the rank check. Forming the Gram
-    matrix A A^H instead would square the condition number and lose the
-    right inverse on ill-conditioned channels that pass that check.
+    Computed as V S^{-1} U^H from the reduced SVD A = U S V^H, whose
+    singular values also serve the rank check. Forming the Gram matrix
+    A A^H instead would square the condition number and lose the right
+    inverse on ill-conditioned channels that pass that check.
 
     Raises the same errors as lq_decompose for bad input.
     """
-    a = _as_complex_matrix(a, "pseudo_inverse")
-    n_rows, n_cols = a.shape
-    if n_rows > n_cols:
-        raise DimensionMismatchError(
-            f"pseudo_inverse expects K <= N, got shape {a.shape}"
-        )
-    u, singular_values, vh = _reduced_svd(a)
-    _check_full_row_rank(singular_values, "pseudo_inverse")
+    _, u, singular_values, vh = _full_row_rank_svd(a, "pseudo_inverse")
     return (vh.conj().T / singular_values) @ u.conj().T
+
+
+@lru_cache(maxsize=_DIRECTION_CACHE_SIZE)
+def _anchored_direction(a_bytes: bytes, shape: tuple[int, int]) -> np.ndarray:
+    a = np.frombuffer(a_bytes, dtype=complex).reshape(shape)
+    v = np.linalg.svd(a, full_matrices=False)[2][0].conj()
+    anchor = np.flatnonzero(np.abs(v) > _PHASE_ANCHOR_MIN)[0]
+    v = v * (np.conj(v[anchor]) / np.abs(v[anchor]))
+    v.flags.writeable = False
+    return v
 
 
 def dominant_right_singular_vector(a) -> np.ndarray:
     """Unit-norm right singular vector for the largest singular value.
 
-    Taken from the cached reduced SVD as the conjugate of the first row
-    of V^H. The phase is anchored by making the first component of
+    Taken from the reduced SVD as the conjugate of the first row of V^H.
+    The phase is anchored by making the first component of
     non-negligible magnitude real positive; a unit vector in C^N has a
     component of magnitude at least 1/sqrt(N), so an anchor always
-    exists.
+    exists. The anchored vector is computed once per distinct matrix;
+    each call returns a fresh copy.
 
     Args:
         a: (K, N) complex array, not identically zero.
@@ -178,6 +163,4 @@ def dominant_right_singular_vector(a) -> np.ndarray:
         raise ZeroMatrixError(
             "dominant_right_singular_vector: matrix is identically zero"
         )
-    v = _reduced_svd(a)[2][0].conj()
-    anchor = np.flatnonzero(np.abs(v) > _PHASE_ANCHOR_MIN)[0]
-    return v * (np.conj(v[anchor]) / np.abs(v[anchor]))
+    return _anchored_direction(a.tobytes(), a.shape).copy()

@@ -9,10 +9,13 @@ budget on a common stream beamformed along the dominant right singular
 vector of the channel estimate; the remainder feeds the base scheme.
 
 Neither the power split nor the SNR changes a base scheme's geometry:
-its unit map, feedback matrix B and B^-1, and per-user gains. Those
-are computed once per (channel, base scheme) and kept in a bounded
-per-process cache, so each build of the split search only rescales
-them and recomputes the common stream.
+its unit map, feedback matrix B and B^-1, and per-user gains. All four
+bases' geometries come from one pseudo-inverse and one LQ factorization
+of the channel estimate: cTHP and dTHP differ only in where the
+diagonal scaling sits, and ZF-DPC shares dTHP's arrays. They are
+computed once per channel and kept in a bounded per-process cache, so
+each build of the split search only rescales them and recomputes the
+common stream.
 """
 
 from dataclasses import dataclass
@@ -89,7 +92,8 @@ class PrecoderSet:
     h_est @ p_private = beta diag(1 / rx_gain); zero-forcing has no B
     and p_private = tx_basis. p_common is None when the power split is
     zero. rx_gain, g_diag and b_matrix are read-only arrays shared by
-    every build on the same channel and base scheme; p_common, p_private
+    every build on the same channel, across bases too (dthp and zf-dpc
+    share all three, every THP base shares g_diag); p_common, p_private
     and tx_basis are fresh for each build.
     """
 
@@ -152,8 +156,8 @@ def build_precoders(
 
     lambda_eff = power_loss if scheme.uses_power_loss else 1.0
     unit_map, b_matrix, b_inv, unit_power, rx_gain, g_diag = _geometry(
-        h_est.tobytes(), h_est.shape, scheme.base
-    )
+        h_est.tobytes(), h_est.shape
+    )[scheme.base]
     beta = float(np.sqrt(lambda_eff * e_private / unit_power))
     tx_basis = beta * unit_map
     p_private = tx_basis
@@ -173,52 +177,51 @@ def build_precoders(
     )
 
 
-# One entry holds a channel's unit map, B, B^-1 and gains plus its bytes
-# as the key, about 1.9 KB at K=N=4, so the bound costs at most 0.5 MB at
-# those sizes. It holds the 50 channels x 4 base schemes of a default
-# sweep. Past the bound a sweep still reuses each geometry over the
-# channel's consecutive splits, with the same results.
-_GEOMETRY_CACHE_SIZE = 256
+# One entry holds a channel's unit maps, B, B^-1 and gains for all four
+# bases plus its bytes as the key, about 4 KB at K=N=4, so the bound
+# costs at most 0.3 MB at those sizes. It holds the 50 channels of a
+# default sweep. Past the bound a sweep still reuses each geometry over
+# the channel's consecutive splits, with the same results.
+_GEOMETRY_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
-def _geometry(h_bytes: bytes, shape: tuple[int, ...], base: str) -> tuple:
-    """The split- and SNR-invariant part of a base scheme's precoder.
+def _geometry(h_bytes: bytes, shape: tuple[int, ...]) -> dict[str, tuple]:
+    """The split- and SNR-invariant part of every base scheme's precoder.
 
-    Returns (unit_map, b_matrix, inv(b_matrix), unit_power, rx_gain,
-    g_diag) for the channel estimate whose complex128 bytes and shape
-    are given; the arrays are read-only, and b_matrix, its inverse and
-    g_diag are None for zero-forcing. A bad channel raises on every
+    Maps each base to (unit_map, b_matrix, inv(b_matrix), unit_power,
+    rx_gain, g_diag) for the channel estimate whose complex128 bytes and
+    shape are given; the arrays are read-only, and b_matrix, its inverse
+    and g_diag are None for zero-forcing. A bad channel raises on every
     call: lru_cache stores no exception.
     """
     h_est = np.frombuffer(h_bytes, dtype=complex).reshape(shape)
     n_users = shape[0]
-    if base == "zf":
-        pinv = pseudo_inverse(h_est)
-        unit_map = pinv / np.linalg.norm(pinv, axis=0, keepdims=True)
-        unit_power, rx_gain = n_users, np.ones(n_users)
-        g_diag = b_matrix = b_inv = None
-    else:
-        lq = lq_decompose(h_est)
-        unit_map = lq.q_matrix.conj().T
-        g_diag = 1.0 / lq.diagonal
-        if base == "cthp":
-            # Unit-diagonal feedback on the right: B = L diag(g). The
-            # per-user gains fold into the transmitter, so beta divides
-            # the power budget by the accumulated inverse-gain energy.
-            b_matrix = lq.l_matrix * g_diag[np.newaxis, :]
-            unit_map = unit_map * g_diag[np.newaxis, :]
-            unit_power, rx_gain = np.sum(g_diag**2), np.ones(n_users)
-        else:
-            # dthp and zf-dpc: unit-diagonal feedback on the left,
-            # B = diag(g) L, receiver gains stay at the users.
-            b_matrix = lq.l_matrix * g_diag[:, np.newaxis]
-            unit_power, rx_gain = n_users, g_diag
-        b_inv = np.linalg.inv(b_matrix)
-    for array in (unit_map, b_matrix, b_inv, rx_gain, g_diag):
-        if array is not None:
-            array.flags.writeable = False
-    return unit_map, b_matrix, b_inv, unit_power, rx_gain, g_diag
+    pinv = pseudo_inverse(h_est)
+    lq = lq_decompose(h_est)
+    ones = np.ones(n_users)
+    g_diag = 1.0 / lq.diagonal
+    q_map = lq.q_matrix.conj().T
+    # cthp: unit-diagonal feedback on the right, B = L diag(g). The
+    # per-user gains fold into the transmitter, so beta divides the
+    # power budget by the accumulated inverse-gain energy.
+    b_right = lq.l_matrix * g_diag[np.newaxis, :]
+    # dthp and zf-dpc: unit-diagonal feedback on the left, B = diag(g) L,
+    # receiver gains stay at the users.
+    b_left = lq.l_matrix * g_diag[:, np.newaxis]
+    by_base = {
+        "zf": (pinv / np.linalg.norm(pinv, axis=0, keepdims=True),
+               None, None, n_users, ones, None),
+        "cthp": (q_map * g_diag[np.newaxis, :], b_right, np.linalg.inv(b_right),
+                 np.sum(g_diag**2), ones, g_diag),
+        "dthp": (q_map, b_left, np.linalg.inv(b_left), n_users, g_diag, g_diag),
+    }
+    by_base["zf-dpc"] = by_base["dthp"]
+    for entry in by_base.values():
+        for array in entry:
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+    return by_base
 
 
 def effective_transmit_power(precoders: PrecoderSet) -> float:

@@ -13,9 +13,10 @@ independently and results are assembled in a fixed order.
 A channel's error ensemble is drawn once per process:
 draw_error_ensemble keeps its unit draws in a bounded cache, and each
 cell rescales them to its own variance. Likewise build_precoders keeps
-each (channel, base scheme) geometry, and linalg each channel's SVD, so
-every split and grid point only rescales them. Each --jobs worker fills
-its own caches.
+each channel's geometry for all base schemes, and linalg each channel's
+common-stream direction, so every split and grid point only rescales
+them. Each --jobs worker fills its own caches; the pool never has more
+workers than cells.
 """
 
 import math
@@ -78,6 +79,14 @@ def draw_channel(
     return complex_gaussian(
         stream_rng(seed, CHANNEL_STREAM, channel_index), (n_users, n_tx)
     )
+
+
+def check_dimensions(n_users: int, n_tx: int) -> None:
+    """DimensionMismatchError unless 1 <= n_users <= n_tx."""
+    if not 1 <= n_users <= n_tx:
+        raise DimensionMismatchError(
+            f"need 1 <= n_users <= n_tx, got n_users={n_users}, n_tx={n_tx}"
+        )
 
 
 def average_sum_rate(
@@ -172,11 +181,9 @@ class SweepConfig:
                 )
         elif not self.snr_grid_db:
             raise EmptyGridError("SNR grid is empty")
-        if not 1 <= self.n_users <= self.n_tx:
-            raise DimensionMismatchError(
-                f"need 1 <= n_users <= n_tx, got n_users={self.n_users}, "
-                f"n_tx={self.n_tx}"
-            )
+        check_dimensions(self.n_users, self.n_tx)
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.n_channels < 1:
             raise DimensionMismatchError(
                 f"n_channels must be >= 1, got {self.n_channels}"
@@ -338,8 +345,10 @@ def run_sweep(config: SweepConfig, n_jobs: int = 1) -> SweepResult:
         for (x_value, e_tr, regime) in _sweep_points(config)
     ]
     tasks.sort(key=lambda t: (t[1].tag, t[4]))
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    # The pool starts all its workers at the first submit.
+    n_workers = min(n_jobs, len(tasks))
+    if n_workers > 1:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
             cells = tuple(pool.map(_evaluate_cell, tasks))
     else:
         cells = tuple(_evaluate_cell(t) for t in tasks)

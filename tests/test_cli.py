@@ -47,6 +47,13 @@ class TestParseGrid:
             with pytest.raises(ValueError):
                 parse_grid(text)
 
+    def test_rejects_non_finite_range(self):
+        # No value of a range with an infinite or NaN bound or step ever
+        # passes stop, so the range would grow without end.
+        for text in ("0:1:inf", "0:nan:30", "-inf:1:0", "nan:1:3", "0:inf:30"):
+            with pytest.raises(ValueError, match="must be finite"):
+                parse_grid(text)
+
 
 class TestSweepSnrCommand:
     def test_csv_matches_library(self, tmp_path):
@@ -340,6 +347,9 @@ class TestErrorHandling:
         # A repeated scheme or SNR point would give duplicate rows.
         ("--schemes", "zf,zf"),
         ("--snr-db", "10,10"),
+        # A range that never passes its stop would never end.
+        ("--snr-db", "0:1:inf"),
+        ("--snr-db", "0:nan:30"),
     ])
     def test_out_of_range_config(self, tmp_path, capsys, bad):
         self.assert_rejected(tmp_path, capsys, "sweep-snr", *SMALL,
@@ -387,6 +397,14 @@ class TestErrorHandling:
         assert "error:" in captured.err
         lines = [line.split() for line in captured.out.splitlines()]
         assert not any(w and w[0] in ("ok", "user") for w in lines)
+
+    def test_cross_check_user_count_has_the_sweeps_message(self, capsys):
+        assert run_cli("cross-check-sinr", "--users", "0") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: need 1 <= n_users <= n_tx, got n_users=0, n_tx=4\n"
+        )
 
 
 class TestSeedEnvironment:

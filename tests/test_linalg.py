@@ -183,20 +183,20 @@ class TestDominantRightSingularVector:
             dominant_right_singular_vector(np.zeros((2, 2)))
 
 
-class TestSvdCache:
-    """The pseudo-inverse, the direction and the rank check share one
-    cached SVD per matrix; the cache must neither change a bit nor hide
-    bad input."""
+class TestDirectionCache:
+    """The anchored dominant direction is computed once per matrix; the
+    cache must neither change a bit nor hide bad input. The
+    pseudo-inverse and the LQ take their own SVD on every call."""
 
     @pytest.fixture(autouse=True)
     def cold_cache(self):
-        linalg._svd_cache.cache_clear()
+        linalg._anchored_direction.cache_clear()
         yield
-        linalg._svd_cache.cache_clear()
+        linalg._anchored_direction.cache_clear()
 
     @staticmethod
     def uncached(a):
-        # The formulas before the cache, each on its own SVD.
+        # The formulas without a cache, each on its own SVD.
         u, s, vh = np.linalg.svd(a, full_matrices=False)
         pinv = (vh.conj().T / s) @ u.conj().T
         v = vh[0].conj()
@@ -212,8 +212,8 @@ class TestSvdCache:
                 assert (dominant_right_singular_vector(a) == direction).all()
                 lq = lq_decompose(a)
                 np.testing.assert_allclose(lq.l_matrix @ lq.q_matrix, a, atol=1e-12)
-        assert linalg._svd_cache.cache_info().hits > 0
-        assert linalg._svd_cache.cache_info().currsize == 3
+        info = linalg._anchored_direction.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (3, 3, 3)
 
     def test_bad_input_raises_on_every_call(self):
         rank_one = np.outer([1.0, 2.0], [1.0, 1j, 0.5])
@@ -228,16 +228,16 @@ class TestSvdCache:
                 pseudo_inverse(np.zeros((2, 3)))
             with pytest.raises(ZeroMatrixError):
                 dominant_right_singular_vector(np.zeros((2, 3)))
+            with pytest.raises(DimensionMismatchError):
+                dominant_right_singular_vector(np.ones(3))
+        assert linalg._anchored_direction.cache_info().currsize == 0
 
-    def test_cached_arrays_are_read_only_and_results_fresh(self):
+    def test_cached_vector_is_read_only_and_results_fresh(self):
         a = random_complex((4, 4), 4)
-        for part in linalg._reduced_svd(a):
-            assert not part.flags.writeable
-        pinv, direction = pseudo_inverse(a), dominant_right_singular_vector(a)
-        assert pinv.flags.writeable and direction.flags.writeable
-        pinv[...] = 0.0
+        direction = dominant_right_singular_vector(a)
+        assert not linalg._anchored_direction(a.tobytes(), a.shape).flags.writeable
+        assert direction.flags.writeable
         direction[...] = 0.0
-        assert (pseudo_inverse(a) == self.uncached(a)[0]).all()
         assert (dominant_right_singular_vector(a) == self.uncached(a)[1]).all()
 
     def test_mutated_input_is_a_new_key(self):
@@ -248,3 +248,11 @@ class TestSvdCache:
         assert (dominant_right_singular_vector(a) == direction).all()
         assert (pseudo_inverse(a) == pinv).all()
         assert not (direction == before).all()
+
+
+class TestEmptyMatrix:
+    @pytest.mark.parametrize("shape", [(0, 4), (0, 0)])
+    def test_no_rows_rejected(self, shape):
+        for op in (lq_decompose, pseudo_inverse):
+            with pytest.raises(DimensionMismatchError, match="0 < K <= N"):
+                op(np.zeros(shape, dtype=complex))

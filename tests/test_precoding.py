@@ -293,10 +293,10 @@ class TestGeometryCache:
     @pytest.fixture(autouse=True)
     def cold_cache(self):
         precoding._geometry.cache_clear()
-        linalg._svd_cache.cache_clear()
+        linalg._anchored_direction.cache_clear()
         yield
         precoding._geometry.cache_clear()
-        linalg._svd_cache.cache_clear()
+        linalg._anchored_direction.cache_clear()
 
     def test_cold_and_warm_builds_match_uncached_build(self):
         channels = [random_channel(70), random_channel(71, (3, 5))]
@@ -310,8 +310,19 @@ class TestGeometryCache:
                             want = reference_precoders(h, scheme, e_tr, 0.75, t)
                             assert_same_fields(ps, want)
         info = precoding._geometry.cache_info()
-        assert info.currsize == len(channels) * 4
-        assert info.misses == len(channels) * 4
+        assert info.currsize == info.misses == len(channels)
+
+    def test_one_entry_per_channel_shared_by_dthp_and_zf_dpc(self):
+        h = random_channel(74)
+        builds = {
+            base: build_precoders(h, SchemeTag(base), 10.0, 0.75)
+            for base in ("zf", "cthp", "dthp", "zf-dpc")
+        }
+        assert precoding._geometry.cache_info().currsize == 1
+        assert builds["dthp"].b_matrix is builds["zf-dpc"].b_matrix
+        assert builds["dthp"].rx_gain is builds["zf-dpc"].rx_gain
+        assert builds["cthp"].g_diag is builds["dthp"].g_diag
+        assert builds["cthp"].b_matrix is not builds["dthp"].b_matrix
 
     def test_shared_arrays_are_read_only(self):
         h = random_channel(72)

@@ -12,7 +12,7 @@ from rsthp import (
     run_sweep,
     snr_db_to_power,
 )
-from rsthp import channel, linalg, precoding
+from rsthp import channel, precoding, sweeps
 from rsthp.exceptions import EmptyGridError, InvalidVarianceError, SchemeMismatchError
 from rsthp.sweeps import (
     average_sum_rate,
@@ -167,6 +167,12 @@ class TestSweepConfig:
             with pytest.raises(error):
                 small_config(**bad).validate()
 
+    def test_validate_rejects_negative_seed(self):
+        # numpy would reject it only inside the first cell, after a
+        # --jobs pool has forked, with a message that names no seed.
+        with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+            small_config(master_seed=-1).validate()
+
     def test_validate_accepts_edges(self):
         small_config(
             n_users=1, n_channels=1, n_error_samples=1, power_loss=1.0,
@@ -296,8 +302,8 @@ class TestRunSweep:
         assert len(set(keys)) == len(keys)
 
     def test_each_geometry_is_built_once(self, monkeypatch):
-        # Every split and SNR rescales the same cached geometry: one LQ
-        # per (channel, THP base), one pseudo-inverse per channel.
+        # Every base, split and SNR reads the same cached geometry: one
+        # LQ and one pseudo-inverse per channel.
         calls = {"lq_decompose": [], "pseudo_inverse": []}
         for name in calls:
             def counting(h, _name=name, _inner=getattr(precoding, name)):
@@ -305,19 +311,43 @@ class TestRunSweep:
                 return _inner(h)
             monkeypatch.setattr(precoding, name, counting)
         precoding._geometry.cache_clear()
-        linalg._svd_cache.cache_clear()
         n_channels = 3
         run_sweep(small_config(
             schemes=tuple(parse_scheme_tag(t) for t in ("zf", "rs-linear", "cthp-rs", "dthp")),
             snr_grid_db=(10.0, 20.0), n_channels=n_channels,
         ))
         precoding._geometry.cache_clear()
-        linalg._svd_cache.cache_clear()
         lq, pinv = calls["lq_decompose"], calls["pseudo_inverse"]
-        assert len(set(lq)) == n_channels
-        assert len(lq) == 2 * n_channels  # cthp and dthp
+        assert len(lq) == len(set(lq)) == n_channels
         assert len(pinv) == len(set(pinv)) == n_channels
         assert set(pinv) == set(lq)
+
+    def test_pool_never_outnumbers_cells(self, monkeypatch):
+        # The pool starts all max_workers at its first submit, so a
+        # worker per job beyond the cell count would sit idle.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+        cfg = small_config(snr_grid_db=(10.0, 15.0))  # 4 cells
+        serial = run_sweep(cfg)
+        for n_jobs in (500, 3):
+            assert run_sweep(cfg, n_jobs=n_jobs).cells == serial.cells
+        assert sizes == [4, 3]
+        run_sweep(small_config(schemes=(parse_scheme_tag("zf"),)), n_jobs=8)
+        assert sizes == [4, 3]  # one cell runs serially
 
     def test_validates_before_running(self):
         with pytest.raises(EmptyGridError):
