@@ -53,6 +53,10 @@ CSV_HEADER = ",".join(_COLUMNS)
 
 _ALL_SCHEME_TEXT = ",".join(s.tag for s in ALL_SCHEME_TAGS)
 
+# Most points a start:step:stop range may expand to; a longer range is
+# almost surely a mistyped step, and building it could exhaust memory.
+MAX_RANGE_POINTS = 10_000
+
 
 def default_seed() -> int:
     """Default master seed; the RSTHP_SEED environment variable overrides."""
@@ -75,6 +79,12 @@ def parse_grid(text: str) -> tuple[float, ...]:
             raise ValueError(f"grid range must be finite, got {text!r}")
         if step <= 0.0:
             raise ValueError(f"grid step must be positive, got {step}")
+        count = (stop - start) / step + 1
+        if count > MAX_RANGE_POINTS:
+            raise ValueError(
+                f"grid range {text!r} has about {count:.3g} points, more than "
+                f"the {MAX_RANGE_POINTS} allowed"
+            )
         values = []
         while (v := start + len(values) * step) <= stop + 1e-9 * max(1.0, step):
             values.append(v)

@@ -3,7 +3,10 @@
 Closed forms and a Monte-Carlo estimator live side by side. The closed
 forms of all eight schemes are evaluated through one kernel for perfect
 and imperfect CSIT (perfect is the zero-error special case), so the
-reduction between the two is exact by construction. The estimator
+reduction between the two is exact by construction. One kernel call
+rates a channel's whole power-split grid (sum_rate_table); a single
+split (sum_rate_samples, sinr_imperfect_csit) is its one-row view, with
+the same bits. The estimator
 simulates the received signal model directly and is the independent
 check on the algebra. Neither asks where a scheme puts its THP gains:
 PrecoderSet.tx_basis and rx_gain carry that.
@@ -23,12 +26,18 @@ Conventions used throughout:
     refuses such values instead of averaging them.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import complex_gaussian
-from .exceptions import DimensionMismatchError, SaturatedSinrError
+from .exceptions import (
+    DimensionMismatchError,
+    EmptyGridError,
+    SaturatedSinrError,
+    SchemeMismatchError,
+)
 from .precoding import PrecoderSet
 from .thp_chain import qam_constellation, thp_encode
 
@@ -77,49 +86,76 @@ def _cap(values: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _batch_sinr(
-    precoders: PrecoderSet, errors: np.ndarray, sigma_n2: float
-) -> tuple[np.ndarray, np.ndarray | None, bool]:
-    """Closed-form SINRs for every scheme, batched over error draws.
+    precoder_sets: Sequence[PrecoderSet], errors: np.ndarray, sigma_n2: float
+) -> tuple[np.ndarray, list[int], np.ndarray | None, bool]:
+    """Closed-form SINRs for every scheme, batched over power splits and
+    error draws.
 
-    errors has shape (M, K, N); all-zero rows give the perfect-CSIT
-    values. One formula serves all eight schemes: with the effective
-    channel G = (h_est + E) @ p_private and g = rx_gain, the private
-    SINR is |g^2 G_kk + beta (1 - g)|^2 / (g^2 (sum_j |G_kj|^2 -
-    |G_kk|^2 + sigma^2)). For g = 1 (zf, cthp) that is the linear SINR;
-    for dthp and zf-dpc it is the published |1 + g^2 A_kk|^2 /
-    (g^2 (cross + sigma^2 / beta^2)) with A = G / beta - diag(1 / g).
-    The common stream treats the whole private signal, sum_j |G_kj|^2,
-    as interference. Returns capped (private (M, K), common (M, K) or
-    None, saturated).
+    precoder_sets are the T builds of one scheme on one channel, so they
+    share h_est and rx_gain; errors has shape (M, K, N), and all-zero
+    rows give the perfect-CSIT values. One formula serves all eight
+    schemes: with the effective channel G = (h_est + E) @ p_private and
+    g = rx_gain, the private SINR is |g^2 G_kk + beta (1 - g)|^2 /
+    (g^2 (sum_j |G_kj|^2 - |G_kk|^2 + sigma^2)). For g = 1 (zf, cthp)
+    that is the linear SINR; for dthp and zf-dpc it is the published
+    |1 + g^2 A_kk|^2 / (g^2 (cross + sigma^2 / beta^2)) with
+    A = G / beta - diag(1 / g). The common stream treats the whole
+    private signal, sum_j |G_kj|^2, as interference; a set without one
+    (split 0) has no common term at all, not a zero one. Returns capped
+    (private (T, M, K), the indices of the sets with a common stream,
+    their common SINRs (len(indices), M, K) or None, saturated).
+
+    Each set's SINRs are bit-identical to rating it alone: one gemm
+    forms every split's gains, each common stream stays a
+    matrix-vector product, and the stacked gains are made contiguous,
+    split by split, so every array derived from them (the rate table
+    too) is reduced in a single split's order.
     """
-    if errors.ndim != 3 or errors.shape[1:] != precoders.h_est.shape:
+    first = precoder_sets[0]
+    h_est = first.h_est
+    if errors.ndim != 3 or errors.shape[1:] != h_est.shape:
         raise DimensionMismatchError(
-            f"errors shape {errors.shape} does not match channel "
-            f"{precoders.h_est.shape}"
+            f"errors shape {errors.shape} does not match channel {h_est.shape}"
         )
-    rows = precoders.h_est[np.newaxis, :, :] + errors
+    for t, ps in enumerate(precoder_sets):
+        if ps.scheme != first.scheme or not (
+            ps.h_est is h_est or np.array_equal(ps.h_est, h_est)
+        ):
+            raise SchemeMismatchError(
+                "a split table rates one scheme on one channel; precoder "
+                f"set {t} ({ps.scheme.tag}) differs from set 0 ({first.scheme.tag})"
+            )
+    n_draws, n_users, n_tx = errors.shape
+    n_sets = len(precoder_sets)
+    rows = (h_est[np.newaxis, :, :] + errors).reshape(n_draws * n_users, n_tx)
+    betas = np.array([ps.beta for ps in precoder_sets])[:, np.newaxis, np.newaxis]
+    common_at = [t for t, ps in enumerate(precoder_sets) if ps.p_common is not None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        gain2 = precoders.rx_gain**2
-        gains = rows @ precoders.p_private
-        own = np.diagonal(gains, axis1=1, axis2=2)
-        private_power = np.sum(np.abs(gains) ** 2, axis=2)
+        gain2 = first.rx_gain**2
+        gains = rows @ np.concatenate([ps.p_private for ps in precoder_sets], axis=1)
+        gains = np.ascontiguousarray(
+            gains.reshape(n_draws, n_users, n_sets, n_users).transpose(2, 0, 1, 3)
+        )
+        own = np.diagonal(gains, axis1=2, axis2=3)
+        private_power = np.sum(np.abs(gains) ** 2, axis=3)
         # The simulated signal (estimate_sinr_monte_carlo) gives
         # 1 + g_k A_kk, not 1 + g_k^2 A_kk; the published form keeps g^2.
-        signal = gain2 * own + precoders.beta * (1.0 - precoders.rx_gain)
+        signal = gain2 * own + betas * (1.0 - first.rx_gain)
         private = np.abs(signal) ** 2 / (
             gain2 * (private_power - np.abs(own) ** 2 + sigma_n2)
         )
         common = None
-        if precoders.p_common is not None:
-            common = np.abs(rows @ precoders.p_common) ** 2 / (
-                private_power + sigma_n2
-            )
+        if common_at:
+            common_gains = np.stack(
+                [rows @ precoder_sets[t].p_common for t in common_at]
+            ).reshape(len(common_at), n_draws, n_users)
+            common = np.abs(common_gains) ** 2 / (private_power[common_at] + sigma_n2)
 
     private, saturated = _cap(private)
     if common is not None:
         common, sat_c = _cap(common)
         saturated = saturated or sat_c
-    return private, common, saturated
+    return private, common_at, common, saturated
 
 
 def sinr_imperfect_csit(
@@ -131,12 +167,12 @@ def sinr_imperfect_csit(
     the perfect-CSIT values exactly (same code path).
     """
     errors = np.asarray(error_realization, dtype=complex)[np.newaxis, :, :]
-    private, common, saturated = _batch_sinr(precoders, errors, sigma_n2)
+    private, _, common, saturated = _batch_sinr([precoders], errors, sigma_n2)
     return SinrReport(
         scheme_tag=precoders.scheme.tag,
         csit="perfect" if not np.any(error_realization) else "imperfect",
-        private=private[0],
-        common=None if common is None else common[0],
+        private=private[0, 0],
+        common=None if common is None else common[0, 0],
         saturated=saturated,
     )
 
@@ -169,31 +205,57 @@ def rates_from_sinr(report: SinrReport) -> RateReport:
     )
 
 
+def sum_rate_table(
+    precoder_sets: Sequence[PrecoderSet], errors: np.ndarray, sigma_n2: float
+) -> np.ndarray:
+    """Per-realization sum rates of every power split of one scheme on
+    one channel, from one kernel call.
+
+    precoder_sets are the T builds (one per split) of one scheme on one
+    channel estimate; errors has shape (M, K, N). Each realization is
+    rated independently (common stream at its per-realization worst
+    user) and the (T, M) table of sum rates is returned. Row t is
+    bit-identical to sum_rate_samples(precoder_sets[t], errors,
+    sigma_n2).
+
+    Raises:
+        EmptyGridError: no precoder sets.
+        SchemeMismatchError: the sets differ in scheme or channel.
+        SaturatedSinrError: an SINR of any split reached SINR_CAP or was
+            not finite, so the capped rate would be averaged in as if it
+            were real.
+    """
+    if not precoder_sets:
+        raise EmptyGridError("no precoder sets to rate")
+    errors = np.asarray(errors, dtype=complex)
+    private, common_at, common, saturated = _batch_sinr(
+        precoder_sets, errors, sigma_n2
+    )
+    if saturated:
+        raise SaturatedSinrError(
+            f"{precoder_sets[0].scheme.tag}: an SINR reached the cap "
+            f"{SINR_CAP:g} or was not finite; lower the SNR"
+        )
+    totals = np.sum(np.log2(1.0 + private), axis=2)
+    if common is not None:
+        totals[common_at] += np.min(np.log2(1.0 + common), axis=2)
+    return totals
+
+
 def sum_rate_samples(
     precoders: PrecoderSet, errors: np.ndarray, sigma_n2: float
 ) -> np.ndarray:
     """Per-realization sum rates for a batch of error draws.
 
-    errors has shape (M, K, N). Each realization is rated independently
-    (common stream at its per-realization worst user) and the (M,) array
-    of sum rates is returned. This is the workhorse the averaging layer
-    calls; it matches rates_from_sinr(sinr_imperfect_csit(...)) per row.
+    errors has shape (M, K, N); the (M,) array of sum rates is
+    sum_rate_table's one-split view. It matches
+    rates_from_sinr(sinr_imperfect_csit(...)) per row.
 
     Raises:
         SaturatedSinrError: an SINR reached SINR_CAP or was not finite,
             so the capped rate would be averaged in as if it were real.
     """
-    errors = np.asarray(errors, dtype=complex)
-    private, common, saturated = _batch_sinr(precoders, errors, sigma_n2)
-    if saturated:
-        raise SaturatedSinrError(
-            f"{precoders.scheme.tag}: an SINR reached the cap {SINR_CAP:g} "
-            "or was not finite; lower the SNR"
-        )
-    totals = np.sum(np.log2(1.0 + private), axis=1)
-    if common is not None:
-        totals = totals + np.min(np.log2(1.0 + common), axis=1)
-    return totals
+    return sum_rate_table([precoders], errors, sigma_n2)[0]
 
 
 def estimate_sinr_monte_carlo(

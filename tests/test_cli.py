@@ -12,7 +12,7 @@ import subprocess
 import pytest
 
 from rsthp import ErrorRegime, SweepConfig, build_precoders, parse_scheme_tag, run_sweep
-from rsthp.cli import CSV_HEADER, config_as_dict, main, parse_grid
+from rsthp.cli import CSV_HEADER, MAX_RANGE_POINTS, config_as_dict, main, parse_grid
 
 SMALL = [
     "--schemes", "zf,dthp-rs",
@@ -53,6 +53,15 @@ class TestParseGrid:
         for text in ("0:1:inf", "0:nan:30", "-inf:1:0", "nan:1:3", "0:inf:30"):
             with pytest.raises(ValueError, match="must be finite"):
                 parse_grid(text)
+
+    def test_rejects_overlong_range(self):
+        # Checked before any point is built: the first would exhaust
+        # memory and the second would never end.
+        for text in ("0:1e-9:1", "0:1:1e18", "0:1e-300:1e300"):
+            with pytest.raises(ValueError, match="allowed"):
+                parse_grid(text)
+        longest = parse_grid(f"1:1:{MAX_RANGE_POINTS}")
+        assert longest == tuple(float(i) for i in range(1, MAX_RANGE_POINTS + 1))
 
 
 class TestSweepSnrCommand:
@@ -350,6 +359,8 @@ class TestErrorHandling:
         # A range that never passes its stop would never end.
         ("--snr-db", "0:1:inf"),
         ("--snr-db", "0:nan:30"),
+        # A range too long to build.
+        ("--snr-db", "0:1e-9:1"),
     ])
     def test_out_of_range_config(self, tmp_path, capsys, bad):
         self.assert_rejected(tmp_path, capsys, "sweep-snr", *SMALL,

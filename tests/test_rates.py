@@ -7,6 +7,7 @@ estimator.
 """
 
 import numpy as np
+import pytest
 
 from rsthp import (
     SchemeTag,
@@ -22,7 +23,14 @@ from rsthp import (
 )
 from rsthp.linalg import lq_decompose
 from rsthp.precoding import ALL_SCHEME_TAGS
-from rsthp.rates import SINR_CAP, SinrReport, _cap, estimate_sinr_monte_carlo
+from rsthp.exceptions import EmptyGridError, SaturatedSinrError, SchemeMismatchError
+from rsthp.rates import (
+    SINR_CAP,
+    SinrReport,
+    _cap,
+    estimate_sinr_monte_carlo,
+    sum_rate_table,
+)
 from rsthp.sweeps import draw_channel
 
 
@@ -243,6 +251,73 @@ class TestBatchConsistency:
                     sinr_imperfect_csit(ps, errors[m], 1.0)
                 ).sum_rate
                 assert abs(batch[m] - single) < 1e-12
+
+
+def split_reference(ps, errors, sigma_n2):
+    """One split's sum rates as the kernel computed them before splits
+    were stacked: a stacked (M, K, N) @ (N, K) product per split."""
+    rows = ps.h_est[np.newaxis, :, :] + errors
+    gain2 = ps.rx_gain**2
+    gains = rows @ ps.p_private
+    own = np.diagonal(gains, axis1=1, axis2=2)
+    private_power = np.sum(np.abs(gains) ** 2, axis=2)
+    signal = gain2 * own + ps.beta * (1.0 - ps.rx_gain)
+    private = np.abs(signal) ** 2 / (
+        gain2 * (private_power - np.abs(own) ** 2 + sigma_n2)
+    )
+    totals = np.sum(np.log2(1.0 + private), axis=1)
+    if ps.p_common is not None:
+        common = np.abs(rows @ ps.p_common) ** 2 / (private_power + sigma_n2)
+        totals = totals + np.min(np.log2(1.0 + common), axis=1)
+    return totals
+
+
+class TestSumRateTable:
+    # Split 0 sits between nonzero splits, so the sets with a common
+    # stream are not a prefix of the table.
+    RS_GRID = (0.3, 0.0, 0.05, 0.5, 0.95)
+    # A base scheme has no split to vary; its table stacks powers.
+    BASE_POWERS = (1.0, 31.0, 300.0)
+
+    def table_sets(self, h, scheme):
+        if scheme.rs:
+            return [build_precoders(h, scheme, 31.0, 0.75, t) for t in self.RS_GRID]
+        return [build_precoders(h, scheme, e, 0.75) for e in self.BASE_POWERS]
+
+    def test_rows_are_bit_identical_to_one_split(self):
+        for seed, n_draws in ((60, 1), (61, 7), (62, 100)):
+            h = random_channel(seed)
+            errors = draw_error_ensemble(4, 4, 0.2, n_draws, seed=seed)
+            for scheme in ALL_SCHEME_TAGS:
+                sets = self.table_sets(h, scheme)
+                table = sum_rate_table(sets, errors, 1.0)
+                assert table.shape == (len(sets), n_draws)
+                # The split search averages the table along its rows.
+                means = np.mean(table, axis=1)
+                for row, mean, ps in zip(table, means, sets):
+                    reference = split_reference(ps, errors, 1.0)
+                    assert np.array_equal(row, sum_rate_samples(ps, errors, 1.0))
+                    assert np.array_equal(row, reference)
+                    assert mean == np.mean(reference)
+
+    def test_saturation_at_any_split_names_the_scheme(self):
+        h = random_channel(63)
+        scheme = SchemeTag("dthp", rs=True)
+        sets = [build_precoders(h, scheme, 1e14, 0.75, t) for t in (0.0, 0.5)]
+        with pytest.raises(SaturatedSinrError, match="dthp-rs"):
+            sum_rate_table(sets, np.zeros((1, 4, 4), dtype=complex), 1.0)
+
+    def test_rejects_mixed_or_empty_tables(self):
+        h, errors = random_channel(64), np.zeros((1, 4, 4), dtype=complex)
+        dthp = build_precoders(h, SchemeTag("dthp"), 31.0, 0.75)
+        with pytest.raises(EmptyGridError):
+            sum_rate_table([], errors, 1.0)
+        for other in (
+            build_precoders(h, SchemeTag("zf-dpc"), 31.0, 0.75),
+            build_precoders(random_channel(65), SchemeTag("dthp"), 31.0, 0.75),
+        ):
+            with pytest.raises(SchemeMismatchError):
+                sum_rate_table([dthp, other], errors, 1.0)
 
 
 class TestOrderings:

@@ -7,14 +7,22 @@ from rsthp import (
     ErrorRegime,
     SchemeTag,
     SweepConfig,
+    build_precoders,
     draw_error_ensemble,
     parse_scheme_tag,
     run_sweep,
     snr_db_to_power,
 )
-from rsthp import channel, precoding, sweeps
-from rsthp.exceptions import EmptyGridError, InvalidVarianceError, SchemeMismatchError
+from rsthp import channel, precoding, rates, sweeps
+from rsthp.exceptions import (
+    EmptyGridError,
+    InvalidVarianceError,
+    SaturatedSinrError,
+    SchemeMismatchError,
+)
+from rsthp.rates import sinr_perfect_csit, sum_rate_samples
 from rsthp.sweeps import (
+    SIGMA_N2,
     average_sum_rate,
     default_power_split_grid,
     draw_channel,
@@ -123,6 +131,33 @@ class TestOptimizePowerSplit:
             optimize_power_split(
                 h, SchemeTag("dthp"), 31.0, 0.75, (0.0, 0.1), NO_ERROR
             )
+
+    def test_saturation_at_one_split_aborts_the_search(self, monkeypatch):
+        # A cap between the two splits' largest SINRs saturates one split
+        # only; the search must not average the other split's rate in.
+        seed, snr_db, grid = 13, 30.0, (0.0, 0.5)
+        scheme = SchemeTag("dthp", rs=True)
+        e_tr = snr_db_to_power(snr_db)
+        h = channel_for(seed, 0)
+        sets = [build_precoders(h, scheme, e_tr, 0.75, t) for t in grid]
+        peaks = []
+        for ps in sets:
+            report = sinr_perfect_csit(ps, SIGMA_N2)
+            common = () if report.common is None else report.common
+            peaks.append(max(*report.private, *common))
+        low, high = sorted(range(len(grid)), key=peaks.__getitem__)
+        assert peaks[high] > 2.0 * peaks[low]
+        monkeypatch.setattr(rates, "SINR_CAP", float(np.sqrt(peaks[low] * peaks[high])))
+        sum_rate_samples(sets[low], NO_ERROR, SIGMA_N2)
+        with pytest.raises(SaturatedSinrError, match="dthp-rs"):
+            sum_rate_samples(sets[high], NO_ERROR, SIGMA_N2)
+        with pytest.raises(SaturatedSinrError, match="dthp-rs"):
+            optimize_power_split(h, scheme, e_tr, 0.75, grid, NO_ERROR)
+        with pytest.raises(SaturatedSinrError, match="dthp-rs"):
+            run_sweep(small_config(
+                schemes=(scheme,), error_regime=PERFECT, snr_grid_db=(snr_db,),
+                n_channels=1, power_split_grid=grid, master_seed=seed,
+            ))
 
 
 class TestSweepConfig:
@@ -321,6 +356,25 @@ class TestRunSweep:
         assert len(lq) == len(set(lq)) == n_channels
         assert len(pinv) == len(set(pinv)) == n_channels
         assert set(pinv) == set(lq)
+
+    def test_one_kernel_call_per_channel_cell(self, monkeypatch):
+        # The split search rates a channel's whole grid in one kernel
+        # call: one per (cell, channel), never one per split.
+        sizes = []
+        table = sweeps.sum_rate_table
+
+        def counting(precoder_sets, *args):
+            sizes.append(len(precoder_sets))
+            return table(precoder_sets, *args)
+
+        monkeypatch.setattr(sweeps, "sum_rate_table", counting)
+        n_channels = 3
+        cfg = small_config(snr_grid_db=(10.0, 20.0), n_channels=n_channels)
+        run_sweep(cfg)
+        # zf (one split) and dthp-rs (the whole grid) at two SNRs.
+        per_scheme = 2 * n_channels
+        n_splits = len(cfg.power_split_grid)
+        assert sorted(sizes) == [1] * per_scheme + [n_splits] * per_scheme
 
     def test_pool_never_outnumbers_cells(self, monkeypatch):
         # The pool starts all max_workers at its first submit, so a
