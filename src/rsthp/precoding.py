@@ -90,16 +90,20 @@ class PrecoderSet:
     tx_basis), g_diag for dthp and zf-dpc. For THP schemes p_private =
     tx_basis B^-1, with b_matrix the unit-diagonal feedback B, so
     h_est @ p_private = beta diag(1 / rx_gain); zero-forcing has no B
-    and p_private = tx_basis. p_common is None when the power split is
-    zero. rx_gain, g_diag and b_matrix are read-only arrays shared by
-    every build on the same channel, across bases too (dthp and zf-dpc
-    share all three, every THP base shares g_diag); p_common, p_private
-    and tx_basis are fresh for each build.
+    and p_private = tx_basis. unit_private = (unit map) B^-1 (the unit
+    map itself for zero-forcing) is p_private at beta = 1, the one
+    private precoder every split shares; p_private equals beta *
+    unit_private up to rounding. p_common is None when the power split
+    is zero. unit_private, rx_gain, g_diag and b_matrix are read-only
+    arrays shared by every build on the same channel, across bases too
+    (dthp and zf-dpc share all four, every THP base shares g_diag);
+    p_common, p_private and tx_basis are fresh for each build.
     """
 
     scheme: SchemeTag
     p_common: np.ndarray | None
     p_private: np.ndarray
+    unit_private: np.ndarray
     tx_basis: np.ndarray
     rx_gain: np.ndarray
     g_diag: np.ndarray | None
@@ -155,7 +159,7 @@ def build_precoders(
         e_private = float(e_tr)
 
     lambda_eff = power_loss if scheme.uses_power_loss else 1.0
-    unit_map, b_matrix, b_inv, unit_power, rx_gain, g_diag = _geometry(
+    unit_map, b_matrix, b_inv, unit_private, unit_power, rx_gain, g_diag = _geometry(
         h_est.tobytes(), h_est.shape
     )[scheme.base]
     beta = float(np.sqrt(lambda_eff * e_private / unit_power))
@@ -167,6 +171,7 @@ def build_precoders(
         scheme=scheme,
         p_common=p_common,
         p_private=p_private,
+        unit_private=unit_private,
         tx_basis=tx_basis,
         rx_gain=rx_gain,
         g_diag=g_diag,
@@ -177,11 +182,12 @@ def build_precoders(
     )
 
 
-# One entry holds a channel's unit maps, B, B^-1 and gains for all four
-# bases plus its bytes as the key, about 4 KB at K=N=4, so the bound
-# costs at most 0.3 MB at those sizes. It holds the 50 channels of a
-# default sweep. Past the bound a sweep still reuses each geometry over
-# the channel's consecutive splits, with the same results.
+# One entry holds a channel's unit maps, B, B^-1, unit private maps and
+# gains for all four bases plus its bytes as the key, about 5 KB at
+# K=N=4, so the bound costs at most 0.32 MB at those sizes. It holds the
+# 50 channels of a default sweep. Past the bound a sweep still reuses
+# each geometry over the channel's consecutive splits, with the same
+# results.
 _GEOMETRY_CACHE_SIZE = 64
 
 
@@ -189,11 +195,12 @@ _GEOMETRY_CACHE_SIZE = 64
 def _geometry(h_bytes: bytes, shape: tuple[int, ...]) -> dict[str, tuple]:
     """The split- and SNR-invariant part of every base scheme's precoder.
 
-    Maps each base to (unit_map, b_matrix, inv(b_matrix), unit_power,
-    rx_gain, g_diag) for the channel estimate whose complex128 bytes and
-    shape are given; the arrays are read-only, and b_matrix, its inverse
-    and g_diag are None for zero-forcing. A bad channel raises on every
-    call: lru_cache stores no exception.
+    Maps each base to (unit_map, b_matrix, inv(b_matrix), unit_private =
+    unit_map @ inv(b_matrix), unit_power, rx_gain, g_diag) for the
+    channel estimate whose complex128 bytes and shape are given; the
+    arrays are read-only. Zero-forcing has no b_matrix, inverse or
+    g_diag (None), and its unit_private is unit_map. A bad channel
+    raises on every call: lru_cache stores no exception.
     """
     h_est = np.frombuffer(h_bytes, dtype=complex).reshape(shape)
     n_users = shape[0]
@@ -209,12 +216,16 @@ def _geometry(h_bytes: bytes, shape: tuple[int, ...]) -> dict[str, tuple]:
     # dthp and zf-dpc: unit-diagonal feedback on the left, B = diag(g) L,
     # receiver gains stay at the users.
     b_left = lq.l_matrix * g_diag[:, np.newaxis]
+
+    def thp(unit_map, b_matrix, unit_power, rx_gain):
+        b_inv = np.linalg.inv(b_matrix)
+        return unit_map, b_matrix, b_inv, unit_map @ b_inv, unit_power, rx_gain, g_diag
+
+    zf_map = pinv / np.linalg.norm(pinv, axis=0, keepdims=True)
     by_base = {
-        "zf": (pinv / np.linalg.norm(pinv, axis=0, keepdims=True),
-               None, None, n_users, ones, None),
-        "cthp": (q_map * g_diag[np.newaxis, :], b_right, np.linalg.inv(b_right),
-                 np.sum(g_diag**2), ones, g_diag),
-        "dthp": (q_map, b_left, np.linalg.inv(b_left), n_users, g_diag, g_diag),
+        "zf": (zf_map, None, None, zf_map, n_users, ones, None),
+        "cthp": thp(q_map * g_diag[np.newaxis, :], b_right, np.sum(g_diag**2), ones),
+        "dthp": thp(q_map, b_left, n_users, g_diag),
     }
     by_base["zf-dpc"] = by_base["dthp"]
     for entry in by_base.values():

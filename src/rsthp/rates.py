@@ -14,10 +14,11 @@ PrecoderSet.tx_basis and rx_gain carry that.
 Conventions used throughout:
   * Channel rows are conjugated-transposed user channels, so a received
     sample is row @ x + noise.
-  * Effective channel G = (h_est + E) @ p_private, the private streams
-    as the users really receive them; every closed form reads G, the
+  * Effective channel G = beta (h_est + E) @ unit_private, the private
+    streams as the users really receive them (p_private = beta
+    unit_private up to rounding); every closed form reads G, the
     common-stream gains and the PrecoderSet's beta and rx_gain, never
-    the scheme. For THP, h_est @ p_private = beta diag(1 / rx_gain), so
+    the scheme. For THP, h_est @ unit_private = diag(1 / rx_gain), so
     the error coupling of the papers is A = G / beta - diag(1 / rx_gain).
   * The closed forms take the effective symbols v = s + d at unit
     power; the estimator sends 4-QAM v with the real lattice offsets d.
@@ -88,34 +89,31 @@ def _cap(values: np.ndarray) -> tuple[np.ndarray, bool]:
 def _batch_sinr(
     precoder_sets: Sequence[PrecoderSet], errors: np.ndarray, sigma_n2: float
 ) -> tuple[np.ndarray, list[int], np.ndarray | None, bool]:
-    """Closed-form SINRs for every scheme, batched over power splits and
-    error draws.
+    """Closed-form SINRs of the T builds of one scheme on one channel
+    (they share h_est, unit_private and rx_gain) over (M >= 1, K, N)
+    errors; all-zero errors give the perfect-CSIT values.
 
-    precoder_sets are the T builds of one scheme on one channel, so they
-    share h_est and rx_gain; errors has shape (M, K, N), and all-zero
-    rows give the perfect-CSIT values. One formula serves all eight
-    schemes: with the effective channel G = (h_est + E) @ p_private and
-    g = rx_gain, the private SINR is |g^2 G_kk + beta (1 - g)|^2 /
-    (g^2 (sum_j |G_kj|^2 - |G_kk|^2 + sigma^2)). For g = 1 (zf, cthp)
-    that is the linear SINR; for dthp and zf-dpc it is the published
-    |1 + g^2 A_kk|^2 / (g^2 (cross + sigma^2 / beta^2)) with
+    One formula serves all eight schemes. With G = beta (h_est + E) @
+    unit_private and g = rx_gain, the private SINR is |g^2 G_kk +
+    beta (1 - g)|^2 / (g^2 (sum_j |G_kj|^2 - |G_kk|^2 + sigma^2)): the
+    linear SINR for g = 1 (zf, cthp), and for dthp and zf-dpc the
+    published |1 + g^2 A_kk|^2 / (g^2 (cross + sigma^2 / beta^2)) with
     A = G / beta - diag(1 / g). The common stream treats the whole
     private signal, sum_j |G_kj|^2, as interference; a set without one
-    (split 0) has no common term at all, not a zero one. Returns capped
-    (private (T, M, K), the indices of the sets with a common stream,
-    their common SINRs (len(indices), M, K) or None, saturated).
-
-    Each set's SINRs are bit-identical to rating it alone: one gemm
-    forms every split's gains, each common stream stays a
-    matrix-vector product, and the stacked gains are made contiguous,
-    split by split, so every array derived from them (the rate table
-    too) is reduced in a single split's order.
+    (split 0) has no common term at all, not a zero one. Only beta and
+    the common stream change with the split, so G0 = (h_est + E) @
+    unit_private is formed once and every split scales its powers by
+    beta^2 elementwise: each split gets the bits rating it alone gives.
+    Returns capped (private (T, M, K), the indices of the sets with a
+    common stream, their common SINRs (len(indices), M, K) or None,
+    saturated).
     """
     first = precoder_sets[0]
     h_est = first.h_est
-    if errors.ndim != 3 or errors.shape[1:] != h_est.shape:
+    if errors.ndim != 3 or errors.shape[1:] != h_est.shape or not len(errors):
         raise DimensionMismatchError(
-            f"errors shape {errors.shape} does not match channel {h_est.shape}"
+            f"errors shape {errors.shape} is not (M, K, N) = (M >= 1, "
+            f"{h_est.shape[0]}, {h_est.shape[1]})"
         )
     for t, ps in enumerate(precoder_sets):
         if ps.scheme != first.scheme or not (
@@ -126,30 +124,25 @@ def _batch_sinr(
                 f"set {t} ({ps.scheme.tag}) differs from set 0 ({first.scheme.tag})"
             )
     n_draws, n_users, n_tx = errors.shape
-    n_sets = len(precoder_sets)
-    rows = (h_est[np.newaxis, :, :] + errors).reshape(n_draws * n_users, n_tx)
-    betas = np.array([ps.beta for ps in precoder_sets])[:, np.newaxis, np.newaxis]
+    rows = (h_est + errors).reshape(n_draws * n_users, n_tx)
+    beta2 = np.array([ps.beta**2 for ps in precoder_sets])[:, np.newaxis, np.newaxis]
     common_at = [t for t, ps in enumerate(precoder_sets) if ps.p_common is not None]
     with np.errstate(divide="ignore", invalid="ignore"):
         gain2 = first.rx_gain**2
-        gains = rows @ np.concatenate([ps.p_private for ps in precoder_sets], axis=1)
-        gains = np.ascontiguousarray(
-            gains.reshape(n_draws, n_users, n_sets, n_users).transpose(2, 0, 1, 3)
-        )
-        own = np.diagonal(gains, axis1=2, axis2=3)
-        private_power = np.sum(np.abs(gains) ** 2, axis=3)
+        gains0 = (rows @ first.unit_private).reshape(n_draws, n_users, n_users)
+        own0 = np.diagonal(gains0, axis1=1, axis2=2)
+        power0 = np.sum(np.abs(gains0) ** 2, axis=2)
+        cross0 = power0 - np.abs(own0) ** 2
         # The simulated signal (estimate_sinr_monte_carlo) gives
         # 1 + g_k A_kk, not 1 + g_k^2 A_kk; the published form keeps g^2.
-        signal = gain2 * own + betas * (1.0 - first.rx_gain)
-        private = np.abs(signal) ** 2 / (
-            gain2 * (private_power - np.abs(own) ** 2 + sigma_n2)
-        )
+        signal0 = np.abs(gain2 * own0 + (1.0 - first.rx_gain)) ** 2
+        private = beta2 * signal0 / (gain2 * (beta2 * cross0 + sigma_n2))
         common = None
         if common_at:
             common_gains = np.stack(
                 [rows @ precoder_sets[t].p_common for t in common_at]
-            ).reshape(len(common_at), n_draws, n_users)
-            common = np.abs(common_gains) ** 2 / (private_power[common_at] + sigma_n2)
+            ).reshape(-1, n_draws, n_users)
+            common = np.abs(common_gains) ** 2 / (beta2[common_at] * power0 + sigma_n2)
 
     private, saturated = _cap(private)
     if common is not None:

@@ -131,14 +131,9 @@ def optimize_power_split(
     precoder_sets = [
         build_precoders(h_est, scheme, e_tr, power_loss, split) for split in grid
     ]
-    asrs = np.mean(sum_rate_table(precoder_sets, errors, SIGMA_N2), axis=1)
-    best_split = None
-    best_asr = -math.inf
-    for split, asr in zip(grid, asrs.tolist()):
-        if asr > best_asr or (asr == best_asr and split < best_split):
-            best_asr = asr
-            best_split = split
-    return best_split, best_asr
+    asrs = np.mean(sum_rate_table(precoder_sets, errors, SIGMA_N2), axis=1).tolist()
+    best = min(range(len(grid)), key=lambda i: (-asrs[i], grid[i]))
+    return grid[best], asrs[best]
 
 
 @dataclass(frozen=True)

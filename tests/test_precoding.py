@@ -253,6 +253,7 @@ def reference_precoders(h_est, scheme, e_tr, power_loss, power_split=0.0):
         unit_map = pinv / np.linalg.norm(pinv, axis=0, keepdims=True)
         unit_power, rx_gain = n_users, np.ones(n_users)
         g_diag = b_matrix = None
+        unit_private = unit_map
     else:
         lq = lq_decompose(h_est)
         unit_map = lq.q_matrix.conj().T
@@ -264,6 +265,7 @@ def reference_precoders(h_est, scheme, e_tr, power_loss, power_split=0.0):
         else:
             b_matrix = lq.l_matrix * g_diag[:, np.newaxis]
             unit_power, rx_gain = n_users, g_diag
+        unit_private = unit_map @ np.linalg.inv(b_matrix)
     beta = float(np.sqrt(lambda_eff * e_private / unit_power))
     tx_basis = beta * unit_map
     p_private = tx_basis
@@ -271,8 +273,9 @@ def reference_precoders(h_est, scheme, e_tr, power_loss, power_split=0.0):
         p_private = tx_basis @ np.linalg.inv(b_matrix)
     return dict(
         scheme=scheme, p_common=p_common, p_private=p_private,
-        tx_basis=tx_basis, rx_gain=rx_gain, g_diag=g_diag, b_matrix=b_matrix,
-        beta=beta, h_est=h_est, lambda_eff=lambda_eff,
+        unit_private=unit_private, tx_basis=tx_basis, rx_gain=rx_gain,
+        g_diag=g_diag, b_matrix=b_matrix, beta=beta, h_est=h_est,
+        lambda_eff=lambda_eff,
     )
 
 
@@ -321,6 +324,7 @@ class TestGeometryCache:
         assert precoding._geometry.cache_info().currsize == 1
         assert builds["dthp"].b_matrix is builds["zf-dpc"].b_matrix
         assert builds["dthp"].rx_gain is builds["zf-dpc"].rx_gain
+        assert builds["dthp"].unit_private is builds["zf-dpc"].unit_private
         assert builds["cthp"].g_diag is builds["dthp"].g_diag
         assert builds["cthp"].b_matrix is not builds["dthp"].b_matrix
 
@@ -328,11 +332,26 @@ class TestGeometryCache:
         h = random_channel(72)
         for scheme in ALL_SCHEME_TAGS:
             ps = build_precoders(h, scheme, 10.0, 0.75, 0.3 if scheme.rs else 0.0)
-            for shared in (ps.rx_gain, ps.g_diag, ps.b_matrix):
+            for shared in (ps.rx_gain, ps.g_diag, ps.b_matrix, ps.unit_private):
                 assert shared is None or not shared.flags.writeable
             assert ps.p_private.flags.writeable and ps.tx_basis.flags.writeable
             with pytest.raises(ValueError):
                 ps.rx_gain[0] = 2.0
+
+    def test_unit_private_is_the_split_invariant_private_precoder(self):
+        # The SINR kernel rates every split from h @ unit_private alone.
+        for h in (random_channel(75), random_channel(76, (3, 5))):
+            for scheme in ALL_SCHEME_TAGS:
+                for t in (0.0, 0.3, 0.95) if scheme.rs else (0.0,):
+                    ps = build_precoders(h, scheme, 31.0, 0.75, t)
+                    np.testing.assert_allclose(
+                        ps.p_private, ps.beta * ps.unit_private, rtol=1e-13
+                    )
+                    if scheme.base != "zf":
+                        np.testing.assert_allclose(
+                            h @ ps.unit_private, np.diag(1.0 / ps.rx_gain),
+                            rtol=0.0, atol=1e-12,
+                        )
 
     def test_mutated_channel_gets_a_fresh_geometry(self):
         h = random_channel(73)

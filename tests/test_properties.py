@@ -23,6 +23,7 @@ from rsthp import (  # noqa: E402
     snr_db_to_power,
     sum_rate_samples,
 )
+from rsthp.rates import sum_rate_table  # noqa: E402
 from rsthp.sweeps import SIGMA_N2, draw_channel  # noqa: E402
 
 N_DRAWS = 3
@@ -132,3 +133,45 @@ def test_closed_forms_read_the_effective_channel(case):
         np.testing.assert_allclose(
             report.common, np.abs(rows @ ps.p_common) ** 2 / interference, rtol=1e-9
         )
+
+
+def per_split_rates(ps, errors):
+    """One split's sum rates from its own effective channel
+    (h_est + E) @ p_private, the formula the kernel decomposes."""
+    rows = ps.h_est + errors
+    gains = rows @ ps.p_private
+    own = np.diagonal(gains, axis1=1, axis2=2)
+    power = np.sum(np.abs(gains) ** 2, axis=2)
+    gain2 = ps.rx_gain**2
+    private = np.abs(gain2 * own + ps.beta * (1.0 - ps.rx_gain)) ** 2 / (
+        gain2 * (power - np.abs(own) ** 2 + SIGMA_N2)
+    )
+    totals = np.sum(np.log2(1.0 + private), axis=1)
+    if ps.p_common is not None:
+        common = np.abs(rows @ ps.p_common) ** 2 / (power + SIGMA_N2)
+        totals = totals + np.min(np.log2(1.0 + common), axis=1)
+    return totals
+
+
+@PROPERTY_SETTINGS
+@given(
+    cases(),
+    st.sampled_from((1, 3)),
+    st.lists(st.floats(0.0, 0.95), max_size=5),
+)
+def test_split_table_rows_match_the_per_split_formula(case, n_draws, splits):
+    grid = sorted({0.0, *splits})
+    n_users, n_tx = case["h_est"].shape
+    errors = draw_error_ensemble(
+        n_users, n_tx, case["variance"], n_draws, case["seed"], case["channel_index"]
+    )
+    rs, base = SchemeTag(case["base"], rs=True), SchemeTag(case["base"])
+    sets = [
+        build_precoders(case["h_est"], rs, case["e_tr"], case["power_loss"], t)
+        for t in grid
+    ]
+    table = sum_rate_table(sets, errors, SIGMA_N2)
+    for row, ps in zip(table, sets):
+        np.testing.assert_allclose(row, per_split_rates(ps, errors), rtol=1e-12)
+    alone = build_precoders(case["h_est"], base, case["e_tr"], case["power_loss"])
+    assert np.array_equal(table[0], sum_rate_table([alone], errors, SIGMA_N2)[0])

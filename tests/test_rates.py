@@ -295,10 +295,15 @@ class TestSumRateTable:
                 # The split search averages the table along its rows.
                 means = np.mean(table, axis=1)
                 for row, mean, ps in zip(table, means, sets):
-                    reference = split_reference(ps, errors, 1.0)
-                    assert np.array_equal(row, sum_rate_samples(ps, errors, 1.0))
-                    assert np.array_equal(row, reference)
-                    assert mean == np.mean(reference)
+                    samples = sum_rate_samples(ps, errors, 1.0)
+                    assert np.array_equal(row, samples)
+                    assert mean == np.mean(samples)
+                    # The kernel scales split-invariant gains by beta^2
+                    # instead of forming each split's gains, so it
+                    # matches the per-split formula up to rounding.
+                    np.testing.assert_allclose(
+                        row, split_reference(ps, errors, 1.0), rtol=1e-13
+                    )
 
     def test_saturation_at_any_split_names_the_scheme(self):
         h = random_channel(63)

@@ -15,6 +15,7 @@ from rsthp import (
 )
 from rsthp import channel, precoding, rates, sweeps
 from rsthp.exceptions import (
+    DimensionMismatchError,
     EmptyGridError,
     InvalidVarianceError,
     SaturatedSinrError,
@@ -33,6 +34,7 @@ from rsthp.sweeps import (
 FIXED = ErrorRegime.fixed_variance(0.2)
 PERFECT = ErrorRegime.perfect()
 NO_ERROR = np.zeros((1, 4, 4), dtype=complex)
+NO_DRAWS = draw_error_ensemble(4, 4, 0.2, 0, 1, 0)
 
 
 def channel_for(seed, index):
@@ -64,6 +66,12 @@ class TestAverageSumRate:
             h, SchemeTag("dthp"), 31.0, 0.75, 0.0, NO_ERROR
         )
         assert abs(degenerate - perfect) < 1e-12
+
+    def test_empty_ensemble_is_rejected(self):
+        # A mean over no draws would be NaN, not a rate.
+        with pytest.raises(DimensionMismatchError):
+            average_sum_rate(channel_for(8, 0), SchemeTag("dthp"), 10.0, 0.75,
+                             0.0, NO_DRAWS)
 
 
 class TestOptimizePowerSplit:
@@ -131,6 +139,12 @@ class TestOptimizePowerSplit:
             optimize_power_split(
                 h, SchemeTag("dthp"), 31.0, 0.75, (0.0, 0.1), NO_ERROR
             )
+
+    def test_empty_ensemble_is_rejected(self):
+        # Every split would average to NaN and the search return no split.
+        with pytest.raises(DimensionMismatchError):
+            optimize_power_split(channel_for(12, 0), SchemeTag("dthp", rs=True),
+                                 10.0, 0.75, (0.0, 0.5), NO_DRAWS)
 
     def test_saturation_at_one_split_aborts_the_search(self, monkeypatch):
         # A cap between the two splits' largest SINRs saturates one split
