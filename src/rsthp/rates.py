@@ -229,9 +229,20 @@ def sum_rate_table(
             f"{precoder_sets[0].scheme.tag}: an SINR reached the cap "
             f"{SINR_CAP:g} or was not finite; lower the SNR"
         )
-    totals = np.sum(np.log2(1.0 + private), axis=2)
+    # The per-user reductions run over the K user slices: numpy's
+    # per-row reduction overhead over a short last axis costs more than
+    # the SINRs. The sum adds in user order, which is np.sum's order for
+    # K <= 7 (from 8 users on it sums pairwise, a rounding apart).
+    rates = np.log2(1.0 + private)
+    totals = rates[:, :, 0].copy()
+    for k in range(1, rates.shape[2]):
+        totals += rates[:, :, k]
     if common is not None:
-        totals[common_at] += np.min(np.log2(1.0 + common), axis=2)
+        common_rates = np.log2(1.0 + common)
+        worst = common_rates[:, :, 0].copy()
+        for k in range(1, common_rates.shape[2]):
+            np.minimum(worst, common_rates[:, :, k], out=worst)
+        totals[common_at] += worst
     return totals
 
 

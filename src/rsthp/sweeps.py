@@ -6,28 +6,37 @@ Randomness discipline: the channel for index c is keyed by (seed, c)
 and the error realization m for that channel by (seed, c, m), never by
 position in a loop. Every scheme, power split, and grid point therefore
 sees the same channels and the same error draws (common random
-numbers), and a sweep is a pure function of its config. That also makes
-serial and parallel execution bit-identical: workers evaluate cells
-independently and results are assembled in a fixed order.
+numbers), and a sweep is a pure function of its config.
+
+The unit of work is a channel: its best split and average sum rate in
+a cell depend on that channel's draws alone, and a cell is the mean
+over its channels. run_sweep splits the channels into contiguous
+blocks, one per --jobs worker (never more workers than channels), and
+each worker rates every cell on its block; each cell then joins its
+blocks' per-channel values in channel order. So serial and parallel
+runs are bit-identical, and each channel's draws and geometry are made
+by one worker only.
 
 A channel's error ensemble is drawn once per process:
 draw_error_ensemble keeps its unit draws in a bounded cache, and each
 cell rescales them to its own variance. Likewise build_precoders keeps
 each channel's geometry for all base schemes, and linalg each channel's
 common-stream direction, so every split and grid point only rescales
-them. The split search rates a channel's whole grid in one kernel call
+them. Each worker fills these caches for its own block only. The split
+search rates a channel's whole grid in one kernel call
 (rates.sum_rate_table), which gives each split the bits that rating it
-alone gives. Each --jobs worker fills its own caches; the pool never
-has more workers than cells.
+alone gives. SweepConfig.validate rejects a config whose estimated
+working set in one process exceeds MEMORY_BUDGET_BYTES (512 MiB).
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .channel import (
+    _UNIT_DRAW_CACHE_SIZE,
     CHANNEL_STREAM,
     ErrorRegime,
     complex_gaussian,
@@ -39,8 +48,9 @@ from .exceptions import (
     EmptyGridError,
     InvalidVarianceError,
     SchemeMismatchError,
+    SimulatorError,
 )
-from .precoding import ALL_SCHEME_TAGS, SchemeTag, build_precoders
+from .precoding import _GEOMETRY_CACHE_SIZE, ALL_SCHEME_TAGS, SchemeTag, build_precoders
 from .rates import sum_rate_samples, sum_rate_table
 
 # 95% normal-approximation confidence multiplier for the ESR halfwidth.
@@ -48,6 +58,12 @@ _CI_FACTOR = 1.96
 
 # Receiver noise variance of every sweep; snr_db_to_power assumes it.
 SIGMA_N2 = 1.0
+
+# Bytes one sweep process may hold at once: the process itself at
+# n_jobs = 1, each worker otherwise. SweepConfig.validate rejects a
+# config whose estimate (_working_set_bytes) is larger before any cell
+# runs, instead of failing with a MemoryError deep inside one.
+MEMORY_BUDGET_BYTES = 512 * 2**20
 
 
 def default_power_split_grid() -> tuple[float, ...]:
@@ -231,6 +247,48 @@ class SweepConfig:
                 "power splits must be in ascending order, "
                 f"got {list(self.power_split_grid)}"
             )
+        self._check_memory()
+
+    def _check_memory(self) -> None:
+        need = _working_set_bytes(self, self.n_channels)
+        if need <= MEMORY_BUDGET_BYTES:
+            return
+        # Name the size that breaks the budget on its own: the matrices
+        # if one channel with one draw already does, else the draws per
+        # channel, else the number of channels the caches hold.
+        one_draw = replace(self, n_error_samples=1)
+        if _working_set_bytes(one_draw, 1) > MEMORY_BUDGET_BYTES:
+            flag = "--users/--tx-antennas (n_users/n_tx)"
+        elif _working_set_bytes(self, 1) > MEMORY_BUDGET_BYTES:
+            flag = "--error-samples (n_error_samples)"
+        else:
+            flag = "--channels (n_channels)"
+        raise ValueError(
+            f"the sweep would hold about {need / 2**20:,.0f} MiB in one process, "
+            f"over the {MEMORY_BUDGET_BYTES // 2**20} MiB budget; lower {flag}"
+        )
+
+
+def _working_set_bytes(config: SweepConfig, n_channels: int) -> int:
+    """Estimated peak bytes of one process that rates every cell of
+    config on n_channels channels.
+
+    In complex128 values: the cached unit error ensembles (M K N each)
+    and precoder geometries (under 10 K N each) of up to 64 channels,
+    one cell's scaled ensemble and h_est + E (2 M K N), the T builds of
+    one split search (2 T K N) and the kernel's gains (M K K); in
+    float64 values, the kernel's SINR and rate blocks, six of (T, M, K).
+    Under perfect CSIT nothing is drawn and M is the one all-zero
+    realization.
+    """
+    k, n = config.n_users, config.n_tx
+    drawn = bool(config.error_variance_grid) or not config.error_regime.is_perfect
+    m = config.n_error_samples if drawn else 1
+    t = len(config.power_split_grid) if any(s.rs for s in config.schemes) else 1
+    ensembles = min(n_channels, _UNIT_DRAW_CACHE_SIZE) * m * k * n if drawn else 0
+    geometries = min(n_channels, _GEOMETRY_CACHE_SIZE) * 10 * k * n
+    complex_values = ensembles + geometries + 2 * m * k * n + 2 * t * k * n + m * k * k
+    return 16 * complex_values + 8 * 6 * t * m * k
 
 
 @dataclass(frozen=True)
@@ -252,28 +310,27 @@ class SweepResult:
     cells: tuple[SweepCell, ...]
 
 
-def ergodic_sum_rate(
+def _channel_rates(
     config: SweepConfig,
     scheme: SchemeTag,
     e_tr: float,
     regime: ErrorRegime,
-    x_value: float,
-) -> SweepCell:
-    """Ergodic sum rate of one scheme at one grid point.
+    channels: range,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best average sum rate and its power split of one scheme at one
+    grid point on each channel of `channels`, as two arrays.
 
-    Averages the per-channel best average sum rate over n_channels
-    channel draws. Each channel's error ensemble (one all-zero
-    realization under perfect CSIT) is shared by every split; its unit
-    draws are made once per process and rescaled to this cell's
-    variance, so every scheme and grid point sees the same draws.
-    Rate-splitting schemes search the power-split grid per channel;
-    base schemes search the one-point grid (0.0,). The confidence
-    halfwidth is the 95% normal interval on the channel sample mean.
+    Each channel's error ensemble (one all-zero realization under
+    perfect CSIT) is shared by every split; its unit draws are made
+    once per process and rescaled to this cell's variance, so every
+    scheme and grid point sees the same draws. Rate-splitting schemes
+    search the power-split grid per channel; base schemes search the
+    one-point grid (0.0,).
     """
     grid = config.power_split_grid if scheme.rs else (0.0,)
-    asr_values = np.empty(config.n_channels)
-    splits = np.empty(config.n_channels)
-    for c in range(config.n_channels):
+    asr_values = np.empty(len(channels))
+    splits = np.empty(len(channels))
+    for i, c in enumerate(channels):
         h_est = draw_channel(config.master_seed, c, config.n_users, config.n_tx)
         if regime.is_perfect:
             errors = np.zeros((1, config.n_users, config.n_tx), dtype=complex)
@@ -286,28 +343,47 @@ def ergodic_sum_rate(
                 config.master_seed,
                 c,
             )
-        splits[c], asr_values[c] = optimize_power_split(
+        splits[i], asr_values[i] = optimize_power_split(
             h_est, scheme, e_tr, config.power_loss, grid, errors
         )
+    return asr_values, splits
 
-    esr = float(np.mean(asr_values))
-    if config.n_channels > 1:
-        ci = float(
-            _CI_FACTOR
-            * np.std(asr_values, ddof=1)
-            / math.sqrt(config.n_channels)
-        )
-    else:
-        ci = 0.0
+
+def _cell(
+    scheme: SchemeTag, x_value: float, asr_values: np.ndarray, splits: np.ndarray
+) -> SweepCell:
+    """The cell of every channel's ASR and split, in channel order. The
+    confidence halfwidth is the 95% normal interval on the channel
+    sample mean."""
+    n_channels = len(asr_values)
+    ci = 0.0
+    if n_channels > 1:
+        ci = float(_CI_FACTOR * np.std(asr_values, ddof=1) / math.sqrt(n_channels))
     return SweepCell(
         scheme_tag=scheme.tag,
         x_value=float(x_value),
-        esr=esr,
+        esr=float(np.mean(asr_values)),
         ci_halfwidth=ci,
         chosen_split_mean=float(np.mean(splits)),
         per_channel_asr=tuple(float(a) for a in asr_values),
         per_channel_split=tuple(float(s) for s in splits),
     )
+
+
+def ergodic_sum_rate(
+    config: SweepConfig,
+    scheme: SchemeTag,
+    e_tr: float,
+    regime: ErrorRegime,
+    x_value: float,
+) -> SweepCell:
+    """Ergodic sum rate of one scheme at one grid point: the mean of the
+    per-channel best average sum rate over n_channels channel draws.
+    run_sweep gives the same cell."""
+    asr_values, splits = _channel_rates(
+        config, scheme, e_tr, regime, range(config.n_channels)
+    )
+    return _cell(scheme, x_value, asr_values, splits)
 
 
 def _sweep_points(config: SweepConfig) -> list[tuple[float, float, ErrorRegime]]:
@@ -324,34 +400,76 @@ def _sweep_points(config: SweepConfig) -> list[tuple[float, float, ErrorRegime]]
     ]
 
 
-def _evaluate_cell(args: tuple) -> SweepCell:
-    config, scheme, e_tr, regime, x_value = args
-    return ergodic_sum_rate(config, scheme, e_tr, regime, x_value)
+def _sweep_cells(config: SweepConfig) -> list[tuple]:
+    """Every (scheme, x_value, e_tr, regime) cell in output order: by
+    scheme tag, then by x value."""
+    cells = [
+        (scheme, x_value, e_tr, regime)
+        for scheme in config.schemes
+        for (x_value, e_tr, regime) in _sweep_points(config)
+    ]
+    cells.sort(key=lambda cell: (cell[0].tag, cell[1]))
+    return cells
+
+
+def _channel_blocks(n_channels: int, n_blocks: int) -> list[range]:
+    """n_blocks contiguous, disjoint ranges that cover range(n_channels)
+    in order; their sizes differ by one at most."""
+    return [
+        range(b * n_channels // n_blocks, (b + 1) * n_channels // n_blocks)
+        for b in range(n_blocks)
+    ]
+
+
+def _evaluate_block(args: tuple) -> tuple[list, tuple | None]:
+    """Per-channel (ASR, split) arrays of every cell, in output order,
+    on one channel block, and None; or, when a cell raises a
+    SimulatorError, the arrays of the cells before it and (that cell's
+    index, the error)."""
+    config, channels = args
+    per_cell = []
+    for index, (scheme, _, e_tr, regime) in enumerate(_sweep_cells(config)):
+        try:
+            per_cell.append(_channel_rates(config, scheme, e_tr, regime, channels))
+        except SimulatorError as exc:
+            return per_cell, (index, exc)
+    return per_cell, None
 
 
 def run_sweep(config: SweepConfig, n_jobs: int = 1) -> SweepResult:
     """Evaluate every (scheme, grid point) cell of a sweep.
 
-    n_jobs is an execution option only: results are assembled in the
-    same (scheme tag, x value) order regardless, and each cell is a
-    pure function of the config, so parallel output is bit-identical to
-    serial output.
+    The channels are split into min(n_jobs, n_channels) contiguous
+    blocks, one per worker, and each worker rates every cell on its
+    block; one block runs in this process. Each cell joins its blocks'
+    per-channel values in channel order, so the output is bit-identical
+    at any n_jobs. A failing run raises the error of the first failing
+    cell in output order, the one a serial run meets first.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     config.validate()
     tasks = [
-        (config, scheme, e_tr, regime, x_value)
-        for scheme in config.schemes
-        for (x_value, e_tr, regime) in _sweep_points(config)
+        (config, block)
+        for block in _channel_blocks(config.n_channels, min(n_jobs, config.n_channels))
     ]
-    tasks.sort(key=lambda t: (t[1].tag, t[4]))
-    # The pool starts all its workers at the first submit.
-    n_workers = min(n_jobs, len(tasks))
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            cells = tuple(pool.map(_evaluate_cell, tasks))
+    if len(tasks) > 1:
+        # The pool starts all its workers at the first submit.
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            outcomes = list(pool.map(_evaluate_block, tasks))
     else:
-        cells = tuple(_evaluate_cell(t) for t in tasks)
+        outcomes = [_evaluate_block(tasks[0])]
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        # Among equal cells the first block holds the first channel.
+        raise min(failures, key=lambda failure: failure[0])[1]
+    cells = tuple(
+        _cell(
+            scheme,
+            x_value,
+            np.concatenate([per_cell[i][0] for per_cell, _ in outcomes]),
+            np.concatenate([per_cell[i][1] for per_cell, _ in outcomes]),
+        )
+        for i, (scheme, x_value, _, _) in enumerate(_sweep_cells(config))
+    )
     return SweepResult(config=config, cells=cells)
-

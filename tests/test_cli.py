@@ -387,6 +387,28 @@ class TestErrorHandling:
                              "--schemes", "zf,dthp-rs", "--channels", "3",
                              "--error-samples", "2")
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("--error-samples", "100000000", "--error-variance", "0.2"), "--error-samples"),
+        (("--users", "3000", "--tx-antennas", "3000"), "--users/--tx-antennas"),
+        (("--error-samples", "300000", "--channels", "8", "--schemes", "zf",
+          "--error-variance", "0.2"), "--channels"),
+    ])
+    def test_over_budget_sweep_fails_before_any_cell(
+        self, tmp_path, capsys, monkeypatch, argv, flag
+    ):
+        # Each would need from 0.8 GB to terabytes in one process; the
+        # estimate stops it before anything is drawn or built.
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran past the memory check")
+
+        monkeypatch.setattr("rsthp.cli.run_sweep", no_sweep)
+        code = run_cli("sweep-snr", *argv, "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert f"lower {flag} " in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv", [
         ("cross-check-sinr", "--snr-db", "nan"),
         ("cross-check-sinr", "--snr-db", "inf"),

@@ -27,6 +27,7 @@ from rsthp.exceptions import EmptyGridError, SaturatedSinrError, SchemeMismatchE
 from rsthp.rates import (
     SINR_CAP,
     SinrReport,
+    _batch_sinr,
     _cap,
     estimate_sinr_monte_carlo,
     sum_rate_table,
@@ -304,6 +305,25 @@ class TestSumRateTable:
                     np.testing.assert_allclose(
                         row, split_reference(ps, errors, 1.0), rtol=1e-13
                     )
+
+    def test_user_reductions_match_numpy_reductions(self):
+        # The table adds the private rates user by user and keeps a
+        # running minimum of the common rates: np.sum's bits while it
+        # sums in order (K <= 7), a rounding apart from 8 users on.
+        for n, seed in ((4, 66), (9, 67)):
+            h = random_channel(seed, (n, n))
+            errors = draw_error_ensemble(n, n, 0.2, 30, seed=seed)
+            for scheme in ALL_SCHEME_TAGS:
+                sets = self.table_sets(h, scheme)
+                private, common_at, common, _ = _batch_sinr(sets, errors, 1.0)
+                expected = np.sum(np.log2(1.0 + private), axis=2)
+                if common is not None:
+                    expected[common_at] += np.min(np.log2(1.0 + common), axis=2)
+                table = sum_rate_table(sets, errors, 1.0)
+                if n <= 7:
+                    assert np.array_equal(table, expected)
+                else:
+                    np.testing.assert_allclose(table, expected, rtol=1e-13, atol=0)
 
     def test_saturation_at_any_split_names_the_scheme(self):
         h = random_channel(63)

@@ -229,6 +229,33 @@ class TestSweepConfig:
             error_regime=PERFECT,
         ).validate()
 
+    @pytest.mark.parametrize("overrides, flag", [
+        (dict(n_error_samples=100_000_000), "--error-samples"),
+        (dict(n_users=3000, n_tx=3000, error_regime=PERFECT), "--users/--tx-antennas"),
+        (dict(n_error_samples=300_000, n_channels=8,
+              schemes=(parse_scheme_tag("zf"),)), "--channels"),
+    ])
+    def test_validate_rejects_configs_over_the_memory_budget(self, overrides, flag):
+        cfg = small_config(**overrides)
+        assert sweeps._working_set_bytes(cfg, cfg.n_channels) > sweeps.MEMORY_BUDGET_BYTES
+        with pytest.raises(ValueError, match=f"MiB budget; lower {flag} "):
+            cfg.validate()
+
+    def test_memory_estimate_counts_what_a_process_keeps(self):
+        # Past 64 channels the caches hold no more; perfect CSIT draws
+        # nothing, so its error-sample count costs nothing.
+        cfg = small_config(n_error_samples=1000)
+        at = [sweeps._working_set_bytes(cfg, n) for n in (1, 64, 65, 10_000)]
+        assert at[0] < at[1] == at[2] == at[3]
+        perfect = [
+            sweeps._working_set_bytes(small_config(error_regime=PERFECT, n_error_samples=m), 50)
+            for m in (1, 10**9)
+        ]
+        assert perfect[0] == perfect[1]
+        # The default sweeps sit far below the budget.
+        for regime in (PERFECT, FIXED):
+            assert sweeps._working_set_bytes(SweepConfig(error_regime=regime), 50) < 2**22
+
     def test_validate_rejects_regime_with_variance_grid(self):
         # A variance sweep sets its own error variances, so any other
         # regime would be recorded in the sidecar without being used.
@@ -295,10 +322,14 @@ class TestRunSweep:
         assert len(keys) == 4
 
     def test_serial_matches_parallel(self):
-        cfg = small_config(snr_grid_db=(10.0, 15.0))
+        # Blocks of 3 and 2 channels, or of 2, 2 and 1, join to the
+        # serial cells; one channel runs without a pool.
+        cfg = small_config(snr_grid_db=(10.0, 15.0), n_channels=5)
         serial = run_sweep(cfg, n_jobs=1)
-        parallel = run_sweep(cfg, n_jobs=2)
-        assert serial.cells == parallel.cells
+        for n_jobs in (2, 3):
+            assert run_sweep(cfg, n_jobs=n_jobs).cells == serial.cells
+        one = small_config(n_channels=1)
+        assert run_sweep(one, n_jobs=4).cells == run_sweep(one).cells
 
     def test_variance_sweep_axis(self):
         cfg = small_config(
@@ -390,14 +421,16 @@ class TestRunSweep:
         n_splits = len(cfg.power_split_grid)
         assert sorted(sizes) == [1] * per_scheme + [n_splits] * per_scheme
 
-    def test_pool_never_outnumbers_cells(self, monkeypatch):
-        # The pool starts all max_workers at its first submit, so a
-        # worker per job beyond the cell count would sit idle.
-        sizes = []
+    @staticmethod
+    def recording_pool(monkeypatch):
+        """Replace the process pool by one that runs its tasks in this
+        process; returns the list its max_workers and tasks go to."""
+        pools = []
 
         class RecordingPool:
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                self.tasks = []
+                pools.append((max_workers, self.tasks))
 
             def __enter__(self):
                 return self
@@ -406,16 +439,68 @@ class TestRunSweep:
                 return False
 
             def map(self, fn, tasks):
-                return map(fn, tasks)
+                self.tasks.extend(tasks)
+                return map(fn, self.tasks)
 
         monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
-        cfg = small_config(snr_grid_db=(10.0, 15.0))  # 4 cells
+        return pools
+
+    def test_pool_never_outnumbers_channels(self, monkeypatch):
+        # Workers split the channels, so the pool never has more of them
+        # than the sweep has channels: the pool starts all max_workers at
+        # its first submit, and a worker per job beyond that would idle.
+        pools = self.recording_pool(monkeypatch)
+        cfg = small_config(snr_grid_db=(10.0, 15.0))  # 4 channels
         serial = run_sweep(cfg)
         for n_jobs in (500, 3):
             assert run_sweep(cfg, n_jobs=n_jobs).cells == serial.cells
-        assert sizes == [4, 3]
+        # One cell still has a channel for each of four workers.
         run_sweep(small_config(schemes=(parse_scheme_tag("zf"),)), n_jobs=8)
-        assert sizes == [4, 3]  # one cell runs serially
+        # One channel runs in this process.
+        run_sweep(small_config(n_channels=1), n_jobs=8)
+        assert [size for size, _ in pools] == [4, 3, 4]
+
+    def test_pool_tasks_are_contiguous_channel_blocks(self, monkeypatch):
+        pools = self.recording_pool(monkeypatch)
+        for n_channels, n_jobs in ((7, 3), (5, 2), (4, 4), (50, 2)):
+            run_sweep(small_config(n_channels=n_channels), n_jobs=n_jobs)
+            size, tasks = pools.pop()
+            blocks = [list(block) for _, block in tasks]
+            assert len(blocks) == size == n_jobs
+            # In order, without gaps or overlaps, one channel apart in size.
+            assert sum(blocks, []) == list(range(n_channels))
+            assert all(blocks)
+            assert max(map(len, blocks)) - min(map(len, blocks)) <= 1
+
+    def test_parallel_failure_is_the_serial_one(self, monkeypatch):
+        # A cap that cthp's SINRs exceed only on channel 2 or 3 and zf's
+        # on channel 0 or 1: the second block fails at the first cell
+        # (cthp), the first block at the second (zf). A serial run stops
+        # at cthp, so every n_jobs must raise cthp's error. Forked
+        # workers inherit the patched cap.
+        seed, snr_db, n_channels = 3, 30.0, 4
+        e_tr = snr_db_to_power(snr_db)
+
+        def peak(base, c):
+            ps = build_precoders(channel_for(seed, c), SchemeTag(base), e_tr, 0.75)
+            return float(np.max(sinr_perfect_csit(ps, SIGMA_N2).private))
+
+        passes = max(peak("cthp", c) for c in (0, 1))
+        fails = min(max(peak("cthp", c) for c in (2, 3)),
+                    max(peak("zf", c) for c in (0, 1)))
+        assert fails > 1.2 * passes
+        monkeypatch.setattr(rates, "SINR_CAP", float(np.sqrt(passes * fails)))
+        cfg = small_config(
+            schemes=(parse_scheme_tag("zf"), parse_scheme_tag("cthp")),
+            error_regime=PERFECT, snr_grid_db=(snr_db,), n_channels=n_channels,
+            master_seed=seed,
+        )
+        messages = []
+        for n_jobs in (1, 2):
+            with pytest.raises(SaturatedSinrError, match="^cthp:") as raised:
+                run_sweep(cfg, n_jobs=n_jobs)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
 
     def test_validates_before_running(self):
         with pytest.raises(EmptyGridError):
