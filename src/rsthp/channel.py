@@ -28,6 +28,12 @@ ERROR_STREAM = 3
 
 _REGIME_KINDS = ("perfect", "fixed-variance", "snr-scaled")
 
+# Channels each per-process cache holds: the unit error draws here, the
+# precoder geometries (precoding) and the common-stream directions
+# (linalg). run_sweep never gives a process a block of more channels,
+# so a channel's entries are made once however many cells read them.
+CHANNEL_CACHE_SIZE = 64
+
 
 def stream_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Generator keyed by (master_seed, *key) via SeedSequence."""
@@ -133,14 +139,8 @@ def draw_error_ensemble(
 
 
 # One entry holds M*K*N complex128 values, 25.6 KB at M=100 and K=N=4,
-# so the bound costs at most 1.6 MB at those sizes. It holds the 50
-# channels of a default sweep. A sweep over more channels than the bound
-# visits them in a cycle, so every lookup misses and the draws are made
-# again: it runs as fast as without a cache, with the same results.
-_UNIT_DRAW_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=_UNIT_DRAW_CACHE_SIZE)
+# so the bound costs at most 1.6 MB at those sizes.
+@lru_cache(maxsize=CHANNEL_CACHE_SIZE)
 def _unit_error_draws(
     seed: int, channel_index: int, n_error_samples: int, n_users: int, n_tx: int
 ) -> np.ndarray:

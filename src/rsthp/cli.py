@@ -30,6 +30,7 @@ from .exceptions import SimulatorError
 from .precoding import ALL_SCHEME_TAGS, SchemeTag, build_precoders, parse_scheme_tag
 from .rates import CROSS_CHECK_TOL, cross_check_sinr
 from .sweeps import (
+    MEMORY_BUDGET_BYTES,
     SIGMA_N2,
     SweepConfig,
     SweepResult,
@@ -56,6 +57,12 @@ _ALL_SCHEME_TEXT = ",".join(s.tag for s in ALL_SCHEME_TAGS)
 # Most points a start:step:stop range may expand to; a longer range is
 # almost surely a mistyped step, and building it could exhaust memory.
 MAX_RANGE_POINTS = 10_000
+
+# Bytes the check commands hold per sample and stream: at most eight
+# complex128 (samples, streams) arrays are alive at once (symbols,
+# noise, lattice offsets, feedback outputs, received signal and their
+# temporaries).
+_BYTES_PER_SAMPLE_STREAM = 8 * 16
 
 
 def default_seed() -> int:
@@ -277,9 +284,20 @@ def _require_count(flag: str, value: int) -> None:
         raise ValueError(f"{flag} must be >= 1, got {value}")
 
 
+def _require_samples_fit(samples: int, n_streams: int) -> None:
+    """ValueError unless the check's sample arrays fit MEMORY_BUDGET_BYTES."""
+    need = _BYTES_PER_SAMPLE_STREAM * samples * n_streams
+    if need > MEMORY_BUDGET_BYTES:
+        raise ValueError(
+            f"--samples {samples} would hold about {need / 2**20:,.0f} MiB, over "
+            f"the {MEMORY_BUDGET_BYTES // 2**20} MiB budget; lower --samples"
+        )
+
+
 def cmd_validate_chain(args) -> int:
     _require_count("--channels", args.channels)
     _require_count("--samples", args.samples)
+    _require_samples_fit(args.samples, 4)
     qam = qam_constellation(4)
     lattice = qam.lattice()
     tau = lattice.tau
@@ -347,6 +365,7 @@ def cmd_validate_chain(args) -> int:
 def cmd_cross_check_sinr(args) -> int:
     _require_count("--samples", args.samples)
     check_dimensions(args.users, args.tx_antennas)
+    _require_samples_fit(args.samples, args.users)
     e_tr = snr_db_to_power(args.snr_db)
     h_est = draw_channel(args.seed, 0, args.users, args.tx_antennas)
     # A zero variance draws the all-zero realization: perfect CSIT.

@@ -14,18 +14,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from .channel import CHANNEL_CACHE_SIZE
 from .exceptions import DimensionMismatchError, RankDeficientError, ZeroMatrixError
 
 # Relative threshold on singular values below which a matrix is treated
 # as row-rank deficient.
 _RANK_RTOL = 1e-10
-
-# One entry holds the (N,) direction of a (K, N) complex128 matrix plus
-# its bytes as the key, about 0.6 KB at K=N=4, so the bound costs at
-# most 40 KB at those sizes. It holds the 50 channels of a default
-# sweep. Past the bound a sweep still reuses each channel's direction
-# over that channel's consecutive splits, with the same results.
-_DIRECTION_CACHE_SIZE = 64
 
 # Components below this magnitude are skipped when picking the entry
 # that anchors the phase convention.
@@ -128,7 +122,10 @@ def pseudo_inverse(a) -> np.ndarray:
     return (vh.conj().T / singular_values) @ u.conj().T
 
 
-@lru_cache(maxsize=_DIRECTION_CACHE_SIZE)
+# One entry holds the (N,) direction of a (K, N) complex128 matrix plus
+# its bytes as the key, about 0.6 KB at K=N=4, so the bound costs at
+# most 40 KB at those sizes.
+@lru_cache(maxsize=CHANNEL_CACHE_SIZE)
 def _anchored_direction(a_bytes: bytes, shape: tuple[int, int]) -> np.ndarray:
     a = np.frombuffer(a_bytes, dtype=complex).reshape(shape)
     v = np.linalg.svd(a, full_matrices=False)[2][0].conj()

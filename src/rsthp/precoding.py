@@ -9,13 +9,13 @@ budget on a common stream beamformed along the dominant right singular
 vector of the channel estimate; the remainder feeds the base scheme.
 
 Neither the power split nor the SNR changes a base scheme's geometry:
-its unit map, feedback matrix B and B^-1, and per-user gains. All four
-bases' geometries come from one pseudo-inverse and one LQ factorization
-of the channel estimate: cTHP and dTHP differ only in where the
-diagonal scaling sits, and ZF-DPC shares dTHP's arrays. They are
-computed once per channel and kept in a bounded per-process cache, so
-each build of the split search only rescales them and recomputes the
-common stream.
+its unit map, feedback matrix B, private precoder (unit map) B^-1 and
+per-user gains. All four bases' geometries come from one
+pseudo-inverse and one LQ factorization of the channel estimate: cTHP
+and dTHP differ only in where the diagonal scaling sits, and ZF-DPC
+shares dTHP's arrays. They are computed once per channel and kept in a
+bounded per-process cache, so a build of the split search only picks
+its scale beta and its common stream.
 """
 
 from dataclasses import dataclass
@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .channel import CHANNEL_CACHE_SIZE
 from .exceptions import SchemeMismatchError
 from .linalg import dominant_right_singular_vector, lq_decompose, pseudo_inverse
 
@@ -82,29 +83,24 @@ ALL_SCHEME_TAGS = (
 class PrecoderSet:
     """Everything the transmitter side derives from one channel estimate.
 
-    build_precoders alone decides where THP's per-user scaling
-    g = 1/diag(L) sits and records it in two fields every reader uses.
-    tx_basis = beta * (unit map) sends one unit of each feedback output
-    (each private symbol for zero-forcing) to the antennas; rx_gain is
-    the gain receiver k applies: ones for zf and cthp (g sits in
-    tx_basis), g_diag for dthp and zf-dpc. For THP schemes p_private =
-    tx_basis B^-1, with b_matrix the unit-diagonal feedback B, so
-    h_est @ p_private = beta diag(1 / rx_gain); zero-forcing has no B
-    and p_private = tx_basis. unit_private = (unit map) B^-1 (the unit
-    map itself for zero-forcing) is p_private at beta = 1, the one
-    private precoder every split shares; p_private equals beta *
-    unit_private up to rounding. p_common is None when the power split
-    is zero. unit_private, rx_gain, g_diag and b_matrix are read-only
-    arrays shared by every build on the same channel, across bases too
-    (dthp and zf-dpc share all four, every THP base shares g_diag);
-    p_common, p_private and tx_basis are fresh for each build.
+    beta and p_common (None at a zero power split) are the build's own;
+    the other arrays are its channel's read-only geometry, shared by
+    every build on that channel and across bases (dthp and zf-dpc share
+    all of it, every THP base shares g_diag). build_precoders alone
+    decides where THP's per-user scaling g = 1/diag(L) sits: unit_map
+    sends one unit of each feedback output (each private symbol for
+    zero-forcing) to the antennas, and receiver k applies rx_gain, ones
+    for zf and cthp (g sits in unit_map), g_diag for dthp and zf-dpc.
+    unit_private = unit_map B^-1, with b_matrix the unit-diagonal
+    feedback B (unit_map for zero-forcing, which has no B), so h_est @
+    unit_private = diag(1 / rx_gain) for THP. tx_basis and p_private
+    scale them by beta into a fresh array on each read.
     """
 
     scheme: SchemeTag
     p_common: np.ndarray | None
-    p_private: np.ndarray
+    unit_map: np.ndarray
     unit_private: np.ndarray
-    tx_basis: np.ndarray
     rx_gain: np.ndarray
     g_diag: np.ndarray | None
     b_matrix: np.ndarray | None
@@ -115,6 +111,14 @@ class PrecoderSet:
     @property
     def n_users(self) -> int:
         return self.h_est.shape[0]
+
+    @property
+    def tx_basis(self) -> np.ndarray:
+        return self.beta * self.unit_map
+
+    @property
+    def p_private(self) -> np.ndarray:
+        return self.beta * self.unit_private
 
 
 def build_precoders(
@@ -159,48 +163,36 @@ def build_precoders(
         e_private = float(e_tr)
 
     lambda_eff = power_loss if scheme.uses_power_loss else 1.0
-    unit_map, b_matrix, b_inv, unit_private, unit_power, rx_gain, g_diag = _geometry(
+    unit_map, b_matrix, unit_private, unit_power, rx_gain, g_diag = _geometry(
         h_est.tobytes(), h_est.shape
     )[scheme.base]
-    beta = float(np.sqrt(lambda_eff * e_private / unit_power))
-    tx_basis = beta * unit_map
-    p_private = tx_basis
-    if b_inv is not None:
-        p_private = tx_basis @ b_inv
     return PrecoderSet(
         scheme=scheme,
         p_common=p_common,
-        p_private=p_private,
+        unit_map=unit_map,
         unit_private=unit_private,
-        tx_basis=tx_basis,
         rx_gain=rx_gain,
         g_diag=g_diag,
         b_matrix=b_matrix,
-        beta=beta,
+        beta=float(np.sqrt(lambda_eff * e_private / unit_power)),
         h_est=h_est,
         lambda_eff=lambda_eff,
     )
 
 
-# One entry holds a channel's unit maps, B, B^-1, unit private maps and
-# gains for all four bases plus its bytes as the key, about 5 KB at
-# K=N=4, so the bound costs at most 0.32 MB at those sizes. It holds the
-# 50 channels of a default sweep. Past the bound a sweep still reuses
-# each geometry over the channel's consecutive splits, with the same
-# results.
-_GEOMETRY_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
+# One entry holds a channel's unit maps, B, unit private maps and gains
+# for all four bases plus its bytes as the key, about 3.5 KB at K=N=4,
+# so the bound costs at most 0.22 MB at those sizes.
+@lru_cache(maxsize=CHANNEL_CACHE_SIZE)
 def _geometry(h_bytes: bytes, shape: tuple[int, ...]) -> dict[str, tuple]:
     """The split- and SNR-invariant part of every base scheme's precoder.
 
-    Maps each base to (unit_map, b_matrix, inv(b_matrix), unit_private =
-    unit_map @ inv(b_matrix), unit_power, rx_gain, g_diag) for the
-    channel estimate whose complex128 bytes and shape are given; the
-    arrays are read-only. Zero-forcing has no b_matrix, inverse or
-    g_diag (None), and its unit_private is unit_map. A bad channel
-    raises on every call: lru_cache stores no exception.
+    Maps each base to (unit_map, b_matrix, unit_private = unit_map @
+    inv(b_matrix), unit_power, rx_gain, g_diag) for the channel estimate
+    whose complex128 bytes and shape are given; the arrays are
+    read-only. Zero-forcing has no b_matrix or g_diag (None), and its
+    unit_private is unit_map. A bad channel raises on every call:
+    lru_cache stores no exception.
     """
     h_est = np.frombuffer(h_bytes, dtype=complex).reshape(shape)
     n_users = shape[0]
@@ -218,12 +210,12 @@ def _geometry(h_bytes: bytes, shape: tuple[int, ...]) -> dict[str, tuple]:
     b_left = lq.l_matrix * g_diag[:, np.newaxis]
 
     def thp(unit_map, b_matrix, unit_power, rx_gain):
-        b_inv = np.linalg.inv(b_matrix)
-        return unit_map, b_matrix, b_inv, unit_map @ b_inv, unit_power, rx_gain, g_diag
+        unit_private = unit_map @ np.linalg.inv(b_matrix)
+        return unit_map, b_matrix, unit_private, unit_power, rx_gain, g_diag
 
     zf_map = pinv / np.linalg.norm(pinv, axis=0, keepdims=True)
     by_base = {
-        "zf": (zf_map, None, None, zf_map, n_users, ones, None),
+        "zf": (zf_map, None, zf_map, n_users, ones, None),
         "cthp": thp(q_map * g_diag[np.newaxis, :], b_right, np.sum(g_diag**2), ones),
         "dthp": thp(q_map, b_left, n_users, g_diag),
     }

@@ -9,17 +9,17 @@ split (sum_rate_samples, sinr_imperfect_csit) is its one-row view, with
 the same bits. The estimator
 simulates the received signal model directly and is the independent
 check on the algebra. Neither asks where a scheme puts its THP gains:
-PrecoderSet.tx_basis and rx_gain carry that.
+PrecoderSet.unit_map and rx_gain carry that.
 
 Conventions used throughout:
   * Channel rows are conjugated-transposed user channels, so a received
     sample is row @ x + noise.
-  * Effective channel G = beta (h_est + E) @ unit_private, the private
-    streams as the users really receive them (p_private = beta
-    unit_private up to rounding); every closed form reads G, the
-    common-stream gains and the PrecoderSet's beta and rx_gain, never
-    the scheme. For THP, h_est @ unit_private = diag(1 / rx_gain), so
-    the error coupling of the papers is A = G / beta - diag(1 / rx_gain).
+  * Effective channel G = (h_est + E) @ p_private with p_private = beta
+    unit_private: the private streams as the users really receive them.
+    Every closed form reads G, the common-stream gains and the
+    PrecoderSet's beta and rx_gain, never the scheme. For THP, h_est @
+    unit_private = diag(1 / rx_gain), so the error coupling of the
+    papers is A = G / beta - diag(1 / rx_gain).
   * The closed forms take the effective symbols v = s + d at unit
     power; the estimator sends 4-QAM v with the real lattice offsets d.
   * SINRs are capped at SINR_CAP; a report whose raw values exceeded the

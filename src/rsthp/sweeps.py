@@ -11,22 +11,24 @@ numbers), and a sweep is a pure function of its config.
 The unit of work is a channel: its best split and average sum rate in
 a cell depend on that channel's draws alone, and a cell is the mean
 over its channels. run_sweep splits the channels into contiguous
-blocks, one per --jobs worker (never more workers than channels), and
-each worker rates every cell on its block; each cell then joins its
-blocks' per-channel values in channel order. So serial and parallel
-runs are bit-identical, and each channel's draws and geometry are made
-by one worker only.
+blocks, at least one per --jobs worker (never more workers than
+channels) and none longer than CHANNEL_CACHE_SIZE channels, and rates
+every cell on one block before it starts the next; each cell then
+joins its blocks' per-channel values in channel order. So serial and
+parallel runs are bit-identical, and each channel's draws and geometry
+are made by one worker only.
 
 A channel's error ensemble is drawn once per process:
 draw_error_ensemble keeps its unit draws in a bounded cache, and each
 cell rescales them to its own variance. Likewise build_precoders keeps
 each channel's geometry for all base schemes, and linalg each channel's
 common-stream direction, so every split and grid point only rescales
-them. Each worker fills these caches for its own block only. The split
-search rates a channel's whole grid in one kernel call
-(rates.sum_rate_table), which gives each split the bits that rating it
-alone gives. SweepConfig.validate rejects a config whose estimated
-working set in one process exceeds MEMORY_BUDGET_BYTES (512 MiB).
+them. Each cache holds a whole block, so every cell of the block finds
+its channels there. The split search rates a channel's whole grid in
+one kernel call (rates.sum_rate_table), which gives each split the
+bits that rating it alone gives. SweepConfig.validate rejects a config
+whose estimated working set in one process exceeds MEMORY_BUDGET_BYTES
+(512 MiB).
 """
 
 import math
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import (
-    _UNIT_DRAW_CACHE_SIZE,
+    CHANNEL_CACHE_SIZE,
     CHANNEL_STREAM,
     ErrorRegime,
     complex_gaussian,
@@ -50,7 +52,7 @@ from .exceptions import (
     SchemeMismatchError,
     SimulatorError,
 )
-from .precoding import _GEOMETRY_CACHE_SIZE, ALL_SCHEME_TAGS, SchemeTag, build_precoders
+from .precoding import ALL_SCHEME_TAGS, SchemeTag, build_precoders
 from .rates import sum_rate_samples, sum_rate_table
 
 # 95% normal-approximation confidence multiplier for the ESR halfwidth.
@@ -64,6 +66,11 @@ SIGMA_N2 = 1.0
 # config whose estimate (_working_set_bytes) is larger before any cell
 # runs, instead of failing with a MemoryError deep inside one.
 MEMORY_BUDGET_BYTES = 512 * 2**20
+
+# Bytes the sweep keeps per (cell, channel) until it returns: the ASR
+# and split in the float64 arrays a block returns and in the joined
+# arrays, and as the SweepCell's two tuples of Python floats (32 B each).
+_RESULT_BYTES = 2 * (8 + 8 + 32)
 
 
 def default_power_split_grid() -> tuple[float, ...]:
@@ -255,7 +262,7 @@ class SweepConfig:
             return
         # Name the size that breaks the budget on its own: the matrices
         # if one channel with one draw already does, else the draws per
-        # channel, else the number of channels the caches hold.
+        # channel, else the number of channels.
         one_draw = replace(self, n_error_samples=1)
         if _working_set_bytes(one_draw, 1) > MEMORY_BUDGET_BYTES:
             flag = "--users/--tx-antennas (n_users/n_tx)"
@@ -274,21 +281,24 @@ def _working_set_bytes(config: SweepConfig, n_channels: int) -> int:
     config on n_channels channels.
 
     In complex128 values: the cached unit error ensembles (M K N each)
-    and precoder geometries (under 10 K N each) of up to 64 channels,
-    one cell's scaled ensemble and h_est + E (2 M K N), the T builds of
-    one split search (2 T K N) and the kernel's gains (M K K); in
-    float64 values, the kernel's SINR and rate blocks, six of (T, M, K).
-    Under perfect CSIT nothing is drawn and M is the one all-zero
-    realization.
+    and precoder geometries (under 10 K N each) of up to
+    CHANNEL_CACHE_SIZE channels, one cell's scaled ensemble and h_est +
+    E (2 M K N), the T builds of one split search (2 T K N) and the
+    kernel's gains (M K K); in float64 values, the kernel's SINR and
+    rate blocks, six of (T, M, K). Under perfect CSIT nothing is drawn
+    and M is the one all-zero realization. On top, _RESULT_BYTES for
+    each (cell, channel).
     """
     k, n = config.n_users, config.n_tx
     drawn = bool(config.error_variance_grid) or not config.error_regime.is_perfect
     m = config.n_error_samples if drawn else 1
     t = len(config.power_split_grid) if any(s.rs for s in config.schemes) else 1
-    ensembles = min(n_channels, _UNIT_DRAW_CACHE_SIZE) * m * k * n if drawn else 0
-    geometries = min(n_channels, _GEOMETRY_CACHE_SIZE) * 10 * k * n
+    cached = min(n_channels, CHANNEL_CACHE_SIZE)
+    ensembles = cached * m * k * n if drawn else 0
+    geometries = cached * 10 * k * n
     complex_values = ensembles + geometries + 2 * m * k * n + 2 * t * k * n + m * k * k
-    return 16 * complex_values + 8 * 6 * t * m * k
+    n_cells = len(config.schemes) * len(config.error_variance_grid or config.snr_grid_db)
+    return 16 * complex_values + 8 * 6 * t * m * k + _RESULT_BYTES * n_cells * n_channels
 
 
 @dataclass(frozen=True)
@@ -439,9 +449,10 @@ def _evaluate_block(args: tuple) -> tuple[list, tuple | None]:
 def run_sweep(config: SweepConfig, n_jobs: int = 1) -> SweepResult:
     """Evaluate every (scheme, grid point) cell of a sweep.
 
-    The channels are split into min(n_jobs, n_channels) contiguous
-    blocks, one per worker, and each worker rates every cell on its
-    block; one block runs in this process. Each cell joins its blocks'
+    The channels are split into contiguous blocks, at least one per
+    worker and none longer than CHANNEL_CACHE_SIZE, so the caches hold
+    a whole block; min(n_jobs, n_channels) workers rate every cell on
+    each block, one worker in this process. Each cell joins its blocks'
     per-channel values in channel order, so the output is bit-identical
     at any n_jobs. A failing run raises the error of the first failing
     cell in output order, the one a serial run meets first.
@@ -449,16 +460,15 @@ def run_sweep(config: SweepConfig, n_jobs: int = 1) -> SweepResult:
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     config.validate()
-    tasks = [
-        (config, block)
-        for block in _channel_blocks(config.n_channels, min(n_jobs, config.n_channels))
-    ]
-    if len(tasks) > 1:
+    n_workers = min(n_jobs, config.n_channels)
+    n_blocks = max(n_workers, math.ceil(config.n_channels / CHANNEL_CACHE_SIZE))
+    tasks = [(config, block) for block in _channel_blocks(config.n_channels, n_blocks)]
+    if n_workers > 1:
         # The pool starts all its workers at the first submit.
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
             outcomes = list(pool.map(_evaluate_block, tasks))
     else:
-        outcomes = [_evaluate_block(tasks[0])]
+        outcomes = [_evaluate_block(task) for task in tasks]
     failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
         # Among equal cells the first block holds the first channel.

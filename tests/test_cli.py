@@ -238,7 +238,7 @@ class TestValidateChain:
     def test_injected_gain_error_is_caught(self, capsys, monkeypatch):
         def mismatched_gain(*args, **kwargs):
             ps = build_precoders(*args, **kwargs)
-            return dataclasses.replace(ps, tx_basis=1.01 * ps.tx_basis)
+            return dataclasses.replace(ps, unit_map=1.01 * ps.unit_map)
 
         monkeypatch.setattr("rsthp.cli.build_precoders", mismatched_gain)
         code = run_cli("validate-chain", "--channels", "5",
@@ -430,6 +430,27 @@ class TestErrorHandling:
         assert "error:" in captured.err
         lines = [line.split() for line in captured.out.splitlines()]
         assert not any(w and w[0] in ("ok", "user") for w in lines)
+
+    @pytest.mark.parametrize("argv, first_allocation", [
+        (("cross-check-sinr", "--samples", "100000000"), "cross_check_sinr"),
+        (("validate-chain", "--samples", "100000000", "--channels", "1"),
+         "complex_gaussian"),
+    ])
+    def test_oversized_samples_fail_before_any_array(
+        self, capsys, monkeypatch, argv, first_allocation
+    ):
+        # Either would ask numpy for gigabytes of samples; the budget
+        # check stops it before the first sample array.
+        def no_samples(*args, **kwargs):
+            raise AssertionError("the check ran past the memory check")
+
+        monkeypatch.setattr(f"rsthp.cli.{first_allocation}", no_samples)
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --samples 100000000 ")
+        assert len(captured.err.splitlines()) == 1
+        assert "MiB budget; lower --samples" in captured.err
 
     def test_cross_check_user_count_has_the_sweeps_message(self, capsys):
         assert run_cli("cross-check-sinr", "--users", "0") == 2

@@ -267,15 +267,11 @@ def reference_precoders(h_est, scheme, e_tr, power_loss, power_split=0.0):
             unit_power, rx_gain = n_users, g_diag
         unit_private = unit_map @ np.linalg.inv(b_matrix)
     beta = float(np.sqrt(lambda_eff * e_private / unit_power))
-    tx_basis = beta * unit_map
-    p_private = tx_basis
-    if b_matrix is not None:
-        p_private = tx_basis @ np.linalg.inv(b_matrix)
     return dict(
-        scheme=scheme, p_common=p_common, p_private=p_private,
-        unit_private=unit_private, tx_basis=tx_basis, rx_gain=rx_gain,
-        g_diag=g_diag, b_matrix=b_matrix, beta=beta, h_est=h_est,
-        lambda_eff=lambda_eff,
+        scheme=scheme, p_common=p_common, p_private=beta * unit_private,
+        unit_map=unit_map, unit_private=unit_private, tx_basis=beta * unit_map,
+        rx_gain=rx_gain, g_diag=g_diag, b_matrix=b_matrix, beta=beta,
+        h_est=h_est, lambda_eff=lambda_eff,
     )
 
 
@@ -332,11 +328,25 @@ class TestGeometryCache:
         h = random_channel(72)
         for scheme in ALL_SCHEME_TAGS:
             ps = build_precoders(h, scheme, 10.0, 0.75, 0.3 if scheme.rs else 0.0)
-            for shared in (ps.rx_gain, ps.g_diag, ps.b_matrix, ps.unit_private):
-                assert shared is None or not shared.flags.writeable
+            shared = (ps.rx_gain, ps.g_diag, ps.b_matrix, ps.unit_map, ps.unit_private)
+            for array in shared:
+                assert array is None or not array.flags.writeable
             assert ps.p_private.flags.writeable and ps.tx_basis.flags.writeable
             with pytest.raises(ValueError):
                 ps.rx_gain[0] = 2.0
+
+    def test_splits_share_one_geometry_and_get_fresh_precoders(self):
+        h = random_channel(77)
+        for scheme in ALL_SCHEME_TAGS:
+            t = 0.4 if scheme.rs else 0.0
+            a = build_precoders(h, scheme, 10.0, 0.75)
+            b = build_precoders(h, scheme, 1000.0, 0.75, t)
+            assert a.unit_map is b.unit_map and a.unit_private is b.unit_private
+            for name in ("tx_basis", "p_private"):
+                fresh = getattr(b, name)
+                assert fresh.flags.writeable
+                for other in (getattr(b, name), b.unit_map, b.unit_private):
+                    assert not np.shares_memory(fresh, other)
 
     def test_unit_private_is_the_split_invariant_private_precoder(self):
         # The SINR kernel rates every split from h @ unit_private alone.
@@ -344,9 +354,8 @@ class TestGeometryCache:
             for scheme in ALL_SCHEME_TAGS:
                 for t in (0.0, 0.3, 0.95) if scheme.rs else (0.0,):
                     ps = build_precoders(h, scheme, 31.0, 0.75, t)
-                    np.testing.assert_allclose(
-                        ps.p_private, ps.beta * ps.unit_private, rtol=1e-13
-                    )
+                    assert np.array_equal(ps.p_private, ps.beta * ps.unit_private)
+                    assert np.array_equal(ps.tx_basis, ps.beta * ps.unit_map)
                     if scheme.base != "zf":
                         np.testing.assert_allclose(
                             h @ ps.unit_private, np.diag(1.0 / ps.rx_gain),

@@ -242,11 +242,16 @@ class TestSweepConfig:
             cfg.validate()
 
     def test_memory_estimate_counts_what_a_process_keeps(self):
-        # Past 64 channels the caches hold no more; perfect CSIT draws
+        # Past CHANNEL_CACHE_SIZE channels the caches hold no more, and
+        # only the per-(cell, channel) results grow; perfect CSIT draws
         # nothing, so its error-sample count costs nothing.
         cfg = small_config(n_error_samples=1000)
-        at = [sweeps._working_set_bytes(cfg, n) for n in (1, 64, 65, 10_000)]
-        assert at[0] < at[1] == at[2] == at[3]
+        full = channel.CHANNEL_CACHE_SIZE
+        at = {n: sweeps._working_set_bytes(cfg, n) for n in (1, full, full + 1, 10_000)}
+        per_channel = sweeps._RESULT_BYTES * len(cfg.schemes) * len(cfg.snr_grid_db)
+        assert at[1] < at[full]
+        for n in (full + 1, 10_000):
+            assert at[n] - at[full] == (n - full) * per_channel
         perfect = [
             sweeps._working_set_bytes(small_config(error_regime=PERFECT, n_error_samples=m), 50)
             for m in (1, 10**9)
@@ -255,6 +260,14 @@ class TestSweepConfig:
         # The default sweeps sit far below the budget.
         for regime in (PERFECT, FIXED):
             assert sweeps._working_set_bytes(SweepConfig(error_regime=regime), 50) < 2**22
+
+    def test_validate_counts_every_cells_results(self):
+        # The default 56 cells keep about 100 B per channel each, so a
+        # million channels need gigabytes even though every cache is full
+        # at 64.
+        cfg = SweepConfig(n_channels=10**6, error_regime=FIXED)
+        with pytest.raises(ValueError, match="MiB budget; lower --channels "):
+            cfg.validate()
 
     def test_validate_rejects_regime_with_variance_grid(self):
         # A variance sweep sets its own error variances, so any other
@@ -402,6 +415,36 @@ class TestRunSweep:
         assert len(pinv) == len(set(pinv)) == n_channels
         assert set(pinv) == set(lq)
 
+    def test_caches_hold_every_block_past_their_capacity(self, monkeypatch):
+        # Two cells over more channels than a cache holds: each cell must
+        # still find every channel's geometry and unit draws cached, so
+        # one LQ and one error draw per channel and realization.
+        lq_calls, error_keys = [], []
+        lq, draw = precoding.lq_decompose, channel.stream_rng
+
+        def counting_lq(h):
+            lq_calls.append(h.tobytes())
+            return lq(h)
+
+        def counting_rng(seed, *key):
+            if key[0] == channel.ERROR_STREAM:
+                error_keys.append(key)
+            return draw(seed, *key)
+
+        monkeypatch.setattr(precoding, "lq_decompose", counting_lq)
+        monkeypatch.setattr(channel, "stream_rng", counting_rng)
+        precoding._geometry.cache_clear()
+        channel._unit_error_draws.cache_clear()
+        n_channels = channel.CHANNEL_CACHE_SIZE + 1
+        run_sweep(small_config(
+            schemes=(parse_scheme_tag("dthp"),), snr_grid_db=(10.0, 20.0),
+            n_channels=n_channels, n_error_samples=2,
+        ))
+        precoding._geometry.cache_clear()
+        channel._unit_error_draws.cache_clear()
+        assert len(lq_calls) == len(set(lq_calls)) == n_channels
+        assert len(error_keys) == len(set(error_keys)) == 2 * n_channels
+
     def test_one_kernel_call_per_channel_cell(self, monkeypatch):
         # The split search rates a channel's whole grid in one kernel
         # call: one per (cell, channel), never one per split.
@@ -462,11 +505,14 @@ class TestRunSweep:
 
     def test_pool_tasks_are_contiguous_channel_blocks(self, monkeypatch):
         pools = self.recording_pool(monkeypatch)
-        for n_channels, n_jobs in ((7, 3), (5, 2), (4, 4), (50, 2)):
+        # At least one block per worker, and none longer than the caches.
+        for n_channels, n_jobs, n_blocks in ((7, 3, 3), (5, 2, 2), (4, 4, 4),
+                                             (50, 2, 2), (130, 2, 3)):
             run_sweep(small_config(n_channels=n_channels), n_jobs=n_jobs)
             size, tasks = pools.pop()
             blocks = [list(block) for _, block in tasks]
-            assert len(blocks) == size == n_jobs
+            assert size == n_jobs and len(blocks) == n_blocks
+            assert max(map(len, blocks)) <= channel.CHANNEL_CACHE_SIZE
             # In order, without gaps or overlaps, one channel apart in size.
             assert sum(blocks, []) == list(range(n_channels))
             assert all(blocks)
