@@ -8,9 +8,10 @@ shifts the channel, and realization m is the same no matter how many
 are requested. The channel draw itself lives in the sweep layer.
 
 Error draws come from draw_error_ensemble alone. It keeps the unit
-draws of each channel in a bounded per-process cache and scales them by
-the requested variance, so a sweep makes a channel's draws once and not
-once per (scheme, grid point) cell.
+draws of the last channel asked for and scales them by the requested
+variance; a sweep rates every (scheme, grid point) cell on one channel
+before the next, so it makes each channel's draws once and not once per
+cell.
 """
 
 import math
@@ -27,12 +28,6 @@ CHANNEL_STREAM = 1
 ERROR_STREAM = 3
 
 _REGIME_KINDS = ("perfect", "fixed-variance", "snr-scaled")
-
-# Channels each per-process cache holds: the unit error draws here, the
-# precoder geometries (precoding) and the common-stream directions
-# (linalg). run_sweep never gives a process a block of more channels,
-# so a channel's entries are made once however many cells read them.
-CHANNEL_CACHE_SIZE = 64
 
 
 def stream_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -138,9 +133,7 @@ def draw_error_ensemble(
     return np.sqrt(sigma_e2 / 2.0) * unit
 
 
-# One entry holds M*K*N complex128 values, 25.6 KB at M=100 and K=N=4,
-# so the bound costs at most 1.6 MB at those sizes.
-@lru_cache(maxsize=CHANNEL_CACHE_SIZE)
+@lru_cache(maxsize=1)
 def _unit_error_draws(
     seed: int, channel_index: int, n_error_samples: int, n_users: int, n_tx: int
 ) -> np.ndarray:

@@ -30,12 +30,13 @@ from .exceptions import SimulatorError
 from .precoding import ALL_SCHEME_TAGS, SchemeTag, build_precoders, parse_scheme_tag
 from .rates import CROSS_CHECK_TOL, cross_check_sinr
 from .sweeps import (
-    MEMORY_BUDGET_BYTES,
     SIGMA_N2,
     SweepConfig,
     SweepResult,
     check_dimensions,
+    check_memory,
     draw_channel,
+    matrix_bytes,
     run_sweep,
     snr_db_to_power,
 )
@@ -86,16 +87,15 @@ def parse_grid(text: str) -> tuple[float, ...]:
             raise ValueError(f"grid range must be finite, got {text!r}")
         if step <= 0.0:
             raise ValueError(f"grid step must be positive, got {step}")
-        count = (stop - start) / step + 1
-        if count > MAX_RANGE_POINTS:
+        # Points start + i * step pass stop by at most 1e-9 of a step.
+        steps = (stop - start) / step + 1e-9
+        if steps >= MAX_RANGE_POINTS:
             raise ValueError(
-                f"grid range {text!r} has about {count:.3g} points, more than "
+                f"grid range {text!r} has about {steps + 1:.3g} points, more than "
                 f"the {MAX_RANGE_POINTS} allowed"
             )
-        values = []
-        while (v := start + len(values) * step) <= stop + 1e-9 * max(1.0, step):
-            values.append(v)
-        return tuple(values)
+        count = math.floor(max(steps, -1.0)) + 1
+        return tuple(start + i * step for i in range(count))
     return tuple(float(p) for p in text.split(","))
 
 
@@ -285,13 +285,9 @@ def _require_count(flag: str, value: int) -> None:
 
 
 def _require_samples_fit(samples: int, n_streams: int) -> None:
-    """ValueError unless the check's sample arrays fit MEMORY_BUDGET_BYTES."""
+    """ValueError unless the check's sample arrays fit the memory budget."""
     need = _BYTES_PER_SAMPLE_STREAM * samples * n_streams
-    if need > MEMORY_BUDGET_BYTES:
-        raise ValueError(
-            f"--samples {samples} would hold about {need / 2**20:,.0f} MiB, over "
-            f"the {MEMORY_BUDGET_BYTES // 2**20} MiB budget; lower --samples"
-        )
+    check_memory(f"--samples {samples}", need, "--samples")
 
 
 def cmd_validate_chain(args) -> int:
@@ -365,6 +361,12 @@ def cmd_validate_chain(args) -> int:
 def cmd_cross_check_sinr(args) -> int:
     _require_count("--samples", args.samples)
     check_dimensions(args.users, args.tx_antennas)
+    # One channel's matrices with one error draw, as a sweep counts them.
+    check_memory(
+        f"{args.users} users and {args.tx_antennas} antennas",
+        matrix_bytes(args.users, args.tx_antennas, 1, 1, True),
+        "--users/--tx-antennas",
+    )
     _require_samples_fit(args.samples, args.users)
     e_tr = snr_db_to_power(args.snr_db)
     h_est = draw_channel(args.seed, 0, args.users, args.tx_antennas)

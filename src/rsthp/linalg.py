@@ -5,8 +5,8 @@ antennas). All routines are deterministic: same input bits, same output
 bits. The pseudo-inverse and the LQ factorization each take their own
 SVD for the rank check; the precoder geometry cache calls them once per
 channel. The split search asks for one channel's dominant direction at
-every split, so the anchored direction is kept in a bounded cache keyed
-by the matrix's bytes.
+every split, so the anchored direction of the last matrix asked for is
+kept, keyed by the matrix's bytes.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import CHANNEL_CACHE_SIZE
 from .exceptions import DimensionMismatchError, RankDeficientError, ZeroMatrixError
 
 # Relative threshold on singular values below which a matrix is treated
@@ -122,10 +121,7 @@ def pseudo_inverse(a) -> np.ndarray:
     return (vh.conj().T / singular_values) @ u.conj().T
 
 
-# One entry holds the (N,) direction of a (K, N) complex128 matrix plus
-# its bytes as the key, about 0.6 KB at K=N=4, so the bound costs at
-# most 40 KB at those sizes.
-@lru_cache(maxsize=CHANNEL_CACHE_SIZE)
+@lru_cache(maxsize=1)
 def _anchored_direction(a_bytes: bytes, shape: tuple[int, int]) -> np.ndarray:
     a = np.frombuffer(a_bytes, dtype=complex).reshape(shape)
     v = np.linalg.svd(a, full_matrices=False)[2][0].conj()
@@ -142,8 +138,9 @@ def dominant_right_singular_vector(a) -> np.ndarray:
     The phase is anchored by making the first component of
     non-negligible magnitude real positive; a unit vector in C^N has a
     component of magnitude at least 1/sqrt(N), so an anchor always
-    exists. The anchored vector is computed once per distinct matrix;
-    each call returns a fresh copy.
+    exists. The anchored vector of the last matrix asked for is kept, so
+    repeated calls on one matrix take one SVD; each call returns a fresh
+    copy.
 
     Args:
         a: (K, N) complex array, not identically zero.

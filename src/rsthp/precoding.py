@@ -13,9 +13,9 @@ its unit map, feedback matrix B, private precoder (unit map) B^-1 and
 per-user gains. All four bases' geometries come from one
 pseudo-inverse and one LQ factorization of the channel estimate: cTHP
 and dTHP differ only in where the diagonal scaling sits, and ZF-DPC
-shares dTHP's arrays. They are computed once per channel and kept in a
-bounded per-process cache, so a build of the split search only picks
-its scale beta and its common stream.
+shares dTHP's arrays. They are computed once per channel and the last
+channel's are kept, so a build of the split search only picks its scale
+beta and its common stream.
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import CHANNEL_CACHE_SIZE
 from .exceptions import SchemeMismatchError
 from .linalg import dominant_right_singular_vector, lq_decompose, pseudo_inverse
 
@@ -180,10 +179,7 @@ def build_precoders(
     )
 
 
-# One entry holds a channel's unit maps, B, unit private maps and gains
-# for all four bases plus its bytes as the key, about 3.5 KB at K=N=4,
-# so the bound costs at most 0.22 MB at those sizes.
-@lru_cache(maxsize=CHANNEL_CACHE_SIZE)
+@lru_cache(maxsize=1)
 def _geometry(h_bytes: bytes, shape: tuple[int, ...]) -> dict[str, tuple]:
     """The split- and SNR-invariant part of every base scheme's precoder.
 

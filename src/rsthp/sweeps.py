@@ -10,35 +10,32 @@ numbers), and a sweep is a pure function of its config.
 
 The unit of work is a channel: its best split and average sum rate in
 a cell depend on that channel's draws alone, and a cell is the mean
-over its channels. run_sweep splits the channels into contiguous
-blocks, at least one per --jobs worker (never more workers than
-channels) and none longer than CHANNEL_CACHE_SIZE channels, and rates
-every cell on one block before it starts the next; each cell then
-joins its blocks' per-channel values in channel order. So serial and
-parallel runs are bit-identical, and each channel's draws and geometry
-are made by one worker only.
+over its channels (the ergodic sum rate as a mean of per-channel
+sample averages). run_sweep rates every (scheme, grid point) cell on
+one channel before it starts the next, and joins each cell's
+per-channel values in channel order. With --jobs, each worker takes
+one contiguous run of channels (never more workers than channels). So
+serial and parallel runs are bit-identical, and each channel's draws
+and geometry are made by one worker only.
 
-A channel's error ensemble is drawn once per process:
-draw_error_ensemble keeps its unit draws in a bounded cache, and each
-cell rescales them to its own variance. Likewise build_precoders keeps
-each channel's geometry for all base schemes, and linalg each channel's
+The per-process caches hold only the current channel: draw_error_ensemble
+keeps its unit draws, and each cell rescales them to its own variance;
+build_precoders keeps its geometry for all base schemes, and linalg its
 common-stream direction, so every split and grid point only rescales
-them. Each cache holds a whole block, so every cell of the block finds
-its channels there. The split search rates a channel's whole grid in
-one kernel call (rates.sum_rate_table), which gives each split the
-bits that rating it alone gives. SweepConfig.validate rejects a config
-whose estimated working set in one process exceeds MEMORY_BUDGET_BYTES
-(512 MiB).
+them. The split search rates a channel's whole grid in one kernel call
+(rates.sum_rate_table), which gives each split the bits that rating it
+alone gives. SweepConfig.validate rejects a config whose estimated
+working set in one process exceeds MEMORY_BUDGET_BYTES (512 MiB).
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .channel import (
-    CHANNEL_CACHE_SIZE,
     CHANNEL_STREAM,
     ErrorRegime,
     complex_gaussian,
@@ -67,10 +64,14 @@ SIGMA_N2 = 1.0
 # runs, instead of failing with a MemoryError deep inside one.
 MEMORY_BUDGET_BYTES = 512 * 2**20
 
-# Bytes the sweep keeps per (cell, channel) until it returns: the ASR
-# and split in the float64 arrays a block returns and in the joined
-# arrays, and as the SweepCell's two tuples of Python floats (32 B each).
+# Bytes the sweep keeps per (cell, channel) until it returns: the split
+# and ASR in the float64 row a channel returns and in the joined table,
+# and as the SweepCell's two tuples of Python floats (32 B each).
 _RESULT_BYTES = 2 * (8 + 8 + 32)
+
+# Bytes each channel's row keeps beyond its values: the array's header
+# (128 B), the (row, failure) pair it comes back in and its list slot.
+_ROW_BYTES = 128 + 56 + 8
 
 
 def default_power_split_grid() -> tuple[float, ...]:
@@ -257,9 +258,6 @@ class SweepConfig:
         self._check_memory()
 
     def _check_memory(self) -> None:
-        need = _working_set_bytes(self, self.n_channels)
-        if need <= MEMORY_BUDGET_BYTES:
-            return
         # Name the size that breaks the budget on its own: the matrices
         # if one channel with one draw already does, else the draws per
         # channel, else the number of channels.
@@ -270,35 +268,45 @@ class SweepConfig:
             flag = "--error-samples (n_error_samples)"
         else:
             flag = "--channels (n_channels)"
+        check_memory("the sweep", _working_set_bytes(self, self.n_channels), flag)
+
+
+def check_memory(what: str, need: int, flag: str) -> None:
+    """ValueError naming flag unless need bytes fit MEMORY_BUDGET_BYTES."""
+    if need > MEMORY_BUDGET_BYTES:
         raise ValueError(
-            f"the sweep would hold about {need / 2**20:,.0f} MiB in one process, "
+            f"{what} would hold about {need / 2**20:,.0f} MiB in one process, "
             f"over the {MEMORY_BUDGET_BYTES // 2**20} MiB budget; lower {flag}"
         )
 
 
 def _working_set_bytes(config: SweepConfig, n_channels: int) -> int:
     """Estimated peak bytes of one process that rates every cell of
-    config on n_channels channels.
-
-    In complex128 values: the cached unit error ensembles (M K N each)
-    and precoder geometries (under 10 K N each) of up to
-    CHANNEL_CACHE_SIZE channels, one cell's scaled ensemble and h_est +
-    E (2 M K N), the T builds of one split search (2 T K N) and the
-    kernel's gains (M K K); in float64 values, the kernel's SINR and
-    rate blocks, six of (T, M, K). Under perfect CSIT nothing is drawn
-    and M is the one all-zero realization. On top, _RESULT_BYTES for
-    each (cell, channel).
-    """
-    k, n = config.n_users, config.n_tx
+    config on n_channels channels: the arrays of one channel
+    (matrix_bytes), plus _RESULT_BYTES for each (cell, channel) and
+    _ROW_BYTES for each channel. Under perfect CSIT nothing is drawn and
+    M is the one all-zero realization."""
     drawn = bool(config.error_variance_grid) or not config.error_regime.is_perfect
     m = config.n_error_samples if drawn else 1
     t = len(config.power_split_grid) if any(s.rs for s in config.schemes) else 1
-    cached = min(n_channels, CHANNEL_CACHE_SIZE)
-    ensembles = cached * m * k * n if drawn else 0
-    geometries = cached * 10 * k * n
-    complex_values = ensembles + geometries + 2 * m * k * n + 2 * t * k * n + m * k * k
     n_cells = len(config.schemes) * len(config.error_variance_grid or config.snr_grid_db)
-    return 16 * complex_values + 8 * 6 * t * m * k + _RESULT_BYTES * n_cells * n_channels
+    matrices = matrix_bytes(config.n_users, config.n_tx, m, t, drawn)
+    return matrices + (_RESULT_BYTES * n_cells + _ROW_BYTES) * n_channels
+
+
+def matrix_bytes(k: int, n: int, m: int, t: int, drawn: bool) -> int:
+    """Estimated peak bytes of the arrays that rating one cell with M
+    error realizations and T splits on one (K, N) channel holds.
+
+    In complex128 values: the cached unit error ensemble (M K N, when
+    drawn) and precoder geometry (under 10 K N), the cell's scaled
+    ensemble and h_est + E (2 M K N), the T builds of one split search
+    (2 T K N) and the kernel's gains (M K K); in float64 values, the
+    kernel's SINR and rate blocks, six of (T, M, K).
+    """
+    ensemble = m * k * n if drawn else 0
+    complex_values = ensemble + 10 * k * n + 2 * m * k * n + 2 * t * k * n + m * k * k
+    return 16 * complex_values + 8 * 6 * t * m * k
 
 
 @dataclass(frozen=True)
@@ -320,49 +328,36 @@ class SweepResult:
     cells: tuple[SweepCell, ...]
 
 
-def _channel_rates(
+def _best_split(
     config: SweepConfig,
     scheme: SchemeTag,
     e_tr: float,
     regime: ErrorRegime,
-    channels: range,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best average sum rate and its power split of one scheme at one
-    grid point on each channel of `channels`, as two arrays.
+    channel_index: int,
+) -> tuple[float, float]:
+    """Best power split and its average sum rate of one scheme at one
+    grid point on one channel.
 
-    Each channel's error ensemble (one all-zero realization under
-    perfect CSIT) is shared by every split; its unit draws are made
-    once per process and rescaled to this cell's variance, so every
-    scheme and grid point sees the same draws. Rate-splitting schemes
-    search the power-split grid per channel; base schemes search the
-    one-point grid (0.0,).
+    The channel's error ensemble (one all-zero realization under perfect
+    CSIT) is shared by every split; its unit draws are rescaled to this
+    cell's variance, so every scheme and grid point sees the same draws.
+    Rate-splitting schemes search the power-split grid; base schemes
+    search the one-point grid (0.0,).
     """
     grid = config.power_split_grid if scheme.rs else (0.0,)
-    asr_values = np.empty(len(channels))
-    splits = np.empty(len(channels))
-    for i, c in enumerate(channels):
-        h_est = draw_channel(config.master_seed, c, config.n_users, config.n_tx)
-        if regime.is_perfect:
-            errors = np.zeros((1, config.n_users, config.n_tx), dtype=complex)
-        else:
-            errors = draw_error_ensemble(
-                config.n_users,
-                config.n_tx,
-                regime.variance_at(e_tr),
-                config.n_error_samples,
-                config.master_seed,
-                c,
-            )
-        splits[i], asr_values[i] = optimize_power_split(
-            h_est, scheme, e_tr, config.power_loss, grid, errors
+    h_est = draw_channel(config.master_seed, channel_index, config.n_users, config.n_tx)
+    if regime.is_perfect:
+        errors = np.zeros((1, config.n_users, config.n_tx), dtype=complex)
+    else:
+        errors = draw_error_ensemble(
+            config.n_users, config.n_tx, regime.variance_at(e_tr),
+            config.n_error_samples, config.master_seed, channel_index,
         )
-    return asr_values, splits
+    return optimize_power_split(h_est, scheme, e_tr, config.power_loss, grid, errors)
 
 
-def _cell(
-    scheme: SchemeTag, x_value: float, asr_values: np.ndarray, splits: np.ndarray
-) -> SweepCell:
-    """The cell of every channel's ASR and split, in channel order. The
+def _cell(scheme: SchemeTag, x_value: float, splits, asr_values) -> SweepCell:
+    """The cell of every channel's split and ASR, in channel order. The
     confidence halfwidth is the 95% normal interval on the channel
     sample mean."""
     n_channels = len(asr_values)
@@ -390,96 +385,77 @@ def ergodic_sum_rate(
     """Ergodic sum rate of one scheme at one grid point: the mean of the
     per-channel best average sum rate over n_channels channel draws.
     run_sweep gives the same cell."""
-    asr_values, splits = _channel_rates(
-        config, scheme, e_tr, regime, range(config.n_channels)
-    )
-    return _cell(scheme, x_value, asr_values, splits)
-
-
-def _sweep_points(config: SweepConfig) -> list[tuple[float, float, ErrorRegime]]:
-    """Grid points as (x_value, e_tr, regime) triples."""
-    if config.error_variance_grid:
-        e_tr = snr_db_to_power(config.snr_grid_db[0])
-        return [
-            (float(s2), e_tr, ErrorRegime.fixed_variance(s2))
-            for s2 in config.error_variance_grid
-        ]
-    return [
-        (float(db), snr_db_to_power(db), config.error_regime)
-        for db in config.snr_grid_db
-    ]
+    splits, asr_values = zip(*(
+        _best_split(config, scheme, e_tr, regime, c) for c in range(config.n_channels)
+    ))
+    return _cell(scheme, x_value, splits, asr_values)
 
 
 def _sweep_cells(config: SweepConfig) -> list[tuple]:
     """Every (scheme, x_value, e_tr, regime) cell in output order: by
     scheme tag, then by x value."""
-    cells = [
-        (scheme, x_value, e_tr, regime)
-        for scheme in config.schemes
-        for (x_value, e_tr, regime) in _sweep_points(config)
-    ]
-    cells.sort(key=lambda cell: (cell[0].tag, cell[1]))
-    return cells
+    if config.error_variance_grid:
+        e_tr = snr_db_to_power(config.snr_grid_db[0])
+        points = [
+            (float(s2), e_tr, ErrorRegime.fixed_variance(s2))
+            for s2 in config.error_variance_grid
+        ]
+    else:
+        points = [
+            (float(db), snr_db_to_power(db), config.error_regime)
+            for db in config.snr_grid_db
+        ]
+    cells = [(scheme, *point) for scheme in config.schemes for point in points]
+    return sorted(cells, key=lambda cell: (cell[0].tag, cell[1]))
 
 
-def _channel_blocks(n_channels: int, n_blocks: int) -> list[range]:
-    """n_blocks contiguous, disjoint ranges that cover range(n_channels)
-    in order; their sizes differ by one at most."""
-    return [
-        range(b * n_channels // n_blocks, (b + 1) * n_channels // n_blocks)
-        for b in range(n_blocks)
-    ]
-
-
-def _evaluate_block(args: tuple) -> tuple[list, tuple | None]:
-    """Per-channel (ASR, split) arrays of every cell, in output order,
-    on one channel block, and None; or, when a cell raises a
-    SimulatorError, the arrays of the cells before it and (that cell's
-    index, the error)."""
-    config, channels = args
-    per_cell = []
-    for index, (scheme, _, e_tr, regime) in enumerate(_sweep_cells(config)):
+def _rate_channel(
+    config: SweepConfig, cells: list[tuple], channel_index: int
+) -> tuple[np.ndarray | None, tuple | None]:
+    """The best split and ASR of every cell on one channel, as a
+    (2, len(cells)) array, and None; or, when a cell raises a
+    SimulatorError, None and (that cell's index, the error)."""
+    row = np.empty((2, len(cells)))
+    for index, (scheme, _, e_tr, regime) in enumerate(cells):
         try:
-            per_cell.append(_channel_rates(config, scheme, e_tr, regime, channels))
+            row[:, index] = _best_split(config, scheme, e_tr, regime, channel_index)
         except SimulatorError as exc:
-            return per_cell, (index, exc)
-    return per_cell, None
+            return None, (index, exc)
+    return row, None
 
 
 def run_sweep(config: SweepConfig, n_jobs: int = 1) -> SweepResult:
     """Evaluate every (scheme, grid point) cell of a sweep.
 
-    The channels are split into contiguous blocks, at least one per
-    worker and none longer than CHANNEL_CACHE_SIZE, so the caches hold
-    a whole block; min(n_jobs, n_channels) workers rate every cell on
-    each block, one worker in this process. Each cell joins its blocks'
-    per-channel values in channel order, so the output is bit-identical
-    at any n_jobs. A failing run raises the error of the first failing
-    cell in output order, the one a serial run meets first.
+    Every cell is rated on one channel before the next channel, so the
+    caches need hold only the current one. min(n_jobs, n_channels)
+    workers each take one contiguous run of channels, one worker in this
+    process. Each cell joins its per-channel values in channel order, so
+    the output is bit-identical at any n_jobs. A failing run raises the
+    error of the first failing cell in output order, on its first
+    failing channel: the one a cell-by-cell serial run meets first.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     config.validate()
+    cells = _sweep_cells(config)
+    rate = partial(_rate_channel, config, cells)
+    channels = range(config.n_channels)
     n_workers = min(n_jobs, config.n_channels)
-    n_blocks = max(n_workers, math.ceil(config.n_channels / CHANNEL_CACHE_SIZE))
-    tasks = [(config, block) for block in _channel_blocks(config.n_channels, n_blocks)]
     if n_workers > 1:
         # The pool starts all its workers at the first submit.
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(_evaluate_block, tasks))
+            chunksize = math.ceil(config.n_channels / n_workers)
+            outcomes = list(pool.map(rate, channels, chunksize=chunksize))
     else:
-        outcomes = [_evaluate_block(task) for task in tasks]
+        outcomes = list(map(rate, channels))
     failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
-        # Among equal cells the first block holds the first channel.
+        # Among equal cells min keeps the first, the lowest channel's.
         raise min(failures, key=lambda failure: failure[0])[1]
-    cells = tuple(
-        _cell(
-            scheme,
-            x_value,
-            np.concatenate([per_cell[i][0] for per_cell, _ in outcomes]),
-            np.concatenate([per_cell[i][1] for per_cell, _ in outcomes]),
-        )
-        for i, (scheme, x_value, _, _) in enumerate(_sweep_cells(config))
-    )
-    return SweepResult(config=config, cells=cells)
+    # (2, cells, channels): each cell's values are contiguous.
+    splits, asr_values = np.stack([row for row, _ in outcomes], axis=-1)
+    return SweepResult(config=config, cells=tuple(
+        _cell(scheme, x_value, splits[i], asr_values[i])
+        for i, (scheme, x_value, _, _) in enumerate(cells)
+    ))

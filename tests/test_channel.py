@@ -163,14 +163,21 @@ class TestUnitDrawCache:
         assert not _unit_error_draws(3, 2, 5, 4, 4).flags.writeable
 
     def test_prefix_and_scaling_on_a_warm_cache(self):
-        for _ in range(2):
-            long = draw_error_ensemble(4, 4, 0.2, 100, seed=7)
-            short = draw_error_ensemble(4, 4, 0.2, 50, seed=7)
-            small = draw_error_ensemble(4, 4, 0.1, 5, seed=3)
-            large = draw_error_ensemble(4, 4, 0.4, 5, seed=3)
-        np.testing.assert_array_equal(long[:50], short)
-        np.testing.assert_allclose(large, 2.0 * small, atol=1e-15)
-        assert _unit_error_draws.cache_info().hits >= 4
+        # The cache holds one channel's draws, so each warm read follows
+        # its cold read of the same key.
+        draws = {}
+        for name, sigma_e2, n_samples, seed in (
+            ("long", 0.2, 100, 7), ("short", 0.2, 50, 7),
+            ("small", 0.1, 5, 3), ("large", 0.4, 5, 3),
+        ):
+            cold = draw_error_ensemble(4, 4, sigma_e2, n_samples, seed=seed)
+            draws[name] = draw_error_ensemble(4, 4, sigma_e2, n_samples, seed=seed)
+            np.testing.assert_array_equal(draws[name], cold)
+        np.testing.assert_array_equal(draws["long"][:50], draws["short"])
+        np.testing.assert_allclose(draws["large"], 2.0 * draws["small"], atol=1e-15)
+        info = _unit_error_draws.cache_info()
+        assert info.hits >= 4
+        assert info.currsize == 1
 
     def test_bad_variance_rejected_after_caching(self):
         draw_error_ensemble(4, 4, 0.2, 5, seed=4)

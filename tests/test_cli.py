@@ -63,6 +63,11 @@ class TestParseGrid:
         longest = parse_grid(f"1:1:{MAX_RANGE_POINTS}")
         assert longest == tuple(float(i) for i in range(1, MAX_RANGE_POINTS + 1))
 
+    def test_small_step_range_stops_at_stop(self):
+        # A tolerance of 1e-9 in absolute terms would let a 1e-10 step
+        # run ten points past stop.
+        assert parse_grid("0:1e-10:5e-10") == tuple(i * 1e-10 for i in range(6))
+
 
 class TestSweepSnrCommand:
     def test_csv_matches_library(self, tmp_path):
@@ -390,13 +395,13 @@ class TestErrorHandling:
     @pytest.mark.parametrize("argv, flag", [
         (("--error-samples", "100000000", "--error-variance", "0.2"), "--error-samples"),
         (("--users", "3000", "--tx-antennas", "3000"), "--users/--tx-antennas"),
-        (("--error-samples", "300000", "--channels", "8", "--schemes", "zf",
-          "--error-variance", "0.2"), "--channels"),
+        # The default 56 cells keep about 1 GiB of results.
+        (("--channels", "200000", "--error-variance", "0.2"), "--channels"),
     ])
     def test_over_budget_sweep_fails_before_any_cell(
         self, tmp_path, capsys, monkeypatch, argv, flag
     ):
-        # Each would need from 0.8 GB to terabytes in one process; the
+        # Each would need from 1 GiB to terabytes in one process; the
         # estimate stops it before anything is drawn or built.
         def no_sweep(*args, **kwargs):
             raise AssertionError("the sweep ran past the memory check")
@@ -451,6 +456,21 @@ class TestErrorHandling:
         assert captured.err.startswith("error: --samples 100000000 ")
         assert len(captured.err.splitlines()) == 1
         assert "MiB budget; lower --samples" in captured.err
+
+    def test_cross_check_matrix_sizes_fail_before_any_draw(self, capsys, monkeypatch):
+        # One 3000 x 3000 channel's SVDs and geometry need gigabytes; the
+        # sweeps' estimate for one channel and one draw stops it first.
+        def no_channel(*args, **kwargs):
+            raise AssertionError("the check drew a channel past the memory check")
+
+        monkeypatch.setattr("rsthp.cli.draw_channel", no_channel)
+        argv = ("cross-check-sinr", "--users", "3000", "--tx-antennas", "3000",
+                "--samples", "1")
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+        assert "MiB budget; lower --users/--tx-antennas" in captured.err
 
     def test_cross_check_user_count_has_the_sweeps_message(self, capsys):
         assert run_cli("cross-check-sinr", "--users", "0") == 2

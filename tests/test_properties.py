@@ -3,8 +3,11 @@
 Each example draws one channel with the sweep's own draw_channel (any
 K <= N <= 6), an SNR, a CSIT error variance and a power split, and
 checks an identity that must hold on every channel, not only on the
-acceptance suite's seed.
+acceptance suite's seed. The last property checks the CLI's
+start:step:stop grid ranges.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from rsthp import (  # noqa: E402
     snr_db_to_power,
     sum_rate_samples,
 )
+from rsthp.cli import MAX_RANGE_POINTS, parse_grid  # noqa: E402
 from rsthp.rates import sum_rate_table  # noqa: E402
 from rsthp.sweeps import SIGMA_N2, draw_channel  # noqa: E402
 
@@ -175,3 +179,28 @@ def test_split_table_rows_match_the_per_split_formula(case, n_draws, splits):
         np.testing.assert_allclose(row, per_split_rates(ps, errors), rtol=1e-12)
     alone = build_precoders(case["h_est"], base, case["e_tr"], case["power_loss"])
     assert np.array_equal(table[0], sum_rate_table([alone], errors, SIGMA_N2)[0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    st.floats(-1e6, 1e6),
+    st.floats(1e-12, 1e6),
+    st.floats(-2.0, 1.2 * MAX_RANGE_POINTS),
+)
+def test_grid_range_stops_within_a_step_tolerance_of_stop(start, step, n_steps):
+    # Point i = start + i * step is kept while i <= (stop - start) / step
+    # + 1e-9, so no point passes stop by more than 1e-9 of a step (plus
+    # the rounding of the sum), and a range of more than MAX_RANGE_POINTS
+    # points is rejected, not built.
+    stop = start + n_steps * step
+    text = f"{start!r}:{step!r}:{stop!r}"
+    span = (stop - start) / step + 1e-9
+    count = sum(1 for i in range(MAX_RANGE_POINTS + 1) if i <= span)
+    if count > MAX_RANGE_POINTS:
+        with pytest.raises(ValueError, match="allowed"):
+            parse_grid(text)
+        return
+    values = parse_grid(text)
+    assert len(values) == count
+    rounding = 4 * math.ulp(max(abs(start), abs(stop)))
+    assert all(v <= stop + 1e-9 * step + rounding for v in values)

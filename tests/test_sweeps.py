@@ -1,5 +1,7 @@
 """Tests for the Monte-Carlo sweep layer."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from rsthp import (
     run_sweep,
     snr_db_to_power,
 )
-from rsthp import channel, precoding, rates, sweeps
+from rsthp import channel, linalg, precoding, rates, sweeps
 from rsthp.exceptions import (
     DimensionMismatchError,
     EmptyGridError,
@@ -232,8 +234,9 @@ class TestSweepConfig:
     @pytest.mark.parametrize("overrides, flag", [
         (dict(n_error_samples=100_000_000), "--error-samples"),
         (dict(n_users=3000, n_tx=3000, error_regime=PERFECT), "--users/--tx-antennas"),
-        (dict(n_error_samples=300_000, n_channels=8,
-              schemes=(parse_scheme_tag("zf"),)), "--channels"),
+        # The default 56 cells keep about 1 GiB of results at 200000 channels.
+        (dict(schemes=SweepConfig().schemes, snr_grid_db=SweepConfig().snr_grid_db,
+              n_channels=200_000), "--channels"),
     ])
     def test_validate_rejects_configs_over_the_memory_budget(self, overrides, flag):
         cfg = small_config(**overrides)
@@ -242,16 +245,15 @@ class TestSweepConfig:
             cfg.validate()
 
     def test_memory_estimate_counts_what_a_process_keeps(self):
-        # Past CHANNEL_CACHE_SIZE channels the caches hold no more, and
-        # only the per-(cell, channel) results grow; perfect CSIT draws
-        # nothing, so its error-sample count costs nothing.
+        # The caches hold one channel, so only the results grow with the
+        # channels: each channel's row and its per-cell values. Perfect
+        # CSIT draws nothing, so its error-sample count costs nothing.
         cfg = small_config(n_error_samples=1000)
-        full = channel.CHANNEL_CACHE_SIZE
-        at = {n: sweeps._working_set_bytes(cfg, n) for n in (1, full, full + 1, 10_000)}
-        per_channel = sweeps._RESULT_BYTES * len(cfg.schemes) * len(cfg.snr_grid_db)
-        assert at[1] < at[full]
-        for n in (full + 1, 10_000):
-            assert at[n] - at[full] == (n - full) * per_channel
+        n_cells = len(cfg.schemes) * len(cfg.snr_grid_db)
+        per_channel = sweeps._RESULT_BYTES * n_cells + sweeps._ROW_BYTES
+        one = sweeps._working_set_bytes(cfg, 1)
+        for n in (2, 65, 10_000):
+            assert sweeps._working_set_bytes(cfg, n) == one + (n - 1) * per_channel
         perfect = [
             sweeps._working_set_bytes(small_config(error_regime=PERFECT, n_error_samples=m), 50)
             for m in (1, 10**9)
@@ -263,8 +265,7 @@ class TestSweepConfig:
 
     def test_validate_counts_every_cells_results(self):
         # The default 56 cells keep about 100 B per channel each, so a
-        # million channels need gigabytes even though every cache is full
-        # at 64.
+        # million channels need gigabytes though the caches hold one.
         cfg = SweepConfig(n_channels=10**6, error_regime=FIXED)
         with pytest.raises(ValueError, match="MiB budget; lower --channels "):
             cfg.validate()
@@ -415,10 +416,10 @@ class TestRunSweep:
         assert len(pinv) == len(set(pinv)) == n_channels
         assert set(pinv) == set(lq)
 
-    def test_caches_hold_every_block_past_their_capacity(self, monkeypatch):
-        # Two cells over more channels than a cache holds: each cell must
-        # still find every channel's geometry and unit draws cached, so
-        # one LQ and one error draw per channel and realization.
+    def test_each_channel_is_built_and_drawn_once_by_one_entry_caches(self, monkeypatch):
+        # Two cells over 130 channels: each channel's cells run back to
+        # back, so one-entry caches serve every cell after the first. One
+        # LQ, one direction and one error draw per channel and realization.
         lq_calls, error_keys = [], []
         lq, draw = precoding.lq_decompose, channel.stream_rng
 
@@ -433,17 +434,22 @@ class TestRunSweep:
 
         monkeypatch.setattr(precoding, "lq_decompose", counting_lq)
         monkeypatch.setattr(channel, "stream_rng", counting_rng)
-        precoding._geometry.cache_clear()
-        channel._unit_error_draws.cache_clear()
-        n_channels = channel.CHANNEL_CACHE_SIZE + 1
+        caches = (precoding._geometry, channel._unit_error_draws,
+                  linalg._anchored_direction)
+        for cache in caches:
+            cache.cache_clear()
+        n_channels = 130
         run_sweep(small_config(
-            schemes=(parse_scheme_tag("dthp"),), snr_grid_db=(10.0, 20.0),
+            schemes=(parse_scheme_tag("dthp-rs"),), snr_grid_db=(10.0, 20.0),
             n_channels=n_channels, n_error_samples=2,
         ))
-        precoding._geometry.cache_clear()
-        channel._unit_error_draws.cache_clear()
+        infos = [cache.cache_info() for cache in caches]
+        for cache in caches:
+            cache.cache_clear()
         assert len(lq_calls) == len(set(lq_calls)) == n_channels
         assert len(error_keys) == len(set(error_keys)) == 2 * n_channels
+        assert [info.misses for info in infos] == [n_channels] * 3
+        assert [info.currsize for info in infos] == [1] * 3
 
     def test_one_kernel_call_per_channel_cell(self, monkeypatch):
         # The split search rates a channel's whole grid in one kernel
@@ -467,13 +473,14 @@ class TestRunSweep:
     @staticmethod
     def recording_pool(monkeypatch):
         """Replace the process pool by one that runs its tasks in this
-        process; returns the list its max_workers and tasks go to."""
+        process; returns the list of pools made, each recording its
+        max_workers, tasks and chunksize."""
         pools = []
 
         class RecordingPool:
             def __init__(self, max_workers):
-                self.tasks = []
-                pools.append((max_workers, self.tasks))
+                self.max_workers = max_workers
+                pools.append(self)
 
             def __enter__(self):
                 return self
@@ -481,8 +488,8 @@ class TestRunSweep:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, tasks):
-                self.tasks.extend(tasks)
+            def map(self, fn, tasks, chunksize=1):
+                self.tasks, self.chunksize = list(tasks), chunksize
                 return map(fn, self.tasks)
 
         monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
@@ -492,31 +499,23 @@ class TestRunSweep:
         # Workers split the channels, so the pool never has more of them
         # than the sweep has channels: the pool starts all max_workers at
         # its first submit, and a worker per job beyond that would idle.
+        # Each worker gets one contiguous run of channels: every channel
+        # in order, in chunks of ceil(n_channels / n_workers).
         pools = self.recording_pool(monkeypatch)
-        cfg = small_config(snr_grid_db=(10.0, 15.0))  # 4 channels
-        serial = run_sweep(cfg)
-        for n_jobs in (500, 3):
-            assert run_sweep(cfg, n_jobs=n_jobs).cells == serial.cells
-        # One cell still has a channel for each of four workers.
-        run_sweep(small_config(schemes=(parse_scheme_tag("zf"),)), n_jobs=8)
+        serial = run_sweep(small_config(snr_grid_db=(10.0, 15.0)))  # 4 channels
+        for n_channels, n_jobs, n_workers in ((4, 500, 4), (4, 3, 3), (7, 3, 3),
+                                              (5, 2, 2), (50, 2, 2), (130, 2, 2)):
+            cfg = small_config(snr_grid_db=(10.0, 15.0), n_channels=n_channels)
+            result = run_sweep(cfg, n_jobs=n_jobs)
+            if n_channels == 4:
+                assert result.cells == serial.cells
+            pool = pools.pop()
+            assert pool.max_workers == n_workers
+            assert pool.tasks == list(range(n_channels))
+            assert pool.chunksize == math.ceil(n_channels / n_workers)
         # One channel runs in this process.
         run_sweep(small_config(n_channels=1), n_jobs=8)
-        assert [size for size, _ in pools] == [4, 3, 4]
-
-    def test_pool_tasks_are_contiguous_channel_blocks(self, monkeypatch):
-        pools = self.recording_pool(monkeypatch)
-        # At least one block per worker, and none longer than the caches.
-        for n_channels, n_jobs, n_blocks in ((7, 3, 3), (5, 2, 2), (4, 4, 4),
-                                             (50, 2, 2), (130, 2, 3)):
-            run_sweep(small_config(n_channels=n_channels), n_jobs=n_jobs)
-            size, tasks = pools.pop()
-            blocks = [list(block) for _, block in tasks]
-            assert size == n_jobs and len(blocks) == n_blocks
-            assert max(map(len, blocks)) <= channel.CHANNEL_CACHE_SIZE
-            # In order, without gaps or overlaps, one channel apart in size.
-            assert sum(blocks, []) == list(range(n_channels))
-            assert all(blocks)
-            assert max(map(len, blocks)) - min(map(len, blocks)) <= 1
+        assert not pools
 
     def test_parallel_failure_is_the_serial_one(self, monkeypatch):
         # A cap that cthp's SINRs exceed only on channel 2 or 3 and zf's
