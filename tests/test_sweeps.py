@@ -499,22 +499,34 @@ class TestRunSweep:
         # Workers split the channels, so the pool never has more of them
         # than the sweep has channels: the pool starts all max_workers at
         # its first submit, and a worker per job beyond that would idle.
+        pools = self.recording_pool(monkeypatch)
+        cfg = small_config(snr_grid_db=(10.0, 15.0))  # 4 channels
+        serial = run_sweep(cfg)
+        for n_jobs in (500, 3):
+            assert run_sweep(cfg, n_jobs=n_jobs).cells == serial.cells
+        # One cell still has a channel for each of four workers.
+        run_sweep(small_config(schemes=(parse_scheme_tag("zf"),)), n_jobs=8)
+        # One channel runs in this process.
+        run_sweep(small_config(n_channels=1), n_jobs=8)
+        assert [pool.max_workers for pool in pools] == [4, 3, 4]
+
+    def test_pool_tasks_are_contiguous_channel_blocks(self, monkeypatch):
         # Each worker gets one contiguous run of channels: every channel
         # in order, in chunks of ceil(n_channels / n_workers).
         pools = self.recording_pool(monkeypatch)
-        serial = run_sweep(small_config(snr_grid_db=(10.0, 15.0)))  # 4 channels
-        for n_channels, n_jobs, n_workers in ((4, 500, 4), (4, 3, 3), (7, 3, 3),
-                                              (5, 2, 2), (50, 2, 2), (130, 2, 2)):
-            cfg = small_config(snr_grid_db=(10.0, 15.0), n_channels=n_channels)
-            result = run_sweep(cfg, n_jobs=n_jobs)
-            if n_channels == 4:
-                assert result.cells == serial.cells
+        for n_channels, n_jobs, n_blocks in ((7, 3, 3), (5, 2, 2), (4, 4, 4),
+                                             (50, 2, 2), (130, 2, 2)):
+            run_sweep(small_config(n_channels=n_channels), n_jobs=n_jobs)
             pool = pools.pop()
-            assert pool.max_workers == n_workers
+            assert pool.max_workers == n_jobs
             assert pool.tasks == list(range(n_channels))
-            assert pool.chunksize == math.ceil(n_channels / n_workers)
-        # One channel runs in this process.
-        run_sweep(small_config(n_channels=1), n_jobs=8)
+            assert pool.chunksize == math.ceil(n_channels / n_jobs)
+            # In order, without gaps or overlaps, no more blocks than workers.
+            blocks = [pool.tasks[i:i + pool.chunksize]
+                      for i in range(0, n_channels, pool.chunksize)]
+            assert len(blocks) == n_blocks
+            assert sum(blocks, []) == list(range(n_channels))
+            assert all(blocks)
         assert not pools
 
     def test_parallel_failure_is_the_serial_one(self, monkeypatch):
