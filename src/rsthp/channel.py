@@ -12,6 +12,16 @@ draws of the last channel asked for and scales them by the requested
 variance; a sweep rates every (scheme, grid point) cell on one channel
 before the next, so it makes each channel's draws once and not once per
 cell.
+
+Realization m of channel c is drawn from the generator that
+stream_rng(seed, ERROR_STREAM, c, m) would build, without building one
+SeedSequence per realization. NumPy freezes the SeedSequence hash (NEP
+19): 32-bit multiply, xor and shift rounds over the key's 32-bit words.
+_error_states runs those rounds for a whole range of m at once and
+yields each key's generate_state(4, np.uint64); PCG64 seeds itself
+from that row as it would from the SeedSequence. stream_rng stays the
+single-key path for channel draws, and the tests hold the range path to
+it bit for bit.
 """
 
 import math
@@ -19,6 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .exceptions import InvalidVarianceError
 
@@ -28,6 +39,17 @@ CHANNEL_STREAM = 1
 ERROR_STREAM = 3
 
 _REGIME_KINDS = ("perfect", "fixed-variance", "snr-scaled")
+
+# Realizations whose generator states are hashed (and drawn) in one
+# numpy pass; it bounds those temporaries whatever M is.
+_SEED_BLOCK = 1024
+
+# NumPy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 def stream_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -137,11 +159,100 @@ def draw_error_ensemble(
 def _unit_error_draws(
     seed: int, channel_index: int, n_error_samples: int, n_users: int, n_tx: int
 ) -> np.ndarray:
-    """Read-only (M, K, N) unit draws of one channel's error ensemble."""
+    """Read-only (M, K, N) unit draws of one channel's error ensemble.
+
+    Each realization's real then imaginary parts come from one
+    standard_normal call, the stream order of two (K, N) draws, and are
+    combined as real + 1j * imag, as _unit_complex_gaussian does.
+    """
     unit = np.empty((n_error_samples, n_users, n_tx), dtype=complex)
-    for m in range(n_error_samples):
-        unit[m] = _unit_complex_gaussian(
-            stream_rng(seed, ERROR_STREAM, channel_index, m), (n_users, n_tx)
+    scratch = np.empty((min(_SEED_BLOCK, n_error_samples), 2, n_users, n_tx))
+    for start in range(0, n_error_samples, _SEED_BLOCK):
+        states = _error_states(
+            seed, channel_index, start, min(start + _SEED_BLOCK, n_error_samples)
         )
+        block = scratch[: len(states)]
+        for parts, state in zip(block, states):
+            rng = np.random.Generator(np.random.PCG64(_HashedSeed(state)))
+            rng.standard_normal(out=parts)
+        out = unit[start : start + len(states)]
+        np.multiply(1j, block[:, 1], out=out)
+        np.add(block[:, 0], out, out=out)
     unit.flags.writeable = False
     return unit
+
+
+class _HashedSeed(ISeedSequence):
+    """A SeedSequence whose state was hashed in advance: PCG64 asks it
+    for generate_state(4, np.uint64) and gets that row back."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _error_states(seed: int, channel_index: int, start: int, stop: int) -> np.ndarray:
+    """(stop - start, 4) uint64 rows: row i is
+    SeedSequence((seed, ERROR_STREAM, channel_index, start + i))
+    .generate_state(4, np.uint64), hashed for every m in one pass.
+
+    Raises:
+        ValueError: a negative seed or channel index, as SeedSequence
+            raises, or a realization index outside [0, 2**32), where m
+            is one 32-bit word.
+    """
+    if start < 0 or stop > 1 << 32:
+        raise ValueError(f"realization indices must lie in [0, 2**32), got [{start}, {stop})")
+    m = np.arange(start, stop, dtype=np.uint64)
+    # Each key word but m's is the same in every row and stays an int.
+    entropy = (
+        _uint32_words(seed) + _uint32_words(ERROR_STREAM) + _uint32_words(channel_index) + [m]
+    )
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> 16)
+
+    # SeedSequence.mix_entropy, then generate_state(4, np.uint64).
+    pool = [
+        hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)
+    ]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    state = np.empty((len(m), 2 * _POOL_SIZE), dtype=np.uint64)
+    hash_const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        state[:, i] = value ^ (value >> 16)
+    # Little-endian 32-bit pairs make each 64-bit word.
+    return state[:, 0::2] | (state[:, 1::2] << 32)
+
+
+def _uint32_words(n: int) -> list[int]:
+    """n as SeedSequence splits it: little-endian 32-bit words, 0 as one."""
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"expected non-negative integer, got {n}")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words

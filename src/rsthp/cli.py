@@ -284,6 +284,12 @@ def _require_count(flag: str, value: int) -> None:
         raise ValueError(f"{flag} must be >= 1, got {value}")
 
 
+def _require_seed(seed: int) -> None:
+    # numpy's own message for a negative seed does not name the flag.
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+
+
 def _require_samples_fit(samples: int, n_streams: int) -> None:
     """ValueError unless the check's sample arrays fit the memory budget."""
     need = _BYTES_PER_SAMPLE_STREAM * samples * n_streams
@@ -291,6 +297,7 @@ def _require_samples_fit(samples: int, n_streams: int) -> None:
 
 
 def cmd_validate_chain(args) -> int:
+    _require_seed(args.seed)
     _require_count("--channels", args.channels)
     _require_count("--samples", args.samples)
     _require_samples_fit(args.samples, 4)
@@ -359,6 +366,7 @@ def cmd_validate_chain(args) -> int:
 
 
 def cmd_cross_check_sinr(args) -> int:
+    _require_seed(args.seed)
     _require_count("--samples", args.samples)
     check_dimensions(args.users, args.tx_antennas)
     # One channel's matrices with one error draw, as a sweep counts them.

@@ -127,11 +127,18 @@ def _batch_sinr(
     rows = (h_est + errors).reshape(n_draws * n_users, n_tx)
     beta2 = np.array([ps.beta**2 for ps in precoder_sets])[:, np.newaxis, np.newaxis]
     common_at = [t for t, ps in enumerate(precoder_sets) if ps.p_common is not None]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A zero denominator or an overflow (an error variance near the
+    # float range) ends in a non-finite SINR, which _cap reports.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gain2 = first.rx_gain**2
         gains0 = (rows @ first.unit_private).reshape(n_draws, n_users, n_users)
         own0 = np.diagonal(gains0, axis1=1, axis2=2)
-        power0 = np.sum(np.abs(gains0) ** 2, axis=2)
+        # Summed in user order, like sum_rate_table's totals: np.sum's
+        # order for K <= 7 (from 8 users on it sums pairwise).
+        magnitudes0 = np.abs(gains0) ** 2
+        power0 = magnitudes0[:, :, 0].copy()
+        for k in range(1, n_users):
+            power0 += magnitudes0[:, :, k]
         cross0 = power0 - np.abs(own0) ** 2
         # The simulated signal (estimate_sinr_monte_carlo) gives
         # 1 + g_k A_kk, not 1 + g_k^2 A_kk; the published form keeps g^2.

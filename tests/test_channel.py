@@ -11,7 +11,7 @@ from rsthp import (
     draw_error_ensemble,
     stream_rng,
 )
-from rsthp.channel import ERROR_STREAM, _unit_error_draws
+from rsthp.channel import ERROR_STREAM, _SEED_BLOCK, _error_states, _unit_error_draws
 from rsthp.exceptions import DimensionMismatchError, InvalidVarianceError
 from rsthp.sweeps import average_sum_rate, draw_channel, ergodic_sum_rate
 
@@ -151,6 +151,29 @@ class TestUnitDrawCache:
         got = draw_error_ensemble(2, 3, 0.3, 4, seed=8, channel_index=1)
         assert (got == self.reference(0.3, 4, 8, 1, 2, 3)).all()
         assert _unit_error_draws.cache_info().hits > 0
+
+    def test_bit_identical_on_every_shape(self):
+        for n_users in range(1, 6):
+            for n_tx in range(1, 6):
+                got = draw_error_ensemble(n_users, n_tx, 0.3, 6, seed=2**32, channel_index=2**33)
+                want = self.reference(0.3, 6, 2**32, 2**33, n_users, n_tx)
+                assert got.shape == (6, n_users, n_tx)
+                assert got.tobytes() == want.tobytes()
+
+    def test_bit_identical_across_seed_blocks(self):
+        n_samples = _SEED_BLOCK + 3
+        got = draw_error_ensemble(2, 3, 0.2, n_samples, seed=5, channel_index=1)
+        assert got.tobytes() == self.reference(0.2, n_samples, 5, 1, 2, 3).tobytes()
+
+    def test_negative_key_parts_raise_and_no_draws_are_empty(self):
+        for seed, c in ((-1, 0), (0, -1), (-(2**40), 3)):
+            with pytest.raises(ValueError, match="non-negative"):
+                draw_error_ensemble(4, 4, 0.2, 3, seed=seed, channel_index=c)
+        empty = draw_error_ensemble(3, 4, 0.2, 0, seed=1, channel_index=2)
+        assert empty.shape == (0, 3, 4)
+        for start, stop in ((-1, 2), (2**32 - 1, 2**32 + 1)):
+            with pytest.raises(ValueError, match="realization indices"):
+                _error_states(1, 2, start, stop)
 
     def test_returned_array_is_fresh_and_writable(self):
         first = draw_error_ensemble(4, 4, 0.2, 5, seed=3, channel_index=2)

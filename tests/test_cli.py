@@ -392,6 +392,13 @@ class TestErrorHandling:
                              "--schemes", "zf,dthp-rs", "--channels", "3",
                              "--error-samples", "2")
 
+    def test_overflowing_error_variance_is_a_capped_sinr(self, tmp_path, capsys):
+        # Errors of variance 1e308 overflow the kernel's gains; the
+        # non-finite SINRs are reported like capped ones, with no warning.
+        self.assert_rejected(tmp_path, capsys, "sweep-error-variance",
+                             "--error-variance", "0.5,1e308", "--schemes", "zf",
+                             "--channels", "1", "--error-samples", "2")
+
     @pytest.mark.parametrize("argv, flag", [
         (("--error-samples", "100000000", "--error-variance", "0.2"), "--error-samples"),
         (("--users", "3000", "--tx-antennas", "3000"), "--users/--tx-antennas"),
@@ -435,6 +442,13 @@ class TestErrorHandling:
         assert "error:" in captured.err
         lines = [line.split() for line in captured.out.splitlines()]
         assert not any(w and w[0] in ("ok", "user") for w in lines)
+
+    @pytest.mark.parametrize("command", ["validate-chain", "cross-check-sinr"])
+    def test_check_commands_name_a_negative_seed(self, capsys, command):
+        assert run_cli(command, "--seed", "-1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("argv, first_allocation", [
         (("cross-check-sinr", "--samples", "100000000"), "cross_check_sinr"),

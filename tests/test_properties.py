@@ -3,11 +3,18 @@
 Each example draws one channel with the sweep's own draw_channel (any
 K <= N <= 6), an SNR, a CSIT error variance and a power split, and
 checks an identity that must hold on every channel, not only on the
-acceptance suite's seed. The last property checks the CLI's
-start:step:stop grid ranges.
+acceptance suite's seed. The last properties check the CLI's
+start:step:stop grid ranges, the range-hashed error-stream seeds
+against SeedSequence, and the sweep commands' exit contract on argv
+drawn from their flag grammar.
 """
 
+import contextlib
+import csv
+import io
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -26,7 +33,8 @@ from rsthp import (  # noqa: E402
     snr_db_to_power,
     sum_rate_samples,
 )
-from rsthp.cli import MAX_RANGE_POINTS, parse_grid  # noqa: E402
+from rsthp.channel import ERROR_STREAM, _error_states  # noqa: E402
+from rsthp.cli import MAX_RANGE_POINTS, main, parse_grid  # noqa: E402
 from rsthp.rates import sum_rate_table  # noqa: E402
 from rsthp.sweeps import SIGMA_N2, draw_channel  # noqa: E402
 
@@ -204,3 +212,124 @@ def test_grid_range_stops_within_a_step_tolerance_of_stop(start, step, n_steps):
     assert len(values) == count
     rounding = 4 * math.ulp(max(abs(start), abs(stop)))
     assert all(v <= stop + 1e-9 * step + rounding for v in values)
+
+
+# Word-count boundaries of SeedSequence's 32-bit split, and beyond.
+WORD_EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**96)),
+    st.integers(0, 2**40),
+    st.one_of(st.integers(0, 3000), st.integers(2**32 - 40, 2**32)),
+    st.integers(0, 40),
+)
+def test_error_states_are_seed_sequence_states(seed, channel_index, start, length):
+    # Realization indices run up to the last one-word m, 2**32 - 1.
+    length = min(length, 2**32 - start)
+    got = _error_states(seed, channel_index, start, start + length)
+    want = [
+        np.random.SeedSequence((seed, ERROR_STREAM, channel_index, m))
+        .generate_state(4, np.uint64)
+        for m in range(start, start + length)
+    ]
+    assert got.dtype == np.uint64
+    assert got.shape == (length, 4)
+    assert np.array_equal(got, np.reshape(want, (length, 4)))
+
+
+ANY_FLOAT = st.one_of(
+    st.sampled_from((0.0, -1.0, 1e300, -1e308, math.nan, math.inf, -math.inf)),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+ANY_GRID = st.one_of(
+    st.sampled_from(("0:0:1", "0:nan:1", "0:1e-300:1", "10:5:0", "0.5,0.2", "0,0", "")),
+    st.lists(ANY_FLOAT, min_size=1, max_size=3).map(lambda v: ",".join(map(repr, v))),
+)
+
+
+def float_list(values, max_size):
+    return st.lists(values, min_size=1, max_size=max_size, unique=True).map(
+        lambda v: ",".join(map(repr, sorted(v)))
+    )
+
+
+@st.composite
+def sweep_argv(draw):
+    """argv of one sweep command: every flag in range, except at most
+    one drawn from its type's whole grammar. In-range values include
+    extremes (error variances up to 1e300, SNRs up to 300 dB)."""
+    command = draw(st.sampled_from(("sweep-snr", "sweep-error-variance", "sweep-alpha")))
+    users = draw(st.integers(1, 3))
+    variance = st.one_of(st.floats(0.0, 1.0), st.sampled_from((1e-300, 1e300)))
+    valid = {
+        "--users": st.just(users),
+        "--tx-antennas": st.integers(users, 4),
+        "--channels": st.integers(1, 3),
+        "--error-samples": st.integers(1, 3),
+        "--schemes": st.sampled_from(("zf", "cthp-rs", "zf,dthp-rs", "zf-dpc,rs-linear")),
+        "--split-grid": st.sampled_from(("0", "0,0.5", "0:0.5:0.5", "0:0.25:0.75")),
+        "--seed": st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**70)),
+        "--lambda": st.floats(0.5, 1.0),
+    }
+    invalid = {
+        "--users": st.integers(-1, 5),
+        "--tx-antennas": st.integers(-1, 5),
+        "--channels": st.integers(-1, 0),
+        "--error-samples": st.integers(-1, 0),
+        "--schemes": st.sampled_from(("thp", "zf,zf", "zf,", "")),
+        "--split-grid": st.one_of(st.sampled_from(("1", "-0.1", "0.5,0", "0:0.25:1")), ANY_GRID),
+        "--seed": st.one_of(st.sampled_from((-1, -(2**32))), st.integers(-(2**70), -1)),
+        "--lambda": ANY_FLOAT,
+    }
+    if command == "sweep-error-variance":
+        valid["--snr-db"] = st.floats(-20.0, 300.0).map(repr)
+        valid["--error-variance"] = float_list(variance, 3)
+        invalid["--error-variance"] = ANY_GRID
+    else:
+        valid["--snr-db"] = float_list(st.floats(-20.0, 300.0), 3)
+        if command == "sweep-snr":
+            valid["--error-variance"] = variance
+            invalid["--error-variance"] = ANY_FLOAT
+        else:
+            valid["--alpha"] = st.floats(-2.0, 2.0)
+            invalid["--alpha"] = ANY_FLOAT
+    invalid["--snr-db"] = ANY_GRID
+    broken = draw(st.sampled_from((None,) * len(valid) + tuple(valid)))
+    flags = {
+        flag: draw(invalid[flag] if flag == broken else valid[flag]) for flag in valid
+    }
+    flags["--jobs"] = draw(st.sampled_from((1, 2)))
+    # --flag=value keeps argparse from reading "-1e308" as a flag.
+    return [command] + [
+        f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}"
+        for flag, value in flags.items()
+    ]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(sweep_argv())
+def test_sweep_commands_finish_or_fail_with_one_error_line(argv):
+    # Exit 0 with a finite CSV and its sidecar, or exit 2 with one
+    # error: line and no file; any exception or warning fails the test.
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "x.csv")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv + [f"--out={out}"])
+        written = sorted(os.listdir(tmp))
+        if code == 2:
+            assert len(stderr.getvalue().splitlines()) == 1
+            assert stderr.getvalue().startswith("error: ")
+            assert written == []
+            return
+        assert code == 0
+        assert stderr.getvalue() == ""
+        assert written == ["x.csv", "x.csv.config.json"]
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    assert rows
+    for row in rows:
+        for column in ("x_value", "esr_bps_hz", "ci_halfwidth", "chosen_split_mean"):
+            assert math.isfinite(float(row[column]))

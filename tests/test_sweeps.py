@@ -375,16 +375,15 @@ class TestRunSweep:
 
     def test_each_error_draw_is_made_once(self, monkeypatch):
         # Every cell rescales the same unit draws: one error-stream
-        # generator per (channel, realization), not one per cell.
+        # key per (channel, realization), not one per cell.
         keys = []
-        draw = channel.stream_rng
+        states = channel._error_states
 
-        def counting(seed, *key):
-            if key[0] == channel.ERROR_STREAM:
-                keys.append((seed, *key))
-            return draw(seed, *key)
+        def counting(seed, channel_index, start, stop):
+            keys.extend((seed, channel_index, m) for m in range(start, stop))
+            return states(seed, channel_index, start, stop)
 
-        monkeypatch.setattr(channel, "stream_rng", counting)
+        monkeypatch.setattr(channel, "_error_states", counting)
         channel._unit_error_draws.cache_clear()
         n_channels, n_samples = 3, 4
         run_sweep(small_config(
@@ -421,19 +420,18 @@ class TestRunSweep:
         # back, so one-entry caches serve every cell after the first. One
         # LQ, one direction and one error draw per channel and realization.
         lq_calls, error_keys = [], []
-        lq, draw = precoding.lq_decompose, channel.stream_rng
+        lq, states = precoding.lq_decompose, channel._error_states
 
         def counting_lq(h):
             lq_calls.append(h.tobytes())
             return lq(h)
 
-        def counting_rng(seed, *key):
-            if key[0] == channel.ERROR_STREAM:
-                error_keys.append(key)
-            return draw(seed, *key)
+        def counting_states(seed, channel_index, start, stop):
+            error_keys.extend((channel_index, m) for m in range(start, stop))
+            return states(seed, channel_index, start, stop)
 
         monkeypatch.setattr(precoding, "lq_decompose", counting_lq)
-        monkeypatch.setattr(channel, "stream_rng", counting_rng)
+        monkeypatch.setattr(channel, "_error_states", counting_states)
         caches = (precoding._geometry, channel._unit_error_draws,
                   linalg._anchored_direction)
         for cache in caches:
