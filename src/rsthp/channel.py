@@ -2,10 +2,11 @@
 
 Every random draw goes through a keyed generator built from a
 SeedSequence tuple, so any quantity can be re-derived from the master
-seed alone. Stream tags keep channel draws and the per-realization
-error ensemble on independent streams: reading more realizations never
-shifts the channel, and realization m is the same no matter how many
-are requested. The channel draw itself lives in the sweep layer.
+seed alone. Stream tags keep channel draws, the per-realization error
+ensemble and the chain check's receiver noise on independent streams:
+reading more realizations never shifts the channel, and realization m
+is the same no matter how many are requested. The channel draw itself
+lives in the sweep layer.
 
 Error draws come from draw_error_ensemble alone. It keeps the unit
 draws of the last channel asked for and scales them by the requested
@@ -37,6 +38,7 @@ from .exceptions import InvalidVarianceError
 # changing them changes every simulated number.
 CHANNEL_STREAM = 1
 ERROR_STREAM = 3
+NOISE_STREAM = 7
 
 _REGIME_KINDS = ("perfect", "fixed-variance", "snr-scaled")
 
@@ -68,7 +70,8 @@ def complex_gaussian(
     randomness. That keeps error draws common across a variance grid.
     """
     _check_variance(variance)
-    return np.sqrt(variance / 2.0) * _unit_complex_gaussian(rng, shape)
+    real = rng.standard_normal(shape)
+    return np.sqrt(variance / 2.0) * (real + 1j * rng.standard_normal(shape))
 
 
 def _check_variance(variance: float) -> None:
@@ -76,13 +79,6 @@ def _check_variance(variance: float) -> None:
         raise InvalidVarianceError(
             f"variance must be finite and >= 0, got {variance}"
         )
-
-
-def _unit_complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """real + 1j * imag with standard normal parts: E|x|^2 = 2."""
-    real = rng.standard_normal(shape)
-    imag = rng.standard_normal(shape)
-    return real + 1j * imag
 
 
 @dataclass(frozen=True)
@@ -163,7 +159,7 @@ def _unit_error_draws(
 
     Each realization's real then imaginary parts come from one
     standard_normal call, the stream order of two (K, N) draws, and are
-    combined as real + 1j * imag, as _unit_complex_gaussian does.
+    combined as real + 1j * imag, as complex_gaussian does.
     """
     unit = np.empty((n_error_samples, n_users, n_tx), dtype=complex)
     scratch = np.empty((min(_SEED_BLOCK, n_error_samples), 2, n_users, n_tx))

@@ -25,7 +25,13 @@ import sys
 
 import numpy as np
 
-from .channel import ErrorRegime, complex_gaussian, draw_error_ensemble, stream_rng
+from .channel import (
+    NOISE_STREAM,
+    ErrorRegime,
+    complex_gaussian,
+    draw_error_ensemble,
+    stream_rng,
+)
 from .exceptions import SimulatorError
 from .precoding import ALL_SCHEME_TAGS, SchemeTag, build_precoders, parse_scheme_tag
 from .rates import CROSS_CHECK_TOL, cross_check_sinr
@@ -339,7 +345,7 @@ def cmd_validate_chain(args) -> int:
     worst = 0.0
     for c in range(args.channels):
         h_est = draw_channel(args.seed, c, 4, 4)
-        noise = complex_gaussian(stream_rng(args.seed, 7, c), (4,))
+        noise = complex_gaussian(stream_rng(args.seed, NOISE_STREAM, c), (4,))
         s = np.random.default_rng(args.seed + c).choice(qam.points, size=4)
         for base in ("cthp", "dthp"):
             precoders = build_precoders(h_est, SchemeTag(base), e_tr, 0.75)
@@ -382,15 +388,16 @@ def cmd_cross_check_sinr(args) -> int:
     h_e = draw_error_ensemble(
         args.users, args.tx_antennas, args.error_variance, 1, args.seed, 0
     )[0]
-    # Build every scheme before the first line so a bad --split fails alone.
+    # Every scheme is built, then checked, before the first line, so a
+    # bad --split or a saturated SINR exits 2 alone.
     precoder_sets = [
         build_precoders(h_est, scheme, e_tr, args.power_loss, power_split=args.split)
         for scheme in parse_schemes(args.schemes)
     ]
+    checks = [cross_check_sinr(p, h_e, 1.0, args.samples, args.seed) for p in precoder_sets]
     failed = False
-    for precoders in precoder_sets:
-        check = cross_check_sinr(precoders, h_e, 1.0, args.samples, args.seed)
-        print(f"scheme {precoders.scheme.tag} (csit={check.closed.csit}):")
+    for check in checks:
+        print(f"scheme {check.closed.scheme_tag} (csit={check.closed.csit}):")
         streams = (
             ("user", check.closed.private, check.estimated.private),
             ("common@user", check.closed.common, check.estimated.common),

@@ -123,7 +123,12 @@ def pseudo_inverse(a) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _anchored_direction(a_bytes: bytes, shape: tuple[int, int]) -> np.ndarray:
+    # Checked on a miss only: lru_cache keeps no exception, so zeros always raise.
     a = np.frombuffer(a_bytes, dtype=complex).reshape(shape)
+    if not np.any(a):
+        raise ZeroMatrixError(
+            "dominant_right_singular_vector: matrix is identically zero"
+        )
     v = np.linalg.svd(a, full_matrices=False)[2][0].conj()
     anchor = np.flatnonzero(np.abs(v) > _PHASE_ANCHOR_MIN)[0]
     v = v * (np.conj(v[anchor]) / np.abs(v[anchor]))
@@ -153,8 +158,4 @@ def dominant_right_singular_vector(a) -> np.ndarray:
         ZeroMatrixError: if a is identically zero.
     """
     a = _as_complex_matrix(a, "dominant_right_singular_vector")
-    if not np.any(a):
-        raise ZeroMatrixError(
-            "dominant_right_singular_vector: matrix is identically zero"
-        )
     return _anchored_direction(a.tobytes(), a.shape).copy()

@@ -86,6 +86,13 @@ def _cap(values: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.minimum(values, SINR_CAP), saturated
 
 
+def _saturation(scheme_tag: str, what: str) -> SaturatedSinrError:
+    """The error for SINRs at SINR_CAP or not finite, without a grid point."""
+    return SaturatedSinrError(
+        f"{scheme_tag}: {what} reached the cap {SINR_CAP:g} or was not finite"
+    )
+
+
 def _batch_sinr(
     precoder_sets: Sequence[PrecoderSet], errors: np.ndarray, sigma_n2: float
 ) -> tuple[np.ndarray, list[int], np.ndarray | None, bool]:
@@ -232,10 +239,7 @@ def sum_rate_table(
         precoder_sets, errors, sigma_n2
     )
     if saturated:
-        raise SaturatedSinrError(
-            f"{precoder_sets[0].scheme.tag}: an SINR reached the cap "
-            f"{SINR_CAP:g} or was not finite; lower the SNR"
-        )
+        raise _saturation(precoder_sets[0].scheme.tag, "an SINR")
     # The per-user reductions run over the K user slices: numpy's
     # per-row reduction overhead over a short last axis costs more than
     # the SINRs. The sum adds in user order, which is np.sum's order for
@@ -307,7 +311,8 @@ def estimate_sinr_monte_carlo(
     nominal = np.diagonal(precoders.h_est @ precoders.p_private)
     received = (symbols + offsets) @ gains.T + noise
     residual = received - nominal * offsets - own * symbols
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Near the float range the powers overflow; _cap flags what follows.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         private = np.abs(own) ** 2 / np.mean(np.abs(residual) ** 2, axis=0)
         common = None
         if precoders.p_common is not None:
@@ -351,11 +356,18 @@ def cross_check_sinr(
     hidden. The THP closed forms keep the published structure (unit-power
     effective symbols, numerator |1 + g_k^2 A_kk|^2), so a systematic gap
     there is expected and documented, not an error.
+
+    Raises:
+        SaturatedSinrError: a closed-form or simulated SINR reached
+            SINR_CAP or was not finite; two capped SINRs agree at 0%.
     """
     closed = sinr_imperfect_csit(precoders, error_realization, sigma_n2)
     estimated = estimate_sinr_monte_carlo(
         precoders, error_realization, sigma_n2, n_samples, seed
     )
+    for what, report in (("a closed-form SINR", closed), ("a simulated SINR", estimated)):
+        if report.saturated:
+            raise _saturation(precoders.scheme.tag, what)
     gap_p = float(
         np.max(np.abs(estimated.private - closed.private) / closed.private)
     )

@@ -11,12 +11,9 @@ numbers), and a sweep is a pure function of its config.
 The unit of work is a channel: its best split and average sum rate in
 a cell depend on that channel's draws alone, and a cell is the mean
 over its channels (the ergodic sum rate as a mean of per-channel
-sample averages). run_sweep rates every (scheme, grid point) cell on
-one channel before it starts the next, and joins each cell's
-per-channel values in channel order. With --jobs, each worker takes
-one contiguous run of channels (never more workers than channels). So
-serial and parallel runs are bit-identical, and each channel's draws
-and geometry are made by one worker only.
+sample averages). _rate_channel rates every cell on one channel and
+raises the first error it meets; run_sweep and ergodic_sum_rate both
+rate through it and join each cell's values in channel order.
 
 The per-process caches hold only the current channel: draw_error_ensemble
 keeps its unit draws, and each cell rescales them to its own variance;
@@ -46,8 +43,8 @@ from .exceptions import (
     DimensionMismatchError,
     EmptyGridError,
     InvalidVarianceError,
+    SaturatedSinrError,
     SchemeMismatchError,
-    SimulatorError,
 )
 from .precoding import ALL_SCHEME_TAGS, SchemeTag, build_precoders
 from .rates import sum_rate_samples, sum_rate_table
@@ -70,8 +67,8 @@ MEMORY_BUDGET_BYTES = 512 * 2**20
 _RESULT_BYTES = 2 * (8 + 8 + 32)
 
 # Bytes each channel's row keeps beyond its values: the array's header
-# (128 B), the (row, failure) pair it comes back in and its list slot.
-_ROW_BYTES = 128 + 56 + 8
+# (128 B) and its list slot.
+_ROW_BYTES = 128 + 8
 
 
 def default_power_split_grid() -> tuple[float, ...]:
@@ -330,50 +327,25 @@ class SweepResult:
     cells: tuple[SweepCell, ...]
 
 
-def _best_split(
-    config: SweepConfig,
-    scheme: SchemeTag,
-    e_tr: float,
-    regime: ErrorRegime,
-    channel_index: int,
-) -> tuple[float, float]:
-    """Best power split and its average sum rate of one scheme at one
-    grid point on one channel.
-
-    The channel's error ensemble (one all-zero realization under perfect
-    CSIT) is shared by every split; its unit draws are rescaled to this
-    cell's variance, so every scheme and grid point sees the same draws.
-    Rate-splitting schemes search the power-split grid; base schemes
-    search the one-point grid (0.0,).
-    """
-    grid = config.power_split_grid if scheme.rs else (0.0,)
-    h_est = draw_channel(config.master_seed, channel_index, config.n_users, config.n_tx)
-    if regime.is_perfect:
-        errors = np.zeros((1, config.n_users, config.n_tx), dtype=complex)
-    else:
-        errors = draw_error_ensemble(
-            config.n_users, config.n_tx, regime.variance_at(e_tr),
-            config.n_error_samples, config.master_seed, channel_index,
+def _join(cells: list[tuple], rows: list[np.ndarray]) -> tuple[SweepCell, ...]:
+    """Each cell's SweepCell from the channels' (2, len(cells)) rows, in
+    channel order. The confidence halfwidth is the 95% normal interval
+    on the channel sample mean."""
+    # (2, cells, channels): each cell's values are contiguous.
+    splits, asr_values = np.stack(rows, axis=-1)
+    n = len(rows)
+    return tuple(
+        SweepCell(
+            scheme_tag=scheme.tag,
+            x_value=float(x_value),
+            esr=float(np.mean(asr)),
+            ci_halfwidth=float(_CI_FACTOR * np.std(asr, ddof=1) / math.sqrt(n))
+            if n > 1 else 0.0,
+            chosen_split_mean=float(np.mean(split)),
+            per_channel_asr=tuple(asr.tolist()),
+            per_channel_split=tuple(split.tolist()),
         )
-    return optimize_power_split(h_est, scheme, e_tr, config.power_loss, grid, errors)
-
-
-def _cell(scheme: SchemeTag, x_value: float, splits, asr_values) -> SweepCell:
-    """The cell of every channel's split and ASR, in channel order. The
-    confidence halfwidth is the 95% normal interval on the channel
-    sample mean."""
-    n_channels = len(asr_values)
-    ci = 0.0
-    if n_channels > 1:
-        ci = float(_CI_FACTOR * np.std(asr_values, ddof=1) / math.sqrt(n_channels))
-    return SweepCell(
-        scheme_tag=scheme.tag,
-        x_value=float(x_value),
-        esr=float(np.mean(asr_values)),
-        ci_halfwidth=ci,
-        chosen_split_mean=float(np.mean(splits)),
-        per_channel_asr=tuple(float(a) for a in asr_values),
-        per_channel_split=tuple(float(s) for s in splits),
+        for (scheme, x_value, _, _), split, asr in zip(cells, splits, asr_values)
     )
 
 
@@ -386,11 +358,10 @@ def ergodic_sum_rate(
 ) -> SweepCell:
     """Ergodic sum rate of one scheme at one grid point: the mean of the
     per-channel best average sum rate over n_channels channel draws.
-    run_sweep gives the same cell."""
-    splits, asr_values = zip(*(
-        _best_split(config, scheme, e_tr, regime, c) for c in range(config.n_channels)
-    ))
-    return _cell(scheme, x_value, splits, asr_values)
+    It rates through run_sweep's path, so run_sweep gives the same cell."""
+    cells = [(scheme, x_value, e_tr, regime)]
+    rows = [_rate_channel(config, cells, c) for c in range(config.n_channels)]
+    return _join(cells, rows)[0]
 
 
 def _sweep_cells(config: SweepConfig) -> list[tuple]:
@@ -413,17 +384,37 @@ def _sweep_cells(config: SweepConfig) -> list[tuple]:
 
 def _rate_channel(
     config: SweepConfig, cells: list[tuple], channel_index: int
-) -> tuple[np.ndarray | None, tuple | None]:
-    """The best split and ASR of every cell on one channel, as a
-    (2, len(cells)) array, and None; or, when a cell raises a
-    SimulatorError, None and (that cell's index, the error)."""
+) -> np.ndarray:
+    """The best power split and its average sum rate of every cell on
+    one channel, as a (2, len(cells)) array.
+
+    The channel's error ensemble (one all-zero realization under perfect
+    CSIT) is shared by every split; its unit draws are rescaled to each
+    cell's variance, so every scheme and grid point sees the same draws.
+    Rate-splitting schemes search the power-split grid; base schemes
+    search the one-point grid (0.0,). The first failing cell's error
+    propagates; a SaturatedSinrError gains its grid point and channel.
+    """
     row = np.empty((2, len(cells)))
-    for index, (scheme, _, e_tr, regime) in enumerate(cells):
+    for index, (scheme, x_value, e_tr, regime) in enumerate(cells):
+        grid = config.power_split_grid if scheme.rs else (0.0,)
+        h_est = draw_channel(config.master_seed, channel_index, config.n_users, config.n_tx)
+        if regime.is_perfect:
+            errors = np.zeros((1, config.n_users, config.n_tx), dtype=complex)
+        else:
+            errors = draw_error_ensemble(
+                config.n_users, config.n_tx, regime.variance_at(e_tr),
+                config.n_error_samples, config.master_seed, channel_index,
+            )
         try:
-            row[:, index] = _best_split(config, scheme, e_tr, regime, channel_index)
-        except SimulatorError as exc:
-            return None, (index, exc)
-    return row, None
+            row[:, index] = optimize_power_split(
+                h_est, scheme, e_tr, config.power_loss, grid, errors
+            )
+        except SaturatedSinrError as exc:
+            raise SaturatedSinrError(
+                f"{exc} at {config.x_kind}={x_value:g} on channel {channel_index}"
+            ) from None
+    return row
 
 
 def run_sweep(config: SweepConfig, n_jobs: int = 1) -> SweepResult:
@@ -434,8 +425,9 @@ def run_sweep(config: SweepConfig, n_jobs: int = 1) -> SweepResult:
     workers each take one contiguous run of channels, one worker in this
     process. Each cell joins its per-channel values in channel order, so
     the output is bit-identical at any n_jobs. A failing run raises the
-    error of the first failing cell in output order, on its first
-    failing channel: the one a cell-by-cell serial run meets first.
+    error of the lowest failing channel's first failing cell in output
+    order, the one a serial run meets and stops at: both map and the
+    pool's map yield channels in order.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
@@ -448,16 +440,7 @@ def run_sweep(config: SweepConfig, n_jobs: int = 1) -> SweepResult:
         # The pool starts all its workers at the first submit.
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             chunksize = math.ceil(config.n_channels / n_workers)
-            outcomes = list(pool.map(rate, channels, chunksize=chunksize))
+            rows = list(pool.map(rate, channels, chunksize=chunksize))
     else:
-        outcomes = list(map(rate, channels))
-    failures = [failure for _, failure in outcomes if failure is not None]
-    if failures:
-        # Among equal cells min keeps the first, the lowest channel's.
-        raise min(failures, key=lambda failure: failure[0])[1]
-    # (2, cells, channels): each cell's values are contiguous.
-    splits, asr_values = np.stack([row for row, _ in outcomes], axis=-1)
-    return SweepResult(config=config, cells=tuple(
-        _cell(scheme, x_value, splits[i], asr_values[i])
-        for i, (scheme, x_value, _, _) in enumerate(cells)
-    ))
+        rows = list(map(rate, channels))
+    return SweepResult(config=config, cells=_join(cells, rows))

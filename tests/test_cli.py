@@ -399,6 +399,39 @@ class TestErrorHandling:
                              "--error-variance", "0.5,1e308", "--schemes", "zf",
                              "--channels", "1", "--error-samples", "2")
 
+    @pytest.mark.parametrize("argv, point", [
+        (("sweep-error-variance", "--error-variance", "0.5,1e308", "--schemes", "zf",
+          "--channels", "1", "--error-samples", "2"), "error_variance=1e+308"),
+        (("sweep-snr", "--snr-db", "400", "--schemes", "zf", "--channels", "2"),
+         "snr_db=400"),
+    ])
+    def test_capped_sinr_names_its_grid_point(self, tmp_path, capsys, argv, point):
+        # The kernel does not know the grid point, so the sweep names it
+        # instead of advice that may not apply: lowering the default
+        # 15 dB would not help an error variance of 1e308.
+        out = tmp_path / "o.csv"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: zf: an SINR reached the cap 1e+12 or was not finite "
+            f"at {point} on channel 0\n"
+        )
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [("--snr-db", "200"), ("--error-variance", "1e308")])
+    def test_cross_check_refuses_a_capped_sinr(self, capsys, argv):
+        # At 200 dB both reports sit at the cap and agree at 0%, so the
+        # perfect-CSIT gate would pass without checking anything; at
+        # 1e308 the powers overflow. Either exits 2 before any output
+        # (a numpy warning would fail this test).
+        assert run_cli("cross-check-sinr", *argv, "--samples", "2000") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cthp: a closed-form SINR reached the cap 1e+12 or was not finite\n"
+        )
+
     @pytest.mark.parametrize("argv, flag", [
         (("--error-samples", "100000000", "--error-variance", "0.2"), "--error-samples"),
         (("--users", "3000", "--tx-antennas", "3000"), "--users/--tx-antennas"),

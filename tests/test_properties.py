@@ -5,8 +5,8 @@ K <= N <= 6), an SNR, a CSIT error variance and a power split, and
 checks an identity that must hold on every channel, not only on the
 acceptance suite's seed. The last properties check the CLI's
 start:step:stop grid ranges, the range-hashed error-stream seeds
-against SeedSequence, and the sweep commands' exit contract on argv
-drawn from their flag grammar.
+against SeedSequence, and the exit contract of the sweep commands and
+cross-check-sinr on argv drawn from their flag grammar.
 """
 
 import contextlib
@@ -14,6 +14,7 @@ import csv
 import io
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -256,51 +257,79 @@ def float_list(values, max_size):
 
 
 @st.composite
-def sweep_argv(draw):
-    """argv of one sweep command: every flag in range, except at most
-    one drawn from its type's whole grammar. In-range values include
-    extremes (error variances up to 1e300, SNRs up to 300 dB)."""
-    command = draw(st.sampled_from(("sweep-snr", "sweep-error-variance", "sweep-alpha")))
+def command_argv(draw):
+    """argv of one sweep command or of cross-check-sinr: every flag in
+    range, except at most one drawn from its type's whole grammar.
+    In-range values include extremes (error variances up to 1e300, SNRs
+    up to 300 dB); cross-check-sinr takes at most 200 samples."""
+    command = draw(st.sampled_from(
+        ("sweep-snr", "sweep-error-variance", "sweep-alpha", "cross-check-sinr")
+    ))
     users = draw(st.integers(1, 3))
     variance = st.one_of(st.floats(0.0, 1.0), st.sampled_from((1e-300, 1e300)))
     valid = {
         "--users": st.just(users),
         "--tx-antennas": st.integers(users, 4),
-        "--channels": st.integers(1, 3),
-        "--error-samples": st.integers(1, 3),
         "--schemes": st.sampled_from(("zf", "cthp-rs", "zf,dthp-rs", "zf-dpc,rs-linear")),
-        "--split-grid": st.sampled_from(("0", "0,0.5", "0:0.5:0.5", "0:0.25:0.75")),
         "--seed": st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**70)),
         "--lambda": st.floats(0.5, 1.0),
     }
     invalid = {
         "--users": st.integers(-1, 5),
         "--tx-antennas": st.integers(-1, 5),
-        "--channels": st.integers(-1, 0),
-        "--error-samples": st.integers(-1, 0),
         "--schemes": st.sampled_from(("thp", "zf,zf", "zf,", "")),
-        "--split-grid": st.one_of(st.sampled_from(("1", "-0.1", "0.5,0", "0:0.25:1")), ANY_GRID),
         "--seed": st.one_of(st.sampled_from((-1, -(2**32))), st.integers(-(2**70), -1)),
         "--lambda": ANY_FLOAT,
     }
-    if command == "sweep-error-variance":
-        valid["--snr-db"] = st.floats(-20.0, 300.0).map(repr)
-        valid["--error-variance"] = float_list(variance, 3)
-        invalid["--error-variance"] = ANY_GRID
+    if command == "cross-check-sinr":
+        # Mostly rate-splitting schemes, which take any --split.
+        valid.update({
+            "--schemes": st.sampled_from(
+                ("rs-linear", "cthp-rs", "dthp-rs,zf-dpc-rs", "zf,cthp")
+            ),
+            "--snr-db": st.floats(-20.0, 300.0),
+            "--error-variance": variance,
+            "--split": st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+            "--samples": st.integers(1, 200),
+        })
+        invalid.update({
+            "--snr-db": ANY_FLOAT,
+            "--error-variance": ANY_FLOAT,
+            "--split": ANY_FLOAT,
+            "--samples": st.integers(-1, 0),
+        })
     else:
-        valid["--snr-db"] = float_list(st.floats(-20.0, 300.0), 3)
-        if command == "sweep-snr":
-            valid["--error-variance"] = variance
-            invalid["--error-variance"] = ANY_FLOAT
+        valid.update({
+            "--channels": st.integers(1, 3),
+            "--error-samples": st.integers(1, 3),
+            "--split-grid": st.sampled_from(("0", "0,0.5", "0:0.5:0.5", "0:0.25:0.75")),
+        })
+        invalid.update({
+            "--channels": st.integers(-1, 0),
+            "--error-samples": st.integers(-1, 0),
+            "--split-grid": st.one_of(
+                st.sampled_from(("1", "-0.1", "0.5,0", "0:0.25:1")), ANY_GRID
+            ),
+            "--snr-db": ANY_GRID,
+        })
+        if command == "sweep-error-variance":
+            valid["--snr-db"] = st.floats(-20.0, 300.0).map(repr)
+            valid["--error-variance"] = float_list(variance, 3)
+            invalid["--error-variance"] = ANY_GRID
         else:
-            valid["--alpha"] = st.floats(-2.0, 2.0)
-            invalid["--alpha"] = ANY_FLOAT
-    invalid["--snr-db"] = ANY_GRID
+            valid["--snr-db"] = float_list(st.floats(-20.0, 300.0), 3)
+            if command == "sweep-snr":
+                valid["--error-variance"] = variance
+                invalid["--error-variance"] = ANY_FLOAT
+            else:
+                valid["--alpha"] = st.floats(-2.0, 2.0)
+                invalid["--alpha"] = ANY_FLOAT
     broken = draw(st.sampled_from((None,) * len(valid) + tuple(valid)))
     flags = {
         flag: draw(invalid[flag] if flag == broken else valid[flag]) for flag in valid
     }
-    flags["--jobs"] = draw(st.sampled_from((1, 2)))
+    if command != "cross-check-sinr":
+        flags["--jobs"] = draw(st.sampled_from((1, 2)))
     # --flag=value keeps argparse from reading "-1e308" as a flag.
     return [command] + [
         f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}"
@@ -308,24 +337,33 @@ def sweep_argv(draw):
     ]
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(sweep_argv())
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(command_argv())
 def test_sweep_commands_finish_or_fail_with_one_error_line(argv):
-    # Exit 0 with a finite CSV and its sidecar, or exit 2 with one
-    # error: line and no file; any exception or warning fails the test.
+    # Exit 2 with one error: line and no output, or finish: a sweep with
+    # exit 0, a finite CSV and its sidecar, cross-check-sinr with exit 0
+    # or 1 (a perfect-CSIT gap over the tolerance) and finite SINRs. Any
+    # exception or warning fails the test.
+    sweep = argv[0] != "cross-check-sinr"
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "x.csv")
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv + [f"--out={out}"])
+            code = main(argv + [f"--out={out}"] if sweep else argv)
         written = sorted(os.listdir(tmp))
         if code == 2:
             assert len(stderr.getvalue().splitlines()) == 1
             assert stderr.getvalue().startswith("error: ")
+            assert stdout.getvalue() == ""
             assert written == []
             return
-        assert code == 0
         assert stderr.getvalue() == ""
+        if not sweep:
+            assert code in (0, 1)
+            assert "closed" in stdout.getvalue()
+            assert not re.search(r"\b(nan|inf)\b", stdout.getvalue())
+            return
+        assert code == 0
         assert written == ["x.csv", "x.csv.config.json"]
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))

@@ -6,9 +6,12 @@ loops over the same formulas), and the Monte-Carlo signal-model
 estimator.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from rsthp import rates
 from rsthp import (
     SchemeTag,
     build_precoders,
@@ -397,6 +400,21 @@ class TestSaturation:
         )
         assert report.saturated
         assert np.all(report.private == SINR_CAP)
+
+    def test_cross_check_refuses_either_capped_report(self, monkeypatch):
+        # Two capped SINRs agree at a 0% gap, so a report that reached
+        # the cap is refused, not compared.
+        ps = build_precoders(random_channel(56), SchemeTag("dthp"), 10.0, 0.75)
+        zero = np.zeros((4, 4), dtype=complex)
+        with pytest.raises(SaturatedSinrError, match="^dthp: a closed-form SINR"):
+            cross_check_sinr(ps, zero, 0.0, 1000, seed=1)
+        estimate = rates.estimate_sinr_monte_carlo
+        monkeypatch.setattr(
+            rates, "estimate_sinr_monte_carlo",
+            lambda *args: dataclasses.replace(estimate(*args), saturated=True),
+        )
+        with pytest.raises(SaturatedSinrError, match="^dthp: a simulated SINR"):
+            cross_check_sinr(ps, zero, 1.0, 1000, seed=1)
 
 
 def cap_oracle(values):

@@ -320,6 +320,26 @@ class TestErgodicSumRate:
         assert a.esr == b.esr
 
 
+    @pytest.mark.parametrize("overrides", [
+        dict(error_regime=PERFECT),
+        dict(error_regime=FIXED),
+        dict(error_regime=ErrorRegime.snr_scaled(0.6)),
+        dict(error_regime=PERFECT, snr_grid_db=(15.0,), error_variance_grid=(0.1, 0.3)),
+    ], ids=["perfect", "fixed-variance", "snr-scaled", "error-variance-grid"])
+    def test_equals_the_run_sweep_cell(self, overrides):
+        # Every field, the per-channel tuples included.
+        cfg = small_config(**{"snr_grid_db": (10.0, 20.0), "n_channels": 3, **overrides})
+        for cell in run_sweep(cfg).cells:
+            if cfg.error_variance_grid:
+                snr_db, regime = cfg.snr_grid_db[0], ErrorRegime.fixed_variance(cell.x_value)
+            else:
+                snr_db, regime = cell.x_value, cfg.error_regime
+            assert cell == ergodic_sum_rate(
+                cfg, parse_scheme_tag(cell.scheme_tag), snr_db_to_power(snr_db),
+                regime, cell.x_value,
+            )
+
+
 class TestRunSweep:
     def test_deterministic_repeat(self):
         cfg = small_config(snr_grid_db=(10.0, 15.0))
@@ -531,7 +551,8 @@ class TestRunSweep:
         # A cap that cthp's SINRs exceed only on channel 2 or 3 and zf's
         # on channel 0 or 1: the second block fails at the first cell
         # (cthp), the first block at the second (zf). A serial run stops
-        # at cthp, so every n_jobs must raise cthp's error. Forked
+        # at the lowest failing channel's first failing cell, zf on
+        # channel 0 or 1, so every n_jobs must raise zf's error. Forked
         # workers inherit the patched cap.
         seed, snr_db, n_channels = 3, 30.0, 4
         e_tr = snr_db_to_power(snr_db)
@@ -552,10 +573,26 @@ class TestRunSweep:
         )
         messages = []
         for n_jobs in (1, 2):
-            with pytest.raises(SaturatedSinrError, match="^cthp:") as raised:
+            with pytest.raises(SaturatedSinrError, match="^zf:") as raised:
                 run_sweep(cfg, n_jobs=n_jobs)
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
+
+    def test_serial_failure_draws_no_later_channel(self, monkeypatch):
+        # Every SINR passes a cap of 1e-3, so channel 0's first cell
+        # fails; a serial run stops there instead of rating the others.
+        keys = []
+        stream = sweeps.stream_rng
+
+        def counting(seed, *key):
+            keys.append(key)
+            return stream(seed, *key)
+
+        monkeypatch.setattr(sweeps, "stream_rng", counting)
+        monkeypatch.setattr(rates, "SINR_CAP", 1e-3)
+        with pytest.raises(SaturatedSinrError, match="^dthp-rs: .* on channel 0$"):
+            run_sweep(small_config(n_channels=4))
+        assert keys == [(channel.CHANNEL_STREAM, 0)]
 
     def test_validates_before_running(self):
         with pytest.raises(EmptyGridError):
