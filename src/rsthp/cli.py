@@ -375,10 +375,11 @@ def cmd_cross_check_sinr(args) -> int:
     _require_seed(args.seed)
     _require_count("--samples", args.samples)
     check_dimensions(args.users, args.tx_antennas)
-    # One channel's matrices with one error draw, as a sweep counts them.
+    # One channel's matrices with one error draw and at most one build
+    # per scheme, as a sweep counts them.
     check_memory(
         f"{args.users} users and {args.tx_antennas} antennas",
-        matrix_bytes(args.users, args.tx_antennas, 1, 1, True),
+        matrix_bytes(args.users, args.tx_antennas, 1, 1, True, len(ALL_SCHEME_TAGS)),
         "--users/--tx-antennas",
     )
     _require_samples_fit(args.samples, args.users)

@@ -18,6 +18,7 @@ channel's are kept, so a build of the split search only picks its scale
 beta and its common stream.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -141,9 +142,11 @@ def build_precoders(
 
     Raises:
         SchemeMismatchError: power_split > 0 on a non-RS scheme.
-        ValueError: power_split or power_loss out of range.
+        ValueError: e_tr, power_split or power_loss out of range.
     """
     h_est = np.asarray(h_est, dtype=complex)
+    if not 0.0 < e_tr < math.inf:
+        raise ValueError(f"e_tr must be finite and > 0, got {e_tr}")
     if not 0.0 <= power_split < 1.0:
         raise ValueError(f"power_split must be in [0, 1), got {power_split}")
     if not 0.0 < power_loss <= 1.0:
@@ -155,11 +158,11 @@ def build_precoders(
 
     if power_split > 0.0:
         direction = dominant_right_singular_vector(h_est)
-        p_common = np.sqrt(power_split * e_tr) * direction
-        e_private = e_tr - float(np.real(np.vdot(p_common, p_common)))
+        p_common = math.sqrt(power_split * e_tr) * direction
+        e_private = e_tr - np.vdot(p_common, p_common).real
     else:
         p_common = None
-        e_private = float(e_tr)
+        e_private = e_tr
 
     lambda_eff = power_loss if scheme.uses_power_loss else 1.0
     unit_map, b_matrix, unit_private, unit_power, rx_gain, g_diag = _geometry(
@@ -173,7 +176,7 @@ def build_precoders(
         rx_gain=rx_gain,
         g_diag=g_diag,
         b_matrix=b_matrix,
-        beta=float(np.sqrt(lambda_eff * e_private / unit_power)),
+        beta=math.sqrt(lambda_eff * e_private / unit_power),
         h_est=h_est,
         lambda_eff=lambda_eff,
     )
@@ -221,18 +224,3 @@ def _geometry(h_bytes: bytes, shape: tuple[int, ...]) -> dict[str, tuple]:
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
     return by_base
-
-
-def effective_transmit_power(precoders: PrecoderSet) -> float:
-    """Average radiated power of the transmit chain for this precoder set.
-
-    The private signal on the air is tx_basis times the feedback outputs
-    (the private symbols for zero-forcing), whose per-symbol power is
-    1 / lambda_eff (1 for zero-forcing); the feedback inverse never
-    touches the air, so its energy does not count.
-    """
-    common = 0.0
-    if precoders.p_common is not None:
-        common = float(np.real(np.vdot(precoders.p_common, precoders.p_common)))
-    private = float(np.sum(np.abs(precoders.tx_basis) ** 2)) / precoders.lambda_eff
-    return common + private

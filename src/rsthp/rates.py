@@ -4,9 +4,11 @@ Closed forms and a Monte-Carlo estimator live side by side. The closed
 forms of all eight schemes are evaluated through one kernel for perfect
 and imperfect CSIT (perfect is the zero-error special case), so the
 reduction between the two is exact by construction. One kernel call
-rates a channel's whole power-split grid (sum_rate_table); a single
-split (sum_rate_samples, sinr_imperfect_csit) is its one-row view, with
-the same bits. The estimator
+rates every build that shares a private geometry on one channel, at
+any splits and powers (sum_rate_table): the sweep stacks a channel's
+cells of one geometry and error variance into it. A single build
+(sum_rate_samples, sinr_imperfect_csit) is its one-row view, with the
+same bits. The estimator
 simulates the received signal model directly and is the independent
 check on the algebra. Neither asks where a scheme puts its THP gains:
 PrecoderSet.unit_map and rx_gain carry that.
@@ -74,31 +76,55 @@ class RateReport:
     sum_rate: float
 
 
-def _cap(values: np.ndarray) -> tuple[np.ndarray, bool]:
-    """(values capped at SINR_CAP, whether any exceeded it or was not
-    finite). A batch that is finite and within the cap, the usual case,
-    comes back as it is: a NaN or an infinity fails the test below."""
+def _cap(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values capped at SINR_CAP, for each index of the first axis
+    whether any of its values exceeded the cap or was not finite). A
+    batch that is finite and within the cap, the usual case, comes back
+    as it is: a NaN or an infinity fails the test below."""
     if np.abs(values).max(initial=0.0) <= SINR_CAP:
-        return values, False
+        return values, np.zeros(len(values), dtype=bool)
     finite = np.isfinite(values)
-    saturated = bool(np.any(~finite) or np.any(values[finite] > SINR_CAP))
     values = np.where(finite, values, SINR_CAP)
-    return np.minimum(values, SINR_CAP), saturated
+    saturated = ~finite | (values > SINR_CAP)
+    return (
+        np.minimum(values, SINR_CAP),
+        saturated.reshape(len(values), -1).any(axis=1),
+    )
 
 
-def _saturation(scheme_tag: str, what: str) -> SaturatedSinrError:
+def _saturation(
+    scheme_tag: str, what: str, set_index: int | None = None
+) -> SaturatedSinrError:
     """The error for SINRs at SINR_CAP or not finite, without a grid point."""
     return SaturatedSinrError(
-        f"{scheme_tag}: {what} reached the cap {SINR_CAP:g} or was not finite"
+        f"{scheme_tag}: {what} reached the cap {SINR_CAP:g} or was not finite",
+        set_index,
+    )
+
+
+def _same_geometry(ps: PrecoderSet, first: PrecoderSet) -> bool:
+    """Whether ps has first's private geometry on first's channel. A
+    shared unit_private settles it without comparing values: one
+    precoding._geometry entry, for one channel estimate, hands it out."""
+    if ps.unit_private is first.unit_private:
+        return True
+    return all(
+        np.array_equal(a, b)
+        for a, b in (
+            (ps.unit_private, first.unit_private),
+            (ps.rx_gain, first.rx_gain),
+            (ps.h_est, first.h_est),
+        )
     )
 
 
 def _batch_sinr(
     precoder_sets: Sequence[PrecoderSet], errors: np.ndarray, sigma_n2: float
-) -> tuple[np.ndarray, list[int], np.ndarray | None, bool]:
-    """Closed-form SINRs of the T builds of one scheme on one channel
-    (they share h_est, unit_private and rx_gain) over (M >= 1, K, N)
-    errors; all-zero errors give the perfect-CSIT values.
+) -> tuple[np.ndarray, list[int], np.ndarray | None, np.ndarray]:
+    """Closed-form SINRs of S builds that share one private geometry on
+    one channel (h_est, unit_private and rx_gain: any splits and powers
+    of one base, and dthp with zf-dpc) over (M >= 1, K, N) errors;
+    all-zero errors give the perfect-CSIT values.
 
     One formula serves all eight schemes. With G = beta (h_est + E) @
     unit_private and g = rx_gain, the private SINR is |g^2 G_kk +
@@ -108,12 +134,13 @@ def _batch_sinr(
     A = G / beta - diag(1 / g). The common stream treats the whole
     private signal, sum_j |G_kj|^2, as interference; a set without one
     (split 0) has no common term at all, not a zero one. Only beta and
-    the common stream change with the split, so G0 = (h_est + E) @
-    unit_private is formed once and every split scales its powers by
-    beta^2 elementwise: each split gets the bits rating it alone gives.
-    Returns capped (private (T, M, K), the indices of the sets with a
+    the common stream differ between the sets, so G0 = (h_est + E) @
+    unit_private is formed once and every set scales its powers by
+    beta^2 elementwise, and each common gain is that set's own
+    (h_est + E) @ p_common: each set gets the bits rating it alone gives.
+    Returns capped (private (S, M, K), the indices of the sets with a
     common stream, their common SINRs (len(indices), M, K) or None,
-    saturated).
+    whether each set's SINRs saturated (S,)).
     """
     first = precoder_sets[0]
     h_est = first.h_est
@@ -123,11 +150,9 @@ def _batch_sinr(
             f"{h_est.shape[0]}, {h_est.shape[1]})"
         )
     for t, ps in enumerate(precoder_sets):
-        if ps.scheme != first.scheme or not (
-            ps.h_est is h_est or np.array_equal(ps.h_est, h_est)
-        ):
+        if not _same_geometry(ps, first):
             raise SchemeMismatchError(
-                "a split table rates one scheme on one channel; precoder "
+                "a table rates one private geometry on one channel; precoder "
                 f"set {t} ({ps.scheme.tag}) differs from set 0 ({first.scheme.tag})"
             )
     n_draws, n_users, n_tx = errors.shape
@@ -153,6 +178,7 @@ def _batch_sinr(
         private = beta2 * signal0 / (gain2 * (beta2 * cross0 + sigma_n2))
         common = None
         if common_at:
+            # One gemv per set: a single stacked product rounds differently.
             common_gains = np.stack(
                 [rows @ precoder_sets[t].p_common for t in common_at]
             ).reshape(-1, n_draws, n_users)
@@ -161,7 +187,7 @@ def _batch_sinr(
     private, saturated = _cap(private)
     if common is not None:
         common, sat_c = _cap(common)
-        saturated = saturated or sat_c
+        saturated[common_at] |= sat_c
     return private, common_at, common, saturated
 
 
@@ -180,7 +206,7 @@ def sinr_imperfect_csit(
         csit="perfect" if not np.any(error_realization) else "imperfect",
         private=private[0, 0],
         common=None if common is None else common[0, 0],
-        saturated=saturated,
+        saturated=bool(saturated[0]),
     )
 
 
@@ -215,22 +241,25 @@ def rates_from_sinr(report: SinrReport) -> RateReport:
 def sum_rate_table(
     precoder_sets: Sequence[PrecoderSet], errors: np.ndarray, sigma_n2: float
 ) -> np.ndarray:
-    """Per-realization sum rates of every power split of one scheme on
-    one channel, from one kernel call.
+    """Per-realization sum rates of S builds that share one private
+    geometry on one channel, from one kernel call.
 
-    precoder_sets are the T builds (one per split) of one scheme on one
-    channel estimate; errors has shape (M, K, N). Each realization is
-    rated independently (common stream at its per-realization worst
-    user) and the (T, M) table of sum rates is returned. Row t is
-    bit-identical to sum_rate_samples(precoder_sets[t], errors,
+    precoder_sets are builds on one channel estimate whose bases share
+    their geometry (zf, cthp, or dthp with zf-dpc), at any power splits
+    and transmit powers; errors has shape (M, K, N). Each realization
+    is rated independently (common stream at its per-realization worst
+    user) and the (S, M) table of sum rates is returned. Row s is
+    bit-identical to sum_rate_samples(precoder_sets[s], errors,
     sigma_n2).
 
     Raises:
         EmptyGridError: no precoder sets.
-        SchemeMismatchError: the sets differ in scheme or channel.
-        SaturatedSinrError: an SINR of any split reached SINR_CAP or was
+        SchemeMismatchError: the sets differ in private geometry or
+            channel.
+        SaturatedSinrError: an SINR of any set reached SINR_CAP or was
             not finite, so the capped rate would be averaged in as if it
-            were real.
+            were real. It names the scheme of the first such set, whose
+            index is its set_index.
     """
     if not precoder_sets:
         raise EmptyGridError("no precoder sets to rate")
@@ -238,8 +267,9 @@ def sum_rate_table(
     private, common_at, common, saturated = _batch_sinr(
         precoder_sets, errors, sigma_n2
     )
-    if saturated:
-        raise _saturation(precoder_sets[0].scheme.tag, "an SINR")
+    if saturated.any():
+        first = int(np.argmax(saturated))
+        raise _saturation(precoder_sets[first].scheme.tag, "an SINR", first)
     # The per-user reductions run over the K user slices: numpy's
     # per-row reduction overhead over a short last axis costs more than
     # the SINRs. The sum adds in user order, which is np.sum's order for
@@ -320,9 +350,10 @@ def estimate_sinr_monte_carlo(
                 np.abs(received) ** 2, axis=0
             )
     private, saturated = _cap(private)
+    saturated = bool(saturated.any())
     if common is not None:
         common, sat_c = _cap(common)
-        saturated = saturated or sat_c
+        saturated = saturated or bool(sat_c.any())
     return SinrReport(
         scheme_tag=precoders.scheme.tag,
         csit="perfect" if not np.any(h_e) else "imperfect",
@@ -355,7 +386,11 @@ def cross_check_sinr(
     Gaps beyond CROSS_CHECK_TOL are recorded as annotations rather than
     hidden. The THP closed forms keep the published structure (unit-power
     effective symbols, numerator |1 + g_k^2 A_kk|^2), so a systematic gap
-    there is expected and documented, not an error.
+    there is expected and documented, not an error. Each annotation
+    names only what the closed form leaves out for this scheme: the
+    lattice offsets' power for a modulo scheme (cthp, dthp), the
+    numerator where rx_gain is not all ones (dthp, zf-dpc); else the
+    estimator's n_samples, whose sampling noise is then the cause.
 
     Raises:
         SaturatedSinrError: a closed-form or simulated SINR reached
@@ -371,11 +406,23 @@ def cross_check_sinr(
     gap_p = float(
         np.max(np.abs(estimated.private - closed.private) / closed.private)
     )
+    # What the closed forms leave out for this scheme; where they leave
+    # out nothing, a gap is the estimator's own sampling noise.
+    lattice = []
+    if precoders.scheme.uses_power_loss:
+        lattice.append(
+            "closed form takes the effective symbols at unit power, "
+            "without the lattice offsets' power"
+        )
+    private_causes = list(lattice)
+    if np.any(precoders.rx_gain != 1.0):
+        private_causes.append("numerator |1 + g_k^2 A_kk|^2")
+    sampling = [f"sampling noise of the estimator (n_samples={n_samples}, --samples)"]
     annotations = []
     if gap_p > CROSS_CHECK_TOL:
         annotations.append(
-            f"private SINR gap {gap_p:.1%} (csit={closed.csit}): closed form "
-            "leaves out any lattice offsets' power; numerator |1 + g_k^2 A_kk|^2"
+            f"private SINR gap {gap_p:.1%} (csit={closed.csit}): "
+            + "; ".join(private_causes or sampling)
         )
     gap_c = None
     if closed.common is not None:
@@ -384,9 +431,8 @@ def cross_check_sinr(
         )
         if gap_c > CROSS_CHECK_TOL:
             annotations.append(
-                f"common SINR gap {gap_c:.1%} (csit={closed.csit}): closed "
-                "form takes the private effective symbols at unit power, "
-                "without the lattice offsets' power"
+                f"common SINR gap {gap_c:.1%} (csit={closed.csit}): "
+                + "; ".join(lattice or sampling)
             )
     return SinrCrossCheck(
         closed=closed,

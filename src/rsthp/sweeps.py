@@ -12,20 +12,25 @@ The unit of work is a channel: its best split and average sum rate in
 a cell depend on that channel's draws alone, and a cell is the mean
 over its channels (the ergodic sum rate as a mean of per-channel
 sample averages). _rate_channel rates every cell on one channel and
-raises the first error it meets; run_sweep and ergodic_sum_rate both
-rate through it and join each cell's values in channel order.
+raises the first failing cell's error in output order; run_sweep and
+ergodic_sum_rate both rate through it and join each cell's values in
+channel order.
 
 The per-process caches hold only the current channel: draw_error_ensemble
-keeps its unit draws, and each cell rescales them to its own variance;
+keeps its unit draws, and each error variance rescales them;
 build_precoders keeps its geometry for all base schemes, and linalg its
 common-stream direction, so every split and grid point only rescales
-them. The split search rates a channel's whole grid in one kernel call
-(rates.sum_rate_table), which gives each split the bits that rating it
-alone gives. SweepConfig.validate rejects a config whose estimated
+them. The eight schemes share three private geometries (zf, cthp, and
+dthp with zf-dpc), and a channel's cells that share a geometry and an
+error variance are rated in one kernel call (rates.sum_rate_table),
+every split of every such cell stacked; it gives each split the bits
+that rating it alone gives, and optimize_power_split is the same search
+for one cell. SweepConfig.validate rejects a config whose estimated
 working set in one process exceeds MEMORY_BUDGET_BYTES (512 MiB).
 """
 
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -69,6 +74,11 @@ _RESULT_BYTES = 2 * (8 + 8 + 32)
 # Bytes each channel's row keeps beyond its values: the array's header
 # (128 B) and its list slot.
 _ROW_BYTES = 128 + 8
+
+# Bytes one build keeps until its channel is rated, beyond its common
+# stream's values: the PrecoderSet with its scalars and the stream's
+# array header (about 400 B, measured with tracemalloc).
+_BUILD_BYTES = 512
 
 
 def default_power_split_grid() -> tuple[float, ...]:
@@ -134,17 +144,24 @@ def optimize_power_split(
     grid,
     errors: np.ndarray,
 ) -> tuple[float, float]:
-    """Best power split on a grid by exhaustive sample-average search.
+    """Best power split on an ascending grid by exhaustive sample-average
+    search.
 
     Returns (split, average sum rate). Ties go to the smaller split so
     the result is unambiguous. The same error ensemble is used at every
     grid point, which keeps the objective a deterministic function of
     the split. One sum_rate_table call rates the whole grid; each
     split's average is bit-identical to average_sum_rate at that split.
+    This is the sweep's own path for one cell: the sweep stacks several
+    cells' grids into one table and picks each split the same way.
     """
     grid = tuple(float(t) for t in grid)
     if not grid:
         raise EmptyGridError("power-split grid is empty")
+    if list(grid) != sorted(set(grid)):
+        raise ValueError(
+            f"power splits must ascend without repeats, got {list(grid)}"
+        )
     if not scheme.rs and any(t > 0.0 for t in grid):
         raise SchemeMismatchError(
             f"scheme {scheme.tag} has no common stream to allocate power to"
@@ -152,11 +169,22 @@ def optimize_power_split(
     precoder_sets = [
         build_precoders(h_est, scheme, e_tr, power_loss, split) for split in grid
     ]
+    return _best_splits(sum_rate_table(precoder_sets, errors, SIGMA_N2), [grid])[0]
+
+
+def _best_splits(table: np.ndarray, grids: list) -> list[tuple[float, float]]:
+    """(split, average sum rate) of the best split of each ascending grid
+    whose rows lie back to back in a sum_rate_table table. The first of
+    equal averages wins, which gives ties to the smaller split."""
     # np.mean's own sum and division, without its per-call overhead.
-    table = sum_rate_table(precoder_sets, errors, SIGMA_N2)
     asrs = (table.sum(axis=1) / table.shape[1]).tolist()
-    best = min(range(len(grid)), key=lambda i: (-asrs[i], grid[i]))
-    return grid[best], asrs[best]
+    best, start = [], 0
+    for grid in grids:
+        run = asrs[start:start + len(grid)]
+        i = run.index(max(run))
+        best.append((grid[i], run[i]))
+        start += len(grid)
+    return best
 
 
 @dataclass(frozen=True)
@@ -287,25 +315,48 @@ def _working_set_bytes(config: SweepConfig, n_channels: int) -> int:
     M is the one all-zero realization."""
     drawn = bool(config.error_variance_grid) or not config.error_regime.is_perfect
     m = config.n_error_samples if drawn else 1
-    t = len(config.power_split_grid) if any(s.rs for s in config.schemes) else 1
-    n_cells = len(config.schemes) * len(config.error_variance_grid or config.snr_grid_db)
-    matrices = matrix_bytes(config.n_users, config.n_tx, m, t, drawn)
+    n_points = len(config.error_variance_grid or config.snr_grid_db)
+    n_cells = len(config.schemes) * n_points
+    n_builds = n_points * sum(
+        len(config.power_split_grid) if s.rs else 1 for s in config.schemes
+    )
+    matrices = matrix_bytes(
+        config.n_users, config.n_tx, m, _max_splits(config), drawn, n_builds
+    )
     return matrices + (_RESULT_BYTES * n_cells + _ROW_BYTES) * n_channels
 
 
-def matrix_bytes(k: int, n: int, m: int, t: int, drawn: bool) -> int:
-    """Estimated peak bytes of the arrays that rating one cell with M
-    error realizations and T splits on one (K, N) channel holds.
+def _max_splits(config: SweepConfig) -> int:
+    """The most splits one cell of config searches."""
+    return len(config.power_split_grid) if any(s.rs for s in config.schemes) else 1
+
+
+def _kernel_block_values(t: int, m: int, k: int) -> int:
+    """Values (sets x M x K) of one sum_rate_table block: one split
+    search's (T, M, K), or up to 2**16 when that is smaller, so cells
+    with few draws stack into one kernel call."""
+    return max(t * m * k, 2**16)
+
+
+def matrix_bytes(k: int, n: int, m: int, t: int, drawn: bool, n_builds: int) -> int:
+    """Estimated peak bytes of the arrays that rating every cell on one
+    (K, N) channel holds, with M error realizations, at most T splits
+    per cell and n_builds builds in all.
 
     In complex128 values: the cached unit error ensemble (M K N, when
-    drawn) and precoder geometry (under 10 K N), the cell's scaled
-    ensemble and h_est + E (2 M K N), the T builds of one split search
-    (2 T K N) and the kernel's gains (M K K); in float64 values, the
-    kernel's SINR and rate blocks, six of (T, M, K).
+    drawn) and precoder geometry (under 10 K N), one variance's scaled
+    ensemble and h_est + E (2 M K N), each build's common stream (N)
+    and the kernel's gains (M K K); _BUILD_BYTES per build; in float64
+    values, the kernel's SINR and rate blocks, six of one stacked block
+    of _kernel_block_values.
     """
     ensemble = m * k * n if drawn else 0
-    complex_values = ensemble + 10 * k * n + 2 * m * k * n + 2 * t * k * n + m * k * k
-    return 16 * complex_values + 8 * 6 * t * m * k
+    complex_values = ensemble + 10 * k * n + 2 * m * k * n + n_builds * n + m * k * k
+    return (
+        16 * complex_values
+        + _BUILD_BYTES * n_builds
+        + 8 * 6 * _kernel_block_values(t, m, k)
+    )
 
 
 @dataclass(frozen=True)
@@ -388,33 +439,112 @@ def _rate_channel(
     """The best power split and its average sum rate of every cell on
     one channel, as a (2, len(cells)) array.
 
-    The channel's error ensemble (one all-zero realization under perfect
-    CSIT) is shared by every split; its unit draws are rescaled to each
-    cell's variance, so every scheme and grid point sees the same draws.
     Rate-splitting schemes search the power-split grid; base schemes
-    search the one-point grid (0.0,). The first failing cell's error
-    propagates; a SaturatedSinrError gains its grid point and channel.
+    search the one-point grid (0.0,). Every build is made first; then
+    the cells that share an error variance and a private geometry
+    (precoding._geometry's arrays: zf with rs-linear, cthp with cthp-rs,
+    dthp with zf-dpc and their RS schemes) are rated in one
+    sum_rate_table call per block of at most _kernel_block_values
+    values. Each variance's ensemble (one all-zero realization under
+    perfect CSIT) rescales the channel's unit draws, so every scheme
+    and grid point sees the same draws. A build's error propagates at
+    the first cell; a SaturatedSinrError is raised for the first
+    saturated cell in output order, with its grid point and channel,
+    whichever block meets it first.
     """
+    n_users, n_tx = config.n_users, config.n_tx
+    grids, builds = [], []
+    blocks = {}  # variance -> {geometry -> cell indices}; None is perfect CSIT
+    for index, (scheme, _, e_tr, regime) in enumerate(cells):
+        # One channel draw per cell and one build per (cell, split): the
+        # calls bench/tests/test_tracer.py pins.
+        h_est = draw_channel(config.master_seed, channel_index, n_users, n_tx)
+        grids.append(config.power_split_grid if scheme.rs else (0.0,))
+        builds.append([
+            build_precoders(h_est, scheme, e_tr, config.power_loss, split)
+            for split in grids[-1]
+        ])
+        variance = None if regime.is_perfect else regime.variance_at(e_tr)
+        geometry = id(builds[-1][0].unit_private)
+        blocks.setdefault(variance, {}).setdefault(geometry, []).append(index)
+
+    t = _max_splits(config)
     row = np.empty((2, len(cells)))
-    for index, (scheme, x_value, e_tr, regime) in enumerate(cells):
-        grid = config.power_split_grid if scheme.rs else (0.0,)
-        h_est = draw_channel(config.master_seed, channel_index, config.n_users, config.n_tx)
-        if regime.is_perfect:
-            errors = np.zeros((1, config.n_users, config.n_tx), dtype=complex)
+    failed = None  # (cell index, message) of the first saturated cell
+    for variance, by_geometry in blocks.items():
+        if variance is None:
+            errors = np.zeros((1, n_users, n_tx), dtype=complex)
         else:
             errors = draw_error_ensemble(
-                config.n_users, config.n_tx, regime.variance_at(e_tr),
-                config.n_error_samples, config.master_seed, channel_index,
+                n_users, n_tx, variance, config.n_error_samples,
+                config.master_seed, channel_index,
             )
-        try:
-            row[:, index] = optimize_power_split(
-                h_est, scheme, e_tr, config.power_loss, grid, errors
-            )
-        except SaturatedSinrError as exc:
-            raise SaturatedSinrError(
-                f"{exc} at {config.x_kind}={x_value:g} on channel {channel_index}"
-            ) from None
+        m = len(errors)
+        max_sets = _kernel_block_values(t, m, n_users) // (m * n_users)
+        for members in by_geometry.values():
+            sizes = [len(builds[i]) for i in members]
+            for block in _chunk(members, sizes, max_sets):
+                if failed is not None and block[0] > failed[0]:
+                    continue
+                try:
+                    table = sum_rate_table(
+                        [ps for i in block for ps in builds[i]], errors, SIGMA_N2
+                    )
+                except SaturatedSinrError as exc:
+                    cell = [i for i in block for _ in builds[i]][exc.set_index]
+                    if failed is None or cell < failed[0]:
+                        failed = (cell, str(exc))
+                    continue
+                best = _best_splits(table, [grids[i] for i in block])
+                for i, split_asr in zip(block, best):
+                    row[:, i] = split_asr
+    if failed is not None:
+        cell, message = failed
+        raise SaturatedSinrError(
+            f"{message} at {config.x_kind}={cells[cell][1]:g} on channel {channel_index}"
+        )
     return row
+
+
+def _chunk(items: list, sizes: list[int], limit: int) -> list[list]:
+    """items in order, cut into runs whose sizes sum to at most limit
+    (a run of one item may exceed it)."""
+    runs, run, total = [], [], 0
+    for item, size in zip(items, sizes):
+        if run and total + size > limit:
+            runs.append(run)
+            run, total = [], 0
+        run.append(item)
+        total += size
+    runs.append(run)
+    return runs
+
+
+# In a pool worker: the lowest channel that any worker of its pool has
+# seen fail, n_channels while none has (a multiprocessing.Value that
+# the pool's initializer hands over).
+_lowest_failure = None
+
+
+def _share_lowest_failure(value) -> None:
+    global _lowest_failure
+    _lowest_failure = value
+
+
+def _rate_channel_in_pool(
+    config: SweepConfig, cells: list[tuple], channel_index: int
+) -> np.ndarray | None:
+    """_rate_channel in a pool worker; None, without rating it, for a
+    channel above the lowest failing one seen so far, whose error (or a
+    lower channel's) the run raises anyway."""
+    if channel_index > _lowest_failure.value:
+        return None
+    try:
+        return _rate_channel(config, cells, channel_index)
+    except Exception:
+        with _lowest_failure.get_lock():
+            _lowest_failure.value = min(_lowest_failure.value, channel_index)
+        raise
 
 
 def run_sweep(config: SweepConfig, n_jobs: int = 1) -> SweepResult:
@@ -427,20 +557,27 @@ def run_sweep(config: SweepConfig, n_jobs: int = 1) -> SweepResult:
     the output is bit-identical at any n_jobs. A failing run raises the
     error of the lowest failing channel's first failing cell in output
     order, the one a serial run meets and stops at: both map and the
-    pool's map yield channels in order.
+    pool's map yield channels in order. Pool workers skip every channel
+    above the lowest one that has failed so far, and still rate every
+    channel below it.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     config.validate()
     cells = _sweep_cells(config)
-    rate = partial(_rate_channel, config, cells)
     channels = range(config.n_channels)
     n_workers = min(n_jobs, config.n_channels)
     if n_workers > 1:
+        lowest_failure = multiprocessing.Value("q", config.n_channels)
         # The pool starts all its workers at the first submit.
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=n_workers,
+            initializer=_share_lowest_failure,
+            initargs=(lowest_failure,),
+        ) as pool:
             chunksize = math.ceil(config.n_channels / n_workers)
+            rate = partial(_rate_channel_in_pool, config, cells)
             rows = list(pool.map(rate, channels, chunksize=chunksize))
     else:
-        rows = list(map(rate, channels))
+        rows = list(map(partial(_rate_channel, config, cells), channels))
     return SweepResult(config=config, cells=_join(cells, rows))

@@ -265,6 +265,23 @@ class TestCrossCheckCommand:
         assert code == 0
         assert "closed form" in capsys.readouterr().out
 
+    def test_gap_notes_name_what_the_scheme_leaves_out(self, capsys):
+        # One sample of one 1x1 channel: zf's closed form is exact, so
+        # its 15% gap is the estimator's noise, not lattice offsets;
+        # cthp has lattice offsets but no receiver gain, zf-dpc the
+        # reverse.
+        code = run_cli("cross-check-sinr", "--schemes", "zf,cthp,zf-dpc",
+                       "--users", "1", "--tx-antennas", "1", "--samples", "1")
+        assert code == 1
+        notes = [line for line in capsys.readouterr().out.splitlines()
+                 if "note:" in line]
+        assert len(notes) == 3
+        zf, cthp, zf_dpc = notes
+        assert "lattice" not in zf and "numerator" not in zf
+        assert "n_samples=1, --samples" in zf
+        assert "lattice offsets" in cthp and "numerator" not in cthp
+        assert "numerator" in zf_dpc and "lattice" not in zf_dpc
+
 
 class TestErrorHandling:
     def test_unknown_scheme(self, tmp_path, capsys):

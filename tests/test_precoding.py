@@ -18,7 +18,22 @@ from rsthp import (
 from rsthp import linalg, precoding
 from rsthp.exceptions import RankDeficientError, SchemeMismatchError, ZeroMatrixError
 from rsthp.linalg import lq_decompose
-from rsthp.precoding import ALL_SCHEME_TAGS, effective_transmit_power
+from rsthp.precoding import ALL_SCHEME_TAGS
+
+
+def effective_transmit_power(precoders):
+    """Average radiated power of the transmit chain for this precoder set.
+
+    The private signal on the air is tx_basis times the feedback outputs
+    (the private symbols for zero-forcing), whose per-symbol power is
+    1 / lambda_eff (1 for zero-forcing); the feedback inverse never
+    touches the air, so its energy does not count.
+    """
+    common = 0.0
+    if precoders.p_common is not None:
+        common = float(np.real(np.vdot(precoders.p_common, precoders.p_common)))
+    private = float(np.sum(np.abs(precoders.tx_basis) ** 2)) / precoders.lambda_eff
+    return common + private
 
 
 def random_channel(seed, shape=(4, 4)):
@@ -222,6 +237,13 @@ class TestValidation:
     def test_power_loss_range(self):
         with pytest.raises(ValueError):
             build_precoders(H2, SchemeTag("dthp"), 10.0, 0.0)
+
+    def test_power_range(self):
+        # A power that is not finite and > 0 would give a NaN or zero
+        # scale beta, or fail inside a square root.
+        for e_tr in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="e_tr must be finite and > 0"):
+                build_precoders(H2, SchemeTag("zf", rs=True), e_tr, 0.75, 0.5)
 
     def test_deterministic(self):
         h = random_channel(11)

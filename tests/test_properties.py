@@ -24,7 +24,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from rsthp import (  # noqa: E402
+    ErrorRegime,
     SchemeTag,
+    SweepConfig,
     SimulatorError,
     build_precoders,
     draw_error_ensemble,
@@ -36,8 +38,16 @@ from rsthp import (  # noqa: E402
 )
 from rsthp.channel import ERROR_STREAM, _error_states  # noqa: E402
 from rsthp.cli import MAX_RANGE_POINTS, main, parse_grid  # noqa: E402
+from rsthp.exceptions import SaturatedSinrError  # noqa: E402
+from rsthp.precoding import ALL_SCHEME_TAGS  # noqa: E402
 from rsthp.rates import sum_rate_table  # noqa: E402
-from rsthp.sweeps import SIGMA_N2, draw_channel  # noqa: E402
+from rsthp.sweeps import (  # noqa: E402
+    SIGMA_N2,
+    _rate_channel,
+    _sweep_cells,
+    draw_channel,
+    optimize_power_split,
+)
 
 N_DRAWS = 3
 BASES = ("zf", "cthp", "dthp", "zf-dpc")
@@ -188,6 +198,102 @@ def test_split_table_rows_match_the_per_split_formula(case, n_draws, splits):
         np.testing.assert_allclose(row, per_split_rates(ps, errors), rtol=1e-12)
     alone = build_precoders(case["h_est"], base, case["e_tr"], case["power_loss"])
     assert np.array_equal(table[0], sum_rate_table([alone], errors, SIGMA_N2)[0])
+
+
+@st.composite
+def sweep_channels(draw):
+    """A small valid SweepConfig (K <= N <= 4, one to three grid points,
+    an ascending split grid holding 0) and a channel index."""
+    n_users = draw(st.integers(1, 4))
+    n_tx = draw(st.integers(n_users, 4))
+    schemes = draw(st.lists(st.sampled_from(ALL_SCHEME_TAGS), min_size=1,
+                            max_size=len(ALL_SCHEME_TAGS), unique=True))
+    n_points = draw(st.integers(1, 3))
+    snrs = st.floats(-10.0, 30.0)
+    regime = draw(st.sampled_from(("perfect", "fixed", "variance-grid")))
+    if regime == "variance-grid":
+        axis = dict(
+            snr_grid_db=(draw(snrs),),
+            error_variance_grid=tuple(draw(st.lists(
+                st.floats(0.0, 1.0), min_size=n_points, max_size=n_points,
+                unique=True))),
+        )
+    else:
+        axis = dict(snr_grid_db=tuple(draw(st.lists(
+            snrs, min_size=n_points, max_size=n_points, unique=True))))
+        if regime == "fixed":
+            axis["error_regime"] = ErrorRegime.fixed_variance(draw(st.floats(0.0, 1.0)))
+    splits = draw(st.lists(st.floats(0.0, 0.95), max_size=4))
+    config = SweepConfig(
+        n_users=n_users,
+        n_tx=n_tx,
+        schemes=tuple(schemes),
+        n_channels=1,
+        n_error_samples=draw(st.integers(1, 3)),
+        power_loss=draw(st.floats(0.5, 1.0)),
+        power_split_grid=tuple(sorted({0.0, *splits})),
+        master_seed=draw(st.integers(0, 2**31 - 1)),
+        **axis,
+    )
+    config.validate()
+    return config, draw(st.integers(0, 1000))
+
+
+def cell_reference(config, cell, channel_index):
+    """optimize_power_split for one cell of a sweep on one channel."""
+    scheme, _, e_tr, regime = cell
+    n_users, n_tx = config.n_users, config.n_tx
+    if regime.is_perfect:
+        errors = np.zeros((1, n_users, n_tx), dtype=complex)
+    else:
+        errors = draw_error_ensemble(
+            n_users, n_tx, regime.variance_at(e_tr), config.n_error_samples,
+            config.master_seed, channel_index,
+        )
+    return optimize_power_split(
+        draw_channel(config.master_seed, channel_index, n_users, n_tx), scheme,
+        e_tr, config.power_loss, config.power_split_grid if scheme.rs else (0.0,),
+        errors,
+    )
+
+
+@PROPERTY_SETTINGS
+@given(sweep_channels())
+def test_each_channel_column_is_its_cells_own_split_search(config_channel):
+    # The sweep stacks the cells that share a geometry and a variance
+    # into one kernel call; each cell keeps the bits and the split of
+    # its own search.
+    config, channel_index = config_channel
+    cells = _sweep_cells(config)
+    row = _rate_channel(config, cells, channel_index)
+    for cell, column in zip(cells, row.T):
+        assert tuple(column.tolist()) == cell_reference(config, cell, channel_index)
+
+
+@PROPERTY_SETTINGS
+@given(sweep_channels(), st.floats(0.0, 4.0))
+def test_a_saturated_channel_names_its_first_failing_cell(config_channel, log_cap):
+    # With a cap of 1 to 1e4 some cells saturate and some do not; the
+    # error is the first failing cell's in output order, whichever
+    # block the sweep rates first.
+    config, channel_index = config_channel
+    cells = _sweep_cells(config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("rsthp.rates.SINR_CAP", 10.0**log_cap)
+        expected = None
+        for cell in cells:
+            try:
+                cell_reference(config, cell, channel_index)
+            except SaturatedSinrError as exc:
+                expected = (f"{exc} at {config.x_kind}={cell[1]:g} "
+                            f"on channel {channel_index}")
+                break
+        if expected is None:
+            _rate_channel(config, cells, channel_index)
+        else:
+            with pytest.raises(SaturatedSinrError) as raised:
+                _rate_channel(config, cells, channel_index)
+            assert str(raised.value) == expected
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

@@ -336,16 +336,43 @@ class TestSumRateTable:
             sum_rate_table(sets, np.zeros((1, 4, 4), dtype=complex), 1.0)
 
     def test_rejects_mixed_or_empty_tables(self):
-        h, errors = random_channel(64), np.zeros((1, 4, 4), dtype=complex)
+        # One table rates one private geometry on one channel: dthp and
+        # zf-dpc share theirs, so they stack, each row with the bits of
+        # its set rated alone; cthp or another channel does not.
+        h, errors = random_channel(64), draw_error_ensemble(4, 4, 0.2, 5, seed=64)
         dthp = build_precoders(h, SchemeTag("dthp"), 31.0, 0.75)
         with pytest.raises(EmptyGridError):
             sum_rate_table([], errors, 1.0)
+        mixed = [
+            dthp,
+            build_precoders(h, SchemeTag("zf-dpc", rs=True), 10.0, 0.75, 0.3),
+            build_precoders(h.copy(), SchemeTag("zf-dpc"), 31.0, 0.75),
+        ]
+        table = sum_rate_table(mixed, errors, 1.0)
+        for row, ps in zip(table, mixed):
+            assert np.array_equal(row, sum_rate_table([ps], errors, 1.0)[0])
         for other in (
-            build_precoders(h, SchemeTag("zf-dpc"), 31.0, 0.75),
+            build_precoders(h, SchemeTag("cthp"), 31.0, 0.75),
             build_precoders(random_channel(65), SchemeTag("dthp"), 31.0, 0.75),
         ):
             with pytest.raises(SchemeMismatchError):
                 sum_rate_table([dthp, other], errors, 1.0)
+
+    def test_saturation_names_the_first_saturated_set(self):
+        # A cap between zf-dpc's and dthp's peaks saturates the zf-dpc
+        # sets only; the error names the first of them and its index.
+        h, zero = random_channel(68), np.zeros((1, 4, 4), dtype=complex)
+        sets = [build_precoders(h, SchemeTag("dthp"), 31.0, 0.75),
+                build_precoders(h, SchemeTag("zf-dpc"), 31.0, 0.75),
+                build_precoders(h, SchemeTag("dthp"), 31.0, 0.75)]
+        peaks = [float(np.max(sinr_perfect_csit(ps, 1.0).private)) for ps in sets]
+        assert peaks[1] > 1.2 * peaks[0]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rates, "SINR_CAP", float(np.sqrt(peaks[0] * peaks[1])))
+            sum_rate_table([sets[0], sets[2]], zero, 1.0)
+            with pytest.raises(SaturatedSinrError, match="^zf-dpc: ") as raised:
+                sum_rate_table(sets, zero, 1.0)
+        assert raised.value.set_index == 1
 
 
 class TestOrderings:
@@ -443,8 +470,10 @@ class TestCap:
         batches.append(mixed)
         for batch in batches:
             want_values, want_flag = cap_oracle(batch.copy())
-            got_values, got_flag = _cap(batch.copy())
-            assert got_flag is want_flag
+            got_values, got_flags = _cap(batch.copy())
+            # One flag per row: whether the oracle flags that row alone.
+            assert got_flags.tolist() == [cap_oracle(row)[1] for row in batch]
+            assert got_flags.any() == want_flag
             assert got_values.shape == want_values.shape
             assert got_values.tobytes() == want_values.tobytes()
 

@@ -1,6 +1,8 @@
 """Tests for the Monte-Carlo sweep layer."""
 
 import math
+import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -141,6 +143,13 @@ class TestOptimizePowerSplit:
             optimize_power_split(
                 h, SchemeTag("dthp"), 31.0, 0.75, (0.0, 0.1), NO_ERROR
             )
+        # The first of equal maxima is the smaller split only on an
+        # ascending grid without repeats.
+        for grid in ((0.1, 0.0), (0.0, 0.1, 0.1)):
+            with pytest.raises(ValueError, match="must ascend"):
+                optimize_power_split(
+                    h, SchemeTag("dthp", rs=True), 31.0, 0.75, grid, NO_ERROR
+                )
 
     def test_empty_ensemble_is_rejected(self):
         # Every split would average to NaN and the search return no split.
@@ -469,9 +478,11 @@ class TestRunSweep:
         assert [info.misses for info in infos] == [n_channels] * 3
         assert [info.currsize for info in infos] == [1] * 3
 
-    def test_one_kernel_call_per_channel_cell(self, monkeypatch):
-        # The split search rates a channel's whole grid in one kernel
-        # call: one per (cell, channel), never one per split.
+    def test_one_kernel_call_per_channel_geometry_and_variance(self, monkeypatch):
+        # The cells of a channel that share a private geometry (zf with
+        # rs-linear, cthp alone here, dthp-rs with zf-dpc) and an error
+        # variance are rated in one kernel call, every split of every
+        # such cell stacked: never one call per cell or per split.
         sizes = []
         table = sweeps.sum_rate_table
 
@@ -481,12 +492,80 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweeps, "sum_rate_table", counting)
         n_channels = 3
-        cfg = small_config(snr_grid_db=(10.0, 20.0), n_channels=n_channels)
+        for regime in (PERFECT, ErrorRegime.snr_scaled(0.6)):
+            sizes.clear()
+            cfg = small_config(
+                schemes=tuple(parse_scheme_tag(t) for t in
+                              ("zf", "rs-linear", "cthp", "dthp-rs", "zf-dpc")),
+                error_regime=regime, snr_grid_db=(10.0, 20.0), n_channels=n_channels,
+            )
+            run_sweep(cfg)
+            n_splits = len(cfg.power_split_grid)
+            # Under perfect CSIT both SNR points share the one all-zero
+            # realization; an SNR-scaled variance gives each its own.
+            blocks = [2 * (1 + n_splits), 2, 2 * (n_splits + 1)]
+            if not regime.is_perfect:
+                blocks = [size // 2 for size in blocks] * 2
+            assert sorted(sizes) == sorted(blocks * n_channels)
+
+    def test_kernel_blocks_hold_at_most_the_charged_values(self, monkeypatch):
+        # A block stacks cells while it holds at most
+        # max(T M K, 2**16) values, the amount matrix_bytes charges, so
+        # with many draws a geometry's cells take several blocks.
+        values = []
+        table = sweeps.sum_rate_table
+
+        def recording(precoder_sets, errors, *args):
+            values.append(len(precoder_sets) * errors.shape[0] * errors.shape[1])
+            return table(precoder_sets, errors, *args)
+
+        monkeypatch.setattr(sweeps, "sum_rate_table", recording)
+        schemes = tuple(parse_scheme_tag(t) for t in ("dthp", "dthp-rs", "zf-dpc-rs"))
+        # 1 + 4 + 4 sets of one geometry: at 5000 draws T M K = 80000
+        # values, so each cell takes its own block; at 10 they stack.
+        for n_samples, n_blocks in ((5000, 3), (10, 1)):
+            values.clear()
+            cfg = small_config(schemes=schemes, n_channels=1, n_error_samples=n_samples)
+            run_sweep(cfg)
+            limit = sweeps._kernel_block_values(len(cfg.power_split_grid), n_samples, 4)
+            assert len(values) == n_blocks
+            assert max(values) <= limit
+            assert sum(values) == 9 * n_samples * 4
+
+    def test_sweep_keeps_the_traced_call_contract(self, monkeypatch):
+        # The benchmark's tracer counts these calls by name: one channel
+        # draw through sweeps.stream_rng per (cell, channel), one
+        # sweeps.build_precoders per (cell, split, channel) and one
+        # common-stream direction per nonzero split. The config spans
+        # all three private geometries and two error variances.
+        counts = {"draws": 0, "builds": 0, "directions": 0}
+        stream, build = sweeps.stream_rng, sweeps.build_precoders
+        direction = precoding.dominant_right_singular_vector
+
+        def counting(name, inner):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sweeps, "stream_rng", counting("draws", stream))
+        monkeypatch.setattr(sweeps, "build_precoders", counting("builds", build))
+        monkeypatch.setattr(precoding, "dominant_right_singular_vector",
+                            counting("directions", direction))
+        schemes = tuple(parse_scheme_tag(t) for t in
+                        ("zf", "rs-linear", "cthp-rs", "dthp", "zf-dpc-rs"))
+        cfg = small_config(
+            schemes=schemes, error_regime=PERFECT, snr_grid_db=(15.0,),
+            error_variance_grid=(0.1, 0.3), n_channels=2, n_error_samples=3,
+        )
         run_sweep(cfg)
-        # zf (one split) and dthp-rs (the whole grid) at two SNRs.
-        per_scheme = 2 * n_channels
-        n_splits = len(cfg.power_split_grid)
-        assert sorted(sizes) == [1] * per_scheme + [n_splits] * per_scheme
+        n_points, n_splits, n_rs = 2, len(cfg.power_split_grid), 3
+        n_cells = len(schemes) * n_points
+        assert counts == {
+            "draws": n_cells * cfg.n_channels,
+            "builds": n_points * (n_rs * n_splits + 2) * cfg.n_channels,
+            "directions": n_points * n_rs * (n_splits - 1) * cfg.n_channels,
+        }
 
     @staticmethod
     def recording_pool(monkeypatch):
@@ -496,9 +575,11 @@ class TestRunSweep:
         pools = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None, initargs=()):
                 self.max_workers = max_workers
                 pools.append(self)
+                if initializer is not None:
+                    initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -511,6 +592,8 @@ class TestRunSweep:
                 return map(fn, self.tasks)
 
         monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+        # The pool's initializer sets the worker's failure index here.
+        monkeypatch.setattr(sweeps, "_lowest_failure", None)
         return pools
 
     def test_pool_never_outnumbers_channels(self, monkeypatch):
@@ -578,6 +661,59 @@ class TestRunSweep:
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
 
+    def test_parallel_failure_skips_the_channels_above_it(self, monkeypatch):
+        # Two workers take channels 0-3 and 4-7. Channel 0 fails once
+        # channel 4 has started, and channel 4 ends once that failure is
+        # shared, so the count does not depend on timing: the second
+        # worker skips channels 5-7 instead of rating them. Forked
+        # workers inherit the patched _rate_channel.
+        n_channels, started = 8, 4
+        rated = multiprocessing.Array("b", n_channels)
+        rate = sweeps._rate_channel
+
+        def wait_for(condition):
+            deadline = time.monotonic() + 60.0
+            while not condition() and time.monotonic() < deadline:
+                time.sleep(0.001)
+
+        def recording(config, cells, channel_index):
+            rated[channel_index] = 1
+            if channel_index == 0:
+                wait_for(lambda: rated[started])
+                raise SaturatedSinrError("zf: an SINR failed on channel 0")
+            if channel_index == started:
+                wait_for(lambda: sweeps._lowest_failure.value == 0)
+            return rate(config, cells, channel_index)
+
+        monkeypatch.setattr(sweeps, "_rate_channel", recording)
+        with pytest.raises(SaturatedSinrError, match="on channel 0$"):
+            run_sweep(small_config(n_channels=n_channels), n_jobs=2)
+        assert [c for c in range(n_channels) if rated[c]] == [0, started]
+
+    def test_failure_is_the_first_failing_cell_in_a_later_block(self, monkeypatch):
+        # Cells dthp, zf, zf-dpc: the dthp geometry's block (dthp and
+        # zf-dpc) is rated before zf's. A cap above dthp's SINRs and
+        # below zf's and zf-dpc's fails that block at zf-dpc, the third
+        # cell, and zf's block at zf, the second, which a serial cell
+        # by cell search meets first.
+        seed, snr_db, power_loss = 0, 30.0, 0.5
+        e_tr = snr_db_to_power(snr_db)
+
+        def peak(base):
+            ps = build_precoders(channel_for(seed, 0), SchemeTag(base), e_tr, power_loss)
+            return float(np.max(sinr_perfect_csit(ps, SIGMA_N2).private))
+
+        passes, fails = peak("dthp"), min(peak("zf"), peak("zf-dpc"))
+        assert fails > 1.2 * passes
+        monkeypatch.setattr(rates, "SINR_CAP", float(np.sqrt(passes * fails)))
+        message = "^zf: .* at snr_db=30 on channel 0$"
+        with pytest.raises(SaturatedSinrError, match=message):
+            run_sweep(small_config(
+                schemes=tuple(parse_scheme_tag(t) for t in ("dthp", "zf", "zf-dpc")),
+                error_regime=PERFECT, snr_grid_db=(snr_db,), n_channels=1,
+                power_loss=power_loss, master_seed=seed,
+            ))
+
     def test_serial_failure_draws_no_later_channel(self, monkeypatch):
         # Every SINR passes a cap of 1e-3, so channel 0's first cell
         # fails; a serial run stops there instead of rating the others.
@@ -592,7 +728,8 @@ class TestRunSweep:
         monkeypatch.setattr(rates, "SINR_CAP", 1e-3)
         with pytest.raises(SaturatedSinrError, match="^dthp-rs: .* on channel 0$"):
             run_sweep(small_config(n_channels=4))
-        assert keys == [(channel.CHANNEL_STREAM, 0)]
+        # Every cell draws channel 0 before the kernel rates them.
+        assert set(keys) == {(channel.CHANNEL_STREAM, 0)}
 
     def test_validates_before_running(self):
         with pytest.raises(EmptyGridError):
