@@ -21,8 +21,8 @@ SeedSequence per realization. NumPy freezes the SeedSequence hash (NEP
 _error_states runs those rounds for a whole range of m at once and
 yields each key's generate_state(4, np.uint64); PCG64 seeds itself
 from that row as it would from the SeedSequence. stream_rng stays the
-single-key path for channel draws, and the tests hold the range path to
-it bit for bit.
+single-key path, with the last key's state cached, and the tests hold
+the range path to it bit for bit.
 """
 
 import math
@@ -55,9 +55,17 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 def stream_rng(master_seed: int, *key: int) -> np.random.Generator:
-    """Generator keyed by (master_seed, *key) via SeedSequence."""
+    """Generator of SeedSequence((master_seed, *key)); its _HashedSeed cannot spawn."""
     entropy = (int(master_seed),) + tuple(int(k) for k in key)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return np.random.Generator(np.random.PCG64(_HashedSeed(_stream_state(entropy))))
+
+
+@lru_cache(maxsize=1)
+def _stream_state(entropy: tuple[int, ...]) -> np.ndarray:
+    """Read-only SeedSequence(entropy).generate_state(4, np.uint64)."""
+    state = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+    state.flags.writeable = False
+    return state
 
 
 def complex_gaussian(

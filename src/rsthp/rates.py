@@ -5,10 +5,10 @@ forms of all eight schemes are evaluated through one kernel for perfect
 and imperfect CSIT (perfect is the zero-error special case), so the
 reduction between the two is exact by construction. One kernel call
 rates every build that shares a private geometry on one channel, at
-any splits and powers (sum_rate_table): the sweep stacks a channel's
-cells of one geometry and error variance into it. A single build
-(sum_rate_samples, sinr_imperfect_csit) is its one-row view, with the
-same bits. The estimator
+any splits, powers and error variances (stacked_sum_rate_table): the
+sweep stacks a channel's cells of one geometry into it. One ensemble
+(sum_rate_table) and one build (sum_rate_samples, sinr_imperfect_csit)
+are its views, with the same bits. The estimator
 simulates the received signal model directly and is the independent
 check on the algebra. Neither asks where a scheme puts its THP gains:
 PrecoderSet.unit_map and rx_gain carry that.
@@ -118,13 +118,26 @@ def _same_geometry(ps: PrecoderSet, first: PrecoderSet) -> bool:
     )
 
 
+def _stacked_rows(precoders: PrecoderSet, errors: np.ndarray) -> np.ndarray:
+    """h_est + E of one (M >= 1, K, N) ensemble as the (1, M K, N) stack."""
+    h_est = precoders.h_est
+    errors = np.asarray(errors, dtype=complex)
+    if errors.ndim != 3 or errors.shape[1:] != h_est.shape or not len(errors):
+        raise DimensionMismatchError(
+            f"errors shape {errors.shape} is not (M, K, N) = (M >= 1, "
+            f"{h_est.shape[0]}, {h_est.shape[1]})"
+        )
+    return (h_est + errors).reshape(1, -1, h_est.shape[1])
+
+
 def _batch_sinr(
-    precoder_sets: Sequence[PrecoderSet], errors: np.ndarray, sigma_n2: float
+    precoder_sets: Sequence[PrecoderSet], rows: np.ndarray, ensembles, sigma_n2: float
 ) -> tuple[np.ndarray, list[int], np.ndarray | None, np.ndarray]:
     """Closed-form SINRs of S builds that share one private geometry on
     one channel (h_est, unit_private and rx_gain: any splits and powers
-    of one base, and dthp with zf-dpc) over (M >= 1, K, N) errors;
-    all-zero errors give the perfect-CSIT values.
+    of one base, and dthp with zf-dpc), set s over the (M >= 1) error
+    realizations rows[ensembles[s]] of the (V, M K, N) stack of h_est +
+    E_v; all-zero errors give the perfect-CSIT values.
 
     One formula serves all eight schemes. With G = beta (h_est + E) @
     unit_private and g = rx_gain, the private SINR is |g^2 G_kk +
@@ -134,55 +147,57 @@ def _batch_sinr(
     A = G / beta - diag(1 / g). The common stream treats the whole
     private signal, sum_j |G_kj|^2, as interference; a set without one
     (split 0) has no common term at all, not a zero one. Only beta and
-    the common stream differ between the sets, so G0 = (h_est + E) @
-    unit_private is formed once and every set scales its powers by
-    beta^2 elementwise, and each common gain is that set's own
-    (h_est + E) @ p_common: each set gets the bits rating it alone gives.
+    the common stream differ between the sets, so one batched matmul
+    forms every ensemble's G0 = (h_est + E_v) @ unit_private, every set
+    scales its powers by beta^2 elementwise, and each common gain is
+    that set's own (h_est + E_v) @ p_common. A stacked matmul makes the
+    BLAS calls of single products, so each set gets its own bits.
     Returns capped (private (S, M, K), the indices of the sets with a
     common stream, their common SINRs (len(indices), M, K) or None,
     whether each set's SINRs saturated (S,)).
     """
     first = precoder_sets[0]
-    h_est = first.h_est
-    if errors.ndim != 3 or errors.shape[1:] != h_est.shape or not len(errors):
-        raise DimensionMismatchError(
-            f"errors shape {errors.shape} is not (M, K, N) = (M >= 1, "
-            f"{h_est.shape[0]}, {h_est.shape[1]})"
-        )
+    n_users = first.n_users
     for t, ps in enumerate(precoder_sets):
         if not _same_geometry(ps, first):
             raise SchemeMismatchError(
                 "a table rates one private geometry on one channel; precoder "
                 f"set {t} ({ps.scheme.tag}) differs from set 0 ({first.scheme.tag})"
             )
-    n_draws, n_users, n_tx = errors.shape
-    rows = (h_est + errors).reshape(n_draws * n_users, n_tx)
+    n_draws = rows.shape[1] // n_users
+    ensembles = np.asarray(ensembles)
     beta2 = np.array([ps.beta**2 for ps in precoder_sets])[:, np.newaxis, np.newaxis]
     common_at = [t for t, ps in enumerate(precoder_sets) if ps.p_common is not None]
     # A zero denominator or an overflow (an error variance near the
     # float range) ends in a non-finite SINR, which _cap reports.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gain2 = first.rx_gain**2
-        gains0 = (rows @ first.unit_private).reshape(n_draws, n_users, n_users)
-        own0 = np.diagonal(gains0, axis1=1, axis2=2)
+        gains0 = np.matmul(rows, first.unit_private).reshape(-1, n_draws, n_users, n_users)
+        own0 = np.diagonal(gains0, axis1=2, axis2=3)
         # Summed in user order, like sum_rate_table's totals: np.sum's
         # order for K <= 7 (from 8 users on it sums pairwise).
-        magnitudes0 = np.abs(gains0) ** 2
-        power0 = magnitudes0[:, :, 0].copy()
+        power0 = np.abs(gains0[..., 0]) ** 2
         for k in range(1, n_users):
-            power0 += magnitudes0[:, :, k]
+            power0 += np.abs(gains0[..., k]) ** 2
         cross0 = power0 - np.abs(own0) ** 2
         # The simulated signal (estimate_sinr_monte_carlo) gives
         # 1 + g_k A_kk, not 1 + g_k^2 A_kk; the published form keeps g^2.
         signal0 = np.abs(gain2 * own0 + (1.0 - first.rx_gain)) ** 2
-        private = beta2 * signal0 / (gain2 * (beta2 * cross0 + sigma_n2))
+        del gains0, own0
+        private = beta2 * signal0[ensembles]
+        private /= gain2 * (beta2 * cross0[ensembles] + sigma_n2)
         common = None
         if common_at:
-            # One gemv per set: a single stacked product rounds differently.
-            common_gains = np.stack(
-                [rows @ precoder_sets[t].p_common for t in common_at]
-            ).reshape(-1, n_draws, n_users)
-            common = np.abs(common_gains) ** 2 / (beta2[common_at] * power0 + sigma_n2)
+            # One matmul per run of sets over one ensemble, of their (N, 1)
+            # columns: one (N, S) product rounds differently.
+            at = ensembles[common_at]
+            common = np.empty((len(at), n_draws * n_users, 1), dtype=complex)
+            starts = [0, *(np.flatnonzero(np.diff(at)) + 1), len(at)]
+            for start, stop in zip(starts, starts[1:]):
+                columns = np.array([precoder_sets[t].p_common for t in common_at[start:stop]])
+                np.matmul(rows[at[start]], columns[:, :, np.newaxis], out=common[start:stop])
+            common = np.abs(common.reshape(-1, n_draws, n_users)) ** 2
+            common /= beta2[common_at] * power0[at] + sigma_n2
 
     private, saturated = _cap(private)
     if common is not None:
@@ -199,8 +214,8 @@ def sinr_imperfect_csit(
     error_realization is the (K, N) estimation error; zero rows recover
     the perfect-CSIT values exactly (same code path).
     """
-    errors = np.asarray(error_realization, dtype=complex)[np.newaxis, :, :]
-    private, _, common, saturated = _batch_sinr([precoders], errors, sigma_n2)
+    rows = _stacked_rows(precoders, np.asarray(error_realization)[np.newaxis])
+    private, _, common, saturated = _batch_sinr([precoders], rows, [0], sigma_n2)
     return SinrReport(
         scheme_tag=precoders.scheme.tag,
         csit="perfect" if not np.any(error_realization) else "imperfect",
@@ -263,10 +278,17 @@ def sum_rate_table(
     """
     if not precoder_sets:
         raise EmptyGridError("no precoder sets to rate")
-    errors = np.asarray(errors, dtype=complex)
-    private, common_at, common, saturated = _batch_sinr(
-        precoder_sets, errors, sigma_n2
-    )
+    rows = _stacked_rows(precoder_sets[0], errors)
+    return stacked_sum_rate_table(precoder_sets, rows, [0] * len(precoder_sets), sigma_n2)
+
+
+def stacked_sum_rate_table(
+    precoder_sets: Sequence[PrecoderSet], rows: np.ndarray, ensembles, sigma_n2: float
+) -> np.ndarray:
+    """sum_rate_table over V ensembles in one kernel call: row s is
+    bit-identical to sum_rate_samples(precoder_sets[s], E_v, sigma_n2)
+    for v = ensembles[s], where rows (V, M K, N) stacks each h_est + E_v."""
+    private, common_at, common, saturated = _batch_sinr(precoder_sets, rows, ensembles, sigma_n2)
     if saturated.any():
         first = int(np.argmax(saturated))
         raise _saturation(precoder_sets[first].scheme.tag, "an SINR", first)

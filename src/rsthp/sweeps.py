@@ -21,12 +21,12 @@ keeps its unit draws, and each error variance rescales them;
 build_precoders keeps its geometry for all base schemes, and linalg its
 common-stream direction, so every split and grid point only rescales
 them. The eight schemes share three private geometries (zf, cthp, and
-dthp with zf-dpc), and a channel's cells that share a geometry and an
-error variance are rated in one kernel call (rates.sum_rate_table),
-every split of every such cell stacked; it gives each split the bits
-that rating it alone gives, and optimize_power_split is the same search
-for one cell. SweepConfig.validate rejects a config whose estimated
-working set in one process exceeds MEMORY_BUDGET_BYTES (512 MiB).
+dthp with zf-dpc); a channel's cells that share one are rated in one
+kernel call (rates.stacked_sum_rate_table) per block, with every split
+of every such cell at every error variance of the block stacked; it
+gives each split the bits of rating it alone, and optimize_power_split
+is the same search for one cell. SweepConfig.validate rejects a config
+whose estimated working set exceeds MEMORY_BUDGET_BYTES (512 MiB).
 """
 
 import math
@@ -52,7 +52,7 @@ from .exceptions import (
     SchemeMismatchError,
 )
 from .precoding import ALL_SCHEME_TAGS, SchemeTag, build_precoders
-from .rates import sum_rate_samples, sum_rate_table
+from .rates import stacked_sum_rate_table, sum_rate_samples, sum_rate_table
 
 # 95% normal-approximation confidence multiplier for the ESR halfwidth.
 _CI_FACTOR = 1.96
@@ -74,6 +74,15 @@ _RESULT_BYTES = 2 * (8 + 8 + 32)
 # Bytes each channel's row keeps beyond its values: the array's header
 # (128 B) and its list slot.
 _ROW_BYTES = 128 + 8
+
+# Values one kernel call rates (sets x M x K) and complex values one variance
+# block stacks, unless one split search or ensemble is larger: 128 KiB float64
+# blocks stay in L2 (two 42-set blocks ran in 0.55-0.8 of one 84-set block's time).
+_BLOCK_VALUES = 2**14
+
+# Bytes the kernel holds per block value beyond G0 and its per-user
+# sums; tracemalloc measured at most 53 B (rate-splitting sets, K = 1).
+_KERNEL_BYTES = 56
 
 # Bytes one build keeps until its channel is rated, beyond its common
 # stream's values: the PrecoderSet with its scalars and the stream's
@@ -320,8 +329,10 @@ def _working_set_bytes(config: SweepConfig, n_channels: int) -> int:
     n_builds = n_points * sum(
         len(config.power_split_grid) if s.rs else 1 for s in config.schemes
     )
+    n_variances = 1 if config.x_kind == "snr_db" else n_points  # one per grid point
     matrices = matrix_bytes(
-        config.n_users, config.n_tx, m, _max_splits(config), drawn, n_builds
+        config.n_users, config.n_tx, m, _max_splits(config), drawn, n_builds,
+        n_variances,
     )
     return matrices + (_RESULT_BYTES * n_cells + _ROW_BYTES) * n_channels
 
@@ -332,30 +343,35 @@ def _max_splits(config: SweepConfig) -> int:
 
 
 def _kernel_block_values(t: int, m: int, k: int) -> int:
-    """Values (sets x M x K) of one sum_rate_table block: one split
-    search's (T, M, K), or up to 2**16 when that is smaller, so cells
-    with few draws stack into one kernel call."""
-    return max(t * m * k, 2**16)
+    """Values (sets x M x K) of one stacked_sum_rate_table block: one
+    split search's (T, M, K), or up to _BLOCK_VALUES when that is
+    smaller, so cells with few draws stack into one kernel call."""
+    return max(t * m * k, _BLOCK_VALUES)
 
 
-def matrix_bytes(k: int, n: int, m: int, t: int, drawn: bool, n_builds: int) -> int:
+def matrix_bytes(
+    k: int, n: int, m: int, t: int, drawn: bool, n_builds: int, n_variances: int = 1
+) -> int:
     """Estimated peak bytes of the arrays that rating every cell on one
     (K, N) channel holds, with M error realizations, at most T splits
-    per cell and n_builds builds in all.
+    per cell, n_builds builds in all and n_variances error variances.
 
-    In complex128 values: the cached unit error ensemble (M K N, when
-    drawn) and precoder geometry (under 10 K N), one variance's scaled
-    ensemble and h_est + E (2 M K N), each build's common stream (N)
-    and the kernel's gains (M K K); _BUILD_BYTES per build; in float64
-    values, the kernel's SINR and rate blocks, six of one stacked block
-    of _kernel_block_values.
+    In complex128 values: the cached unit error ensemble with its draw
+    scratch and numpy's casting buffer, or one variance's scaled copy
+    (3 M K N, when drawn), the precoder geometry (under 10 K N), one
+    variance block's stacked realizations (V M K N) and their gains G0
+    with per-user sums (V M K (K + 4)), and each build's common stream
+    (N); _BUILD_BYTES per build; and _KERNEL_BYTES per value of one
+    kernel block, which holds at most _kernel_block_values values and
+    at most every build's.
     """
+    v = min(n_variances, max(1, _BLOCK_VALUES // (m * k * n)))
     ensemble = m * k * n if drawn else 0
-    complex_values = ensemble + 10 * k * n + 2 * m * k * n + n_builds * n + m * k * k
+    complex_values = 3 * ensemble + 10 * k * n + v * m * k * (n + k + 4) + n_builds * n
     return (
         16 * complex_values
         + _BUILD_BYTES * n_builds
-        + 8 * 6 * _kernel_block_values(t, m, k)
+        + _KERNEL_BYTES * min(_kernel_block_values(t, m, k), n_builds * m * k)
     )
 
 
@@ -440,21 +456,21 @@ def _rate_channel(
     one channel, as a (2, len(cells)) array.
 
     Rate-splitting schemes search the power-split grid; base schemes
-    search the one-point grid (0.0,). Every build is made first; then
-    the cells that share an error variance and a private geometry
-    (precoding._geometry's arrays: zf with rs-linear, cthp with cthp-rs,
-    dthp with zf-dpc and their RS schemes) are rated in one
-    sum_rate_table call per block of at most _kernel_block_values
-    values. Each variance's ensemble (one all-zero realization under
-    perfect CSIT) rescales the channel's unit draws, so every scheme
-    and grid point sees the same draws. A build's error propagates at
-    the first cell; a SaturatedSinrError is raised for the first
-    saturated cell in output order, with its grid point and channel,
-    whichever block meets it first.
+    search the one-point grid (0.0,). Every build is made first. The
+    realizations h_est + E of each error variance (its rescaled unit
+    draws; one all-zero realization under perfect CSIT) are stacked in
+    blocks of at most _BLOCK_VALUES complex values, one variance if
+    larger. In each block, the cells that share a private geometry (zf
+    with rs-linear, cthp with cthp-rs, dthp with zf-dpc and their RS
+    schemes) are rated in one stacked_sum_rate_table call per run of at
+    most _kernel_block_values values in output order. A build's error
+    propagates at the first cell; a SaturatedSinrError is raised for the
+    first saturated cell in output order, with its grid point and
+    channel, whichever block meets it first.
     """
     n_users, n_tx = config.n_users, config.n_tx
-    grids, builds = [], []
-    blocks = {}  # variance -> {geometry -> cell indices}; None is perfect CSIT
+    grids, builds, variances = [], [], []
+    by_geometry = {}  # private geometry -> cell indices
     for index, (scheme, _, e_tr, regime) in enumerate(cells):
         # One channel draw per cell and one build per (cell, split): the
         # calls bench/tests/test_tracer.py pins.
@@ -464,34 +480,38 @@ def _rate_channel(
             build_precoders(h_est, scheme, e_tr, config.power_loss, split)
             for split in grids[-1]
         ])
-        variance = None if regime.is_perfect else regime.variance_at(e_tr)
-        geometry = id(builds[-1][0].unit_private)
-        blocks.setdefault(variance, {}).setdefault(geometry, []).append(index)
+        variances.append(None if regime.is_perfect else regime.variance_at(e_tr))
+        by_geometry.setdefault(id(builds[-1][0].unit_private), []).append(index)
 
-    t = _max_splits(config)
+    distinct = list(dict.fromkeys(variances))  # None is perfect CSIT
+    m = 1 if distinct == [None] else config.n_error_samples
+    max_sets = _kernel_block_values(_max_splits(config), m, n_users) // (m * n_users)
+    per_block = max(1, _BLOCK_VALUES // (m * n_users * n_tx))
     row = np.empty((2, len(cells)))
     failed = None  # (cell index, message) of the first saturated cell
-    for variance, by_geometry in blocks.items():
-        if variance is None:
-            errors = np.zeros((1, n_users, n_tx), dtype=complex)
-        else:
-            errors = draw_error_ensemble(
-                n_users, n_tx, variance, config.n_error_samples,
-                config.master_seed, channel_index,
+    for start in range(0, len(distinct), per_block):
+        position = {s2: v for v, s2 in enumerate(distinct[start:start + per_block])}
+        rows = np.empty((len(position), m * n_users, n_tx), dtype=complex)
+        for variance, v in position.items():
+            errors = 0.0 if variance is None else draw_error_ensemble(
+                n_users, n_tx, variance, m, config.master_seed, channel_index
             )
-        m = len(errors)
-        max_sets = _kernel_block_values(t, m, n_users) // (m * n_users)
+            np.add(h_est, errors, out=rows[v].reshape(m, n_users, n_tx))
         for members in by_geometry.values():
-            sizes = [len(builds[i]) for i in members]
-            for block in _chunk(members, sizes, max_sets):
+            members = [i for i in members if variances[i] in position]
+            for block in _chunk(members, [len(builds[i]) for i in members], max_sets):
                 if failed is not None and block[0] > failed[0]:
                     continue
+                owners = [i for i in block for _ in builds[i]]
+                ensembles = np.array([position[variances[i]] for i in owners])
+                lo = ensembles.min()  # the sets use only the variances lo to max
                 try:
-                    table = sum_rate_table(
-                        [ps for i in block for ps in builds[i]], errors, SIGMA_N2
+                    table = stacked_sum_rate_table(
+                        [ps for i in block for ps in builds[i]],
+                        rows[lo:ensembles.max() + 1], ensembles - lo, SIGMA_N2,
                     )
                 except SaturatedSinrError as exc:
-                    cell = [i for i in block for _ in builds[i]][exc.set_index]
+                    cell = owners[exc.set_index]
                     if failed is None or cell < failed[0]:
                         failed = (cell, str(exc))
                     continue

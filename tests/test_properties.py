@@ -3,10 +3,12 @@
 Each example draws one channel with the sweep's own draw_channel (any
 K <= N <= 6), an SNR, a CSIT error variance and a power split, and
 checks an identity that must hold on every channel, not only on the
-acceptance suite's seed. The last properties check the CLI's
-start:step:stop grid ranges, the range-hashed error-stream seeds
-against SeedSequence, and the exit contract of the sweep commands and
-cross-check-sinr on argv drawn from their flag grammar.
+acceptance suite's seed. Further properties check the stacked rate
+kernel against single builds and the memory estimate of rating one
+channel against tracemalloc. The last check the CLI's start:step:stop
+grid ranges, the range-hashed and cached seeds against SeedSequence,
+and the exit contract of the sweep commands and cross-check-sinr on
+argv drawn from their flag grammar.
 """
 
 import contextlib
@@ -16,12 +18,13 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from rsthp import (  # noqa: E402
     ErrorRegime,
@@ -36,15 +39,23 @@ from rsthp import (  # noqa: E402
     snr_db_to_power,
     sum_rate_samples,
 )
-from rsthp.channel import ERROR_STREAM, _error_states  # noqa: E402
+from rsthp import channel, linalg, precoding  # noqa: E402
+from rsthp.channel import (  # noqa: E402
+    CHANNEL_STREAM,
+    ERROR_STREAM,
+    NOISE_STREAM,
+    _error_states,
+    stream_rng,
+)
 from rsthp.cli import MAX_RANGE_POINTS, main, parse_grid  # noqa: E402
 from rsthp.exceptions import SaturatedSinrError  # noqa: E402
 from rsthp.precoding import ALL_SCHEME_TAGS  # noqa: E402
-from rsthp.rates import sum_rate_table  # noqa: E402
+from rsthp.rates import stacked_sum_rate_table, sum_rate_table  # noqa: E402
 from rsthp.sweeps import (  # noqa: E402
     SIGMA_N2,
     _rate_channel,
     _sweep_cells,
+    _working_set_bytes,
     draw_channel,
     optimize_power_split,
 )
@@ -202,15 +213,16 @@ def test_split_table_rows_match_the_per_split_formula(case, n_draws, splits):
 
 @st.composite
 def sweep_channels(draw):
-    """A small valid SweepConfig (K <= N <= 4, one to three grid points,
-    an ascending split grid holding 0) and a channel index."""
+    """A small valid SweepConfig (K <= N <= 4, one to three grid points
+    under perfect, fixed, SNR-scaled or per-point CSIT errors, an
+    ascending split grid holding 0) and a channel index."""
     n_users = draw(st.integers(1, 4))
     n_tx = draw(st.integers(n_users, 4))
     schemes = draw(st.lists(st.sampled_from(ALL_SCHEME_TAGS), min_size=1,
                             max_size=len(ALL_SCHEME_TAGS), unique=True))
     n_points = draw(st.integers(1, 3))
     snrs = st.floats(-10.0, 30.0)
-    regime = draw(st.sampled_from(("perfect", "fixed", "variance-grid")))
+    regime = draw(st.sampled_from(("perfect", "fixed", "snr-scaled", "variance-grid")))
     if regime == "variance-grid":
         axis = dict(
             snr_grid_db=(draw(snrs),),
@@ -223,6 +235,8 @@ def sweep_channels(draw):
             snrs, min_size=n_points, max_size=n_points, unique=True))))
         if regime == "fixed":
             axis["error_regime"] = ErrorRegime.fixed_variance(draw(st.floats(0.0, 1.0)))
+        elif regime == "snr-scaled":
+            axis["error_regime"] = ErrorRegime.snr_scaled(draw(st.floats(0.0, 1.0)))
     splits = draw(st.lists(st.floats(0.0, 0.95), max_size=4))
     config = SweepConfig(
         n_users=n_users,
@@ -294,6 +308,104 @@ def test_a_saturated_channel_names_its_first_failing_cell(config_channel, log_ca
             with pytest.raises(SaturatedSinrError) as raised:
                 _rate_channel(config, cells, channel_index)
             assert str(raised.value) == expected
+
+
+@st.composite
+def stacked_tables(draw):
+    """dthp and zf-dpc builds (with and without a common stream) at mixed
+    splits and transmit powers on one channel (K <= N <= 4), each over
+    one of one to four error ensembles of 1 to 5 draws."""
+    n_users = draw(st.integers(1, 4))
+    n_tx = draw(st.integers(n_users, 4))
+    seed = draw(st.integers(0, 2**31 - 1))
+    h_est = draw_channel(seed, 0, n_users, n_tx)
+    n_draws = draw(st.integers(1, 5))
+    ensembles = [
+        draw_error_ensemble(n_users, n_tx, variance, n_draws, seed, 0)
+        for variance in draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    ]
+    sets, owners = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        scheme = SchemeTag(draw(st.sampled_from(("dthp", "zf-dpc"))), rs=draw(st.booleans()))
+        split = draw(st.floats(0.0, 0.95)) if scheme.rs else 0.0
+        e_tr = snr_db_to_power(draw(st.floats(-10.0, 30.0)))
+        sets.append(build_precoders(h_est, scheme, e_tr, 0.75, split))
+        owners.append(draw(st.integers(0, len(ensembles) - 1)))
+    return sets, ensembles, owners
+
+
+@PROPERTY_SETTINGS
+@given(stacked_tables())
+def test_each_stacked_table_row_is_its_own_sum_rate_samples(case):
+    # One kernel call over V stacked ensembles gives every set the bits
+    # of rating it alone over its own ensemble.
+    sets, ensembles, owners = case
+    h_est = sets[0].h_est
+    rows = np.stack([(h_est + e).reshape(-1, h_est.shape[1]) for e in ensembles])
+    table = stacked_sum_rate_table(sets, rows, owners, SIGMA_N2)
+    assert table.shape == (len(sets), len(ensembles[0]))
+    for row, ps, v in zip(table, sets, owners):
+        assert np.array_equal(row, sum_rate_samples(ps, ensembles[v], SIGMA_N2))
+
+
+# Bytes beyond the estimate that rating one channel may hold: the
+# interpreter's own objects (frames, lists, ints), a few KiB.
+MEMORY_ALLOWANCE = 32 * 2**10
+
+
+@PROPERTY_SETTINGS
+@given(sweep_channels())
+@example((SweepConfig(n_users=16, n_tx=16, n_error_samples=300,
+                      error_regime=ErrorRegime.fixed_variance(0.2)), 0))
+@example((SweepConfig(schemes=(SchemeTag("zf"),), n_users=2, n_tx=32, snr_grid_db=(15.0,),
+                      error_regime=ErrorRegime.fixed_variance(0.2)), 0))
+def test_rating_a_channel_stays_within_its_memory_estimate(config_channel):
+    # The estimate that SweepConfig.validate holds to the budget bounds
+    # what rating one channel allocates, cached arrays included.
+    # tracemalloc sees numpy's buffers but not BLAS workspace or the
+    # allocator's slack, so it is a lower bound on the RSS a process
+    # grows by.
+    config, channel_index = config_channel
+    cells = _sweep_cells(config)
+    # A first call makes numpy's one-time allocations.
+    _rate_channel(config, cells, channel_index + 1)
+    for cache in (precoding._geometry, channel._unit_error_draws,
+                  channel._stream_state, linalg._anchored_direction):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        _rate_channel(config, cells, channel_index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _working_set_bytes(config, 1) + MEMORY_ALLOWANCE
+
+
+@st.composite
+def stream_keys(draw):
+    """A sequence of stream_rng keys that repeats and alternates a few
+    channel, error and noise keys."""
+    key = st.tuples(
+        st.one_of(st.sampled_from((0, 12345, 2**32, 2**64)), st.integers(0, 2**70)),
+        st.sampled_from((CHANNEL_STREAM, ERROR_STREAM, NOISE_STREAM)),
+        st.lists(st.integers(0, 2**40), min_size=1, max_size=2),
+    ).map(lambda k: (k[0], k[1], *k[2]))
+    pool = draw(st.lists(key, min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(stream_keys())
+def test_stream_generators_draw_as_seed_sequence_generators(keys):
+    # The one-entry state cache serves a repeated key; every generator,
+    # built before any of them draws, keeps its own state.
+    generators = [stream_rng(*key) for key in keys]
+    for key, rng in zip(keys, generators):
+        want = np.random.default_rng(np.random.SeedSequence(key))
+        assert np.array_equal(rng.standard_normal(3), want.standard_normal(3))
+        assert rng.integers(2**63) == want.integers(2**63)
+    with pytest.raises(TypeError):
+        generators[0].spawn(1)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

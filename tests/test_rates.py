@@ -32,6 +32,7 @@ from rsthp.rates import (
     SinrReport,
     _batch_sinr,
     _cap,
+    _stacked_rows,
     estimate_sinr_monte_carlo,
     sum_rate_table,
 )
@@ -318,7 +319,10 @@ class TestSumRateTable:
             errors = draw_error_ensemble(n, n, 0.2, 30, seed=seed)
             for scheme in ALL_SCHEME_TAGS:
                 sets = self.table_sets(h, scheme)
-                private, common_at, common, _ = _batch_sinr(sets, errors, 1.0)
+                rows = _stacked_rows(sets[0], errors)
+                private, common_at, common, _ = _batch_sinr(
+                    sets, rows, [0] * len(sets), 1.0
+                )
                 expected = np.sum(np.log2(1.0 + private), axis=2)
                 if common is not None:
                     expected[common_at] += np.min(np.log2(1.0 + common), axis=2)
@@ -334,6 +338,28 @@ class TestSumRateTable:
         sets = [build_precoders(h, scheme, 1e14, 0.75, t) for t in (0.0, 0.5)]
         with pytest.raises(SaturatedSinrError, match="dthp-rs"):
             sum_rate_table(sets, np.zeros((1, 4, 4), dtype=complex), 1.0)
+
+    def test_stacked_matmul_makes_the_per_slice_products(self):
+        # The stacked kernel's bits rest on this: np.matmul over a stack
+        # gives each slice the product that @ gives it alone, for the
+        # gains G0 (a gemm per ensemble) and for the common gains (a
+        # gemv per set, written through out=).
+        rng = np.random.default_rng(70)
+
+        def gaussian(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        for _ in range(30):
+            k = int(rng.integers(1, 10))
+            n, m, v, s = k + int(rng.integers(0, 5)), int(rng.integers(1, 334)), 3, 4
+            rows, unit, columns = gaussian(v, m * k, n), gaussian(n, k), gaussian(s, n)
+            gains = np.matmul(rows, unit)
+            common = np.empty((s, m * k, 1), dtype=complex)
+            np.matmul(rows[1], columns[:, :, np.newaxis], out=common)
+            for i in range(v):
+                assert np.array_equal(gains[i], rows[i] @ unit)
+            for t in range(s):
+                assert np.array_equal(common[t, :, 0], rows[1] @ columns[t])
 
     def test_rejects_mixed_or_empty_tables(self):
         # One table rates one private geometry on one channel: dthp and

@@ -478,22 +478,23 @@ class TestRunSweep:
         assert [info.misses for info in infos] == [n_channels] * 3
         assert [info.currsize for info in infos] == [1] * 3
 
-    def test_one_kernel_call_per_channel_geometry_and_variance(self, monkeypatch):
+    def test_one_kernel_call_per_channel_variance_block_and_geometry(self, monkeypatch):
         # The cells of a channel that share a private geometry (zf with
-        # rs-linear, cthp alone here, dthp-rs with zf-dpc) and an error
-        # variance are rated in one kernel call, every split of every
-        # such cell stacked: never one call per cell or per split.
-        sizes = []
-        table = sweeps.sum_rate_table
+        # rs-linear, cthp alone here, dthp-rs with zf-dpc) are rated in
+        # one kernel call per block of error variances, every split of
+        # every such cell at every variance of the block stacked: never
+        # one call per cell, per split or per variance.
+        calls = []
+        table = sweeps.stacked_sum_rate_table
 
-        def counting(precoder_sets, *args):
-            sizes.append(len(precoder_sets))
-            return table(precoder_sets, *args)
+        def counting(precoder_sets, rows, ensembles, *args):
+            calls.append((len(precoder_sets), len(rows)))
+            return table(precoder_sets, rows, ensembles, *args)
 
-        monkeypatch.setattr(sweeps, "sum_rate_table", counting)
+        monkeypatch.setattr(sweeps, "stacked_sum_rate_table", counting)
         n_channels = 3
         for regime in (PERFECT, ErrorRegime.snr_scaled(0.6)):
-            sizes.clear()
+            calls.clear()
             cfg = small_config(
                 schemes=tuple(parse_scheme_tag(t) for t in
                               ("zf", "rs-linear", "cthp", "dthp-rs", "zf-dpc")),
@@ -502,35 +503,49 @@ class TestRunSweep:
             run_sweep(cfg)
             n_splits = len(cfg.power_split_grid)
             # Under perfect CSIT both SNR points share the one all-zero
-            # realization; an SNR-scaled variance gives each its own.
-            blocks = [2 * (1 + n_splits), 2, 2 * (n_splits + 1)]
-            if not regime.is_perfect:
-                blocks = [size // 2 for size in blocks] * 2
-            assert sorted(sizes) == sorted(blocks * n_channels)
+            # realization; an SNR-scaled variance gives each its own,
+            # and 2 x 10 x 4 x 4 values stack both in one block.
+            n_variances = 1 if regime.is_perfect else 2
+            blocks = [(2 * (1 + n_splits), n_variances), (2, n_variances),
+                      (2 * (n_splits + 1), n_variances)]
+            assert sorted(calls) == sorted(blocks * n_channels)
 
     def test_kernel_blocks_hold_at_most_the_charged_values(self, monkeypatch):
-        # A block stacks cells while it holds at most
-        # max(T M K, 2**16) values, the amount matrix_bytes charges, so
-        # with many draws a geometry's cells take several blocks.
-        values = []
-        table = sweeps.sum_rate_table
+        # A kernel block stacks cells while it holds at most
+        # max(T M K, 2**14) values, and a variance block stacks error
+        # variances while their realizations hold at most
+        # max(M K N, 2**14) complex values: the amounts matrix_bytes
+        # charges. With many draws a geometry's cells take several
+        # kernel blocks and each variance its own variance block.
+        blocks = []
+        table = sweeps.stacked_sum_rate_table
 
-        def recording(precoder_sets, errors, *args):
-            values.append(len(precoder_sets) * errors.shape[0] * errors.shape[1])
-            return table(precoder_sets, errors, *args)
+        def recording(precoder_sets, rows, ensembles, *args):
+            blocks.append((len(precoder_sets) * rows.shape[1], rows.size))
+            return table(precoder_sets, rows, ensembles, *args)
 
-        monkeypatch.setattr(sweeps, "sum_rate_table", recording)
+        monkeypatch.setattr(sweeps, "stacked_sum_rate_table", recording)
         schemes = tuple(parse_scheme_tag(t) for t in ("dthp", "dthp-rs", "zf-dpc-rs"))
-        # 1 + 4 + 4 sets of one geometry: at 5000 draws T M K = 80000
-        # values, so each cell takes its own block; at 10 they stack.
-        for n_samples, n_blocks in ((5000, 3), (10, 1)):
-            values.clear()
-            cfg = small_config(schemes=schemes, n_channels=1, n_error_samples=n_samples)
+        variances = (0.1, 0.2, 0.3)
+        # 1 + 4 + 4 sets of one geometry per variance: at 5000 draws
+        # T M K = 80000 values, so each cell takes its own kernel block
+        # and each variance its own variance block; at 10 draws the
+        # three variances' 3 x 160 complex values stack into one variance
+        # block, and the 27 sets into one kernel block.
+        for n_samples, n_calls, n_variances in ((5000, 9, 1), (10, 1, 3)):
+            blocks.clear()
+            cfg = small_config(
+                schemes=schemes, n_channels=1, n_error_samples=n_samples,
+                error_regime=PERFECT, error_variance_grid=variances,
+            )
             run_sweep(cfg)
-            limit = sweeps._kernel_block_values(len(cfg.power_split_grid), n_samples, 4)
-            assert len(values) == n_blocks
-            assert max(values) <= limit
-            assert sum(values) == 9 * n_samples * 4
+            m_k, m_k_n = n_samples * 4, n_samples * 4 * 4
+            assert len(blocks) == n_calls
+            kernel_limit = sweeps._kernel_block_values(len(cfg.power_split_grid), n_samples, 4)
+            assert max(values for values, _ in blocks) <= kernel_limit
+            assert max(size for _, size in blocks) <= max(m_k_n, 2**14)
+            assert max(size for _, size in blocks) == n_variances * m_k_n
+            assert sum(values for values, _ in blocks) == 9 * len(variances) * m_k
 
     def test_sweep_keeps_the_traced_call_contract(self, monkeypatch):
         # The benchmark's tracer counts these calls by name: one channel
@@ -713,6 +728,23 @@ class TestRunSweep:
                 error_regime=PERFECT, snr_grid_db=(snr_db,), n_channels=1,
                 power_loss=power_loss, master_seed=seed,
             ))
+
+    def test_failure_in_a_later_variance_of_a_stacked_block(self):
+        # The three variances' realizations stack into one block, and
+        # only the last, near the float range, overflows: the first
+        # failing cell in output order is dthp-rs there. Every n_jobs
+        # raises the error that rating one variance at a time raised.
+        cfg = small_config(
+            schemes=(parse_scheme_tag("zf"), parse_scheme_tag("dthp-rs")),
+            error_regime=PERFECT, error_variance_grid=(0.1, 0.5, 1e308),
+            n_channels=3, n_error_samples=2,
+        )
+        message = ("dthp-rs: an SINR reached the cap 1e+12 or was not finite "
+                   "at error_variance=1e+308 on channel 0")
+        for n_jobs in (1, 2):
+            with pytest.raises(SaturatedSinrError) as raised:
+                run_sweep(cfg, n_jobs=n_jobs)
+            assert str(raised.value) == message
 
     def test_serial_failure_draws_no_later_channel(self, monkeypatch):
         # Every SINR passes a cap of 1e-3, so channel 0's first cell
