@@ -167,7 +167,8 @@ def _unit_error_draws(
 
     Each realization's real then imaginary parts come from one
     standard_normal call, the stream order of two (K, N) draws, and are
-    combined as real + 1j * imag, as complex_gaussian does.
+    written into the parts: the bits of real + 1j * imag, as
+    complex_gaussian forms them, but for a part drawn as exactly -0.0.
     """
     unit = np.empty((n_error_samples, n_users, n_tx), dtype=complex)
     scratch = np.empty((min(_SEED_BLOCK, n_error_samples), 2, n_users, n_tx))
@@ -180,8 +181,7 @@ def _unit_error_draws(
             rng = np.random.Generator(np.random.PCG64(_HashedSeed(state)))
             rng.standard_normal(out=parts)
         out = unit[start : start + len(states)]
-        np.multiply(1j, block[:, 1], out=out)
-        np.add(block[:, 0], out, out=out)
+        out.real, out.imag = block[:, 0], block[:, 1]
     unit.flags.writeable = False
     return unit
 

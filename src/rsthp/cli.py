@@ -155,6 +155,9 @@ def _sweep_output_paths(out_path: str) -> tuple[str, str]:
 
 def _check_writable(out_path: str) -> None:
     """OSError unless the table and its sidecar can both be written."""
+    # abspath drops a trailing separator, so check the name before it.
+    if not os.path.basename(out_path):
+        raise OSError(f"cannot write --out {out_path!r}: it names no file")
     directory = os.path.dirname(os.path.abspath(out_path))
     if not os.access(directory, os.W_OK | os.X_OK):
         raise OSError(f"cannot write {out_path}: {directory} is missing or not writable")

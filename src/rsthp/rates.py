@@ -6,9 +6,9 @@ and imperfect CSIT (perfect is the zero-error special case), so the
 reduction between the two is exact by construction. One kernel call
 rates every build that shares a private geometry on one channel, at
 any splits, powers and error variances (stacked_sum_rate_table): the
-sweep stacks a channel's cells of one geometry into it. One ensemble
-(sum_rate_table) and one build (sum_rate_samples, sinr_imperfect_csit)
-are its views, with the same bits. The estimator
+sweep stacks a channel's cells of one geometry into it. One build over
+one ensemble (sum_rate_samples, sinr_imperfect_csit) is its view, with
+the same bits. The estimator
 simulates the received signal model directly and is the independent
 check on the algebra. Neither asks where a scheme puts its THP gains:
 PrecoderSet.unit_map and rx_gain carry that.
@@ -174,8 +174,8 @@ def _batch_sinr(
         gain2 = first.rx_gain**2
         gains0 = np.matmul(rows, first.unit_private).reshape(-1, n_draws, n_users, n_users)
         own0 = np.diagonal(gains0, axis1=2, axis2=3)
-        # Summed in user order, like sum_rate_table's totals: np.sum's
-        # order for K <= 7 (from 8 users on it sums pairwise).
+        # Summed in user order, like the table's totals: np.sum's order
+        # for K <= 7 (from 8 users on it sums pairwise).
         power0 = np.abs(gains0[..., 0]) ** 2
         for k in range(1, n_users):
             power0 += np.abs(gains0[..., k]) ** 2
@@ -253,22 +253,22 @@ def rates_from_sinr(report: SinrReport) -> RateReport:
     )
 
 
-def sum_rate_table(
-    precoder_sets: Sequence[PrecoderSet], errors: np.ndarray, sigma_n2: float
+def stacked_sum_rate_table(
+    precoder_sets: Sequence[PrecoderSet], rows: np.ndarray, ensembles, sigma_n2: float
 ) -> np.ndarray:
-    """Per-realization sum rates of S builds that share one private
-    geometry on one channel, from one kernel call.
-
-    precoder_sets are builds on one channel estimate whose bases share
-    their geometry (zf, cthp, or dthp with zf-dpc), at any power splits
-    and transmit powers; errors has shape (M, K, N). Each realization
-    is rated independently (common stream at its per-realization worst
-    user) and the (S, M) table of sum rates is returned. Row s is
-    bit-identical to sum_rate_samples(precoder_sets[s], errors,
-    sigma_n2).
+    """(S, M) per-realization sum rates of S builds that share one
+    private geometry on one channel (zf, cthp, or dthp with zf-dpc, at
+    any splits and powers), from one kernel call. rows (V, M K, N)
+    stacks V ensembles' realizations h_est + E_v, not the errors E_v,
+    which no shape check can tell apart. Set s is rated over ensemble
+    ensembles[s], each realization on its own (common stream at its
+    worst user); row s is bit-identical to
+    sum_rate_samples(precoder_sets[s], E_v, sigma_n2).
 
     Raises:
         EmptyGridError: no precoder sets.
+        DimensionMismatchError: ensembles does not give each set exactly
+            one index in [0, V).
         SchemeMismatchError: the sets differ in private geometry or
             channel.
         SaturatedSinrError: an SINR of any set reached SINR_CAP or was
@@ -278,16 +278,13 @@ def sum_rate_table(
     """
     if not precoder_sets:
         raise EmptyGridError("no precoder sets to rate")
-    rows = _stacked_rows(precoder_sets[0], errors)
-    return stacked_sum_rate_table(precoder_sets, rows, [0] * len(precoder_sets), sigma_n2)
-
-
-def stacked_sum_rate_table(
-    precoder_sets: Sequence[PrecoderSet], rows: np.ndarray, ensembles, sigma_n2: float
-) -> np.ndarray:
-    """sum_rate_table over V ensembles in one kernel call: row s is
-    bit-identical to sum_rate_samples(precoder_sets[s], E_v, sigma_n2)
-    for v = ensembles[s], where rows (V, M K, N) stacks each h_est + E_v."""
+    ensembles = np.asarray(ensembles)
+    one_each = ensembles.dtype.kind in "iu" and ensembles.shape == (len(precoder_sets),)
+    if not (one_each and 0 <= ensembles.min() and ensembles.max() < len(rows)):
+        raise DimensionMismatchError(
+            f"ensembles {ensembles.tolist()} must give each of the {len(precoder_sets)} "
+            f"sets one index in [0, {len(rows)})"
+        )
     private, common_at, common, saturated = _batch_sinr(precoder_sets, rows, ensembles, sigma_n2)
     if saturated.any():
         first = int(np.argmax(saturated))
@@ -314,15 +311,16 @@ def sum_rate_samples(
 ) -> np.ndarray:
     """Per-realization sum rates for a batch of error draws.
 
-    errors has shape (M, K, N); the (M,) array of sum rates is
-    sum_rate_table's one-split view. It matches
+    errors has shape (M >= 1, K, N); the (M,) array of sum rates is
+    stacked_sum_rate_table's one-build, one-ensemble view. It matches
     rates_from_sinr(sinr_imperfect_csit(...)) per row.
 
     Raises:
+        DimensionMismatchError: errors is not an (M >= 1, K, N) array.
         SaturatedSinrError: an SINR reached SINR_CAP or was not finite,
             so the capped rate would be averaged in as if it were real.
     """
-    return sum_rate_table([precoders], errors, sigma_n2)[0]
+    return stacked_sum_rate_table([precoders], _stacked_rows(precoders, errors), [0], sigma_n2)[0]
 
 
 def estimate_sinr_monte_carlo(

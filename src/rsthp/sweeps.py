@@ -23,9 +23,9 @@ common-stream direction, so every split and grid point only rescales
 them. The eight schemes share three private geometries (zf, cthp, and
 dthp with zf-dpc); a channel's cells that share one are rated in one
 kernel call (rates.stacked_sum_rate_table) per block, with every split
-of every such cell at every error variance of the block stacked; it
-gives each split the bits of rating it alone, and optimize_power_split
-is the same search for one cell. SweepConfig.validate rejects a config
+of every such cell at every error variance of the block stacked; each
+split gets the bits of optimize_power_split, the reference search that
+rates one cell split by split. SweepConfig.validate rejects a config
 whose estimated working set exceeds MEMORY_BUDGET_BYTES (512 MiB).
 """
 
@@ -49,10 +49,9 @@ from .exceptions import (
     EmptyGridError,
     InvalidVarianceError,
     SaturatedSinrError,
-    SchemeMismatchError,
 )
 from .precoding import ALL_SCHEME_TAGS, SchemeTag, build_precoders
-from .rates import stacked_sum_rate_table, sum_rate_samples, sum_rate_table
+from .rates import stacked_sum_rate_table, sum_rate_samples
 
 # 95% normal-approximation confidence multiplier for the ESR halfwidth.
 _CI_FACTOR = 1.96
@@ -159,32 +158,24 @@ def optimize_power_split(
     Returns (split, average sum rate). Ties go to the smaller split so
     the result is unambiguous. The same error ensemble is used at every
     grid point, which keeps the objective a deterministic function of
-    the split. One sum_rate_table call rates the whole grid; each
-    split's average is bit-identical to average_sum_rate at that split.
-    This is the sweep's own path for one cell: the sweep stacks several
-    cells' grids into one table and picks each split the same way.
+    the split. Each split is rated alone by average_sum_rate: this is
+    the per-split definition that the sweep's stacked search must
+    reproduce bit for bit.
     """
     grid = tuple(float(t) for t in grid)
     if not grid:
         raise EmptyGridError("power-split grid is empty")
     if list(grid) != sorted(set(grid)):
-        raise ValueError(
-            f"power splits must ascend without repeats, got {list(grid)}"
-        )
-    if not scheme.rs and any(t > 0.0 for t in grid):
-        raise SchemeMismatchError(
-            f"scheme {scheme.tag} has no common stream to allocate power to"
-        )
-    precoder_sets = [
-        build_precoders(h_est, scheme, e_tr, power_loss, split) for split in grid
-    ]
-    return _best_splits(sum_rate_table(precoder_sets, errors, SIGMA_N2), [grid])[0]
+        raise ValueError(f"power splits must ascend without repeats, got {list(grid)}")
+    asrs = [average_sum_rate(h_est, scheme, e_tr, power_loss, t, errors) for t in grid]
+    best = asrs.index(max(asrs))
+    return grid[best], asrs[best]
 
 
 def _best_splits(table: np.ndarray, grids: list) -> list[tuple[float, float]]:
     """(split, average sum rate) of the best split of each ascending grid
-    whose rows lie back to back in a sum_rate_table table. The first of
-    equal averages wins, which gives ties to the smaller split."""
+    whose rows lie back to back in a stacked_sum_rate_table table: the
+    first of equal averages (the smaller split), as in optimize_power_split."""
     # np.mean's own sum and division, without its per-call overhead.
     asrs = (table.sum(axis=1) / table.shape[1]).tolist()
     best, start = [], 0
@@ -349,6 +340,11 @@ def _kernel_block_values(t: int, m: int, k: int) -> int:
     return max(t * m * k, _BLOCK_VALUES)
 
 
+def _variance_block(m: int, k: int, n: int) -> int:
+    """Variances one block stacks: as many as _BLOCK_VALUES complex values hold, at least 1."""
+    return max(1, _BLOCK_VALUES // (m * k * n))
+
+
 def matrix_bytes(
     k: int, n: int, m: int, t: int, drawn: bool, n_builds: int, n_variances: int = 1
 ) -> int:
@@ -356,16 +352,17 @@ def matrix_bytes(
     (K, N) channel holds, with M error realizations, at most T splits
     per cell, n_builds builds in all and n_variances error variances.
 
-    In complex128 values: the cached unit error ensemble with its draw
-    scratch and numpy's casting buffer, or one variance's scaled copy
-    (3 M K N, when drawn), the precoder geometry (under 10 K N), one
+    In complex128 values: the cached unit error ensemble, one variance's
+    scaled copy and numpy's buffer (up to 8192 values) for adding h_est
+    to that copy, where the peak comes, not at the draw (3 M K N, when
+    drawn), the precoder geometry (under 10 K N), one
     variance block's stacked realizations (V M K N) and their gains G0
     with per-user sums (V M K (K + 4)), and each build's common stream
     (N); _BUILD_BYTES per build; and _KERNEL_BYTES per value of one
     kernel block, which holds at most _kernel_block_values values and
     at most every build's.
     """
-    v = min(n_variances, max(1, _BLOCK_VALUES // (m * k * n)))
+    v = min(n_variances, _variance_block(m, k, n))
     ensemble = m * k * n if drawn else 0
     complex_values = 3 * ensemble + 10 * k * n + v * m * k * (n + k + 4) + n_builds * n
     return (
@@ -425,7 +422,8 @@ def ergodic_sum_rate(
 ) -> SweepCell:
     """Ergodic sum rate of one scheme at one grid point: the mean of the
     per-channel best average sum rate over n_channels channel draws.
-    It rates through run_sweep's path, so run_sweep gives the same cell."""
+    It validates config and rates on run_sweep's path: run_sweep gives the same cell."""
+    config.validate()
     cells = [(scheme, x_value, e_tr, regime)]
     rows = [_rate_channel(config, cells, c) for c in range(config.n_channels)]
     return _join(cells, rows)[0]
@@ -486,7 +484,7 @@ def _rate_channel(
     distinct = list(dict.fromkeys(variances))  # None is perfect CSIT
     m = 1 if distinct == [None] else config.n_error_samples
     max_sets = _kernel_block_values(_max_splits(config), m, n_users) // (m * n_users)
-    per_block = max(1, _BLOCK_VALUES // (m * n_users * n_tx))
+    per_block = _variance_block(m, n_users, n_tx)
     row = np.empty((2, len(cells)))
     failed = None  # (cell index, message) of the first saturated cell
     for start in range(0, len(distinct), per_block):

@@ -6,6 +6,7 @@ against the library called directly with the same configuration.
 
 import dataclasses
 import json
+import os
 import shutil
 import subprocess
 
@@ -296,18 +297,19 @@ class TestErrorHandling:
         assert code == 2
         assert capsys.readouterr().err
 
-    @pytest.mark.parametrize("out_name", ["missing-dir/x.csv", "."])
+    @pytest.mark.parametrize("out_name", ["missing-dir/x.csv", ".", "", "missing-dir" + os.sep])
     def test_unwritable_output_fails_before_any_cell(
         self, tmp_path, capsys, monkeypatch, out_name
     ):
-        # A missing directory, or an --out that is a directory, must stop
+        # A missing directory, an --out that is a directory, or one that
+        # names no file (abspath drops an empty last component) must stop
         # the command before the sweep starts, not after it.
         def no_sweep(*args, **kwargs):
             raise AssertionError("the sweep ran before --out was checked")
 
         monkeypatch.setattr("rsthp.cli.run_sweep", no_sweep)
-        code = run_cli("sweep-snr", *SMALL, "--snr-db", "10",
-                       "--out", str(tmp_path / out_name))
+        monkeypatch.chdir(tmp_path)
+        code = run_cli("sweep-snr", *SMALL, "--snr-db", "10", "--out", out_name)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1

@@ -50,7 +50,7 @@ from rsthp.channel import (  # noqa: E402
 from rsthp.cli import MAX_RANGE_POINTS, main, parse_grid  # noqa: E402
 from rsthp.exceptions import SaturatedSinrError  # noqa: E402
 from rsthp.precoding import ALL_SCHEME_TAGS  # noqa: E402
-from rsthp.rates import stacked_sum_rate_table, sum_rate_table  # noqa: E402
+from rsthp.rates import stacked_sum_rate_table  # noqa: E402
 from rsthp.sweeps import (  # noqa: E402
     SIGMA_N2,
     _rate_channel,
@@ -194,6 +194,10 @@ def per_split_rates(ps, errors):
     st.lists(st.floats(0.0, 0.95), max_size=5),
 )
 def test_split_table_rows_match_the_per_split_formula(case, n_draws, splits):
+    # Each split's rates (a row of the sweep's table, which
+    # test_each_stacked_table_row_is_its_own_sum_rate_samples holds to
+    # sum_rate_samples) match that split's own formula, and an RS
+    # scheme at split 0 has its base scheme's bits.
     grid = sorted({0.0, *splits})
     n_users, n_tx = case["h_est"].shape
     errors = draw_error_ensemble(
@@ -204,11 +208,14 @@ def test_split_table_rows_match_the_per_split_formula(case, n_draws, splits):
         build_precoders(case["h_est"], rs, case["e_tr"], case["power_loss"], t)
         for t in grid
     ]
-    table = sum_rate_table(sets, errors, SIGMA_N2)
-    for row, ps in zip(table, sets):
-        np.testing.assert_allclose(row, per_split_rates(ps, errors), rtol=1e-12)
+    for ps in sets:
+        np.testing.assert_allclose(
+            sum_rate_samples(ps, errors, SIGMA_N2), per_split_rates(ps, errors), rtol=1e-12
+        )
     alone = build_precoders(case["h_est"], base, case["e_tr"], case["power_loss"])
-    assert np.array_equal(table[0], sum_rate_table([alone], errors, SIGMA_N2)[0])
+    assert np.array_equal(
+        sum_rate_samples(sets[0], errors, SIGMA_N2), sum_rate_samples(alone, errors, SIGMA_N2)
+    )
 
 
 @st.composite

@@ -26,7 +26,12 @@ from rsthp import (
 )
 from rsthp.linalg import lq_decompose
 from rsthp.precoding import ALL_SCHEME_TAGS
-from rsthp.exceptions import EmptyGridError, SaturatedSinrError, SchemeMismatchError
+from rsthp.exceptions import (
+    DimensionMismatchError,
+    EmptyGridError,
+    SaturatedSinrError,
+    SchemeMismatchError,
+)
 from rsthp.rates import (
     SINR_CAP,
     SinrReport,
@@ -34,7 +39,7 @@ from rsthp.rates import (
     _cap,
     _stacked_rows,
     estimate_sinr_monte_carlo,
-    sum_rate_table,
+    stacked_sum_rate_table,
 )
 from rsthp.sweeps import draw_channel
 
@@ -277,6 +282,12 @@ def split_reference(ps, errors, sigma_n2):
     return totals
 
 
+def one_ensemble_table(precoder_sets, errors, sigma_n2):
+    """stacked_sum_rate_table over the one (M, K, N) ensemble errors."""
+    rows = _stacked_rows(precoder_sets[0], errors)
+    return stacked_sum_rate_table(precoder_sets, rows, [0] * len(precoder_sets), sigma_n2)
+
+
 class TestSumRateTable:
     # Split 0 sits between nonzero splits, so the sets with a common
     # stream are not a prefix of the table.
@@ -295,7 +306,7 @@ class TestSumRateTable:
             errors = draw_error_ensemble(4, 4, 0.2, n_draws, seed=seed)
             for scheme in ALL_SCHEME_TAGS:
                 sets = self.table_sets(h, scheme)
-                table = sum_rate_table(sets, errors, 1.0)
+                table = one_ensemble_table(sets, errors, 1.0)
                 assert table.shape == (len(sets), n_draws)
                 # The split search averages the table along its rows.
                 means = np.mean(table, axis=1)
@@ -326,7 +337,7 @@ class TestSumRateTable:
                 expected = np.sum(np.log2(1.0 + private), axis=2)
                 if common is not None:
                     expected[common_at] += np.min(np.log2(1.0 + common), axis=2)
-                table = sum_rate_table(sets, errors, 1.0)
+                table = one_ensemble_table(sets, errors, 1.0)
                 if n <= 7:
                     assert np.array_equal(table, expected)
                 else:
@@ -337,7 +348,7 @@ class TestSumRateTable:
         scheme = SchemeTag("dthp", rs=True)
         sets = [build_precoders(h, scheme, 1e14, 0.75, t) for t in (0.0, 0.5)]
         with pytest.raises(SaturatedSinrError, match="dthp-rs"):
-            sum_rate_table(sets, np.zeros((1, 4, 4), dtype=complex), 1.0)
+            one_ensemble_table(sets, np.zeros((1, 4, 4), dtype=complex), 1.0)
 
     def test_stacked_matmul_makes_the_per_slice_products(self):
         # The stacked kernel's bits rest on this: np.matmul over a stack
@@ -368,21 +379,33 @@ class TestSumRateTable:
         h, errors = random_channel(64), draw_error_ensemble(4, 4, 0.2, 5, seed=64)
         dthp = build_precoders(h, SchemeTag("dthp"), 31.0, 0.75)
         with pytest.raises(EmptyGridError):
-            sum_rate_table([], errors, 1.0)
+            stacked_sum_rate_table([], _stacked_rows(dthp, errors), [], 1.0)
         mixed = [
             dthp,
             build_precoders(h, SchemeTag("zf-dpc", rs=True), 10.0, 0.75, 0.3),
             build_precoders(h.copy(), SchemeTag("zf-dpc"), 31.0, 0.75),
         ]
-        table = sum_rate_table(mixed, errors, 1.0)
+        table = one_ensemble_table(mixed, errors, 1.0)
         for row, ps in zip(table, mixed):
-            assert np.array_equal(row, sum_rate_table([ps], errors, 1.0)[0])
+            assert np.array_equal(row, one_ensemble_table([ps], errors, 1.0)[0])
         for other in (
             build_precoders(h, SchemeTag("cthp"), 31.0, 0.75),
             build_precoders(random_channel(65), SchemeTag("dthp"), 31.0, 0.75),
         ):
             with pytest.raises(SchemeMismatchError):
-                sum_rate_table([dthp, other], errors, 1.0)
+                one_ensemble_table([dthp, other], errors, 1.0)
+
+    def test_rejects_ensembles_that_do_not_index_each_set_once(self):
+        # A negative index would rate a set on the last ensemble and a
+        # short list would fail inside numpy; both name the ensembles.
+        h, errors = random_channel(69), draw_error_ensemble(4, 4, 0.2, 5, seed=69)
+        sets = self.table_sets(h, SchemeTag("dthp", rs=True))[:3]
+        rows = np.concatenate([_stacked_rows(sets[0], errors)] * 2)
+        assert stacked_sum_rate_table(sets, rows, [1, 0, 1], 1.0).shape == (3, 5)
+        for ensembles in ([-1, 0, 0], [0, 0, 2], [0, 0], [0, 0, 0, 0], [[0, 0, 0]],
+                          [0.0, 0.0, 0.0], [True, False, True]):
+            with pytest.raises(DimensionMismatchError, match="ensembles"):
+                stacked_sum_rate_table(sets, rows, ensembles, 1.0)
 
     def test_saturation_names_the_first_saturated_set(self):
         # A cap between zf-dpc's and dthp's peaks saturates the zf-dpc
@@ -395,9 +418,9 @@ class TestSumRateTable:
         assert peaks[1] > 1.2 * peaks[0]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rates, "SINR_CAP", float(np.sqrt(peaks[0] * peaks[1])))
-            sum_rate_table([sets[0], sets[2]], zero, 1.0)
+            one_ensemble_table([sets[0], sets[2]], zero, 1.0)
             with pytest.raises(SaturatedSinrError, match="^zf-dpc: ") as raised:
-                sum_rate_table(sets, zero, 1.0)
+                one_ensemble_table(sets, zero, 1.0)
         assert raised.value.set_index == 1
 
 

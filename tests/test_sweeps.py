@@ -290,6 +290,14 @@ class TestSweepConfig:
 
 
 class TestErgodicSumRate:
+    @pytest.mark.parametrize("bad", [dict(n_channels=0), dict(n_error_samples=0)])
+    def test_rejects_an_invalid_config(self, bad):
+        # No channels or no draws fail validation as in run_sweep, not
+        # inside numpy's stacking or the block arithmetic.
+        with pytest.raises(DimensionMismatchError, match=next(iter(bad))):
+            ergodic_sum_rate(small_config(**bad), SchemeTag("zf"),
+                             snr_db_to_power(15.0), FIXED, 15.0)
+
     def test_single_channel_is_plain_average(self):
         cfg = small_config(n_channels=1)
         cell = ergodic_sum_rate(
@@ -544,6 +552,7 @@ class TestRunSweep:
             kernel_limit = sweeps._kernel_block_values(len(cfg.power_split_grid), n_samples, 4)
             assert max(values for values, _ in blocks) <= kernel_limit
             assert max(size for _, size in blocks) <= max(m_k_n, 2**14)
+            assert min(len(variances), sweeps._variance_block(n_samples, 4, 4)) == n_variances
             assert max(size for _, size in blocks) == n_variances * m_k_n
             assert sum(values for values, _ in blocks) == 9 * len(variances) * m_k
 
