@@ -15,7 +15,8 @@ pseudo-inverse and one LQ factorization of the channel estimate: cTHP
 and dTHP differ only in where the diagonal scaling sits, and ZF-DPC
 shares dTHP's arrays. They are computed once per channel and the last
 channel's are kept, so a build of the split search only picks its scale
-beta and its common stream.
+beta and its common stream's power, along the channel's one cached
+direction.
 """
 
 import math
@@ -25,7 +26,12 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import SchemeMismatchError
-from .linalg import dominant_right_singular_vector, lq_decompose, pseudo_inverse
+from .linalg import (
+    _anchored_direction,
+    dominant_right_singular_vector,
+    lq_decompose,
+    pseudo_inverse,
+)
 
 _BASES = ("zf", "cthp", "dthp", "zf-dpc")
 
@@ -83,22 +89,26 @@ ALL_SCHEME_TAGS = (
 class PrecoderSet:
     """Everything the transmitter side derives from one channel estimate.
 
-    beta and p_common (None at a zero power split) are the build's own;
-    the other arrays are its channel's read-only geometry, shared by
-    every build on that channel and across bases (dthp and zf-dpc share
-    all of it, every THP base shares g_diag). build_precoders alone
-    decides where THP's per-user scaling g = 1/diag(L) sits: unit_map
-    sends one unit of each feedback output (each private symbol for
-    zero-forcing) to the antennas, and receiver k applies rx_gain, ones
-    for zf and cthp (g sits in unit_map), g_diag for dthp and zf-dpc.
-    unit_private = unit_map B^-1, with b_matrix the unit-diagonal
-    feedback B (unit_map for zero-forcing, which has no B), so h_est @
-    unit_private = diag(1 / rx_gain) for THP. tx_basis and p_private
-    scale them by beta into a fresh array on each read.
+    beta and common_power, the common stream's power P (0.0 at a zero
+    power split), are the build's own. The arrays are its channel's and
+    read-only: common_direction is the channel's one dominant direction
+    d (None at a zero power split), shared by every split, and the
+    geometry is shared by every build on that channel and across bases
+    (dthp and zf-dpc share all of it, every THP base shares g_diag).
+    build_precoders alone decides where THP's per-user scaling g =
+    1/diag(L) sits: unit_map sends one unit of each feedback output
+    (each private symbol for zero-forcing) to the antennas, and receiver
+    k applies rx_gain, ones for zf and cthp (g sits in unit_map), g_diag
+    for dthp and zf-dpc. unit_private = unit_map B^-1, with b_matrix the
+    unit-diagonal feedback B (unit_map for zero-forcing, which has no
+    B), so h_est @ unit_private = diag(1 / rx_gain) for THP. tx_basis
+    and p_private scale them by beta, and p_common is sqrt(P) d, each
+    formed into a fresh array on each read.
     """
 
     scheme: SchemeTag
-    p_common: np.ndarray | None
+    common_power: float
+    common_direction: np.ndarray | None
     unit_map: np.ndarray
     unit_private: np.ndarray
     rx_gain: np.ndarray
@@ -119,6 +129,12 @@ class PrecoderSet:
     @property
     def p_private(self) -> np.ndarray:
         return self.beta * self.unit_private
+
+    @property
+    def p_common(self) -> np.ndarray | None:
+        if self.common_direction is None:
+            return None
+        return math.sqrt(self.common_power) * self.common_direction
 
 
 def build_precoders(
@@ -156,21 +172,24 @@ def build_precoders(
             f"scheme {scheme.tag} has no common stream, power_split must be 0"
         )
 
+    h_bytes = h_est.tobytes()
+    common_power, direction, e_private = 0.0, None, e_tr
     if power_split > 0.0:
-        direction = dominant_right_singular_vector(h_est)
-        p_common = math.sqrt(power_split * e_tr) * direction
+        common_power = power_split * e_tr
+        p_common = math.sqrt(common_power) * dominant_right_singular_vector(h_est)
         e_private = e_tr - np.vdot(p_common, p_common).real
-    else:
-        p_common = None
-        e_private = e_tr
+        # The call above cached this channel's direction: every split
+        # shares that one read-only array.
+        direction = _anchored_direction(h_bytes, h_est.shape)
 
     lambda_eff = power_loss if scheme.uses_power_loss else 1.0
     unit_map, b_matrix, unit_private, unit_power, rx_gain, g_diag = _geometry(
-        h_est.tobytes(), h_est.shape
+        h_bytes, h_est.shape
     )[scheme.base]
     return PrecoderSet(
         scheme=scheme,
-        p_common=p_common,
+        common_power=common_power,
+        common_direction=direction,
         unit_map=unit_map,
         unit_private=unit_private,
         rx_gain=rx_gain,

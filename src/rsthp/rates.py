@@ -6,9 +6,12 @@ and imperfect CSIT (perfect is the zero-error special case), so the
 reduction between the two is exact by construction. One kernel call
 rates every build that shares a private geometry on one channel, at
 any splits, powers and error variances (stacked_sum_rate_table): the
-sweep stacks a channel's cells of one geometry into it. One build over
-one ensemble (sum_rate_samples, sinr_imperfect_csit) is its view, with
-the same bits. The estimator
+sweep stacks a channel's cells of one geometry into it. A split moves
+only scalars, the private scale beta and the common stream's power P
+along the channel's one direction d, so the kernel forms each error
+ensemble's split-invariant gains once and scales them per build. One
+build over one ensemble (sum_rate_samples, sinr_imperfect_csit) is its
+view, with the same bits. The estimator
 simulates the received signal model directly and is the independent
 check on the algebra. Neither asks where a scheme puts its THP gains:
 PrecoderSet.unit_map and rx_gain carry that.
@@ -18,10 +21,10 @@ Conventions used throughout:
     sample is row @ x + noise.
   * Effective channel G = (h_est + E) @ p_private with p_private = beta
     unit_private: the private streams as the users really receive them.
-    Every closed form reads G, the common-stream gains and the
-    PrecoderSet's beta and rx_gain, never the scheme. For THP, h_est @
-    unit_private = diag(1 / rx_gain), so the error coupling of the
-    papers is A = G / beta - diag(1 / rx_gain).
+    Every closed form reads G, the common-stream gains P |(h_est + E) @
+    d|^2 and the PrecoderSet's beta and rx_gain, never the scheme. For
+    THP, h_est @ unit_private = diag(1 / rx_gain), so the error coupling
+    of the papers is A = G / beta - diag(1 / rx_gain).
   * The closed forms take the effective symbols v = s + d at unit
     power; the estimator sends 4-QAM v with the real lattice offsets d.
   * SINRs are capped at SINR_CAP; a report whose raw values exceeded the
@@ -81,7 +84,7 @@ def _cap(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     whether any of its values exceeded the cap or was not finite). A
     batch that is finite and within the cap, the usual case, comes back
     as it is: a NaN or an infinity fails the test below."""
-    if np.abs(values).max(initial=0.0) <= SINR_CAP:
+    if values.max(initial=0.0) <= SINR_CAP and values.min(initial=0.0) > -np.inf:
         return values, np.zeros(len(values), dtype=bool)
     finite = np.isfinite(values)
     values = np.where(finite, values, SINR_CAP)
@@ -133,41 +136,63 @@ def _stacked_rows(precoders: PrecoderSet, errors: np.ndarray) -> np.ndarray:
 def _batch_sinr(
     precoder_sets: Sequence[PrecoderSet], rows: np.ndarray, ensembles, sigma_n2: float
 ) -> tuple[np.ndarray, list[int], np.ndarray | None, np.ndarray]:
-    """Closed-form SINRs of S builds that share one private geometry on
-    one channel (h_est, unit_private and rx_gain: any splits and powers
-    of one base, and dthp with zf-dpc), set s over the (M >= 1) error
-    realizations rows[ensembles[s]] of the (V, M K, N) stack of h_est +
-    E_v; all-zero errors give the perfect-CSIT values.
+    """Closed-form SINRs of S builds that share one private geometry and
+    one common-stream direction on one channel (h_est, unit_private,
+    rx_gain and d: any splits and powers of one base, and dthp with
+    zf-dpc), set s over the (M >= 1) error realizations
+    rows[ensembles[s]] of the (V, M K, N) stack of h_est + E_v; all-zero
+    errors give the perfect-CSIT values.
 
     One formula serves all eight schemes. With G = beta (h_est + E) @
     unit_private and g = rx_gain, the private SINR is |g^2 G_kk +
     beta (1 - g)|^2 / (g^2 (sum_j |G_kj|^2 - |G_kk|^2 + sigma^2)): the
     linear SINR for g = 1 (zf, cthp), and for dthp and zf-dpc the
     published |1 + g^2 A_kk|^2 / (g^2 (cross + sigma^2 / beta^2)) with
-    A = G / beta - diag(1 / g). The common stream treats the whole
-    private signal, sum_j |G_kj|^2, as interference; a set without one
-    (split 0) has no common term at all, not a zero one. Only beta and
-    the common stream differ between the sets, so one batched matmul
-    forms every ensemble's G0 = (h_est + E_v) @ unit_private, every set
-    scales its powers by beta^2 elementwise, and each common gain is
-    that set's own (h_est + E_v) @ p_common. A stacked matmul makes the
-    BLAS calls of single products, so each set gets its own bits.
+    A = G / beta - diag(1 / g). The common stream, sent along d at power
+    P, treats the whole private signal, sum_j |G_kj|^2, as interference;
+    a set without one (split 0) has no common term at all, not a zero
+    one. Only the scalars beta and P differ between the sets, so each
+    ensemble's split-invariant arrays are formed once: its gains G0 =
+    (h_est + E_v) @ unit_private, all V from one batched matmul, give S0
+    = |g^2 G0_kk + 1 - g|^2, X0 (the cross power) and P0 (the received
+    private power), and c0 = |(h_est + E_v) @ d|^2 comes from one
+    product with d. Set s's private SINR is beta^2 S0 / (g^2 (beta^2 X0
+    + sigma^2)) and its common SINR P c0 / (beta^2 P0 + sigma^2). One
+    ensemble broadcasts against the sets; several are gathered per set.
+    A stacked matmul makes the BLAS calls of single products, so each
+    set gets the bits of rating it alone.
     Returns capped (private (S, M, K), the indices of the sets with a
     common stream, their common SINRs (len(indices), M, K) or None,
     whether each set's SINRs saturated (S,)).
     """
     first = precoder_sets[0]
     n_users = first.n_users
+    # One pass over the sets: their scalars, and the checks that they
+    # share the geometry and the direction d that the kernel reads once.
+    beta2, common_at, power, direction = [], [], [], None
     for t, ps in enumerate(precoder_sets):
         if not _same_geometry(ps, first):
             raise SchemeMismatchError(
                 "a table rates one private geometry on one channel; precoder "
                 f"set {t} ({ps.scheme.tag}) differs from set 0 ({first.scheme.tag})"
             )
+        beta2.append(ps.beta**2)
+        d = ps.common_direction
+        if d is None:
+            continue
+        if direction is None:
+            direction = d
+        elif d is not direction and not np.array_equal(d, direction):
+            raise SchemeMismatchError(
+                "a table rates one common-stream direction on one channel; "
+                f"precoder set {t} ({ps.scheme.tag}) sends along another"
+            )
+        common_at.append(t)
+        power.append(ps.common_power)
     n_draws = rows.shape[1] // n_users
     ensembles = np.asarray(ensembles)
-    beta2 = np.array([ps.beta**2 for ps in precoder_sets])[:, np.newaxis, np.newaxis]
-    common_at = [t for t, ps in enumerate(precoder_sets) if ps.p_common is not None]
+    beta2 = np.array(beta2)[:, np.newaxis, np.newaxis]
+    at = slice(None) if len(rows) == 1 else ensembles
     # A zero denominator or an overflow (an error variance near the
     # float range) ends in a non-finite SINR, which _cap reports.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -184,20 +209,25 @@ def _batch_sinr(
         # 1 + g_k A_kk, not 1 + g_k^2 A_kk; the published form keeps g^2.
         signal0 = np.abs(gain2 * own0 + (1.0 - first.rx_gain)) ** 2
         del gains0, own0
-        private = beta2 * signal0[ensembles]
-        private /= gain2 * (beta2 * cross0[ensembles] + sigma_n2)
+        # In the per-split formula's order, which keeps its bits; S0 /
+        # (g^2 (X0 + sigma^2 / beta^2)) rounds, and overflows, otherwise.
+        private = beta2 * cross0[at]
+        private += sigma_n2
+        # As an (M, K) tile, not a (K,) row: numpy's inner loop then runs
+        # over M K values instead of K.
+        tile = np.empty((n_draws, n_users))
+        tile[:] = gain2
+        private *= tile
+        np.divide(beta2 * signal0[at], private, out=private)
         common = None
         if common_at:
-            # One matmul per run of sets over one ensemble, of their (N, 1)
-            # columns: one (N, S) product rounds differently.
-            at = ensembles[common_at]
-            common = np.empty((len(at), n_draws * n_users, 1), dtype=complex)
-            starts = [0, *(np.flatnonzero(np.diff(at)) + 1), len(at)]
-            for start, stop in zip(starts, starts[1:]):
-                columns = np.array([precoder_sets[t].p_common for t in common_at[start:stop]])
-                np.matmul(rows[at[start]], columns[:, :, np.newaxis], out=common[start:stop])
-            common = np.abs(common.reshape(-1, n_draws, n_users)) ** 2
-            common /= beta2[common_at] * power0[at] + sigma_n2
+            gains = np.matmul(rows, direction).reshape(-1, n_draws, n_users)
+            c0 = np.abs(gains) ** 2
+            power = np.array(power)[:, np.newaxis, np.newaxis]
+            common_ensembles = at if len(rows) == 1 else ensembles[common_at]
+            common = beta2[common_at] * power0[common_ensembles]
+            common += sigma_n2
+            np.divide(power * c0[common_ensembles], common, out=common)
 
     private, saturated = _cap(private)
     if common is not None:
@@ -263,14 +293,18 @@ def stacked_sum_rate_table(
     which no shape check can tell apart. Set s is rated over ensemble
     ensembles[s], each realization on its own (common stream at its
     worst user); row s is bit-identical to
-    sum_rate_samples(precoder_sets[s], E_v, sigma_n2).
+    sum_rate_samples(precoder_sets[s], E_v, sigma_n2). Each ensemble's
+    split-invariant arrays, including its common gains along the
+    channel's direction d, are formed once per call; each set adds only
+    its scalars beta^2 and P.
 
     Raises:
         EmptyGridError: no precoder sets.
         DimensionMismatchError: ensembles does not give each set exactly
             one index in [0, V).
         SchemeMismatchError: the sets differ in private geometry or
-            channel.
+            channel, or their common streams in direction (a set's
+            common_direction neither is nor equals the first one's).
         SaturatedSinrError: an SINR of any set reached SINR_CAP or was
             not finite, so the capped rate would be averaged in as if it
             were real. It names the scheme of the first such set, whose
@@ -293,17 +327,26 @@ def stacked_sum_rate_table(
     # per-row reduction overhead over a short last axis costs more than
     # the SINRs. The sum adds in user order, which is np.sum's order for
     # K <= 7 (from 8 users on it sums pairwise, a rounding apart).
-    rates = np.log2(1.0 + private)
+    private += 1.0
+    rates = np.log2(private, out=private)
     totals = rates[:, :, 0].copy()
     for k in range(1, rates.shape[2]):
         totals += rates[:, :, k]
     if common is not None:
-        common_rates = np.log2(1.0 + common)
-        worst = common_rates[:, :, 0].copy()
-        for k in range(1, common_rates.shape[2]):
-            np.minimum(worst, common_rates[:, :, k], out=worst)
-        totals[common_at] += worst
+        totals[common_at] += _worst_user_rate(common)
     return totals
+
+
+def _worst_user_rate(common: np.ndarray) -> np.ndarray:
+    """(S, M) common rates log2(1 + min_k c_k) of (S, M, K) common SINRs.
+    1 + x and log2 are monotone, so this has the bits of the least user
+    rate min_k log2(1 + c_k), for one logarithm per realization instead
+    of K. The minimum runs over the user slices, like the sums above."""
+    worst = common[:, :, 0].copy()
+    for k in range(1, common.shape[2]):
+        np.minimum(worst, common[:, :, k], out=worst)
+    worst += 1.0
+    return np.log2(worst, out=worst)
 
 
 def sum_rate_samples(

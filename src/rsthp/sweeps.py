@@ -75,17 +75,19 @@ _RESULT_BYTES = 2 * (8 + 8 + 32)
 _ROW_BYTES = 128 + 8
 
 # Values one kernel call rates (sets x M x K) and complex values one variance
-# block stacks, unless one split search or ensemble is larger: 128 KiB float64
-# blocks stay in L2 (two 42-set blocks ran in 0.55-0.8 of one 84-set block's time).
-_BLOCK_VALUES = 2**14
+# block stacks, unless one split search or ensemble is larger: 256 KiB float64
+# blocks. On a 2-core x86 host (BLAS on 1 thread) the default fixed-error sweep
+# took 0.61 s at 2**15 against 0.67 s at 2**14 and 0.71 s at 2**16 (medians of
+# 6 alternating runs). At 100 draws and 4 users a call then rates 81 sets, not 40.
+_BLOCK_VALUES = 2**15
 
 # Bytes the kernel holds per block value beyond G0 and its per-user
-# sums; tracemalloc measured at most 53 B (rate-splitting sets, K = 1).
-_KERNEL_BYTES = 56
+# sums; tracemalloc measured at most 39 B (rate-splitting sets, K = 1).
+_KERNEL_BYTES = 40
 
-# Bytes one build keeps until its channel is rated, beyond its common
-# stream's values: the PrecoderSet with its scalars and the stream's
-# array header (about 400 B, measured with tracemalloc).
+# Bytes one build keeps until its channel is rated: the PrecoderSet with
+# its scalars (at most about 320 B, measured with tracemalloc); its
+# common stream's direction is the channel's, shared by every build.
 _BUILD_BYTES = 512
 
 
@@ -357,14 +359,13 @@ def matrix_bytes(
     to that copy, where the peak comes, not at the draw (3 M K N, when
     drawn), the precoder geometry (under 10 K N), one
     variance block's stacked realizations (V M K N) and their gains G0
-    with per-user sums (V M K (K + 4)), and each build's common stream
-    (N); _BUILD_BYTES per build; and _KERNEL_BYTES per value of one
-    kernel block, which holds at most _kernel_block_values values and
-    at most every build's.
+    with per-user sums (V M K (K + 4)); _BUILD_BYTES per build; and
+    _KERNEL_BYTES per value of one kernel block, which holds at most
+    _kernel_block_values values and at most every build's.
     """
     v = min(n_variances, _variance_block(m, k, n))
     ensemble = m * k * n if drawn else 0
-    complex_values = 3 * ensemble + 10 * k * n + v * m * k * (n + k + 4) + n_builds * n
+    complex_values = 3 * ensemble + 10 * k * n + v * m * k * (n + k + 4)
     return (
         16 * complex_values
         + _BUILD_BYTES * n_builds
@@ -570,9 +571,11 @@ def run_sweep(config: SweepConfig, n_jobs: int = 1) -> SweepResult:
 
     Every cell is rated on one channel before the next channel, so the
     caches need hold only the current one. min(n_jobs, n_channels)
-    workers each take one contiguous run of channels, one worker in this
-    process. Each cell joins its per-channel values in channel order, so
-    the output is bit-identical at any n_jobs. A failing run raises the
+    workers each take one contiguous run of channels. One worker is this
+    process itself; more are the processes of a pool, which rate every
+    channel while this process only joins their rows. Each cell joins
+    its per-channel values in channel order, so the output is
+    bit-identical at any n_jobs. A failing run raises the
     error of the lowest failing channel's first failing cell in output
     order, the one a serial run meets and stops at: both map and the
     pool's map yield channels in order. Pool workers skip every channel

@@ -10,6 +10,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rsthp import rates
 from rsthp import (
@@ -354,7 +355,8 @@ class TestSumRateTable:
         # The stacked kernel's bits rest on this: np.matmul over a stack
         # gives each slice the product that @ gives it alone, for the
         # gains G0 (a gemm per ensemble) and for the common gains (a
-        # gemv per set, written through out=).
+        # gemv of each ensemble with the channel's direction d), so a
+        # set rated among V ensembles gets the bits of its own one.
         rng = np.random.default_rng(70)
 
         def gaussian(*shape):
@@ -362,15 +364,30 @@ class TestSumRateTable:
 
         for _ in range(30):
             k = int(rng.integers(1, 10))
-            n, m, v, s = k + int(rng.integers(0, 5)), int(rng.integers(1, 334)), 3, 4
-            rows, unit, columns = gaussian(v, m * k, n), gaussian(n, k), gaussian(s, n)
+            n, m, v = k + int(rng.integers(0, 5)), int(rng.integers(1, 334)), 3
+            rows, unit, direction = gaussian(v, m * k, n), gaussian(n, k), gaussian(n)
             gains = np.matmul(rows, unit)
-            common = np.empty((s, m * k, 1), dtype=complex)
-            np.matmul(rows[1], columns[:, :, np.newaxis], out=common)
+            common = np.matmul(rows, direction)
             for i in range(v):
                 assert np.array_equal(gains[i], rows[i] @ unit)
-            for t in range(s):
-                assert np.array_equal(common[t, :, 0], rows[1] @ columns[t])
+                assert np.array_equal(common[i], rows[i] @ direction)
+                assert np.array_equal(common[i], np.matmul(rows[i:i + 1], direction)[0])
+
+    @given(st.data())
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    def test_worst_user_rate_is_the_least_user_rate(self, data):
+        # The common rate takes one logarithm at the least SINR; the
+        # monotone 1 + x and log2 give it the least user rate's bits,
+        # including at 0, subnormals, ties and the cap.
+        shape = data.draw(st.tuples(*(st.integers(1, n) for n in (4, 6, 9))))
+        specials = st.sampled_from((0.0, 5e-324, 2.2e-308, 1e-300, 1.0, SINR_CAP))
+        pool = data.draw(st.lists(
+            st.one_of(specials, st.floats(0.0, SINR_CAP)), min_size=1, max_size=6))
+        common = np.array(data.draw(st.lists(
+            st.sampled_from(pool), min_size=int(np.prod(shape)),
+            max_size=int(np.prod(shape))))).reshape(shape)
+        want = np.log2(1.0 + common).min(axis=2)
+        assert rates._worst_user_rate(common).tobytes() == want.tobytes()
 
     def test_rejects_mixed_or_empty_tables(self):
         # One table rates one private geometry on one channel: dthp and
@@ -394,6 +411,24 @@ class TestSumRateTable:
         ):
             with pytest.raises(SchemeMismatchError):
                 one_ensemble_table([dthp, other], errors, 1.0)
+
+    def test_rejects_sets_with_another_common_direction(self):
+        # The kernel forms c0 = |(h_est + E) @ d|^2 once, with the
+        # channel's one direction d, and scales it by each set's power.
+        # A set whose stream is turned off d would be rated on the first
+        # set's d, so it is refused; an equal copy of d is accepted.
+        h, errors = random_channel(71), draw_error_ensemble(4, 4, 0.2, 5, seed=71)
+        sets = self.table_sets(h, SchemeTag("zf-dpc", rs=True))
+        assert sets[0].common_direction is sets[2].common_direction
+        d = sets[2].common_direction
+        copied = dataclasses.replace(sets[2], common_direction=d.copy())
+        table = one_ensemble_table([*sets, copied], errors, 1.0)
+        assert np.array_equal(table[-1], table[2])
+        for other in (np.exp(0.3j) * d, np.roll(d, 1)):
+            turned = dataclasses.replace(sets[2], common_direction=other)
+            one_ensemble_table([turned], errors, 1.0)
+            with pytest.raises(SchemeMismatchError, match="set 5 .* another"):
+                one_ensemble_table([*sets, turned], errors, 1.0)
 
     def test_rejects_ensembles_that_do_not_index_each_set_once(self):
         # A negative index would rate a set on the last ensemble and a

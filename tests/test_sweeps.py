@@ -520,9 +520,9 @@ class TestRunSweep:
 
     def test_kernel_blocks_hold_at_most_the_charged_values(self, monkeypatch):
         # A kernel block stacks cells while it holds at most
-        # max(T M K, 2**14) values, and a variance block stacks error
-        # variances while their realizations hold at most
-        # max(M K N, 2**14) complex values: the amounts matrix_bytes
+        # max(T M K, _BLOCK_VALUES) values, and a variance block stacks
+        # error variances while their realizations hold at most
+        # max(M K N, _BLOCK_VALUES) complex values: the amounts matrix_bytes
         # charges. With many draws a geometry's cells take several
         # kernel blocks and each variance its own variance block.
         blocks = []
@@ -551,7 +551,7 @@ class TestRunSweep:
             assert len(blocks) == n_calls
             kernel_limit = sweeps._kernel_block_values(len(cfg.power_split_grid), n_samples, 4)
             assert max(values for values, _ in blocks) <= kernel_limit
-            assert max(size for _, size in blocks) <= max(m_k_n, 2**14)
+            assert max(size for _, size in blocks) <= max(m_k_n, sweeps._BLOCK_VALUES)
             assert min(len(variances), sweeps._variance_block(n_samples, 4, 4)) == n_variances
             assert max(size for _, size in blocks) == n_variances * m_k_n
             assert sum(values for values, _ in blocks) == 9 * len(variances) * m_k
