@@ -17,6 +17,10 @@ class ZeroMatrixError(SimulatorError):
     """Operation requires a nonzero matrix."""
 
 
+class NonFiniteMatrixError(SimulatorError):
+    """Matrix holds a NaN or an infinity, so its SVD is undefined."""
+
+
 class NonUnitDiagonalError(SimulatorError):
     """Feedback matrix must be lower triangular with unit diagonal."""
 

@@ -14,7 +14,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, RankDeficientError, ZeroMatrixError
+from .exceptions import (
+    DimensionMismatchError,
+    NonFiniteMatrixError,
+    RankDeficientError,
+    ZeroMatrixError,
+)
 
 # Relative threshold on singular values below which a matrix is treated
 # as row-rank deficient.
@@ -53,6 +58,14 @@ def _as_complex_matrix(a, op_name: str) -> np.ndarray:
     return a
 
 
+def _check_finite(a: np.ndarray, op_name: str) -> None:
+    """NonFiniteMatrixError if a holds a NaN or an infinity: LAPACK's
+    SVD raises numpy's LinAlgError on a NaN and returns NaN factors for
+    an infinity."""
+    if not np.isfinite(a).all():
+        raise NonFiniteMatrixError(f"{op_name}: matrix holds a NaN or an infinity")
+
+
 def _full_row_rank_svd(a, op_name: str) -> tuple[np.ndarray, ...]:
     """a as a complex array and its reduced SVD, or the error that
     lq_decompose documents. The matrix is row-rank deficient unless its
@@ -62,6 +75,7 @@ def _full_row_rank_svd(a, op_name: str) -> tuple[np.ndarray, ...]:
         raise DimensionMismatchError(
             f"{op_name} expects 0 < K <= N, got shape {a.shape}"
         )
+    _check_finite(a, op_name)
     u, singular_values, vh = np.linalg.svd(a, full_matrices=False)
     largest, smallest = singular_values[0], singular_values[-1]
     if largest == 0.0:
@@ -90,6 +104,7 @@ def lq_decompose(a) -> LqFactors:
 
     Raises:
         DimensionMismatchError: if a is not 2-D, has no rows or K > N.
+        NonFiniteMatrixError: if a holds a NaN or an infinity.
         ZeroMatrixError: if a is identically zero.
         RankDeficientError: if a does not have full row rank.
     """
@@ -123,8 +138,10 @@ def pseudo_inverse(a) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _anchored_direction(a_bytes: bytes, shape: tuple[int, int]) -> np.ndarray:
-    # Checked on a miss only: lru_cache keeps no exception, so zeros always raise.
+    # Checked on a miss only: lru_cache keeps no exception, so a bad
+    # matrix always raises.
     a = np.frombuffer(a_bytes, dtype=complex).reshape(shape)
+    _check_finite(a, "dominant_right_singular_vector")
     if not np.any(a):
         raise ZeroMatrixError(
             "dominant_right_singular_vector: matrix is identically zero"
@@ -155,6 +172,7 @@ def dominant_right_singular_vector(a) -> np.ndarray:
 
     Raises:
         DimensionMismatchError: if a is not 2-D.
+        NonFiniteMatrixError: if a holds a NaN or an infinity.
         ZeroMatrixError: if a is identically zero.
     """
     a = _as_complex_matrix(a, "dominant_right_singular_vector")

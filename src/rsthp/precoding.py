@@ -13,10 +13,10 @@ its unit map, feedback matrix B, private precoder (unit map) B^-1 and
 per-user gains. All four bases' geometries come from one
 pseudo-inverse and one LQ factorization of the channel estimate: cTHP
 and dTHP differ only in where the diagonal scaling sits, and ZF-DPC
-shares dTHP's arrays. They are computed once per channel and the last
-channel's are kept, so a build of the split search only picks its scale
-beta and its common stream's power, along the channel's one cached
-direction.
+shares dTHP's record. They are computed once per channel and the last
+channel's are kept (_geometry). A build of the split search is its two
+scalars, the private scale beta and the common stream's power P, plus
+references to its channel's geometry record and one cached direction.
 """
 
 import math
@@ -85,50 +85,84 @@ ALL_SCHEME_TAGS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class Geometry:
+    """The split- and SNR-invariant part of one base scheme's precoder
+    on one channel estimate, built once per channel by _geometry; its
+    arrays are read-only.
+
+    build_precoders alone decides where THP's per-user scaling g =
+    1/diag(L) (g_diag) sits: unit_map sends one unit of each feedback
+    output (each private symbol for zero-forcing) to the antennas, and
+    receiver k applies rx_gain, ones for zf and cthp (g sits in
+    unit_map), g_diag for dthp and zf-dpc. unit_private = unit_map B^-1,
+    with b_matrix the unit-diagonal feedback B, so h_est @ unit_private =
+    diag(1 / rx_gain) for THP; zero-forcing has no B or g_diag (None),
+    and its unit_private is unit_map. unit_power is the private power
+    at beta = 1: K, or sum(g^2) for cthp, whose gains sit in unit_map.
+    """
+
+    unit_map: np.ndarray
+    b_matrix: np.ndarray | None
+    unit_private: np.ndarray
+    unit_power: float
+    rx_gain: np.ndarray
+    g_diag: np.ndarray | None
+
+
+@dataclass(slots=True)
 class PrecoderSet:
     """Everything the transmitter side derives from one channel estimate.
 
     beta and common_power, the common stream's power P (0.0 at a zero
-    power split), are the build's own. The arrays are its channel's and
+    power split), are the build's own. The rest is its channel's and
     read-only: common_direction is the channel's one dominant direction
-    d (None at a zero power split), shared by every split, and the
-    geometry is shared by every build on that channel and across bases
-    (dthp and zf-dpc share all of it, every THP base shares g_diag).
-    build_precoders alone decides where THP's per-user scaling g =
-    1/diag(L) sits: unit_map sends one unit of each feedback output
-    (each private symbol for zero-forcing) to the antennas, and receiver
-    k applies rx_gain, ones for zf and cthp (g sits in unit_map), g_diag
-    for dthp and zf-dpc. unit_private = unit_map B^-1, with b_matrix the
-    unit-diagonal feedback B (unit_map for zero-forcing, which has no
-    B), so h_est @ unit_private = diag(1 / rx_gain) for THP. tx_basis
-    and p_private scale them by beta, and p_common is sqrt(P) d, each
-    formed into a fresh array on each read.
+    d (None at a zero power split), shared by every split, and geometry
+    is shared by every build of its base on that channel (dthp and
+    zf-dpc share one record, every THP base shares g_diag). The
+    geometry's arrays read through as attributes; tx_basis and p_private
+    scale unit_map and unit_private by beta, and p_common is sqrt(P) d,
+    each formed into a fresh array on each read.
     """
 
     scheme: SchemeTag
+    beta: float
     common_power: float
     common_direction: np.ndarray | None
-    unit_map: np.ndarray
-    unit_private: np.ndarray
-    rx_gain: np.ndarray
-    g_diag: np.ndarray | None
-    b_matrix: np.ndarray | None
-    beta: float
     h_est: np.ndarray
-    lambda_eff: float
+    geometry: Geometry
 
     @property
     def n_users(self) -> int:
         return self.h_est.shape[0]
 
     @property
+    def unit_map(self) -> np.ndarray:
+        return self.geometry.unit_map
+
+    @property
+    def unit_private(self) -> np.ndarray:
+        return self.geometry.unit_private
+
+    @property
+    def b_matrix(self) -> np.ndarray | None:
+        return self.geometry.b_matrix
+
+    @property
+    def rx_gain(self) -> np.ndarray:
+        return self.geometry.rx_gain
+
+    @property
+    def g_diag(self) -> np.ndarray | None:
+        return self.geometry.g_diag
+
+    @property
     def tx_basis(self) -> np.ndarray:
-        return self.beta * self.unit_map
+        return self.beta * self.geometry.unit_map
 
     @property
     def p_private(self) -> np.ndarray:
-        return self.beta * self.unit_private
+        return self.beta * self.geometry.unit_private
 
     @property
     def p_common(self) -> np.ndarray | None:
@@ -159,6 +193,9 @@ def build_precoders(
     Raises:
         SchemeMismatchError: power_split > 0 on a non-RS scheme.
         ValueError: e_tr, power_split or power_loss out of range.
+        DimensionMismatchError, NonFiniteMatrixError, ZeroMatrixError,
+        RankDeficientError: h_est is not a finite full-row-rank (K, N)
+            matrix with K <= N (see linalg.lq_decompose).
     """
     h_est = np.asarray(h_est, dtype=complex)
     if not 0.0 < e_tr < math.inf:
@@ -173,44 +210,34 @@ def build_precoders(
         )
 
     h_bytes = h_est.tobytes()
+    geometry = _geometry(h_bytes, h_est.shape)[scheme.base]
     common_power, direction, e_private = 0.0, None, e_tr
     if power_split > 0.0:
         common_power = power_split * e_tr
-        p_common = math.sqrt(common_power) * dominant_right_singular_vector(h_est)
+        p_common = dominant_right_singular_vector(h_est)
+        p_common *= math.sqrt(common_power)
         e_private = e_tr - np.vdot(p_common, p_common).real
         # The call above cached this channel's direction: every split
         # shares that one read-only array.
         direction = _anchored_direction(h_bytes, h_est.shape)
 
     lambda_eff = power_loss if scheme.uses_power_loss else 1.0
-    unit_map, b_matrix, unit_private, unit_power, rx_gain, g_diag = _geometry(
-        h_bytes, h_est.shape
-    )[scheme.base]
     return PrecoderSet(
-        scheme=scheme,
-        common_power=common_power,
-        common_direction=direction,
-        unit_map=unit_map,
-        unit_private=unit_private,
-        rx_gain=rx_gain,
-        g_diag=g_diag,
-        b_matrix=b_matrix,
-        beta=math.sqrt(lambda_eff * e_private / unit_power),
-        h_est=h_est,
-        lambda_eff=lambda_eff,
+        scheme,
+        math.sqrt(lambda_eff * e_private / geometry.unit_power),
+        common_power,
+        direction,
+        h_est,
+        geometry,
     )
 
 
 @lru_cache(maxsize=1)
-def _geometry(h_bytes: bytes, shape: tuple[int, ...]) -> dict[str, tuple]:
-    """The split- and SNR-invariant part of every base scheme's precoder.
-
-    Maps each base to (unit_map, b_matrix, unit_private = unit_map @
-    inv(b_matrix), unit_power, rx_gain, g_diag) for the channel estimate
-    whose complex128 bytes and shape are given; the arrays are
-    read-only. Zero-forcing has no b_matrix or g_diag (None), and its
-    unit_private is unit_map. A bad channel raises on every call:
-    lru_cache stores no exception.
+def _geometry(h_bytes: bytes, shape: tuple[int, ...]) -> dict[str, Geometry]:
+    """Each base scheme's Geometry on the channel estimate whose
+    complex128 bytes and shape are given, by base; dthp and zf-dpc map
+    to one record. A bad channel raises on every call: lru_cache stores
+    no exception.
     """
     h_est = np.frombuffer(h_bytes, dtype=complex).reshape(shape)
     n_users = shape[0]
@@ -229,17 +256,17 @@ def _geometry(h_bytes: bytes, shape: tuple[int, ...]) -> dict[str, tuple]:
 
     def thp(unit_map, b_matrix, unit_power, rx_gain):
         unit_private = unit_map @ np.linalg.inv(b_matrix)
-        return unit_map, b_matrix, unit_private, unit_power, rx_gain, g_diag
+        return Geometry(unit_map, b_matrix, unit_private, unit_power, rx_gain, g_diag)
 
     zf_map = pinv / np.linalg.norm(pinv, axis=0, keepdims=True)
     by_base = {
-        "zf": (zf_map, None, zf_map, n_users, ones, None),
+        "zf": Geometry(zf_map, None, zf_map, n_users, ones, None),
         "cthp": thp(q_map * g_diag[np.newaxis, :], b_right, np.sum(g_diag**2), ones),
         "dthp": thp(q_map, b_left, n_users, g_diag),
     }
     by_base["zf-dpc"] = by_base["dthp"]
-    for entry in by_base.values():
-        for array in entry:
+    for geometry in by_base.values():
+        for array in vars(geometry).values():
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
     return by_base

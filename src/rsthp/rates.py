@@ -14,7 +14,9 @@ build over one ensemble (sum_rate_samples, sinr_imperfect_csit) is its
 view, with the same bits. The estimator
 simulates the received signal model directly and is the independent
 check on the algebra. Neither asks where a scheme puts its THP gains:
-PrecoderSet.unit_map and rx_gain carry that.
+the unit_map and rx_gain of a PrecoderSet's geometry record carry
+that. The kernel tells that its sets share one geometry by the record's
+identity, and compares arrays only for sets whose records differ.
 
 Conventions used throughout:
   * Channel rows are conjugated-transposed user channels, so a received
@@ -106,11 +108,9 @@ def _saturation(
 
 
 def _same_geometry(ps: PrecoderSet, first: PrecoderSet) -> bool:
-    """Whether ps has first's private geometry on first's channel. A
-    shared unit_private settles it without comparing values: one
-    precoding._geometry entry, for one channel estimate, hands it out."""
-    if ps.unit_private is first.unit_private:
-        return True
+    """Whether ps has first's private geometry on first's channel, for
+    two sets whose geometry records differ (a record built again after
+    its channel was evicted, or another channel's)."""
     return all(
         np.array_equal(a, b)
         for a, b in (
@@ -167,31 +167,28 @@ def _batch_sinr(
     """
     first = precoder_sets[0]
     n_users = first.n_users
-    # One pass over the sets: their scalars, and the checks that they
-    # share the geometry and the direction d that the kernel reads once.
-    beta2, common_at, power, direction = [], [], [], None
-    for t, ps in enumerate(precoder_sets):
-        if not _same_geometry(ps, first):
-            raise SchemeMismatchError(
-                "a table rates one private geometry on one channel; precoder "
-                f"set {t} ({ps.scheme.tag}) differs from set 0 ({first.scheme.tag})"
-            )
-        beta2.append(ps.beta**2)
-        d = ps.common_direction
-        if d is None:
-            continue
-        if direction is None:
-            direction = d
-        elif d is not direction and not np.array_equal(d, direction):
+    # The sets share the geometry and the direction d that the kernel
+    # reads once: one precoding._geometry record, and one cached d,
+    # settle it without comparing values.
+    if not all(ps.geometry is first.geometry for ps in precoder_sets):
+        for t, ps in enumerate(precoder_sets):
+            if not _same_geometry(ps, first):
+                raise SchemeMismatchError(
+                    "a table rates one private geometry on one channel; precoder "
+                    f"set {t} ({ps.scheme.tag}) differs from set 0 ({first.scheme.tag})"
+                )
+    common_at = [t for t, ps in enumerate(precoder_sets) if ps.common_direction is not None]
+    direction = precoder_sets[common_at[0]].common_direction if common_at else None
+    for t in common_at:
+        d = precoder_sets[t].common_direction
+        if d is not direction and not np.array_equal(d, direction):
             raise SchemeMismatchError(
                 "a table rates one common-stream direction on one channel; "
-                f"precoder set {t} ({ps.scheme.tag}) sends along another"
+                f"precoder set {t} ({precoder_sets[t].scheme.tag}) sends along another"
             )
-        common_at.append(t)
-        power.append(ps.common_power)
+    beta2 = np.array([ps.beta**2 for ps in precoder_sets])[:, np.newaxis, np.newaxis]
     n_draws = rows.shape[1] // n_users
     ensembles = np.asarray(ensembles)
-    beta2 = np.array(beta2)[:, np.newaxis, np.newaxis]
     at = slice(None) if len(rows) == 1 else ensembles
     # A zero denominator or an overflow (an error variance near the
     # float range) ends in a non-finite SINR, which _cap reports.
@@ -223,7 +220,8 @@ def _batch_sinr(
         if common_at:
             gains = np.matmul(rows, direction).reshape(-1, n_draws, n_users)
             c0 = np.abs(gains) ** 2
-            power = np.array(power)[:, np.newaxis, np.newaxis]
+            power = np.array([precoder_sets[t].common_power for t in common_at])
+            power = power[:, np.newaxis, np.newaxis]
             common_ensembles = at if len(rows) == 1 else ensembles[common_at]
             common = beta2[common_at] * power0[common_ensembles]
             common += sigma_n2

@@ -18,10 +18,11 @@ channel order.
 
 The per-process caches hold only the current channel: draw_error_ensemble
 keeps its unit draws, and each error variance rescales them;
-build_precoders keeps its geometry for all base schemes, and linalg its
-common-stream direction, so every split and grid point only rescales
-them. The eight schemes share three private geometries (zf, cthp, and
-dthp with zf-dpc); a channel's cells that share one are rated in one
+build_precoders keeps one geometry record per base scheme, and linalg
+the common-stream direction, so the build of every split and grid point
+is two scalars and references to them. The eight schemes share three
+geometry records (zf, cthp, and dthp with zf-dpc); a channel's cells
+that share one, grouped by the record's identity, are rated in one
 kernel call (rates.stacked_sum_rate_table) per block, with every split
 of every such cell at every error variance of the block stacked; each
 split gets the bits of optimize_power_split, the reference search that
@@ -85,10 +86,13 @@ _BLOCK_VALUES = 2**15
 # sums; tracemalloc measured at most 39 B (rate-splitting sets, K = 1).
 _KERNEL_BYTES = 40
 
-# Bytes one build keeps until its channel is rated: the PrecoderSet with
-# its scalars (at most about 320 B, measured with tracemalloc); its
-# common stream's direction is the channel's, shared by every build.
-_BUILD_BYTES = 512
+# Bytes one build keeps until its channel is rated: the PrecoderSet, its
+# scalars and _rate_channel's per-build and per-cell bookkeeping. A kept
+# build is 103 B (128 B with a common stream); its geometry record and
+# direction are the channel's, shared by every build. tracemalloc
+# measured at most 235 B per build on split grids and 362 B on 1,000
+# one-build cells (K = N = 1, perfect CSIT).
+_BUILD_BYTES = 384
 
 
 def default_power_split_grid() -> tuple[float, ...]:
@@ -469,7 +473,7 @@ def _rate_channel(
     """
     n_users, n_tx = config.n_users, config.n_tx
     grids, builds, variances = [], [], []
-    by_geometry = {}  # private geometry -> cell indices
+    by_geometry = {}  # geometry record (precoding._geometry) -> cell indices
     for index, (scheme, _, e_tr, regime) in enumerate(cells):
         # One channel draw per cell and one build per (cell, split): the
         # calls bench/tests/test_tracer.py pins.
@@ -480,7 +484,7 @@ def _rate_channel(
             for split in grids[-1]
         ])
         variances.append(None if regime.is_perfect else regime.variance_at(e_tr))
-        by_geometry.setdefault(id(builds[-1][0].unit_private), []).append(index)
+        by_geometry.setdefault(builds[-1][0].geometry, []).append(index)
 
     distinct = list(dict.fromkeys(variances))  # None is perfect CSIT
     m = 1 if distinct == [None] else config.n_error_samples

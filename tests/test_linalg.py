@@ -5,10 +5,18 @@ Gram-Schmidt construction (unique given the positive-diagonal
 convention), and the dominant singular vector against numpy's full SVD.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
-from rsthp.exceptions import DimensionMismatchError, RankDeficientError, ZeroMatrixError
+from rsthp.exceptions import (
+    DimensionMismatchError,
+    NonFiniteMatrixError,
+    RankDeficientError,
+    SimulatorError,
+    ZeroMatrixError,
+)
 from rsthp import linalg
 from rsthp.linalg import dominant_right_singular_vector, lq_decompose, pseudo_inverse
 
@@ -250,6 +258,47 @@ class TestDirectionCache:
         assert (dominant_right_singular_vector(a) == direction).all()
         assert (pseudo_inverse(a) == pinv).all()
         assert not (direction == before).all()
+
+
+def non_finite_matrices():
+    """A NaN, an infinity and an infinite imaginary part in an otherwise
+    full-rank (2, 3) matrix: numpy's SVD raises LinAlgError on the
+    first and returns NaN factors for the others."""
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        a = random_complex((2, 3), 6)
+        a[1, 2] = bad
+        yield a
+
+
+class TestNonFiniteMatrix:
+    """Each entry point that takes an SVD refuses a NaN or an infinity
+    with a SimulatorError, on every call, and without a RuntimeWarning."""
+
+    @pytest.fixture(autouse=True)
+    def strict(self):
+        linalg._anchored_direction.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+        linalg._anchored_direction.cache_clear()
+
+    def test_lq_decompose(self):
+        assert issubclass(NonFiniteMatrixError, SimulatorError)
+        for a in non_finite_matrices():
+            with pytest.raises(NonFiniteMatrixError, match="lq_decompose"):
+                lq_decompose(a)
+
+    def test_pseudo_inverse(self):
+        for a in non_finite_matrices():
+            with pytest.raises(NonFiniteMatrixError, match="pseudo_inverse"):
+                pseudo_inverse(a)
+
+    def test_dominant_right_singular_vector(self):
+        for a in non_finite_matrices():
+            for _ in range(2):  # lru_cache keeps no exception
+                with pytest.raises(NonFiniteMatrixError, match="dominant"):
+                    dominant_right_singular_vector(a)
+        assert linalg._anchored_direction.cache_info().currsize == 0
 
 
 class TestEmptyMatrix:

@@ -5,6 +5,8 @@ triangular channel the factorization is trivial, so every filter can be
 written down by hand.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,23 +18,36 @@ from rsthp import (
     sinr_imperfect_csit,
 )
 from rsthp import linalg, precoding
-from rsthp.exceptions import RankDeficientError, SchemeMismatchError, ZeroMatrixError
+from rsthp.exceptions import (
+    NonFiniteMatrixError,
+    RankDeficientError,
+    SchemeMismatchError,
+    ZeroMatrixError,
+)
 from rsthp.linalg import lq_decompose
-from rsthp.precoding import ALL_SCHEME_TAGS
+from rsthp.precoding import ALL_SCHEME_TAGS, PrecoderSet
 
 
-def effective_transmit_power(precoders):
+def power_loss_factor(scheme, power_loss):
+    """The modulo power loss lambda a build of scheme applies: power_loss
+    for a modulo scheme (cthp, dthp), 1 otherwise."""
+    return power_loss if scheme.uses_power_loss else 1.0
+
+
+def effective_transmit_power(precoders, power_loss):
     """Average radiated power of the transmit chain for this precoder set.
 
     The private signal on the air is tx_basis times the feedback outputs
     (the private symbols for zero-forcing), whose per-symbol power is
-    1 / lambda_eff (1 for zero-forcing); the feedback inverse never
-    touches the air, so its energy does not count.
+    1 / lambda (1 for zero-forcing and zf-dpc); the feedback inverse
+    never touches the air, so its energy does not count.
     """
     common = 0.0
     if precoders.p_common is not None:
         common = float(np.real(np.vdot(precoders.p_common, precoders.p_common)))
-    private = float(np.sum(np.abs(precoders.tx_basis) ** 2)) / precoders.lambda_eff
+    private = float(np.sum(np.abs(precoders.tx_basis) ** 2)) / power_loss_factor(
+        precoders.scheme, power_loss
+    )
     return common + private
 
 
@@ -155,7 +170,7 @@ class TestPowerBudget:
             scheme = parse_scheme_tag(text)
             split = 0.3 if scheme.rs else 0.0
             ps = build_precoders(h, scheme, e_tr, 0.75, power_split=split)
-            assert abs(effective_transmit_power(ps) - e_tr) < 1e-9 * e_tr
+            assert abs(effective_transmit_power(ps, 0.75) - e_tr) < 1e-9 * e_tr
 
     def test_common_power_share(self):
         h = random_channel(6)
@@ -164,7 +179,7 @@ class TestPowerBudget:
         )
         common_power = float(np.real(np.vdot(ps.p_common, ps.p_common)))
         assert abs(common_power - 25.0) < 1e-9
-        private_power = effective_transmit_power(ps) - common_power
+        private_power = effective_transmit_power(ps, 0.75) - common_power
         assert abs(private_power - 75.0) < 1e-9
 
     def test_common_direction_is_dominant(self):
@@ -196,7 +211,7 @@ class TestReductions:
         h = random_channel(9)
         dpc = build_precoders(h, SchemeTag("zf-dpc"), 31.0, power_loss=0.6)
         dthp = build_precoders(h, SchemeTag("dthp"), 31.0, power_loss=1.0)
-        assert dpc.lambda_eff == 1.0
+        assert not dpc.scheme.uses_power_loss
         assert dpc.beta == dthp.beta
         assert dpc.p_private.tobytes() == dthp.p_private.tobytes()
 
@@ -264,10 +279,11 @@ def reference_precoders(h_est, scheme, e_tr, power_loss, power_split=0.0):
         v = vh[0].conj()
         anchor = np.flatnonzero(np.abs(v) > 1e-6)[0]
         direction = v * (np.conj(v[anchor]) / np.abs(v[anchor]))
-        p_common = np.sqrt(power_split * e_tr) * direction
+        common_power = power_split * e_tr
+        p_common = np.sqrt(common_power) * direction
         e_private = e_tr - float(np.real(np.vdot(p_common, p_common)))
     else:
-        p_common = None
+        common_power, direction, p_common = 0.0, None, None
         e_private = float(e_tr)
     lambda_eff = power_loss if scheme.uses_power_loss else 1.0
     if scheme.base == "zf":
@@ -289,17 +305,19 @@ def reference_precoders(h_est, scheme, e_tr, power_loss, power_split=0.0):
             unit_power, rx_gain = n_users, g_diag
         unit_private = unit_map @ np.linalg.inv(b_matrix)
     beta = float(np.sqrt(lambda_eff * e_private / unit_power))
+    # lambda enters the build only through beta.
     return dict(
         scheme=scheme, p_common=p_common, p_private=beta * unit_private,
         unit_map=unit_map, unit_private=unit_private, tx_basis=beta * unit_map,
         rx_gain=rx_gain, g_diag=g_diag, b_matrix=b_matrix, beta=beta,
-        h_est=h_est, lambda_eff=lambda_eff,
+        h_est=h_est, common_power=common_power, common_direction=direction,
+        unit_power=unit_power,
     )
 
 
 def assert_same_fields(ps, want):
     for name, value in want.items():
-        got = getattr(ps, name)
+        got = getattr(ps.geometry if name == "unit_power" else ps, name)
         if isinstance(value, np.ndarray):
             assert got.shape == value.shape, name
             assert (got == value).all(), name
@@ -348,6 +366,37 @@ class TestGeometryCache:
         assert builds["dthp"].unit_private is builds["zf-dpc"].unit_private
         assert builds["cthp"].g_diag is builds["dthp"].g_diag
         assert builds["cthp"].b_matrix is not builds["dthp"].b_matrix
+
+    def test_every_build_of_a_channel_shares_its_bases_one_geometry_record(self):
+        # Splits and SNRs move only beta and P: every build of one base
+        # on one channel holds the same record, dthp's and zf-dpc's are
+        # one, and cthp's (g in the unit map) and zf's are their own.
+        h = random_channel(78)
+        records = {}
+        for scheme in ALL_SCHEME_TAGS:
+            for e_tr in (1.0, 31.0, 1000.0):
+                for t in (0.0, 0.3, 0.95) if scheme.rs else (0.0,):
+                    ps = build_precoders(h, scheme, e_tr, 0.75, t)
+                    assert records.setdefault(scheme.base, ps.geometry) is ps.geometry
+        assert records["dthp"] is records["zf-dpc"]
+        distinct = {id(records[base]) for base in ("zf", "cthp", "dthp")}
+        assert len(distinct) == 3
+        assert precoding._geometry.cache_info().misses == 1
+
+    def test_each_scheme_is_its_scalars_on_the_reference_geometry(self):
+        # A build holds only beta, P and references to its channel's
+        # arrays, and every field the old build held reads the same bits.
+        assert [f.name for f in dataclasses.fields(PrecoderSet)] == [
+            "scheme", "beta", "common_power", "common_direction", "h_est", "geometry",
+        ]
+        for h in (random_channel(79), random_channel(80, (2, 5))):
+            for scheme in ALL_SCHEME_TAGS:
+                for t in (0.0, 0.5) if scheme.rs else (0.0,):
+                    ps = build_precoders(h, scheme, 31.0, 0.75, t)
+                    assert_same_fields(ps, reference_precoders(h, scheme, 31.0, 0.75, t))
+                    assert ps.geometry is build_precoders(
+                        h, SchemeTag(scheme.base), 31.0, 0.75
+                    ).geometry
 
     def test_shared_arrays_are_read_only(self):
         h = random_channel(72)
@@ -404,6 +453,17 @@ class TestGeometryCache:
         ps = build_precoders(h, SchemeTag("dthp"), 10.0, 0.75)
         assert_same_fields(ps, reference_precoders(h, SchemeTag("dthp"), 10.0, 0.75))
         assert not (ps.p_private == first).all()
+
+    def test_non_finite_channel_is_refused_by_every_scheme(self):
+        # A channel with a NaN or an infinity used to give a finite beta
+        # over NaN geometry (inf) or numpy's LinAlgError (NaN).
+        for bad in (np.nan, np.inf):
+            h = random_channel(81)
+            h[2, 1] = bad
+            for scheme in ALL_SCHEME_TAGS:
+                with pytest.raises(NonFiniteMatrixError):
+                    build_precoders(h, scheme, 10.0, 0.75, 0.5 if scheme.rs else 0.0)
+        assert precoding._geometry.cache_info().currsize == 0
 
     def test_bad_channel_raises_on_every_call(self):
         rank_one = np.outer([1.0, 2.0], [1.0, 1j, 0.5])

@@ -50,10 +50,12 @@ def random_channel(seed, shape=(4, 4)):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def oracle_thp_sinr(ps, h_e, sigma_n2, e_private):
+def oracle_thp_sinr(ps, h_e, sigma_n2, e_private, power_loss):
     """Term-by-term recomputation of the THP closed forms; e_private is
-    the power left to the private streams, e_tr (1 - power_split)."""
+    the power left to the private streams, e_tr (1 - power_split), and
+    power_loss the modulo loss a cthp or dthp build applies."""
     n_users = ps.n_users
+    lambda_eff = power_loss if ps.scheme.uses_power_loss else 1.0
     ell = lq_decompose(ps.h_est).diagonal
     p_over_beta = ps.p_private / ps.beta
     private = np.zeros(n_users)
@@ -68,11 +70,11 @@ def oracle_thp_sinr(ps, h_e, sigma_n2, e_private):
             numerator = abs(1.0 + self_coupling) ** 2
             denominator = cross + sigma_n2 * float(
                 np.sum(1.0 / ell**2)
-            ) / (ps.lambda_eff * e_private)
+            ) / (lambda_eff * e_private)
         else:
             numerator = abs(1.0 + self_coupling / ell[k] ** 2) ** 2
             denominator = cross / ell[k] ** 2 + n_users * sigma_n2 / (
-                ps.lambda_eff * e_private * ell[k] ** 2
+                lambda_eff * e_private * ell[k] ** 2
             )
         private[k] = numerator / denominator
         if common is not None:
@@ -146,7 +148,7 @@ class TestTermAccumulationOracles:
             ps = build_precoders(h, scheme, 31.0, 0.75, power_split=split)
             report = sinr_imperfect_csit(ps, h_e, 1.0)
             private_ref, common_ref = oracle_thp_sinr(
-                ps, h_e, 1.0, 31.0 * (1.0 - split)
+                ps, h_e, 1.0, 31.0 * (1.0 - split), 0.75
             )
             np.testing.assert_allclose(report.private, private_ref, rtol=1e-12)
             if scheme.rs:
@@ -429,6 +431,36 @@ class TestSumRateTable:
             one_ensemble_table([turned], errors, 1.0)
             with pytest.raises(SchemeMismatchError, match="set 5 .* another"):
                 one_ensemble_table([*sets, turned], errors, 1.0)
+
+    def test_geometry_records_of_two_channels_compare_by_value(self):
+        # The kernel checks shared geometry by record identity and
+        # compares arrays only when records differ: a record built again
+        # for the same channel (after another channel evicted it) rates
+        # with the same bits, and another channel's record is refused,
+        # also under this channel's h_est. A table of copied directions,
+        # one turned, is refused as well.
+        h, g = random_channel(72), random_channel(73)
+        errors = draw_error_ensemble(4, 4, 0.2, 5, seed=72)
+        sets = self.table_sets(h, SchemeTag("dthp", rs=True))
+        table = one_ensemble_table(sets, errors, 1.0)
+        others = self.table_sets(g, SchemeTag("dthp", rs=True))
+        again = self.table_sets(h, SchemeTag("dthp", rs=True))
+        assert again[0].geometry is not sets[0].geometry
+        assert np.array_equal(one_ensemble_table([*sets, *again], errors, 1.0)[5:], table)
+        grafted = dataclasses.replace(sets[1], geometry=others[1].geometry)
+        for stranger in (others[1], grafted):
+            with pytest.raises(SchemeMismatchError, match="set 5 .* differs from set 0"):
+                one_ensemble_table([*sets, stranger], errors, 1.0)
+        copies = [
+            dataclasses.replace(ps, common_direction=None if ps.common_direction is None
+                                else ps.common_direction.copy())
+            for ps in again
+        ]
+        assert np.array_equal(one_ensemble_table(copies, errors, 1.0), table)
+        d = copies[3].common_direction
+        copies[3] = dataclasses.replace(copies[3], common_direction=np.exp(0.3j) * d)
+        with pytest.raises(SchemeMismatchError, match="set 3 .* another"):
+            one_ensemble_table(copies, errors, 1.0)
 
     def test_rejects_ensembles_that_do_not_index_each_set_once(self):
         # A negative index would rate a set on the last ensemble and a
