@@ -16,7 +16,8 @@ and dTHP differ only in where the diagonal scaling sits, and ZF-DPC
 shares dTHP's record. They are computed once per channel and the last
 channel's are kept (_geometry). A build of the split search is its two
 scalars, the private scale beta and the common stream's power P, plus
-references to its channel's geometry record and one cached direction.
+references to its channel's geometry record and one cached direction;
+the rate kernel reads the record and those scalars, not the build.
 """
 
 import math
@@ -119,10 +120,10 @@ class PrecoderSet:
     read-only: common_direction is the channel's one dominant direction
     d (None at a zero power split), shared by every split, and geometry
     is shared by every build of its base on that channel (dthp and
-    zf-dpc share one record, every THP base shares g_diag). The
-    geometry's arrays read through as attributes; tx_basis and p_private
-    scale unit_map and unit_private by beta, and p_common is sqrt(P) d,
-    each formed into a fresh array on each read.
+    zf-dpc share one record, every THP base shares g_diag). b_matrix,
+    rx_gain and g_diag read through to the record; tx_basis and p_private
+    scale its unit_map and unit_private by beta, and p_common is sqrt(P)
+    d, each formed into a fresh array on each read.
     """
 
     scheme: SchemeTag
@@ -135,14 +136,6 @@ class PrecoderSet:
     @property
     def n_users(self) -> int:
         return self.h_est.shape[0]
-
-    @property
-    def unit_map(self) -> np.ndarray:
-        return self.geometry.unit_map
-
-    @property
-    def unit_private(self) -> np.ndarray:
-        return self.geometry.unit_private
 
     @property
     def b_matrix(self) -> np.ndarray | None:

@@ -3,20 +3,17 @@
 Closed forms and a Monte-Carlo estimator live side by side. The closed
 forms of all eight schemes are evaluated through one kernel for perfect
 and imperfect CSIT (perfect is the zero-error special case), so the
-reduction between the two is exact by construction. One kernel call
-rates every build that shares a private geometry on one channel, at
-any splits, powers and error variances (stacked_sum_rate_table): the
-sweep stacks a channel's cells of one geometry into it. A split moves
+reduction between the two is exact by construction. A split moves
 only scalars, the private scale beta and the common stream's power P
-along the channel's one direction d, so the kernel forms each error
-ensemble's split-invariant gains once and scales them per build. One
+along the channel's one direction d, so one kernel call
+(stacked_sum_rate_table) takes one geometry record, d and per-set
+arrays of beta and P, at any error variances: it forms each error
+ensemble's split-invariant gains once and scales them per set. One
 build over one ensemble (sum_rate_samples, sinr_imperfect_csit) is its
-view, with the same bits. The estimator
-simulates the received signal model directly and is the independent
-check on the algebra. Neither asks where a scheme puts its THP gains:
-the unit_map and rx_gain of a PrecoderSet's geometry record carry
-that. The kernel tells that its sets share one geometry by the record's
-identity, and compares arrays only for sets whose records differ.
+view, with the same bits. The estimator simulates the received signal
+model directly and is the independent check on the algebra. Neither
+asks where a scheme puts its THP gains: the unit_map and rx_gain of a
+geometry record carry that.
 
 Conventions used throughout:
   * Channel rows are conjugated-transposed user channels, so a received
@@ -24,7 +21,7 @@ Conventions used throughout:
   * Effective channel G = (h_est + E) @ p_private with p_private = beta
     unit_private: the private streams as the users really receive them.
     Every closed form reads G, the common-stream gains P |(h_est + E) @
-    d|^2 and the PrecoderSet's beta and rx_gain, never the scheme. For
+    d|^2, beta and the record's rx_gain, never the scheme. For
     THP, h_est @ unit_private = diag(1 / rx_gain), so the error coupling
     of the papers is A = G / beta - diag(1 / rx_gain).
   * The closed forms take the effective symbols v = s + d at unit
@@ -34,7 +31,6 @@ Conventions used throughout:
     refuses such values instead of averaging them.
 """
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +40,8 @@ from .exceptions import (
     DimensionMismatchError,
     EmptyGridError,
     SaturatedSinrError,
-    SchemeMismatchError,
 )
-from .precoding import PrecoderSet
+from .precoding import Geometry, PrecoderSet
 from .thp_chain import qam_constellation, thp_encode
 
 SINR_CAP = 1e12
@@ -97,28 +92,15 @@ def _cap(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _saturation(
-    scheme_tag: str, what: str, set_index: int | None = None
-) -> SaturatedSinrError:
+def _saturation(what: str, set_index: int | None = None) -> SaturatedSinrError:
     """The error for SINRs at SINR_CAP or not finite, without a grid point."""
-    return SaturatedSinrError(
-        f"{scheme_tag}: {what} reached the cap {SINR_CAP:g} or was not finite",
-        set_index,
-    )
+    return SaturatedSinrError(f"{what} reached the cap {SINR_CAP:g} or was not finite", set_index)
 
 
-def _same_geometry(ps: PrecoderSet, first: PrecoderSet) -> bool:
-    """Whether ps has first's private geometry on first's channel, for
-    two sets whose geometry records differ (a record built again after
-    its channel was evicted, or another channel's)."""
-    return all(
-        np.array_equal(a, b)
-        for a, b in (
-            (ps.unit_private, first.unit_private),
-            (ps.rx_gain, first.rx_gain),
-            (ps.h_est, first.h_est),
-        )
-    )
+def _kernel_args(precoders: PrecoderSet) -> tuple:
+    """The (geometry, direction, beta, power) kernel arguments of one build."""
+    return (precoders.geometry, precoders.common_direction,
+            np.array([precoders.beta]), np.array([precoders.common_power]))
 
 
 def _stacked_rows(precoders: PrecoderSet, errors: np.ndarray) -> np.ndarray:
@@ -134,14 +116,14 @@ def _stacked_rows(precoders: PrecoderSet, errors: np.ndarray) -> np.ndarray:
 
 
 def _batch_sinr(
-    precoder_sets: Sequence[PrecoderSet], rows: np.ndarray, ensembles, sigma_n2: float
-) -> tuple[np.ndarray, list[int], np.ndarray | None, np.ndarray]:
-    """Closed-form SINRs of S builds that share one private geometry and
-    one common-stream direction on one channel (h_est, unit_private,
-    rx_gain and d: any splits and powers of one base, and dthp with
-    zf-dpc), set s over the (M >= 1) error realizations
-    rows[ensembles[s]] of the (V, M K, N) stack of h_est + E_v; all-zero
-    errors give the perfect-CSIT values.
+    geometry: Geometry, direction: np.ndarray | None, beta: np.ndarray,
+    power: np.ndarray, rows: np.ndarray, ensembles, sigma_n2: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+    """Closed-form SINRs of S builds on one private geometry record and
+    one common-stream direction d of one channel, set s with private
+    scale beta[s] and common power power[s] over the (M >= 1) error
+    realizations rows[ensembles[s]] of the (V, M K, N) stack of h_est +
+    E_v; all-zero errors give the perfect-CSIT values.
 
     One formula serves all eight schemes. With G = beta (h_est + E) @
     unit_private and g = rx_gain, the private SINR is |g^2 G_kk +
@@ -150,7 +132,7 @@ def _batch_sinr(
     published |1 + g^2 A_kk|^2 / (g^2 (cross + sigma^2 / beta^2)) with
     A = G / beta - diag(1 / g). The common stream, sent along d at power
     P, treats the whole private signal, sum_j |G_kj|^2, as interference;
-    a set without one (split 0) has no common term at all, not a zero
+    a set at P = 0 (split 0) has no common term at all, not a zero
     one. Only the scalars beta and P differ between the sets, so each
     ensemble's split-invariant arrays are formed once: its gains G0 =
     (h_est + E_v) @ unit_private, all V from one batched matmul, give S0
@@ -165,36 +147,19 @@ def _batch_sinr(
     common stream, their common SINRs (len(indices), M, K) or None,
     whether each set's SINRs saturated (S,)).
     """
-    first = precoder_sets[0]
-    n_users = first.n_users
-    # The sets share the geometry and the direction d that the kernel
-    # reads once: one precoding._geometry record, and one cached d,
-    # settle it without comparing values.
-    if not all(ps.geometry is first.geometry for ps in precoder_sets):
-        for t, ps in enumerate(precoder_sets):
-            if not _same_geometry(ps, first):
-                raise SchemeMismatchError(
-                    "a table rates one private geometry on one channel; precoder "
-                    f"set {t} ({ps.scheme.tag}) differs from set 0 ({first.scheme.tag})"
-                )
-    common_at = [t for t, ps in enumerate(precoder_sets) if ps.common_direction is not None]
-    direction = precoder_sets[common_at[0]].common_direction if common_at else None
-    for t in common_at:
-        d = precoder_sets[t].common_direction
-        if d is not direction and not np.array_equal(d, direction):
-            raise SchemeMismatchError(
-                "a table rates one common-stream direction on one channel; "
-                f"precoder set {t} ({precoder_sets[t].scheme.tag}) sends along another"
-            )
-    beta2 = np.array([ps.beta**2 for ps in precoder_sets])[:, np.newaxis, np.newaxis]
+    n_users = len(geometry.rx_gain)
+    # np.float_power calls the C library's pow, as Python's beta**2 does;
+    # np.square (beta * beta) differs in the last bit for about 1 beta in 1,000.
+    beta2 = np.float_power(beta, 2)[:, np.newaxis, np.newaxis]
+    common_at = np.flatnonzero(power > 0)
     n_draws = rows.shape[1] // n_users
     ensembles = np.asarray(ensembles)
     at = slice(None) if len(rows) == 1 else ensembles
     # A zero denominator or an overflow (an error variance near the
     # float range) ends in a non-finite SINR, which _cap reports.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gain2 = first.rx_gain**2
-        gains0 = np.matmul(rows, first.unit_private).reshape(-1, n_draws, n_users, n_users)
+        gain2 = geometry.rx_gain**2
+        gains0 = np.matmul(rows, geometry.unit_private).reshape(-1, n_draws, n_users, n_users)
         own0 = np.diagonal(gains0, axis1=2, axis2=3)
         # Summed in user order, like the table's totals: np.sum's order
         # for K <= 7 (from 8 users on it sums pairwise).
@@ -204,7 +169,7 @@ def _batch_sinr(
         cross0 = power0 - np.abs(own0) ** 2
         # The simulated signal (estimate_sinr_monte_carlo) gives
         # 1 + g_k A_kk, not 1 + g_k^2 A_kk; the published form keeps g^2.
-        signal0 = np.abs(gain2 * own0 + (1.0 - first.rx_gain)) ** 2
+        signal0 = np.abs(gain2 * own0 + (1.0 - geometry.rx_gain)) ** 2
         del gains0, own0
         # In the per-split formula's order, which keeps its bits; S0 /
         # (g^2 (X0 + sigma^2 / beta^2)) rounds, and overflows, otherwise.
@@ -217,11 +182,10 @@ def _batch_sinr(
         private *= tile
         np.divide(beta2 * signal0[at], private, out=private)
         common = None
-        if common_at:
+        if len(common_at):
             gains = np.matmul(rows, direction).reshape(-1, n_draws, n_users)
             c0 = np.abs(gains) ** 2
-            power = np.array([precoder_sets[t].common_power for t in common_at])
-            power = power[:, np.newaxis, np.newaxis]
+            power = power[common_at, np.newaxis, np.newaxis]
             common_ensembles = at if len(rows) == 1 else ensembles[common_at]
             common = beta2[common_at] * power0[common_ensembles]
             common += sigma_n2
@@ -243,7 +207,7 @@ def sinr_imperfect_csit(
     the perfect-CSIT values exactly (same code path).
     """
     rows = _stacked_rows(precoders, np.asarray(error_realization)[np.newaxis])
-    private, _, common, saturated = _batch_sinr([precoders], rows, [0], sigma_n2)
+    private, _, common, saturated = _batch_sinr(*_kernel_args(precoders), rows, [0], sigma_n2)
     return SinrReport(
         scheme_tag=precoders.scheme.tag,
         csit="perfect" if not np.any(error_realization) else "imperfect",
@@ -282,45 +246,48 @@ def rates_from_sinr(report: SinrReport) -> RateReport:
 
 
 def stacked_sum_rate_table(
-    precoder_sets: Sequence[PrecoderSet], rows: np.ndarray, ensembles, sigma_n2: float
+    geometry: Geometry, direction: np.ndarray | None, beta, power,
+    rows: np.ndarray, ensembles, sigma_n2: float,
 ) -> np.ndarray:
-    """(S, M) per-realization sum rates of S builds that share one
-    private geometry on one channel (zf, cthp, or dthp with zf-dpc, at
-    any splits and powers), from one kernel call. rows (V, M K, N)
-    stacks V ensembles' realizations h_est + E_v, not the errors E_v,
-    which no shape check can tell apart. Set s is rated over ensemble
-    ensembles[s], each realization on its own (common stream at its
-    worst user); row s is bit-identical to
-    sum_rate_samples(precoder_sets[s], E_v, sigma_n2). Each ensemble's
-    split-invariant arrays, including its common gains along the
-    channel's direction d, are formed once per call; each set adds only
-    its scalars beta^2 and P.
+    """(S, M) per-realization sum rates of S builds on one channel's
+    geometry record (zf, cthp, or dthp with zf-dpc) and common-stream
+    direction d (None if no build has one), from one kernel call. Set s
+    is the scalars beta[s] and P = power[s]; it has a common term only
+    if its build has one (P > 0), so a rate-splitting build at split 0
+    gets its base scheme's bits, with no zero-weighted common rate. rows
+    (V, M K, N) stacks V ensembles' realizations h_est + E_v, not the
+    errors E_v, which no shape check can tell apart. Set s is rated
+    over ensemble ensembles[s], each realization on its own (common
+    stream at its worst user); row s is bit-identical to sum_rate_samples
+    of its build over E_v.
 
     Raises:
-        EmptyGridError: no precoder sets.
-        DimensionMismatchError: ensembles does not give each set exactly
-            one index in [0, V).
-        SchemeMismatchError: the sets differ in private geometry or
-            channel, or their common streams in direction (a set's
-            common_direction neither is nor equals the first one's).
+        EmptyGridError: no sets.
+        DimensionMismatchError: beta, power and ensembles do not give
+            each set one scalar each and one index in [0, V), or a
+            positive power has no direction.
         SaturatedSinrError: an SINR of any set reached SINR_CAP or was
             not finite, so the capped rate would be averaged in as if it
-            were real. It names the scheme of the first such set, whose
-            index is its set_index.
+            were real. Its set_index is the first such set's.
     """
-    if not precoder_sets:
+    beta, power = np.asarray(beta, dtype=float), np.asarray(power, dtype=float)
+    if not beta.size:
         raise EmptyGridError("no precoder sets to rate")
     ensembles = np.asarray(ensembles)
-    one_each = ensembles.dtype.kind in "iu" and ensembles.shape == (len(precoder_sets),)
-    if not (one_each and 0 <= ensembles.min() and ensembles.max() < len(rows)):
+    one_each = ensembles.dtype.kind in "iu" and ensembles.shape == beta.shape == power.shape
+    if not (one_each and beta.ndim == 1 and 0 <= ensembles.min() and ensembles.max() < len(rows)):
         raise DimensionMismatchError(
-            f"ensembles {ensembles.tolist()} must give each of the {len(precoder_sets)} "
-            f"sets one index in [0, {len(rows)})"
+            f"beta {beta.shape}, power {power.shape} and ensembles {ensembles.tolist()} must "
+            f"give each of the {beta.size} sets one scalar each and one index in [0, {len(rows)})"
         )
-    private, common_at, common, saturated = _batch_sinr(precoder_sets, rows, ensembles, sigma_n2)
+    if direction is None and (power > 0).any():
+        raise DimensionMismatchError("a positive common power needs a common-stream direction")
+    private, common_at, common, saturated = _batch_sinr(
+        geometry, direction, beta, power, rows, ensembles, sigma_n2
+    )
     if saturated.any():
         first = int(np.argmax(saturated))
-        raise _saturation(precoder_sets[first].scheme.tag, "an SINR", first)
+        raise _saturation("an SINR", first)
     # The per-user reductions run over the K user slices: numpy's
     # per-row reduction overhead over a short last axis costs more than
     # the SINRs. The sum adds in user order, which is np.sum's order for
@@ -361,7 +328,11 @@ def sum_rate_samples(
         SaturatedSinrError: an SINR reached SINR_CAP or was not finite,
             so the capped rate would be averaged in as if it were real.
     """
-    return stacked_sum_rate_table([precoders], _stacked_rows(precoders, errors), [0], sigma_n2)[0]
+    rows = _stacked_rows(precoders, errors)
+    try:
+        return stacked_sum_rate_table(*_kernel_args(precoders), rows, [0], sigma_n2)[0]
+    except SaturatedSinrError as exc:
+        raise SaturatedSinrError(f"{precoders.scheme.tag}: {exc}") from None
 
 
 def estimate_sinr_monte_carlo(
@@ -463,7 +434,7 @@ def cross_check_sinr(
     )
     for what, report in (("a closed-form SINR", closed), ("a simulated SINR", estimated)):
         if report.saturated:
-            raise _saturation(precoders.scheme.tag, what)
+            raise _saturation(f"{precoders.scheme.tag}: {what}")
     gap_p = float(
         np.max(np.abs(estimated.private - closed.private) / closed.private)
     )

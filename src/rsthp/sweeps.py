@@ -23,11 +23,12 @@ the common-stream direction, so the build of every split and grid point
 is two scalars and references to them. The eight schemes share three
 geometry records (zf, cthp, and dthp with zf-dpc); a channel's cells
 that share one, grouped by the record's identity, are rated in one
-kernel call (rates.stacked_sum_rate_table) per block, with every split
-of every such cell at every error variance of the block stacked; each
-split gets the bits of optimize_power_split, the reference search that
-rates one cell split by split. SweepConfig.validate rejects a config
-whose estimated working set exceeds MEMORY_BUDGET_BYTES (512 MiB).
+kernel call (rates.stacked_sum_rate_table) per block: the record, the
+channel's direction and the beta and P of every split of every such
+cell, at every error variance of the block. Each split gets the bits
+of optimize_power_split, the reference search that rates one cell
+split by split. SweepConfig.validate rejects a config whose
+estimated working set exceeds MEMORY_BUDGET_BYTES (512 MiB).
 """
 
 import math
@@ -86,13 +87,13 @@ _BLOCK_VALUES = 2**15
 # sums; tracemalloc measured at most 39 B (rate-splitting sets, K = 1).
 _KERNEL_BYTES = 40
 
-# Bytes one build keeps until its channel is rated: the PrecoderSet, its
-# scalars and _rate_channel's per-build and per-cell bookkeeping. A kept
-# build is 103 B (128 B with a common stream); its geometry record and
-# direction are the channel's, shared by every build. tracemalloc
-# measured at most 235 B per build on split grids and 362 B on 1,000
-# one-build cells (K = N = 1, perfect CSIT).
-_BUILD_BYTES = 384
+# Bytes _rate_channel keeps per build (its beta and P, its share of a
+# kernel block's indices and averages) and per cell (its grid, scalar
+# lists, variance and group entries). tracemalloc measured at most 131 B
+# per added split (400 one-user rs-linear cells, 2 to 20 splits) and
+# 175 B per added cell beyond its builds (K = N = 1, a variance per cell).
+_BUILD_BYTES = 144
+_CELL_BYTES = 192
 
 
 def default_power_split_grid() -> tuple[float, ...]:
@@ -316,9 +317,10 @@ def check_memory(what: str, need: int, flag: str) -> None:
 def _working_set_bytes(config: SweepConfig, n_channels: int) -> int:
     """Estimated peak bytes of one process that rates every cell of
     config on n_channels channels: the arrays of one channel
-    (matrix_bytes), plus _RESULT_BYTES for each (cell, channel) and
-    _ROW_BYTES for each channel. Under perfect CSIT nothing is drawn and
-    M is the one all-zero realization."""
+    (matrix_bytes) and the bookkeeping of its cells (_CELL_BYTES each),
+    plus _RESULT_BYTES for each (cell, channel) and _ROW_BYTES for each
+    channel. Under perfect CSIT nothing is drawn and M is the one
+    all-zero realization."""
     drawn = bool(config.error_variance_grid) or not config.error_regime.is_perfect
     m = config.n_error_samples if drawn else 1
     n_points = len(config.error_variance_grid or config.snr_grid_db)
@@ -331,7 +333,7 @@ def _working_set_bytes(config: SweepConfig, n_channels: int) -> int:
         config.n_users, config.n_tx, m, _max_splits(config), drawn, n_builds,
         n_variances,
     )
-    return matrices + (_RESULT_BYTES * n_cells + _ROW_BYTES) * n_channels
+    return matrices + _CELL_BYTES * n_cells + (_RESULT_BYTES * n_cells + _ROW_BYTES) * n_channels
 
 
 def _max_splits(config: SweepConfig) -> int:
@@ -459,7 +461,8 @@ def _rate_channel(
     one channel, as a (2, len(cells)) array.
 
     Rate-splitting schemes search the power-split grid; base schemes
-    search the one-point grid (0.0,). Every build is made first. The
+    search the one-point grid (0.0,). Every build is made first, and
+    only its beta and P are kept, with the channel's direction. The
     realizations h_est + E of each error variance (its rescaled unit
     draws; one all-zero realization under perfect CSIT) are stacked in
     blocks of at most _BLOCK_VALUES complex values, one variance if
@@ -472,19 +475,26 @@ def _rate_channel(
     channel, whichever block meets it first.
     """
     n_users, n_tx = config.n_users, config.n_tx
-    grids, builds, variances = [], [], []
+    grids, betas, powers, variances = [], [], [], []
     by_geometry = {}  # geometry record (precoding._geometry) -> cell indices
+    direction = None  # the channel's one common-stream direction d
     for index, (scheme, _, e_tr, regime) in enumerate(cells):
         # One channel draw per cell and one build per (cell, split): the
         # calls bench/tests/test_tracer.py pins.
         h_est = draw_channel(config.master_seed, channel_index, n_users, n_tx)
         grids.append(config.power_split_grid if scheme.rs else (0.0,))
-        builds.append([
+        builds = [
             build_precoders(h_est, scheme, e_tr, config.power_loss, split)
             for split in grids[-1]
-        ])
+        ]
+        # Each split's beta and P: all the kernel takes of a build.
+        betas.append([ps.beta for ps in builds])
+        powers.append([ps.common_power for ps in builds])
         variances.append(None if regime.is_perfect else regime.variance_at(e_tr))
-        by_geometry.setdefault(builds[-1][0].geometry, []).append(index)
+        by_geometry.setdefault(builds[0].geometry, []).append(index)
+        # The grid ascends, so its last split is the one with a common stream if any is.
+        if builds[-1].common_direction is not None:
+            direction = builds[-1].common_direction
 
     distinct = list(dict.fromkeys(variances))  # None is perfect CSIT
     m = 1 if distinct == [None] else config.n_error_samples
@@ -500,23 +510,25 @@ def _rate_channel(
                 n_users, n_tx, variance, m, config.master_seed, channel_index
             )
             np.add(h_est, errors, out=rows[v].reshape(m, n_users, n_tx))
-        for members in by_geometry.values():
+        for geometry, members in by_geometry.items():
             members = [i for i in members if variances[i] in position]
-            for block in _chunk(members, [len(builds[i]) for i in members], max_sets):
+            for block in _chunk(members, [len(grids[i]) for i in members], max_sets):
                 if failed is not None and block[0] > failed[0]:
                     continue
-                owners = [i for i in block for _ in builds[i]]
+                owners = [i for i in block for _ in grids[i]]
                 ensembles = np.array([position[variances[i]] for i in owners])
                 lo = ensembles.min()  # the sets use only the variances lo to max
+                beta = np.array([b for i in block for b in betas[i]])
+                power = np.array([p for i in block for p in powers[i]])
                 try:
                     table = stacked_sum_rate_table(
-                        [ps for i in block for ps in builds[i]],
+                        geometry, direction, beta, power,
                         rows[lo:ensembles.max() + 1], ensembles - lo, SIGMA_N2,
                     )
                 except SaturatedSinrError as exc:
                     cell = owners[exc.set_index]
                     if failed is None or cell < failed[0]:
-                        failed = (cell, str(exc))
+                        failed = (cell, f"{cells[cell][0].tag}: {exc}")
                     continue
                 best = _best_splits(table, [grids[i] for i in block])
                 for i, split_asr in zip(block, best):

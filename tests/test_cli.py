@@ -244,7 +244,7 @@ class TestValidateChain:
     def test_injected_gain_error_is_caught(self, capsys, monkeypatch):
         def mismatched_gain(*args, **kwargs):
             ps = build_precoders(*args, **kwargs)
-            geometry = dataclasses.replace(ps.geometry, unit_map=1.01 * ps.unit_map)
+            geometry = dataclasses.replace(ps.geometry, unit_map=1.01 * ps.geometry.unit_map)
             return dataclasses.replace(ps, geometry=geometry)
 
         monkeypatch.setattr("rsthp.cli.build_precoders", mismatched_gain)

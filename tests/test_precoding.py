@@ -317,7 +317,8 @@ def reference_precoders(h_est, scheme, e_tr, power_loss, power_split=0.0):
 
 def assert_same_fields(ps, want):
     for name, value in want.items():
-        got = getattr(ps.geometry if name == "unit_power" else ps, name)
+        on_record = name in ("unit_map", "unit_private", "unit_power")
+        got = getattr(ps.geometry if on_record else ps, name)
         if isinstance(value, np.ndarray):
             assert got.shape == value.shape, name
             assert (got == value).all(), name
@@ -363,7 +364,7 @@ class TestGeometryCache:
         assert precoding._geometry.cache_info().currsize == 1
         assert builds["dthp"].b_matrix is builds["zf-dpc"].b_matrix
         assert builds["dthp"].rx_gain is builds["zf-dpc"].rx_gain
-        assert builds["dthp"].unit_private is builds["zf-dpc"].unit_private
+        assert builds["dthp"].geometry.unit_private is builds["zf-dpc"].geometry.unit_private
         assert builds["cthp"].g_diag is builds["dthp"].g_diag
         assert builds["cthp"].b_matrix is not builds["dthp"].b_matrix
 
@@ -402,7 +403,8 @@ class TestGeometryCache:
         h = random_channel(72)
         for scheme in ALL_SCHEME_TAGS:
             ps = build_precoders(h, scheme, 10.0, 0.75, 0.3 if scheme.rs else 0.0)
-            shared = (ps.rx_gain, ps.g_diag, ps.b_matrix, ps.unit_map, ps.unit_private)
+            geometry = ps.geometry
+            shared = (ps.rx_gain, ps.g_diag, ps.b_matrix, geometry.unit_map, geometry.unit_private)
             for array in shared:
                 assert array is None or not array.flags.writeable
             assert ps.p_private.flags.writeable and ps.tx_basis.flags.writeable
@@ -415,11 +417,11 @@ class TestGeometryCache:
             t = 0.4 if scheme.rs else 0.0
             a = build_precoders(h, scheme, 10.0, 0.75)
             b = build_precoders(h, scheme, 1000.0, 0.75, t)
-            assert a.unit_map is b.unit_map and a.unit_private is b.unit_private
+            assert a.geometry is b.geometry
             for name in ("tx_basis", "p_private"):
                 fresh = getattr(b, name)
                 assert fresh.flags.writeable
-                for other in (getattr(b, name), b.unit_map, b.unit_private):
+                for other in (getattr(b, name), b.geometry.unit_map, b.geometry.unit_private):
                     assert not np.shares_memory(fresh, other)
 
     def test_unit_private_is_the_split_invariant_private_precoder(self):
@@ -428,11 +430,12 @@ class TestGeometryCache:
             for scheme in ALL_SCHEME_TAGS:
                 for t in (0.0, 0.3, 0.95) if scheme.rs else (0.0,):
                     ps = build_precoders(h, scheme, 31.0, 0.75, t)
-                    assert np.array_equal(ps.p_private, ps.beta * ps.unit_private)
-                    assert np.array_equal(ps.tx_basis, ps.beta * ps.unit_map)
+                    unit_private = ps.geometry.unit_private
+                    assert np.array_equal(ps.p_private, ps.beta * unit_private)
+                    assert np.array_equal(ps.tx_basis, ps.beta * ps.geometry.unit_map)
                     if scheme.base != "zf":
                         np.testing.assert_allclose(
-                            h @ ps.unit_private, np.diag(1.0 / ps.rx_gain),
+                            h @ unit_private, np.diag(1.0 / ps.rx_gain),
                             rtol=0.0, atol=1e-12,
                         )
 

@@ -59,6 +59,7 @@ from rsthp.sweeps import (  # noqa: E402
     draw_channel,
     optimize_power_split,
 )
+from test_rates import kernel_args  # noqa: E402  (pytest puts tests/ on sys.path)
 
 N_DRAWS = 3
 BASES = ("zf", "cthp", "dthp", "zf-dpc")
@@ -349,7 +350,7 @@ def test_each_stacked_table_row_is_its_own_sum_rate_samples(case):
     sets, ensembles, owners = case
     h_est = sets[0].h_est
     rows = np.stack([(h_est + e).reshape(-1, h_est.shape[1]) for e in ensembles])
-    table = stacked_sum_rate_table(sets, rows, owners, SIGMA_N2)
+    table = stacked_sum_rate_table(*kernel_args(sets), rows, owners, SIGMA_N2)
     assert table.shape == (len(sets), len(ensembles[0]))
     for row, ps, v in zip(table, sets, owners):
         assert np.array_equal(row, sum_rate_samples(ps, ensembles[v], SIGMA_N2))
@@ -366,6 +367,9 @@ MEMORY_ALLOWANCE = 32 * 2**10
                       error_regime=ErrorRegime.fixed_variance(0.2)), 0))
 @example((SweepConfig(schemes=(SchemeTag("zf"),), n_users=2, n_tx=32, snr_grid_db=(15.0,),
                       error_regime=ErrorRegime.fixed_variance(0.2)), 0))
+# 1,000 one-build cells, where the per-cell charge dominates the per-build one.
+@example((SweepConfig(schemes=(SchemeTag("zf"),), n_users=1, n_tx=1,
+                      snr_grid_db=tuple(i / 100 for i in range(1000))), 0))
 def test_rating_a_channel_stays_within_its_memory_estimate(config_channel):
     # The estimate that SweepConfig.validate holds to the budget bounds
     # what rating one channel allocates, cached arrays included.

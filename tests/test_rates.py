@@ -31,7 +31,6 @@ from rsthp.exceptions import (
     DimensionMismatchError,
     EmptyGridError,
     SaturatedSinrError,
-    SchemeMismatchError,
 )
 from rsthp.rates import (
     SINR_CAP,
@@ -285,10 +284,25 @@ def split_reference(ps, errors, sigma_n2):
     return totals
 
 
+def kernel_args(builds):
+    """stacked_sum_rate_table's geometry, direction, beta and power for
+    builds on one channel's geometry record, as the sweep gathers them."""
+    assert all(ps.geometry is builds[0].geometry for ps in builds)
+    directions = [ps.common_direction for ps in builds if ps.common_direction is not None]
+    return (
+        builds[0].geometry,
+        directions[0] if directions else None,
+        np.array([ps.beta for ps in builds]),
+        np.array([ps.common_power for ps in builds]),
+    )
+
+
 def one_ensemble_table(precoder_sets, errors, sigma_n2):
     """stacked_sum_rate_table over the one (M, K, N) ensemble errors."""
     rows = _stacked_rows(precoder_sets[0], errors)
-    return stacked_sum_rate_table(precoder_sets, rows, [0] * len(precoder_sets), sigma_n2)
+    return stacked_sum_rate_table(
+        *kernel_args(precoder_sets), rows, [0] * len(precoder_sets), sigma_n2
+    )
 
 
 class TestSumRateTable:
@@ -335,7 +349,7 @@ class TestSumRateTable:
                 sets = self.table_sets(h, scheme)
                 rows = _stacked_rows(sets[0], errors)
                 private, common_at, common, _ = _batch_sinr(
-                    sets, rows, [0] * len(sets), 1.0
+                    *kernel_args(sets), rows, [0] * len(sets), 1.0
                 )
                 expected = np.sum(np.log2(1.0 + private), axis=2)
                 if common is not None:
@@ -347,11 +361,17 @@ class TestSumRateTable:
                     np.testing.assert_allclose(table, expected, rtol=1e-13, atol=0)
 
     def test_saturation_at_any_split_names_the_scheme(self):
-        h = random_channel(63)
+        # The kernel rates scalars, not schemes: its error gives the set,
+        # and a build's own rating names its scheme.
+        h, zero = random_channel(63), np.zeros((1, 4, 4), dtype=complex)
         scheme = SchemeTag("dthp", rs=True)
         sets = [build_precoders(h, scheme, 1e14, 0.75, t) for t in (0.0, 0.5)]
-        with pytest.raises(SaturatedSinrError, match="dthp-rs"):
-            one_ensemble_table(sets, np.zeros((1, 4, 4), dtype=complex), 1.0)
+        with pytest.raises(SaturatedSinrError, match="^an SINR reached") as raised:
+            one_ensemble_table(sets, zero, 1.0)
+        assert raised.value.set_index == 0
+        for ps in sets:
+            with pytest.raises(SaturatedSinrError, match="^dthp-rs: an SINR reached"):
+                sum_rate_samples(ps, zero, 1.0)
 
     def test_stacked_matmul_makes_the_per_slice_products(self):
         # The stacked kernel's bits rest on this: np.matmul over a stack
@@ -394,11 +414,12 @@ class TestSumRateTable:
     def test_rejects_mixed_or_empty_tables(self):
         # One table rates one private geometry on one channel: dthp and
         # zf-dpc share theirs, so they stack, each row with the bits of
-        # its set rated alone; cthp or another channel does not.
+        # its set rated alone.
         h, errors = random_channel(64), draw_error_ensemble(4, 4, 0.2, 5, seed=64)
         dthp = build_precoders(h, SchemeTag("dthp"), 31.0, 0.75)
         with pytest.raises(EmptyGridError):
-            stacked_sum_rate_table([], _stacked_rows(dthp, errors), [], 1.0)
+            stacked_sum_rate_table(dthp.geometry, None, [], [], _stacked_rows(dthp, errors),
+                                   [], 1.0)
         mixed = [
             dthp,
             build_precoders(h, SchemeTag("zf-dpc", rs=True), 10.0, 0.75, 0.3),
@@ -407,72 +428,43 @@ class TestSumRateTable:
         table = one_ensemble_table(mixed, errors, 1.0)
         for row, ps in zip(table, mixed):
             assert np.array_equal(row, one_ensemble_table([ps], errors, 1.0)[0])
-        for other in (
-            build_precoders(h, SchemeTag("cthp"), 31.0, 0.75),
-            build_precoders(random_channel(65), SchemeTag("dthp"), 31.0, 0.75),
-        ):
-            with pytest.raises(SchemeMismatchError):
-                one_ensemble_table([dthp, other], errors, 1.0)
-
-    def test_rejects_sets_with_another_common_direction(self):
-        # The kernel forms c0 = |(h_est + E) @ d|^2 once, with the
-        # channel's one direction d, and scales it by each set's power.
-        # A set whose stream is turned off d would be rated on the first
-        # set's d, so it is refused; an equal copy of d is accepted.
-        h, errors = random_channel(71), draw_error_ensemble(4, 4, 0.2, 5, seed=71)
-        sets = self.table_sets(h, SchemeTag("zf-dpc", rs=True))
-        assert sets[0].common_direction is sets[2].common_direction
-        d = sets[2].common_direction
-        copied = dataclasses.replace(sets[2], common_direction=d.copy())
-        table = one_ensemble_table([*sets, copied], errors, 1.0)
-        assert np.array_equal(table[-1], table[2])
-        for other in (np.exp(0.3j) * d, np.roll(d, 1)):
-            turned = dataclasses.replace(sets[2], common_direction=other)
-            one_ensemble_table([turned], errors, 1.0)
-            with pytest.raises(SchemeMismatchError, match="set 5 .* another"):
-                one_ensemble_table([*sets, turned], errors, 1.0)
-
-    def test_geometry_records_of_two_channels_compare_by_value(self):
-        # The kernel checks shared geometry by record identity and
-        # compares arrays only when records differ: a record built again
-        # for the same channel (after another channel evicted it) rates
-        # with the same bits, and another channel's record is refused,
-        # also under this channel's h_est. A table of copied directions,
-        # one turned, is refused as well.
-        h, g = random_channel(72), random_channel(73)
-        errors = draw_error_ensemble(4, 4, 0.2, 5, seed=72)
-        sets = self.table_sets(h, SchemeTag("dthp", rs=True))
-        table = one_ensemble_table(sets, errors, 1.0)
-        others = self.table_sets(g, SchemeTag("dthp", rs=True))
-        again = self.table_sets(h, SchemeTag("dthp", rs=True))
-        assert again[0].geometry is not sets[0].geometry
-        assert np.array_equal(one_ensemble_table([*sets, *again], errors, 1.0)[5:], table)
-        grafted = dataclasses.replace(sets[1], geometry=others[1].geometry)
-        for stranger in (others[1], grafted):
-            with pytest.raises(SchemeMismatchError, match="set 5 .* differs from set 0"):
-                one_ensemble_table([*sets, stranger], errors, 1.0)
-        copies = [
-            dataclasses.replace(ps, common_direction=None if ps.common_direction is None
-                                else ps.common_direction.copy())
-            for ps in again
-        ]
-        assert np.array_equal(one_ensemble_table(copies, errors, 1.0), table)
-        d = copies[3].common_direction
-        copies[3] = dataclasses.replace(copies[3], common_direction=np.exp(0.3j) * d)
-        with pytest.raises(SchemeMismatchError, match="set 3 .* another"):
-            one_ensemble_table(copies, errors, 1.0)
 
     def test_rejects_ensembles_that_do_not_index_each_set_once(self):
         # A negative index would rate a set on the last ensemble and a
         # short list would fail inside numpy; both name the ensembles.
+        # beta and power must hold one scalar per set as well, a positive
+        # power needs the direction, and zero sets are an empty grid.
         h, errors = random_channel(69), draw_error_ensemble(4, 4, 0.2, 5, seed=69)
         sets = self.table_sets(h, SchemeTag("dthp", rs=True))[:3]
+        geometry, d, beta, power = kernel_args(sets)
         rows = np.concatenate([_stacked_rows(sets[0], errors)] * 2)
-        assert stacked_sum_rate_table(sets, rows, [1, 0, 1], 1.0).shape == (3, 5)
+        table = stacked_sum_rate_table(geometry, d, beta, power, rows, [1, 0, 1], 1.0)
+        assert table.shape == (3, 5)
         for ensembles in ([-1, 0, 0], [0, 0, 2], [0, 0], [0, 0, 0, 0], [[0, 0, 0]],
                           [0.0, 0.0, 0.0], [True, False, True]):
             with pytest.raises(DimensionMismatchError, match="ensembles"):
-                stacked_sum_rate_table(sets, rows, ensembles, 1.0)
+                stacked_sum_rate_table(geometry, d, beta, power, rows, ensembles, 1.0)
+        for b, p in ((beta[:2], power), (beta, power[:2]), (np.append(beta, 1.0), power),
+                     (beta, power[:, np.newaxis]), (beta[0], power[0])):
+            with pytest.raises(DimensionMismatchError, match="ensembles"):
+                stacked_sum_rate_table(geometry, d, b, p, rows, [1, 0, 1], 1.0)
+        with pytest.raises(DimensionMismatchError, match="direction"):
+            stacked_sum_rate_table(geometry, None, beta, power, rows, [1, 0, 1], 1.0)
+        # Without a positive power no set reads d.
+        assert np.array_equal(
+            stacked_sum_rate_table(geometry, None, beta, 0 * power, rows, [1, 0, 1], 1.0),
+            stacked_sum_rate_table(geometry, d, beta, 0 * power, rows, [1, 0, 1], 1.0),
+        )
+        with pytest.raises(EmptyGridError):
+            stacked_sum_rate_table(geometry, d, [], [], rows, [0], 1.0)
+
+    def test_squared_scales_have_the_bits_of_python_squares(self):
+        # The kernel squares the (S,) betas with np.float_power, the C
+        # library's pow that Python's beta**2 calls; np.square, the
+        # rounded product beta * beta, differs in the last bit for about
+        # 1 beta in 1,000, which would move a rate's bits.
+        beta = np.exp(np.random.default_rng(71).uniform(-20.0, 20.0, 100_000))
+        assert np.float_power(beta, 2).tolist() == [b**2 for b in beta.tolist()]
 
     def test_saturation_names_the_first_saturated_set(self):
         # A cap between zf-dpc's and dthp's peaks saturates the zf-dpc
@@ -486,8 +478,10 @@ class TestSumRateTable:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rates, "SINR_CAP", float(np.sqrt(peaks[0] * peaks[1])))
             one_ensemble_table([sets[0], sets[2]], zero, 1.0)
-            with pytest.raises(SaturatedSinrError, match="^zf-dpc: ") as raised:
+            with pytest.raises(SaturatedSinrError, match="^an SINR reached") as raised:
                 one_ensemble_table(sets, zero, 1.0)
+            with pytest.raises(SaturatedSinrError, match="^zf-dpc: "):
+                sum_rate_samples(sets[1], zero, 1.0)
         assert raised.value.set_index == 1
 
 

@@ -495,9 +495,9 @@ class TestRunSweep:
         calls = []
         table = sweeps.stacked_sum_rate_table
 
-        def counting(precoder_sets, rows, ensembles, *args):
-            calls.append((len(precoder_sets), len(rows)))
-            return table(precoder_sets, rows, ensembles, *args)
+        def counting(geometry, direction, beta, power, rows, *args):
+            calls.append((len(beta), len(rows)))
+            return table(geometry, direction, beta, power, rows, *args)
 
         monkeypatch.setattr(sweeps, "stacked_sum_rate_table", counting)
         n_channels = 3
@@ -528,9 +528,9 @@ class TestRunSweep:
         blocks = []
         table = sweeps.stacked_sum_rate_table
 
-        def recording(precoder_sets, rows, ensembles, *args):
-            blocks.append((len(precoder_sets) * rows.shape[1], rows.size))
-            return table(precoder_sets, rows, ensembles, *args)
+        def recording(geometry, direction, beta, power, rows, *args):
+            blocks.append((len(beta) * rows.shape[1], rows.size))
+            return table(geometry, direction, beta, power, rows, *args)
 
         monkeypatch.setattr(sweeps, "stacked_sum_rate_table", recording)
         schemes = tuple(parse_scheme_tag(t) for t in ("dthp", "dthp-rs", "zf-dpc-rs"))

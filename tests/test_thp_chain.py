@@ -173,7 +173,7 @@ class TestChain:
         qam = qam_constellation(4)
         lattice = qam.lattice()
         ps = build_precoders(random_channel(28), SchemeTag("dthp"), 10.0, 0.75)
-        geometry = dataclasses.replace(ps.geometry, unit_map=1.01 * ps.unit_map)
+        geometry = dataclasses.replace(ps.geometry, unit_map=1.01 * ps.geometry.unit_map)
         ps = dataclasses.replace(ps, geometry=geometry)
         s = np.random.default_rng(29).choice(qam.points, size=4)
         trace = run_perfect_csit_chain(ps, s, np.zeros(4), lattice)
