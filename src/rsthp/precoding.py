@@ -8,21 +8,22 @@ zf-dpc-rs). A rate-splitting scheme spends a fraction of the power
 budget on a common stream beamformed along the dominant right singular
 vector of the channel estimate; the remainder feeds the base scheme.
 
-Neither the power split nor the SNR changes a base scheme's geometry:
-its unit map, feedback matrix B, private precoder (unit map) B^-1 and
-per-user gains. All four bases' geometries come from one
+Neither the power split nor the SNR changes a channel's geometry: the
+channel estimate itself, the common stream's direction d, and each base
+scheme's unit map, feedback matrix B, private precoder (unit map) B^-1
+and per-user gains. All four bases' geometries come from one
 pseudo-inverse and one LQ factorization of the channel estimate: cTHP
 and dTHP differ only in where the diagonal scaling sits, and ZF-DPC
 shares dTHP's record. They are computed once per channel and the last
 channel's are kept (_geometry). A build of the split search is its two
-scalars, the private scale beta and the common stream's power P, plus
-references to its channel's geometry record and one cached direction;
-the rate kernel reads the record and those scalars, not the build.
+scalars, the private scale beta and the common stream's power P, on a
+reference to its channel's geometry record; the rate kernel reads the
+record and those scalars, not the build.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -90,7 +91,8 @@ ALL_SCHEME_TAGS = (
 class Geometry:
     """The split- and SNR-invariant part of one base scheme's precoder
     on one channel estimate, built once per channel by _geometry; its
-    arrays are read-only.
+    arrays are read-only, and a channel's records share its h_est (a
+    copy of the caller's array) and its common-stream direction.
 
     build_precoders alone decides where THP's per-user scaling g =
     1/diag(L) (g_diag) sits: unit_map sends one unit of each feedback
@@ -103,6 +105,7 @@ class Geometry:
     at beta = 1: K, or sum(g^2) for cthp, whose gains sit in unit_map.
     """
 
+    h_est: np.ndarray
     unit_map: np.ndarray
     b_matrix: np.ndarray | None
     unit_private: np.ndarray
@@ -110,28 +113,35 @@ class Geometry:
     rx_gain: np.ndarray
     g_diag: np.ndarray | None
 
+    @cached_property
+    def direction(self) -> np.ndarray:
+        """The common stream's direction d, h_est's dominant right singular
+        vector, read from linalg's cache on first use, not at the build."""
+        return _anchored_direction(self.h_est.tobytes(), self.h_est.shape)
 
-@dataclass(slots=True)
+
+@dataclass(slots=True, eq=False)
 class PrecoderSet:
     """Everything the transmitter side derives from one channel estimate.
 
     beta and common_power, the common stream's power P (0.0 at a zero
-    power split), are the build's own. The rest is its channel's and
-    read-only: common_direction is the channel's one dominant direction
-    d (None at a zero power split), shared by every split, and geometry
-    is shared by every build of its base on that channel (dthp and
-    zf-dpc share one record, every THP base shares g_diag). b_matrix,
-    rx_gain and g_diag read through to the record; tx_basis and p_private
-    scale its unit_map and unit_private by beta, and p_common is sqrt(P)
-    d, each formed into a fresh array on each read.
+    power split), are the build's own; geometry, its channel's record,
+    is shared by every build of its base on that channel. h_est,
+    b_matrix, rx_gain and g_diag read through to the record; tx_basis
+    and p_private scale its unit_map and unit_private by beta, and
+    p_common is sqrt(P) d (None at P = 0, where the rate kernel rates no
+    common stream), each a fresh array on each read. Builds compare by
+    identity.
     """
 
     scheme: SchemeTag
     beta: float
     common_power: float
-    common_direction: np.ndarray | None
-    h_est: np.ndarray
     geometry: Geometry
+
+    @property
+    def h_est(self) -> np.ndarray:
+        return self.geometry.h_est
 
     @property
     def n_users(self) -> int:
@@ -159,9 +169,9 @@ class PrecoderSet:
 
     @property
     def p_common(self) -> np.ndarray | None:
-        if self.common_direction is None:
-            return None
-        return math.sqrt(self.common_power) * self.common_direction
+        if self.common_power > 0.0:
+            return math.sqrt(self.common_power) * self.geometry.direction
+        return None
 
 
 def build_precoders(
@@ -202,25 +212,19 @@ def build_precoders(
             f"scheme {scheme.tag} has no common stream, power_split must be 0"
         )
 
-    h_bytes = h_est.tobytes()
-    geometry = _geometry(h_bytes, h_est.shape)[scheme.base]
-    common_power, direction, e_private = 0.0, None, e_tr
+    geometry = _geometry(h_est.tobytes(), h_est.shape)[scheme.base]
+    common_power, e_private = 0.0, e_tr
     if power_split > 0.0:
         common_power = power_split * e_tr
         p_common = dominant_right_singular_vector(h_est)
         p_common *= math.sqrt(common_power)
         e_private = e_tr - np.vdot(p_common, p_common).real
-        # The call above cached this channel's direction: every split
-        # shares that one read-only array.
-        direction = _anchored_direction(h_bytes, h_est.shape)
 
     lambda_eff = power_loss if scheme.uses_power_loss else 1.0
     return PrecoderSet(
         scheme,
         math.sqrt(lambda_eff * e_private / geometry.unit_power),
         common_power,
-        direction,
-        h_est,
         geometry,
     )
 
@@ -229,7 +233,8 @@ def build_precoders(
 def _geometry(h_bytes: bytes, shape: tuple[int, ...]) -> dict[str, Geometry]:
     """Each base scheme's Geometry on the channel estimate whose
     complex128 bytes and shape are given, by base; dthp and zf-dpc map
-    to one record. A bad channel raises on every call: lru_cache stores
+    to one record, and every record holds the one read-only h_est made
+    from the bytes. A bad channel raises on every call: lru_cache stores
     no exception.
     """
     h_est = np.frombuffer(h_bytes, dtype=complex).reshape(shape)
@@ -249,11 +254,11 @@ def _geometry(h_bytes: bytes, shape: tuple[int, ...]) -> dict[str, Geometry]:
 
     def thp(unit_map, b_matrix, unit_power, rx_gain):
         unit_private = unit_map @ np.linalg.inv(b_matrix)
-        return Geometry(unit_map, b_matrix, unit_private, unit_power, rx_gain, g_diag)
+        return Geometry(h_est, unit_map, b_matrix, unit_private, unit_power, rx_gain, g_diag)
 
     zf_map = pinv / np.linalg.norm(pinv, axis=0, keepdims=True)
     by_base = {
-        "zf": Geometry(zf_map, None, zf_map, n_users, ones, None),
+        "zf": Geometry(h_est, zf_map, None, zf_map, n_users, ones, None),
         "cthp": thp(q_map * g_diag[np.newaxis, :], b_right, np.sum(g_diag**2), ones),
         "dthp": thp(q_map, b_left, n_users, g_diag),
     }

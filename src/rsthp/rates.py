@@ -3,16 +3,16 @@
 Closed forms and a Monte-Carlo estimator live side by side. The closed
 forms of all eight schemes are evaluated through one kernel for perfect
 and imperfect CSIT (perfect is the zero-error special case), so the
-reduction between the two is exact by construction. A split moves
-only scalars, the private scale beta and the common stream's power P
-along the channel's one direction d, so one kernel call
-(stacked_sum_rate_table) takes one geometry record, d and per-set
-arrays of beta and P, at any error variances: it forms each error
-ensemble's split-invariant gains once and scales them per set. One
+reduction between the two is exact by construction. A split moves only
+scalars, the private scale beta and the common stream's power P along
+the channel's one direction d, which its geometry record holds, so one
+kernel call (stacked_sum_rate_table) takes one geometry record and
+per-set arrays of beta and P, at any error variances: it forms each
+error ensemble's split-invariant gains once and scales them per set. One
 build over one ensemble (sum_rate_samples, sinr_imperfect_csit) is its
 view, with the same bits. The estimator simulates the received signal
-model directly and is the independent check on the algebra. Neither
-asks where a scheme puts its THP gains: the unit_map and rx_gain of a
+model directly and is the independent check on the algebra. Neither asks
+where a scheme puts its THP gains: the unit_map and rx_gain of a
 geometry record carry that.
 
 Conventions used throughout:
@@ -98,9 +98,8 @@ def _saturation(what: str, set_index: int | None = None) -> SaturatedSinrError:
 
 
 def _kernel_args(precoders: PrecoderSet) -> tuple:
-    """The (geometry, direction, beta, power) kernel arguments of one build."""
-    return (precoders.geometry, precoders.common_direction,
-            np.array([precoders.beta]), np.array([precoders.common_power]))
+    """The (geometry, beta, power) kernel arguments of one build."""
+    return precoders.geometry, np.array([precoders.beta]), np.array([precoders.common_power])
 
 
 def _stacked_rows(precoders: PrecoderSet, errors: np.ndarray) -> np.ndarray:
@@ -116,12 +115,12 @@ def _stacked_rows(precoders: PrecoderSet, errors: np.ndarray) -> np.ndarray:
 
 
 def _batch_sinr(
-    geometry: Geometry, direction: np.ndarray | None, beta: np.ndarray,
-    power: np.ndarray, rows: np.ndarray, ensembles, sigma_n2: float,
+    geometry: Geometry, beta: np.ndarray, power: np.ndarray,
+    rows: np.ndarray, ensembles, sigma_n2: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
-    """Closed-form SINRs of S builds on one private geometry record and
-    one common-stream direction d of one channel, set s with private
-    scale beta[s] and common power power[s] over the (M >= 1) error
+    """Closed-form SINRs of S builds on one channel's private geometry
+    record, set s with private scale beta[s] and common power power[s]
+    along the record's direction d over the (M >= 1) error
     realizations rows[ensembles[s]] of the (V, M K, N) stack of h_est +
     E_v; all-zero errors give the perfect-CSIT values.
 
@@ -183,7 +182,7 @@ def _batch_sinr(
         np.divide(beta2 * signal0[at], private, out=private)
         common = None
         if len(common_at):
-            gains = np.matmul(rows, direction).reshape(-1, n_draws, n_users)
+            gains = np.matmul(rows, geometry.direction).reshape(-1, n_draws, n_users)
             c0 = np.abs(gains) ** 2
             power = power[common_at, np.newaxis, np.newaxis]
             common_ensembles = at if len(rows) == 1 else ensembles[common_at]
@@ -246,26 +245,24 @@ def rates_from_sinr(report: SinrReport) -> RateReport:
 
 
 def stacked_sum_rate_table(
-    geometry: Geometry, direction: np.ndarray | None, beta, power,
-    rows: np.ndarray, ensembles, sigma_n2: float,
+    geometry: Geometry, beta, power, rows: np.ndarray, ensembles, sigma_n2: float,
 ) -> np.ndarray:
     """(S, M) per-realization sum rates of S builds on one channel's
-    geometry record (zf, cthp, or dthp with zf-dpc) and common-stream
-    direction d (None if no build has one), from one kernel call. Set s
-    is the scalars beta[s] and P = power[s]; it has a common term only
-    if its build has one (P > 0), so a rate-splitting build at split 0
-    gets its base scheme's bits, with no zero-weighted common rate. rows
-    (V, M K, N) stacks V ensembles' realizations h_est + E_v, not the
-    errors E_v, which no shape check can tell apart. Set s is rated
-    over ensemble ensembles[s], each realization on its own (common
-    stream at its worst user); row s is bit-identical to sum_rate_samples
-    of its build over E_v.
+    geometry record (zf, cthp, or dthp with zf-dpc), from one kernel
+    call. Set s is the scalars beta[s] and P = power[s]; it has a common
+    term, along the record's direction d, only if its build has one
+    (P > 0), so a rate-splitting build at split 0 gets its base scheme's
+    bits, with no zero-weighted common rate. rows (V, M K, N) stacks V
+    ensembles' realizations h_est + E_v, not the errors E_v, which no
+    shape check can tell apart. Set s is rated over ensemble
+    ensembles[s], each realization on its own (common stream at its
+    worst user); row s is bit-identical to sum_rate_samples of its build
+    over E_v.
 
     Raises:
         EmptyGridError: no sets.
         DimensionMismatchError: beta, power and ensembles do not give
-            each set one scalar each and one index in [0, V), or a
-            positive power has no direction.
+            each set one scalar each and one index in [0, V).
         SaturatedSinrError: an SINR of any set reached SINR_CAP or was
             not finite, so the capped rate would be averaged in as if it
             were real. Its set_index is the first such set's.
@@ -280,10 +277,8 @@ def stacked_sum_rate_table(
             f"beta {beta.shape}, power {power.shape} and ensembles {ensembles.tolist()} must "
             f"give each of the {beta.size} sets one scalar each and one index in [0, {len(rows)})"
         )
-    if direction is None and (power > 0).any():
-        raise DimensionMismatchError("a positive common power needs a common-stream direction")
     private, common_at, common, saturated = _batch_sinr(
-        geometry, direction, beta, power, rows, ensembles, sigma_n2
+        geometry, beta, power, rows, ensembles, sigma_n2
     )
     if saturated.any():
         first = int(np.argmax(saturated))

@@ -16,19 +16,20 @@ raises the first failing cell's error in output order; run_sweep and
 ergodic_sum_rate both rate through it and join each cell's values in
 channel order.
 
-The per-process caches hold only the current channel: draw_error_ensemble
-keeps its unit draws, and each error variance rescales them;
-build_precoders keeps one geometry record per base scheme, and linalg
-the common-stream direction, so the build of every split and grid point
-is two scalars and references to them. The eight schemes share three
+The per-process caches hold only the current channel:
+draw_error_ensemble keeps its unit draws, and each error variance
+rescales them; build_precoders keeps one geometry record per base
+scheme, which holds the channel and, through linalg's cache, its
+common-stream direction, so the build of every split and grid point is
+two scalars and a reference to its record. The eight schemes share three
 geometry records (zf, cthp, and dthp with zf-dpc); a channel's cells
 that share one, grouped by the record's identity, are rated in one
-kernel call (rates.stacked_sum_rate_table) per block: the record, the
-channel's direction and the beta and P of every split of every such
-cell, at every error variance of the block. Each split gets the bits
-of optimize_power_split, the reference search that rates one cell
-split by split. SweepConfig.validate rejects a config whose
-estimated working set exceeds MEMORY_BUDGET_BYTES (512 MiB).
+kernel call (rates.stacked_sum_rate_table) per block: the record and the
+beta and P of every split of every such cell, at every error variance of
+the block. Each split gets the bits of optimize_power_split, the
+reference search that rates one cell split by split.
+SweepConfig.validate rejects a config whose estimated working set
+exceeds MEMORY_BUDGET_BYTES (512 MiB).
 """
 
 import math
@@ -361,9 +362,9 @@ def matrix_bytes(
     per cell, n_builds builds in all and n_variances error variances.
 
     In complex128 values: the cached unit error ensemble, one variance's
-    scaled copy and numpy's buffer (up to 8192 values) for adding h_est
-    to that copy, where the peak comes, not at the draw (3 M K N, when
-    drawn), the precoder geometry (under 10 K N), one
+    scaled copy (2 M K N, when drawn) and numpy's buffer for adding
+    h_est to that copy (np.getbufsize() values, or M K N if fewer),
+    where the peak comes; the precoder geometry (under 10 K N); one
     variance block's stacked realizations (V M K N) and their gains G0
     with per-user sums (V M K (K + 4)); _BUILD_BYTES per build; and
     _KERNEL_BYTES per value of one kernel block, which holds at most
@@ -371,7 +372,8 @@ def matrix_bytes(
     """
     v = min(n_variances, _variance_block(m, k, n))
     ensemble = m * k * n if drawn else 0
-    complex_values = 3 * ensemble + 10 * k * n + v * m * k * (n + k + 4)
+    add_buffer = min(ensemble, np.getbufsize())
+    complex_values = 2 * ensemble + add_buffer + 10 * k * n + v * m * k * (n + k + 4)
     return (
         16 * complex_values
         + _BUILD_BYTES * n_builds
@@ -462,7 +464,7 @@ def _rate_channel(
 
     Rate-splitting schemes search the power-split grid; base schemes
     search the one-point grid (0.0,). Every build is made first, and
-    only its beta and P are kept, with the channel's direction. The
+    only its beta and P are kept, with its geometry record. The
     realizations h_est + E of each error variance (its rescaled unit
     draws; one all-zero realization under perfect CSIT) are stacked in
     blocks of at most _BLOCK_VALUES complex values, one variance if
@@ -477,7 +479,6 @@ def _rate_channel(
     n_users, n_tx = config.n_users, config.n_tx
     grids, betas, powers, variances = [], [], [], []
     by_geometry = {}  # geometry record (precoding._geometry) -> cell indices
-    direction = None  # the channel's one common-stream direction d
     for index, (scheme, _, e_tr, regime) in enumerate(cells):
         # One channel draw per cell and one build per (cell, split): the
         # calls bench/tests/test_tracer.py pins.
@@ -492,9 +493,6 @@ def _rate_channel(
         powers.append([ps.common_power for ps in builds])
         variances.append(None if regime.is_perfect else regime.variance_at(e_tr))
         by_geometry.setdefault(builds[0].geometry, []).append(index)
-        # The grid ascends, so its last split is the one with a common stream if any is.
-        if builds[-1].common_direction is not None:
-            direction = builds[-1].common_direction
 
     distinct = list(dict.fromkeys(variances))  # None is perfect CSIT
     m = 1 if distinct == [None] else config.n_error_samples
@@ -522,8 +520,8 @@ def _rate_channel(
                 power = np.array([p for i in block for p in powers[i]])
                 try:
                     table = stacked_sum_rate_table(
-                        geometry, direction, beta, power,
-                        rows[lo:ensembles.max() + 1], ensembles - lo, SIGMA_N2,
+                        geometry, beta, power, rows[lo:ensembles.max() + 1],
+                        ensembles - lo, SIGMA_N2,
                     )
                 except SaturatedSinrError as exc:
                     cell = owners[exc.set_index]

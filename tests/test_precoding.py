@@ -275,15 +275,15 @@ def reference_precoders(h_est, scheme, e_tr, power_loss, power_split=0.0):
     h_est = np.asarray(h_est, dtype=complex)
     n_users = h_est.shape[0]
     u, s, vh = np.linalg.svd(h_est, full_matrices=False)
+    v = vh[0].conj()
+    anchor = np.flatnonzero(np.abs(v) > 1e-6)[0]
+    direction = v * (np.conj(v[anchor]) / np.abs(v[anchor]))
     if power_split > 0.0:
-        v = vh[0].conj()
-        anchor = np.flatnonzero(np.abs(v) > 1e-6)[0]
-        direction = v * (np.conj(v[anchor]) / np.abs(v[anchor]))
         common_power = power_split * e_tr
         p_common = np.sqrt(common_power) * direction
         e_private = e_tr - float(np.real(np.vdot(p_common, p_common)))
     else:
-        common_power, direction, p_common = 0.0, None, None
+        common_power, p_common = 0.0, None
         e_private = float(e_tr)
     lambda_eff = power_loss if scheme.uses_power_loss else 1.0
     if scheme.base == "zf":
@@ -310,14 +310,14 @@ def reference_precoders(h_est, scheme, e_tr, power_loss, power_split=0.0):
         scheme=scheme, p_common=p_common, p_private=beta * unit_private,
         unit_map=unit_map, unit_private=unit_private, tx_basis=beta * unit_map,
         rx_gain=rx_gain, g_diag=g_diag, b_matrix=b_matrix, beta=beta,
-        h_est=h_est, common_power=common_power, common_direction=direction,
+        h_est=h_est, common_power=common_power, direction=direction,
         unit_power=unit_power,
     )
 
 
 def assert_same_fields(ps, want):
     for name, value in want.items():
-        on_record = name in ("unit_map", "unit_private", "unit_power")
+        on_record = name in ("unit_map", "unit_private", "unit_power", "direction")
         got = getattr(ps.geometry if on_record else ps, name)
         if isinstance(value, np.ndarray):
             assert got.shape == value.shape, name
@@ -385,10 +385,10 @@ class TestGeometryCache:
         assert precoding._geometry.cache_info().misses == 1
 
     def test_each_scheme_is_its_scalars_on_the_reference_geometry(self):
-        # A build holds only beta, P and references to its channel's
-        # arrays, and every field the old build held reads the same bits.
+        # A build holds only beta, P and a reference to its channel's
+        # record, and every field the old build held reads the same bits.
         assert [f.name for f in dataclasses.fields(PrecoderSet)] == [
-            "scheme", "beta", "common_power", "common_direction", "h_est", "geometry",
+            "scheme", "beta", "common_power", "geometry",
         ]
         for h in (random_channel(79), random_channel(80, (2, 5))):
             for scheme in ALL_SCHEME_TAGS:
@@ -449,13 +449,54 @@ class TestGeometryCache:
             after = build_precoders(h_new, scheme, 10.0, 0.75, t)
             assert_same_fields(after, reference_precoders(h_new, scheme, 10.0, 0.75, t))
             assert not (after.p_private == before.p_private).all()
-        # The caller's own array, changed in place after a build.
-        ps = build_precoders(h, SchemeTag("dthp"), 10.0, 0.75)
-        first = ps.p_private.copy()
+        # The caller's own array, changed in place after a build: the
+        # first build keeps its channel and direction, the next gets a
+        # fresh record.
+        scheme, kept = SchemeTag("dthp", rs=True), h.copy()
+        old = build_precoders(h, scheme, 10.0, 0.75, 0.2)
         h[0, 0] += 1.0
-        ps = build_precoders(h, SchemeTag("dthp"), 10.0, 0.75)
-        assert_same_fields(ps, reference_precoders(h, SchemeTag("dthp"), 10.0, 0.75))
-        assert not (ps.p_private == first).all()
+        ps = build_precoders(h, scheme, 10.0, 0.75, 0.2)
+        assert ps.geometry is not old.geometry
+        assert_same_fields(ps, reference_precoders(h, scheme, 10.0, 0.75, 0.2))
+        assert_same_fields(old, reference_precoders(kept, scheme, 10.0, 0.75, 0.2))
+        assert not (ps.p_private == old.p_private).all()
+        assert not (ps.geometry.direction == old.geometry.direction).all()
+
+    def test_a_build_keeps_its_channel_when_the_caller_changes_it(self):
+        h = random_channel(83)
+        kept = h.copy()
+        ps = build_precoders(h, SchemeTag("cthp", rs=True), 10.0, 0.75, 0.3)
+        assert not np.shares_memory(ps.h_est, h)
+        with pytest.raises(ValueError):
+            ps.h_est[0, 0] = 0.0
+        h[0, 0] += 1.0
+        assert np.array_equal(ps.h_est, kept)
+
+    def test_a_channels_records_share_its_estimate_and_direction(self):
+        # Each record reads d from linalg's cache on first use, so a
+        # build without a common stream takes no SVD for it, and every
+        # base gets the one array with the bits of the public function.
+        h = random_channel(82, (3, 5))
+        records = [build_precoders(h, SchemeTag(base), 10.0, 0.75).geometry
+                   for base in ("zf", "cthp", "dthp")]
+        assert linalg._anchored_direction.cache_info().misses == 0
+        d = linalg.dominant_right_singular_vector(h)
+        for record in records:
+            assert record.h_est is records[0].h_est
+            assert record.direction is records[0].direction
+            assert record.direction.tobytes() == d.tobytes()
+            assert not record.direction.flags.writeable
+        assert linalg._anchored_direction.cache_info().misses == 1
+
+    def test_builds_compare_by_identity(self):
+        # A field-by-field comparison would compare h_est element-wise
+        # and raise numpy's ambiguous-truth ValueError.
+        h = random_channel(84)
+        for scheme in ALL_SCHEME_TAGS:
+            t = 0.3 if scheme.rs else 0.0
+            ps = build_precoders(h, scheme, 10.0, 0.75, t)
+            assert ps == ps
+            assert ps != build_precoders(h.copy(), scheme, 10.0, 0.75, t)
 
     def test_non_finite_channel_is_refused_by_every_scheme(self):
         # A channel with a NaN or an infinity used to give a finite beta

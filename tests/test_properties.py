@@ -367,6 +367,9 @@ MEMORY_ALLOWANCE = 32 * 2**10
                       error_regime=ErrorRegime.fixed_variance(0.2)), 0))
 @example((SweepConfig(schemes=(SchemeTag("zf"),), n_users=2, n_tx=32, snr_grid_db=(15.0,),
                       error_regime=ErrorRegime.fixed_variance(0.2)), 0))
+# Many draws, where numpy's buffer for adding h_est is far below one ensemble.
+@example((SweepConfig(schemes=(SchemeTag("zf"),), n_users=4, n_tx=4, snr_grid_db=(15.0,),
+                      n_error_samples=20_000, error_regime=ErrorRegime.fixed_variance(0.2)), 0))
 # 1,000 one-build cells, where the per-cell charge dominates the per-build one.
 @example((SweepConfig(schemes=(SchemeTag("zf"),), n_users=1, n_tx=1,
                       snr_grid_db=tuple(i / 100 for i in range(1000))), 0))

@@ -285,13 +285,11 @@ def split_reference(ps, errors, sigma_n2):
 
 
 def kernel_args(builds):
-    """stacked_sum_rate_table's geometry, direction, beta and power for
-    builds on one channel's geometry record, as the sweep gathers them."""
+    """stacked_sum_rate_table's geometry, beta and power for builds on
+    one channel's geometry record, as the sweep gathers them."""
     assert all(ps.geometry is builds[0].geometry for ps in builds)
-    directions = [ps.common_direction for ps in builds if ps.common_direction is not None]
     return (
         builds[0].geometry,
-        directions[0] if directions else None,
         np.array([ps.beta for ps in builds]),
         np.array([ps.common_power for ps in builds]),
     )
@@ -418,8 +416,7 @@ class TestSumRateTable:
         h, errors = random_channel(64), draw_error_ensemble(4, 4, 0.2, 5, seed=64)
         dthp = build_precoders(h, SchemeTag("dthp"), 31.0, 0.75)
         with pytest.raises(EmptyGridError):
-            stacked_sum_rate_table(dthp.geometry, None, [], [], _stacked_rows(dthp, errors),
-                                   [], 1.0)
+            stacked_sum_rate_table(dthp.geometry, [], [], _stacked_rows(dthp, errors), [], 1.0)
         mixed = [
             dthp,
             build_precoders(h, SchemeTag("zf-dpc", rs=True), 10.0, 0.75, 0.3),
@@ -432,31 +429,24 @@ class TestSumRateTable:
     def test_rejects_ensembles_that_do_not_index_each_set_once(self):
         # A negative index would rate a set on the last ensemble and a
         # short list would fail inside numpy; both name the ensembles.
-        # beta and power must hold one scalar per set as well, a positive
-        # power needs the direction, and zero sets are an empty grid.
+        # beta and power must hold one scalar per set as well, and zero
+        # sets are an empty grid.
         h, errors = random_channel(69), draw_error_ensemble(4, 4, 0.2, 5, seed=69)
         sets = self.table_sets(h, SchemeTag("dthp", rs=True))[:3]
-        geometry, d, beta, power = kernel_args(sets)
+        geometry, beta, power = kernel_args(sets)
         rows = np.concatenate([_stacked_rows(sets[0], errors)] * 2)
-        table = stacked_sum_rate_table(geometry, d, beta, power, rows, [1, 0, 1], 1.0)
+        table = stacked_sum_rate_table(geometry, beta, power, rows, [1, 0, 1], 1.0)
         assert table.shape == (3, 5)
         for ensembles in ([-1, 0, 0], [0, 0, 2], [0, 0], [0, 0, 0, 0], [[0, 0, 0]],
                           [0.0, 0.0, 0.0], [True, False, True]):
             with pytest.raises(DimensionMismatchError, match="ensembles"):
-                stacked_sum_rate_table(geometry, d, beta, power, rows, ensembles, 1.0)
+                stacked_sum_rate_table(geometry, beta, power, rows, ensembles, 1.0)
         for b, p in ((beta[:2], power), (beta, power[:2]), (np.append(beta, 1.0), power),
                      (beta, power[:, np.newaxis]), (beta[0], power[0])):
             with pytest.raises(DimensionMismatchError, match="ensembles"):
-                stacked_sum_rate_table(geometry, d, b, p, rows, [1, 0, 1], 1.0)
-        with pytest.raises(DimensionMismatchError, match="direction"):
-            stacked_sum_rate_table(geometry, None, beta, power, rows, [1, 0, 1], 1.0)
-        # Without a positive power no set reads d.
-        assert np.array_equal(
-            stacked_sum_rate_table(geometry, None, beta, 0 * power, rows, [1, 0, 1], 1.0),
-            stacked_sum_rate_table(geometry, d, beta, 0 * power, rows, [1, 0, 1], 1.0),
-        )
+                stacked_sum_rate_table(geometry, b, p, rows, [1, 0, 1], 1.0)
         with pytest.raises(EmptyGridError):
-            stacked_sum_rate_table(geometry, d, [], [], rows, [0], 1.0)
+            stacked_sum_rate_table(geometry, [], [], rows, [0], 1.0)
 
     def test_squared_scales_have_the_bits_of_python_squares(self):
         # The kernel squares the (S,) betas with np.float_power, the C
@@ -589,6 +579,23 @@ class TestCap:
 
 
 class TestMonteCarloAgreement:
+    def test_build_and_kernel_agree_on_the_common_stream(self):
+        # p_common is None exactly where the kernel rates no common
+        # stream, at P = 0, a split whose P underflows to 0 included,
+        # so the closed form and the simulation report the same streams.
+        h, zero = random_channel(85), np.zeros((4, 4), dtype=complex)
+        for scheme in (s for s in ALL_SCHEME_TAGS if s.rs):
+            for e_tr in (0.4, 1000.0):
+                for t in (0.0, 5e-324, 1e-300, 0.3):
+                    ps = build_precoders(h, scheme, e_tr, 0.75, t)
+                    closed = sinr_imperfect_csit(ps, zero, 1.0)
+                    simulated = estimate_sinr_monte_carlo(ps, zero, 1.0, 10, seed=1)
+                    assert (ps.p_common is None) == (ps.common_power == 0.0)
+                    assert (closed.common is None) == (ps.p_common is None)
+                    assert (simulated.common is None) == (ps.p_common is None)
+        ps = build_precoders(h, SchemeTag("dthp", rs=True), 0.4, 0.75, 5e-324)
+        assert ps.common_power == 0.0 and ps.p_common is None
+
     def test_perfect_csit_thp(self):
         h = random_channel(56)
         zero = np.zeros((4, 4), dtype=complex)

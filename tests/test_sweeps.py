@@ -486,6 +486,16 @@ class TestRunSweep:
         assert [info.misses for info in infos] == [n_channels] * 3
         assert [info.currsize for info in infos] == [1] * 3
 
+    def test_a_base_only_sweep_takes_no_direction(self):
+        # A geometry record reads the common-stream direction on first
+        # use, and no set of a base scheme has a common stream.
+        linalg._anchored_direction.cache_clear()
+        run_sweep(small_config(
+            schemes=tuple(parse_scheme_tag(t) for t in ("zf", "cthp", "dthp", "zf-dpc")),
+            error_regime=ErrorRegime.fixed_variance(0.2), n_channels=3,
+        ))
+        assert linalg._anchored_direction.cache_info().misses == 0
+
     def test_one_kernel_call_per_channel_variance_block_and_geometry(self, monkeypatch):
         # The cells of a channel that share a private geometry (zf with
         # rs-linear, cthp alone here, dthp-rs with zf-dpc) are rated in
@@ -495,9 +505,9 @@ class TestRunSweep:
         calls = []
         table = sweeps.stacked_sum_rate_table
 
-        def counting(geometry, direction, beta, power, rows, *args):
+        def counting(geometry, beta, power, rows, *args):
             calls.append((len(beta), len(rows)))
-            return table(geometry, direction, beta, power, rows, *args)
+            return table(geometry, beta, power, rows, *args)
 
         monkeypatch.setattr(sweeps, "stacked_sum_rate_table", counting)
         n_channels = 3
@@ -528,9 +538,9 @@ class TestRunSweep:
         blocks = []
         table = sweeps.stacked_sum_rate_table
 
-        def recording(geometry, direction, beta, power, rows, *args):
+        def recording(geometry, beta, power, rows, *args):
             blocks.append((len(beta) * rows.shape[1], rows.size))
-            return table(geometry, direction, beta, power, rows, *args)
+            return table(geometry, beta, power, rows, *args)
 
         monkeypatch.setattr(sweeps, "stacked_sum_rate_table", recording)
         schemes = tuple(parse_scheme_tag(t) for t in ("dthp", "dthp-rs", "zf-dpc-rs"))
