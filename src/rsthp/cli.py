@@ -9,6 +9,8 @@ Subcommands:
   validate-chain         self-checks of the modulo chain algebra
   cross-check-sinr       closed-form SINRs vs the signal-model estimator
 
+A sweep flag left out keeps SweepConfig's default for its field, so a
+sweep command and run_sweep with the same settings give the same table.
 Sweeps write the main table (CSV or structured text) to --out plus a
 sidecar <out>.config.json echoing the resolved configuration. Outputs
 depend only on the configuration, so a rerun with the same arguments is
@@ -59,7 +61,7 @@ _COLUMNS = ("scheme", "x_value", "x_kind", "esr_bps_hz", "ci_halfwidth",
             "chosen_split_mean", "seed")
 CSV_HEADER = ",".join(_COLUMNS)
 
-_ALL_SCHEME_TEXT = ",".join(s.tag for s in ALL_SCHEME_TAGS)
+_DEFAULT_SCHEME_TEXT = ",".join(s.tag for s in SweepConfig.schemes)
 
 # Most points a start:step:stop range may expand to; a longer range is
 # almost surely a mistyped step, and building it could exhaust memory.
@@ -73,8 +75,8 @@ _BYTES_PER_SAMPLE_STREAM = 8 * 16
 
 
 def default_seed() -> int:
-    """Default master seed; the RSTHP_SEED environment variable overrides."""
-    text = os.environ.get("RSTHP_SEED", "12345")
+    """Default master seed, SweepConfig's; env RSTHP_SEED overrides."""
+    text = os.environ.get("RSTHP_SEED", str(SweepConfig.master_seed))
     try:
         return int(text)
     except ValueError:
@@ -193,35 +195,23 @@ def write_sweep_outputs(result: SweepResult, out_path: str, out_format: str) -> 
 
 
 def _common_sweep_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--users", type=int, default=4, help="number of single-antenna users")
-    parser.add_argument("--tx-antennas", type=int, default=4, help="transmit antennas")
+    # Each sweep flag's dest is the SweepConfig field it sets, its
+    # metavar the flag's name; a flag left out stays None and leaves the
+    # field to SweepConfig.
+    for flag, dest, kind, text in (
+        ("--users", "n_users", int, "number of single-antenna users"),
+        ("--tx-antennas", "n_tx", int, "transmit antennas"),
+        ("--schemes", "schemes", str, f"comma list of schemes (default: {_DEFAULT_SCHEME_TEXT})"),
+        ("--channels", "n_channels", int, "channel draws to average over"),
+        ("--error-samples", "n_error_samples", int, "CSIT error draws per channel"),
+        ("--lambda", "power_loss", float, "modulo power loss factor for THP schemes"),
+        ("--split-grid", "power_split_grid", str, "power-split search grid (start:step:stop "
+         "or comma list; default: the library's default_power_split_grid())"),
+    ):
+        metavar = flag[2:].upper().replace("-", "_")
+        parser.add_argument(flag, dest=dest, type=kind, metavar=metavar, help=text)
     parser.add_argument(
-        "--schemes",
-        type=str,
-        default=_ALL_SCHEME_TEXT,
-        help=f"comma list of schemes (default: {_ALL_SCHEME_TEXT})",
-    )
-    parser.add_argument("--channels", type=int, default=50, help="channel draws to average over")
-    parser.add_argument(
-        "--error-samples", type=int, default=100, help="CSIT error draws per channel"
-    )
-    parser.add_argument(
-        "--lambda",
-        dest="power_loss",
-        type=float,
-        default=0.75,
-        help="modulo power loss factor for THP schemes",
-    )
-    parser.add_argument(
-        "--split-grid",
-        type=str,
-        default="0:0.05:0.95",
-        help="power-split search grid (start:step:stop or comma list)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=default_seed(),
+        "--seed", dest="master_seed", metavar="SEED", type=int, default=default_seed(),
         help="master seed (env RSTHP_SEED overrides the default)",
     )
     parser.add_argument("--out", type=str, required=True, help="output table path")
@@ -229,20 +219,24 @@ def _common_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1, help="worker processes")
 
 
-def _config_from_args(args, regime: ErrorRegime, snr_grid, variance_grid=()) -> SweepConfig:
-    return SweepConfig(
-        n_users=args.users,
-        n_tx=args.tx_antennas,
-        schemes=parse_schemes(args.schemes),
-        error_regime=regime,
-        snr_grid_db=tuple(snr_grid),
-        error_variance_grid=tuple(variance_grid),
-        n_channels=args.channels,
-        n_error_samples=args.error_samples,
-        power_loss=args.power_loss,
-        power_split_grid=parse_grid(args.split_grid),
-        master_seed=args.seed,
-    )
+# Each SweepConfig field a sweep flag sets, in the order the flags are
+# read, with the reader of a flag given as text.
+_SWEEP_FIELDS = {
+    "snr_grid_db": parse_grid, "error_variance_grid": parse_grid, "n_users": None,
+    "n_tx": None, "schemes": parse_schemes, "n_channels": None, "n_error_samples": None,
+    "power_loss": None, "power_split_grid": parse_grid, "master_seed": None,
+}
+
+
+def _config_from_args(args, regime: ErrorRegime) -> SweepConfig:
+    """The sweep's config: each sweep flag given sets its field, and a
+    field whose flag was left out (None) keeps SweepConfig's default."""
+    fields = {"error_regime": regime}
+    for name, read in _SWEEP_FIELDS.items():
+        value = getattr(args, name, None)
+        if value is not None:
+            fields[name] = read(value) if read else value
+    return SweepConfig(**fields)
 
 
 def _finish_sweep(args, config: SweepConfig) -> int:
@@ -266,21 +260,16 @@ def cmd_sweep_snr(args) -> int:
         regime = ErrorRegime.perfect()
     else:
         regime = ErrorRegime.fixed_variance(args.error_variance)
-    config = _config_from_args(args, regime, parse_grid(args.snr_db))
-    return _finish_sweep(args, config)
+    return _finish_sweep(args, _config_from_args(args, regime))
 
 
 def cmd_sweep_error_variance(args) -> int:
-    snr_grid = parse_grid(args.snr_db)
-    variance_grid = parse_grid(args.error_variance)
-    config = _config_from_args(args, ErrorRegime.perfect(), snr_grid, variance_grid)
-    return _finish_sweep(args, config)
+    return _finish_sweep(args, _config_from_args(args, ErrorRegime.perfect()))
 
 
 def cmd_sweep_alpha(args) -> int:
     regime = ErrorRegime.snr_scaled(args.alpha)
-    config = _config_from_args(args, regime, parse_grid(args.snr_db))
-    return _finish_sweep(args, config)
+    return _finish_sweep(args, _config_from_args(args, regime))
 
 
 def _print_check(name: str, passed: bool, detail: str) -> bool:
@@ -398,7 +387,7 @@ def cmd_cross_check_sinr(args) -> int:
         build_precoders(h_est, scheme, e_tr, args.power_loss, power_split=args.split)
         for scheme in parse_schemes(args.schemes)
     ]
-    checks = [cross_check_sinr(p, h_e, 1.0, args.samples, args.seed) for p in precoder_sets]
+    checks = [cross_check_sinr(p, h_e, SIGMA_N2, args.samples, args.seed) for p in precoder_sets]
     failed = False
     for check in checks:
         print(f"scheme {check.closed.scheme_tag} (csit={check.closed.csit}):")
@@ -435,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-snr", help="ergodic sum rate vs SNR")
     _common_sweep_arguments(p)
-    p.add_argument("--snr-db", type=str, default="0:5:30", help="SNR grid in dB")
+    p.add_argument("--snr-db", dest="snr_grid_db", metavar="SNR_DB", help="SNR grid in dB")
     p.add_argument(
         "--error-variance",
         type=float,
@@ -448,10 +437,14 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep-error-variance", help="ergodic sum rate vs CSIT error variance"
     )
     _common_sweep_arguments(p)
-    p.add_argument("--snr-db", type=str, default="15", help="fixed SNR in dB (one value)")
+    p.add_argument(
+        "--snr-db", dest="snr_grid_db", metavar="SNR_DB", default="15",
+        help="fixed SNR in dB (one value)",
+    )
     p.add_argument(
         "--error-variance",
-        type=str,
+        dest="error_variance_grid",
+        metavar="ERROR_VARIANCE",
         default="0.05,0.1,0.2,0.3,0.4,0.5",
         help="error variance grid",
     )
@@ -461,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep-alpha", help="ergodic sum rate vs SNR with SNR-scaled error variance"
     )
     _common_sweep_arguments(p)
-    p.add_argument("--snr-db", type=str, default="0:5:30", help="SNR grid in dB")
+    p.add_argument("--snr-db", dest="snr_grid_db", metavar="SNR_DB", help="SNR grid in dB")
     p.add_argument(
         "--alpha", type=float, default=0.6, help="error variance decay exponent"
     )
@@ -476,13 +469,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "cross-check-sinr", help="closed-form SINRs vs signal-model simulation"
     )
-    p.add_argument("--users", type=int, default=4)
-    p.add_argument("--tx-antennas", type=int, default=4)
+    p.add_argument("--users", type=int, default=SweepConfig.n_users)
+    p.add_argument("--tx-antennas", type=int, default=SweepConfig.n_tx)
     p.add_argument("--schemes", type=str, default="cthp,dthp")
     p.add_argument("--snr-db", type=float, default=15.0)
     p.add_argument("--error-variance", type=float, default=0.0)
     p.add_argument("--split", type=float, default=0.0, help="common-stream power split")
-    p.add_argument("--lambda", dest="power_loss", type=float, default=0.75)
+    p.add_argument("--lambda", dest="power_loss", type=float, default=SweepConfig.power_loss)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=default_seed())
     p.set_defaults(handler=cmd_cross_check_sinr)

@@ -11,10 +11,12 @@ numbers), and a sweep is a pure function of its config.
 The unit of work is a channel: its best split and average sum rate in
 a cell depend on that channel's draws alone, and a cell is the mean
 over its channels (the ergodic sum rate as a mean of per-channel
-sample averages). _rate_channel rates every cell on one channel and
-raises the first failing cell's error in output order; run_sweep and
-ergodic_sum_rate both rate through it and join each cell's values in
-channel order.
+sample averages). Each cell's plan (_cell) fixes its split grid and
+error variance once; _rate_channel rates every planned cell on one
+channel and raises the first failing cell's error in output order, and
+the memory estimate counts the same plans. run_sweep and
+ergodic_sum_rate both rate through _rate_channel and join each cell's
+values in channel order.
 
 The per-process caches hold only the current channel:
 draw_error_ensemble keeps its unit draws, and each error variance
@@ -318,28 +320,20 @@ def check_memory(what: str, need: int, flag: str) -> None:
 def _working_set_bytes(config: SweepConfig, n_channels: int) -> int:
     """Estimated peak bytes of one process that rates every cell of
     config on n_channels channels: the arrays of one channel
-    (matrix_bytes) and the bookkeeping of its cells (_CELL_BYTES each),
-    plus _RESULT_BYTES for each (cell, channel) and _ROW_BYTES for each
-    channel. Under perfect CSIT nothing is drawn and M is the one
-    all-zero realization."""
-    drawn = bool(config.error_variance_grid) or not config.error_regime.is_perfect
-    m = config.n_error_samples if drawn else 1
-    n_points = len(config.error_variance_grid or config.snr_grid_db)
-    n_cells = len(config.schemes) * n_points
-    n_builds = n_points * sum(
-        len(config.power_split_grid) if s.rs else 1 for s in config.schemes
-    )
-    n_variances = 1 if config.x_kind == "snr_db" else n_points  # one per grid point
+    (matrix_bytes, from the cells' plans: their builds, largest grid and
+    distinct error variances) and the bookkeeping of its cells
+    (_CELL_BYTES each), plus _RESULT_BYTES for each (cell, channel) and
+    _ROW_BYTES for each channel. Under perfect CSIT nothing is drawn and
+    M is the one all-zero realization."""
+    _, _, _, grids, variances = zip(*_sweep_cells(config))
+    distinct = set(variances)  # None is perfect CSIT
+    drawn = distinct != {None}
     matrices = matrix_bytes(
-        config.n_users, config.n_tx, m, _max_splits(config), drawn, n_builds,
-        n_variances,
+        config.n_users, config.n_tx, config.n_error_samples if drawn else 1,
+        max(map(len, grids)), drawn, sum(map(len, grids)), len(distinct),
     )
+    n_cells = len(grids)
     return matrices + _CELL_BYTES * n_cells + (_RESULT_BYTES * n_cells + _ROW_BYTES) * n_channels
-
-
-def _max_splits(config: SweepConfig) -> int:
-    """The most splits one cell of config searches."""
-    return len(config.power_split_grid) if any(s.rs for s in config.schemes) else 1
 
 
 def _kernel_block_values(t: int, m: int, k: int) -> int:
@@ -418,7 +412,7 @@ def _join(cells: list[tuple], rows: list[np.ndarray]) -> tuple[SweepCell, ...]:
             per_channel_asr=tuple(asr.tolist()),
             per_channel_split=tuple(split.tolist()),
         )
-        for (scheme, x_value, _, _), split, asr in zip(cells, splits, asr_values)
+        for (scheme, x_value, *_), split, asr in zip(cells, splits, asr_values)
     )
 
 
@@ -433,14 +427,25 @@ def ergodic_sum_rate(
     per-channel best average sum rate over n_channels channel draws.
     It validates config and rates on run_sweep's path: run_sweep gives the same cell."""
     config.validate()
-    cells = [(scheme, x_value, e_tr, regime)]
+    cells = [_cell(config, scheme, x_value, e_tr, regime)]
     rows = [_rate_channel(config, cells, c) for c in range(config.n_channels)]
     return _join(cells, rows)[0]
 
 
+def _cell(
+    config: SweepConfig, scheme: SchemeTag, x_value: float, e_tr: float, regime: ErrorRegime
+) -> tuple:
+    """One cell's plan, (scheme, x_value, e_tr, split grid, error
+    variance): the config's grid for a rate-splitting scheme and (0.0,)
+    otherwise, and the variance None under perfect CSIT."""
+    grid = config.power_split_grid if scheme.rs else (0.0,)
+    variance = None if regime.is_perfect else regime.variance_at(e_tr)
+    return scheme, x_value, e_tr, grid, variance
+
+
 def _sweep_cells(config: SweepConfig) -> list[tuple]:
-    """Every (scheme, x_value, e_tr, regime) cell in output order: by
-    scheme tag, then by x value."""
+    """Every cell's plan (_cell) in output order: by scheme tag, then by
+    x value."""
     if config.error_variance_grid:
         e_tr = snr_db_to_power(config.snr_grid_db[0])
         points = [
@@ -452,7 +457,7 @@ def _sweep_cells(config: SweepConfig) -> list[tuple]:
             (float(db), snr_db_to_power(db), config.error_regime)
             for db in config.snr_grid_db
         ]
-    cells = [(scheme, *point) for scheme in config.schemes for point in points]
+    cells = [_cell(config, scheme, *point) for scheme in config.schemes for point in points]
     return sorted(cells, key=lambda cell: (cell[0].tag, cell[1]))
 
 
@@ -462,8 +467,8 @@ def _rate_channel(
     """The best power split and its average sum rate of every cell on
     one channel, as a (2, len(cells)) array.
 
-    Rate-splitting schemes search the power-split grid; base schemes
-    search the one-point grid (0.0,). Every build is made first, and
+    Each cell searches its plan's split grid at its plan's error
+    variance (see _cell). Every build is made first, and
     only its beta and P are kept, with its geometry record. The
     realizations h_est + E of each error variance (its rescaled unit
     draws; one all-zero realization under perfect CSIT) are stacked in
@@ -477,26 +482,22 @@ def _rate_channel(
     channel, whichever block meets it first.
     """
     n_users, n_tx = config.n_users, config.n_tx
-    grids, betas, powers, variances = [], [], [], []
+    _, _, _, grids, variances = zip(*cells)
+    betas, powers = [], []
     by_geometry = {}  # geometry record (precoding._geometry) -> cell indices
-    for index, (scheme, _, e_tr, regime) in enumerate(cells):
+    for index, (scheme, _, e_tr, grid, _) in enumerate(cells):
         # One channel draw per cell and one build per (cell, split): the
         # calls bench/tests/test_tracer.py pins.
         h_est = draw_channel(config.master_seed, channel_index, n_users, n_tx)
-        grids.append(config.power_split_grid if scheme.rs else (0.0,))
-        builds = [
-            build_precoders(h_est, scheme, e_tr, config.power_loss, split)
-            for split in grids[-1]
-        ]
+        builds = [build_precoders(h_est, scheme, e_tr, config.power_loss, t) for t in grid]
         # Each split's beta and P: all the kernel takes of a build.
         betas.append([ps.beta for ps in builds])
         powers.append([ps.common_power for ps in builds])
-        variances.append(None if regime.is_perfect else regime.variance_at(e_tr))
         by_geometry.setdefault(builds[0].geometry, []).append(index)
 
     distinct = list(dict.fromkeys(variances))  # None is perfect CSIT
     m = 1 if distinct == [None] else config.n_error_samples
-    max_sets = _kernel_block_values(_max_splits(config), m, n_users) // (m * n_users)
+    max_sets = _kernel_block_values(max(map(len, grids)), m, n_users) // (m * n_users)
     per_block = _variance_block(m, n_users, n_tx)
     row = np.empty((2, len(cells)))
     failed = None  # (cell index, message) of the first saturated cell

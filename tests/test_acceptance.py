@@ -3,7 +3,8 @@
 Each test prints a single summary line (visible with `pytest -rA` or on
 failure) and asserts the criterion at its stated tolerance. Sweeps run
 at desk scale: 4 users, 4 antennas, 50 channels, 100 error draws per
-channel, split grid 0:0.05:0.95, power loss 0.75, master seed 12345.
+channel, the default split grid i/20 (i = 0, ..., 19), power loss 0.75,
+master seed 12345.
 
 Criterion 7 is implemented exactly as stated. With the published
 closed-form SINR structure the cTHP-RS curve sits slightly below

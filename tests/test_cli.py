@@ -13,7 +13,17 @@ import subprocess
 import pytest
 
 from rsthp import ErrorRegime, SweepConfig, build_precoders, parse_scheme_tag, run_sweep
-from rsthp.cli import CSV_HEADER, MAX_RANGE_POINTS, config_as_dict, main, parse_grid
+from rsthp.cli import (
+    CSV_HEADER,
+    MAX_RANGE_POINTS,
+    _config_from_args,
+    build_parser,
+    config_as_dict,
+    format_csv,
+    main,
+    parse_grid,
+)
+from rsthp.sweeps import default_power_split_grid
 
 SMALL = [
     "--schemes", "zf,dthp-rs",
@@ -172,6 +182,50 @@ class TestSweepSnrCommand:
         assert payload["x_kind"] == "snr_db"
         assert len(payload["rows"]) == 2
         assert payload["rows"][0]["seed"] == 1
+
+
+class TestSweepDefaults:
+    # A sweep flag left out leaves its field to SweepConfig, so a CLI
+    # run and a library run of the same settings rate the same splits.
+
+    def test_default_split_grid_is_the_librarys(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(
+            "sweep-snr", "--schemes", "rs-linear,dthp-rs", "--channels", "5",
+            "--error-samples", "20", "--snr-db", "10,30", "--error-variance", "0.2",
+            "--out", str(out),
+        ) == 0
+        config = SweepConfig(
+            schemes=(parse_scheme_tag("rs-linear"), parse_scheme_tag("dthp-rs")),
+            error_regime=ErrorRegime.fixed_variance(0.2),
+            snr_grid_db=(10.0, 30.0),
+            n_channels=5,
+            n_error_samples=20,
+        )
+        assert out.read_text() == format_csv(run_sweep(config))
+        sidecar = json.loads((tmp_path / "sweep.csv.config.json").read_text())
+        assert sidecar["power_split_grid"] == list(default_power_split_grid())
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["sweep-snr"], SweepConfig()),
+        (["sweep-alpha"], SweepConfig(error_regime=ErrorRegime.snr_scaled(0.6))),
+        (["sweep-error-variance"], SweepConfig(
+            snr_grid_db=(15.0,), error_variance_grid=(0.05, 0.1, 0.2, 0.3, 0.4, 0.5))),
+    ])
+    def test_left_out_flags_keep_the_config_defaults(self, monkeypatch, argv, expected):
+        monkeypatch.delenv("RSTHP_SEED", raising=False)
+        args = build_parser().parse_args([*argv, "--out", "x.csv"])
+        regime = (ErrorRegime.snr_scaled(args.alpha) if argv == ["sweep-alpha"]
+                  else ErrorRegime.perfect())
+        assert _config_from_args(args, regime) == expected
+
+    def test_cross_check_defaults_are_the_configs(self, monkeypatch):
+        monkeypatch.delenv("RSTHP_SEED", raising=False)
+        args = build_parser().parse_args(["cross-check-sinr"])
+        config = SweepConfig()
+        assert (args.users, args.tx_antennas, args.power_loss, args.seed) == (
+            config.n_users, config.n_tx, config.power_loss, config.master_seed
+        )
 
 
 class TestOtherSweepCommands:
@@ -369,6 +423,9 @@ class TestErrorHandling:
     @pytest.mark.parametrize("bad", [
         ("--channels", "0"),
         ("--error-samples", "0", "--error-variance", "0.1"),
+        # A flag given empty or 0 is an error, not a flag left out.
+        ("--error-samples", "0"),
+        ("--schemes", ""),
         ("--snr-db", "nan"),
         ("--users", "5", "--tx-antennas", "4"),
         ("--split-grid", "0,1.5"),

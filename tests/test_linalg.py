@@ -20,10 +20,7 @@ from rsthp.exceptions import (
 from rsthp import linalg
 from rsthp.linalg import dominant_right_singular_vector, lq_decompose, pseudo_inverse
 
-
-def random_complex(shape, seed):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+from helpers import random_channel
 
 
 def gram_schmidt_lq(a):
@@ -57,7 +54,7 @@ class TestLqDecompose:
 
     def test_matches_gram_schmidt_oracle(self):
         for seed in range(25):
-            a = random_complex((4, 4), seed)
+            a = random_channel(seed)
             lq = lq_decompose(a)
             l_ref, q_ref = gram_schmidt_lq(a)
             np.testing.assert_allclose(lq.l_matrix, l_ref, atol=1e-9)
@@ -67,7 +64,7 @@ class TestLqDecompose:
         worst = 0.0
         for seed in range(1000):
             shape = (4, 4) if seed % 2 == 0 else (3, 5)
-            a = random_complex(shape, seed)
+            a = random_channel(seed, shape)
             lq = lq_decompose(a)
             worst = max(worst, np.max(np.abs(lq.l_matrix @ lq.q_matrix - a)))
             assert np.max(np.abs(np.triu(lq.l_matrix, k=1))) < 1e-12
@@ -79,28 +76,28 @@ class TestLqDecompose:
         assert worst < 1e-10
 
     def test_deterministic(self):
-        a = random_complex((4, 4), 123)
+        a = random_channel(123)
         first = lq_decompose(a)
         second = lq_decompose(a)
         assert first.l_matrix.tobytes() == second.l_matrix.tobytes()
         assert first.q_matrix.tobytes() == second.q_matrix.tobytes()
 
     def test_diagonal_property(self):
-        a = random_complex((4, 6), 7)
+        a = random_channel(7, (4, 6))
         lq = lq_decompose(a)
         np.testing.assert_array_equal(
             lq.diagonal, np.real(np.diagonal(lq.l_matrix))
         )
 
     def test_rank_deficient(self):
-        a = random_complex((3, 4), 0)
+        a = random_channel(0, (3, 4))
         a[2] = a[0] + a[1]
         with pytest.raises(RankDeficientError):
             lq_decompose(a)
 
     def test_tall_matrix_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            lq_decompose(random_complex((5, 3), 0))
+            lq_decompose(random_channel(0, (5, 3)))
 
     def test_non_2d_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -120,12 +117,12 @@ class TestPseudoInverse:
 
     def test_right_inverse_property(self):
         for seed in range(50):
-            a = random_complex((4, 6), seed)
+            a = random_channel(seed, (4, 6))
             pinv = pseudo_inverse(a)
             np.testing.assert_allclose(a @ pinv, np.eye(4), atol=1e-10)
 
     def test_matches_numpy(self):
-        a = random_complex((4, 4), 11)
+        a = random_channel(11)
         np.testing.assert_allclose(
             pseudo_inverse(a), np.linalg.pinv(a), atol=1e-10
         )
@@ -134,8 +131,8 @@ class TestPseudoInverse:
         # Singular values 1 down to 1e-9 pass the 1e-10 rank check; a
         # solve on the Gram matrix A A^H (condition 1e18) would lose the
         # right inverse entirely.
-        u, _ = np.linalg.qr(random_complex((4, 4), 1))
-        v, _ = np.linalg.qr(random_complex((4, 4), 2))
+        u, _ = np.linalg.qr(random_channel(1))
+        v, _ = np.linalg.qr(random_channel(2))
         a = u @ np.diag([1.0, 0.5, 0.3, 1e-9]) @ v.conj().T
         residual = a @ pseudo_inverse(a) - np.eye(4)
         assert np.linalg.norm(residual) <= 1e-6
@@ -156,12 +153,12 @@ class TestDominantRightSingularVector:
         np.testing.assert_allclose(v, [0.0, 1.0], atol=1e-10)
 
     def test_matches_svd_oracle(self):
-        inputs = [random_complex((4, 4), seed + 100) for seed in range(30)]
+        inputs = [random_channel(seed + 100) for seed in range(30)]
         # The all-ones vector is an eigenvector of this Gram matrix, but
         # for the smallest singular value (1, against 5).
         inputs.append(np.array([[3.0, -2.0], [-2.0, 3.0]]))
         # The top two singular values differ by one part in a million.
-        unitary, _ = np.linalg.qr(random_complex((4, 4), 7))
+        unitary, _ = np.linalg.qr(random_channel(7))
         inputs.append(np.diag([1.0 + 1e-6, 1.0, 0.5, 0.1]) @ unitary)
         for a in inputs:
             v = dominant_right_singular_vector(a)
@@ -173,14 +170,14 @@ class TestDominantRightSingularVector:
             assert abs(np.linalg.norm(a @ v) - s[0]) <= 1e-12 * s[0]
 
     def test_phase_convention(self):
-        v = dominant_right_singular_vector(random_complex((4, 4), 3))
+        v = dominant_right_singular_vector(random_channel(3))
         anchors = np.flatnonzero(np.abs(v) > 1e-6)
         first = v[anchors[0]]
         assert first.real > 0.0
         assert abs(first.imag) < 1e-9
 
     def test_deterministic(self):
-        a = random_complex((4, 4), 9)
+        a = random_channel(9)
         assert (
             dominant_right_singular_vector(a).tobytes()
             == dominant_right_singular_vector(a).tobytes()
@@ -215,7 +212,7 @@ class TestDirectionCache:
         # The cache holds one matrix's direction, so each warm call
         # follows its cold call on the same matrix.
         for seed, shape in ((1, (4, 4)), (2, (2, 3)), (3, (3, 6))):
-            a = random_complex(shape, seed)
+            a = random_channel(seed, shape)
             pinv, direction = self.uncached(a)
             for _ in range(2):  # cold, then warm
                 assert (pseudo_inverse(a) == pinv).all()
@@ -243,7 +240,7 @@ class TestDirectionCache:
         assert linalg._anchored_direction.cache_info().currsize == 0
 
     def test_cached_vector_is_read_only_and_results_fresh(self):
-        a = random_complex((4, 4), 4)
+        a = random_channel(4)
         direction = dominant_right_singular_vector(a)
         assert not linalg._anchored_direction(a.tobytes(), a.shape).flags.writeable
         assert direction.flags.writeable
@@ -251,7 +248,7 @@ class TestDirectionCache:
         assert (dominant_right_singular_vector(a) == self.uncached(a)[1]).all()
 
     def test_mutated_input_is_a_new_key(self):
-        a = random_complex((4, 4), 5)
+        a = random_channel(5)
         before = dominant_right_singular_vector(a)
         a[0, 0] += 1.0
         pinv, direction = self.uncached(a)
@@ -265,7 +262,7 @@ def non_finite_matrices():
     full-rank (2, 3) matrix: numpy's SVD raises LinAlgError on the
     first and returns NaN factors for the others."""
     for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
-        a = random_complex((2, 3), 6)
+        a = random_channel(6, (2, 3))
         a[1, 2] = bad
         yield a
 

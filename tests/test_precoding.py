@@ -27,6 +27,8 @@ from rsthp.exceptions import (
 from rsthp.linalg import lq_decompose
 from rsthp.precoding import ALL_SCHEME_TAGS, PrecoderSet
 
+from helpers import random_channel
+
 
 def power_loss_factor(scheme, power_loss):
     """The modulo power loss lambda a build of scheme applies: power_loss
@@ -49,11 +51,6 @@ def effective_transmit_power(precoders, power_loss):
         precoders.scheme, power_loss
     )
     return common + private
-
-
-def random_channel(seed, shape=(4, 4)):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 H2 = np.array([[2.0, 0.0], [1.0, 1.0]], dtype=complex)

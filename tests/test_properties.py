@@ -59,7 +59,7 @@ from rsthp.sweeps import (  # noqa: E402
     draw_channel,
     optimize_power_split,
 )
-from test_rates import kernel_args  # noqa: E402  (pytest puts tests/ on sys.path)
+from helpers import kernel_args, split_reference  # noqa: E402  (pytest puts tests/ on sys.path)
 
 N_DRAWS = 3
 BASES = ("zf", "cthp", "dthp", "zf-dpc")
@@ -170,24 +170,6 @@ def test_closed_forms_read_the_effective_channel(case):
         )
 
 
-def per_split_rates(ps, errors):
-    """One split's sum rates from its own effective channel
-    (h_est + E) @ p_private, the formula the kernel decomposes."""
-    rows = ps.h_est + errors
-    gains = rows @ ps.p_private
-    own = np.diagonal(gains, axis1=1, axis2=2)
-    power = np.sum(np.abs(gains) ** 2, axis=2)
-    gain2 = ps.rx_gain**2
-    private = np.abs(gain2 * own + ps.beta * (1.0 - ps.rx_gain)) ** 2 / (
-        gain2 * (power - np.abs(own) ** 2 + SIGMA_N2)
-    )
-    totals = np.sum(np.log2(1.0 + private), axis=1)
-    if ps.p_common is not None:
-        common = np.abs(rows @ ps.p_common) ** 2 / (power + SIGMA_N2)
-        totals = totals + np.min(np.log2(1.0 + common), axis=1)
-    return totals
-
-
 @PROPERTY_SETTINGS
 @given(
     cases(),
@@ -211,7 +193,8 @@ def test_split_table_rows_match_the_per_split_formula(case, n_draws, splits):
     ]
     for ps in sets:
         np.testing.assert_allclose(
-            sum_rate_samples(ps, errors, SIGMA_N2), per_split_rates(ps, errors), rtol=1e-12
+            sum_rate_samples(ps, errors, SIGMA_N2), split_reference(ps, errors, SIGMA_N2),
+            rtol=1e-12,
         )
     alone = build_precoders(case["h_est"], base, case["e_tr"], case["power_loss"])
     assert np.array_equal(
@@ -262,20 +245,27 @@ def sweep_channels(draw):
 
 
 def cell_reference(config, cell, channel_index):
-    """optimize_power_split for one cell of a sweep on one channel."""
-    scheme, _, e_tr, regime = cell
+    """optimize_power_split for one planned cell of a sweep on one
+    channel, after checking the cell's split grid and error variance
+    against those the config gives it."""
+    scheme, x_value, e_tr, grid, variance = cell
+    assert grid == (config.power_split_grid if scheme.rs else (0.0,))
+    if config.error_variance_grid:
+        assert variance == x_value
+    else:
+        regime = config.error_regime
+        assert variance == (None if regime.is_perfect else regime.variance_at(e_tr))
     n_users, n_tx = config.n_users, config.n_tx
-    if regime.is_perfect:
+    if variance is None:
         errors = np.zeros((1, n_users, n_tx), dtype=complex)
     else:
         errors = draw_error_ensemble(
-            n_users, n_tx, regime.variance_at(e_tr), config.n_error_samples,
-            config.master_seed, channel_index,
+            n_users, n_tx, variance, config.n_error_samples, config.master_seed,
+            channel_index,
         )
     return optimize_power_split(
         draw_channel(config.master_seed, channel_index, n_users, n_tx), scheme,
-        e_tr, config.power_loss, config.power_split_grid if scheme.rs else (0.0,),
-        errors,
+        e_tr, config.power_loss, grid, errors,
     )
 
 
@@ -373,6 +363,9 @@ MEMORY_ALLOWANCE = 32 * 2**10
 # 1,000 one-build cells, where the per-cell charge dominates the per-build one.
 @example((SweepConfig(schemes=(SchemeTag("zf"),), n_users=1, n_tx=1,
                       snr_grid_db=tuple(i / 100 for i in range(1000))), 0))
+# SNR-scaled errors at alpha = 0: every SNR point has the same variance,
+# and the estimate charges the one stacked variance the engine rates.
+@example((SweepConfig(error_regime=ErrorRegime.snr_scaled(0.0)), 0))
 def test_rating_a_channel_stays_within_its_memory_estimate(config_channel):
     # The estimate that SweepConfig.validate holds to the budget bounds
     # what rating one channel allocates, cached arrays included.

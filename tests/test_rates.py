@@ -43,10 +43,7 @@ from rsthp.rates import (
 )
 from rsthp.sweeps import draw_channel
 
-
-def random_channel(seed, shape=(4, 4)):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+from helpers import kernel_args, random_channel, split_reference
 
 
 def oracle_thp_sinr(ps, h_e, sigma_n2, e_private, power_loss):
@@ -263,36 +260,6 @@ class TestBatchConsistency:
                     sinr_imperfect_csit(ps, errors[m], 1.0)
                 ).sum_rate
                 assert abs(batch[m] - single) < 1e-12
-
-
-def split_reference(ps, errors, sigma_n2):
-    """One split's sum rates as the kernel computed them before splits
-    were stacked: a stacked (M, K, N) @ (N, K) product per split."""
-    rows = ps.h_est[np.newaxis, :, :] + errors
-    gain2 = ps.rx_gain**2
-    gains = rows @ ps.p_private
-    own = np.diagonal(gains, axis1=1, axis2=2)
-    private_power = np.sum(np.abs(gains) ** 2, axis=2)
-    signal = gain2 * own + ps.beta * (1.0 - ps.rx_gain)
-    private = np.abs(signal) ** 2 / (
-        gain2 * (private_power - np.abs(own) ** 2 + sigma_n2)
-    )
-    totals = np.sum(np.log2(1.0 + private), axis=1)
-    if ps.p_common is not None:
-        common = np.abs(rows @ ps.p_common) ** 2 / (private_power + sigma_n2)
-        totals = totals + np.min(np.log2(1.0 + common), axis=1)
-    return totals
-
-
-def kernel_args(builds):
-    """stacked_sum_rate_table's geometry, beta and power for builds on
-    one channel's geometry record, as the sweep gathers them."""
-    assert all(ps.geometry is builds[0].geometry for ps in builds)
-    return (
-        builds[0].geometry,
-        np.array([ps.beta for ps in builds]),
-        np.array([ps.common_power for ps in builds]),
-    )
 
 
 def one_ensemble_table(precoder_sets, errors, sigma_n2):

@@ -272,6 +272,18 @@ class TestSweepConfig:
         for regime in (PERFECT, FIXED):
             assert sweeps._working_set_bytes(SweepConfig(error_regime=regime), 50) < 2**22
 
+    def test_memory_estimate_charges_each_distinct_variance_once(self):
+        # The estimate reads the cells' plans. SNR-scaled errors at
+        # alpha = 0 give every SNR point the variance 1, which the
+        # engine stacks once, as it stacks a fixed variance of 1; at
+        # alpha = 0.6 each of the 7 points stacks its own.
+        def estimate(regime):
+            return sweeps._working_set_bytes(SweepConfig(error_regime=regime), 50)
+
+        one = estimate(ErrorRegime.fixed_variance(1.0))
+        assert estimate(ErrorRegime.snr_scaled(0.0)) == one
+        assert estimate(ErrorRegime.snr_scaled(0.6)) > one
+
     def test_validate_counts_every_cells_results(self):
         # The default 56 cells keep about 100 B per channel each, so a
         # million channels need gigabytes though the caches hold one.

@@ -20,12 +20,9 @@ from rsthp import (
 )
 from rsthp.exceptions import NonUnitDiagonalError, SchemeMismatchError
 
+from helpers import random_channel
+
 TAU2 = ModuloLattice(tau=2.0)
-
-
-def random_channel(seed):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
 
 
 class TestConstellations:
