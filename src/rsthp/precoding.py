@@ -14,11 +14,11 @@ scheme's unit map, feedback matrix B, private precoder (unit map) B^-1
 and per-user gains. All four bases' geometries come from one
 pseudo-inverse and one LQ factorization of the channel estimate: cTHP
 and dTHP differ only in where the diagonal scaling sits, and ZF-DPC
-shares dTHP's record. They are computed once per channel and the last
-channel's are kept (_geometry). A build of the split search is its two
-scalars, the private scale beta and the common stream's power P, on a
-reference to its channel's geometry record; the rate kernel reads the
-record and those scalars, not the build.
+shares dTHP's record (SchemeTag.record). They are computed once per
+channel and the last channel's are kept (_geometry). A build of the
+split search is its two scalars, the private scale beta and the common
+stream's power P, on a reference to its channel's geometry record; the
+rate kernel reads the record and those scalars, not the build.
 """
 
 import math
@@ -55,6 +55,12 @@ class SchemeTag:
         if self.base == "zf":
             return "rs-linear" if self.rs else "zf"
         return f"{self.base}-rs" if self.rs else self.base
+
+    @property
+    def record(self) -> str:
+        """The base whose geometry record this scheme's builds share on a
+        channel: zf-dpc shares dthp's, every other base has its own."""
+        return "dthp" if self.base == "zf-dpc" else self.base
 
     @property
     def uses_power_loss(self) -> bool:
@@ -213,12 +219,14 @@ def build_precoders(
         )
 
     geometry = _geometry(h_est.tobytes(), h_est.shape)[scheme.base]
+    # beta and P in Python floats: numpy scalars would give the same bits
+    # at several times the cost per operation.
     common_power, e_private = 0.0, e_tr
     if power_split > 0.0:
         common_power = power_split * e_tr
         p_common = dominant_right_singular_vector(h_est)
         p_common *= math.sqrt(common_power)
-        e_private = e_tr - np.vdot(p_common, p_common).real
+        e_private = e_tr - float(np.vdot(p_common, p_common).real)
 
     lambda_eff = power_loss if scheme.uses_power_loss else 1.0
     return PrecoderSet(
@@ -232,10 +240,10 @@ def build_precoders(
 @lru_cache(maxsize=1)
 def _geometry(h_bytes: bytes, shape: tuple[int, ...]) -> dict[str, Geometry]:
     """Each base scheme's Geometry on the channel estimate whose
-    complex128 bytes and shape are given, by base; dthp and zf-dpc map
-    to one record, and every record holds the one read-only h_est made
-    from the bytes. A bad channel raises on every call: lru_cache stores
-    no exception.
+    complex128 bytes and shape are given, by base; zf-dpc maps to dthp's
+    record (SchemeTag.record), and every record holds the one read-only
+    h_est made from the bytes. A bad channel raises on every call:
+    lru_cache stores no exception.
     """
     h_est = np.frombuffer(h_bytes, dtype=complex).reshape(shape)
     n_users = shape[0]
@@ -259,7 +267,7 @@ def _geometry(h_bytes: bytes, shape: tuple[int, ...]) -> dict[str, Geometry]:
     zf_map = pinv / np.linalg.norm(pinv, axis=0, keepdims=True)
     by_base = {
         "zf": Geometry(h_est, zf_map, None, zf_map, n_users, ones, None),
-        "cthp": thp(q_map * g_diag[np.newaxis, :], b_right, np.sum(g_diag**2), ones),
+        "cthp": thp(q_map * g_diag[np.newaxis, :], b_right, float(np.sum(g_diag**2)), ones),
         "dthp": thp(q_map, b_left, n_users, g_diag),
     }
     by_base["zf-dpc"] = by_base["dthp"]

@@ -6,11 +6,12 @@ and imperfect CSIT (perfect is the zero-error special case), so the
 reduction between the two is exact by construction. A split moves only
 scalars, the private scale beta and the common stream's power P along
 the channel's one direction d, which its geometry record holds, so one
-kernel call (stacked_sum_rate_table) takes one geometry record and
-per-set arrays of beta and P, at any error variances: it forms each
-error ensemble's split-invariant gains once and scales them per set. One
-build over one ensemble (sum_rate_samples, sinr_imperfect_csit) is its
-view, with the same bits. The estimator simulates the received signal
+kernel call (stacked_sum_rate_table) takes stacked rows h_est + E, one
+geometry record per row (of one channel or of many), and per-set arrays
+of beta and P, each set naming its row: it forms each row's
+split-invariant gains once and scales them per set, in runs of sets.
+One build over one ensemble (sum_rate_samples, sinr_imperfect_csit) is
+its view, with the same bits. The estimator simulates the received signal
 model directly and is the independent check on the algebra. Neither asks
 where a scheme puts its THP gains: the unit_map and rx_gain of a
 geometry record carry that.
@@ -31,6 +32,8 @@ Conventions used throughout:
     refuses such values instead of averaging them.
 """
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,8 +101,8 @@ def _saturation(what: str, set_index: int | None = None) -> SaturatedSinrError:
 
 
 def _kernel_args(precoders: PrecoderSet) -> tuple:
-    """The (geometry, beta, power) kernel arguments of one build."""
-    return precoders.geometry, np.array([precoders.beta]), np.array([precoders.common_power])
+    """The (geometries, beta, power) kernel arguments of one build over one row."""
+    return (precoders.geometry,), np.array([precoders.beta]), np.array([precoders.common_power])
 
 
 def _stacked_rows(precoders: PrecoderSet, errors: np.ndarray) -> np.ndarray:
@@ -114,15 +117,174 @@ def _stacked_rows(precoders: PrecoderSet, errors: np.ndarray) -> np.ndarray:
     return (h_est + errors).reshape(1, -1, h_est.shape[1])
 
 
+def _buffer(workspace: dict | None, name: str, shape: tuple, dtype=float) -> np.ndarray:
+    """An uninitialised array of shape: a fresh one without a workspace,
+    else a view of workspace[name], grown to the largest size asked."""
+    if workspace is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    buffer = workspace.get(name)
+    if buffer is None or buffer.size < size or buffer.dtype != dtype:
+        buffer = workspace[name] = np.empty(size, dtype)
+    return buffer[:size].reshape(shape)
+
+
+def _gather(workspace: dict | None, name: str, values: np.ndarray, at) -> np.ndarray:
+    """values[at] along the first axis (at a slice or an index array)."""
+    if isinstance(at, slice):
+        return values[at]
+    out = _buffer(workspace, name, (len(at), *values.shape[1:]), values.dtype)
+    # The default mode="raise" would fill a temporary and copy it to out;
+    # the indices are checked already.
+    return np.take(values, at, axis=0, out=out, mode="clip")
+
+
+@dataclass(frozen=True)
+class _RowInvariants:
+    """The split-invariant arrays of R stacked rows, each (R, M, K): the
+    signal S0, cross power X0, private power P0 and common-stream gains
+    c0 (None when no set has a common stream); and g^2, (1, M, K) for
+    one row and (R, 1, K) for several. one_row says R = 1, where the
+    sets broadcast against the arrays instead of gathering them."""
+
+    signal: np.ndarray
+    cross: np.ndarray
+    private_power: np.ndarray
+    common_gain: np.ndarray | None
+    gain2: np.ndarray
+    one_row: bool
+
+
+def _row_invariants(
+    geometries: Sequence[Geometry], rows: np.ndarray, with_common: bool,
+    workspace: dict | None = None,
+) -> _RowInvariants:
+    """_RowInvariants of the (R, M K, N) rows h_est + E, row r on the
+    geometry record geometries[r]. With G0 = (h_est + E) @ unit_private
+    and g = rx_gain: S0 = |g^2 G0_kk + 1 - g|^2, X0 = P0 - |G0_kk|^2 and
+    P0 = sum_j |G0_kj|^2; c0 = |(h_est + E) @ d|^2 along the record's
+    direction d, read only with_common. Each row's records are stacked,
+    and a stacked matmul makes the BLAS calls of one product per row, so
+    a row gets the bits of a call on its record alone. The arrays are
+    workspace buffers (see stacked_sum_rate_table) if one is given."""
+    n_rows = len(rows)
+    n_users = len(geometries[0].rx_gain)
+    n_draws = rows.shape[1] // n_users
+    one_row = n_rows == 1
+    if one_row:
+        unit_private, rx_gain = geometries[0].unit_private, geometries[0].rx_gain
+    else:
+        unit_private = np.stack([g.unit_private for g in geometries])
+        rx_gain = np.stack([g.rx_gain for g in geometries])[:, np.newaxis, :]
+    per_row = (n_rows, n_draws, n_users)
+    # A zero denominator or an overflow (an error variance near the
+    # float range) ends in a non-finite SINR, which _cap reports. The
+    # squares and sums run in place: x * x is x**2 bit for bit.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gain2 = rx_gain**2
+        gains0 = np.matmul(
+            rows, unit_private, out=_buffer(workspace, "gains", (*rows.shape[:2], n_users), complex)
+        ).reshape(-1, n_draws, n_users, n_users)
+        own0 = np.diagonal(gains0, axis1=2, axis2=3)
+        # Summed in user order, like the table's totals: np.sum's order
+        # for K <= 7 (from 8 users on it sums pairwise).
+        power0 = np.abs(gains0[..., 0], out=_buffer(workspace, "power", per_row))
+        power0 *= power0
+        cross0 = _buffer(workspace, "cross", per_row)
+        for k in range(1, n_users):
+            np.abs(gains0[..., k], out=cross0)
+            cross0 *= cross0
+            power0 += cross0
+        np.abs(own0, out=cross0)
+        cross0 *= cross0
+        np.subtract(power0, cross0, out=cross0)
+        # The simulated signal (estimate_sinr_monte_carlo) gives
+        # 1 + g_k A_kk, not 1 + g_k^2 A_kk; the published form keeps g^2.
+        signal = np.multiply(gain2, own0, out=_buffer(workspace, "gains_kk", per_row, complex))
+        signal += 1.0 - rx_gain
+        signal0 = np.abs(signal, out=_buffer(workspace, "signal", per_row))
+        signal0 *= signal0
+        common0 = None
+        if with_common:
+            if one_row:
+                direction = geometries[0].direction[:, np.newaxis]
+            else:
+                direction = np.stack([g.direction for g in geometries])[:, :, np.newaxis]
+            gains = np.matmul(rows, direction, out=_buffer(
+                workspace, "gains", (*rows.shape[:2], 1), complex
+            )).reshape(per_row)
+            common0 = np.abs(gains, out=_buffer(workspace, "common_gain", per_row))
+            common0 *= common0
+    if one_row:
+        # As an (M, K) tile, not a (K,) row: numpy's inner loop then runs
+        # over M K values instead of K. Several rows' stay (R, 1, K): a
+        # gathered (S, M, K) tile costs more than the short inner loop.
+        gain2 = np.tile(gain2, (1, n_draws, 1))
+    return _RowInvariants(signal0, cross0, power0, common0, gain2, one_row)
+
+
+def _set_sinrs(
+    rows: _RowInvariants, beta: np.ndarray, power: np.ndarray, ensembles: np.ndarray,
+    sigma_n2: float, workspace: dict | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+    """Capped SINRs of the sets beta, power over the rows' invariants,
+    set s over row ensembles[s]: (private (S, M, K), the indices of the
+    sets with a common stream, their common SINRs (len(indices), M, K)
+    or None, whether each set's SINRs saturated (S,)). The SINRs are
+    workspace buffers if one is given."""
+    # np.float_power calls the C library's pow, as Python's beta**2 does;
+    # np.square (beta * beta) differs in the last bit for about 1 beta in 1,000.
+    beta2 = np.float_power(beta, 2)[:, np.newaxis, np.newaxis]
+    common_at = np.flatnonzero(power > 0)
+    at = slice(None) if rows.one_row else ensembles
+    per_set = (len(beta), *rows.cross.shape[1:])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # In the per-split formula's order, which keeps its bits; S0 /
+        # (g^2 (X0 + sigma^2 / beta^2)) rounds, and overflows, otherwise.
+        private = np.multiply(
+            beta2, _gather(workspace, "gathered", rows.cross, at),
+            out=_buffer(workspace, "private", per_set),
+        )
+        private += sigma_n2
+        private *= rows.gain2[at]
+        # The numerators reuse the gathered rows' buffer in place.
+        numerator = np.multiply(
+            beta2, _gather(workspace, "gathered", rows.signal, at),
+            out=_buffer(workspace, "gathered", per_set),
+        )
+        np.divide(numerator, private, out=private)
+        common = None
+        if len(common_at):
+            power = power[common_at, np.newaxis, np.newaxis]
+            common_rows = at if rows.one_row else ensembles[common_at]
+            per_common = (len(common_at), *per_set[1:])
+            common = np.multiply(
+                beta2[common_at], _gather(workspace, "gathered", rows.private_power, common_rows),
+                out=_buffer(workspace, "common", per_common),
+            )
+            common += sigma_n2
+            numerator = np.multiply(
+                power, _gather(workspace, "gathered", rows.common_gain, common_rows),
+                out=_buffer(workspace, "gathered", per_common),
+            )
+            np.divide(numerator, common, out=common)
+
+    private, saturated = _cap(private)
+    if common is not None:
+        common, sat_c = _cap(common)
+        saturated[common_at] |= sat_c
+    return private, common_at, common, saturated
+
+
 def _batch_sinr(
-    geometry: Geometry, beta: np.ndarray, power: np.ndarray,
+    geometries: Sequence[Geometry], beta: np.ndarray, power: np.ndarray,
     rows: np.ndarray, ensembles, sigma_n2: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
-    """Closed-form SINRs of S builds on one channel's private geometry
-    record, set s with private scale beta[s] and common power power[s]
-    along the record's direction d over the (M >= 1) error
-    realizations rows[ensembles[s]] of the (V, M K, N) stack of h_est +
-    E_v; all-zero errors give the perfect-CSIT values.
+    """Closed-form SINRs of S builds, set s with private scale beta[s]
+    and common power power[s] along its record's direction d, over the
+    (M >= 1) error realizations rows[ensembles[s]] of the (R, M K, N)
+    stack of h_est + E, row r on the geometry record geometries[r];
+    all-zero errors give the perfect-CSIT values.
 
     One formula serves all eight schemes. With G = beta (h_est + E) @
     unit_private and g = rx_gain, the private SINR is |g^2 G_kk +
@@ -132,69 +294,18 @@ def _batch_sinr(
     A = G / beta - diag(1 / g). The common stream, sent along d at power
     P, treats the whole private signal, sum_j |G_kj|^2, as interference;
     a set at P = 0 (split 0) has no common term at all, not a zero
-    one. Only the scalars beta and P differ between the sets, so each
-    ensemble's split-invariant arrays are formed once: its gains G0 =
-    (h_est + E_v) @ unit_private, all V from one batched matmul, give S0
-    = |g^2 G0_kk + 1 - g|^2, X0 (the cross power) and P0 (the received
-    private power), and c0 = |(h_est + E_v) @ d|^2 comes from one
-    product with d. Set s's private SINR is beta^2 S0 / (g^2 (beta^2 X0
-    + sigma^2)) and its common SINR P c0 / (beta^2 P0 + sigma^2). One
-    ensemble broadcasts against the sets; several are gathered per set.
-    A stacked matmul makes the BLAS calls of single products, so each
+    one. Only the scalars beta and P differ between the sets of a row,
+    so each row's split-invariant arrays (_row_invariants) are formed
+    once: set s's private SINR is beta^2 S0 / (g^2 (beta^2 X0 +
+    sigma^2)) and its common SINR P c0 / (beta^2 P0 + sigma^2). One row
+    broadcasts against the sets; several are gathered per set, and each
     set gets the bits of rating it alone.
     Returns capped (private (S, M, K), the indices of the sets with a
     common stream, their common SINRs (len(indices), M, K) or None,
     whether each set's SINRs saturated (S,)).
     """
-    n_users = len(geometry.rx_gain)
-    # np.float_power calls the C library's pow, as Python's beta**2 does;
-    # np.square (beta * beta) differs in the last bit for about 1 beta in 1,000.
-    beta2 = np.float_power(beta, 2)[:, np.newaxis, np.newaxis]
-    common_at = np.flatnonzero(power > 0)
-    n_draws = rows.shape[1] // n_users
-    ensembles = np.asarray(ensembles)
-    at = slice(None) if len(rows) == 1 else ensembles
-    # A zero denominator or an overflow (an error variance near the
-    # float range) ends in a non-finite SINR, which _cap reports.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gain2 = geometry.rx_gain**2
-        gains0 = np.matmul(rows, geometry.unit_private).reshape(-1, n_draws, n_users, n_users)
-        own0 = np.diagonal(gains0, axis1=2, axis2=3)
-        # Summed in user order, like the table's totals: np.sum's order
-        # for K <= 7 (from 8 users on it sums pairwise).
-        power0 = np.abs(gains0[..., 0]) ** 2
-        for k in range(1, n_users):
-            power0 += np.abs(gains0[..., k]) ** 2
-        cross0 = power0 - np.abs(own0) ** 2
-        # The simulated signal (estimate_sinr_monte_carlo) gives
-        # 1 + g_k A_kk, not 1 + g_k^2 A_kk; the published form keeps g^2.
-        signal0 = np.abs(gain2 * own0 + (1.0 - geometry.rx_gain)) ** 2
-        del gains0, own0
-        # In the per-split formula's order, which keeps its bits; S0 /
-        # (g^2 (X0 + sigma^2 / beta^2)) rounds, and overflows, otherwise.
-        private = beta2 * cross0[at]
-        private += sigma_n2
-        # As an (M, K) tile, not a (K,) row: numpy's inner loop then runs
-        # over M K values instead of K.
-        tile = np.empty((n_draws, n_users))
-        tile[:] = gain2
-        private *= tile
-        np.divide(beta2 * signal0[at], private, out=private)
-        common = None
-        if len(common_at):
-            gains = np.matmul(rows, geometry.direction).reshape(-1, n_draws, n_users)
-            c0 = np.abs(gains) ** 2
-            power = power[common_at, np.newaxis, np.newaxis]
-            common_ensembles = at if len(rows) == 1 else ensembles[common_at]
-            common = beta2[common_at] * power0[common_ensembles]
-            common += sigma_n2
-            np.divide(power * c0[common_ensembles], common, out=common)
-
-    private, saturated = _cap(private)
-    if common is not None:
-        common, sat_c = _cap(common)
-        saturated[common_at] |= sat_c
-    return private, common_at, common, saturated
+    invariants = _row_invariants(geometries, rows, bool(np.any(power > 0)))
+    return _set_sinrs(invariants, beta, power, np.asarray(ensembles), sigma_n2)
 
 
 def sinr_imperfect_csit(
@@ -245,24 +356,35 @@ def rates_from_sinr(report: SinrReport) -> RateReport:
 
 
 def stacked_sum_rate_table(
-    geometry: Geometry, beta, power, rows: np.ndarray, ensembles, sigma_n2: float,
+    geometries: Sequence[Geometry], beta, power, rows: np.ndarray, ensembles, sigma_n2: float,
+    max_sets: int | None = None, mean: bool = False, workspace: dict | None = None,
 ) -> np.ndarray:
-    """(S, M) per-realization sum rates of S builds on one channel's
-    geometry record (zf, cthp, or dthp with zf-dpc), from one kernel
-    call. Set s is the scalars beta[s] and P = power[s]; it has a common
-    term, along the record's direction d, only if its build has one
-    (P > 0), so a rate-splitting build at split 0 gets its base scheme's
-    bits, with no zero-weighted common rate. rows (V, M K, N) stacks V
-    ensembles' realizations h_est + E_v, not the errors E_v, which no
-    shape check can tell apart. Set s is rated over ensemble
-    ensembles[s], each realization on its own (common stream at its
-    worst user); row s is bit-identical to sum_rate_samples of its build
-    over E_v.
+    """(S, M) per-realization sum rates of S builds from one kernel call,
+    or with mean each set's average over its M realizations, (S,).
+    rows (R, M K, N) stacks R realizations h_est + E, not the errors E,
+    which no shape check can tell apart; row r lies on the geometry
+    record geometries[r] (zf, cthp, or dthp with zf-dpc) of its channel,
+    so one call may rate many channels. Set s is the scalars beta[s] and
+    P = power[s], rated over row ensembles[s], each realization on its
+    own (common stream at its worst user); it has a common term, along
+    its record's direction d, only if its build has one (P > 0), so a
+    rate-splitting build at split 0 gets its base scheme's bits, with no
+    zero-weighted common rate. Each row's split-invariant arrays are
+    formed once, and the sets are rated in runs of at most max_sets
+    (all at once if None); row s is bit-identical to sum_rate_samples of
+    its build over its ensemble, however the sets are stacked or cut.
+    Averages are reduced run by run, so they never hold the S M table of
+    a large ensemble at once; they have np.mean's bits. workspace is a
+    dict that the caller keeps from call to call: the kernel keeps its
+    large temporaries there and reuses them, instead of allocating them
+    anew (glibc hands a freed heap back to the OS, and every call would
+    fault its pages in again).
 
     Raises:
         EmptyGridError: no sets.
-        DimensionMismatchError: beta, power and ensembles do not give
-            each set one scalar each and one index in [0, V).
+        DimensionMismatchError: geometries does not give each row one
+            record, or beta, power and ensembles do not give each set one
+            scalar each and one index in [0, R).
         SaturatedSinrError: an SINR of any set reached SINR_CAP or was
             not finite, so the capped rate would be averaged in as if it
             were real. Its set_index is the first such set's.
@@ -277,24 +399,39 @@ def stacked_sum_rate_table(
             f"beta {beta.shape}, power {power.shape} and ensembles {ensembles.tolist()} must "
             f"give each of the {beta.size} sets one scalar each and one index in [0, {len(rows)})"
         )
-    private, common_at, common, saturated = _batch_sinr(
-        geometry, beta, power, rows, ensembles, sigma_n2
-    )
-    if saturated.any():
-        first = int(np.argmax(saturated))
-        raise _saturation("an SINR", first)
-    # The per-user reductions run over the K user slices: numpy's
-    # per-row reduction overhead over a short last axis costs more than
-    # the SINRs. The sum adds in user order, which is np.sum's order for
-    # K <= 7 (from 8 users on it sums pairwise, a rounding apart).
-    private += 1.0
-    rates = np.log2(private, out=private)
-    totals = rates[:, :, 0].copy()
-    for k in range(1, rates.shape[2]):
-        totals += rates[:, :, k]
-    if common is not None:
-        totals[common_at] += _worst_user_rate(common)
-    return totals
+    if len(geometries) != len(rows):
+        raise DimensionMismatchError(
+            f"{len(geometries)} geometry records for {len(rows)} rows; each row needs one"
+        )
+    invariants = _row_invariants(geometries, rows, bool(np.any(power > 0)), workspace)
+    n_sets = len(beta)
+    # Runs of equal length: no more runs, and no larger arrays, than needed.
+    n_runs = math.ceil(n_sets / (max_sets or n_sets))
+    step = math.ceil(n_sets / n_runs)
+    n_draws = rows.shape[1] // len(geometries[0].rx_gain)
+    table = np.empty(n_sets if mean else (n_sets, n_draws))
+    for start in range(0, n_sets, step):
+        part = slice(start, start + step)
+        private, common_at, common, saturated = _set_sinrs(
+            invariants, beta[part], power[part], ensembles[part], sigma_n2, workspace
+        )
+        if saturated.any():
+            raise _saturation("an SINR", start + int(np.argmax(saturated)))
+        # The per-user reductions run over the K user slices: numpy's
+        # per-row reduction overhead over a short last axis costs more
+        # than the SINRs. The sum adds in user order, which is np.sum's
+        # order for K <= 7 (from 8 users on it sums pairwise, a rounding
+        # apart).
+        private += 1.0
+        rates = np.log2(private, out=private)
+        totals = rates[:, :, 0].copy()
+        for k in range(1, rates.shape[2]):
+            totals += rates[:, :, k]
+        if common is not None:
+            totals[common_at] += _worst_user_rate(common)
+        # np.mean's own sum and division, without its per-call overhead.
+        table[part] = totals.sum(axis=1) / n_draws if mean else totals
+    return table
 
 
 def _worst_user_rate(common: np.ndarray) -> np.ndarray:

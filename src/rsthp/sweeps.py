@@ -8,28 +8,33 @@ position in a loop. Every scheme, power split, and grid point therefore
 sees the same channels and the same error draws (common random
 numbers), and a sweep is a pure function of its config.
 
-The unit of work is a channel: its best split and average sum rate in
-a cell depend on that channel's draws alone, and a cell is the mean
-over its channels (the ergodic sum rate as a mean of per-channel
-sample averages). Each cell's plan (_cell) fixes its split grid and
-error variance once; _rate_channel rates every planned cell on one
-channel and raises the first failing cell's error in output order, and
-the memory estimate counts the same plans. run_sweep and
-ergodic_sum_rate both rate through _rate_channel and join each cell's
-values in channel order.
+The unit of work is a block of consecutive channels: a channel's best
+split and average sum rate in a cell depend on that channel's draws
+alone, and a cell is the mean over its channels (the ergodic sum rate
+as a mean of per-channel sample averages), so channels stack freely.
+Each cell's plan (_cell) fixes its split grid and error variance once;
+_rate_channels rates every planned cell on a range of channels, block
+by block (_block_plan: as many channels as fit two caps that depend on
+the config alone), and raises the lowest failing channel's first
+failing cell's error in output order; the memory estimate counts the
+same plans and one block. run_sweep (serially, or one contiguous run
+of channels per pool worker) and ergodic_sum_rate both rate through
+_rate_channels and join each cell's values in channel order.
 
 The per-process caches hold only the current channel:
 draw_error_ensemble keeps its unit draws, and each error variance
 rescales them; build_precoders keeps one geometry record per base
 scheme, which holds the channel and, through linalg's cache, its
 common-stream direction, so the build of every split and grid point is
-two scalars and a reference to its record. The eight schemes share three
-geometry records (zf, cthp, and dthp with zf-dpc); a channel's cells
-that share one, grouped by the record's identity, are rated in one
-kernel call (rates.stacked_sum_rate_table) per block: the record and the
-beta and P of every split of every such cell, at every error variance of
-the block. Each split gets the bits of optimize_power_split, the
-reference search that rates one cell split by split.
+two scalars and a reference to its record. A block keeps its channels'
+records, and each reads its direction right after its channel's builds.
+The eight schemes share three geometry records (zf, cthp, and dthp with
+zf-dpc: SchemeTag.record); the cells that share one are rated on every
+channel of a block in one kernel call (rates.stacked_sum_rate_table):
+one record per stacked row h_est + E, and the beta and P of every split
+of every such cell on every channel, at every error variance. Each
+split gets the bits of optimize_power_split, the reference search that
+rates one cell split by split.
 SweepConfig.validate rejects a config whose estimated working set
 exceeds MEMORY_BUDGET_BYTES (512 MiB).
 """
@@ -79,24 +84,29 @@ _RESULT_BYTES = 2 * (8 + 8 + 32)
 # (128 B) and its list slot.
 _ROW_BYTES = 128 + 8
 
-# Values one kernel call rates (sets x M x K) and complex values one variance
-# block stacks, unless one split search or ensemble is larger: 256 KiB float64
-# blocks. On a 2-core x86 host (BLAS on 1 thread) the default fixed-error sweep
-# took 0.61 s at 2**15 against 0.67 s at 2**14 and 0.71 s at 2**16 (medians of
-# 6 alternating runs). At 100 draws and 4 users a call then rates 81 sets, not 40.
+# Values one run of a kernel call rates (sets x M x K) and complex values one
+# block of channels and variances stacks, unless one split search or ensemble is
+# larger: 256 KiB float64 blocks. On a 2-core x86 host (BLAS on 1 thread) the
+# default fixed-error sweep took 0.61 s at 2**15 against 0.67 s at 2**14 and
+# 0.71 s at 2**16 (medians of 6 alternating runs). At 100 draws and 4 users a
+# run then rates up to 81 sets, not 40.
 _BLOCK_VALUES = 2**15
 
-# Bytes the kernel holds per block value beyond G0 and its per-user
-# sums; tracemalloc measured at most 39 B (rate-splitting sets, K = 1).
-_KERNEL_BYTES = 40
+# Bytes the kernel holds per value of a run beyond G0 and its per-user
+# sums, its workspace buffers included; tracemalloc measured at most
+# 48 B (rate-splitting sets, K = 1, M = 1,000, two rows).
+_KERNEL_BYTES = 48
 
-# Bytes _rate_channel keeps per build (its beta and P, its share of a
-# kernel block's indices and averages) and per cell (its grid, scalar
-# lists, variance and group entries). tracemalloc measured at most 131 B
-# per added split (400 one-user rs-linear cells, 2 to 20 splits) and
-# 175 B per added cell beyond its builds (K = N = 1, a variance per cell).
-_BUILD_BYTES = 144
-_CELL_BYTES = 192
+# Bytes _rate_channels keeps per build of a block (its beta and P, as
+# Python floats while its channel is built and in float64 arrays after,
+# its share of a kernel call's per-set arrays and indices and of the
+# best-split search) and per cell on each channel of a block (its plan's
+# entries and indices). tracemalloc measured at most 118 B per build
+# (400 one-user rs-linear cells on one channel, M = 1 or 3, 5 or 20
+# splits, K = N = 1 to 4) and 81 B per one-build cell (K = N = 1, a
+# variance per cell, 32 channels a block).
+_BUILD_BYTES = 128
+_CELL_BYTES = 48
 
 
 def default_power_split_grid() -> tuple[float, ...]:
@@ -182,19 +192,18 @@ def optimize_power_split(
     return grid[best], asrs[best]
 
 
-def _best_splits(table: np.ndarray, grids: list) -> list[tuple[float, float]]:
-    """(split, average sum rate) of the best split of each ascending grid
-    whose rows lie back to back in a stacked_sum_rate_table table: the
-    first of equal averages (the smaller split), as in optimize_power_split."""
-    # np.mean's own sum and division, without its per-call overhead.
-    asrs = (table.sum(axis=1) / table.shape[1]).tolist()
-    best, start = [], 0
-    for grid in grids:
-        run = asrs[start:start + len(grid)]
-        i = run.index(max(run))
-        best.append((grid[i], run[i]))
-        start += len(grid)
-    return best
+def _best_splits(means: np.ndarray, lengths: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """For (C, L) average sum rates whose rows each hold runs of lengths
+    splits back to back (one ascending grid each), each run's best split
+    as (its position in the row, its average): two (C, len(lengths))
+    arrays. The first of equal averages wins (the smaller split), as in
+    optimize_power_split."""
+    starts = np.cumsum([0, *lengths[:-1]])
+    best = np.maximum.reduceat(means, starts, axis=1)
+    position = np.arange(means.shape[1])
+    at_best = means == np.repeat(best, lengths, axis=1)
+    first = np.minimum.reduceat(np.where(at_best, position, len(position)), starts, axis=1)
+    return first, best
 
 
 @dataclass(frozen=True)
@@ -319,55 +328,67 @@ def check_memory(what: str, need: int, flag: str) -> None:
 
 def _working_set_bytes(config: SweepConfig, n_channels: int) -> int:
     """Estimated peak bytes of one process that rates every cell of
-    config on n_channels channels: the arrays of one channel
-    (matrix_bytes, from the cells' plans: their builds, largest grid and
-    distinct error variances) and the bookkeeping of its cells
-    (_CELL_BYTES each), plus _RESULT_BYTES for each (cell, channel) and
-    _ROW_BYTES for each channel. Under perfect CSIT nothing is drawn and
-    M is the one all-zero realization."""
-    _, _, _, grids, variances = zip(*_sweep_cells(config))
-    distinct = set(variances)  # None is perfect CSIT
-    drawn = distinct != {None}
+    config on n_channels channels: the arrays of one block of channels
+    (matrix_bytes, from the cells' plans and _block_plan: their builds,
+    largest grid and distinct error variances) and the bookkeeping of its
+    cells (_CELL_BYTES for each cell on each channel of the block), plus
+    _RESULT_BYTES for each (cell, channel) and _ROW_BYTES for each
+    channel. Under perfect CSIT nothing is drawn and M is the one
+    all-zero realization."""
+    cells = _sweep_cells(config)
+    plan = _block_plan(config, cells)
+    grids = [grid for _, _, _, grid, _ in cells]
     matrices = matrix_bytes(
-        config.n_users, config.n_tx, config.n_error_samples if drawn else 1,
-        max(map(len, grids)), drawn, sum(map(len, grids)), len(distinct),
+        config.n_users, config.n_tx, plan.m, max(map(len, grids)),
+        plan.variances != (None,), sum(map(len, grids)), len(plan.variances), plan.channels,
     )
-    n_cells = len(grids)
-    return matrices + _CELL_BYTES * n_cells + (_RESULT_BYTES * n_cells + _ROW_BYTES) * n_channels
+    n_cells = len(cells)
+    return (
+        matrices + _CELL_BYTES * n_cells * plan.channels
+        + (_RESULT_BYTES * n_cells + _ROW_BYTES) * n_channels
+    )
 
 
 def _kernel_block_values(t: int, m: int, k: int) -> int:
-    """Values (sets x M x K) of one stacked_sum_rate_table block: one
-    split search's (T, M, K), or up to _BLOCK_VALUES when that is
-    smaller, so cells with few draws stack into one kernel call."""
+    """Values (sets x M x K) of one run of a stacked_sum_rate_table
+    call, and at most one record's in a block of channels: one split
+    search's (T, M, K), or up to _BLOCK_VALUES when that is smaller, so
+    cells and channels with few draws stack into one run."""
     return max(t * m * k, _BLOCK_VALUES)
 
 
 def _variance_block(m: int, k: int, n: int) -> int:
-    """Variances one block stacks: as many as _BLOCK_VALUES complex values hold, at least 1."""
+    """Variances one channel stacks at a time: as many as _BLOCK_VALUES
+    complex values hold, at least 1."""
     return max(1, _BLOCK_VALUES // (m * k * n))
 
 
 def matrix_bytes(
-    k: int, n: int, m: int, t: int, drawn: bool, n_builds: int, n_variances: int = 1
+    k: int, n: int, m: int, t: int, drawn: bool, n_builds: int, n_variances: int = 1,
+    n_channels: int = 1,
 ) -> int:
-    """Estimated peak bytes of the arrays that rating every cell on one
-    (K, N) channel holds, with M error realizations, at most T splits
-    per cell, n_builds builds in all and n_variances error variances.
+    """Estimated peak bytes of the arrays that rating every cell on a
+    block of n_channels (K, N) channels holds, with M error
+    realizations, at most T splits per cell, n_builds builds per channel
+    and n_variances error variances.
 
-    In complex128 values: the cached unit error ensemble, one variance's
-    scaled copy (2 M K N, when drawn) and numpy's buffer for adding
-    h_est to that copy (np.getbufsize() values, or M K N if fewer),
-    where the peak comes; the precoder geometry (under 10 K N); one
-    variance block's stacked realizations (V M K N) and their gains G0
-    with per-user sums (V M K (K + 4)); _BUILD_BYTES per build; and
-    _KERNEL_BYTES per value of one kernel block, which holds at most
-    _kernel_block_values values and at most every build's.
+    In complex128 values: one channel's cached unit error ensemble, one
+    variance's scaled copy (2 M K N, when drawn) and numpy's buffer for
+    adding h_est to that copy (np.getbufsize() values, or M K N if
+    fewer), where the peak comes; each channel's precoder geometry
+    (under 10 K N); one variance block's stacked realizations (V M K N
+    per channel) and their gains G0 with per-user sums (V M K (K + 4));
+    _BUILD_BYTES per build; and _KERNEL_BYTES per value of one kernel
+    run, which holds at most _kernel_block_values values and at most
+    every build's.
     """
-    v = min(n_variances, _variance_block(m, k, n))
+    n_rows = n_channels * min(n_variances, _variance_block(m, k, n))
     ensemble = m * k * n if drawn else 0
     add_buffer = min(ensemble, np.getbufsize())
-    complex_values = 2 * ensemble + add_buffer + 10 * k * n + v * m * k * (n + k + 4)
+    complex_values = (
+        2 * ensemble + add_buffer + 10 * k * n * n_channels + n_rows * m * k * (n + k + 4)
+    )
+    n_builds *= n_channels
     return (
         16 * complex_values
         + _BUILD_BYTES * n_builds
@@ -428,8 +449,7 @@ def ergodic_sum_rate(
     It validates config and rates on run_sweep's path: run_sweep gives the same cell."""
     config.validate()
     cells = [_cell(config, scheme, x_value, e_tr, regime)]
-    rows = [_rate_channel(config, cells, c) for c in range(config.n_channels)]
-    return _join(cells, rows)[0]
+    return _join(cells, _rate_channels(config, cells, range(config.n_channels)))[0]
 
 
 def _cell(
@@ -461,97 +481,202 @@ def _sweep_cells(config: SweepConfig) -> list[tuple]:
     return sorted(cells, key=lambda cell: (cell[0].tag, cell[1]))
 
 
-def _rate_channel(
-    config: SweepConfig, cells: list[tuple], channel_index: int
-) -> np.ndarray:
-    """The best power split and its average sum rate of every cell on
-    one channel, as a (2, len(cells)) array.
+@dataclass(frozen=True)
+class _BlockPlan:
+    """How _rate_channels stacks a sweep's cells: M realizations per
+    error variance (1 under perfect CSIT), the distinct variances in
+    order (None is perfect CSIT), each geometry record's cell indices in
+    output order (by SchemeTag.record), the records whose sets have a
+    common stream, the channels of one block, the variances each channel
+    stacks at a time (_variance_block) and the sets of one kernel run
+    (max_sets)."""
 
-    Each cell searches its plan's split grid at its plan's error
-    variance (see _cell). Every build is made first, and
-    only its beta and P are kept, with its geometry record. The
-    realizations h_est + E of each error variance (its rescaled unit
-    draws; one all-zero realization under perfect CSIT) are stacked in
-    blocks of at most _BLOCK_VALUES complex values, one variance if
-    larger. In each block, the cells that share a private geometry (zf
-    with rs-linear, cthp with cthp-rs, dthp with zf-dpc and their RS
-    schemes) are rated in one stacked_sum_rate_table call per run of at
-    most _kernel_block_values values in output order. A build's error
-    propagates at the first cell; a SaturatedSinrError is raised for the
-    first saturated cell in output order, with its grid point and
-    channel, whichever block meets it first.
-    """
+    m: int
+    variances: tuple[float | None, ...]
+    records: dict[str, list[int]]
+    common_records: tuple[str, ...]
+    channels: int
+    stacked_variances: int
+    max_sets: int
+
+
+def _block_plan(config: SweepConfig, cells: list[tuple]) -> _BlockPlan:
+    """The _BlockPlan of config's cells. A block holds as many
+    consecutive channels as keep one record's sets x M x K within
+    _kernel_block_values and the block's stacked h_est + E within
+    _BLOCK_VALUES complex values: at least 1, at most n_channels, and
+    never more for more workers."""
     n_users, n_tx = config.n_users, config.n_tx
     _, _, _, grids, variances = zip(*cells)
-    betas, powers = [], []
-    by_geometry = {}  # geometry record (precoding._geometry) -> cell indices
-    for index, (scheme, _, e_tr, grid, _) in enumerate(cells):
+    distinct = tuple(dict.fromkeys(variances))
+    m = 1 if distinct == (None,) else config.n_error_samples
+    records = {}
+    for index, (scheme, *_) in enumerate(cells):
+        records.setdefault(scheme.record, []).append(index)
+    kernel_values = _kernel_block_values(max(map(len, grids)), m, n_users)
+    most_sets = max(sum(len(grids[i]) for i in members) for members in records.values())
+    channels = min(
+        kernel_values // (most_sets * m * n_users),
+        _BLOCK_VALUES // (len(distinct) * m * n_users * n_tx),
+        config.n_channels,
+    )
+    common = tuple(
+        record for record, members in records.items() if any(grids[i][-1] > 0 for i in members)
+    )
+    stacked = min(len(distinct), _variance_block(m, n_users, n_tx))
+    return _BlockPlan(
+        m, distinct, records, common, max(1, channels), stacked, kernel_values // (m * n_users)
+    )
+
+
+def _rate_channels(
+    config: SweepConfig, cells: list[tuple], channels: range, lowest_failure=None
+) -> list[np.ndarray]:
+    """The best power split and its average sum rate of every cell on
+    each channel of channels, one (2, len(cells)) array per channel in
+    channel order.
+
+    Each cell searches its plan's split grid at its plan's error
+    variance (see _cell). The channels are rated in blocks of
+    consecutive channels (_block_plan). Every build of a block is made
+    first, channel by channel, and only its beta and P are kept, with
+    its channel's geometry records. The realizations h_est + E of each
+    channel and error variance (its rescaled unit draws; one all-zero
+    realization under perfect CSIT) are stacked, in blocks of at most
+    _variance_block variances if one channel's exceed _BLOCK_VALUES
+    complex values. The cells that share a geometry record (zf with
+    rs-linear, cthp with cthp-rs, dthp with zf-dpc and their RS schemes)
+    on every channel of the block are rated in one
+    stacked_sum_rate_table call per variance block.
+
+    A build's error on channel c stops the block's builds; the channels
+    below c are rated, and raise first if one saturates. A
+    SaturatedSinrError names the lowest saturated channel's first
+    saturated cell in output order, with its grid point. In a pool
+    worker, lowest_failure is the pool's shared lowest failing channel:
+    each channel is built only if no lower one has failed, else the
+    rows so far are returned (the run raises the lower error), and a
+    failure here lowers it.
+    """
+    plan = _block_plan(config, cells)
+    # One stack of realizations h_est + E for every block: a fresh one
+    # per block would hand its pages back to the OS and fault them in
+    # again.
+    stack = np.empty(
+        (plan.channels * plan.stacked_variances, plan.m * config.n_users, config.n_tx),
+        dtype=complex,
+    )
+    workspace = {}  # the kernel's temporaries, kept from call to call
+    rows = []
+    for start in range(0, len(channels), plan.channels):
+        block = channels[start:start + plan.channels]
+        built, failure = [], None
+        for channel_index in block:
+            if lowest_failure is not None and channel_index > lowest_failure.value:
+                return rows
+            try:
+                built.append(_build_channel(config, cells, plan, channel_index))
+            except Exception as exc:
+                failure = channel_index, exc
+                break
+        rated, saturated = (
+            _rate_block(config, cells, plan, block, built, stack, workspace)
+            if built else ([], None)
+        )
+        failure = saturated or failure
+        if failure is not None:
+            if lowest_failure is not None:
+                with lowest_failure.get_lock():
+                    lowest_failure.value = min(lowest_failure.value, failure[0])
+            raise failure[1]
+        rows += rated
+    return rows
+
+
+def _build_channel(
+    config: SweepConfig, cells: list[tuple], plan: _BlockPlan, channel_index: int
+) -> tuple:
+    """(h_est, its geometry records by SchemeTag.record, the beta and
+    the common power P of every build) of one channel, the builds in
+    output order of their cells, then by split."""
+    n_users, n_tx = config.n_users, config.n_tx
+    records, betas, powers = {}, [], []
+    for scheme, _, e_tr, grid, _ in cells:
         # One channel draw per cell and one build per (cell, split): the
         # calls bench/tests/test_tracer.py pins.
         h_est = draw_channel(config.master_seed, channel_index, n_users, n_tx)
         builds = [build_precoders(h_est, scheme, e_tr, config.power_loss, t) for t in grid]
         # Each split's beta and P: all the kernel takes of a build.
-        betas.append([ps.beta for ps in builds])
-        powers.append([ps.common_power for ps in builds])
-        by_geometry.setdefault(builds[0].geometry, []).append(index)
+        betas += [ps.beta for ps in builds]
+        powers += [ps.common_power for ps in builds]
+        records[scheme.record] = builds[0].geometry
+    # linalg's one-entry cache holds this channel's direction until the
+    # next channel's builds: the record caches it now, for the kernel.
+    for record in plan.common_records:
+        records[record].direction
+    return h_est, records, np.array(betas), np.array(powers)
 
-    distinct = list(dict.fromkeys(variances))  # None is perfect CSIT
-    m = 1 if distinct == [None] else config.n_error_samples
-    max_sets = _kernel_block_values(max(map(len, grids)), m, n_users) // (m * n_users)
-    per_block = _variance_block(m, n_users, n_tx)
-    row = np.empty((2, len(cells)))
-    failed = None  # (cell index, message) of the first saturated cell
-    for start in range(0, len(distinct), per_block):
-        position = {s2: v for v, s2 in enumerate(distinct[start:start + per_block])}
-        rows = np.empty((len(position), m * n_users, n_tx), dtype=complex)
-        for variance, v in position.items():
-            errors = 0.0 if variance is None else draw_error_ensemble(
-                n_users, n_tx, variance, m, config.master_seed, channel_index
-            )
-            np.add(h_est, errors, out=rows[v].reshape(m, n_users, n_tx))
-        for geometry, members in by_geometry.items():
+
+def _rate_block(
+    config: SweepConfig, cells: list[tuple], plan: _BlockPlan, block: range, built: list,
+    stack: np.ndarray, workspace: dict,
+) -> tuple[list[np.ndarray], tuple | None]:
+    """(the rows of the channels of block from their _build_channel
+    tuples built, None), or ([], (channel, SaturatedSinrError)) of the
+    lowest saturated channel's first saturated cell in output order.
+    stack holds the realizations of each variance block in turn."""
+    n_users, n_tx, m = config.n_users, config.n_tx, plan.m
+    _, _, _, grids, variances = zip(*cells)
+    offsets = np.cumsum([0, *map(len, grids)])  # each cell's first build
+    splits = np.array([t for grid in grids for t in grid])
+    h_ests, records_of, betas, powers = zip(*built)
+    betas, powers = np.array(betas), np.array(powers)  # (channels, builds)
+    out = np.empty((len(built), 2, len(cells)))
+    failed = None  # (block position, cell index, message) of the first saturated cell
+    step = plan.stacked_variances
+    for start in range(0, len(plan.variances), step):
+        position = {s2: v for v, s2 in enumerate(plan.variances[start:start + step])}
+        n_rows = len(position)
+        rows = stack[:len(built) * n_rows]
+        for b, (channel_index, h_est) in enumerate(zip(block, h_ests)):
+            for variance, v in position.items():
+                errors = 0.0 if variance is None else draw_error_ensemble(
+                    n_users, n_tx, variance, m, config.master_seed, channel_index
+                )
+                np.add(h_est, errors, out=rows[b * n_rows + v].reshape(m, n_users, n_tx))
+        for record, members in plan.records.items():
             members = [i for i in members if variances[i] in position]
-            for block in _chunk(members, [len(grids[i]) for i in members], max_sets):
-                if failed is not None and block[0] > failed[0]:
-                    continue
-                owners = [i for i in block for _ in grids[i]]
-                ensembles = np.array([position[variances[i]] for i in owners])
-                lo = ensembles.min()  # the sets use only the variances lo to max
-                beta = np.array([b for i in block for b in betas[i]])
-                power = np.array([p for i in block for p in powers[i]])
-                try:
-                    table = stacked_sum_rate_table(
-                        geometry, beta, power, rows[lo:ensembles.max() + 1],
-                        ensembles - lo, SIGMA_N2,
-                    )
-                except SaturatedSinrError as exc:
-                    cell = owners[exc.set_index]
-                    if failed is None or cell < failed[0]:
-                        failed = (cell, f"{cells[cell][0].tag}: {exc}")
-                    continue
-                best = _best_splits(table, [grids[i] for i in block])
-                for i, split_asr in zip(block, best):
-                    row[:, i] = split_asr
-    if failed is not None:
-        cell, message = failed
-        raise SaturatedSinrError(
-            f"{message} at {config.x_kind}={cells[cell][1]:g} on channel {channel_index}"
-        )
-    return row
-
-
-def _chunk(items: list, sizes: list[int], limit: int) -> list[list]:
-    """items in order, cut into runs whose sizes sum to at most limit
-    (a run of one item may exceed it)."""
-    runs, run, total = [], [], 0
-    for item, size in zip(items, sizes):
-        if run and total + size > limit:
-            runs.append(run)
-            run, total = [], 0
-        run.append(item)
-        total += size
-    runs.append(run)
-    return runs
+            if not members:
+                continue
+            # Set (b, i, t): channel b of the block, cell i, split t; index
+            # holds each set's build among its channel's builds.
+            lengths = [len(grids[i]) for i in members]
+            ends = np.cumsum(lengths)
+            index = np.arange(ends[-1]) + np.repeat(offsets[members] - ends + lengths, lengths)
+            pattern = np.repeat([position[variances[i]] for i in members], lengths)
+            ensembles = (np.arange(len(built))[:, np.newaxis] * n_rows + pattern).ravel()
+            geometries = [records[record] for records in records_of for _ in range(n_rows)]
+            try:
+                means = stacked_sum_rate_table(
+                    geometries, betas[:, index].ravel(), powers[:, index].ravel(), rows,
+                    ensembles, SIGMA_N2, plan.max_sets, mean=True, workspace=workspace,
+                )
+            except SaturatedSinrError as exc:
+                b, k = divmod(exc.set_index, len(index))
+                i = members[np.searchsorted(ends, k, side="right")]
+                if failed is None or (b, i) < failed[:2]:
+                    failed = (b, i, f"{cells[i][0].tag}: {exc}")
+                continue
+            first, best = _best_splits(means.reshape(len(built), -1), lengths)
+            out[:, 0, members] = splits[index[first]]
+            out[:, 1, members] = best
+    if failed is None:
+        return list(out), None
+    b, i, message = failed
+    channel_index = block[b]
+    return [], (channel_index, SaturatedSinrError(
+        f"{message} at {config.x_kind}={cells[i][1]:g} on channel {channel_index}"
+    ))
 
 
 # In a pool worker: the lowest channel that any worker of its pool has
@@ -565,37 +690,29 @@ def _share_lowest_failure(value) -> None:
     _lowest_failure = value
 
 
-def _rate_channel_in_pool(
-    config: SweepConfig, cells: list[tuple], channel_index: int
-) -> np.ndarray | None:
-    """_rate_channel in a pool worker; None, without rating it, for a
-    channel above the lowest failing one seen so far, whose error (or a
-    lower channel's) the run raises anyway."""
-    if channel_index > _lowest_failure.value:
-        return None
-    try:
-        return _rate_channel(config, cells, channel_index)
-    except Exception:
-        with _lowest_failure.get_lock():
-            _lowest_failure.value = min(_lowest_failure.value, channel_index)
-        raise
+def _rate_run(config: SweepConfig, cells: list[tuple], channels: range) -> list[np.ndarray]:
+    """_rate_channels in a pool worker, over its contiguous run of
+    channels, sharing failures through the pool's _lowest_failure."""
+    return _rate_channels(config, cells, channels, _lowest_failure)
 
 
 def run_sweep(config: SweepConfig, n_jobs: int = 1) -> SweepResult:
     """Evaluate every (scheme, grid point) cell of a sweep.
 
-    Every cell is rated on one channel before the next channel, so the
-    caches need hold only the current one. min(n_jobs, n_channels)
-    workers each take one contiguous run of channels. One worker is this
-    process itself; more are the processes of a pool, which rate every
-    channel while this process only joins their rows. Each cell joins
-    its per-channel values in channel order, so the output is
-    bit-identical at any n_jobs. A failing run raises the
+    Every cell is built on one channel before the next channel, so the
+    caches need hold only the current one, and rated on a block of
+    channels at once (_rate_channels). min(n_jobs, n_channels) workers
+    each take one contiguous run of channels as one task; blocks are cut
+    from the start of each run, in sizes that do not depend on n_jobs.
+    One worker is this process itself; more are the processes of a
+    pool, which rate every channel while this process only joins their
+    rows. Each cell joins its per-channel values in channel order, so
+    the output is bit-identical at any n_jobs. A failing run raises the
     error of the lowest failing channel's first failing cell in output
-    order, the one a serial run meets and stops at: both map and the
-    pool's map yield channels in order. Pool workers skip every channel
-    above the lowest one that has failed so far, and still rate every
-    channel below it.
+    order, the one a serial run meets and stops at: the pool's map
+    yields the runs in order. Pool workers build no channel above the
+    lowest one that has failed so far, and still rate every channel
+    below it.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
@@ -604,6 +721,8 @@ def run_sweep(config: SweepConfig, n_jobs: int = 1) -> SweepResult:
     channels = range(config.n_channels)
     n_workers = min(n_jobs, config.n_channels)
     if n_workers > 1:
+        size = math.ceil(config.n_channels / n_workers)
+        runs = [channels[start:start + size] for start in range(0, config.n_channels, size)]
         lowest_failure = multiprocessing.Value("q", config.n_channels)
         # The pool starts all its workers at the first submit.
         with ProcessPoolExecutor(
@@ -611,9 +730,8 @@ def run_sweep(config: SweepConfig, n_jobs: int = 1) -> SweepResult:
             initializer=_share_lowest_failure,
             initargs=(lowest_failure,),
         ) as pool:
-            chunksize = math.ceil(config.n_channels / n_workers)
-            rate = partial(_rate_channel_in_pool, config, cells)
-            rows = list(pool.map(rate, channels, chunksize=chunksize))
+            rated = pool.map(partial(_rate_run, config, cells), runs)
+            rows = [row for run in rated for row in run]
     else:
-        rows = list(map(partial(_rate_channel, config, cells), channels))
+        rows = _rate_channels(config, cells, channels)
     return SweepResult(config=config, cells=_join(cells, rows))

@@ -32,12 +32,13 @@ def split_reference(ps, errors, sigma_n2):
     return totals
 
 
-def kernel_args(builds):
-    """stacked_sum_rate_table's geometry, beta and power for builds on
-    one channel's geometry record, as the sweep gathers them."""
+def kernel_args(builds, n_rows=1):
+    """stacked_sum_rate_table's geometries, beta and power for builds on
+    one channel's geometry record, over n_rows rows of that channel, as
+    the sweep gathers them."""
     assert all(ps.geometry is builds[0].geometry for ps in builds)
     return (
-        builds[0].geometry,
+        [builds[0].geometry] * n_rows,
         np.array([ps.beta for ps in builds]),
         np.array([ps.common_power for ps in builds]),
     )

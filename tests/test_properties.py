@@ -19,6 +19,7 @@ import os
 import re
 import tempfile
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,13 +54,14 @@ from rsthp.precoding import ALL_SCHEME_TAGS  # noqa: E402
 from rsthp.rates import stacked_sum_rate_table  # noqa: E402
 from rsthp.sweeps import (  # noqa: E402
     SIGMA_N2,
-    _rate_channel,
+    _block_plan,
+    _rate_channels,
     _sweep_cells,
     _working_set_bytes,
     draw_channel,
     optimize_power_split,
 )
-from helpers import kernel_args, split_reference  # noqa: E402  (pytest puts tests/ on sys.path)
+from helpers import split_reference  # noqa: E402  (pytest puts tests/ on sys.path)
 
 N_DRAWS = 3
 BASES = ("zf", "cthp", "dthp", "zf-dpc")
@@ -277,7 +279,7 @@ def test_each_channel_column_is_its_cells_own_split_search(config_channel):
     # its own search.
     config, channel_index = config_channel
     cells = _sweep_cells(config)
-    row = _rate_channel(config, cells, channel_index)
+    (row,) = _rate_channels(config, cells, range(channel_index, channel_index + 1))
     for cell, column in zip(cells, row.T):
         assert tuple(column.tolist()) == cell_reference(config, cell, channel_index)
 
@@ -300,50 +302,121 @@ def test_a_saturated_channel_names_its_first_failing_cell(config_channel, log_ca
                 expected = (f"{exc} at {config.x_kind}={cell[1]:g} "
                             f"on channel {channel_index}")
                 break
+        channels = range(channel_index, channel_index + 1)
         if expected is None:
-            _rate_channel(config, cells, channel_index)
+            _rate_channels(config, cells, channels)
         else:
             with pytest.raises(SaturatedSinrError) as raised:
-                _rate_channel(config, cells, channel_index)
+                _rate_channels(config, cells, channels)
             assert str(raised.value) == expected
+
+
+@st.composite
+def channel_partitions(draw):
+    """A small valid SweepConfig over 2 to 6 channels, a cut of its
+    channels into consecutive pieces, and a _BLOCK_VALUES that gives
+    blocks of one channel, a few or all of them."""
+    config, _ = draw(sweep_channels())
+    config = replace(config, n_channels=draw(st.integers(2, 6)))
+    cuts = draw(st.sets(st.integers(1, config.n_channels - 1)))
+    bounds = [0, *sorted(cuts), config.n_channels]
+    pieces = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return config, pieces, draw(st.sampled_from((16, 256, 2**15)))
+
+
+def rate_in_pieces(config, cells, pieces):
+    """The rows of each piece in turn, as a serial run rates them, or the
+    message of the first piece's error."""
+    try:
+        return [row for piece in pieces for row in _rate_channels(config, cells, piece)]
+    except SaturatedSinrError as exc:
+        return str(exc)
+
+
+@PROPERTY_SETTINGS
+@given(channel_partitions(), st.floats(0.0, 4.0))
+# Under a cap of 10^2.75, channel 0 first fails at zf, its second cell,
+# and channel 1 at cthp, its first: the block must raise channel 0's.
+@example((SweepConfig(schemes=(SchemeTag("zf"), SchemeTag("cthp")), n_users=2, n_tx=2,
+                      snr_grid_db=(30.0,), n_channels=3, master_seed=0),
+          [range(0, 1), range(1, 3)], 2**15), 2.75)
+def test_rating_channels_in_pieces_gives_the_rows_of_one_call(case, log_cap):
+    # A block's rows do not depend on which channels share it: any cut
+    # of the channels gives the rows of one call over all of them, bit
+    # for bit, and under a cap of 1 to 1e4 (some cells saturate, some
+    # do not) the error of rating one channel at a time, the lowest
+    # failing channel's first failing cell in output order.
+    config, pieces, block_values = case
+    cells = _sweep_cells(config)
+    one_each = [range(c, c + 1) for c in range(config.n_channels)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("rsthp.sweeps._BLOCK_VALUES", block_values)
+        for cap in (None, 10.0**log_cap):
+            if cap is not None:
+                patch.setattr("rsthp.rates.SINR_CAP", cap)
+            expected = rate_in_pieces(config, cells, one_each)
+            for partition in ([range(config.n_channels)], pieces):
+                got = rate_in_pieces(config, cells, partition)
+                if isinstance(expected, str):
+                    assert got == expected
+                else:
+                    assert [row.tobytes() for row in got] == [row.tobytes() for row in expected]
 
 
 @st.composite
 def stacked_tables(draw):
     """dthp and zf-dpc builds (with and without a common stream) at mixed
-    splits and transmit powers on one channel (K <= N <= 4), each over
-    one of one to four error ensembles of 1 to 5 draws."""
+    splits and transmit powers on one to three channels (K <= N <= 4),
+    each over one of one to four rows, a row being one channel's error
+    ensemble of 1 to 5 draws; and a run length for the kernel's sets."""
     n_users = draw(st.integers(1, 4))
     n_tx = draw(st.integers(n_users, 4))
     seed = draw(st.integers(0, 2**31 - 1))
-    h_est = draw_channel(seed, 0, n_users, n_tx)
+    channels = [draw_channel(seed, c, n_users, n_tx) for c in range(draw(st.integers(1, 3)))]
     n_draws = draw(st.integers(1, 5))
-    ensembles = [
-        draw_error_ensemble(n_users, n_tx, variance, n_draws, seed, 0)
-        for variance in draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
-    ]
+    ensembles = []  # (channel index, errors) of each row
+    for variance in draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)):
+        c = draw(st.integers(0, len(channels) - 1))
+        ensembles.append((c, draw_error_ensemble(n_users, n_tx, variance, n_draws, seed, c)))
     sets, owners = [], []
     for _ in range(draw(st.integers(1, 8))):
         scheme = SchemeTag(draw(st.sampled_from(("dthp", "zf-dpc"))), rs=draw(st.booleans()))
         split = draw(st.floats(0.0, 0.95)) if scheme.rs else 0.0
         e_tr = snr_db_to_power(draw(st.floats(-10.0, 30.0)))
-        sets.append(build_precoders(h_est, scheme, e_tr, 0.75, split))
         owners.append(draw(st.integers(0, len(ensembles) - 1)))
-    return sets, ensembles, owners
+        h_est = channels[ensembles[owners[-1]][0]]
+        sets.append(build_precoders(h_est, scheme, e_tr, 0.75, split))
+    return channels, sets, ensembles, owners, draw(st.sampled_from((None, 1, 2, 3)))
 
 
 @PROPERTY_SETTINGS
 @given(stacked_tables())
 def test_each_stacked_table_row_is_its_own_sum_rate_samples(case):
-    # One kernel call over V stacked ensembles gives every set the bits
-    # of rating it alone over its own ensemble.
-    sets, ensembles, owners = case
-    h_est = sets[0].h_est
-    rows = np.stack([(h_est + e).reshape(-1, h_est.shape[1]) for e in ensembles])
-    table = stacked_sum_rate_table(*kernel_args(sets), rows, owners, SIGMA_N2)
-    assert table.shape == (len(sets), len(ensembles[0]))
-    for row, ps, v in zip(table, sets, owners):
-        assert np.array_equal(row, sum_rate_samples(ps, ensembles[v], SIGMA_N2))
+    # One kernel call over R stacked rows, of one or several channels,
+    # gives every set the bits of rating it alone over its own
+    # ensemble, in one run of sets or in several, and its average the
+    # bits of np.mean.
+    channels, sets, ensembles, owners, max_sets = case
+    n_tx = channels[0].shape[1]
+    rows = np.stack([(channels[c] + e).reshape(-1, n_tx) for c, e in ensembles])
+    # Each row's record; a rebuilt channel's record is another object
+    # with the same arrays.
+    geometries = [
+        build_precoders(channels[c], SchemeTag("dthp"), 1.0, 0.75).geometry for c, _ in ensembles
+    ]
+    beta = [ps.beta for ps in sets]
+    power = [ps.common_power for ps in sets]
+    table = stacked_sum_rate_table(
+        geometries, beta, power, rows, owners, SIGMA_N2, max_sets=max_sets
+    )
+    means = stacked_sum_rate_table(
+        geometries, beta, power, rows, owners, SIGMA_N2, max_sets=max_sets, mean=True
+    )
+    assert table.shape == (len(sets), len(ensembles[0][1]))
+    for row, mean, ps, v in zip(table, means, sets, owners):
+        samples = sum_rate_samples(ps, ensembles[v][1], SIGMA_N2)
+        assert np.array_equal(row, samples)
+        assert mean == np.mean(samples)
 
 
 # Bytes beyond the estimate that rating one channel may hold: the
@@ -366,26 +439,29 @@ MEMORY_ALLOWANCE = 32 * 2**10
 # SNR-scaled errors at alpha = 0: every SNR point has the same variance,
 # and the estimate charges the one stacked variance the engine rates.
 @example((SweepConfig(error_regime=ErrorRegime.snr_scaled(0.0)), 0))
+# Perfect CSIT, all 8 schemes at two SNRs: one block holds all 50 channels.
+@example((SweepConfig(snr_grid_db=(0.0, 30.0)), 0))
 def test_rating_a_channel_stays_within_its_memory_estimate(config_channel):
     # The estimate that SweepConfig.validate holds to the budget bounds
-    # what rating one channel allocates, cached arrays included.
-    # tracemalloc sees numpy's buffers but not BLAS workspace or the
-    # allocator's slack, so it is a lower bound on the RSS a process
-    # grows by.
+    # what rating one block of channels allocates, cached arrays and
+    # the block's rows included. tracemalloc sees numpy's buffers but
+    # not BLAS workspace or the allocator's slack, so it is a lower
+    # bound on the RSS a process grows by.
     config, channel_index = config_channel
     cells = _sweep_cells(config)
+    block = range(channel_index, channel_index + _block_plan(config, cells).channels)
     # A first call makes numpy's one-time allocations.
-    _rate_channel(config, cells, channel_index + 1)
+    _rate_channels(config, cells, range(block.stop, block.stop + 1))
     for cache in (precoding._geometry, channel._unit_error_draws,
                   channel._stream_state, linalg._anchored_direction):
         cache.cache_clear()
     tracemalloc.start()
     try:
-        _rate_channel(config, cells, channel_index)
+        _rate_channels(config, cells, block)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= _working_set_bytes(config, 1) + MEMORY_ALLOWANCE
+    assert peak <= _working_set_bytes(config, len(block)) + MEMORY_ALLOWANCE
 
 
 @st.composite

@@ -383,7 +383,9 @@ class TestSumRateTable:
         h, errors = random_channel(64), draw_error_ensemble(4, 4, 0.2, 5, seed=64)
         dthp = build_precoders(h, SchemeTag("dthp"), 31.0, 0.75)
         with pytest.raises(EmptyGridError):
-            stacked_sum_rate_table(dthp.geometry, [], [], _stacked_rows(dthp, errors), [], 1.0)
+            stacked_sum_rate_table(
+                (dthp.geometry,), [], [], _stacked_rows(dthp, errors), [], 1.0
+            )
         mixed = [
             dthp,
             build_precoders(h, SchemeTag("zf-dpc", rs=True), 10.0, 0.75, 0.3),
@@ -396,11 +398,11 @@ class TestSumRateTable:
     def test_rejects_ensembles_that_do_not_index_each_set_once(self):
         # A negative index would rate a set on the last ensemble and a
         # short list would fail inside numpy; both name the ensembles.
-        # beta and power must hold one scalar per set as well, and zero
-        # sets are an empty grid.
+        # beta and power must hold one scalar per set as well, geometries
+        # one record per row, and zero sets are an empty grid.
         h, errors = random_channel(69), draw_error_ensemble(4, 4, 0.2, 5, seed=69)
         sets = self.table_sets(h, SchemeTag("dthp", rs=True))[:3]
-        geometry, beta, power = kernel_args(sets)
+        geometry, beta, power = kernel_args(sets, 2)
         rows = np.concatenate([_stacked_rows(sets[0], errors)] * 2)
         table = stacked_sum_rate_table(geometry, beta, power, rows, [1, 0, 1], 1.0)
         assert table.shape == (3, 5)
@@ -414,6 +416,10 @@ class TestSumRateTable:
                 stacked_sum_rate_table(geometry, b, p, rows, [1, 0, 1], 1.0)
         with pytest.raises(EmptyGridError):
             stacked_sum_rate_table(geometry, [], [], rows, [0], 1.0)
+        # Each row names its own geometry record.
+        for records in (geometry[:1], geometry * 2):
+            with pytest.raises(DimensionMismatchError, match="each row needs one"):
+                stacked_sum_rate_table(records, beta, power, rows, [1, 0, 1], 1.0)
 
     def test_squared_scales_have_the_bits_of_python_squares(self):
         # The kernel squares the (S,) betas with np.float_power, the C

@@ -24,6 +24,7 @@ from rsthp.exceptions import (
     InvalidVarianceError,
     SaturatedSinrError,
     SchemeMismatchError,
+    ZeroMatrixError,
 )
 from rsthp.rates import sinr_perfect_csit, sum_rate_samples
 from rsthp.sweeps import (
@@ -509,17 +510,19 @@ class TestRunSweep:
         assert linalg._anchored_direction.cache_info().misses == 0
 
     def test_one_kernel_call_per_channel_variance_block_and_geometry(self, monkeypatch):
-        # The cells of a channel that share a private geometry (zf with
-        # rs-linear, cthp alone here, dthp-rs with zf-dpc) are rated in
-        # one kernel call per block of error variances, every split of
-        # every such cell at every variance of the block stacked: never
-        # one call per cell, per split or per variance.
+        # The cells that share a geometry record (zf with rs-linear,
+        # cthp alone here, dthp-rs with zf-dpc) are rated in one kernel
+        # call per block of channels and error variances, every split of
+        # every such cell on every channel of the block at every
+        # variance stacked: never one call per channel, cell, split or
+        # variance. Each row of the call names its own channel's record.
         calls = []
         table = sweeps.stacked_sum_rate_table
 
-        def counting(geometry, beta, power, rows, *args):
+        def counting(geometries, beta, power, rows, *args, **kwargs):
             calls.append((len(beta), len(rows)))
-            return table(geometry, beta, power, rows, *args)
+            assert len({id(g) for g in geometries}) == n_channels
+            return table(geometries, beta, power, rows, *args, **kwargs)
 
         monkeypatch.setattr(sweeps, "stacked_sum_rate_table", counting)
         n_channels = 3
@@ -534,49 +537,83 @@ class TestRunSweep:
             n_splits = len(cfg.power_split_grid)
             # Under perfect CSIT both SNR points share the one all-zero
             # realization; an SNR-scaled variance gives each its own,
-            # and 2 x 10 x 4 x 4 values stack both in one block.
-            n_variances = 1 if regime.is_perfect else 2
-            blocks = [(2 * (1 + n_splits), n_variances), (2, n_variances),
-                      (2 * (n_splits + 1), n_variances)]
-            assert sorted(calls) == sorted(blocks * n_channels)
+            # and 3 x 2 x 10 x 4 x 4 values stack all in one block.
+            n_rows = n_channels * (1 if regime.is_perfect else 2)
+            blocks = [(2 * (1 + n_splits), n_rows), (2, n_rows), (2 * (n_splits + 1), n_rows)]
+            assert sorted(calls) == sorted((n_channels * sets, rows) for sets, rows in blocks)
 
-    def test_kernel_blocks_hold_at_most_the_charged_values(self, monkeypatch):
-        # A kernel block stacks cells while it holds at most
-        # max(T M K, _BLOCK_VALUES) values, and a variance block stacks
-        # error variances while their realizations hold at most
-        # max(M K N, _BLOCK_VALUES) complex values: the amounts matrix_bytes
-        # charges. With many draws a geometry's cells take several
-        # kernel blocks and each variance its own variance block.
-        blocks = []
+    def test_a_block_holds_the_channels_that_fit_its_caps(self, monkeypatch):
+        # A block takes consecutive channels of a worker's run while one
+        # record's sets x M x K fit _kernel_block_values and the stacked
+        # h_est + E fit _BLOCK_VALUES complex values; more workers cut
+        # shorter runs, never other blocks.
+        rows = []
         table = sweeps.stacked_sum_rate_table
 
-        def recording(geometry, beta, power, rows, *args):
-            blocks.append((len(beta) * rows.shape[1], rows.size))
-            return table(geometry, beta, power, rows, *args)
+        def recording(geometries, beta, power, stacked, *args, **kwargs):
+            rows.append(len(stacked))
+            return table(geometries, beta, power, stacked, *args, **kwargs)
 
         monkeypatch.setattr(sweeps, "stacked_sum_rate_table", recording)
+        self.recording_pool(monkeypatch)
+        zf = (parse_scheme_tag("zf"),)
+        # 1000 draws x 4 x 4 = 16000 complex values a channel: 2 fit.
+        # Perfect CSIT stacks one 16-value realization, and 50 fit.
+        for overrides, size in ((dict(n_error_samples=1000, n_channels=5), 2),
+                                (dict(error_regime=PERFECT, n_channels=50), 50)):
+            cfg = small_config(schemes=zf, **overrides)
+            assert sweeps._block_plan(cfg, sweeps._sweep_cells(cfg)).channels == size
+            for n_jobs in (1, 2):
+                rows.clear()
+                run_sweep(cfg, n_jobs=n_jobs)
+                run = math.ceil(cfg.n_channels / n_jobs)
+                runs = [min(run, cfg.n_channels - start)
+                        for start in range(0, cfg.n_channels, run)]
+                assert rows == [min(size, n - start) for n in runs for start in range(0, n, size)]
+
+    def test_kernel_blocks_hold_at_most_the_charged_values(self, monkeypatch):
+        # The kernel rates its sets in runs of at most max(T M K,
+        # _BLOCK_VALUES) values, and a variance block stacks error
+        # variances while their realizations hold at most max(M K N,
+        # _BLOCK_VALUES) complex values: the amounts matrix_bytes
+        # charges. With many draws a geometry's sets take several runs
+        # of one kernel call, and each variance its own variance block.
+        calls, runs = [], []
+        table, sinrs = sweeps.stacked_sum_rate_table, rates._set_sinrs
+
+        def recording(geometries, beta, power, rows, *args, **kwargs):
+            calls.append(rows.size)
+            return table(geometries, beta, power, rows, *args, **kwargs)
+
+        def recording_run(invariants, beta, *args):
+            runs.append(len(beta) * invariants.signal[0].size)
+            return sinrs(invariants, beta, *args)
+
+        monkeypatch.setattr(sweeps, "stacked_sum_rate_table", recording)
+        monkeypatch.setattr(rates, "_set_sinrs", recording_run)
         schemes = tuple(parse_scheme_tag(t) for t in ("dthp", "dthp-rs", "zf-dpc-rs"))
         variances = (0.1, 0.2, 0.3)
         # 1 + 4 + 4 sets of one geometry per variance: at 5000 draws
-        # T M K = 80000 values, so each cell takes its own kernel block
-        # and each variance its own variance block; at 10 draws the
-        # three variances' 3 x 160 complex values stack into one variance
-        # block, and the 27 sets into one kernel block.
-        for n_samples, n_calls, n_variances in ((5000, 9, 1), (10, 1, 3)):
-            blocks.clear()
+        # T M K = 80000 values, so a run holds 4 sets and each variance
+        # takes its own variance block; at 10 draws the three variances'
+        # 3 x 160 complex values stack into one variance block, and the
+        # 27 sets into one run.
+        for n_samples, n_calls, n_runs, n_variances in ((5000, 3, 9, 1), (10, 1, 1, 3)):
+            calls.clear()
+            runs.clear()
             cfg = small_config(
                 schemes=schemes, n_channels=1, n_error_samples=n_samples,
                 error_regime=PERFECT, error_variance_grid=variances,
             )
             run_sweep(cfg)
             m_k, m_k_n = n_samples * 4, n_samples * 4 * 4
-            assert len(blocks) == n_calls
+            assert (len(calls), len(runs)) == (n_calls, n_runs)
             kernel_limit = sweeps._kernel_block_values(len(cfg.power_split_grid), n_samples, 4)
-            assert max(values for values, _ in blocks) <= kernel_limit
-            assert max(size for _, size in blocks) <= max(m_k_n, sweeps._BLOCK_VALUES)
+            assert max(runs) <= kernel_limit
+            assert max(calls) <= max(m_k_n, sweeps._BLOCK_VALUES)
             assert min(len(variances), sweeps._variance_block(n_samples, 4, 4)) == n_variances
-            assert max(size for _, size in blocks) == n_variances * m_k_n
-            assert sum(values for values, _ in blocks) == 9 * len(variances) * m_k
+            assert max(calls) == n_variances * m_k_n
+            assert sum(runs) == 9 * len(variances) * m_k
 
     def test_sweep_keeps_the_traced_call_contract(self, monkeypatch):
         # The benchmark's tracer counts these calls by name: one channel
@@ -658,22 +695,23 @@ class TestRunSweep:
         assert [pool.max_workers for pool in pools] == [4, 3, 4]
 
     def test_pool_tasks_are_contiguous_channel_blocks(self, monkeypatch):
-        # Each worker gets one contiguous run of channels: every channel
-        # in order, in chunks of ceil(n_channels / n_workers).
+        # Each worker gets one contiguous run of channels as one task:
+        # every channel in order, without gaps or overlaps, in runs of
+        # ceil(n_channels / n_workers), no more runs than workers.
         pools = self.recording_pool(monkeypatch)
-        for n_channels, n_jobs, n_blocks in ((7, 3, 3), (5, 2, 2), (4, 4, 4),
-                                             (50, 2, 2), (130, 2, 2)):
+        for n_channels, n_jobs, n_runs in ((7, 3, 3), (5, 2, 2), (4, 4, 4),
+                                           (50, 2, 2), (130, 2, 2)):
             run_sweep(small_config(n_channels=n_channels), n_jobs=n_jobs)
             pool = pools.pop()
             assert pool.max_workers == n_jobs
-            assert pool.tasks == list(range(n_channels))
-            assert pool.chunksize == math.ceil(n_channels / n_jobs)
-            # In order, without gaps or overlaps, no more blocks than workers.
-            blocks = [pool.tasks[i:i + pool.chunksize]
-                      for i in range(0, n_channels, pool.chunksize)]
-            assert len(blocks) == n_blocks
-            assert sum(blocks, []) == list(range(n_channels))
-            assert all(blocks)
+            assert pool.chunksize == 1
+            assert all(isinstance(run, range) and run.step == 1 for run in pool.tasks)
+            assert [len(run) for run in pool.tasks[:-1]] == [
+                math.ceil(n_channels / n_jobs)
+            ] * (n_runs - 1)
+            assert len(pool.tasks) == n_runs
+            assert [c for run in pool.tasks for c in run] == list(range(n_channels))
+            assert all(pool.tasks)
         assert not pools
 
     def test_parallel_failure_is_the_serial_one(self, monkeypatch):
@@ -709,29 +747,30 @@ class TestRunSweep:
 
     def test_parallel_failure_skips_the_channels_above_it(self, monkeypatch):
         # Two workers take channels 0-3 and 4-7. Channel 0 fails once
-        # channel 4 has started, and channel 4 ends once that failure is
-        # shared, so the count does not depend on timing: the second
-        # worker skips channels 5-7 instead of rating them. Forked
-        # workers inherit the patched _rate_channel.
+        # channel 4 has started, and channel 4's draw ends once that
+        # failure is shared, so the count does not depend on timing: the
+        # second worker checks the shared failure before building each
+        # channel and skips channels 5-7 instead of drawing them. Forked
+        # workers inherit the patched draw_channel.
         n_channels, started = 8, 4
         rated = multiprocessing.Array("b", n_channels)
-        rate = sweeps._rate_channel
+        draw = sweeps.draw_channel
 
         def wait_for(condition):
             deadline = time.monotonic() + 60.0
             while not condition() and time.monotonic() < deadline:
                 time.sleep(0.001)
 
-        def recording(config, cells, channel_index):
+        def recording(seed, channel_index, *args):
             rated[channel_index] = 1
             if channel_index == 0:
                 wait_for(lambda: rated[started])
                 raise SaturatedSinrError("zf: an SINR failed on channel 0")
             if channel_index == started:
                 wait_for(lambda: sweeps._lowest_failure.value == 0)
-            return rate(config, cells, channel_index)
+            return draw(seed, channel_index, *args)
 
-        monkeypatch.setattr(sweeps, "_rate_channel", recording)
+        monkeypatch.setattr(sweeps, "draw_channel", recording)
         with pytest.raises(SaturatedSinrError, match="on channel 0$"):
             run_sweep(small_config(n_channels=n_channels), n_jobs=2)
         assert [c for c in range(n_channels) if rated[c]] == [0, started]
@@ -778,8 +817,11 @@ class TestRunSweep:
             assert str(raised.value) == message
 
     def test_serial_failure_draws_no_later_channel(self, monkeypatch):
-        # Every SINR passes a cap of 1e-3, so channel 0's first cell
-        # fails; a serial run stops there instead of rating the others.
+        # A serial run stops at its first failing block. At 1000 draws a
+        # block holds 2 channels. Every SINR passes a cap of 1e-3, so
+        # channel 0's first cell fails, and channel 1, built with it
+        # before the kernel rates the block, is the only later channel
+        # drawn; a build error on channel 0 stops the block's builds.
         keys = []
         stream = sweeps.stream_rng
 
@@ -788,11 +830,26 @@ class TestRunSweep:
             return stream(seed, *key)
 
         monkeypatch.setattr(sweeps, "stream_rng", counting)
-        monkeypatch.setattr(rates, "SINR_CAP", 1e-3)
-        with pytest.raises(SaturatedSinrError, match="^dthp-rs: .* on channel 0$"):
-            run_sweep(small_config(n_channels=4))
-        # Every cell draws channel 0 before the kernel rates them.
-        assert set(keys) == {(channel.CHANNEL_STREAM, 0)}
+        cfg = small_config(n_channels=4, n_error_samples=1000)
+        with monkeypatch.context() as patch:
+            patch.setattr(rates, "SINR_CAP", 1e-3)
+            with pytest.raises(SaturatedSinrError, match="^dthp-rs: .* on channel 0$"):
+                run_sweep(cfg)
+        assert set(keys) == {(channel.CHANNEL_STREAM, 0), (channel.CHANNEL_STREAM, 1)}
+
+        drawn = []
+        draw = sweeps.draw_channel
+
+        def zero_channel_0(seed, channel_index, *shape):
+            drawn.append(channel_index)
+            if channel_index == 0:
+                return np.zeros(shape, dtype=complex)
+            return draw(seed, channel_index, *shape)
+
+        monkeypatch.setattr(sweeps, "draw_channel", zero_channel_0)
+        with pytest.raises(ZeroMatrixError):
+            run_sweep(cfg)
+        assert drawn == [0]
 
     def test_validates_before_running(self):
         with pytest.raises(EmptyGridError):
