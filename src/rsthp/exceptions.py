@@ -40,10 +40,10 @@ class EmptyGridError(SimulatorError):
 class SaturatedSinrError(SimulatorError):
     """An SINR reached the numerical cap or was not finite.
 
-    set_index, when not None, is the position of the first saturated
-    precoder set in the table that raised it.
+    saturated, when not None, is the (rows, sets) mask of the saturated
+    precoder sets of the table that raised it.
     """
 
-    def __init__(self, message: str, set_index: int | None = None):
+    def __init__(self, message: str, saturated=None):
         super().__init__(message)
-        self.set_index = set_index
+        self.saturated = saturated

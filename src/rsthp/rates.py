@@ -6,15 +6,15 @@ and imperfect CSIT (perfect is the zero-error special case), so the
 reduction between the two is exact by construction. A split moves only
 scalars, the private scale beta and the common stream's power P along
 the channel's one direction d, which its geometry record holds, so one
-kernel call (stacked_sum_rate_table) takes stacked rows h_est + E, one
-geometry record per row (of one channel or of many), and per-set arrays
-of beta and P, each set naming its row: it forms each row's
-split-invariant gains once and scales them per set, in runs of sets.
-One build over one ensemble (sum_rate_samples, sinr_imperfect_csit) is
-its view, with the same bits. The estimator simulates the received signal
-model directly and is the independent check on the algebra. Neither asks
-where a scheme puts its THP gains: the unit_map and rx_gain of a
-geometry record carry that.
+kernel call (stacked_sum_rate_table) takes R stacked rows h_est + E, one
+geometry record per row (of one channel or of many), and (R, T) arrays
+of beta and P, the T sets of each row: it forms each row's
+split-invariant gains once and broadcasts its sets against them, in
+runs of sets. One build over one ensemble (sum_rate_samples,
+sinr_imperfect_csit) is its (1, 1) view, with the same bits. The
+estimator simulates the received signal model directly and is the
+independent check on the algebra. Neither asks where a scheme puts its
+THP gains: the unit_map and rx_gain of a geometry record carry that.
 
 Conventions used throughout:
   * Channel rows are conjugated-transposed user channels, so a received
@@ -79,34 +79,31 @@ class RateReport:
     sum_rate: float
 
 
-def _cap(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values capped at SINR_CAP, for each index of the first axis
-    whether any of its values exceeded the cap or was not finite). A
+def _cap(values: np.ndarray, n_axes: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(values capped at SINR_CAP, for each index of the first n_axes
+    axes whether any of its values exceeded the cap or was not finite). A
     batch that is finite and within the cap, the usual case, comes back
     as it is: a NaN or an infinity fails the test below."""
     if values.max(initial=0.0) <= SINR_CAP and values.min(initial=0.0) > -np.inf:
-        return values, np.zeros(len(values), dtype=bool)
+        return values, np.zeros(values.shape[:n_axes], dtype=bool)
     finite = np.isfinite(values)
     values = np.where(finite, values, SINR_CAP)
     saturated = ~finite | (values > SINR_CAP)
     return (
         np.minimum(values, SINR_CAP),
-        saturated.reshape(len(values), -1).any(axis=1),
+        saturated.reshape(*values.shape[:n_axes], -1).any(axis=-1),
     )
 
 
-def _saturation(what: str, set_index: int | None = None) -> SaturatedSinrError:
+def _saturation(what: str, saturated: np.ndarray | None = None) -> SaturatedSinrError:
     """The error for SINRs at SINR_CAP or not finite, without a grid point."""
-    return SaturatedSinrError(f"{what} reached the cap {SINR_CAP:g} or was not finite", set_index)
+    return SaturatedSinrError(f"{what} reached the cap {SINR_CAP:g} or was not finite", saturated)
 
 
-def _kernel_args(precoders: PrecoderSet) -> tuple:
-    """The (geometries, beta, power) kernel arguments of one build over one row."""
-    return (precoders.geometry,), np.array([precoders.beta]), np.array([precoders.common_power])
-
-
-def _stacked_rows(precoders: PrecoderSet, errors: np.ndarray) -> np.ndarray:
-    """h_est + E of one (M >= 1, K, N) ensemble as the (1, M K, N) stack."""
+def _kernel_args(precoders: PrecoderSet, errors: np.ndarray) -> tuple:
+    """The (geometries, beta, power, rows) kernel arguments of one build
+    over one (M >= 1, K, N) ensemble: one set on the one row h_est + E,
+    stacked as (1, M K, N)."""
     h_est = precoders.h_est
     errors = np.asarray(errors, dtype=complex)
     if errors.ndim != 3 or errors.shape[1:] != h_est.shape or not len(errors):
@@ -114,14 +111,17 @@ def _stacked_rows(precoders: PrecoderSet, errors: np.ndarray) -> np.ndarray:
             f"errors shape {errors.shape} is not (M, K, N) = (M >= 1, "
             f"{h_est.shape[0]}, {h_est.shape[1]})"
         )
-    return (h_est + errors).reshape(1, -1, h_est.shape[1])
+    return (
+        (precoders.geometry,),
+        np.array([[precoders.beta]]),
+        np.array([[precoders.common_power]]),
+        (h_est + errors).reshape(1, -1, h_est.shape[1]),
+    )
 
 
-def _buffer(workspace: dict | None, name: str, shape: tuple, dtype=float) -> np.ndarray:
-    """An uninitialised array of shape: a fresh one without a workspace,
-    else a view of workspace[name], grown to the largest size asked."""
-    if workspace is None:
-        return np.empty(shape, dtype)
+def _buffer(workspace: dict, name: str, shape: tuple, dtype=float) -> np.ndarray:
+    """An uninitialised array of shape: a view of workspace[name], grown
+    to the largest size asked."""
     size = math.prod(shape)
     buffer = workspace.get(name)
     if buffer is None or buffer.size < size or buffer.dtype != dtype:
@@ -129,35 +129,23 @@ def _buffer(workspace: dict | None, name: str, shape: tuple, dtype=float) -> np.
     return buffer[:size].reshape(shape)
 
 
-def _gather(workspace: dict | None, name: str, values: np.ndarray, at) -> np.ndarray:
-    """values[at] along the first axis (at a slice or an index array)."""
-    if isinstance(at, slice):
-        return values[at]
-    out = _buffer(workspace, name, (len(at), *values.shape[1:]), values.dtype)
-    # The default mode="raise" would fill a temporary and copy it to out;
-    # the indices are checked already.
-    return np.take(values, at, axis=0, out=out, mode="clip")
-
-
 @dataclass(frozen=True)
 class _RowInvariants:
     """The split-invariant arrays of R stacked rows, each (R, M, K): the
-    signal S0, cross power X0, private power P0 and common-stream gains
-    c0 (None when no set has a common stream); and g^2, (1, M, K) for
-    one row and (R, 1, K) for several. one_row says R = 1, where the
-    sets broadcast against the arrays instead of gathering them."""
+    signal S0, cross power X0, private power P0, common-stream gains c0
+    (None when no set has a common stream) and g^2, tiled over the M
+    realizations: numpy's inner loop then runs over M K values instead
+    of K."""
 
     signal: np.ndarray
     cross: np.ndarray
     private_power: np.ndarray
     common_gain: np.ndarray | None
     gain2: np.ndarray
-    one_row: bool
 
 
 def _row_invariants(
-    geometries: Sequence[Geometry], rows: np.ndarray, with_common: bool,
-    workspace: dict | None = None,
+    geometries: Sequence[Geometry], rows: np.ndarray, with_common: bool, workspace: dict
 ) -> _RowInvariants:
     """_RowInvariants of the (R, M K, N) rows h_est + E, row r on the
     geometry record geometries[r]. With G0 = (h_est + E) @ unit_private
@@ -166,25 +154,19 @@ def _row_invariants(
     direction d, read only with_common. Each row's records are stacked,
     and a stacked matmul makes the BLAS calls of one product per row, so
     a row gets the bits of a call on its record alone. The arrays are
-    workspace buffers (see stacked_sum_rate_table) if one is given."""
-    n_rows = len(rows)
+    workspace buffers (see stacked_sum_rate_table)."""
     n_users = len(geometries[0].rx_gain)
-    n_draws = rows.shape[1] // n_users
-    one_row = n_rows == 1
-    if one_row:
-        unit_private, rx_gain = geometries[0].unit_private, geometries[0].rx_gain
-    else:
-        unit_private = np.stack([g.unit_private for g in geometries])
-        rx_gain = np.stack([g.rx_gain for g in geometries])[:, np.newaxis, :]
-    per_row = (n_rows, n_draws, n_users)
+    per_row = (len(rows), rows.shape[1] // n_users, n_users)
+    unit_private = np.stack([g.unit_private for g in geometries])
+    rx_gain = np.stack([g.rx_gain for g in geometries])[:, np.newaxis, :]
     # A zero denominator or an overflow (an error variance near the
     # float range) ends in a non-finite SINR, which _cap reports. The
     # squares and sums run in place: x * x is x**2 bit for bit.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gain2 = rx_gain**2
+        gain2 = np.square(rx_gain, out=_buffer(workspace, "gain2", per_row))
         gains0 = np.matmul(
             rows, unit_private, out=_buffer(workspace, "gains", (*rows.shape[:2], n_users), complex)
-        ).reshape(-1, n_draws, n_users, n_users)
+        ).reshape(*per_row, n_users)
         own0 = np.diagonal(gains0, axis1=2, axis2=3)
         # Summed in user order, like the table's totals: np.sum's order
         # for K <= 7 (from 8 users on it sums pairwise).
@@ -206,85 +188,21 @@ def _row_invariants(
         signal0 *= signal0
         common0 = None
         if with_common:
-            if one_row:
-                direction = geometries[0].direction[:, np.newaxis]
-            else:
-                direction = np.stack([g.direction for g in geometries])[:, :, np.newaxis]
+            direction = np.stack([g.direction for g in geometries])[:, :, np.newaxis]
             gains = np.matmul(rows, direction, out=_buffer(
                 workspace, "gains", (*rows.shape[:2], 1), complex
             )).reshape(per_row)
             common0 = np.abs(gains, out=_buffer(workspace, "common_gain", per_row))
             common0 *= common0
-    if one_row:
-        # As an (M, K) tile, not a (K,) row: numpy's inner loop then runs
-        # over M K values instead of K. Several rows' stay (R, 1, K): a
-        # gathered (S, M, K) tile costs more than the short inner loop.
-        gain2 = np.tile(gain2, (1, n_draws, 1))
-    return _RowInvariants(signal0, cross0, power0, common0, gain2, one_row)
+    return _RowInvariants(signal0, cross0, power0, common0, gain2)
 
 
 def _set_sinrs(
-    rows: _RowInvariants, beta: np.ndarray, power: np.ndarray, ensembles: np.ndarray,
-    sigma_n2: float, workspace: dict | None = None,
+    rows: _RowInvariants, at: slice, beta: np.ndarray, power: np.ndarray, sigma_n2: float,
+    workspace: dict,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
-    """Capped SINRs of the sets beta, power over the rows' invariants,
-    set s over row ensembles[s]: (private (S, M, K), the indices of the
-    sets with a common stream, their common SINRs (len(indices), M, K)
-    or None, whether each set's SINRs saturated (S,)). The SINRs are
-    workspace buffers if one is given."""
-    # np.float_power calls the C library's pow, as Python's beta**2 does;
-    # np.square (beta * beta) differs in the last bit for about 1 beta in 1,000.
-    beta2 = np.float_power(beta, 2)[:, np.newaxis, np.newaxis]
-    common_at = np.flatnonzero(power > 0)
-    at = slice(None) if rows.one_row else ensembles
-    per_set = (len(beta), *rows.cross.shape[1:])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # In the per-split formula's order, which keeps its bits; S0 /
-        # (g^2 (X0 + sigma^2 / beta^2)) rounds, and overflows, otherwise.
-        private = np.multiply(
-            beta2, _gather(workspace, "gathered", rows.cross, at),
-            out=_buffer(workspace, "private", per_set),
-        )
-        private += sigma_n2
-        private *= rows.gain2[at]
-        # The numerators reuse the gathered rows' buffer in place.
-        numerator = np.multiply(
-            beta2, _gather(workspace, "gathered", rows.signal, at),
-            out=_buffer(workspace, "gathered", per_set),
-        )
-        np.divide(numerator, private, out=private)
-        common = None
-        if len(common_at):
-            power = power[common_at, np.newaxis, np.newaxis]
-            common_rows = at if rows.one_row else ensembles[common_at]
-            per_common = (len(common_at), *per_set[1:])
-            common = np.multiply(
-                beta2[common_at], _gather(workspace, "gathered", rows.private_power, common_rows),
-                out=_buffer(workspace, "common", per_common),
-            )
-            common += sigma_n2
-            numerator = np.multiply(
-                power, _gather(workspace, "gathered", rows.common_gain, common_rows),
-                out=_buffer(workspace, "gathered", per_common),
-            )
-            np.divide(numerator, common, out=common)
-
-    private, saturated = _cap(private)
-    if common is not None:
-        common, sat_c = _cap(common)
-        saturated[common_at] |= sat_c
-    return private, common_at, common, saturated
-
-
-def _batch_sinr(
-    geometries: Sequence[Geometry], beta: np.ndarray, power: np.ndarray,
-    rows: np.ndarray, ensembles, sigma_n2: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
-    """Closed-form SINRs of S builds, set s with private scale beta[s]
-    and common power power[s] along its record's direction d, over the
-    (M >= 1) error realizations rows[ensembles[s]] of the (R, M K, N)
-    stack of h_est + E, row r on the geometry record geometries[r];
-    all-zero errors give the perfect-CSIT values.
+    """Capped closed-form SINRs of the (R, T) sets beta, power over the
+    R rows at of the invariants rows, set (r, t) over row at[r].
 
     One formula serves all eight schemes. With G = beta (h_est + E) @
     unit_private and g = rx_gain, the private SINR is |g^2 G_kk +
@@ -292,20 +210,54 @@ def _batch_sinr(
     linear SINR for g = 1 (zf, cthp), and for dthp and zf-dpc the
     published |1 + g^2 A_kk|^2 / (g^2 (cross + sigma^2 / beta^2)) with
     A = G / beta - diag(1 / g). The common stream, sent along d at power
-    P, treats the whole private signal, sum_j |G_kj|^2, as interference;
-    a set at P = 0 (split 0) has no common term at all, not a zero
-    one. Only the scalars beta and P differ between the sets of a row,
-    so each row's split-invariant arrays (_row_invariants) are formed
-    once: set s's private SINR is beta^2 S0 / (g^2 (beta^2 X0 +
-    sigma^2)) and its common SINR P c0 / (beta^2 P0 + sigma^2). One row
-    broadcasts against the sets; several are gathered per set, and each
-    set gets the bits of rating it alone.
-    Returns capped (private (S, M, K), the indices of the sets with a
-    common stream, their common SINRs (len(indices), M, K) or None,
-    whether each set's SINRs saturated (S,)).
+    P, treats the whole private signal, sum_j |G_kj|^2, as interference.
+    Only the scalars beta and P differ between the sets of a row, so
+    each row's split-invariant arrays (_row_invariants) are formed once:
+    set (r, t)'s private SINR is beta^2 S0 / (g^2 (beta^2 X0 + sigma^2))
+    and its common SINR P c0 / (beta^2 P0 + sigma^2). The sets broadcast
+    against their rows, and each gets the bits of rating it alone.
+
+    Returns (private (R, T, M, K), the columns with P > 0 on some row,
+    their common SINRs (R, len(columns), M, K) or None, whether each
+    set's SINRs saturated (R, T)). A set at P = 0 in such a column has
+    the common SINR 0 exactly. The SINRs are workspace buffers.
     """
-    invariants = _row_invariants(geometries, rows, bool(np.any(power > 0)))
-    return _set_sinrs(invariants, beta, power, np.asarray(ensembles), sigma_n2)
+    # np.float_power calls the C library's pow, as Python's beta**2 does;
+    # np.square (beta * beta) differs in the last bit for about 1 beta in 1,000.
+    beta2 = np.float_power(beta, 2)[:, :, np.newaxis, np.newaxis]
+    common_at = np.flatnonzero((power > 0).any(axis=0))
+    per_set = (*beta.shape, *rows.cross.shape[1:])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # In the per-split formula's order, which keeps its bits; S0 /
+        # (g^2 (X0 + sigma^2 / beta^2)) rounds, and overflows, otherwise.
+        private = np.multiply(
+            beta2, rows.cross[at, np.newaxis], out=_buffer(workspace, "private", per_set)
+        )
+        private += sigma_n2
+        private *= rows.gain2[at, np.newaxis]
+        numerator = np.multiply(
+            beta2, rows.signal[at, np.newaxis], out=_buffer(workspace, "numerator", per_set)
+        )
+        np.divide(numerator, private, out=private)
+        common = None
+        if len(common_at):
+            per_common = (len(beta), len(common_at), *per_set[2:])
+            common = np.multiply(
+                beta2[:, common_at], rows.private_power[at, np.newaxis],
+                out=_buffer(workspace, "common", per_common),
+            )
+            common += sigma_n2
+            numerator = np.multiply(
+                power[:, common_at, np.newaxis, np.newaxis], rows.common_gain[at, np.newaxis],
+                out=_buffer(workspace, "numerator", per_common),
+            )
+            np.divide(numerator, common, out=common)
+
+    private, saturated = _cap(private, 2)
+    if common is not None:
+        common, sat_c = _cap(common, 2)
+        saturated[:, common_at] |= sat_c
+    return private, common_at, common, saturated
 
 
 def sinr_imperfect_csit(
@@ -316,14 +268,20 @@ def sinr_imperfect_csit(
     error_realization is the (K, N) estimation error; zero rows recover
     the perfect-CSIT values exactly (same code path).
     """
-    rows = _stacked_rows(precoders, np.asarray(error_realization)[np.newaxis])
-    private, _, common, saturated = _batch_sinr(*_kernel_args(precoders), rows, [0], sigma_n2)
+    geometries, beta, power, rows = _kernel_args(
+        precoders, np.asarray(error_realization)[np.newaxis]
+    )
+    workspace = {}
+    invariants = _row_invariants(geometries, rows, precoders.common_power > 0, workspace)
+    private, _, common, saturated = _set_sinrs(
+        invariants, slice(None), beta, power, sigma_n2, workspace
+    )
     return SinrReport(
         scheme_tag=precoders.scheme.tag,
         csit="perfect" if not np.any(error_realization) else "imperfect",
-        private=private[0, 0],
-        common=None if common is None else common[0, 0],
-        saturated=bool(saturated[0]),
+        private=private[0, 0, 0],
+        common=None if common is None else common[0, 0, 0],
+        saturated=bool(saturated[0, 0]),
     )
 
 
@@ -356,92 +314,103 @@ def rates_from_sinr(report: SinrReport) -> RateReport:
 
 
 def stacked_sum_rate_table(
-    geometries: Sequence[Geometry], beta, power, rows: np.ndarray, ensembles, sigma_n2: float,
+    geometries: Sequence[Geometry], beta, power, rows: np.ndarray, sigma_n2: float,
     max_sets: int | None = None, mean: bool = False, workspace: dict | None = None,
 ) -> np.ndarray:
-    """(S, M) per-realization sum rates of S builds from one kernel call,
-    or with mean each set's average over its M realizations, (S,).
-    rows (R, M K, N) stacks R realizations h_est + E, not the errors E,
-    which no shape check can tell apart; row r lies on the geometry
-    record geometries[r] (zf, cthp, or dthp with zf-dpc) of its channel,
-    so one call may rate many channels. Set s is the scalars beta[s] and
-    P = power[s], rated over row ensembles[s], each realization on its
-    own (common stream at its worst user); it has a common term, along
-    its record's direction d, only if its build has one (P > 0), so a
-    rate-splitting build at split 0 gets its base scheme's bits, with no
-    zero-weighted common rate. Each row's split-invariant arrays are
-    formed once, and the sets are rated in runs of at most max_sets
-    (all at once if None); row s is bit-identical to sum_rate_samples of
-    its build over its ensemble, however the sets are stacked or cut.
-    Averages are reduced run by run, so they never hold the S M table of
-    a large ensemble at once; they have np.mean's bits. workspace is a
-    dict that the caller keeps from call to call: the kernel keeps its
-    large temporaries there and reuses them, instead of allocating them
-    anew (glibc hands a freed heap back to the OS, and every call would
-    fault its pages in again).
+    """(R, T, M) per-realization sum rates of R T builds from one kernel
+    call, or with mean each set's average over its M realizations,
+    (R, T). rows (R, M K, N) stacks R realizations h_est + E, not the
+    errors E, which no shape check can tell apart; row r lies on the
+    geometry record geometries[r] (zf, cthp, or dthp with zf-dpc) of its
+    channel, so one call may rate many channels. Set (r, t) is the
+    scalars beta[r, t] and P = power[r, t], rated over row r, each
+    realization on its own (common stream at its worst user); it has a
+    common term, along its record's direction d, only if its build has
+    one (P > 0), so a rate-splitting build at split 0 gets its base
+    scheme's bits, with no zero-weighted common rate (a set at P = 0
+    beside sets at P > 0 adds the rate log2(1 + 0) = +0.0). Each row's
+    split-invariant arrays are formed once, and the sets are rated in
+    runs of at most max_sets (all at once if None): whole rows, or equal
+    parts of one row that holds more. Set (r, t) is bit-identical to
+    sum_rate_samples of its build over its ensemble, however the sets
+    are stacked or cut. Averages are reduced run by run, so they never
+    hold the table of a large ensemble at once; they have np.mean's
+    bits. workspace is a dict that the caller keeps from call to call:
+    the kernel keeps its large temporaries there and reuses them,
+    instead of allocating them anew (glibc hands a freed heap back to
+    the OS, and every call would fault its pages in again).
 
     Raises:
         EmptyGridError: no sets.
         DimensionMismatchError: geometries does not give each row one
-            record, or beta, power and ensembles do not give each set one
-            scalar each and one index in [0, R).
+            record, or beta and power are not both (R, T).
         SaturatedSinrError: an SINR of any set reached SINR_CAP or was
             not finite, so the capped rate would be averaged in as if it
-            were real. Its set_index is the first such set's.
+            were real. Raised once every run is rated; its saturated is
+            the (R, T) mask of the saturated sets.
     """
     beta, power = np.asarray(beta, dtype=float), np.asarray(power, dtype=float)
     if not beta.size:
         raise EmptyGridError("no precoder sets to rate")
-    ensembles = np.asarray(ensembles)
-    one_each = ensembles.dtype.kind in "iu" and ensembles.shape == beta.shape == power.shape
-    if not (one_each and beta.ndim == 1 and 0 <= ensembles.min() and ensembles.max() < len(rows)):
+    if not (beta.ndim == 2 and beta.shape == power.shape and len(beta) == len(rows)):
         raise DimensionMismatchError(
-            f"beta {beta.shape}, power {power.shape} and ensembles {ensembles.tolist()} must "
-            f"give each of the {beta.size} sets one scalar each and one index in [0, {len(rows)})"
+            f"beta {beta.shape} and power {power.shape} must both be (R, T) with "
+            f"R = {len(rows)}: T sets on each row"
         )
     if len(geometries) != len(rows):
         raise DimensionMismatchError(
             f"{len(geometries)} geometry records for {len(rows)} rows; each row needs one"
         )
+    workspace = {} if workspace is None else workspace
     invariants = _row_invariants(geometries, rows, bool(np.any(power > 0)), workspace)
-    n_sets = len(beta)
-    # Runs of equal length: no more runs, and no larger arrays, than needed.
-    n_runs = math.ceil(n_sets / (max_sets or n_sets))
-    step = math.ceil(n_sets / n_runs)
+    n_rows, n_sets = beta.shape
+    max_sets = max_sets or beta.size
+    # Runs of equal size: no more runs, and no larger arrays, than needed.
+    row_step = _equal_step(n_rows, max(1, max_sets // n_sets))
+    set_step = _equal_step(n_sets, max_sets)
     n_draws = rows.shape[1] // len(geometries[0].rx_gain)
-    table = np.empty(n_sets if mean else (n_sets, n_draws))
-    for start in range(0, n_sets, step):
-        part = slice(start, start + step)
-        private, common_at, common, saturated = _set_sinrs(
-            invariants, beta[part], power[part], ensembles[part], sigma_n2, workspace
-        )
-        if saturated.any():
-            raise _saturation("an SINR", start + int(np.argmax(saturated)))
-        # The per-user reductions run over the K user slices: numpy's
-        # per-row reduction overhead over a short last axis costs more
-        # than the SINRs. The sum adds in user order, which is np.sum's
-        # order for K <= 7 (from 8 users on it sums pairwise, a rounding
-        # apart).
-        private += 1.0
-        rates = np.log2(private, out=private)
-        totals = rates[:, :, 0].copy()
-        for k in range(1, rates.shape[2]):
-            totals += rates[:, :, k]
-        if common is not None:
-            totals[common_at] += _worst_user_rate(common)
-        # np.mean's own sum and division, without its per-call overhead.
-        table[part] = totals.sum(axis=1) / n_draws if mean else totals
+    table = np.empty(beta.shape if mean else (*beta.shape, n_draws))
+    saturated = np.empty(beta.shape, dtype=bool)
+    for r in range(0, n_rows, row_step):
+        for t in range(0, n_sets, set_step):
+            part = np.s_[r:r + row_step, t:t + set_step]
+            private, common_at, common, saturated[part] = _set_sinrs(
+                invariants, part[0], beta[part], power[part], sigma_n2, workspace
+            )
+            # The per-user reductions run over the K user slices: numpy's
+            # per-row reduction overhead over a short last axis costs more
+            # than the SINRs. The sum adds in user order, which is np.sum's
+            # order for K <= 7 (from 8 users on it sums pairwise, a rounding
+            # apart).
+            private += 1.0
+            rates = np.log2(private, out=private)
+            totals = rates[..., 0].copy()
+            for k in range(1, rates.shape[-1]):
+                totals += rates[..., k]
+            if common is not None:
+                totals[:, common_at] += _worst_user_rate(common)
+            # np.mean's own sum and division, without its per-call overhead.
+            table[part] = totals.sum(axis=-1) / n_draws if mean else totals
+    if saturated.any():
+        raise _saturation("an SINR", saturated)
     return table
 
 
+def _equal_step(n: int, most: int) -> int:
+    """The length of each of the fewest equal runs, of at most most
+    items, that cover n items."""
+    return math.ceil(n / math.ceil(n / most))
+
+
 def _worst_user_rate(common: np.ndarray) -> np.ndarray:
-    """(S, M) common rates log2(1 + min_k c_k) of (S, M, K) common SINRs.
-    1 + x and log2 are monotone, so this has the bits of the least user
-    rate min_k log2(1 + c_k), for one logarithm per realization instead
-    of K. The minimum runs over the user slices, like the sums above."""
-    worst = common[:, :, 0].copy()
-    for k in range(1, common.shape[2]):
-        np.minimum(worst, common[:, :, k], out=worst)
+    """(..., M) common rates log2(1 + min_k c_k) of (..., M, K) common
+    SINRs. 1 + x and log2 are monotone, so this has the bits of the
+    least user rate min_k log2(1 + c_k), for one logarithm per
+    realization instead of K. The minimum runs over the user slices,
+    like the sums above."""
+    worst = common[..., 0].copy()
+    for k in range(1, common.shape[-1]):
+        np.minimum(worst, common[..., k], out=worst)
     worst += 1.0
     return np.log2(worst, out=worst)
 
@@ -460,9 +429,8 @@ def sum_rate_samples(
         SaturatedSinrError: an SINR reached SINR_CAP or was not finite,
             so the capped rate would be averaged in as if it were real.
     """
-    rows = _stacked_rows(precoders, errors)
     try:
-        return stacked_sum_rate_table(*_kernel_args(precoders), rows, [0], sigma_n2)[0]
+        return stacked_sum_rate_table(*_kernel_args(precoders, errors), sigma_n2)[0, 0]
     except SaturatedSinrError as exc:
         raise SaturatedSinrError(f"{precoders.scheme.tag}: {exc}") from None
 

@@ -30,11 +30,14 @@ two scalars and a reference to its record. A block keeps its channels'
 records, and each reads its direction right after its channel's builds.
 The eight schemes share three geometry records (zf, cthp, and dthp with
 zf-dpc: SchemeTag.record); the cells that share one are rated on every
-channel of a block in one kernel call (rates.stacked_sum_rate_table):
-one record per stacked row h_est + E, and the beta and P of every split
-of every such cell on every channel, at every error variance. Each
-split gets the bits of optimize_power_split, the reference search that
-rates one cell split by split.
+channel of a block in one kernel call (rates.stacked_sum_rate_table).
+A channel's rows are its slots: one per x point, or a single one when
+every cell has the same error variance. Each row h_est + E is one
+channel at one slot, on that channel's record, and holds the beta and
+P of every split of the slot's cells, so every row holds the same
+schemes and beta and P are (rows, sets) arrays. Each split gets the
+bits of optimize_power_split, the reference search that rates one cell
+split by split.
 SweepConfig.validate rejects a config whose estimated working set
 exceeds MEMORY_BUDGET_BYTES (512 MiB).
 """
@@ -85,7 +88,7 @@ _RESULT_BYTES = 2 * (8 + 8 + 32)
 _ROW_BYTES = 128 + 8
 
 # Values one run of a kernel call rates (sets x M x K) and complex values one
-# block of channels and variances stacks, unless one split search or ensemble is
+# block of channels and slots stacks, unless one split search or ensemble is
 # larger: 256 KiB float64 blocks. On a 2-core x86 host (BLAS on 1 thread) the
 # default fixed-error sweep took 0.61 s at 2**15 against 0.67 s at 2**14 and
 # 0.71 s at 2**16 (medians of 6 alternating runs). At 100 draws and 4 users a
@@ -94,7 +97,8 @@ _BLOCK_VALUES = 2**15
 
 # Bytes the kernel holds per value of a run beyond G0 and its per-user
 # sums, its workspace buffers included; tracemalloc measured at most
-# 48 B (rate-splitting sets, K = 1, M = 1,000, two rows).
+# 48 B (rate-splitting sets, K = 1, M = 1,000, 2 or 6 rows of 10 or 30
+# sets; 30 B at K = 4).
 _KERNEL_BYTES = 48
 
 # Bytes _rate_channels keeps per build of a block (its beta and P, as
@@ -330,7 +334,7 @@ def _working_set_bytes(config: SweepConfig, n_channels: int) -> int:
     """Estimated peak bytes of one process that rates every cell of
     config on n_channels channels: the arrays of one block of channels
     (matrix_bytes, from the cells' plans and _block_plan: their builds,
-    largest grid and distinct error variances) and the bookkeeping of its
+    largest grid and slots) and the bookkeeping of its
     cells (_CELL_BYTES for each cell on each channel of the block), plus
     _RESULT_BYTES for each (cell, channel) and _ROW_BYTES for each
     channel. Under perfect CSIT nothing is drawn and M is the one
@@ -340,7 +344,7 @@ def _working_set_bytes(config: SweepConfig, n_channels: int) -> int:
     grids = [grid for _, _, _, grid, _ in cells]
     matrices = matrix_bytes(
         config.n_users, config.n_tx, plan.m, max(map(len, grids)),
-        plan.variances != (None,), sum(map(len, grids)), len(plan.variances), plan.channels,
+        plan.slots != (None,), sum(map(len, grids)), len(plan.slots), plan.channels,
     )
     n_cells = len(cells)
     return (
@@ -357,32 +361,34 @@ def _kernel_block_values(t: int, m: int, k: int) -> int:
     return max(t * m * k, _BLOCK_VALUES)
 
 
-def _variance_block(m: int, k: int, n: int) -> int:
-    """Variances one channel stacks at a time: as many as _BLOCK_VALUES
+def _slot_block(m: int, k: int, n: int) -> int:
+    """Slots one channel stacks at a time: as many as _BLOCK_VALUES
     complex values hold, at least 1."""
     return max(1, _BLOCK_VALUES // (m * k * n))
 
 
 def matrix_bytes(
-    k: int, n: int, m: int, t: int, drawn: bool, n_builds: int, n_variances: int = 1,
+    k: int, n: int, m: int, t: int, drawn: bool, n_builds: int, n_slots: int = 1,
     n_channels: int = 1,
 ) -> int:
     """Estimated peak bytes of the arrays that rating every cell on a
     block of n_channels (K, N) channels holds, with M error
     realizations, at most T splits per cell, n_builds builds per channel
-    and n_variances error variances.
+    and n_slots slots (_BlockPlan) per channel.
 
     In complex128 values: one channel's cached unit error ensemble, one
     variance's scaled copy (2 M K N, when drawn) and numpy's buffer for
     adding h_est to that copy (np.getbufsize() values, or M K N if
     fewer), where the peak comes; each channel's precoder geometry
-    (under 10 K N); one variance block's stacked realizations (V M K N
-    per channel) and their gains G0 with per-user sums (V M K (K + 4));
+    (under 10 K N); one slot block's stacked realizations (V M K N per
+    channel) and their gains G0 with per-user sums and the g^2 tile
+    (V M K (K + 4); tracemalloc measured 56 B a row value beyond G0, K =
+    1 to 4, M = 1,000);
     _BUILD_BYTES per build; and _KERNEL_BYTES per value of one kernel
     run, which holds at most _kernel_block_values values and at most
     every build's.
     """
-    n_rows = n_channels * min(n_variances, _variance_block(m, k, n))
+    n_rows = n_channels * min(n_slots, _slot_block(m, k, n))
     ensemble = m * k * n if drawn else 0
     add_buffer = min(ensemble, np.getbufsize())
     complex_values = (
@@ -484,48 +490,60 @@ def _sweep_cells(config: SweepConfig) -> list[tuple]:
 @dataclass(frozen=True)
 class _BlockPlan:
     """How _rate_channels stacks a sweep's cells: M realizations per
-    error variance (1 under perfect CSIT), the distinct variances in
-    order (None is perfect CSIT), each geometry record's cell indices in
-    output order (by SchemeTag.record), the records whose sets have a
-    common stream, the channels of one block, the variances each channel
-    stacks at a time (_variance_block) and the sets of one kernel run
-    (max_sets)."""
+    slot (1 under perfect CSIT); the error variance of each slot of a
+    channel (None is perfect CSIT), a slot being one x point, or all of
+    them when every cell has the same variance; each geometry record's
+    cells (by SchemeTag.record) as a (slots, cells per slot) array of
+    cell indices, each slot's in output order; the records whose sets
+    have a common stream; the channels of one block, the slots each
+    channel stacks at a time (_slot_block) and the sets of one kernel
+    run (max_sets)."""
 
     m: int
-    variances: tuple[float | None, ...]
-    records: dict[str, list[int]]
+    slots: tuple[float | None, ...]
+    records: dict[str, np.ndarray]
     common_records: tuple[str, ...]
     channels: int
-    stacked_variances: int
+    stacked_slots: int
     max_sets: int
 
 
 def _block_plan(config: SweepConfig, cells: list[tuple]) -> _BlockPlan:
-    """The _BlockPlan of config's cells. A block holds as many
+    """The _BlockPlan of config's cells. Every scheme has a cell at every
+    x point, so each slot holds the same schemes, and a record's sets
+    are the same on every row of a kernel call. A block holds as many
     consecutive channels as keep one record's sets x M x K within
     _kernel_block_values and the block's stacked h_est + E within
     _BLOCK_VALUES complex values: at least 1, at most n_channels, and
     never more for more workers."""
     n_users, n_tx = config.n_users, config.n_tx
-    _, _, _, grids, variances = zip(*cells)
-    distinct = tuple(dict.fromkeys(variances))
-    m = 1 if distinct == (None,) else config.n_error_samples
-    records = {}
+    _, x_values, _, grids, variances = zip(*cells)
+    shared = len(set(variances)) == 1
+    keys = [None if shared else x for x in x_values]  # each cell's slot
+    slot_of = {key: slot for slot, key in enumerate(dict.fromkeys(keys))}
+    slots = tuple(dict(zip(keys, variances)).values())
+    members = {}
     for index, (scheme, *_) in enumerate(cells):
-        records.setdefault(scheme.record, []).append(index)
+        by_slot = members.setdefault(scheme.record, [[] for _ in slots])
+        by_slot[slot_of[keys[index]]].append(index)
+    m = 1 if slots == (None,) else config.n_error_samples
     kernel_values = _kernel_block_values(max(map(len, grids)), m, n_users)
-    most_sets = max(sum(len(grids[i]) for i in members) for members in records.values())
+    most_sets = max(
+        sum(len(grids[i]) for slot in by_slot for i in slot) for by_slot in members.values()
+    )
     channels = min(
         kernel_values // (most_sets * m * n_users),
-        _BLOCK_VALUES // (len(distinct) * m * n_users * n_tx),
+        _BLOCK_VALUES // (len(slots) * m * n_users * n_tx),
         config.n_channels,
     )
     common = tuple(
-        record for record, members in records.items() if any(grids[i][-1] > 0 for i in members)
+        record for record, by_slot in members.items()
+        if any(grids[i][-1] > 0 for i in by_slot[0])
     )
-    stacked = min(len(distinct), _variance_block(m, n_users, n_tx))
     return _BlockPlan(
-        m, distinct, records, common, max(1, channels), stacked, kernel_values // (m * n_users)
+        m, slots, {record: np.array(by_slot) for record, by_slot in members.items()}, common,
+        max(1, channels), min(len(slots), _slot_block(m, n_users, n_tx)),
+        kernel_values // (m * n_users),
     )
 
 
@@ -541,13 +559,14 @@ def _rate_channels(
     consecutive channels (_block_plan). Every build of a block is made
     first, channel by channel, and only its beta and P are kept, with
     its channel's geometry records. The realizations h_est + E of each
-    channel and error variance (its rescaled unit draws; one all-zero
-    realization under perfect CSIT) are stacked, in blocks of at most
-    _variance_block variances if one channel's exceed _BLOCK_VALUES
+    channel's slots (its unit draws rescaled to the slot's variance; one
+    all-zero realization under perfect CSIT) are stacked, in blocks of
+    at most _slot_block slots if one channel's exceed _BLOCK_VALUES
     complex values. The cells that share a geometry record (zf with
     rs-linear, cthp with cthp-rs, dthp with zf-dpc and their RS schemes)
     on every channel of the block are rated in one
-    stacked_sum_rate_table call per variance block.
+    stacked_sum_rate_table call per slot block: row (channel, slot)
+    holds the splits of the slot's cells.
 
     A build's error on channel c stops the block's builds; the channels
     below c are rated, and raise first if one saturates. A
@@ -563,7 +582,7 @@ def _rate_channels(
     # per block would hand its pages back to the OS and fault them in
     # again.
     stack = np.empty(
-        (plan.channels * plan.stacked_variances, plan.m * config.n_users, config.n_tx),
+        (plan.channels * plan.stacked_slots, plan.m * config.n_users, config.n_tx),
         dtype=complex,
     )
     workspace = {}  # the kernel's temporaries, kept from call to call
@@ -624,52 +643,53 @@ def _rate_block(
     """(the rows of the channels of block from their _build_channel
     tuples built, None), or ([], (channel, SaturatedSinrError)) of the
     lowest saturated channel's first saturated cell in output order.
-    stack holds the realizations of each variance block in turn."""
+    stack holds the realizations of each block of slots in turn."""
     n_users, n_tx, m = config.n_users, config.n_tx, plan.m
-    _, _, _, grids, variances = zip(*cells)
+    _, _, _, grids, _ = zip(*cells)
     offsets = np.cumsum([0, *map(len, grids)])  # each cell's first build
-    splits = np.array([t for grid in grids for t in grid])
     h_ests, records_of, betas, powers = zip(*built)
     betas, powers = np.array(betas), np.array(powers)  # (channels, builds)
     out = np.empty((len(built), 2, len(cells)))
     failed = None  # (block position, cell index, message) of the first saturated cell
-    step = plan.stacked_variances
-    for start in range(0, len(plan.variances), step):
-        position = {s2: v for v, s2 in enumerate(plan.variances[start:start + step])}
-        n_rows = len(position)
+    step = plan.stacked_slots
+    for start in range(0, len(plan.slots), step):
+        variances = plan.slots[start:start + step]
+        n_rows = len(variances)
         rows = stack[:len(built) * n_rows]
         for b, (channel_index, h_est) in enumerate(zip(block, h_ests)):
-            for variance, v in position.items():
+            for v, variance in enumerate(variances):
                 errors = 0.0 if variance is None else draw_error_ensemble(
                     n_users, n_tx, variance, m, config.master_seed, channel_index
                 )
                 np.add(h_est, errors, out=rows[b * n_rows + v].reshape(m, n_users, n_tx))
         for record, members in plan.records.items():
-            members = [i for i in members if variances[i] in position]
-            if not members:
-                continue
-            # Set (b, i, t): channel b of the block, cell i, split t; index
-            # holds each set's build among its channel's builds.
-            lengths = [len(grids[i]) for i in members]
+            members = members[start:start + step]
+            # Row (b, v) is channel b of the block at slot v, and its sets
+            # the splits of the slot's cells in turn; index holds each
+            # set's build among its channel's builds.
+            lengths = [len(grids[i]) for i in members[0]]
             ends = np.cumsum(lengths)
-            index = np.arange(ends[-1]) + np.repeat(offsets[members] - ends + lengths, lengths)
-            pattern = np.repeat([position[variances[i]] for i in members], lengths)
-            ensembles = (np.arange(len(built))[:, np.newaxis] * n_rows + pattern).ravel()
-            geometries = [records[record] for records in records_of for _ in range(n_rows)]
+            index = np.arange(ends[-1]) + np.repeat(offsets[members] - ends + lengths, lengths, axis=1)
+            geometries = [records[record] for records in records_of for _ in variances]
             try:
                 means = stacked_sum_rate_table(
-                    geometries, betas[:, index].ravel(), powers[:, index].ravel(), rows,
-                    ensembles, SIGMA_N2, plan.max_sets, mean=True, workspace=workspace,
+                    geometries, betas[:, index].reshape(-1, ends[-1]),
+                    powers[:, index].reshape(-1, ends[-1]), rows, SIGMA_N2, plan.max_sets,
+                    mean=True, workspace=workspace,
                 )
             except SaturatedSinrError as exc:
-                b, k = divmod(exc.set_index, len(index))
-                i = members[np.searchsorted(ends, k, side="right")]
-                if failed is None or (b, i) < failed[:2]:
-                    failed = (b, i, f"{cells[i][0].tag}: {exc}")
+                # Cells go by scheme, then by x point, so the first failing
+                # cell may sit on a later slot than another failing set.
+                b, v, t = np.nonzero(exc.saturated.reshape(len(built), n_rows, -1))
+                cell = members[v, np.searchsorted(ends, t, side="right")]
+                first = min(zip(b.tolist(), cell.tolist()))
+                if failed is None or first < failed[:2]:
+                    failed = (*first, f"{cells[first[1]][0].tag}: {exc}")
                 continue
-            first, best = _best_splits(means.reshape(len(built), -1), lengths)
-            out[:, 0, members] = splits[index[first]]
-            out[:, 1, members] = best
+            first, best = _best_splits(means, lengths)
+            splits = np.concatenate([grids[i] for i in members[0]])
+            out[:, 0, members] = splits[first].reshape(len(built), n_rows, -1)
+            out[:, 1, members] = best.reshape(len(built), n_rows, -1)
     if failed is None:
         return list(out), None
     b, i, message = failed

@@ -34,11 +34,11 @@ def split_reference(ps, errors, sigma_n2):
 
 def kernel_args(builds, n_rows=1):
     """stacked_sum_rate_table's geometries, beta and power for builds on
-    one channel's geometry record, over n_rows rows of that channel, as
-    the sweep gathers them."""
+    one channel's geometry record, the same T sets on each of n_rows
+    rows of that channel, as the sweep stacks them: (n_rows, T) arrays."""
     assert all(ps.geometry is builds[0].geometry for ps in builds)
     return (
         [builds[0].geometry] * n_rows,
-        np.array([ps.beta for ps in builds]),
-        np.array([ps.common_power for ps in builds]),
+        np.array([[ps.beta for ps in builds]] * n_rows),
+        np.array([[ps.common_power for ps in builds]] * n_rows),
     )

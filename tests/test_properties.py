@@ -286,10 +286,18 @@ def test_each_channel_column_is_its_cells_own_split_search(config_channel):
 
 @PROPERTY_SETTINGS
 @given(sweep_channels(), st.floats(0.0, 4.0))
+# Under a cap of 10^0.17, cthp-rs fails at 1 dB and cthp at 9 dB but not
+# at 1 dB: one kernel call rates both on the slots 1 and 9 dB, and flags
+# cthp-rs at 1 dB first, but cthp at 9 dB comes first in output order.
+@example((SweepConfig(schemes=(SchemeTag("cthp"), SchemeTag("cthp", rs=True)), n_users=2,
+                      n_tx=3, snr_grid_db=(1.0, 9.0), error_regime=ErrorRegime.snr_scaled(0.8),
+                      n_channels=1, n_error_samples=2, power_split_grid=(0.0, 0.5),
+                      master_seed=861), 0), 0.17)
 def test_a_saturated_channel_names_its_first_failing_cell(config_channel, log_cap):
     # With a cap of 1 to 1e4 some cells saturate and some do not; the
     # error is the first failing cell's in output order, whichever
-    # block the sweep rates first.
+    # block the sweep rates first and whichever set its kernel call
+    # flags first.
     config, channel_index = config_channel
     cells = _sweep_cells(config)
     with pytest.MonkeyPatch.context() as patch:
@@ -365,58 +373,83 @@ def test_rating_channels_in_pieces_gives_the_rows_of_one_call(case, log_cap):
 
 @st.composite
 def stacked_tables(draw):
-    """dthp and zf-dpc builds (with and without a common stream) at mixed
-    splits and transmit powers on one to three channels (K <= N <= 4),
-    each over one of one to four rows, a row being one channel's error
-    ensemble of 1 to 5 draws; and a run length for the kernel's sets."""
+    """The parameters of one kernel call: one to four rows on one to
+    three channels (K <= N <= 4), each row one channel's error ensemble
+    of 1 to 5 draws; one to eight columns of dthp or zf-dpc sets (with
+    or without a common stream) at a split each, a subnormal one
+    included, at a transmit power per set; and a run length."""
     n_users = draw(st.integers(1, 4))
-    n_tx = draw(st.integers(n_users, 4))
-    seed = draw(st.integers(0, 2**31 - 1))
-    channels = [draw_channel(seed, c, n_users, n_tx) for c in range(draw(st.integers(1, 3)))]
-    n_draws = draw(st.integers(1, 5))
-    ensembles = []  # (channel index, errors) of each row
-    for variance in draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)):
-        c = draw(st.integers(0, len(channels) - 1))
-        ensembles.append((c, draw_error_ensemble(n_users, n_tx, variance, n_draws, seed, c)))
-    sets, owners = [], []
-    for _ in range(draw(st.integers(1, 8))):
-        scheme = SchemeTag(draw(st.sampled_from(("dthp", "zf-dpc"))), rs=draw(st.booleans()))
-        split = draw(st.floats(0.0, 0.95)) if scheme.rs else 0.0
-        e_tr = snr_db_to_power(draw(st.floats(-10.0, 30.0)))
-        owners.append(draw(st.integers(0, len(ensembles) - 1)))
-        h_est = channels[ensembles[owners[-1]][0]]
-        sets.append(build_precoders(h_est, scheme, e_tr, 0.75, split))
-    return channels, sets, ensembles, owners, draw(st.sampled_from((None, 1, 2, 3)))
+    n_rows = draw(st.integers(1, 4))
+    n_columns = draw(st.integers(1, 8))
+    columns = []
+    for _ in range(n_columns):
+        base, rs = draw(st.sampled_from(("dthp", "zf-dpc"))), draw(st.booleans())
+        split = draw(st.one_of(st.floats(0.0, 0.95), st.just(5e-324))) if rs else 0.0
+        columns.append((base, rs, split))
+    snrs = st.lists(st.floats(-10.0, 30.0), min_size=n_columns, max_size=n_columns)
+    return dict(
+        n_users=n_users,
+        n_tx=draw(st.integers(n_users, 4)),
+        seed=draw(st.integers(0, 2**31 - 1)),
+        n_channels=draw(st.integers(1, 3)),
+        n_draws=draw(st.integers(1, 5)),
+        rows=[(draw(st.integers(0, 2)), draw(st.floats(0.0, 1.0))) for _ in range(n_rows)],
+        columns=columns,
+        snr_db=[draw(snrs) for _ in range(n_rows)],
+        max_sets=draw(st.sampled_from((None, 1, 2, 3))),
+    )
 
 
 @PROPERTY_SETTINGS
 @given(stacked_tables())
+# A subnormal split's P = t e_tr is > 0 at 0 dB and underflows to 0 at
+# -10 dB, so its column has a common term on one row and none on the
+# other; rs-linear's-style split 0 and a base set sit beside it.
+@example(dict(n_users=2, n_tx=3, seed=5, n_channels=2, n_draws=3, rows=[(0, 0.2), (1, 0.5)],
+              columns=[("dthp", True, 5e-324), ("zf-dpc", False, 0.0), ("dthp", True, 0.0)],
+              snr_db=[[0.0, 0.0, 10.0], [-10.0, 20.0, 5.0]], max_sets=None))
 def test_each_stacked_table_row_is_its_own_sum_rate_samples(case):
     # One kernel call over R stacked rows, of one or several channels,
-    # gives every set the bits of rating it alone over its own
+    # gives every set the bits of rating it alone over its own row's
     # ensemble, in one run of sets or in several, and its average the
-    # bits of np.mean.
-    channels, sets, ensembles, owners, max_sets = case
-    n_tx = channels[0].shape[1]
-    rows = np.stack([(channels[c] + e).reshape(-1, n_tx) for c, e in ensembles])
+    # bits of np.mean. A set at P = 0 has its base scheme's bits, also
+    # in a column where another row's set has a common stream.
+    n_users, n_tx, seed = case["n_users"], case["n_tx"], case["seed"]
+    channels = [draw_channel(seed, c, n_users, n_tx) for c in range(case["n_channels"])]
+    rows, builds, ensembles = [], [], []
+    for (c, variance), snrs in zip(case["rows"], case["snr_db"]):
+        h_est = channels[c % len(channels)]
+        errors = draw_error_ensemble(n_users, n_tx, variance, case["n_draws"], seed, c)
+        ensembles.append(errors)
+        rows.append((h_est + errors).reshape(-1, n_tx))
+        builds.append([
+            build_precoders(h_est, SchemeTag(base, rs=rs), snr_db_to_power(snr_db), 0.75, split)
+            for (base, rs, split), snr_db in zip(case["columns"], snrs)
+        ])
     # Each row's record; a rebuilt channel's record is another object
     # with the same arrays.
-    geometries = [
-        build_precoders(channels[c], SchemeTag("dthp"), 1.0, 0.75).geometry for c, _ in ensembles
-    ]
-    beta = [ps.beta for ps in sets]
-    power = [ps.common_power for ps in sets]
-    table = stacked_sum_rate_table(
-        geometries, beta, power, rows, owners, SIGMA_N2, max_sets=max_sets
-    )
+    geometries = [row[0].geometry for row in builds]
+    beta = [[ps.beta for ps in row] for row in builds]
+    power = [[ps.common_power for ps in row] for row in builds]
+    rows = np.stack(rows)
+    max_sets = case["max_sets"]
+    table = stacked_sum_rate_table(geometries, beta, power, rows, SIGMA_N2, max_sets=max_sets)
     means = stacked_sum_rate_table(
-        geometries, beta, power, rows, owners, SIGMA_N2, max_sets=max_sets, mean=True
+        geometries, beta, power, rows, SIGMA_N2, max_sets=max_sets, mean=True
     )
-    assert table.shape == (len(sets), len(ensembles[0][1]))
-    for row, mean, ps, v in zip(table, means, sets, owners):
-        samples = sum_rate_samples(ps, ensembles[v][1], SIGMA_N2)
-        assert np.array_equal(row, samples)
-        assert mean == np.mean(samples)
+    assert table.shape == (*means.shape, case["n_draws"])
+    for row, row_means, row_builds, errors, snrs in zip(
+        table, means, builds, ensembles, case["snr_db"]
+    ):
+        for rates_, mean, ps, snr_db in zip(row, row_means, row_builds, snrs):
+            samples = sum_rate_samples(ps, errors, SIGMA_N2)
+            assert np.array_equal(rates_, samples)
+            assert mean == np.mean(samples)
+            if ps.common_power == 0.0:
+                alone = build_precoders(
+                    ps.h_est, SchemeTag(ps.scheme.base), snr_db_to_power(snr_db), 0.75
+                )
+                assert rates_.tobytes() == sum_rate_samples(alone, errors, SIGMA_N2).tobytes()
 
 
 # Bytes beyond the estimate that rating one channel may hold: the
@@ -441,6 +474,11 @@ MEMORY_ALLOWANCE = 32 * 2**10
 @example((SweepConfig(error_regime=ErrorRegime.snr_scaled(0.0)), 0))
 # Perfect CSIT, all 8 schemes at two SNRs: one block holds all 50 channels.
 @example((SweepConfig(snr_grid_db=(0.0, 30.0)), 0))
+# Six variances of 3,000 draws: a channel's slots exceed _BLOCK_VALUES
+# complex values, and each takes its own slot block.
+@example((SweepConfig(schemes=(SchemeTag("zf"), SchemeTag("dthp", rs=True)),
+                      n_error_samples=3000, snr_grid_db=(15.0,),
+                      error_variance_grid=(0.05, 0.1, 0.2, 0.3, 0.4, 0.5)), 0))
 def test_rating_a_channel_stays_within_its_memory_estimate(config_channel):
     # The estimate that SweepConfig.validate holds to the budget bounds
     # what rating one block of channels allocates, cached arrays and

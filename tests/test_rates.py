@@ -35,9 +35,10 @@ from rsthp.exceptions import (
 from rsthp.rates import (
     SINR_CAP,
     SinrReport,
-    _batch_sinr,
     _cap,
-    _stacked_rows,
+    _kernel_args,
+    _row_invariants,
+    _set_sinrs,
     estimate_sinr_monte_carlo,
     stacked_sum_rate_table,
 )
@@ -262,12 +263,17 @@ class TestBatchConsistency:
                 assert abs(batch[m] - single) < 1e-12
 
 
+def stacked_rows(ps, errors):
+    """The one row h_est + E of ps's channel over the (M, K, N) errors."""
+    return _kernel_args(ps, errors)[3]
+
+
 def one_ensemble_table(precoder_sets, errors, sigma_n2):
-    """stacked_sum_rate_table over the one (M, K, N) ensemble errors."""
-    rows = _stacked_rows(precoder_sets[0], errors)
+    """stacked_sum_rate_table's (T, M) table of T sets on the one row of
+    the (M, K, N) ensemble errors."""
     return stacked_sum_rate_table(
-        *kernel_args(precoder_sets), rows, [0] * len(precoder_sets), sigma_n2
-    )
+        *kernel_args(precoder_sets), stacked_rows(precoder_sets[0], errors), sigma_n2
+    )[0]
 
 
 class TestSumRateTable:
@@ -312,13 +318,18 @@ class TestSumRateTable:
             errors = draw_error_ensemble(n, n, 0.2, 30, seed=seed)
             for scheme in ALL_SCHEME_TAGS:
                 sets = self.table_sets(h, scheme)
-                rows = _stacked_rows(sets[0], errors)
-                private, common_at, common, _ = _batch_sinr(
-                    *kernel_args(sets), rows, [0] * len(sets), 1.0
+                geometries, beta, power = kernel_args(sets)
+                workspace = {}
+                invariants = _row_invariants(
+                    geometries, stacked_rows(sets[0], errors), bool(np.any(power > 0)),
+                    workspace,
                 )
-                expected = np.sum(np.log2(1.0 + private), axis=2)
+                private, common_at, common, _ = _set_sinrs(
+                    invariants, slice(None), beta, power, 1.0, workspace
+                )
+                expected = np.sum(np.log2(1.0 + private[0]), axis=2)
                 if common is not None:
-                    expected[common_at] += np.min(np.log2(1.0 + common), axis=2)
+                    expected[common_at] += np.min(np.log2(1.0 + common[0]), axis=2)
                 table = one_ensemble_table(sets, errors, 1.0)
                 if n <= 7:
                     assert np.array_equal(table, expected)
@@ -326,14 +337,14 @@ class TestSumRateTable:
                     np.testing.assert_allclose(table, expected, rtol=1e-13, atol=0)
 
     def test_saturation_at_any_split_names_the_scheme(self):
-        # The kernel rates scalars, not schemes: its error gives the set,
-        # and a build's own rating names its scheme.
+        # The kernel rates scalars, not schemes: its error gives the
+        # saturated sets, and a build's own rating names its scheme.
         h, zero = random_channel(63), np.zeros((1, 4, 4), dtype=complex)
         scheme = SchemeTag("dthp", rs=True)
         sets = [build_precoders(h, scheme, 1e14, 0.75, t) for t in (0.0, 0.5)]
         with pytest.raises(SaturatedSinrError, match="^an SINR reached") as raised:
             one_ensemble_table(sets, zero, 1.0)
-        assert raised.value.set_index == 0
+        assert raised.value.saturated.tolist() == [[True, True]]
         for ps in sets:
             with pytest.raises(SaturatedSinrError, match="^dthp-rs: an SINR reached"):
                 sum_rate_samples(ps, zero, 1.0)
@@ -384,7 +395,7 @@ class TestSumRateTable:
         dthp = build_precoders(h, SchemeTag("dthp"), 31.0, 0.75)
         with pytest.raises(EmptyGridError):
             stacked_sum_rate_table(
-                (dthp.geometry,), [], [], _stacked_rows(dthp, errors), [], 1.0
+                (dthp.geometry,), [], [], stacked_rows(dthp, errors), 1.0
             )
         mixed = [
             dthp,
@@ -395,34 +406,35 @@ class TestSumRateTable:
         for row, ps in zip(table, mixed):
             assert np.array_equal(row, one_ensemble_table([ps], errors, 1.0)[0])
 
-    def test_rejects_ensembles_that_do_not_index_each_set_once(self):
-        # A negative index would rate a set on the last ensemble and a
-        # short list would fail inside numpy; both name the ensembles.
-        # beta and power must hold one scalar per set as well, geometries
-        # one record per row, and zero sets are an empty grid.
+    def test_rejects_sets_that_are_not_a_row_each(self):
+        # beta and power hold the same T sets for each of the R rows, as
+        # (R, T) arrays: any other shape would broadcast inside numpy or
+        # rate a set on another row. geometries holds one record per
+        # row, and zero sets are an empty grid.
         h, errors = random_channel(69), draw_error_ensemble(4, 4, 0.2, 5, seed=69)
         sets = self.table_sets(h, SchemeTag("dthp", rs=True))[:3]
         geometry, beta, power = kernel_args(sets, 2)
-        rows = np.concatenate([_stacked_rows(sets[0], errors)] * 2)
-        table = stacked_sum_rate_table(geometry, beta, power, rows, [1, 0, 1], 1.0)
-        assert table.shape == (3, 5)
-        for ensembles in ([-1, 0, 0], [0, 0, 2], [0, 0], [0, 0, 0, 0], [[0, 0, 0]],
-                          [0.0, 0.0, 0.0], [True, False, True]):
-            with pytest.raises(DimensionMismatchError, match="ensembles"):
-                stacked_sum_rate_table(geometry, beta, power, rows, ensembles, 1.0)
-        for b, p in ((beta[:2], power), (beta, power[:2]), (np.append(beta, 1.0), power),
-                     (beta, power[:, np.newaxis]), (beta[0], power[0])):
-            with pytest.raises(DimensionMismatchError, match="ensembles"):
-                stacked_sum_rate_table(geometry, b, p, rows, [1, 0, 1], 1.0)
-        with pytest.raises(EmptyGridError):
-            stacked_sum_rate_table(geometry, [], [], rows, [0], 1.0)
+        rows = np.concatenate([stacked_rows(sets[0], errors)] * 2)
+        table = stacked_sum_rate_table(geometry, beta, power, rows, 1.0)
+        assert table.shape == (2, 3, 5)
+        for row in table:
+            assert np.array_equal(row, one_ensemble_table(sets, errors, 1.0))
+        for b, p in ((beta[:, :2], power), (beta, power[:, :2]), (beta[:1], power[:1]),
+                     (np.vstack([beta, beta[:1]]), np.vstack([power, power[:1]])),
+                     (beta.T, power.T), (beta[0], power[0]), (beta[0, 0], power[0, 0]),
+                     (beta[..., np.newaxis], power[..., np.newaxis])):
+            with pytest.raises(DimensionMismatchError, match=r"must both be \(R, T\)"):
+                stacked_sum_rate_table(geometry, b, p, rows, 1.0)
+        for b, p in (([], []), (np.empty((2, 0)), np.empty((2, 0)))):
+            with pytest.raises(EmptyGridError):
+                stacked_sum_rate_table(geometry, b, p, rows, 1.0)
         # Each row names its own geometry record.
         for records in (geometry[:1], geometry * 2):
             with pytest.raises(DimensionMismatchError, match="each row needs one"):
-                stacked_sum_rate_table(records, beta, power, rows, [1, 0, 1], 1.0)
+                stacked_sum_rate_table(records, beta, power, rows, 1.0)
 
     def test_squared_scales_have_the_bits_of_python_squares(self):
-        # The kernel squares the (S,) betas with np.float_power, the C
+        # The kernel squares the (R, T) betas with np.float_power, the C
         # library's pow that Python's beta**2 calls; np.square, the
         # rounded product beta * beta, differs in the last bit for about
         # 1 beta in 1,000, which would move a rate's bits.
@@ -431,7 +443,7 @@ class TestSumRateTable:
 
     def test_saturation_names_the_first_saturated_set(self):
         # A cap between zf-dpc's and dthp's peaks saturates the zf-dpc
-        # sets only; the error names the first of them and its index.
+        # sets only; the error's mask names them and no other set.
         h, zero = random_channel(68), np.zeros((1, 4, 4), dtype=complex)
         sets = [build_precoders(h, SchemeTag("dthp"), 31.0, 0.75),
                 build_precoders(h, SchemeTag("zf-dpc"), 31.0, 0.75),
@@ -445,7 +457,7 @@ class TestSumRateTable:
                 one_ensemble_table(sets, zero, 1.0)
             with pytest.raises(SaturatedSinrError, match="^zf-dpc: "):
                 sum_rate_samples(sets[1], zero, 1.0)
-        assert raised.value.set_index == 1
+        assert raised.value.saturated.tolist() == [[False, True, False]]
 
 
 class TestOrderings:

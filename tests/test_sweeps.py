@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -285,6 +286,15 @@ class TestSweepConfig:
         assert estimate(ErrorRegime.snr_scaled(0.0)) == one
         assert estimate(ErrorRegime.snr_scaled(0.6)) > one
 
+    def test_memory_estimate_charges_slots_not_distinct_variances(self):
+        # A channel stacks one slot per x point unless every cell has the
+        # same variance: at alpha = 1e-17 its 7 points hold two distinct
+        # variances, and it stacks 7 slots, as at alpha = 0.6.
+        def estimate(regime):
+            return sweeps._working_set_bytes(SweepConfig(error_regime=regime), 50)
+
+        assert estimate(ErrorRegime.snr_scaled(1e-17)) == estimate(ErrorRegime.snr_scaled(0.6))
+
     def test_validate_counts_every_cells_results(self):
         # The default 56 cells keep about 100 B per channel each, so a
         # million channels need gigabytes though the caches hold one.
@@ -406,6 +416,22 @@ class TestRunSweep:
         assert [c.x_value for c in result.cells] == [0.1, 0.3]
         assert result.config.x_kind == "error_variance"
 
+    def test_uneven_variances_give_each_points_own_rows(self):
+        # At alpha = 1e-17 the default SNR grid holds two distinct error
+        # variances, one at five points and one at two. Each channel's
+        # values at each point are those of sweeping that point alone.
+        cfg = SweepConfig(
+            error_regime=ErrorRegime.snr_scaled(1e-17), n_channels=3, n_error_samples=20
+        )
+        variances = [cfg.error_regime.variance_at(snr_db_to_power(x)) for x in cfg.snr_grid_db]
+        assert variances == [1.0] * 5 + [0.9999999999999999] * 2
+        cells = {(c.scheme_tag, c.x_value): c for c in run_sweep(cfg).cells}
+        for snr_db in cfg.snr_grid_db:
+            for alone in run_sweep(replace(cfg, snr_grid_db=(snr_db,))).cells:
+                cell = cells[alone.scheme_tag, alone.x_value]
+                assert cell.per_channel_asr == alone.per_channel_asr
+                assert cell.per_channel_split == alone.per_channel_split
+
     def test_common_random_numbers_across_schemes(self):
         # Every scheme sees the same channels and the same error draws,
         # so per-channel ASR differences are paired comparisons.
@@ -512,15 +538,17 @@ class TestRunSweep:
     def test_one_kernel_call_per_channel_variance_block_and_geometry(self, monkeypatch):
         # The cells that share a geometry record (zf with rs-linear,
         # cthp alone here, dthp-rs with zf-dpc) are rated in one kernel
-        # call per block of channels and error variances, every split of
-        # every such cell on every channel of the block at every
-        # variance stacked: never one call per channel, cell, split or
-        # variance. Each row of the call names its own channel's record.
+        # call per block of channels and slots, every split of every
+        # such cell on every channel of the block at every slot stacked:
+        # never one call per channel, cell, split or variance. Each row
+        # of the call names its own channel's record and holds the same
+        # number of sets.
         calls = []
         table = sweeps.stacked_sum_rate_table
 
         def counting(geometries, beta, power, rows, *args, **kwargs):
-            calls.append((len(beta), len(rows)))
+            calls.append((beta.size, len(rows)))
+            assert beta.shape == power.shape == (len(rows), beta.size // len(rows))
             assert len({id(g) for g in geometries}) == n_channels
             return table(geometries, beta, power, rows, *args, **kwargs)
 
@@ -574,10 +602,10 @@ class TestRunSweep:
     def test_kernel_blocks_hold_at_most_the_charged_values(self, monkeypatch):
         # The kernel rates its sets in runs of at most max(T M K,
         # _BLOCK_VALUES) values, and a variance block stacks error
-        # variances while their realizations hold at most max(M K N,
+        # slots while their realizations hold at most max(M K N,
         # _BLOCK_VALUES) complex values: the amounts matrix_bytes
         # charges. With many draws a geometry's sets take several runs
-        # of one kernel call, and each variance its own variance block.
+        # of one kernel call, and each slot its own slot block.
         calls, runs = [], []
         table, sinrs = sweeps.stacked_sum_rate_table, rates._set_sinrs
 
@@ -585,19 +613,19 @@ class TestRunSweep:
             calls.append(rows.size)
             return table(geometries, beta, power, rows, *args, **kwargs)
 
-        def recording_run(invariants, beta, *args):
-            runs.append(len(beta) * invariants.signal[0].size)
-            return sinrs(invariants, beta, *args)
+        def recording_run(invariants, at, beta, *args):
+            runs.append(beta.size * invariants.signal[0].size)
+            return sinrs(invariants, at, beta, *args)
 
         monkeypatch.setattr(sweeps, "stacked_sum_rate_table", recording)
         monkeypatch.setattr(rates, "_set_sinrs", recording_run)
         schemes = tuple(parse_scheme_tag(t) for t in ("dthp", "dthp-rs", "zf-dpc-rs"))
         variances = (0.1, 0.2, 0.3)
         # 1 + 4 + 4 sets of one geometry per variance: at 5000 draws
-        # T M K = 80000 values, so a run holds 4 sets and each variance
-        # takes its own variance block; at 10 draws the three variances'
-        # 3 x 160 complex values stack into one variance block, and the
-        # 27 sets into one run.
+        # T M K = 80000 values, so a run holds 4 sets (a row's 9 in three
+        # equal parts) and each variance takes its own slot block; at 10
+        # draws the three variances' 3 x 160 complex values stack into
+        # one slot block, and its 3 rows of 9 sets into one run.
         for n_samples, n_calls, n_runs, n_variances in ((5000, 3, 9, 1), (10, 1, 1, 3)):
             calls.clear()
             runs.clear()
@@ -611,7 +639,7 @@ class TestRunSweep:
             kernel_limit = sweeps._kernel_block_values(len(cfg.power_split_grid), n_samples, 4)
             assert max(runs) <= kernel_limit
             assert max(calls) <= max(m_k_n, sweeps._BLOCK_VALUES)
-            assert min(len(variances), sweeps._variance_block(n_samples, 4, 4)) == n_variances
+            assert min(len(variances), sweeps._slot_block(n_samples, 4, 4)) == n_variances
             assert max(calls) == n_variances * m_k_n
             assert sum(runs) == 9 * len(variances) * m_k
 
