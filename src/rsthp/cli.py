@@ -44,9 +44,9 @@ from .sweeps import (
     check_dimensions,
     check_memory,
     draw_channel,
-    matrix_bytes,
     run_sweep,
     snr_db_to_power,
+    working_set_bytes,
 )
 from .thp_chain import (
     measure_power_loss,
@@ -367,13 +367,15 @@ def cmd_cross_check_sinr(args) -> int:
     _require_seed(args.seed)
     _require_count("--samples", args.samples)
     check_dimensions(args.users, args.tx_antennas)
-    # One channel's matrices with one error draw and at most one build
-    # per scheme, as a sweep counts them.
-    check_memory(
-        f"{args.users} users and {args.tx_antennas} antennas",
-        matrix_bytes(args.users, args.tx_antennas, 1, 1, True, len(ALL_SCHEME_TAGS)),
-        "--users/--tx-antennas",
+    # The sweeps' estimate of one channel with one error draw (drawn at
+    # any --error-variance) and one build per scheme.
+    one_channel = SweepConfig(
+        n_users=args.users, n_tx=args.tx_antennas, schemes=ALL_SCHEME_TAGS,
+        error_regime=ErrorRegime.fixed_variance(1.0), snr_grid_db=(0.0,), n_channels=1,
+        n_error_samples=1, power_split_grid=(0.0,),
     )
+    what = f"{args.users} users and {args.tx_antennas} antennas"
+    check_memory(what, working_set_bytes(one_channel, 1), "--users/--tx-antennas")
     _require_samples_fit(args.samples, args.users)
     e_tr = snr_db_to_power(args.snr_db)
     h_est = draw_channel(args.seed, 0, args.users, args.tx_antennas)

@@ -13,13 +13,14 @@ split and average sum rate in a cell depend on that channel's draws
 alone, and a cell is the mean over its channels (the ergodic sum rate
 as a mean of per-channel sample averages), so channels stack freely.
 Each cell's plan (_cell) fixes its split grid and error variance once;
-_rate_channels rates every planned cell on a range of channels, block
-by block (_block_plan: as many channels as fit two caps that depend on
-the config alone), and raises the lowest failing channel's first
-failing cell's error in output order; the memory estimate counts the
-same plans and one block. run_sweep (serially, or one contiguous run
-of channels per pool worker) and ergodic_sum_rate both rate through
-_rate_channels and join each cell's values in channel order.
+_block_plan alone sizes the engine, from the config: a block's
+channels, the slots stacked at once and one kernel run. _rate_channels
+rates every planned cell on a range of channels by that plan, and
+raises the lowest failing channel's first failing cell's error in
+output order; working_set_bytes charges the same plan. run_sweep
+(serially, or one contiguous run of channels per pool worker) and
+ergodic_sum_rate both rate through _rate_channels and join each cell's
+values in channel order.
 
 The per-process caches hold only the current channel:
 draw_error_ensemble keeps its unit draws, and each error variance
@@ -27,7 +28,7 @@ rescales them; build_precoders keeps one geometry record per base
 scheme, which holds the channel and, through linalg's cache, its
 common-stream direction, so the build of every split and grid point is
 two scalars and a reference to its record. A block keeps its channels'
-records, and each reads its direction right after its channel's builds.
+records, built one at a time, each reading its direction after its builds.
 The eight schemes share three geometry records (zf, cthp, and dthp with
 zf-dpc: SchemeTag.record); the cells that share one are rated on every
 channel of a block in one kernel call (rates.stacked_sum_rate_table).
@@ -64,7 +65,7 @@ from .exceptions import (
     SaturatedSinrError,
 )
 from .precoding import ALL_SCHEME_TAGS, SchemeTag, build_precoders
-from .rates import stacked_sum_rate_table, sum_rate_samples
+from .rates import _buffer, stacked_sum_rate_table, sum_rate_samples
 
 # 95% normal-approximation confidence multiplier for the ESR halfwidth.
 _CI_FACTOR = 1.96
@@ -74,7 +75,7 @@ SIGMA_N2 = 1.0
 
 # Bytes one sweep process may hold at once: the process itself at
 # n_jobs = 1, each worker otherwise. SweepConfig.validate rejects a
-# config whose estimate (_working_set_bytes) is larger before any cell
+# config whose estimate (working_set_bytes) is larger before any cell
 # runs, instead of failing with a MemoryError deep inside one.
 MEMORY_BUDGET_BYTES = 512 * 2**20
 
@@ -312,13 +313,13 @@ class SweepConfig:
         # if one channel with one draw already does, else the draws per
         # channel, else the number of channels.
         one_draw = replace(self, n_error_samples=1)
-        if _working_set_bytes(one_draw, 1) > MEMORY_BUDGET_BYTES:
+        if working_set_bytes(one_draw, 1) > MEMORY_BUDGET_BYTES:
             flag = "--users/--tx-antennas (n_users/n_tx)"
-        elif _working_set_bytes(self, 1) > MEMORY_BUDGET_BYTES:
+        elif working_set_bytes(self, 1) > MEMORY_BUDGET_BYTES:
             flag = "--error-samples (n_error_samples)"
         else:
             flag = "--channels (n_channels)"
-        check_memory("the sweep", _working_set_bytes(self, self.n_channels), flag)
+        check_memory("the sweep", working_set_bytes(self, self.n_channels), flag)
 
 
 def check_memory(what: str, need: int, flag: str) -> None:
@@ -330,75 +331,40 @@ def check_memory(what: str, need: int, flag: str) -> None:
         )
 
 
-def _working_set_bytes(config: SweepConfig, n_channels: int) -> int:
+def working_set_bytes(config: SweepConfig, n_channels: int) -> int:
     """Estimated peak bytes of one process that rates every cell of
-    config on n_channels channels: the arrays of one block of channels
-    (matrix_bytes, from the cells' plans and _block_plan: their builds,
-    largest grid and slots) and the bookkeeping of its
-    cells (_CELL_BYTES for each cell on each channel of the block), plus
-    _RESULT_BYTES for each (cell, channel) and _ROW_BYTES for each
-    channel. Under perfect CSIT nothing is drawn and M is the one
-    all-zero realization."""
+    config on n_channels channels, read from its _BlockPlan: one block
+    of B channels, each stacking V slots at a time, with M realizations
+    a slot, K users, N antennas and a build per (cell, split). It charges
+    - 16 B per complex value of: one channel's cached unit error
+      ensemble and one slot's scaled copy (2 M K N, when drawn); numpy's
+      buffer for adding h_est to that copy (np.getbufsize() values, or
+      M K N if fewer), where the peak comes; each channel's precoder
+      geometry (under 10 K N); the block's stacked realizations (B V M K
+      N) and their gains G0 with per-user sums and the g^2 tile (B V M K
+      (K + 4); tracemalloc measured 56 B a row value beyond G0, K = 1 to
+      4, M = 1,000);
+    - _BUILD_BYTES per build of the block, and _KERNEL_BYTES per value
+      of one kernel run (run_values, or every build's M K if fewer);
+    - _CELL_BYTES per cell on each channel of the block, _RESULT_BYTES
+      per (cell, channel) and _ROW_BYTES per channel.
+    Under perfect CSIT nothing is drawn and M is the one all-zero
+    realization.
+    """
     cells = _sweep_cells(config)
     plan = _block_plan(config, cells)
-    grids = [grid for _, _, _, grid, _ in cells]
-    matrices = matrix_bytes(
-        config.n_users, config.n_tx, plan.m, max(map(len, grids)),
-        plan.slots != (None,), sum(map(len, grids)), len(plan.slots), plan.channels,
-    )
-    n_cells = len(cells)
-    return (
-        matrices + _CELL_BYTES * n_cells * plan.channels
-        + (_RESULT_BYTES * n_cells + _ROW_BYTES) * n_channels
-    )
-
-
-def _kernel_block_values(t: int, m: int, k: int) -> int:
-    """Values (sets x M x K) of one run of a stacked_sum_rate_table
-    call, and at most one record's in a block of channels: one split
-    search's (T, M, K), or up to _BLOCK_VALUES when that is smaller, so
-    cells and channels with few draws stack into one run."""
-    return max(t * m * k, _BLOCK_VALUES)
-
-
-def _slot_block(m: int, k: int, n: int) -> int:
-    """Slots one channel stacks at a time: as many as _BLOCK_VALUES
-    complex values hold, at least 1."""
-    return max(1, _BLOCK_VALUES // (m * k * n))
-
-
-def matrix_bytes(
-    k: int, n: int, m: int, t: int, drawn: bool, n_builds: int, n_slots: int = 1,
-    n_channels: int = 1,
-) -> int:
-    """Estimated peak bytes of the arrays that rating every cell on a
-    block of n_channels (K, N) channels holds, with M error
-    realizations, at most T splits per cell, n_builds builds per channel
-    and n_slots slots (_BlockPlan) per channel.
-
-    In complex128 values: one channel's cached unit error ensemble, one
-    variance's scaled copy (2 M K N, when drawn) and numpy's buffer for
-    adding h_est to that copy (np.getbufsize() values, or M K N if
-    fewer), where the peak comes; each channel's precoder geometry
-    (under 10 K N); one slot block's stacked realizations (V M K N per
-    channel) and their gains G0 with per-user sums and the g^2 tile
-    (V M K (K + 4); tracemalloc measured 56 B a row value beyond G0, K =
-    1 to 4, M = 1,000);
-    _BUILD_BYTES per build; and _KERNEL_BYTES per value of one kernel
-    run, which holds at most _kernel_block_values values and at most
-    every build's.
-    """
-    n_rows = n_channels * min(n_slots, _slot_block(m, k, n))
-    ensemble = m * k * n if drawn else 0
-    add_buffer = min(ensemble, np.getbufsize())
+    k, n, m, channels = config.n_users, config.n_tx, plan.m, plan.channels
+    ensemble = 0 if plan.slots == (None,) else m * k * n
     complex_values = (
-        2 * ensemble + add_buffer + 10 * k * n * n_channels + n_rows * m * k * (n + k + 4)
+        2 * ensemble + min(ensemble, np.getbufsize()) + 10 * k * n * channels
+        + channels * plan.stacked_slots * m * k * (n + k + 4)
     )
-    n_builds *= n_channels
+    builds = channels * sum(len(grid) for _, _, _, grid, _ in cells)
     return (
-        16 * complex_values
-        + _BUILD_BYTES * n_builds
-        + _KERNEL_BYTES * min(_kernel_block_values(t, m, k), n_builds * m * k)
+        16 * complex_values + _BUILD_BYTES * builds
+        + _KERNEL_BYTES * min(plan.run_values, builds * m * k)
+        + _CELL_BYTES * len(cells) * channels
+        + (_RESULT_BYTES * len(cells) + _ROW_BYTES) * n_channels
     )
 
 
@@ -489,33 +455,37 @@ def _sweep_cells(config: SweepConfig) -> list[tuple]:
 
 @dataclass(frozen=True)
 class _BlockPlan:
-    """How _rate_channels stacks a sweep's cells: M realizations per
-    slot (1 under perfect CSIT); the error variance of each slot of a
-    channel (None is perfect CSIT), a slot being one x point, or all of
-    them when every cell has the same variance; each geometry record's
-    cells (by SchemeTag.record) as a (slots, cells per slot) array of
-    cell indices, each slot's in output order; the records whose sets
-    have a common stream; the channels of one block, the slots each
-    channel stacks at a time (_slot_block) and the sets of one kernel
-    run (max_sets)."""
+    """How _rate_channels stacks a sweep's cells, and every size that
+    working_set_bytes charges: M realizations per slot (1 under perfect
+    CSIT); the error variance of each slot of a channel (None is perfect
+    CSIT), a slot being one x point, or all of them when every cell has
+    the same variance; each geometry record's cells (by SchemeTag.record)
+    as a (slots, cells per slot) array of cell indices, each slot's in
+    output order; the records whose sets have a common stream; the
+    values (sets x M x K) and the sets of one kernel run; the channels
+    of one block; and the slots each channel stacks at a time."""
 
     m: int
     slots: tuple[float | None, ...]
     records: dict[str, np.ndarray]
     common_records: tuple[str, ...]
+    run_values: int
+    max_sets: int
     channels: int
     stacked_slots: int
-    max_sets: int
 
 
 def _block_plan(config: SweepConfig, cells: list[tuple]) -> _BlockPlan:
-    """The _BlockPlan of config's cells. Every scheme has a cell at every
-    x point, so each slot holds the same schemes, and a record's sets
-    are the same on every row of a kernel call. A block holds as many
-    consecutive channels as keep one record's sets x M x K within
-    _kernel_block_values and the block's stacked h_est + E within
-    _BLOCK_VALUES complex values: at least 1, at most n_channels, and
-    never more for more workers."""
+    """The _BlockPlan of config's cells, the one place that sizes the
+    engine. Every scheme has a cell at every x point, so each slot holds
+    the same schemes, and a record's sets are the same on every row of a
+    kernel call. A kernel run holds up to max(T x M x K, _BLOCK_VALUES)
+    values, one split search at least, so cells and channels with few
+    draws share a run. A block holds as many consecutive channels as
+    keep one record's sets within a run and its stacked h_est + E within
+    _BLOCK_VALUES complex values (at least 1, at most n_channels, never
+    more for more workers), and a channel stacks as many slots at a time
+    as _BLOCK_VALUES complex values hold, at least 1."""
     n_users, n_tx = config.n_users, config.n_tx
     _, x_values, _, grids, variances = zip(*cells)
     shared = len(set(variances)) == 1
@@ -527,12 +497,12 @@ def _block_plan(config: SweepConfig, cells: list[tuple]) -> _BlockPlan:
         by_slot = members.setdefault(scheme.record, [[] for _ in slots])
         by_slot[slot_of[keys[index]]].append(index)
     m = 1 if slots == (None,) else config.n_error_samples
-    kernel_values = _kernel_block_values(max(map(len, grids)), m, n_users)
+    run_values = max(max(map(len, grids)) * m * n_users, _BLOCK_VALUES)
     most_sets = max(
         sum(len(grids[i]) for slot in by_slot for i in slot) for by_slot in members.values()
     )
     channels = min(
-        kernel_values // (most_sets * m * n_users),
+        run_values // (most_sets * m * n_users),
         _BLOCK_VALUES // (len(slots) * m * n_users * n_tx),
         config.n_channels,
     )
@@ -542,8 +512,8 @@ def _block_plan(config: SweepConfig, cells: list[tuple]) -> _BlockPlan:
     )
     return _BlockPlan(
         m, slots, {record: np.array(by_slot) for record, by_slot in members.items()}, common,
-        max(1, channels), min(len(slots), _slot_block(m, n_users, n_tx)),
-        kernel_values // (m * n_users),
+        run_values, run_values // (m * n_users), max(1, channels),
+        min(len(slots), max(1, _BLOCK_VALUES // (m * n_users * n_tx))),
     )
 
 
@@ -557,16 +527,15 @@ def _rate_channels(
     Each cell searches its plan's split grid at its plan's error
     variance (see _cell). The channels are rated in blocks of
     consecutive channels (_block_plan). Every build of a block is made
-    first, channel by channel, and only its beta and P are kept, with
-    its channel's geometry records. The realizations h_est + E of each
-    channel's slots (its unit draws rescaled to the slot's variance; one
-    all-zero realization under perfect CSIT) are stacked, in blocks of
-    at most _slot_block slots if one channel's exceed _BLOCK_VALUES
-    complex values. The cells that share a geometry record (zf with
-    rs-linear, cthp with cthp-rs, dthp with zf-dpc and their RS schemes)
-    on every channel of the block are rated in one
-    stacked_sum_rate_table call per slot block: row (channel, slot)
-    holds the splits of the slot's cells.
+    first, channel by channel (_build_channel), and only its beta and P
+    are kept, with its channel's geometry records. The realizations
+    h_est + E of each channel's slots (its unit draws rescaled to the
+    slot's variance; one all-zero realization under perfect CSIT) are
+    stacked, stacked_slots slots at a time. The cells that share a
+    geometry record (zf with rs-linear, cthp with cthp-rs, dthp with
+    zf-dpc and their RS schemes) on every channel of the block are
+    rated in one stacked_sum_rate_table call per stack of slots: row
+    (channel, slot) holds the splits of the slot's cells.
 
     A build's error on channel c stops the block's builds; the channels
     below c are rated, and raise first if one saturates. A
@@ -578,14 +547,10 @@ def _rate_channels(
     failure here lowers it.
     """
     plan = _block_plan(config, cells)
-    # One stack of realizations h_est + E for every block: a fresh one
-    # per block would hand its pages back to the OS and fault them in
-    # again.
-    stack = np.empty(
-        (plan.channels * plan.stacked_slots, plan.m * config.n_users, config.n_tx),
-        dtype=complex,
-    )
-    workspace = {}  # the kernel's temporaries, kept from call to call
+    # The kernel's temporaries and the stacked realizations, kept from
+    # call to call: fresh ones per block would hand their pages back to
+    # the OS and fault them in again.
+    workspace = {}
     rows = []
     for start in range(0, len(channels), plan.channels):
         block = channels[start:start + plan.channels]
@@ -599,8 +564,7 @@ def _rate_channels(
                 failure = channel_index, exc
                 break
         rated, saturated = (
-            _rate_block(config, cells, plan, block, built, stack, workspace)
-            if built else ([], None)
+            _rate_block(config, cells, plan, block, built, workspace) if built else ([], None)
         )
         failure = saturated or failure
         if failure is not None:
@@ -614,49 +578,54 @@ def _rate_channels(
 
 def _build_channel(
     config: SweepConfig, cells: list[tuple], plan: _BlockPlan, channel_index: int
-) -> tuple:
-    """(h_est, its geometry records by SchemeTag.record, the beta and
-    the common power P of every build) of one channel, the builds in
-    output order of their cells, then by split."""
+) -> dict[str, tuple]:
+    """Each geometry record's (geometry, beta and P of its builds) on one
+    channel, by SchemeTag.record, built record by record. beta and P are
+    a (slots, sets, 2) array in the record's plan.records layout: slot by
+    slot, each slot's cells in output order, each cell's splits in turn."""
     n_users, n_tx = config.n_users, config.n_tx
-    records, betas, powers = {}, [], []
-    for scheme, _, e_tr, grid, _ in cells:
-        # One channel draw per cell and one build per (cell, split): the
-        # calls bench/tests/test_tracer.py pins.
-        h_est = draw_channel(config.master_seed, channel_index, n_users, n_tx)
-        builds = [build_precoders(h_est, scheme, e_tr, config.power_loss, t) for t in grid]
-        # Each split's beta and P: all the kernel takes of a build.
-        betas += [ps.beta for ps in builds]
-        powers += [ps.common_power for ps in builds]
-        records[scheme.record] = builds[0].geometry
-    # linalg's one-entry cache holds this channel's direction until the
-    # next channel's builds: the record caches it now, for the kernel.
-    for record in plan.common_records:
-        records[record].direction
-    return h_est, records, np.array(betas), np.array(powers)
+    records = {}
+    for record, members in plan.records.items():
+        betas, powers = [], []
+        for i in members.flat:
+            scheme, _, e_tr, grid, _ = cells[i]
+            # One channel draw per cell and one build per (cell, split): the
+            # calls bench/tests/test_tracer.py pins.
+            h_est = draw_channel(config.master_seed, channel_index, n_users, n_tx)
+            builds = [build_precoders(h_est, scheme, e_tr, config.power_loss, t) for t in grid]
+            # Each split's beta and P: all the kernel takes of a build.
+            betas += [ps.beta for ps in builds]
+            powers += [ps.common_power for ps in builds]
+        geometry = builds[0].geometry
+        if record in plan.common_records:
+            # linalg's one-entry cache keeps this channel's direction only
+            # until the next channel: the record caches it now, for the kernel.
+            geometry.direction
+        records[record] = geometry, np.stack((betas, powers), -1).reshape(len(members), -1, 2)
+    return records
 
 
 def _rate_block(
     config: SweepConfig, cells: list[tuple], plan: _BlockPlan, block: range, built: list,
-    stack: np.ndarray, workspace: dict,
+    workspace: dict,
 ) -> tuple[list[np.ndarray], tuple | None]:
     """(the rows of the channels of block from their _build_channel
-    tuples built, None), or ([], (channel, SaturatedSinrError)) of the
+    records built, None), or ([], (channel, SaturatedSinrError)) of the
     lowest saturated channel's first saturated cell in output order.
-    stack holds the realizations of each block of slots in turn."""
+    The workspace's "rows" holds the realizations of each stack of slots
+    in turn."""
     n_users, n_tx, m = config.n_users, config.n_tx, plan.m
     _, _, _, grids, _ = zip(*cells)
-    offsets = np.cumsum([0, *map(len, grids)])  # each cell's first build
-    h_ests, records_of, betas, powers = zip(*built)
-    betas, powers = np.array(betas), np.array(powers)  # (channels, builds)
     out = np.empty((len(built), 2, len(cells)))
     failed = None  # (block position, cell index, message) of the first saturated cell
     step = plan.stacked_slots
     for start in range(0, len(plan.slots), step):
         variances = plan.slots[start:start + step]
         n_rows = len(variances)
-        rows = stack[:len(built) * n_rows]
-        for b, (channel_index, h_est) in enumerate(zip(block, h_ests)):
+        rows = _buffer(workspace, "rows", (len(built) * n_rows, m * n_users, n_tx), complex)
+        for b, (channel_index, records) in enumerate(zip(block, built)):
+            # Every record holds the channel's h_est.
+            h_est = next(iter(records.values()))[0].h_est
             for v, variance in enumerate(variances):
                 errors = 0.0 if variance is None else draw_error_ensemble(
                     n_users, n_tx, variance, m, config.master_seed, channel_index
@@ -665,23 +634,21 @@ def _rate_block(
         for record, members in plan.records.items():
             members = members[start:start + step]
             # Row (b, v) is channel b of the block at slot v, and its sets
-            # the splits of the slot's cells in turn; index holds each
-            # set's build among its channel's builds.
+            # the splits of the slot's cells in turn.
             lengths = [len(grids[i]) for i in members[0]]
-            ends = np.cumsum(lengths)
-            index = np.arange(ends[-1]) + np.repeat(offsets[members] - ends + lengths, lengths, axis=1)
-            geometries = [records[record] for records in records_of for _ in variances]
+            geometries = [records[record][0] for records in built for _ in variances]
+            values = np.concatenate([records[record][1][start:start + step] for records in built])
+            beta, power = np.moveaxis(values, -1, 0)
             try:
                 means = stacked_sum_rate_table(
-                    geometries, betas[:, index].reshape(-1, ends[-1]),
-                    powers[:, index].reshape(-1, ends[-1]), rows, SIGMA_N2, plan.max_sets,
+                    geometries, beta, power, rows, SIGMA_N2, plan.max_sets,
                     mean=True, workspace=workspace,
                 )
             except SaturatedSinrError as exc:
                 # Cells go by scheme, then by x point, so the first failing
                 # cell may sit on a later slot than another failing set.
                 b, v, t = np.nonzero(exc.saturated.reshape(len(built), n_rows, -1))
-                cell = members[v, np.searchsorted(ends, t, side="right")]
+                cell = members[v, np.searchsorted(np.cumsum(lengths), t, side="right")]
                 first = min(zip(b.tolist(), cell.tolist()))
                 if failed is None or first < failed[:2]:
                     failed = (*first, f"{cells[first[1]][0].tag}: {exc}")

@@ -5,14 +5,23 @@ against the library called directly with the same configuration.
 """
 
 import dataclasses
+import importlib.util
 import json
 import os
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
-from rsthp import ErrorRegime, SweepConfig, build_precoders, parse_scheme_tag, run_sweep
+from rsthp import (
+    ErrorRegime,
+    SweepConfig,
+    build_precoders,
+    parse_scheme_tag,
+    run_sweep,
+    sweeps,
+)
 from rsthp.cli import (
     CSV_HEADER,
     MAX_RANGE_POINTS,
@@ -23,6 +32,7 @@ from rsthp.cli import (
     main,
     parse_grid,
 )
+from rsthp.precoding import ALL_SCHEME_TAGS
 from rsthp.sweeps import default_power_split_grid
 
 SMALL = [
@@ -596,6 +606,34 @@ class TestErrorHandling:
         assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
         assert "MiB budget; lower --users/--tx-antennas" in captured.err
 
+    def test_cross_check_charges_the_sweeps_estimate(self, capsys, monkeypatch):
+        # The check holds what a sweep of one channel with one error
+        # draw, one build per scheme (split grid 0) and one x point
+        # holds; one byte less of budget refuses it before any draw.
+        class Drawn(Exception):
+            pass
+
+        def drawing(*args, **kwargs):
+            raise Drawn
+
+        one_channel = SweepConfig(
+            n_users=4, n_tx=4, schemes=ALL_SCHEME_TAGS,
+            error_regime=ErrorRegime.fixed_variance(0.1), snr_grid_db=(15.0,),
+            n_channels=1, n_error_samples=1, power_split_grid=(0.0,),
+        )
+        estimate = sweeps.working_set_bytes(one_channel, 1)
+        monkeypatch.setattr("rsthp.cli.draw_channel", drawing)
+        argv = ("cross-check-sinr", "--users", "4", "--tx-antennas", "4", "--samples", "1")
+        monkeypatch.setattr(sweeps, "MEMORY_BUDGET_BYTES", estimate - 1)
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+        assert "lower --users/--tx-antennas" in captured.err
+        monkeypatch.setattr(sweeps, "MEMORY_BUDGET_BYTES", estimate)
+        with pytest.raises(Drawn):
+            run_cli(*argv)
+
     def test_cross_check_user_count_has_the_sweeps_message(self, capsys):
         assert run_cli("cross-check-sinr", "--users", "0") == 2
         captured = capsys.readouterr()
@@ -646,3 +684,17 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "--snr-db" in proc.stdout
+
+
+def test_snapshot_runs_are_cli_commands():
+    # tools/snapshot_outputs.py runs its list through main; each entry
+    # must stay a command the parser takes, under a name of its own.
+    path = Path(__file__).resolve().parents[1] / "tools" / "snapshot_outputs.py"
+    spec = importlib.util.spec_from_file_location("snapshot_outputs", path)
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    names = [name for name, _ in snapshot.RUNS]
+    assert len(set(names)) == len(names)
+    for _, argv in snapshot.RUNS:
+        out = ["--out", "x.csv"] if argv[0].startswith("sweep-") else []
+        assert build_parser().parse_args([*argv, *out]).handler

@@ -57,9 +57,9 @@ from rsthp.sweeps import (  # noqa: E402
     _block_plan,
     _rate_channels,
     _sweep_cells,
-    _working_set_bytes,
     draw_channel,
     optimize_power_split,
+    working_set_bytes,
 )
 from helpers import split_reference  # noqa: E402  (pytest puts tests/ on sys.path)
 
@@ -499,7 +499,7 @@ def test_rating_a_channel_stays_within_its_memory_estimate(config_channel):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= _working_set_bytes(config, len(block)) + MEMORY_ALLOWANCE
+    assert peak <= working_set_bytes(config, len(block)) + MEMORY_ALLOWANCE
 
 
 @st.composite

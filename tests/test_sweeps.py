@@ -251,7 +251,7 @@ class TestSweepConfig:
     ])
     def test_validate_rejects_configs_over_the_memory_budget(self, overrides, flag):
         cfg = small_config(**overrides)
-        assert sweeps._working_set_bytes(cfg, cfg.n_channels) > sweeps.MEMORY_BUDGET_BYTES
+        assert sweeps.working_set_bytes(cfg, cfg.n_channels) > sweeps.MEMORY_BUDGET_BYTES
         with pytest.raises(ValueError, match=f"MiB budget; lower {flag} "):
             cfg.validate()
 
@@ -262,17 +262,17 @@ class TestSweepConfig:
         cfg = small_config(n_error_samples=1000)
         n_cells = len(cfg.schemes) * len(cfg.snr_grid_db)
         per_channel = sweeps._RESULT_BYTES * n_cells + sweeps._ROW_BYTES
-        one = sweeps._working_set_bytes(cfg, 1)
+        one = sweeps.working_set_bytes(cfg, 1)
         for n in (2, 65, 10_000):
-            assert sweeps._working_set_bytes(cfg, n) == one + (n - 1) * per_channel
+            assert sweeps.working_set_bytes(cfg, n) == one + (n - 1) * per_channel
         perfect = [
-            sweeps._working_set_bytes(small_config(error_regime=PERFECT, n_error_samples=m), 50)
+            sweeps.working_set_bytes(small_config(error_regime=PERFECT, n_error_samples=m), 50)
             for m in (1, 10**9)
         ]
         assert perfect[0] == perfect[1]
         # The default sweeps sit far below the budget.
         for regime in (PERFECT, FIXED):
-            assert sweeps._working_set_bytes(SweepConfig(error_regime=regime), 50) < 2**22
+            assert sweeps.working_set_bytes(SweepConfig(error_regime=regime), 50) < 2**22
 
     def test_memory_estimate_charges_each_distinct_variance_once(self):
         # The estimate reads the cells' plans. SNR-scaled errors at
@@ -280,7 +280,7 @@ class TestSweepConfig:
         # engine stacks once, as it stacks a fixed variance of 1; at
         # alpha = 0.6 each of the 7 points stacks its own.
         def estimate(regime):
-            return sweeps._working_set_bytes(SweepConfig(error_regime=regime), 50)
+            return sweeps.working_set_bytes(SweepConfig(error_regime=regime), 50)
 
         one = estimate(ErrorRegime.fixed_variance(1.0))
         assert estimate(ErrorRegime.snr_scaled(0.0)) == one
@@ -291,7 +291,7 @@ class TestSweepConfig:
         # same variance: at alpha = 1e-17 its 7 points hold two distinct
         # variances, and it stacks 7 slots, as at alpha = 0.6.
         def estimate(regime):
-            return sweeps._working_set_bytes(SweepConfig(error_regime=regime), 50)
+            return sweeps.working_set_bytes(SweepConfig(error_regime=regime), 50)
 
         assert estimate(ErrorRegime.snr_scaled(1e-17)) == estimate(ErrorRegime.snr_scaled(0.6))
 
@@ -572,7 +572,7 @@ class TestRunSweep:
 
     def test_a_block_holds_the_channels_that_fit_its_caps(self, monkeypatch):
         # A block takes consecutive channels of a worker's run while one
-        # record's sets x M x K fit _kernel_block_values and the stacked
+        # record's sets x M x K fit a kernel run and the stacked
         # h_est + E fit _BLOCK_VALUES complex values; more workers cut
         # shorter runs, never other blocks.
         rows = []
@@ -603,9 +603,10 @@ class TestRunSweep:
         # The kernel rates its sets in runs of at most max(T M K,
         # _BLOCK_VALUES) values, and a variance block stacks error
         # slots while their realizations hold at most max(M K N,
-        # _BLOCK_VALUES) complex values: the amounts matrix_bytes
-        # charges. With many draws a geometry's sets take several runs
-        # of one kernel call, and each slot its own slot block.
+        # _BLOCK_VALUES) complex values: the sizes of the block plan,
+        # which working_set_bytes charges. With many draws a geometry's
+        # sets take several runs of one kernel call, and each slot its
+        # own slot block.
         calls, runs = [], []
         table, sinrs = sweeps.stacked_sum_rate_table, rates._set_sinrs
 
@@ -636,12 +637,47 @@ class TestRunSweep:
             run_sweep(cfg)
             m_k, m_k_n = n_samples * 4, n_samples * 4 * 4
             assert (len(calls), len(runs)) == (n_calls, n_runs)
-            kernel_limit = sweeps._kernel_block_values(len(cfg.power_split_grid), n_samples, 4)
-            assert max(runs) <= kernel_limit
+            plan = sweeps._block_plan(cfg, sweeps._sweep_cells(cfg))
+            assert plan.run_values == max(len(cfg.power_split_grid) * m_k, sweeps._BLOCK_VALUES)
+            assert max(runs) <= plan.run_values
+            assert plan.max_sets * m_k <= plan.run_values
             assert max(calls) <= max(m_k_n, sweeps._BLOCK_VALUES)
-            assert min(len(variances), sweeps._slot_block(n_samples, 4, 4)) == n_variances
+            assert plan.stacked_slots == n_variances
             assert max(calls) == n_variances * m_k_n
             assert sum(runs) == 9 * len(variances) * m_k
+
+    @pytest.mark.parametrize("overrides", [
+        dict(error_regime=PERFECT),
+        dict(error_regime=FIXED),
+        dict(error_regime=ErrorRegime.snr_scaled(0.6)),
+        # Six slots, stacked one at a time, and each row's 4 sets of the
+        # dthp record rated in runs of 2.
+        dict(error_regime=PERFECT, snr_grid_db=(15.0,), n_error_samples=3000, n_channels=2,
+             error_variance_grid=(0.05, 0.1, 0.2, 0.3, 0.4, 0.5)),
+    ])
+    def test_rs_cells_at_split_zero_are_their_base_cells(self, overrides):
+        # Criterion 3 through the block engine: at split 0 a
+        # rate-splitting build has no common stream, so each RS cell,
+        # rated in one kernel call with its base cell, has the base
+        # cell's bits on every channel.
+        cfg = small_config(**{
+            "schemes": precoding.ALL_SCHEME_TAGS, "snr_grid_db": (0.0, 15.0, 30.0),
+            "power_split_grid": (0.0,), **overrides,
+        })
+        plan = sweeps._block_plan(cfg, sweeps._sweep_cells(cfg))
+        if cfg.error_variance_grid:
+            assert plan.stacked_slots < len(plan.slots)
+            assert plan.max_sets < plan.records["dthp"].shape[1]
+        cells = {(cell.scheme_tag, cell.x_value): cell for cell in run_sweep(cfg).cells}
+        n_rs = 0
+        for (tag, x_value), cell in cells.items():
+            scheme = parse_scheme_tag(tag)
+            if scheme.rs:
+                base = cells[SchemeTag(scheme.base).tag, x_value]
+                assert cell.per_channel_asr == base.per_channel_asr
+                assert cell.per_channel_split == base.per_channel_split
+                n_rs += 1
+        assert n_rs == 4 * len(cfg.error_variance_grid or cfg.snr_grid_db)
 
     def test_sweep_keeps_the_traced_call_contract(self, monkeypatch):
         # The benchmark's tracer counts these calls by name: one channel
