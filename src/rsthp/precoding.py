@@ -122,7 +122,8 @@ class Geometry:
     @cached_property
     def direction(self) -> np.ndarray:
         """The common stream's direction d, h_est's dominant right singular
-        vector, read from linalg's cache on first use, not at the build."""
+        vector, read from linalg's cache on first use: by the record's first
+        build at a nonzero split, so a base-only record takes no SVD."""
         return _anchored_direction(self.h_est.tobytes(), self.h_est.shape)
 
 
@@ -227,6 +228,9 @@ def build_precoders(
         p_common = dominant_right_singular_vector(h_est)
         p_common *= math.sqrt(common_power)
         e_private = e_tr - float(np.vdot(p_common, p_common).real)
+        # The record keeps d for the rate kernel: linalg's one-entry cache
+        # moves on with the next channel.
+        geometry.direction
 
     lambda_eff = power_loss if scheme.uses_power_loss else 1.0
     return PrecoderSet(

@@ -25,10 +25,10 @@ values in channel order.
 The per-process caches hold only the current channel:
 draw_error_ensemble keeps its unit draws, and each error variance
 rescales them; build_precoders keeps one geometry record per base
-scheme, which holds the channel and, through linalg's cache, its
-common-stream direction, so the build of every split and grid point is
-two scalars and a reference to its record. A block keeps its channels'
-records, built one at a time, each reading its direction after its builds.
+scheme, which holds the channel, so the build of every split and grid
+point is two scalars and a reference to its record. A block keeps its
+channels' records, built one at a time; a record's first build at a
+nonzero split leaves the common-stream direction on it (Geometry.direction).
 The eight schemes share three geometry records (zf, cthp, and dthp with
 zf-dpc: SchemeTag.record); the cells that share one are rated on every
 channel of a block in one kernel call (rates.stacked_sum_rate_table).
@@ -461,14 +461,13 @@ class _BlockPlan:
     CSIT), a slot being one x point, or all of them when every cell has
     the same variance; each geometry record's cells (by SchemeTag.record)
     as a (slots, cells per slot) array of cell indices, each slot's in
-    output order; the records whose sets have a common stream; the
-    values (sets x M x K) and the sets of one kernel run; the channels
-    of one block; and the slots each channel stacks at a time."""
+    output order; the values (sets x M x K) and the sets of one kernel
+    run; the channels of one block; and the slots each channel stacks at
+    a time."""
 
     m: int
     slots: tuple[float | None, ...]
     records: dict[str, np.ndarray]
-    common_records: tuple[str, ...]
     run_values: int
     max_sets: int
     channels: int
@@ -506,12 +505,8 @@ def _block_plan(config: SweepConfig, cells: list[tuple]) -> _BlockPlan:
         _BLOCK_VALUES // (len(slots) * m * n_users * n_tx),
         config.n_channels,
     )
-    common = tuple(
-        record for record, by_slot in members.items()
-        if any(grids[i][-1] > 0 for i in by_slot[0])
-    )
     return _BlockPlan(
-        m, slots, {record: np.array(by_slot) for record, by_slot in members.items()}, common,
+        m, slots, {record: np.array(by_slot) for record, by_slot in members.items()},
         run_values, run_values // (m * n_users), max(1, channels),
         min(len(slots), max(1, _BLOCK_VALUES // (m * n_users * n_tx))),
     )
@@ -528,7 +523,8 @@ def _rate_channels(
     variance (see _cell). The channels are rated in blocks of
     consecutive channels (_block_plan). Every build of a block is made
     first, channel by channel (_build_channel), and only its beta and P
-    are kept, with its channel's geometry records. The realizations
+    are kept, with its channel's geometry records and the direction that
+    its nonzero-split builds leave on them. The realizations
     h_est + E of each channel's slots (its unit draws rescaled to the
     slot's variance; one all-zero realization under perfect CSIT) are
     stacked, stacked_slots slots at a time. The cells that share a
@@ -540,7 +536,8 @@ def _rate_channels(
     A build's error on channel c stops the block's builds; the channels
     below c are rated, and raise first if one saturates. A
     SaturatedSinrError names the lowest saturated channel's first
-    saturated cell in output order, with its grid point. In a pool
+    saturated cell in output order, with its grid point, from one
+    (channels, cells) mask per block (_rate_block). In a pool
     worker, lowest_failure is the pool's shared lowest failing channel:
     each channel is built only if no lower one has failed, else the
     rows so far are returned (the run raises the lower error), and a
@@ -597,10 +594,6 @@ def _build_channel(
             betas += [ps.beta for ps in builds]
             powers += [ps.common_power for ps in builds]
         geometry = builds[0].geometry
-        if record in plan.common_records:
-            # linalg's one-entry cache keeps this channel's direction only
-            # until the next channel: the record caches it now, for the kernel.
-            geometry.direction
         records[record] = geometry, np.stack((betas, powers), -1).reshape(len(members), -1, 2)
     return records
 
@@ -611,13 +604,14 @@ def _rate_block(
 ) -> tuple[list[np.ndarray], tuple | None]:
     """(the rows of the channels of block from their _build_channel
     records built, None), or ([], (channel, SaturatedSinrError)) of the
-    lowest saturated channel's first saturated cell in output order.
-    The workspace's "rows" holds the realizations of each stack of slots
-    in turn."""
+    lowest saturated channel's first saturated cell in output order: the
+    first True, in row-major order, of one (channels, cells) mask that
+    ORs each kernel call's saturated sets cell by cell. The workspace's
+    "rows" holds the realizations of each stack of slots in turn."""
     n_users, n_tx, m = config.n_users, config.n_tx, plan.m
     _, _, _, grids, _ = zip(*cells)
     out = np.empty((len(built), 2, len(cells)))
-    failed = None  # (block position, cell index, message) of the first saturated cell
+    saturated = np.zeros((len(built), len(cells)), dtype=bool)
     step = plan.stacked_slots
     for start in range(0, len(plan.slots), step):
         variances = plan.slots[start:start + step]
@@ -645,25 +639,21 @@ def _rate_block(
                     mean=True, workspace=workspace,
                 )
             except SaturatedSinrError as exc:
-                # Cells go by scheme, then by x point, so the first failing
-                # cell may sit on a later slot than another failing set.
-                b, v, t = np.nonzero(exc.saturated.reshape(len(built), n_rows, -1))
-                cell = members[v, np.searchsorted(np.cumsum(lengths), t, side="right")]
-                first = min(zip(b.tolist(), cell.tolist()))
-                if failed is None or first < failed[:2]:
-                    failed = (*first, f"{cells[first[1]][0].tag}: {exc}")
+                error, starts = exc, np.cumsum([0, *lengths[:-1]])
+                by_cell = np.logical_or.reduceat(exc.saturated, starts, axis=-1)
+                saturated[:, members] |= by_cell.reshape(len(built), n_rows, -1)
                 continue
             first, best = _best_splits(means, lengths)
             splits = np.concatenate([grids[i] for i in members[0]])
             out[:, 0, members] = splits[first].reshape(len(built), n_rows, -1)
             out[:, 1, members] = best.reshape(len(built), n_rows, -1)
-    if failed is None:
+    if not saturated.any():
         return list(out), None
-    b, i, message = failed
-    channel_index = block[b]
-    return [], (channel_index, SaturatedSinrError(
-        f"{message} at {config.x_kind}={cells[i][1]:g} on channel {channel_index}"
-    ))
+    # Cells go by scheme, then by x point, so the first failing cell may
+    # sit on a later stack of slots than another failing set.
+    b, i = np.unravel_index(saturated.argmax(), saturated.shape)
+    message = f"{cells[i][0].tag}: {error} at {config.x_kind}={cells[i][1]:g}"
+    return [], (block[b], SaturatedSinrError(f"{message} on channel {block[b]}"))
 
 
 # In a pool worker: the lowest channel that any worker of its pool has

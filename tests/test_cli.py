@@ -688,13 +688,15 @@ class TestConsoleScript:
 
 def test_snapshot_runs_are_cli_commands():
     # tools/snapshot_outputs.py runs its list through main; each entry
-    # must stay a command the parser takes, under a name of its own.
+    # must stay a command the parser takes, under a name of its own,
+    # the runs that must fail included.
     path = Path(__file__).resolve().parents[1] / "tools" / "snapshot_outputs.py"
     spec = importlib.util.spec_from_file_location("snapshot_outputs", path)
     snapshot = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(snapshot)
-    names = [name for name, _ in snapshot.RUNS]
+    runs = (*snapshot.RUNS, *snapshot.FAILING_RUNS)
+    names = [name for name, _ in runs]
     assert len(set(names)) == len(names)
-    for _, argv in snapshot.RUNS:
+    for _, argv in runs:
         out = ["--out", "x.csv"] if argv[0].startswith("sweep-") else []
         assert build_parser().parse_args([*argv, *out]).handler

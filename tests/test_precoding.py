@@ -485,6 +485,19 @@ class TestGeometryCache:
             assert not record.direction.flags.writeable
         assert linalg._anchored_direction.cache_info().misses == 1
 
+    def test_a_nonzero_split_leaves_the_direction_on_its_record(self):
+        # linalg's one-entry cache moves on with the next channel, so the
+        # build that takes d keeps it on its record for the rate kernel;
+        # builds with no common stream, and other records, keep none.
+        h = random_channel(85)
+        for ps in (build_precoders(h, SchemeTag("cthp", rs=True), 10.0, 0.75, 0.0),
+                   build_precoders(h, SchemeTag("cthp"), 10.0, 0.75)):
+            assert "direction" not in vars(ps.geometry)
+        ps = build_precoders(h, SchemeTag("cthp", rs=True), 10.0, 0.75, 0.4)
+        d = linalg.dominant_right_singular_vector(h)
+        assert vars(ps.geometry)["direction"].tobytes() == d.tobytes()
+        assert "direction" not in vars(build_precoders(h, SchemeTag("zf"), 10.0, 0.75).geometry)
+
     def test_builds_compare_by_identity(self):
         # A field-by-field comparison would compare h_est element-wise
         # and raise numpy's ambiguous-truth ValueError.

@@ -284,6 +284,15 @@ def test_each_channel_column_is_its_cells_own_split_search(config_channel):
         assert tuple(column.tolist()) == cell_reference(config, cell, channel_index)
 
 
+# Under a cap of 10^1.04, with 8,200 draws a channel stacks one slot at a
+# time: zf fails at 5 dB, on the first stack, and cthp at 25 dB, on the
+# second, but cthp at 25 dB comes first in output order.
+SPANNING_STACKS = (SweepConfig(schemes=(SchemeTag("zf"), SchemeTag("cthp")), n_users=2, n_tx=2,
+                               snr_grid_db=(5.0, 25.0), error_regime=ErrorRegime.snr_scaled(0.6),
+                               n_channels=1, n_error_samples=8200, power_split_grid=(0.0, 0.5),
+                               master_seed=0), 0)
+
+
 @PROPERTY_SETTINGS
 @given(sweep_channels(), st.floats(0.0, 4.0))
 # Under a cap of 10^0.17, cthp-rs fails at 1 dB and cthp at 9 dB but not
@@ -293,6 +302,7 @@ def test_each_channel_column_is_its_cells_own_split_search(config_channel):
                       n_tx=3, snr_grid_db=(1.0, 9.0), error_regime=ErrorRegime.snr_scaled(0.8),
                       n_channels=1, n_error_samples=2, power_split_grid=(0.0, 0.5),
                       master_seed=861), 0), 0.17)
+@example(SPANNING_STACKS, 1.04)
 def test_a_saturated_channel_names_its_first_failing_cell(config_channel, log_cap):
     # With a cap of 1 to 1e4 some cells saturate and some do not; the
     # error is the first failing cell's in output order, whichever
@@ -317,6 +327,27 @@ def test_a_saturated_channel_names_its_first_failing_cell(config_channel, log_ca
             with pytest.raises(SaturatedSinrError) as raised:
                 _rate_channels(config, cells, channels)
             assert str(raised.value) == expected
+
+
+def test_the_spanning_stacks_example_fails_first_on_its_later_stack(monkeypatch):
+    # The example above reaches the failure that spans stacks of slots
+    # only while its channel stacks fewer slots than it has, and its
+    # first failing cell in output order sits on a later stack than
+    # another failing cell.
+    config, channel_index = SPANNING_STACKS
+    cells = _sweep_cells(config)
+    plan = _block_plan(config, cells)
+    assert plan.stacked_slots < len(plan.slots)
+    stack_of = {i: slot // plan.stacked_slots for members in plan.records.values()
+                for slot, row in enumerate(members) for i in row}
+    monkeypatch.setattr("rsthp.rates.SINR_CAP", 10.0**1.04)
+    failing_stacks = []
+    for i, cell in enumerate(cells):
+        try:
+            cell_reference(config, cell, channel_index)
+        except SaturatedSinrError:
+            failing_stacks.append(stack_of[i])
+    assert failing_stacks[0] > min(failing_stacks)
 
 
 @st.composite
