@@ -11,7 +11,11 @@ geometry record per row (of one channel or of many), and (R, T) arrays
 of beta and P, the T sets of each row: it forms each row's
 split-invariant gains once and broadcasts its sets against them, in
 runs of sets. One build over one ensemble (sum_rate_samples,
-sinr_imperfect_csit) is its (1, 1) view, with the same bits. The
+sinr_imperfect_csit) is its (1, 1) view, with the same bits. The sweep's
+split search (stacked_split_search) rates the same sets on the same
+invariants, coarse to fine: private SINRs fall and common SINRs rise
+along a split grid, so a bound skips, exactly, the splits that cannot
+be a grid's best. The
 estimator simulates the received signal model directly and is the
 independent check on the algebra. Neither asks where a scheme puts its
 THP gains: the unit_map and rx_gain of a geometry record carry that.
@@ -35,6 +39,7 @@ Conventions used throughout:
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -154,7 +159,7 @@ def _row_invariants(
     direction d, read only with_common. Each row's records are stacked,
     and a stacked matmul makes the BLAS calls of one product per row, so
     a row gets the bits of a call on its record alone. The arrays are
-    workspace buffers (see stacked_sum_rate_table)."""
+    workspace buffers (see stacked_split_search)."""
     n_users = len(geometries[0].rx_gain)
     per_row = (len(rows), rows.shape[1] // n_users, n_users)
     unit_private = np.stack([g.unit_private for g in geometries])
@@ -313,42 +318,10 @@ def rates_from_sinr(report: SinrReport) -> RateReport:
     )
 
 
-def stacked_sum_rate_table(
-    geometries: Sequence[Geometry], beta, power, rows: np.ndarray, sigma_n2: float,
-    max_sets: int | None = None, mean: bool = False, workspace: dict | None = None,
-) -> np.ndarray:
-    """(R, T, M) per-realization sum rates of R T builds from one kernel
-    call, or with mean each set's average over its M realizations,
-    (R, T). rows (R, M K, N) stacks R realizations h_est + E, not the
-    errors E, which no shape check can tell apart; row r lies on the
-    geometry record geometries[r] (zf, cthp, or dthp with zf-dpc) of its
-    channel, so one call may rate many channels. Set (r, t) is the
-    scalars beta[r, t] and P = power[r, t], rated over row r, each
-    realization on its own (common stream at its worst user); it has a
-    common term, along its record's direction d, only if its build has
-    one (P > 0), so a rate-splitting build at split 0 gets its base
-    scheme's bits, with no zero-weighted common rate (a set at P = 0
-    beside sets at P > 0 adds the rate log2(1 + 0) = +0.0). Each row's
-    split-invariant arrays are formed once, and the sets are rated in
-    runs of at most max_sets (all at once if None): whole rows, or equal
-    parts of one row that holds more. Set (r, t) is bit-identical to
-    sum_rate_samples of its build over its ensemble, however the sets
-    are stacked or cut. Averages are reduced run by run, so they never
-    hold the table of a large ensemble at once; they have np.mean's
-    bits. workspace is a dict that the caller keeps from call to call:
-    the kernel keeps its large temporaries there and reuses them,
-    instead of allocating them anew (glibc hands a freed heap back to
-    the OS, and every call would fault its pages in again).
-
-    Raises:
-        EmptyGridError: no sets.
-        DimensionMismatchError: geometries does not give each row one
-            record, or beta and power are not both (R, T).
-        SaturatedSinrError: an SINR of any set reached SINR_CAP or was
-            not finite, so the capped rate would be averaged in as if it
-            were real. Raised once every run is rated; its saturated is
-            the (R, T) mask of the saturated sets.
-    """
+def _checked_sets(geometries: Sequence[Geometry], beta, power, rows: np.ndarray) -> tuple:
+    """beta and power as float arrays, after checking that they are both
+    (R, T) with R = len(rows), T >= 1, and that geometries gives each row
+    one record."""
     beta, power = np.asarray(beta, dtype=float), np.asarray(power, dtype=float)
     if not beta.size:
         raise EmptyGridError("no precoder sets to rate")
@@ -361,21 +334,31 @@ def stacked_sum_rate_table(
         raise DimensionMismatchError(
             f"{len(geometries)} geometry records for {len(rows)} rows; each row needs one"
         )
-    workspace = {} if workspace is None else workspace
-    invariants = _row_invariants(geometries, rows, bool(np.any(power > 0)), workspace)
+    return beta, power
+
+
+def _runs(
+    rows: _RowInvariants, beta: np.ndarray, power: np.ndarray, sigma_n2: float,
+    max_sets: int | None, workspace: dict,
+):
+    """Rate the (R, T) sets beta, power, set (r, t) over row r of rows,
+    in runs of at most max_sets sets (all at once if None): whole rows,
+    or equal parts of one row that holds more. Yields each run's (slice
+    of the (R, T) sets, its (R', T', M) private rates summed over users,
+    the columns with P > 0 on some row, their (R', C, M) worst-user
+    common rates or None). Raises SaturatedSinrError, with the (R, T)
+    mask of the saturated sets, once every run is rated."""
     n_rows, n_sets = beta.shape
     max_sets = max_sets or beta.size
     # Runs of equal size: no more runs, and no larger arrays, than needed.
     row_step = _equal_step(n_rows, max(1, max_sets // n_sets))
     set_step = _equal_step(n_sets, max_sets)
-    n_draws = rows.shape[1] // len(geometries[0].rx_gain)
-    table = np.empty(beta.shape if mean else (*beta.shape, n_draws))
     saturated = np.empty(beta.shape, dtype=bool)
     for r in range(0, n_rows, row_step):
         for t in range(0, n_sets, set_step):
             part = np.s_[r:r + row_step, t:t + set_step]
             private, common_at, common, saturated[part] = _set_sinrs(
-                invariants, part[0], beta[part], power[part], sigma_n2, workspace
+                rows, part[0], beta[part], power[part], sigma_n2, workspace
             )
             # The per-user reductions run over the K user slices: numpy's
             # per-row reduction overhead over a short last axis costs more
@@ -387,13 +370,175 @@ def stacked_sum_rate_table(
             totals = rates[..., 0].copy()
             for k in range(1, rates.shape[-1]):
                 totals += rates[..., k]
-            if common is not None:
-                totals[:, common_at] += _worst_user_rate(common)
-            # np.mean's own sum and division, without its per-call overhead.
-            table[part] = totals.sum(axis=-1) / n_draws if mean else totals
+            yield part, totals, common_at, None if common is None else _worst_user_rate(common)
     if saturated.any():
         raise _saturation("an SINR", saturated)
+
+
+def stacked_sum_rate_table(
+    geometries: Sequence[Geometry], beta, power, rows: np.ndarray, sigma_n2: float
+) -> np.ndarray:
+    """(R, T, M) per-realization sum rates of R T builds from one kernel
+    call. rows (R, M K, N) stacks R realizations h_est + E, not the
+    errors E, which no shape check can tell apart; row r lies on the
+    geometry record geometries[r] (zf, cthp, or dthp with zf-dpc) of its
+    channel, so one call may rate many channels. Set (r, t) is the
+    scalars beta[r, t] and P = power[r, t], rated over row r, each
+    realization on its own (common stream at its worst user); it has a
+    common term, along its record's direction d, only if its build has
+    one (P > 0), so a rate-splitting build at split 0 gets its base
+    scheme's bits, with no zero-weighted common rate (a set at P = 0
+    beside sets at P > 0 adds the rate log2(1 + 0) = +0.0). Each row's
+    split-invariant arrays are formed once, and every set is broadcast
+    against them. Set (r, t) is bit-identical to sum_rate_samples of its
+    build over its ensemble, however the sets are stacked, and to its
+    rates in a run of stacked_split_search.
+
+    Raises:
+        EmptyGridError: no sets.
+        DimensionMismatchError: geometries does not give each row one
+            record, or beta and power are not both (R, T).
+        SaturatedSinrError: an SINR of any set reached SINR_CAP or was
+            not finite, so the capped rate would be averaged in as if it
+            were real. Raised once every run is rated; its saturated is
+            the (R, T) mask of the saturated sets.
+    """
+    beta, power = _checked_sets(geometries, beta, power, rows)
+    workspace = {}
+    invariants = _row_invariants(geometries, rows, bool(np.any(power > 0)), workspace)
+    table = np.empty((*beta.shape, invariants.cross.shape[1]))
+    for part, totals, common_at, common in _runs(
+        invariants, beta, power, sigma_n2, None, workspace
+    ):
+        if common is not None:
+            totals[:, common_at] += common
+        table[part] = totals
     return table
+
+
+# The first pass of a split search rates every _COARSE_STEP-th split of
+# each grid and its last; the second rates the inside of each gap between
+# them whose bound reaches the grid's best so far, less _BOUND_SLACK of it.
+_COARSE_STEP = 4
+_BOUND_SLACK = 1e-12
+
+
+def stacked_split_search(
+    geometries: Sequence[Geometry], beta, power, rows: np.ndarray, sigma_n2: float,
+    lengths: Sequence[int], max_sets: int | None = None, workspace: dict | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's best set in each of its runs of lengths sets, as (its
+    position in the row, its average sum rate over the row's M
+    realizations): two (R, len(lengths)) arrays. The rows, records and
+    (R, T) sets are stacked_sum_rate_table's, and a row's sets are runs
+    of lengths sets back to back, each one split search: the builds of
+    one ascending split grid, along which beta falls and P rises. The
+    first of equal averages wins (the smaller split), as in
+    optimize_power_split, and each average has the bits of np.mean of
+    that set's sum_rate_samples.
+
+    The search is exact and coarse to fine, on one set of row invariants.
+    Along a grid every private SINR falls (beta^2 falls) and every
+    common SINR rises (P rises, beta^2 falls), on every realization. So
+    no split strictly between grid points a < b averages more than
+    priv(a) + com(b), a's mean private rate and b's mean common rate.
+    The first pass rates every 4th split of each grid and its last, with
+    their mean private and common rates; the second rates the inside of
+    a gap (a, b) only where, on some row, that bound reaches the best
+    average of the first pass less 1e-12 of its size (the rounding of
+    the means), so every split it skips averages strictly less than its
+    grid's best. A call whose grids have no gap (at most 2 splits each,
+    as a base scheme's one) takes one pass with no extra arrays. The
+    sets are rated in runs of at most max_sets, and workspace is a dict
+    that the caller keeps from call to call: the kernel keeps its large
+    temporaries there and reuses them, instead of allocating them anew
+    (glibc hands a freed heap back to the OS, and every call would fault
+    its pages in again).
+
+    Raises:
+        EmptyGridError, DimensionMismatchError: as stacked_sum_rate_table.
+        SaturatedSinrError: an SINR of a rated set reached SINR_CAP or
+            was not finite; its saturated is the (R, T) mask of the
+            saturated sets, of the pass that met them. A skipped split
+            saturates only if its gap's end on the same side does (a
+            private SINR at a, a common one at b), and both ends are
+            rated in the first pass, so each run's mask is True
+            somewhere exactly where the full grid's is.
+    """
+    beta, power = _checked_sets(geometries, beta, power, rows)
+    workspace = {} if workspace is None else workspace
+    invariants = _row_invariants(geometries, rows, bool(np.any(power > 0)), workspace)
+    n_sets = beta.shape[1]
+    starts = np.cumsum([0, *lengths[:-1]])
+    # The plan, in Python over a row's few grids: the coarse columns of
+    # each grid (every _COARSE_STEP-th split and its last), the position
+    # of each grid's first among them, and each gap between two coarse
+    # columns of one grid that holds splits, as (position of its lower
+    # end, its grid).
+    coarse, grid_starts, gaps = [], [], []
+    for grid, (start, n) in enumerate(zip(starts.tolist(), lengths)):
+        ends = [*range(0, n - 1, _COARSE_STEP), n - 1]
+        grid_starts.append(len(coarse))
+        gaps += [
+            (len(coarse) + i, grid) for i in range(len(ends) - 1) if ends[i + 1] - ends[i] > 1
+        ]
+        coarse += [start + t for t in ends]
+    rate = partial(_mean_rates, invariants, beta, power, sigma_n2, max_sets, workspace)
+    if not gaps:
+        means = rate(slice(None))
+    else:
+        means = np.full(beta.shape, -np.inf)
+        means[:, coarse], private, common = rate(coarse, parts=True)
+        lower, grid_of = (list(column) for column in zip(*gaps))
+        best = np.maximum.reduceat(means[:, coarse], grid_starts, axis=1)[:, grid_of]
+        bound = private[:, lower] + common[:, [i + 1 for i in lower]]
+        reach = (bound >= best - _BOUND_SLACK * np.abs(best)).any(axis=0)
+        inside = [
+            t for i, open_gap in zip(lower, reach.tolist()) if open_gap
+            for t in range(coarse[i] + 1, coarse[i + 1])
+        ]
+        if inside:
+            means[:, inside] = rate(inside)
+    best = np.maximum.reduceat(means, starts, axis=1)
+    at_best = means == np.repeat(best, lengths, axis=1)
+    position = np.arange(n_sets)
+    first = np.minimum.reduceat(np.where(at_best, position, n_sets), starts, axis=1)
+    return first, best
+
+
+def _mean_rates(
+    rows: _RowInvariants, beta: np.ndarray, power: np.ndarray, sigma_n2: float,
+    max_sets: int | None, workspace: dict, columns, parts: bool = False,
+):
+    """The average sum rates over their rows' M realizations of the sets
+    at columns of the (R, T) beta and power, (R, len(columns)), with the
+    bits of np.mean; with parts also their mean private rates (summed
+    over users) and mean common rates, for a search's bounds. Raises
+    SaturatedSinrError with an (R, T) mask that holds the saturated sets
+    of those columns."""
+    shape = beta.shape
+    beta, power = beta[:, columns], power[:, columns]
+    n_draws = rows.cross.shape[1]
+    means = np.empty(beta.shape)
+    if parts:
+        private_means, common_means = np.empty(beta.shape), np.zeros(beta.shape)
+    try:
+        for part, totals, common_at, common in _runs(
+            rows, beta, power, sigma_n2, max_sets, workspace
+        ):
+            # np.mean's own sum and division, without its per-call overhead.
+            if parts:
+                private_means[part] = totals.sum(axis=-1) / n_draws
+            if common is not None:
+                if parts:
+                    common_means[part][:, common_at] = common.sum(axis=-1) / n_draws
+                totals[:, common_at] += common
+            means[part] = totals.sum(axis=-1) / n_draws
+    except SaturatedSinrError as exc:
+        saturated = np.zeros(shape, dtype=bool)
+        saturated[:, columns] = exc.saturated
+        raise _saturation("an SINR", saturated) from None
+    return (means, private_means, common_means) if parts else means
 
 
 def _equal_step(n: int, most: int) -> int:

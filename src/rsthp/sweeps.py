@@ -14,7 +14,8 @@ alone, and a cell is the mean over its channels (the ergodic sum rate
 as a mean of per-channel sample averages), so channels stack freely.
 Each cell's plan (_cell) fixes its split grid and error variance once;
 _block_plan alone sizes the engine, from the config: a block's
-channels, the slots stacked at once and one kernel run. _rate_channels
+channels (as many as its stacked realizations and its builds allow), the
+slots stacked at once and one kernel run. _rate_channels
 rates every planned cell on a range of channels by that plan, and
 raises the lowest failing channel's first failing cell's error in
 output order; working_set_bytes charges the same plan. run_sweep
@@ -30,15 +31,17 @@ point is two scalars and a reference to its record. A block keeps its
 channels' records, built one at a time; a record's first build at a
 nonzero split leaves the common-stream direction on it (Geometry.direction).
 The eight schemes share three geometry records (zf, cthp, and dthp with
-zf-dpc: SchemeTag.record); the cells that share one are rated on every
-channel of a block in one kernel call (rates.stacked_sum_rate_table).
+zf-dpc: SchemeTag.record); the cells that share one are searched on
+every channel of a block in one kernel call (rates.stacked_split_search),
+which rates each split grid coarse to fine and skips, exactly, the
+splits that a bound rules out.
 A channel's rows are its slots: one per x point, or a single one when
 every cell has the same error variance. Each row h_est + E is one
 channel at one slot, on that channel's record, and holds the beta and
 P of every split of the slot's cells, so every row holds the same
-schemes and beta and P are (rows, sets) arrays. Each split gets the
-bits of optimize_power_split, the reference search that rates one cell
-split by split.
+schemes and beta and P are (rows, sets) arrays. Each cell's best split
+and average get the bits of optimize_power_split, the reference search
+that rates one cell split by split.
 SweepConfig.validate rejects a config whose estimated working set
 exceeds MEMORY_BUDGET_BYTES (512 MiB).
 """
@@ -65,7 +68,7 @@ from .exceptions import (
     SaturatedSinrError,
 )
 from .precoding import ALL_SCHEME_TAGS, SchemeTag, build_precoders
-from .rates import _buffer, stacked_sum_rate_table, sum_rate_samples
+from .rates import _buffer, stacked_split_search, sum_rate_samples
 
 # 95% normal-approximation confidence multiplier for the ESR halfwidth.
 _CI_FACTOR = 1.96
@@ -93,7 +96,8 @@ _ROW_BYTES = 128 + 8
 # larger: 256 KiB float64 blocks. On a 2-core x86 host (BLAS on 1 thread) the
 # default fixed-error sweep took 0.61 s at 2**15 against 0.67 s at 2**14 and
 # 0.71 s at 2**16 (medians of 6 alternating runs). At 100 draws and 4 users a
-# run then rates up to 81 sets, not 40.
+# run then rates up to 81 sets, not 40. A block also holds at most a fourth
+# as many builds (cells x splits x channels).
 _BLOCK_VALUES = 2**15
 
 # Bytes the kernel holds per value of a run beyond G0 and its per-user
@@ -195,20 +199,6 @@ def optimize_power_split(
     asrs = [average_sum_rate(h_est, scheme, e_tr, power_loss, t, errors) for t in grid]
     best = asrs.index(max(asrs))
     return grid[best], asrs[best]
-
-
-def _best_splits(means: np.ndarray, lengths: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """For (C, L) average sum rates whose rows each hold runs of lengths
-    splits back to back (one ascending grid each), each run's best split
-    as (its position in the row, its average): two (C, len(lengths))
-    arrays. The first of equal averages wins (the smaller split), as in
-    optimize_power_split."""
-    starts = np.cumsum([0, *lengths[:-1]])
-    best = np.maximum.reduceat(means, starts, axis=1)
-    position = np.arange(means.shape[1])
-    at_best = means == np.repeat(best, lengths, axis=1)
-    first = np.minimum.reduceat(np.where(at_best, position, len(position)), starts, axis=1)
-    return first, best
 
 
 @dataclass(frozen=True)
@@ -480,11 +470,14 @@ def _block_plan(config: SweepConfig, cells: list[tuple]) -> _BlockPlan:
     the same schemes, and a record's sets are the same on every row of a
     kernel call. A kernel run holds up to max(T x M x K, _BLOCK_VALUES)
     values, one split search at least, so cells and channels with few
-    draws share a run. A block holds as many consecutive channels as
-    keep one record's sets within a run and its stacked h_est + E within
-    _BLOCK_VALUES complex values (at least 1, at most n_channels, never
-    more for more workers), and a channel stacks as many slots at a time
-    as _BLOCK_VALUES complex values hold, at least 1."""
+    draws share a run; the kernel cuts a call's sets into such runs,
+    whole rows or equal parts of one. A block holds as many consecutive
+    channels as keep its stacked h_est + E within _BLOCK_VALUES complex
+    values and its builds (cells x splits) within _BLOCK_VALUES // 4, at
+    least 1, at most n_channels, never more for more workers: the builds'
+    cap keeps the default sweeps' estimates under 4 MiB. A channel stacks
+    as many slots at a time as _BLOCK_VALUES complex values hold, at
+    least 1."""
     n_users, n_tx = config.n_users, config.n_tx
     _, x_values, _, grids, variances = zip(*cells)
     shared = len(set(variances)) == 1
@@ -497,12 +490,9 @@ def _block_plan(config: SweepConfig, cells: list[tuple]) -> _BlockPlan:
         by_slot[slot_of[keys[index]]].append(index)
     m = 1 if slots == (None,) else config.n_error_samples
     run_values = max(max(map(len, grids)) * m * n_users, _BLOCK_VALUES)
-    most_sets = max(
-        sum(len(grids[i]) for slot in by_slot for i in slot) for by_slot in members.values()
-    )
     channels = min(
-        run_values // (most_sets * m * n_users),
         _BLOCK_VALUES // (len(slots) * m * n_users * n_tx),
+        _BLOCK_VALUES // 4 // sum(map(len, grids)),
         config.n_channels,
     )
     return _BlockPlan(
@@ -530,8 +520,9 @@ def _rate_channels(
     stacked, stacked_slots slots at a time. The cells that share a
     geometry record (zf with rs-linear, cthp with cthp-rs, dthp with
     zf-dpc and their RS schemes) on every channel of the block are
-    rated in one stacked_sum_rate_table call per stack of slots: row
-    (channel, slot) holds the splits of the slot's cells.
+    searched in one stacked_split_search call per stack of slots: row
+    (channel, slot) holds the splits of the slot's cells, and the call
+    returns each cell's first best split and its average.
 
     A build's error on channel c stops the block's builds; the channels
     below c are rated, and raise first if one saturates. A
@@ -606,7 +597,9 @@ def _rate_block(
     records built, None), or ([], (channel, SaturatedSinrError)) of the
     lowest saturated channel's first saturated cell in output order: the
     first True, in row-major order, of one (channels, cells) mask that
-    ORs each kernel call's saturated sets cell by cell. The workspace's
+    ORs each kernel call's saturated sets cell by cell. A split that the
+    search skips saturates only where a rated split of its cell does
+    (stacked_split_search), so the mask is the full grid's. The workspace's
     "rows" holds the realizations of each stack of slots in turn."""
     n_users, n_tx, m = config.n_users, config.n_tx, plan.m
     _, _, _, grids, _ = zip(*cells)
@@ -634,16 +627,14 @@ def _rate_block(
             values = np.concatenate([records[record][1][start:start + step] for records in built])
             beta, power = np.moveaxis(values, -1, 0)
             try:
-                means = stacked_sum_rate_table(
-                    geometries, beta, power, rows, SIGMA_N2, plan.max_sets,
-                    mean=True, workspace=workspace,
+                first, best = stacked_split_search(
+                    geometries, beta, power, rows, SIGMA_N2, lengths, plan.max_sets, workspace
                 )
             except SaturatedSinrError as exc:
                 error, starts = exc, np.cumsum([0, *lengths[:-1]])
                 by_cell = np.logical_or.reduceat(exc.saturated, starts, axis=-1)
                 saturated[:, members] |= by_cell.reshape(len(built), n_rows, -1)
                 continue
-            first, best = _best_splits(means, lengths)
             splits = np.concatenate([grids[i] for i in members[0]])
             out[:, 0, members] = splits[first].reshape(len(built), n_rows, -1)
             out[:, 1, members] = best.reshape(len(built), n_rows, -1)

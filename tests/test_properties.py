@@ -35,6 +35,7 @@ from rsthp import (  # noqa: E402
     build_precoders,
     draw_error_ensemble,
     rates_from_sinr,
+    run_sweep,
     sinr_imperfect_csit,
     sinr_perfect_csit,
     snr_db_to_power,
@@ -51,7 +52,12 @@ from rsthp.channel import (  # noqa: E402
 from rsthp.cli import MAX_RANGE_POINTS, main, parse_grid  # noqa: E402
 from rsthp.exceptions import SaturatedSinrError  # noqa: E402
 from rsthp.precoding import ALL_SCHEME_TAGS  # noqa: E402
-from rsthp.rates import stacked_sum_rate_table  # noqa: E402
+from rsthp.rates import (  # noqa: E402
+    _mean_rates,
+    _row_invariants,
+    stacked_split_search,
+    stacked_sum_rate_table,
+)
 from rsthp.sweeps import (  # noqa: E402
     SIGMA_N2,
     _block_plan,
@@ -284,6 +290,103 @@ def test_each_channel_column_is_its_cells_own_split_search(config_channel):
         assert tuple(column.tolist()) == cell_reference(config, cell, channel_index)
 
 
+@st.composite
+def searched_sweeps(draw):
+    """A small valid SweepConfig whose split search has gaps to skip: K
+    <= N <= 4, one or two SNRs in -10 to 40 dB, perfect CSIT or a fixed
+    error variance in 0 to 1, one to three schemes, at least one of them
+    rate-splitting, on one to three channels, and an ascending split
+    grid of 2, 3, 5 or 21 points (4 divides none of their gaps' ends)."""
+    n_users = draw(st.integers(1, 4))
+    n_splits = draw(st.sampled_from((2, 3, 5, 21)))
+    schemes = draw(st.lists(st.sampled_from(ALL_SCHEME_TAGS), min_size=1, max_size=3,
+                            unique=True).filter(lambda s: any(t.rs for t in s)))
+    variance = draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
+    config = SweepConfig(
+        n_users=n_users,
+        n_tx=draw(st.integers(n_users, 4)),
+        schemes=tuple(schemes),
+        error_regime=ErrorRegime.perfect() if variance is None
+        else ErrorRegime.fixed_variance(variance),
+        snr_grid_db=tuple(draw(st.lists(st.floats(-10.0, 40.0), min_size=1, max_size=2,
+                                        unique=True))),
+        n_channels=draw(st.integers(1, 3)),
+        n_error_samples=draw(st.integers(1, 5)),
+        power_split_grid=tuple(sorted(draw(st.lists(
+            st.floats(0.0, 0.99), min_size=n_splits, max_size=n_splits, unique=True)))),
+        master_seed=draw(st.integers(0, 2**31 - 1)),
+    )
+    config.validate()
+    return config
+
+
+@PROPERTY_SETTINGS
+@given(searched_sweeps())
+# One user on one antenna under perfect CSIT: the sum rate of rs-linear
+# does not depend on the split but for rounding, and on channel 0 at 20
+# dB its best average is tied at splits 3, 5, 6, 8 to 10 and 12 to 20,
+# so the first best lies inside a gap of the coarse pass.
+@example(SweepConfig(n_users=1, n_tx=1, schemes=(SchemeTag("zf", rs=True),),
+                     snr_grid_db=(20.0,), n_channels=1, master_seed=0,
+                     power_split_grid=tuple(i * 0.045 for i in range(21))))
+# dthp-rs on channel 0 at 20 dB: the best split, 0.135, lies inside the
+# gap (0.09, 0.18) below the coarse pass's best, 0.18, so only a bound
+# that reads the common rate at the gap's upper end keeps it.
+@example(SweepConfig(n_users=2, n_tx=2, schemes=(SchemeTag("dthp", rs=True),),
+                     snr_grid_db=(20.0,), n_channels=1, master_seed=2,
+                     power_split_grid=tuple(i * 0.045 for i in range(21))))
+# The same on two channels of one kernel call: channel 1's best split,
+# 0.495, lies in the gap (0.36, 0.54), which channel 0's bound does not
+# open, so a gap must be rated when the bound of any row reaches.
+@example(SweepConfig(n_users=2, n_tx=2, schemes=(SchemeTag("dthp", rs=True),),
+                     snr_grid_db=(20.0,), n_channels=2, master_seed=12,
+                     power_split_grid=tuple(i * 0.045 for i in range(21))))
+def test_the_split_search_finds_each_channels_first_best_split(config):
+    # The sweep rates each grid coarse to fine and skips the gaps that
+    # its bound rules out; every channel's split and average sum rate
+    # are still those of the exhaustive search, the first of equal
+    # averages included, and a saturating channel still fails.
+    cells = _sweep_cells(config)
+    try:
+        expected = [[cell_reference(config, cell, c) for c in range(config.n_channels)]
+                    for cell in cells]
+    except SaturatedSinrError:
+        with pytest.raises(SaturatedSinrError):
+            run_sweep(config)
+        return
+    for cell, want in zip(run_sweep(config).cells, expected):
+        assert list(zip(cell.per_channel_split, cell.per_channel_asr)) == want
+
+
+def test_mean_private_rates_fall_and_common_rates_rise_along_a_grid():
+    # The premise of the split search's bound, on the kernel's own
+    # averages (only the kernel's private helpers show the two parts):
+    # on the 50 channels of the benchmark's fixed-error config, each
+    # rate-splitting scheme's mean private rate never rises from one
+    # split to the next and its mean common rate never falls.
+    grid = parse_grid("0:0.05:0.95")
+    seed, n_users, n_tx = 12345, 4, 4
+    for c in range(50):
+        h_est = draw_channel(seed, c, n_users, n_tx)
+        errors = draw_error_ensemble(n_users, n_tx, 0.2, 100, seed, c)
+        builds = [
+            [build_precoders(h_est, SchemeTag(base, rs=True), snr_db_to_power(snr_db), 0.75, t)
+             for t in grid]
+            for base in BASES for snr_db in (0.0, 30.0)
+        ]
+        geometries = [row[0].geometry for row in builds]
+        beta = np.array([[ps.beta for ps in row] for row in builds])
+        power = np.array([[ps.common_power for ps in row] for row in builds])
+        rows = np.repeat((h_est + errors).reshape(1, -1, n_tx), len(builds), axis=0)
+        workspace = {}
+        invariants = _row_invariants(geometries, rows, True, workspace)
+        _, private, common = _mean_rates(
+            invariants, beta, power, SIGMA_N2, None, workspace, slice(None), parts=True
+        )
+        assert np.all(np.diff(private, axis=1) <= 0.0)
+        assert np.all(np.diff(common, axis=1) >= 0.0)
+
+
 # Under a cap of 10^1.04, with 8,200 draws a channel stacks one slot at a
 # time: zf fails at 5 dB, on the first stack, and cthp at 25 dB, on the
 # second, but cthp at 25 dB comes first in output order.
@@ -442,9 +545,10 @@ def stacked_tables(draw):
 def test_each_stacked_table_row_is_its_own_sum_rate_samples(case):
     # One kernel call over R stacked rows, of one or several channels,
     # gives every set the bits of rating it alone over its own row's
-    # ensemble, in one run of sets or in several, and its average the
-    # bits of np.mean. A set at P = 0 has its base scheme's bits, also
-    # in a column where another row's set has a common stream.
+    # ensemble, and a split search of one set per grid, in one run of
+    # sets or in several, its average with the bits of np.mean. A set at
+    # P = 0 has its base scheme's bits, also in a column where another
+    # row's set has a common stream.
     n_users, n_tx, seed = case["n_users"], case["n_tx"], case["seed"]
     channels = [draw_channel(seed, c, n_users, n_tx) for c in range(case["n_channels"])]
     rows, builds, ensembles = [], [], []
@@ -464,11 +568,12 @@ def test_each_stacked_table_row_is_its_own_sum_rate_samples(case):
     power = [[ps.common_power for ps in row] for row in builds]
     rows = np.stack(rows)
     max_sets = case["max_sets"]
-    table = stacked_sum_rate_table(geometries, beta, power, rows, SIGMA_N2, max_sets=max_sets)
-    means = stacked_sum_rate_table(
-        geometries, beta, power, rows, SIGMA_N2, max_sets=max_sets, mean=True
+    table = stacked_sum_rate_table(geometries, beta, power, rows, SIGMA_N2)
+    first, means = stacked_split_search(
+        geometries, beta, power, rows, SIGMA_N2, [1] * len(case["columns"]), max_sets=max_sets
     )
     assert table.shape == (*means.shape, case["n_draws"])
+    assert np.array_equal(first, np.broadcast_to(np.arange(means.shape[1]), means.shape))
     for row, row_means, row_builds, errors, snrs in zip(
         table, means, builds, ensembles, case["snr_db"]
     ):
@@ -503,7 +608,7 @@ MEMORY_ALLOWANCE = 32 * 2**10
 # SNR-scaled errors at alpha = 0: every SNR point has the same variance,
 # and the estimate charges the one stacked variance the engine rates.
 @example((SweepConfig(error_regime=ErrorRegime.snr_scaled(0.0)), 0))
-# Perfect CSIT, all 8 schemes at two SNRs: one block holds all 50 channels.
+# Perfect CSIT, all 8 schemes at two SNRs: a block holds 48 of the 50 channels.
 @example((SweepConfig(snr_grid_db=(0.0, 30.0)), 0))
 # Six variances of 3,000 draws: a channel's slots exceed _BLOCK_VALUES
 # complex values, and each takes its own slot block.

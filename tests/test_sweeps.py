@@ -278,9 +278,11 @@ class TestSweepConfig:
         # The estimate reads the cells' plans. SNR-scaled errors at
         # alpha = 0 give every SNR point the variance 1, which the
         # engine stacks once, as it stacks a fixed variance of 1; at
-        # alpha = 0.6 each of the 7 points stacks its own.
+        # alpha = 0.6 each of the 7 points stacks its own. On one
+        # channel, so that every block holds one channel and only the
+        # slots differ.
         def estimate(regime):
-            return sweeps.working_set_bytes(SweepConfig(error_regime=regime), 50)
+            return sweeps.working_set_bytes(SweepConfig(error_regime=regime, n_channels=1), 1)
 
         one = estimate(ErrorRegime.fixed_variance(1.0))
         assert estimate(ErrorRegime.snr_scaled(0.0)) == one
@@ -537,22 +539,22 @@ class TestRunSweep:
 
     def test_one_kernel_call_per_channel_variance_block_and_geometry(self, monkeypatch):
         # The cells that share a geometry record (zf with rs-linear,
-        # cthp alone here, dthp-rs with zf-dpc) are rated in one kernel
-        # call per block of channels and slots, every split of every
-        # such cell on every channel of the block at every slot stacked:
-        # never one call per channel, cell, split or variance. Each row
-        # of the call names its own channel's record and holds the same
-        # number of sets.
+        # cthp alone here, dthp-rs with zf-dpc) are searched in one
+        # kernel call per block of channels and slots, every split of
+        # every such cell on every channel of the block at every slot
+        # stacked: never one call per channel, cell, split or variance.
+        # Each row of the call names its own channel's record and holds
+        # the same number of sets.
         calls = []
-        table = sweeps.stacked_sum_rate_table
+        search = sweeps.stacked_split_search
 
         def counting(geometries, beta, power, rows, *args, **kwargs):
             calls.append((beta.size, len(rows)))
             assert beta.shape == power.shape == (len(rows), beta.size // len(rows))
             assert len({id(g) for g in geometries}) == n_channels
-            return table(geometries, beta, power, rows, *args, **kwargs)
+            return search(geometries, beta, power, rows, *args, **kwargs)
 
-        monkeypatch.setattr(sweeps, "stacked_sum_rate_table", counting)
+        monkeypatch.setattr(sweeps, "stacked_split_search", counting)
         n_channels = 3
         for regime in (PERFECT, ErrorRegime.snr_scaled(0.6)):
             calls.clear()
@@ -571,33 +573,41 @@ class TestRunSweep:
             assert sorted(calls) == sorted((n_channels * sets, rows) for sets, rows in blocks)
 
     def test_a_block_holds_the_channels_that_fit_its_caps(self, monkeypatch):
-        # A block takes consecutive channels of a worker's run while one
-        # record's sets x M x K fit a kernel run and the stacked
-        # h_est + E fit _BLOCK_VALUES complex values; more workers cut
-        # shorter runs, never other blocks.
+        # A block takes consecutive channels of a worker's run while
+        # their stacked h_est + E fit _BLOCK_VALUES complex values and
+        # their builds _BLOCK_VALUES // 4; more workers cut shorter runs,
+        # never other blocks.
         rows = []
-        table = sweeps.stacked_sum_rate_table
+        search = sweeps.stacked_split_search
 
         def recording(geometries, beta, power, stacked, *args, **kwargs):
             rows.append(len(stacked))
-            return table(geometries, beta, power, stacked, *args, **kwargs)
+            return search(geometries, beta, power, stacked, *args, **kwargs)
 
-        monkeypatch.setattr(sweeps, "stacked_sum_rate_table", recording)
+        monkeypatch.setattr(sweeps, "stacked_split_search", recording)
         self.recording_pool(monkeypatch)
         zf = (parse_scheme_tag("zf"),)
         # 1000 draws x 4 x 4 = 16000 complex values a channel: 2 fit.
-        # Perfect CSIT stacks one 16-value realization, and 50 fit.
-        for overrides, size in ((dict(n_error_samples=1000, n_channels=5), 2),
-                                (dict(error_regime=PERFECT, n_channels=50), 50)):
-            cfg = small_config(schemes=zf, **overrides)
-            assert sweeps._block_plan(cfg, sweeps._sweep_cells(cfg)).channels == size
+        # Perfect CSIT stacks one 16-value realization, and 50 fit. All
+        # 8 schemes at two SNRs make 2 x (4 + 4 x 20) = 168 builds a
+        # channel: 48 fit in 8192.
+        for overrides, size in ((dict(schemes=zf, n_error_samples=1000, n_channels=5), 2),
+                                (dict(schemes=zf, error_regime=PERFECT, n_channels=50), 50),
+                                (dict(schemes=precoding.ALL_SCHEME_TAGS, error_regime=PERFECT,
+                                      snr_grid_db=(0.0, 30.0), n_channels=50,
+                                      power_split_grid=default_power_split_grid()), 48)):
+            cfg = small_config(**overrides)
+            plan = sweeps._block_plan(cfg, sweeps._sweep_cells(cfg))
+            assert plan.channels == size
             for n_jobs in (1, 2):
                 rows.clear()
                 run_sweep(cfg, n_jobs=n_jobs)
                 run = math.ceil(cfg.n_channels / n_jobs)
                 runs = [min(run, cfg.n_channels - start)
                         for start in range(0, cfg.n_channels, run)]
-                assert rows == [min(size, n - start) for n in runs for start in range(0, n, size)]
+                # One call per geometry record on each block.
+                assert rows == [min(size, n - start) for n in runs
+                                for start in range(0, n, size) for _ in plan.records]
 
     def test_kernel_blocks_hold_at_most_the_charged_values(self, monkeypatch):
         # The kernel rates its sets in runs of at most max(T M K,
@@ -606,33 +616,34 @@ class TestRunSweep:
         # _BLOCK_VALUES) complex values: the sizes of the block plan,
         # which working_set_bytes charges. With many draws a geometry's
         # sets take several runs of one kernel call, and each slot its
-        # own slot block.
+        # own slot block. Two-split grids have no gap to search, so the
+        # kernel rates every set once, in one pass.
         calls, runs = [], []
-        table, sinrs = sweeps.stacked_sum_rate_table, rates._set_sinrs
+        search, sinrs = sweeps.stacked_split_search, rates._set_sinrs
 
         def recording(geometries, beta, power, rows, *args, **kwargs):
             calls.append(rows.size)
-            return table(geometries, beta, power, rows, *args, **kwargs)
+            return search(geometries, beta, power, rows, *args, **kwargs)
 
         def recording_run(invariants, at, beta, *args):
             runs.append(beta.size * invariants.signal[0].size)
             return sinrs(invariants, at, beta, *args)
 
-        monkeypatch.setattr(sweeps, "stacked_sum_rate_table", recording)
+        monkeypatch.setattr(sweeps, "stacked_split_search", recording)
         monkeypatch.setattr(rates, "_set_sinrs", recording_run)
-        schemes = tuple(parse_scheme_tag(t) for t in ("dthp", "dthp-rs", "zf-dpc-rs"))
+        schemes = tuple(parse_scheme_tag(t) for t in ("dthp", "zf-dpc", "dthp-rs", "zf-dpc-rs"))
         variances = (0.1, 0.2, 0.3)
-        # 1 + 4 + 4 sets of one geometry per variance: at 5000 draws
-        # T M K = 80000 values, so a run holds 4 sets (a row's 9 in three
+        # 1 + 1 + 2 + 2 sets of one geometry per variance: at 5000 draws
+        # T M K = 40000 values, so a run holds 2 sets (a row's 6 in three
         # equal parts) and each variance takes its own slot block; at 10
         # draws the three variances' 3 x 160 complex values stack into
-        # one slot block, and its 3 rows of 9 sets into one run.
+        # one slot block, and its 3 rows of 6 sets into one run.
         for n_samples, n_calls, n_runs, n_variances in ((5000, 3, 9, 1), (10, 1, 1, 3)):
             calls.clear()
             runs.clear()
             cfg = small_config(
                 schemes=schemes, n_channels=1, n_error_samples=n_samples,
-                error_regime=PERFECT, error_variance_grid=variances,
+                error_regime=PERFECT, error_variance_grid=variances, power_split_grid=(0.0, 0.5),
             )
             run_sweep(cfg)
             m_k, m_k_n = n_samples * 4, n_samples * 4 * 4
@@ -644,7 +655,7 @@ class TestRunSweep:
             assert max(calls) <= max(m_k_n, sweeps._BLOCK_VALUES)
             assert plan.stacked_slots == n_variances
             assert max(calls) == n_variances * m_k_n
-            assert sum(runs) == 9 * len(variances) * m_k
+            assert sum(runs) == 6 * len(variances) * m_k
 
     @pytest.mark.parametrize("overrides", [
         dict(error_regime=PERFECT),

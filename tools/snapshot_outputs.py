@@ -54,8 +54,11 @@ RUNS = (
 
 # (name, argv) of runs whose SINR saturates, so each exits 2 naming the
 # lowest failing channel's first failing cell: an SNR sweep reaching
-# 200 dB, and an error-variance sweep reaching 1e308, at one and two
-# workers and with 3,000 draws, whose slots are rated one stack at a time.
+# 200 dB; rs-linear at 124 dB, whose saturated splits are a strict prefix
+# of each channel's grid (0 to 0.5 on channel 0, 0 and 0.05 on channel
+# 1), so a split search that skips splits must still name the cell; and
+# an error-variance sweep reaching 1e308, at one and two workers and with
+# 3,000 draws, whose slots are rated one stack at a time.
 _SATURATING_VARIANCES = ["sweep-error-variance", "--error-variance", "0.1,0.5,1e308",
                          "--schemes", "zf,dthp-rs"]
 FAILING_RUNS = (
@@ -63,6 +66,8 @@ FAILING_RUNS = (
                                "--jobs", "1"]),
     ("sweep-snr-200db-jobs2", ["sweep-snr", "--snr-db", "0,200", "--channels", "4",
                                "--jobs", "2"]),
+    ("sweep-snr-124db-rs-linear", ["sweep-snr", "--schemes", "rs-linear", "--snr-db", "124",
+                                   "--channels", "2"]),
     ("sweep-error-variance-1e308-jobs1", [*_SATURATING_VARIANCES, "--channels", "3",
                                           "--error-samples", "2", "--jobs", "1"]),
     ("sweep-error-variance-1e308-jobs2", [*_SATURATING_VARIANCES, "--channels", "3",
