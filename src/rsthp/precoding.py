@@ -14,23 +14,29 @@ scheme's unit map, feedback matrix B, private precoder (unit map) B^-1
 and per-user gains. All four bases' geometries come from one
 pseudo-inverse and one LQ factorization of the channel estimate: cTHP
 and dTHP differ only in where the diagonal scaling sits, and ZF-DPC
-shares dTHP's record (SchemeTag.record). They are computed once per
-channel and the last channel's are kept (_geometry). A build of the
-split search is its two scalars, the private scale beta and the common
-stream's power P, on a reference to its channel's geometry record; the
-rate kernel reads the record and those scalars, not the build.
+shares dTHP's record (SchemeTag.record). They are computed for a whole
+stack of channels at once, from linalg's factors of the stack that
+holds the channel (a sweep's block, or the channel alone), and kept with
+those factors in linalg's store (_records). A build of the split search
+is its two scalars, the private scale beta and the common stream's
+power P, on a reference to its channel's geometry record; the rate
+kernel reads the record and those scalars, not the build.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .exceptions import SchemeMismatchError
+
+# lq_decompose and pseudo_inverse have no caller here: the records come
+# from linalg's stacked pass. They stay module attributes because the
+# benchmark's tracer (bench/layers.py, targets) patches all three names.
 from .linalg import (
-    _anchored_direction,
+    FactoredStack,
     dominant_right_singular_vector,
+    factored,
     lq_decompose,
     pseudo_inverse,
 )
@@ -96,9 +102,10 @@ ALL_SCHEME_TAGS = (
 @dataclass(frozen=True, eq=False)
 class Geometry:
     """The split- and SNR-invariant part of one base scheme's precoder
-    on one channel estimate, built once per channel by _geometry; its
-    arrays are read-only, and a channel's records share its h_est (a
-    copy of the caller's array) and its common-stream direction.
+    on one channel estimate, built for every channel of a factored stack
+    at once (_records); its arrays are read-only, and a channel's records
+    share its h_est (the stack's copy of the caller's array) and its
+    common-stream direction d, h_est's dominant right singular vector.
 
     build_precoders alone decides where THP's per-user scaling g =
     1/diag(L) (g_diag) sits: unit_map sends one unit of each feedback
@@ -118,13 +125,7 @@ class Geometry:
     unit_power: float
     rx_gain: np.ndarray
     g_diag: np.ndarray | None
-
-    @cached_property
-    def direction(self) -> np.ndarray:
-        """The common stream's direction d, h_est's dominant right singular
-        vector, read from linalg's cache on first use: by the record's first
-        build at a nonzero split, so a base-only record takes no SVD."""
-        return _anchored_direction(self.h_est.tobytes(), self.h_est.shape)
+    direction: np.ndarray
 
 
 @dataclass(slots=True, eq=False)
@@ -219,7 +220,13 @@ def build_precoders(
             f"scheme {scheme.tag} has no common stream, power_split must be 0"
         )
 
-    geometry = _geometry(h_est.tobytes(), h_est.shape)[scheme.base]
+    # The records of the stack that holds h_est: a sweep's block, or h_est
+    # factored alone. A bad channel raises its error, named after
+    # pseudo_inverse, on every call.
+    stack, c = factored(h_est, "pseudo_inverse")
+    if stack.records is None:
+        stack.records = _records(stack)
+    geometry = stack.records[c][scheme.base]
     # beta and P in Python floats: numpy scalars would give the same bits
     # at several times the cost per operation.
     common_power, e_private = 0.0, e_tr
@@ -228,9 +235,6 @@ def build_precoders(
         p_common = dominant_right_singular_vector(h_est)
         p_common *= math.sqrt(common_power)
         e_private = e_tr - float(np.vdot(p_common, p_common).real)
-        # The record keeps d for the rate kernel: linalg's one-entry cache
-        # moves on with the next channel.
-        geometry.direction
 
     lambda_eff = power_loss if scheme.uses_power_loss else 1.0
     return PrecoderSet(
@@ -241,42 +245,42 @@ def build_precoders(
     )
 
 
-@lru_cache(maxsize=1)
-def _geometry(h_bytes: bytes, shape: tuple[int, ...]) -> dict[str, Geometry]:
-    """Each base scheme's Geometry on the channel estimate whose
-    complex128 bytes and shape are given, by base; zf-dpc maps to dthp's
-    record (SchemeTag.record), and every record holds the one read-only
-    h_est made from the bytes. A bad channel raises on every call:
-    lru_cache stores no exception.
-    """
-    h_est = np.frombuffer(h_bytes, dtype=complex).reshape(shape)
-    n_users = shape[0]
-    pinv = pseudo_inverse(h_est)
-    lq = lq_decompose(h_est)
-    ones = np.ones(n_users)
-    g_diag = 1.0 / lq.diagonal
-    q_map = lq.q_matrix.conj().T
+def _records(stack: FactoredStack) -> list[dict[str, Geometry]]:
+    """Each channel's geometry records on a factored (C, K, N) stack, by
+    base (zf-dpc maps to dthp's record, SchemeTag.record), computed for
+    the whole stack at once: all four bases' geometries come from its
+    pseudo-inverses and LQ factors, and every array is a read-only slice
+    of a stacked one. A slice that failed its checks gets records that
+    mean nothing; build_precoders raises before handing them out."""
+    h_est, direction = stack.matrices, stack.direction
+    n_users = h_est.shape[1]
+    g_diag = 1.0 / np.real(np.diagonal(stack.l_matrix, axis1=-2, axis2=-1))
+    q_map = np.swapaxes(stack.q_matrix.conj(), -1, -2)
     # cthp: unit-diagonal feedback on the right, B = L diag(g). The
     # per-user gains fold into the transmitter, so beta divides the
     # power budget by the accumulated inverse-gain energy.
-    b_right = lq.l_matrix * g_diag[np.newaxis, :]
+    b_right = stack.l_matrix * g_diag[:, np.newaxis, :]
+    cthp_map = q_map * g_diag[:, np.newaxis, :]
+    cthp_private = cthp_map @ np.linalg.inv(b_right)
+    cthp_power = np.sum(g_diag**2, axis=-1).tolist()
     # dthp and zf-dpc: unit-diagonal feedback on the left, B = diag(g) L,
     # receiver gains stay at the users.
-    b_left = lq.l_matrix * g_diag[:, np.newaxis]
-
-    def thp(unit_map, b_matrix, unit_power, rx_gain):
-        unit_private = unit_map @ np.linalg.inv(b_matrix)
-        return Geometry(h_est, unit_map, b_matrix, unit_private, unit_power, rx_gain, g_diag)
-
-    zf_map = pinv / np.linalg.norm(pinv, axis=0, keepdims=True)
-    by_base = {
-        "zf": Geometry(h_est, zf_map, None, zf_map, n_users, ones, None),
-        "cthp": thp(q_map * g_diag[np.newaxis, :], b_right, float(np.sum(g_diag**2)), ones),
-        "dthp": thp(q_map, b_left, n_users, g_diag),
-    }
-    by_base["zf-dpc"] = by_base["dthp"]
-    for geometry in by_base.values():
-        for array in vars(geometry).values():
-            if isinstance(array, np.ndarray):
-                array.flags.writeable = False
-    return by_base
+    b_left = stack.l_matrix * g_diag[:, :, np.newaxis]
+    dthp_private = q_map @ np.linalg.inv(b_left)
+    zf_map = stack.pinv / np.linalg.norm(stack.pinv, axis=-2, keepdims=True)
+    ones = np.ones(n_users)
+    for array in (g_diag, q_map, b_right, cthp_map, cthp_private, b_left, dthp_private,
+                  zf_map, ones):
+        array.flags.writeable = False
+    records = []
+    for c in range(len(h_est)):
+        h, d, g, zf = h_est[c], direction[c], g_diag[c], zf_map[c]
+        dthp = Geometry(h, q_map[c], b_left[c], dthp_private[c], n_users, g, g, d)
+        records.append({
+            "zf": Geometry(h, zf, None, zf, n_users, ones, None, d),
+            "cthp": Geometry(h, cthp_map[c], b_right[c], cthp_private[c], cthp_power[c],
+                             ones, g, d),
+            "dthp": dthp,
+            "zf-dpc": dthp,
+        })
+    return records

@@ -448,12 +448,14 @@ def stacked_split_search(
     average of the first pass less 1e-12 of its size (the rounding of
     the means), so every split it skips averages strictly less than its
     grid's best. A call whose grids have no gap (at most 2 splits each,
-    as a base scheme's one) takes one pass with no extra arrays. The
-    sets are rated in runs of at most max_sets, and workspace is a dict
-    that the caller keeps from call to call: the kernel keeps its large
-    temporaries there and reuses them, instead of allocating them anew
-    (glibc hands a freed heap back to the OS, and every call would fault
-    its pages in again).
+    as a base scheme's one), or whose sets one run holds (beta.size <=
+    max_sets, or max_sets None), takes one pass with no extra arrays: a
+    coarse pass would pay a run's fixed cost twice. The sets are rated
+    in runs of at most max_sets (all at once if None), and workspace is
+    a dict that the caller keeps from call to call: the kernel keeps its
+    large temporaries there and reuses them, instead of allocating them
+    anew (glibc hands a freed heap back to the OS, and every call would
+    fault its pages in again).
 
     Raises:
         EmptyGridError, DimensionMismatchError: as stacked_sum_rate_table.
@@ -484,7 +486,7 @@ def stacked_split_search(
         ]
         coarse += [start + t for t in ends]
     rate = partial(_mean_rates, invariants, beta, power, sigma_n2, max_sets, workspace)
-    if not gaps:
+    if not gaps or beta.size <= (max_sets or beta.size):
         means = rate(slice(None))
     else:
         means = np.full(beta.shape, -np.inf)

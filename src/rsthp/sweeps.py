@@ -23,13 +23,13 @@ output order; working_set_bytes charges the same plan. run_sweep
 ergodic_sum_rate both rate through _rate_channels and join each cell's
 values in channel order.
 
-The per-process caches hold only the current channel:
-draw_error_ensemble keeps its unit draws, and each error variance
-rescales them; build_precoders keeps one geometry record per base
-scheme, which holds the channel, so the build of every split and grid
-point is two scalars and a reference to its record. A block keeps its
-channels' records, built one at a time; a record's first build at a
-nonzero split leaves the common-stream direction on it (Geometry.direction).
+The per-process stores hold only the current channel or block:
+draw_error_ensemble keeps one channel's unit draws, and each error
+variance rescales them; linalg keeps the factors of the block's
+channels, from one stacked pass (linalg.factor_stack), with each
+channel's geometry record per base scheme and its common-stream
+direction, so the build of every split and grid point is two scalars
+and a reference to its record.
 The eight schemes share three geometry records (zf, cthp, and dthp with
 zf-dpc: SchemeTag.record); the cells that share one are searched on
 every channel of a block in one kernel call (rates.stacked_split_search),
@@ -67,6 +67,7 @@ from .exceptions import (
     InvalidVarianceError,
     SaturatedSinrError,
 )
+from . import linalg
 from .precoding import ALL_SCHEME_TAGS, SchemeTag, build_precoders
 from .rates import _buffer, stacked_split_search, sum_rate_samples
 
@@ -329,8 +330,10 @@ def working_set_bytes(config: SweepConfig, n_channels: int) -> int:
     - 16 B per complex value of: one channel's cached unit error
       ensemble and one slot's scaled copy (2 M K N, when drawn); numpy's
       buffer for adding h_est to that copy (np.getbufsize() values, or
-      M K N if fewer), where the peak comes; each channel's precoder
-      geometry (under 10 K N); the block's stacked realizations (B V M K
+      M K N if fewer), where the peak comes; each channel's factors and
+      geometry records from the block's stacked factorization (14 K N;
+      tracemalloc measured 13.5 K N at K = N = 16, the pass's
+      temporaries included); the block's stacked realizations (B V M K
       N) and their gains G0 with per-user sums and the g^2 tile (B V M K
       (K + 4); tracemalloc measured 56 B a row value beyond G0, K = 1 to
       4, M = 1,000);
@@ -346,7 +349,7 @@ def working_set_bytes(config: SweepConfig, n_channels: int) -> int:
     k, n, m, channels = config.n_users, config.n_tx, plan.m, plan.channels
     ensemble = 0 if plan.slots == (None,) else m * k * n
     complex_values = (
-        2 * ensemble + min(ensemble, np.getbufsize()) + 10 * k * n * channels
+        2 * ensemble + min(ensemble, np.getbufsize()) + 14 * k * n * channels
         + channels * plan.stacked_slots * m * k * (n + k + 4)
     )
     builds = channels * sum(len(grid) for _, _, _, grid, _ in cells)
@@ -511,10 +514,13 @@ def _rate_channels(
 
     Each cell searches its plan's split grid at its plan's error
     variance (see _cell). The channels are rated in blocks of
-    consecutive channels (_block_plan). Every build of a block is made
-    first, channel by channel (_build_channel), and only its beta and P
-    are kept, with its channel's geometry records and the direction that
-    its nonzero-split builds leave on them. The realizations
+    consecutive channels (_block_plan). Each channel of a block is drawn
+    once up front, and the block's channels are factored in one stacked
+    pass (linalg.factor_stack), kept in linalg's store with the geometry
+    records that the block's first build derives for all its channels.
+    Then every build of the block is made, channel by channel
+    (_build_channel), and only its beta and P are kept, with its
+    channel's records. The realizations
     h_est + E of each channel's slots (its unit draws rescaled to the
     slot's variance; one all-zero realization under perfect CSIT) are
     stacked, stacked_slots slots at a time. The cells that share a
@@ -524,15 +530,17 @@ def _rate_channels(
     (channel, slot) holds the splits of the slot's cells, and the call
     returns each cell's first best split and its average.
 
-    A build's error on channel c stops the block's builds; the channels
-    below c are rated, and raise first if one saturates. A
-    SaturatedSinrError names the lowest saturated channel's first
-    saturated cell in output order, with its grid point, from one
-    (channels, cells) mask per block (_rate_block). In a pool
+    An error of channel c's draw stops the block's draws, and an error
+    of its builds (a channel that is not finite, zero or rank deficient
+    fails its first build) stops the block's builds; the channels below
+    c are rated, and raise first if one saturates, and no channel above
+    c is built. A SaturatedSinrError names the lowest saturated
+    channel's first saturated cell in output order, with its grid point,
+    from one (channels, cells) mask per block (_rate_block). In a pool
     worker, lowest_failure is the pool's shared lowest failing channel:
-    each channel is built only if no lower one has failed, else the
-    rows so far are returned (the run raises the lower error), and a
-    failure here lowers it.
+    each channel is drawn only if no lower one has failed, else the rows
+    so far are returned (the run raises the lower error), and a failure
+    here lowers it.
     """
     plan = _block_plan(config, cells)
     # The kernel's temporaries and the stacked realizations, kept from
@@ -542,12 +550,23 @@ def _rate_channels(
     rows = []
     for start in range(0, len(channels), plan.channels):
         block = channels[start:start + plan.channels]
-        built, failure = [], None
+        drawn, built, failure = [], [], None
         for channel_index in block:
             if lowest_failure is not None and channel_index > lowest_failure.value:
                 return rows
             try:
-                built.append(_build_channel(config, cells, plan, channel_index))
+                drawn.append(draw_channel(
+                    config.master_seed, channel_index, config.n_users, config.n_tx
+                ))
+            except Exception as exc:
+                failure = channel_index, exc
+                break
+        if drawn:
+            # Every build of the block reads its channel's slice.
+            linalg.factor_stack(np.stack(drawn))
+        for channel_index, h_est in zip(block, drawn):
+            try:
+                built.append(_build_channel(config, cells, plan, channel_index, h_est))
             except Exception as exc:
                 failure = channel_index, exc
                 break
@@ -565,22 +584,27 @@ def _rate_channels(
 
 
 def _build_channel(
-    config: SweepConfig, cells: list[tuple], plan: _BlockPlan, channel_index: int
+    config: SweepConfig, cells: list[tuple], plan: _BlockPlan, channel_index: int,
+    h_est: np.ndarray,
 ) -> dict[str, tuple]:
     """Each geometry record's (geometry, beta and P of its builds) on one
-    channel, by SchemeTag.record, built record by record. beta and P are
-    a (slots, sets, 2) array in the record's plan.records layout: slot by
-    slot, each slot's cells in output order, each cell's splits in turn."""
-    n_users, n_tx = config.n_users, config.n_tx
+    channel, by SchemeTag.record, built record by record, h_est being the
+    channel's first draw. beta and P are a (slots, sets, 2) array in the
+    record's plan.records layout: slot by slot, each slot's cells in
+    output order, each cell's splits in turn."""
     records = {}
     for record, members in plan.records.items():
         betas, powers = [], []
         for i in members.flat:
             scheme, _, e_tr, grid, _ = cells[i]
-            # One channel draw per cell and one build per (cell, split): the
+            # One channel draw per cell, the first cell's made before the
+            # block was factored, and one build per (cell, split): the
             # calls bench/tests/test_tracer.py pins.
-            h_est = draw_channel(config.master_seed, channel_index, n_users, n_tx)
+            if h_est is None:
+                h_est = draw_channel(config.master_seed, channel_index, config.n_users,
+                                     config.n_tx)
             builds = [build_precoders(h_est, scheme, e_tr, config.power_loss, t) for t in grid]
+            h_est = None
             # Each split's beta and P: all the kernel takes of a build.
             betas += [ps.beta for ps in builds]
             powers += [ps.common_power for ps in builds]
@@ -668,17 +692,18 @@ def run_sweep(config: SweepConfig, n_jobs: int = 1) -> SweepResult:
     """Evaluate every (scheme, grid point) cell of a sweep.
 
     Every cell is built on one channel before the next channel, so the
-    caches need hold only the current one, and rated on a block of
-    channels at once (_rate_channels). min(n_jobs, n_channels) workers
-    each take one contiguous run of channels as one task; blocks are cut
-    from the start of each run, in sizes that do not depend on n_jobs.
+    unit error draws need be kept for the current one only, on geometry
+    records factored for a block of channels at once, and rated on that
+    block (_rate_channels). min(n_jobs, n_channels) workers each take
+    one contiguous run of channels as one task; blocks are cut from the
+    start of each run, in sizes that do not depend on n_jobs.
     One worker is this process itself; more are the processes of a
     pool, which rate every channel while this process only joins their
     rows. Each cell joins its per-channel values in channel order, so
     the output is bit-identical at any n_jobs. A failing run raises the
     error of the lowest failing channel's first failing cell in output
     order, the one a serial run meets and stops at: the pool's map
-    yields the runs in order. Pool workers build no channel above the
+    yields the runs in order. Pool workers draw no channel above the
     lowest one that has failed so far, and still rate every channel
     below it.
     """

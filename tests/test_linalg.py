@@ -20,7 +20,7 @@ from rsthp.exceptions import (
 from rsthp import linalg
 from rsthp.linalg import dominant_right_singular_vector, lq_decompose, pseudo_inverse
 
-from helpers import random_channel
+from helpers import count_factorizations, factored_outcomes, random_channel
 
 
 def gram_schmidt_lq(a):
@@ -189,28 +189,27 @@ class TestDominantRightSingularVector:
 
 
 class TestDirectionCache:
-    """The anchored dominant direction is computed once per matrix; the
-    cache must neither change a bit nor hide bad input. The
-    pseudo-inverse and the LQ take their own SVD on every call."""
+    """The anchored dominant direction, the pseudo-inverse and the LQ of
+    a matrix come from one factorization, kept in linalg's store; the
+    store must neither change a bit nor hide bad input."""
 
     @pytest.fixture(autouse=True)
-    def cold_cache(self):
-        linalg._anchored_direction.cache_clear()
-        yield
-        linalg._anchored_direction.cache_clear()
+    def stacks(self, monkeypatch):
+        return count_factorizations(monkeypatch)
 
     @staticmethod
     def uncached(a):
-        # The formulas without a cache, each on its own SVD.
+        # The formulas without a store, each on its own SVD.
         u, s, vh = np.linalg.svd(a, full_matrices=False)
         pinv = (vh.conj().T / s) @ u.conj().T
         v = vh[0].conj()
         anchor = np.flatnonzero(np.abs(v) > 1e-6)[0]
         return pinv, v * (np.conj(v[anchor]) / np.abs(v[anchor]))
 
-    def test_bit_identical_to_uncached_svd(self):
-        # The cache holds one matrix's direction, so each warm call
-        # follows its cold call on the same matrix.
+    def test_bit_identical_to_uncached_svd(self, stacks):
+        # The store holds one matrix's factors, so each warm call
+        # follows its cold call on the same matrix: one factorization
+        # per matrix serves all three functions, cold and warm.
         for seed, shape in ((1, (4, 4)), (2, (2, 3)), (3, (3, 6))):
             a = random_channel(seed, shape)
             pinv, direction = self.uncached(a)
@@ -219,16 +218,18 @@ class TestDirectionCache:
                 assert (dominant_right_singular_vector(a) == direction).all()
                 lq = lq_decompose(a)
                 np.testing.assert_allclose(lq.l_matrix @ lq.q_matrix, a, atol=1e-12)
-        info = linalg._anchored_direction.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (3, 3, 1)
+        assert len(stacks) == 3
 
-    def test_bad_input_raises_on_every_call(self):
+    def test_bad_input_raises_on_every_call(self, stacks):
+        # The store keeps a bad matrix's failure, not factors to serve:
+        # each call raises, and a repeated bad matrix is not refactored.
         rank_one = np.outer([1.0, 2.0], [1.0, 1j, 0.5])
         for _ in range(2):
             with pytest.raises(RankDeficientError):
                 lq_decompose(rank_one)
             with pytest.raises(RankDeficientError):
                 pseudo_inverse(rank_one)
+        for _ in range(2):
             with pytest.raises(ZeroMatrixError):
                 lq_decompose(np.zeros((2, 3)))
             with pytest.raises(ZeroMatrixError):
@@ -237,17 +238,18 @@ class TestDirectionCache:
                 dominant_right_singular_vector(np.zeros((2, 3)))
             with pytest.raises(DimensionMismatchError):
                 dominant_right_singular_vector(np.ones(3))
-        assert linalg._anchored_direction.cache_info().currsize == 0
+        assert len(stacks) == 2
 
     def test_cached_vector_is_read_only_and_results_fresh(self):
         a = random_channel(4)
         direction = dominant_right_singular_vector(a)
-        assert not linalg._anchored_direction(a.tobytes(), a.shape).flags.writeable
+        stack, c = linalg.factored(a, "dominant_right_singular_vector", full_rank=False)
+        assert not stack.direction[c].flags.writeable
         assert direction.flags.writeable
         direction[...] = 0.0
         assert (dominant_right_singular_vector(a) == self.uncached(a)[1]).all()
 
-    def test_mutated_input_is_a_new_key(self):
+    def test_mutated_input_is_a_new_key(self, stacks):
         a = random_channel(5)
         before = dominant_right_singular_vector(a)
         a[0, 0] += 1.0
@@ -255,6 +257,7 @@ class TestDirectionCache:
         assert (dominant_right_singular_vector(a) == direction).all()
         assert (pseudo_inverse(a) == pinv).all()
         assert not (direction == before).all()
+        assert len(stacks) == 2
 
 
 def non_finite_matrices():
@@ -273,11 +276,9 @@ class TestNonFiniteMatrix:
 
     @pytest.fixture(autouse=True)
     def strict(self):
-        linalg._anchored_direction.cache_clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             yield
-        linalg._anchored_direction.cache_clear()
 
     def test_lq_decompose(self):
         assert issubclass(NonFiniteMatrixError, SimulatorError)
@@ -290,12 +291,15 @@ class TestNonFiniteMatrix:
             with pytest.raises(NonFiniteMatrixError, match="pseudo_inverse"):
                 pseudo_inverse(a)
 
-    def test_dominant_right_singular_vector(self):
+    def test_dominant_right_singular_vector(self, monkeypatch):
+        # The store keeps each matrix's failure: the second call raises
+        # too, without a second factorization.
+        stacks = count_factorizations(monkeypatch)
         for a in non_finite_matrices():
-            for _ in range(2):  # lru_cache keeps no exception
+            for _ in range(2):
                 with pytest.raises(NonFiniteMatrixError, match="dominant"):
                     dominant_right_singular_vector(a)
-        assert linalg._anchored_direction.cache_info().currsize == 0
+        assert len(stacks) == 3
 
 
 class TestEmptyMatrix:
@@ -304,3 +308,39 @@ class TestEmptyMatrix:
         for op in (lq_decompose, pseudo_inverse):
             with pytest.raises(DimensionMismatchError, match="0 < K <= N"):
                 op(np.zeros(shape, dtype=complex))
+
+
+class TestFactorStack:
+    """factor_stack factors a stack of matrices in one pass, and each
+    slice is the matrix factored alone; a bad slice fails on its own."""
+
+    def test_bad_slices_fail_on_their_own_calls(self, monkeypatch):
+        # A zero, a non-finite and a rank-deficient slice in the middle
+        # of a stack: each raises the single call's error and message,
+        # the slices before and after them are factored, the pass warns
+        # of nothing, and no call on a slice factors again.
+        good = [random_channel(seed, (3, 4)) for seed in (20, 21, 22)]
+        non_finite = random_channel(23, (3, 4))
+        non_finite[1, 1] = np.nan
+        rank_deficient = np.outer([1.0, 2.0, 3j], [1.0, 1j, 0.5, 2.0])
+        stack = [good[0], good[1], np.zeros((3, 4)), non_finite, rank_deficient, good[2]]
+        stacks = count_factorizations(monkeypatch)
+        alone = []
+        for a in stack:
+            linalg.factor_stack(np.empty((0, 3, 4)))
+            alone.append(factored_outcomes(a))
+        del stacks[:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            linalg.factor_stack(np.stack(stack))
+        assert [factored_outcomes(a) for a in stack] == alone
+        assert len(stacks) == 1
+        kinds = [[o[0] if isinstance(o, tuple) else None for o in got] for got in alone]
+        # pseudo_inverse, lq_decompose, the direction and the records.
+        assert kinds == [
+            [None] * 4, [None] * 4,
+            [ZeroMatrixError] * 4,
+            [NonFiniteMatrixError] * 4,
+            [RankDeficientError, RankDeficientError, None, RankDeficientError],
+            [None] * 4,
+        ]

@@ -6,6 +6,7 @@ written down by hand.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from rsthp import (
     rates_from_sinr,
     sinr_imperfect_csit,
 )
-from rsthp import linalg, precoding
+from rsthp import linalg
 from rsthp.exceptions import (
     NonFiniteMatrixError,
     RankDeficientError,
@@ -27,7 +28,7 @@ from rsthp.exceptions import (
 from rsthp.linalg import lq_decompose
 from rsthp.precoding import ALL_SCHEME_TAGS, PrecoderSet
 
-from helpers import random_channel
+from helpers import count_factorizations, random_channel
 
 
 def power_loss_factor(scheme, power_loss):
@@ -324,19 +325,16 @@ def assert_same_fields(ps, want):
 
 
 class TestGeometryCache:
-    """build_precoders rescales a cached per-channel geometry; every
-    field must stay bit for bit what the uncached build gives."""
+    """build_precoders rescales a per-channel geometry record kept in
+    linalg's store; every field must stay bit for bit what the
+    uncached build gives."""
 
     @pytest.fixture(autouse=True)
-    def cold_cache(self):
-        precoding._geometry.cache_clear()
-        linalg._anchored_direction.cache_clear()
-        yield
-        precoding._geometry.cache_clear()
-        linalg._anchored_direction.cache_clear()
+    def stacks(self, monkeypatch):
+        return count_factorizations(monkeypatch)
 
-    def test_cold_and_warm_builds_match_uncached_build(self):
-        # The cache holds one channel's geometry, so each warm build
+    def test_cold_and_warm_builds_match_uncached_build(self, stacks):
+        # The store holds one channel's factors, so each warm build
         # follows its cold build on the same channel.
         channels = [random_channel(70), random_channel(71, (3, 5))]
         for h in channels:
@@ -348,24 +346,22 @@ class TestGeometryCache:
                             ps = build_precoders(h, scheme, e_tr, 0.75, t)
                             want = reference_precoders(h, scheme, e_tr, 0.75, t)
                             assert_same_fields(ps, want)
-        info = precoding._geometry.cache_info()
-        assert info.misses == len(channels)
-        assert info.currsize == 1
+        assert len(stacks) == len(channels)
 
-    def test_one_entry_per_channel_shared_by_dthp_and_zf_dpc(self):
+    def test_one_entry_per_channel_shared_by_dthp_and_zf_dpc(self, stacks):
         h = random_channel(74)
         builds = {
             base: build_precoders(h, SchemeTag(base), 10.0, 0.75)
             for base in ("zf", "cthp", "dthp", "zf-dpc")
         }
-        assert precoding._geometry.cache_info().currsize == 1
+        assert len(stacks) == 1
         assert builds["dthp"].b_matrix is builds["zf-dpc"].b_matrix
         assert builds["dthp"].rx_gain is builds["zf-dpc"].rx_gain
         assert builds["dthp"].geometry.unit_private is builds["zf-dpc"].geometry.unit_private
         assert builds["cthp"].g_diag is builds["dthp"].g_diag
         assert builds["cthp"].b_matrix is not builds["dthp"].b_matrix
 
-    def test_every_build_of_a_channel_shares_its_bases_one_geometry_record(self):
+    def test_every_build_of_a_channel_shares_its_bases_one_geometry_record(self, stacks):
         # Splits and SNRs move only beta and P: every build of one base
         # on one channel holds the same record, dthp's and zf-dpc's are
         # one, and cthp's (g in the unit map) and zf's are their own.
@@ -379,7 +375,7 @@ class TestGeometryCache:
         assert records["dthp"] is records["zf-dpc"]
         distinct = {id(records[base]) for base in ("zf", "cthp", "dthp")}
         assert len(distinct) == 3
-        assert precoding._geometry.cache_info().misses == 1
+        assert len(stacks) == 1
 
     def test_each_scheme_is_its_scalars_on_the_reference_geometry(self):
         # A build holds only beta, P and a reference to its channel's
@@ -469,34 +465,36 @@ class TestGeometryCache:
         h[0, 0] += 1.0
         assert np.array_equal(ps.h_est, kept)
 
-    def test_a_channels_records_share_its_estimate_and_direction(self):
-        # Each record reads d from linalg's cache on first use, so a
-        # build without a common stream takes no SVD for it, and every
-        # base gets the one array with the bits of the public function.
+    def test_a_channels_records_share_its_estimate_and_direction(self, stacks):
+        # d comes with the SVD that factors the channel, so the records
+        # of builds without a common stream hold it too, and the public
+        # function reads it without another factorization: every base
+        # gets the one array with that function's bits.
         h = random_channel(82, (3, 5))
         records = [build_precoders(h, SchemeTag(base), 10.0, 0.75).geometry
                    for base in ("zf", "cthp", "dthp")]
-        assert linalg._anchored_direction.cache_info().misses == 0
         d = linalg.dominant_right_singular_vector(h)
         for record in records:
             assert record.h_est is records[0].h_est
             assert record.direction is records[0].direction
             assert record.direction.tobytes() == d.tobytes()
             assert not record.direction.flags.writeable
-        assert linalg._anchored_direction.cache_info().misses == 1
+        assert len(stacks) == 1
 
-    def test_a_nonzero_split_leaves_the_direction_on_its_record(self):
-        # linalg's one-entry cache moves on with the next channel, so the
-        # build that takes d keeps it on its record for the rate kernel;
-        # builds with no common stream, and other records, keep none.
+    def test_a_nonzero_split_leaves_the_direction_on_its_record(self, stacks):
+        # The rate kernel reads d from the record, and the record keeps
+        # it after the store moves on to the next channel; a build at a
+        # zero split has no common stream on the same record.
         h = random_channel(85)
-        for ps in (build_precoders(h, SchemeTag("cthp", rs=True), 10.0, 0.75, 0.0),
-                   build_precoders(h, SchemeTag("cthp"), 10.0, 0.75)):
-            assert "direction" not in vars(ps.geometry)
+        base = build_precoders(h, SchemeTag("cthp", rs=True), 10.0, 0.75, 0.0)
+        assert base.p_common is None
         ps = build_precoders(h, SchemeTag("cthp", rs=True), 10.0, 0.75, 0.4)
+        assert ps.geometry is base.geometry
         d = linalg.dominant_right_singular_vector(h)
-        assert vars(ps.geometry)["direction"].tobytes() == d.tobytes()
-        assert "direction" not in vars(build_precoders(h, SchemeTag("zf"), 10.0, 0.75).geometry)
+        build_precoders(random_channel(86), SchemeTag("cthp", rs=True), 10.0, 0.75, 0.4)
+        assert len(stacks) == 2
+        assert ps.geometry.direction.tobytes() == d.tobytes()
+        assert ps.p_common.tobytes() == (math.sqrt(ps.common_power) * d).tobytes()
 
     def test_builds_compare_by_identity(self):
         # A field-by-field comparison would compare h_est element-wise
@@ -508,7 +506,7 @@ class TestGeometryCache:
             assert ps == ps
             assert ps != build_precoders(h.copy(), scheme, 10.0, 0.75, t)
 
-    def test_non_finite_channel_is_refused_by_every_scheme(self):
+    def test_non_finite_channel_is_refused_by_every_scheme(self, stacks):
         # A channel with a NaN or an infinity used to give a finite beta
         # over NaN geometry (inf) or numpy's LinAlgError (NaN).
         for bad in (np.nan, np.inf):
@@ -517,14 +515,15 @@ class TestGeometryCache:
             for scheme in ALL_SCHEME_TAGS:
                 with pytest.raises(NonFiniteMatrixError):
                     build_precoders(h, scheme, 10.0, 0.75, 0.5 if scheme.rs else 0.0)
-        assert precoding._geometry.cache_info().currsize == 0
+        # The store keeps each channel's failure, not records to serve.
+        assert len(stacks) == 2
 
-    def test_bad_channel_raises_on_every_call(self):
+    def test_bad_channel_raises_on_every_call(self, stacks):
         rank_one = np.outer([1.0, 2.0], [1.0, 1j, 0.5])
-        for _ in range(2):
-            for base in ("zf", "cthp", "dthp", "zf-dpc"):
-                with pytest.raises(RankDeficientError):
-                    build_precoders(rank_one, SchemeTag(base), 10.0, 0.75)
-                with pytest.raises(ZeroMatrixError):
-                    build_precoders(np.zeros((2, 3)), SchemeTag(base), 10.0, 0.75)
-        assert precoding._geometry.cache_info().currsize == 0
+        for h, error in ((rank_one, RankDeficientError), (np.zeros((2, 3)), ZeroMatrixError)):
+            for _ in range(2):
+                for base in ("zf", "cthp", "dthp", "zf-dpc"):
+                    with pytest.raises(error, match="^pseudo_inverse: "):
+                        build_precoders(h, SchemeTag(base), 10.0, 0.75)
+        # The store keeps each channel's failure, not records to serve.
+        assert len(stacks) == 2

@@ -20,6 +20,7 @@ import re
 import tempfile
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from rsthp import (  # noqa: E402
     snr_db_to_power,
     sum_rate_samples,
 )
-from rsthp import channel, linalg, precoding  # noqa: E402
+from rsthp import channel, linalg, sweeps  # noqa: E402
 from rsthp.channel import (  # noqa: E402
     CHANNEL_STREAM,
     ERROR_STREAM,
@@ -67,7 +68,8 @@ from rsthp.sweeps import (  # noqa: E402
     optimize_power_split,
     working_set_bytes,
 )
-from helpers import split_reference  # noqa: E402  (pytest puts tests/ on sys.path)
+# pytest puts tests/ on sys.path.
+from helpers import factored_outcomes, split_reference  # noqa: E402
 
 N_DRAWS = 3
 BASES = ("zf", "cthp", "dthp", "zf-dpc")
@@ -345,17 +347,29 @@ def test_the_split_search_finds_each_channels_first_best_split(config):
     # The sweep rates each grid coarse to fine and skips the gaps that
     # its bound rules out; every channel's split and average sum rate
     # are still those of the exhaustive search, the first of equal
-    # averages included, and a saturating channel still fails.
+    # averages included, and a saturating channel still fails. A kernel
+    # call that one run holds, as every call of these small sweeps does,
+    # takes one pass, so each sweep also runs with runs of one set,
+    # which takes the coarse pass wherever a grid has a gap.
+    search = sweeps.stacked_split_search
+
+    def one_set_runs(geometries, beta, power, rows, sigma_n2, lengths, max_sets, workspace):
+        return search(geometries, beta, power, rows, sigma_n2, lengths, 1, workspace)
+
     cells = _sweep_cells(config)
     try:
         expected = [[cell_reference(config, cell, c) for c in range(config.n_channels)]
                     for cell in cells]
     except SaturatedSinrError:
-        with pytest.raises(SaturatedSinrError):
-            run_sweep(config)
-        return
-    for cell, want in zip(run_sweep(config).cells, expected):
-        assert list(zip(cell.per_channel_split, cell.per_channel_asr)) == want
+        expected = None
+    for kernel in (search, one_set_runs):
+        with mock.patch.object(sweeps, "stacked_split_search", kernel):
+            if expected is None:
+                with pytest.raises(SaturatedSinrError):
+                    run_sweep(config)
+                continue
+            for cell, want in zip(run_sweep(config).cells, expected):
+                assert list(zip(cell.per_channel_split, cell.per_channel_asr)) == want
 
 
 def test_mean_private_rates_fall_and_common_rates_rise_along_a_grid():
@@ -588,6 +602,41 @@ def test_each_stacked_table_row_is_its_own_sum_rate_samples(case):
                 assert rates_.tobytes() == sum_rate_samples(alone, errors, SIGMA_N2).tobytes()
 
 
+@st.composite
+def channel_stacks(draw):
+    """A (C, K, N) stack of C <= 6 complex Gaussian matrices, K <= N <= 5,
+    each slice scaled by 10^e for e in [-100, 100]. With K >= 2 a slice
+    may have its last row replaced by its first plus 1e-12 to 1e-8 of
+    itself, which puts its smallest singular value near the rank
+    threshold (1e-10 of the largest), on either side of it."""
+    n_users = draw(st.integers(1, 5))
+    shape = (draw(st.integers(1, 6)), n_users, draw(st.integers(n_users, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for a in stack:
+        if n_users > 1 and draw(st.booleans()):
+            a[-1] = a[0] + 10.0 ** draw(st.floats(-12.0, -8.0)) * a[-1]
+        a *= 10.0 ** draw(st.floats(-100.0, 100.0))
+    return stack
+
+
+@PROPERTY_SETTINGS
+@given(channel_stacks())
+def test_each_slice_of_a_factored_stack_is_its_matrix_factored_alone(stack):
+    # One factorization of the stack serves every slice, records
+    # included, and gives each the bits, or the error, of its matrix
+    # factored as a stack of one.
+    with mock.patch.object(linalg, "factor_stack", wraps=linalg.factor_stack) as factor:
+        linalg.factor_stack(stack)
+        stacked = [factored_outcomes(a) for a in stack]
+    assert factor.call_count == 1
+    alone = []
+    for a in stack:
+        linalg.factor_stack(np.empty((0, *a.shape)))
+        alone.append(factored_outcomes(a))
+    assert stacked == alone
+
+
 # Bytes beyond the estimate that rating one channel may hold: the
 # interpreter's own objects (frames, lists, ints), a few KiB.
 MEMORY_ALLOWANCE = 32 * 2**10
@@ -624,10 +673,10 @@ def test_rating_a_channel_stays_within_its_memory_estimate(config_channel):
     config, channel_index = config_channel
     cells = _sweep_cells(config)
     block = range(channel_index, channel_index + _block_plan(config, cells).channels)
-    # A first call makes numpy's one-time allocations.
+    # A first call makes numpy's one-time allocations. The block's
+    # factorization then replaces that channel's in linalg's store.
     _rate_channels(config, cells, range(block.stop, block.stop + 1))
-    for cache in (precoding._geometry, channel._unit_error_draws,
-                  channel._stream_state, linalg._anchored_direction):
+    for cache in (channel._unit_error_draws, channel._stream_state):
         cache.cache_clear()
     tracemalloc.start()
     try:

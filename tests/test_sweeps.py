@@ -18,7 +18,7 @@ from rsthp import (
     run_sweep,
     snr_db_to_power,
 )
-from rsthp import channel, linalg, precoding, rates, sweeps
+from rsthp import channel, precoding, rates, sweeps
 from rsthp.exceptions import (
     DimensionMismatchError,
     EmptyGridError,
@@ -36,6 +36,8 @@ from rsthp.sweeps import (
     ergodic_sum_rate,
     optimize_power_split,
 )
+
+from helpers import count_factorizations
 
 FIXED = ErrorRegime.fixed_variance(0.2)
 PERFECT = ErrorRegime.perfect()
@@ -473,69 +475,65 @@ class TestRunSweep:
         assert len(set(keys)) == len(keys)
 
     def test_each_geometry_is_built_once(self, monkeypatch):
-        # Every base, split and SNR reads the same cached geometry: one
-        # LQ and one pseudo-inverse per channel.
-        calls = {"lq_decompose": [], "pseudo_inverse": []}
-        for name in calls:
-            def counting(h, _name=name, _inner=getattr(precoding, name)):
-                calls[_name].append(h.tobytes())
-                return _inner(h)
-            monkeypatch.setattr(precoding, name, counting)
-        precoding._geometry.cache_clear()
+        # Every base, split and SNR reads the same factored geometry: one
+        # factorization of the block, which holds each channel once.
+        stacks = count_factorizations(monkeypatch)
         n_channels = 3
-        run_sweep(small_config(
+        cfg = small_config(
             schemes=tuple(parse_scheme_tag(t) for t in ("zf", "rs-linear", "cthp-rs", "dthp")),
             snr_grid_db=(10.0, 20.0), n_channels=n_channels,
-        ))
-        precoding._geometry.cache_clear()
-        lq, pinv = calls["lq_decompose"], calls["pseudo_inverse"]
-        assert len(lq) == len(set(lq)) == n_channels
-        assert len(pinv) == len(set(pinv)) == n_channels
-        assert set(pinv) == set(lq)
+        )
+        run_sweep(cfg)
+        assert [[h.tobytes() for h in stack] for stack in stacks] == [
+            [channel_for(cfg.master_seed, c).tobytes() for c in range(n_channels)]
+        ]
 
     def test_each_channel_is_built_and_drawn_once_by_one_entry_caches(self, monkeypatch):
         # Two cells over 130 channels: each channel's cells run back to
-        # back, so one-entry caches serve every cell after the first. One
-        # LQ, one direction and one error draw per channel and realization.
-        lq_calls, error_keys = [], []
-        lq, states = precoding.lq_decompose, channel._error_states
-
-        def counting_lq(h):
-            lq_calls.append(h.tobytes())
-            return lq(h)
+        # back, so the store (one block's factors) and the one-entry
+        # cache of unit error draws serve every cell after the first. One
+        # factorization (LQ and direction) and one error draw per channel
+        # and realization.
+        error_keys = []
+        states = channel._error_states
 
         def counting_states(seed, channel_index, start, stop):
             error_keys.extend((channel_index, m) for m in range(start, stop))
             return states(seed, channel_index, start, stop)
 
-        monkeypatch.setattr(precoding, "lq_decompose", counting_lq)
+        stacks = count_factorizations(monkeypatch)
         monkeypatch.setattr(channel, "_error_states", counting_states)
-        caches = (precoding._geometry, channel._unit_error_draws,
-                  linalg._anchored_direction)
-        for cache in caches:
-            cache.cache_clear()
+        channel._unit_error_draws.cache_clear()
         n_channels = 130
         run_sweep(small_config(
             schemes=(parse_scheme_tag("dthp-rs"),), snr_grid_db=(10.0, 20.0),
             n_channels=n_channels, n_error_samples=2,
         ))
-        infos = [cache.cache_info() for cache in caches]
-        for cache in caches:
-            cache.cache_clear()
-        assert len(lq_calls) == len(set(lq_calls)) == n_channels
+        info = channel._unit_error_draws.cache_info()
+        channel._unit_error_draws.cache_clear()
+        factored = [h.tobytes() for stack in stacks for h in stack]
+        assert len(factored) == len(set(factored)) == n_channels
         assert len(error_keys) == len(set(error_keys)) == 2 * n_channels
-        assert [info.misses for info in infos] == [n_channels] * 3
-        assert [info.currsize for info in infos] == [1] * 3
+        assert (info.misses, info.currsize) == (n_channels, 1)
 
-    def test_a_base_only_sweep_takes_no_direction(self):
-        # A geometry record reads the common-stream direction on first
-        # use, and no set of a base scheme has a common stream.
-        linalg._anchored_direction.cache_clear()
+    def test_a_base_only_sweep_takes_no_direction(self, monkeypatch):
+        # No set of a base scheme has a common stream, so a base-only
+        # sweep asks for no direction; its one SVD per block is the
+        # block's factorization.
+        calls = []
+        direction = precoding.dominant_right_singular_vector
+
+        def counting(h):
+            calls.append(h)
+            return direction(h)
+
+        monkeypatch.setattr(precoding, "dominant_right_singular_vector", counting)
+        stacks = count_factorizations(monkeypatch)
         run_sweep(small_config(
             schemes=tuple(parse_scheme_tag(t) for t in ("zf", "cthp", "dthp", "zf-dpc")),
             error_regime=ErrorRegime.fixed_variance(0.2), n_channels=3,
         ))
-        assert linalg._anchored_direction.cache_info().misses == 0
+        assert (len(calls), len(stacks)) == (0, 1)
 
     def test_one_kernel_call_per_channel_variance_block_and_geometry(self, monkeypatch):
         # The cells that share a geometry record (zf with rs-linear,
@@ -894,9 +892,11 @@ class TestRunSweep:
     def test_serial_failure_draws_no_later_channel(self, monkeypatch):
         # A serial run stops at its first failing block. At 1000 draws a
         # block holds 2 channels. Every SINR passes a cap of 1e-3, so
-        # channel 0's first cell fails, and channel 1, built with it
-        # before the kernel rates the block, is the only later channel
-        # drawn; a build error on channel 0 stops the block's builds.
+        # channel 0's first cell fails, and channel 1, drawn and built
+        # with it before the kernel rates the block, is the only later
+        # channel drawn; a build error on channel 0 stops the block's
+        # builds, so channel 1 is drawn up front but neither built nor
+        # rated.
         keys = []
         stream = sweeps.stream_rng
 
@@ -912,8 +912,9 @@ class TestRunSweep:
                 run_sweep(cfg)
         assert set(keys) == {(channel.CHANNEL_STREAM, 0), (channel.CHANNEL_STREAM, 1)}
 
-        drawn = []
-        draw = sweeps.draw_channel
+        drawn, built, rated = [], [], []
+        draw, build = sweeps.draw_channel, sweeps.build_precoders
+        search = sweeps.stacked_split_search
 
         def zero_channel_0(seed, channel_index, *shape):
             drawn.append(channel_index)
@@ -921,10 +922,57 @@ class TestRunSweep:
                 return np.zeros(shape, dtype=complex)
             return draw(seed, channel_index, *shape)
 
+        def building(h_est, *args):
+            built.append(h_est.tobytes())
+            return build(h_est, *args)
+
+        def rating(*args):
+            rated.append(args)
+            return search(*args)
+
         monkeypatch.setattr(sweeps, "draw_channel", zero_channel_0)
+        monkeypatch.setattr(sweeps, "build_precoders", building)
+        monkeypatch.setattr(sweeps, "stacked_split_search", rating)
         with pytest.raises(ZeroMatrixError):
             run_sweep(cfg)
-        assert drawn == [0]
+        assert drawn == [0, 1]
+        assert built == [np.zeros((4, 4), dtype=complex).tobytes()]
+        assert rated == []
+
+    def test_a_failing_channel_in_a_block_is_raised_after_the_channels_below_it(
+        self, monkeypatch
+    ):
+        # Channel 2 of a 4-channel block is zero: the block's one stacked
+        # factorization keeps its failure, channels 0 and 1 are built and
+        # rated, channel 2's first build raises its ZeroMatrixError, and
+        # channel 3, drawn up front, is never built.
+        draw, build = sweeps.draw_channel, sweeps.build_precoders
+        search = sweeps.stacked_split_search
+        cfg = small_config(n_channels=4)
+        below = [channel_for(cfg.master_seed, c).tobytes() for c in (0, 1)]
+        zero = np.zeros((4, 4), dtype=complex)
+        built, rated = [], []
+
+        def zero_channel_2(seed, channel_index, *shape):
+            return zero.copy() if channel_index == 2 else draw(seed, channel_index, *shape)
+
+        def building(h_est, *args):
+            built.append(h_est.tobytes())
+            return build(h_est, *args)
+
+        def rating(geometries, *args):
+            rated.append([g.h_est.tobytes() for g in geometries])
+            return search(geometries, *args)
+
+        monkeypatch.setattr(sweeps, "draw_channel", zero_channel_2)
+        monkeypatch.setattr(sweeps, "build_precoders", building)
+        monkeypatch.setattr(sweeps, "stacked_split_search", rating)
+        stacks = count_factorizations(monkeypatch)
+        with pytest.raises(ZeroMatrixError, match="^pseudo_inverse: matrix is identically zero$"):
+            run_sweep(cfg)
+        assert [len(stack) for stack in stacks] == [4]
+        assert set(built[:-1]) == set(below) and built[-1] == zero.tobytes()
+        assert rated and all(channels == below for channels in rated)
 
     def test_validates_before_running(self):
         with pytest.raises(EmptyGridError):

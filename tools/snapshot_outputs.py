@@ -33,15 +33,20 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from rsthp import cli  # noqa: E402
 
 # (name, argv): the sweeps' default grids at perfect CSIT and at a
-# fixed error, at one and two workers; the error-variance sweep by
-# default and with its slots sub-blocked; SNR-scaled errors whose
-# points hold distinct variances, one variance, and two; and the SINR
-# cross-check of every rate-splitting structure.
+# fixed error, at one and two workers; two users on five antennas, and
+# one user on three (1 x 1 inverses, (C, 3, 1) QRs), where every other
+# run has K = N = 4; the error-variance sweep by default and with its
+# slots sub-blocked; SNR-scaled errors whose points hold distinct
+# variances, one variance, and two; and the SINR cross-check of every
+# rate-splitting structure.
 RUNS = (
     ("sweep-snr-perfect-jobs1", ["sweep-snr", "--jobs", "1"]),
     ("sweep-snr-perfect-jobs2", ["sweep-snr", "--jobs", "2"]),
     ("sweep-snr-error-jobs1", ["sweep-snr", "--error-variance", "0.2", "--jobs", "1"]),
     ("sweep-snr-error-jobs2", ["sweep-snr", "--error-variance", "0.2", "--jobs", "2"]),
+    ("sweep-snr-k2-n5", ["sweep-snr", "--users", "2", "--tx-antennas", "5",
+                         "--error-variance", "0.1", "--channels", "20"]),
+    ("sweep-snr-k1-n3", ["sweep-snr", "--users", "1", "--tx-antennas", "3"]),
     ("sweep-error-variance", ["sweep-error-variance"]),
     ("sweep-error-variance-m3000",
      ["sweep-error-variance", "--error-samples", "3000", "--channels", "4"]),
