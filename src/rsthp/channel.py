@@ -8,11 +8,10 @@ reading more realizations never shifts the channel, and realization m
 is the same no matter how many are requested. The channel draw itself
 lives in the sweep layer.
 
-Error draws come from draw_error_ensemble alone. It keeps the unit
-draws of the last channel asked for and scales them by the requested
-variance; a sweep rates every (scheme, grid point) cell on one channel
-before the next, so it makes each channel's draws once and not once per
-cell.
+A channel's error ensemble is drawn at unit variance by
+unit_error_draws and scaled afterwards: draw_error_ensemble scales it
+to one variance, and a sweep draws it once per channel and scales it to
+every variance it rates. Nothing is kept between calls.
 
 Realization m of channel c is drawn from the generator that
 stream_rng(seed, ERROR_STREAM, c, m) would build, without building one
@@ -150,20 +149,19 @@ def draw_error_ensemble(
     Realization m is keyed by (seed, channel_index, m) alone, so asking
     for more realizations extends the stack without changing earlier
     entries, and the same draws underlie every error variance (only the
-    scale differs). Realization m equals complex_gaussian on the
-    generator stream_rng(seed, ERROR_STREAM, channel_index, m), bit for
-    bit: the cached unit draws get the same scaling it applies.
+    scale differs). Bit for bit, realization m is complex_gaussian on
+    the generator stream_rng(seed, ERROR_STREAM, channel_index, m).
     """
     _check_variance(sigma_e2)
-    unit = _unit_error_draws(seed, channel_index, n_error_samples, n_users, n_tx)
-    return np.sqrt(sigma_e2 / 2.0) * unit
+    errors = unit_error_draws(n_users, n_tx, n_error_samples, seed, channel_index)
+    errors *= np.sqrt(sigma_e2 / 2.0)
+    return errors
 
 
-@lru_cache(maxsize=1)
-def _unit_error_draws(
-    seed: int, channel_index: int, n_error_samples: int, n_users: int, n_tx: int
+def unit_error_draws(
+    n_users: int, n_tx: int, n_error_samples: int, seed: int, channel_index: int = 0
 ) -> np.ndarray:
-    """Read-only (M, K, N) unit draws of one channel's error ensemble.
+    """Fresh (M, K, N) unit draws of one channel's error ensemble.
 
     Each realization's real then imaginary parts come from one
     standard_normal call, the stream order of two (K, N) draws, and are
@@ -173,16 +171,14 @@ def _unit_error_draws(
     unit = np.empty((n_error_samples, n_users, n_tx), dtype=complex)
     scratch = np.empty((min(_SEED_BLOCK, n_error_samples), 2, n_users, n_tx))
     for start in range(0, n_error_samples, _SEED_BLOCK):
-        states = _error_states(
-            seed, channel_index, start, min(start + _SEED_BLOCK, n_error_samples)
-        )
+        stop = min(start + _SEED_BLOCK, n_error_samples)
+        states = _error_states(seed, channel_index, start, stop)
         block = scratch[: len(states)]
         for parts, state in zip(block, states):
             rng = np.random.Generator(np.random.PCG64(_HashedSeed(state)))
             rng.standard_normal(out=parts)
         out = unit[start : start + len(states)]
         out.real, out.imag = block[:, 0], block[:, 1]
-    unit.flags.writeable = False
     return unit
 
 

@@ -23,13 +23,12 @@ output order; working_set_bytes charges the same plan. run_sweep
 ergodic_sum_rate both rate through _rate_channels and join each cell's
 values in channel order.
 
-The per-process stores hold only the current channel or block:
-draw_error_ensemble keeps one channel's unit draws, and each error
-variance rescales them; linalg keeps the factors of the block's
-channels, from one stacked pass (linalg.factor_stack), with each
-channel's geometry record per base scheme and its common-stream
-direction, so the build of every split and grid point is two scalars
-and a reference to its record.
+_rate_block makes each channel's unit error draws once and rescales
+them into each slot's row. The one per-process store, linalg's, holds
+the factors of the current block's channels from one stacked pass
+(linalg.factor_stack), with each channel's geometry record per base
+scheme and its common-stream direction, so the build of every split and
+grid point is two scalars and a reference to its record.
 The eight schemes share three geometry records (zf, cthp, and dthp with
 zf-dpc: SchemeTag.record); the cells that share one are searched on
 every channel of a block in one kernel call (rates.stacked_split_search),
@@ -58,8 +57,9 @@ from .channel import (
     CHANNEL_STREAM,
     ErrorRegime,
     complex_gaussian,
-    draw_error_ensemble,
+    draw_error_ensemble,  # no caller here: bench/layers.py patches this name
     stream_rng,
+    unit_error_draws,
 )
 from .exceptions import (
     DimensionMismatchError,
@@ -327,10 +327,9 @@ def working_set_bytes(config: SweepConfig, n_channels: int) -> int:
     config on n_channels channels, read from its _BlockPlan: one block
     of B channels, each stacking V slots at a time, with M realizations
     a slot, K users, N antennas and a build per (cell, split). It charges
-    - 16 B per complex value of: one channel's cached unit error
-      ensemble and one slot's scaled copy (2 M K N, when drawn); numpy's
-      buffer for adding h_est to that copy (np.getbufsize() values, or
-      M K N if fewer), where the peak comes; each channel's factors and
+    - 16 B per complex value of: one channel's unit error draws (M K N,
+      when drawn); numpy's buffer for adding h_est to a slot's row
+      (np.getbufsize() values, or M K N if fewer); each channel's factors and
       geometry records from the block's stacked factorization (14 K N;
       tracemalloc measured 13.5 K N at K = N = 16, the pass's
       temporaries included); the block's stacked realizations (B V M K
@@ -341,15 +340,15 @@ def working_set_bytes(config: SweepConfig, n_channels: int) -> int:
       of one kernel run (run_values, or every build's M K if fewer);
     - _CELL_BYTES per cell on each channel of the block, _RESULT_BYTES
       per (cell, channel) and _ROW_BYTES per channel.
-    Under perfect CSIT nothing is drawn and M is the one all-zero
-    realization.
+    Under perfect CSIT nothing is drawn and a slot's row is h_est alone
+    (M = 1).
     """
     cells = _sweep_cells(config)
     plan = _block_plan(config, cells)
     k, n, m, channels = config.n_users, config.n_tx, plan.m, plan.channels
     ensemble = 0 if plan.slots == (None,) else m * k * n
     complex_values = (
-        2 * ensemble + min(ensemble, np.getbufsize()) + 14 * k * n * channels
+        ensemble + min(ensemble, np.getbufsize()) + 14 * k * n * channels
         + channels * plan.stacked_slots * m * k * (n + k + 4)
     )
     builds = channels * sum(len(grid) for _, _, _, grid, _ in cells)
@@ -521,9 +520,9 @@ def _rate_channels(
     Then every build of the block is made, channel by channel
     (_build_channel), and only its beta and P are kept, with its
     channel's records. The realizations
-    h_est + E of each channel's slots (its unit draws rescaled to the
-    slot's variance; one all-zero realization under perfect CSIT) are
-    stacked, stacked_slots slots at a time. The cells that share a
+    h_est + E of each channel's slots (its unit draws, drawn once and
+    rescaled to each slot's variance; h_est alone under perfect CSIT)
+    are stacked, stacked_slots slots at a time. The cells that share a
     geometry record (zf with rs-linear, cthp with cthp-rs, dthp with
     zf-dpc and their RS schemes) on every channel of the block are
     searched in one stacked_split_search call per stack of slots: row
@@ -637,11 +636,18 @@ def _rate_block(
         for b, (channel_index, records) in enumerate(zip(block, built)):
             # Every record holds the channel's h_est.
             h_est = next(iter(records.values()))[0].h_est
+            if plan.slots == (None,):
+                rows[b] = h_est
+                continue
+            if start == 0:
+                # Only a one-channel block spans several stacks (_block_plan), so the
+                # first stack's draws serve the rest; free the previous channel's first.
+                unit = None
+                unit = unit_error_draws(n_users, n_tx, m, config.master_seed, channel_index)
             for v, variance in enumerate(variances):
-                errors = 0.0 if variance is None else draw_error_ensemble(
-                    n_users, n_tx, variance, m, config.master_seed, channel_index
-                )
-                np.add(h_est, errors, out=rows[b * n_rows + v].reshape(m, n_users, n_tx))
+                row = rows[b * n_rows + v].reshape(m, n_users, n_tx)
+                np.multiply(unit, math.sqrt(variance / 2.0), out=row)
+                row += h_est
         for record, members in plan.records.items():
             members = members[start:start + step]
             # Row (b, v) is channel b of the block at slot v, and its sets
@@ -691,21 +697,19 @@ def _rate_run(config: SweepConfig, cells: list[tuple], channels: range) -> list[
 def run_sweep(config: SweepConfig, n_jobs: int = 1) -> SweepResult:
     """Evaluate every (scheme, grid point) cell of a sweep.
 
-    Every cell is built on one channel before the next channel, so the
-    unit error draws need be kept for the current one only, on geometry
-    records factored for a block of channels at once, and rated on that
-    block (_rate_channels). min(n_jobs, n_channels) workers each take
-    one contiguous run of channels as one task; blocks are cut from the
-    start of each run, in sizes that do not depend on n_jobs.
-    One worker is this process itself; more are the processes of a
-    pool, which rate every channel while this process only joins their
-    rows. Each cell joins its per-channel values in channel order, so
-    the output is bit-identical at any n_jobs. A failing run raises the
-    error of the lowest failing channel's first failing cell in output
-    order, the one a serial run meets and stops at: the pool's map
-    yields the runs in order. Pool workers draw no channel above the
-    lowest one that has failed so far, and still rate every channel
-    below it.
+    Every cell is built on geometry records factored for a block of
+    channels at once, and rated on that block (_rate_channels).
+    min(n_jobs, n_channels) workers each take one contiguous run of
+    channels as one task; blocks are cut from the start of each run, in
+    sizes that do not depend on n_jobs. One worker is this process
+    itself; more are the processes of a pool, which rate every channel
+    while this process only joins their rows. Each cell joins its
+    per-channel values in channel order, so the output is bit-identical
+    at any n_jobs. A failing run raises the error of the lowest failing
+    channel's first failing cell in output order, the one a serial run
+    meets and stops at: the pool's map yields the runs in order. Pool
+    workers draw no channel above the lowest one that has failed so far,
+    and still rate every channel below it.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")

@@ -11,7 +11,7 @@ from rsthp import (
     draw_error_ensemble,
     stream_rng,
 )
-from rsthp.channel import ERROR_STREAM, _SEED_BLOCK, _error_states, _unit_error_draws
+from rsthp.channel import ERROR_STREAM, _SEED_BLOCK, _error_states, unit_error_draws
 from rsthp.exceptions import DimensionMismatchError, InvalidVarianceError
 from rsthp.sweeps import average_sum_rate, draw_channel, ergodic_sum_rate
 
@@ -121,18 +121,13 @@ class TestDrawChannelSet:
 
 
 class TestUnitDrawCache:
-    """draw_error_ensemble serves every call from cached unit draws; the
-    cache must neither change a bit nor leak state between calls."""
-
-    @pytest.fixture(autouse=True)
-    def cold_cache(self):
-        _unit_error_draws.cache_clear()
-        yield
-        _unit_error_draws.cache_clear()
+    """draw_error_ensemble scales the unit draws of unit_error_draws,
+    which keeps nothing: neither may change a bit or leak state between
+    calls."""
 
     @staticmethod
     def reference(sigma_e2, n_samples, seed, c, n_users=4, n_tx=4):
-        # The draw before the cache: one complex_gaussian per realization.
+        # One complex_gaussian per realization.
         return np.stack([
             complex_gaussian(
                 stream_rng(seed, ERROR_STREAM, c, m), (n_users, n_tx), sigma_e2
@@ -141,7 +136,7 @@ class TestUnitDrawCache:
         ])
 
     def test_bit_identical_to_per_realization_draws(self):
-        for _ in range(2):  # cold, then warm
+        for _ in range(2):  # each key asked for twice
             for c in (0, 5):
                 for sigma_e2 in (0.0, 0.05, 0.2, 0.5, 31.0**-0.6):
                     got = draw_error_ensemble(4, 4, sigma_e2, 7, seed=12345, channel_index=c)
@@ -150,7 +145,6 @@ class TestUnitDrawCache:
                     assert (got == want).all()
         got = draw_error_ensemble(2, 3, 0.3, 4, seed=8, channel_index=1)
         assert (got == self.reference(0.3, 4, 8, 1, 2, 3)).all()
-        assert _unit_error_draws.cache_info().hits > 0
 
     def test_bit_identical_on_every_shape(self):
         for n_users in range(1, 6):
@@ -183,11 +177,13 @@ class TestUnitDrawCache:
         second = draw_error_ensemble(4, 4, 0.2, 5, seed=3, channel_index=2)
         assert (second == expected).all()
         assert second is not first
-        assert not _unit_error_draws(3, 2, 5, 4, 4).flags.writeable
+        unit = unit_error_draws(4, 4, 5, 3, 2)
+        assert unit.flags.writeable
+        unit[...] = 99.0
+        assert (np.sqrt(0.2 / 2.0) * unit_error_draws(4, 4, 5, 3, 2) == expected).all()
 
     def test_prefix_and_scaling_on_a_warm_cache(self):
-        # The cache holds one channel's draws, so each warm read follows
-        # its cold read of the same key.
+        # Each key is read twice in a row, and both reads agree.
         draws = {}
         for name, sigma_e2, n_samples, seed in (
             ("long", 0.2, 100, 7), ("short", 0.2, 50, 7),
@@ -198,9 +194,9 @@ class TestUnitDrawCache:
             np.testing.assert_array_equal(draws[name], cold)
         np.testing.assert_array_equal(draws["long"][:50], draws["short"])
         np.testing.assert_allclose(draws["large"], 2.0 * draws["small"], atol=1e-15)
-        info = _unit_error_draws.cache_info()
-        assert info.hits >= 4
-        assert info.currsize == 1
+        np.testing.assert_array_equal(
+            unit_error_draws(4, 4, 5, 3) * np.sqrt(0.1 / 2.0), draws["small"]
+        )
 
     def test_bad_variance_rejected_after_caching(self):
         draw_error_ensemble(4, 4, 0.2, 5, seed=4)

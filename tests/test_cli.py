@@ -25,7 +25,6 @@ from rsthp import (
 from rsthp.cli import (
     CSV_HEADER,
     MAX_RANGE_POINTS,
-    _config_from_args,
     build_parser,
     config_as_dict,
     format_csv,
@@ -222,12 +221,18 @@ class TestSweepDefaults:
         (["sweep-error-variance"], SweepConfig(
             snr_grid_db=(15.0,), error_variance_grid=(0.05, 0.1, 0.2, 0.3, 0.4, 0.5))),
     ])
-    def test_left_out_flags_keep_the_config_defaults(self, monkeypatch, argv, expected):
+    def test_left_out_flags_keep_the_config_defaults(self, tmp_path, monkeypatch, argv,
+                                                     expected):
         monkeypatch.delenv("RSTHP_SEED", raising=False)
-        args = build_parser().parse_args([*argv, "--out", "x.csv"])
-        regime = (ErrorRegime.snr_scaled(args.alpha) if argv == ["sweep-alpha"]
-                  else ErrorRegime.perfect())
-        assert _config_from_args(args, regime) == expected
+        configs = []
+
+        def recording(config, n_jobs):
+            configs.append(config)
+            raise ValueError("stop before the sweep")
+
+        monkeypatch.setattr("rsthp.cli.run_sweep", recording)
+        assert run_cli(*argv, "--out", str(tmp_path / "x.csv")) == 2
+        assert configs == [expected]
 
     def test_cross_check_defaults_are_the_configs(self, monkeypatch):
         monkeypatch.delenv("RSTHP_SEED", raising=False)

@@ -666,7 +666,7 @@ MEMORY_ALLOWANCE = 32 * 2**10
                       error_variance_grid=(0.05, 0.1, 0.2, 0.3, 0.4, 0.5)), 0))
 def test_rating_a_channel_stays_within_its_memory_estimate(config_channel):
     # The estimate that SweepConfig.validate holds to the budget bounds
-    # what rating one block of channels allocates, cached arrays and
+    # what rating one block of channels allocates, its error draws and
     # the block's rows included. tracemalloc sees numpy's buffers but
     # not BLAS workspace or the allocator's slack, so it is a lower
     # bound on the RSS a process grows by.
@@ -676,8 +676,7 @@ def test_rating_a_channel_stays_within_its_memory_estimate(config_channel):
     # A first call makes numpy's one-time allocations. The block's
     # factorization then replaces that channel's in linalg's store.
     _rate_channels(config, cells, range(block.stop, block.stop + 1))
-    for cache in (channel._unit_error_draws, channel._stream_state):
-        cache.cache_clear()
+    channel._stream_state.cache_clear()
     tracemalloc.start()
     try:
         _rate_channels(config, cells, block)

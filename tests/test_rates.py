@@ -36,7 +36,6 @@ from rsthp.rates import (
     SINR_CAP,
     SinrReport,
     _cap,
-    _kernel_args,
     _row_invariants,
     _set_sinrs,
     estimate_sinr_monte_carlo,
@@ -265,7 +264,7 @@ class TestBatchConsistency:
 
 def stacked_rows(ps, errors):
     """The one row h_est + E of ps's channel over the (M, K, N) errors."""
-    return _kernel_args(ps, errors)[3]
+    return (ps.h_est + errors).reshape(1, -1, ps.h_est.shape[1])
 
 
 def one_ensemble_table(precoder_sets, errors, sigma_n2):

@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -258,14 +259,15 @@ class TestSweepConfig:
             cfg.validate()
 
     def test_memory_estimate_counts_what_a_process_keeps(self):
-        # The caches hold one channel, so only the results grow with the
-        # channels: each channel's row and its per-cell values. Perfect
+        # A process holds one block's draws and factors, so only the
+        # results grow with the channels, by the same bytes each. Perfect
         # CSIT draws nothing, so its error-sample count costs nothing.
         cfg = small_config(n_error_samples=1000)
-        n_cells = len(cfg.schemes) * len(cfg.snr_grid_db)
-        per_channel = sweeps._RESULT_BYTES * n_cells + sweeps._ROW_BYTES
         one = sweeps.working_set_bytes(cfg, 1)
-        for n in (2, 65, 10_000):
+        per_channel = sweeps.working_set_bytes(cfg, 2) - one
+        # At least each cell's split and ASR, as float64.
+        assert per_channel >= 16 * len(cfg.schemes) * len(cfg.snr_grid_db)
+        for n in (3, 65, 10_000):
             assert sweeps.working_set_bytes(cfg, n) == one + (n - 1) * per_channel
         perfect = [
             sweeps.working_set_bytes(small_config(error_regime=PERFECT, n_error_samples=m), 50)
@@ -453,6 +455,19 @@ class TestRunSweep:
             )
             assert by_tag["zf"].per_channel_asr[c] == recomputed
 
+    def test_a_sweep_keeps_no_error_draws_after_it_returns(self):
+        # 20,000 unit draws of a 4 x 4 channel are 5.1 MB; once the sweep
+        # returns, only the last block's factors and the results remain.
+        cfg = small_config(schemes=(parse_scheme_tag("zf"),), n_channels=2,
+                           n_error_samples=20_000, master_seed=4242)
+        tracemalloc.start()
+        try:
+            run_sweep(cfg)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**18
+
     def test_each_error_draw_is_made_once(self, monkeypatch):
         # Every cell rescales the same unit draws: one error-stream
         # key per (channel, realization), not one per cell.
@@ -464,13 +479,11 @@ class TestRunSweep:
             return states(seed, channel_index, start, stop)
 
         monkeypatch.setattr(channel, "_error_states", counting)
-        channel._unit_error_draws.cache_clear()
         n_channels, n_samples = 3, 4
         run_sweep(small_config(
             error_regime=PERFECT, error_variance_grid=(0.1, 0.2, 0.3),
             n_channels=n_channels, n_error_samples=n_samples,
         ))
-        channel._unit_error_draws.cache_clear()
         assert len(keys) == n_channels * n_samples
         assert len(set(keys)) == len(keys)
 
@@ -489,11 +502,10 @@ class TestRunSweep:
         ]
 
     def test_each_channel_is_built_and_drawn_once_by_one_entry_caches(self, monkeypatch):
-        # Two cells over 130 channels: each channel's cells run back to
-        # back, so the store (one block's factors) and the one-entry
-        # cache of unit error draws serve every cell after the first. One
-        # factorization (LQ and direction) and one error draw per channel
-        # and realization.
+        # Two cells over 130 channels: the store (one block's factors)
+        # and each channel's unit error draws, made once by the engine,
+        # serve every cell. One factorization (LQ and direction) and one
+        # error draw per channel and realization.
         error_keys = []
         states = channel._error_states
 
@@ -503,18 +515,14 @@ class TestRunSweep:
 
         stacks = count_factorizations(monkeypatch)
         monkeypatch.setattr(channel, "_error_states", counting_states)
-        channel._unit_error_draws.cache_clear()
         n_channels = 130
         run_sweep(small_config(
             schemes=(parse_scheme_tag("dthp-rs"),), snr_grid_db=(10.0, 20.0),
             n_channels=n_channels, n_error_samples=2,
         ))
-        info = channel._unit_error_draws.cache_info()
-        channel._unit_error_draws.cache_clear()
         factored = [h.tobytes() for stack in stacks for h in stack]
         assert len(factored) == len(set(factored)) == n_channels
         assert len(error_keys) == len(set(error_keys)) == 2 * n_channels
-        assert (info.misses, info.currsize) == (n_channels, 1)
 
     def test_a_base_only_sweep_takes_no_direction(self, monkeypatch):
         # No set of a base scheme has a common stream, so a base-only

@@ -37,8 +37,10 @@ from rsthp import cli  # noqa: E402
 # one user on three (1 x 1 inverses, (C, 3, 1) QRs), where every other
 # run has K = N = 4; the error-variance sweep by default and with its
 # slots sub-blocked; SNR-scaled errors whose points hold distinct
-# variances, one variance, and two; and the SINR cross-check of every
-# rate-splitting structure.
+# variances, one variance, and two; the SINR cross-check of every
+# rate-splitting structure; and the modulo chain's self-checks, whose
+# residuals and power-loss estimate read the channel and noise draws, at
+# the default seed and at another.
 RUNS = (
     ("sweep-snr-perfect-jobs1", ["sweep-snr", "--jobs", "1"]),
     ("sweep-snr-perfect-jobs2", ["sweep-snr", "--jobs", "2"]),
@@ -55,6 +57,8 @@ RUNS = (
     ("sweep-alpha-1e-17", ["sweep-alpha", "--alpha", "1e-17"]),
     ("cross-check-sinr", ["cross-check-sinr", "--schemes", "rs-linear,cthp-rs,dthp-rs,zf-dpc-rs",
                           "--split", "0.3", "--error-variance", "0.1"]),
+    ("validate-chain", ["validate-chain"]),
+    ("validate-chain-seed7", ["validate-chain", "--seed", "7"]),
 )
 
 # (name, argv) of runs whose SINR saturates, so each exits 2 naming the
