@@ -42,7 +42,7 @@ NOISE_STREAM = 7
 _REGIME_KINDS = ("perfect", "fixed-variance", "snr-scaled")
 
 # Realizations whose generator states are hashed (and drawn) in one
-# numpy pass; it bounds those temporaries whatever M is.
+# numpy pass at most (_passes): it bounds those temporaries whatever M is.
 _SEED_BLOCK = 1024
 
 # NumPy's SeedSequence constants (numpy/random/bit_generator.pyx).
@@ -159,19 +159,20 @@ def draw_error_ensemble(
 
 
 def unit_error_draws(
-    n_users: int, n_tx: int, n_error_samples: int, seed: int, channel_index: int = 0
+    n_users: int, n_tx: int, n_error_samples: int, seed: int, channel_index: int = 0, out=None
 ) -> np.ndarray:
-    """Fresh (M, K, N) unit draws of one channel's error ensemble.
+    """Fresh (M, K, N) unit draws of one channel's error ensemble, or out.
 
     Each realization's real then imaginary parts come from one
     standard_normal call, the stream order of two (K, N) draws, and are
     written into the parts: the bits of real + 1j * imag, as
     complex_gaussian forms them, but for a part drawn as exactly -0.0.
     """
-    unit = np.empty((n_error_samples, n_users, n_tx), dtype=complex)
-    scratch = np.empty((min(_SEED_BLOCK, n_error_samples), 2, n_users, n_tx))
-    for start in range(0, n_error_samples, _SEED_BLOCK):
-        stop = min(start + _SEED_BLOCK, n_error_samples)
+    step, _ = _passes(n_users, n_tx, n_error_samples)
+    unit = np.empty((n_error_samples, n_users, n_tx), dtype=complex) if out is None else out
+    scratch = np.empty((step, 2, n_users, n_tx))
+    for start in range(0, n_error_samples, step):
+        stop = min(start + step, n_error_samples)
         states = _error_states(seed, channel_index, start, stop)
         block = scratch[: len(states)]
         for parts, state in zip(block, states):
@@ -180,6 +181,14 @@ def unit_error_draws(
         out = unit[start : start + len(states)]
         out.real, out.imag = block[:, 0], block[:, 1]
     return unit
+
+
+def _passes(n_users: int, n_tx: int, n_error_samples: int) -> tuple[int, int]:
+    """Realizations of one pass of unit_error_draws (at most _SEED_BLOCK
+    and 2**15 float64 draws) and the most it holds beside its result:
+    2 K N float64 draws and 25 uint64 words of hashed states each."""
+    step = max(1, min(_SEED_BLOCK, n_error_samples, 2**14 // (n_users * n_tx)))
+    return step, 8 * step * (2 * n_users * n_tx + 25)
 
 
 class _HashedSeed(ISeedSequence):

@@ -15,10 +15,10 @@ sinr_imperfect_csit) is its (1, 1) view, with the same bits. The sweep's
 split search (stacked_split_search) rates the same sets on the same
 invariants, coarse to fine: private SINRs fall and common SINRs rise
 along a split grid, so a bound skips, exactly, the splits that cannot
-be a grid's best. The
-estimator simulates the received signal model directly and is the
-independent check on the algebra. Neither asks where a scheme puts its
-THP gains: the unit_map and rx_gain of a geometry record carry that.
+be a grid's best. The estimator simulates the received signal model
+directly and is the independent check on the algebra. Neither asks
+where a scheme puts its THP gains: the unit_map and rx_gain of a
+geometry record carry that.
 
 Conventions used throughout:
   * Channel rows are conjugated-transposed user channels, so a received
@@ -124,14 +124,25 @@ def _kernel_args(precoders: PrecoderSet, errors: np.ndarray) -> tuple:
     )
 
 
-def _buffer(workspace: dict, name: str, shape: tuple, dtype=float) -> np.ndarray:
-    """An uninitialised array of shape: a view of workspace[name], grown
-    to the largest size asked."""
-    size = math.prod(shape)
-    buffer = workspace.get(name)
-    if buffer is None or buffer.size < size or buffer.dtype != dtype:
-        buffer = workspace[name] = np.empty(size, dtype)
-    return buffer[:size].reshape(shape)
+def _layout(n_rows: int, n_draws: int, n_users: int, max_sets: int, common_sets: int,
+            make=np.empty) -> dict:
+    """Every work array of a kernel call, make(shape, dtype) by name: the
+    invariants of n_rows rows of n_draws realizations of n_users users,
+    and the SINRs of a run of at most max_sets sets, common_sets with a
+    common stream, which then hold its sums. np.empty allocates them,
+    the one place that does; the memory estimate makes their bytes."""
+    per_row, per_set = (n_rows, n_draws, n_users), (max_sets, n_draws, n_users)
+    shapes = dict(gain2=per_row, power=per_row, cross=per_row, signal=per_row, gains_kk=per_row,
+                  gains=(n_rows, n_draws * n_users, n_users), private=per_set, numerator=per_set)
+    if common_sets:
+        shapes.update(common_gain=per_row, common=(common_sets, n_draws, n_users))
+    return {name: make(shape, complex if name.startswith("gains") else float)
+            for name, shape in shapes.items()}
+
+
+def _buffer(workspace: dict, name: str, shape: tuple) -> np.ndarray:
+    """A view of shape of the work array workspace[name] (_layout)."""
+    return workspace[name].reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -159,7 +170,7 @@ def _row_invariants(
     direction d, read only with_common. Each row's records are stacked,
     and a stacked matmul makes the BLAS calls of one product per row, so
     a row gets the bits of a call on its record alone. The arrays are
-    workspace buffers (see stacked_split_search)."""
+    views of the work arrays of workspace (_layout)."""
     n_users = len(geometries[0].rx_gain)
     per_row = (len(rows), rows.shape[1] // n_users, n_users)
     unit_private = np.stack([g.unit_private for g in geometries])
@@ -170,7 +181,7 @@ def _row_invariants(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gain2 = np.square(rx_gain, out=_buffer(workspace, "gain2", per_row))
         gains0 = np.matmul(
-            rows, unit_private, out=_buffer(workspace, "gains", (*rows.shape[:2], n_users), complex)
+            rows, unit_private, out=_buffer(workspace, "gains", (*rows.shape[:2], n_users))
         ).reshape(*per_row, n_users)
         own0 = np.diagonal(gains0, axis1=2, axis2=3)
         # Summed in user order, like the table's totals: np.sum's order
@@ -187,16 +198,16 @@ def _row_invariants(
         np.subtract(power0, cross0, out=cross0)
         # The simulated signal (estimate_sinr_monte_carlo) gives
         # 1 + g_k A_kk, not 1 + g_k^2 A_kk; the published form keeps g^2.
-        signal = np.multiply(gain2, own0, out=_buffer(workspace, "gains_kk", per_row, complex))
+        signal = np.multiply(gain2, own0, out=_buffer(workspace, "gains_kk", per_row))
         signal += 1.0 - rx_gain
         signal0 = np.abs(signal, out=_buffer(workspace, "signal", per_row))
         signal0 *= signal0
         common0 = None
         if with_common:
             direction = np.stack([g.direction for g in geometries])[:, :, np.newaxis]
-            gains = np.matmul(rows, direction, out=_buffer(
-                workspace, "gains", (*rows.shape[:2], 1), complex
-            )).reshape(per_row)
+            gains = np.matmul(
+                rows, direction, out=_buffer(workspace, "gains", (*rows.shape[:2], 1))
+            ).reshape(per_row)
             common0 = np.abs(gains, out=_buffer(workspace, "common_gain", per_row))
             common0 *= common0
     return _RowInvariants(signal0, cross0, power0, common0, gain2)
@@ -225,7 +236,7 @@ def _set_sinrs(
     Returns (private (R, T, M, K), the columns with P > 0 on some row,
     their common SINRs (R, len(columns), M, K) or None, whether each
     set's SINRs saturated (R, T)). A set at P = 0 in such a column has
-    the common SINR 0 exactly. The SINRs are workspace buffers.
+    the common SINR 0 exactly. The SINRs are views of workspace's arrays.
     """
     # np.float_power calls the C library's pow, as Python's beta**2 does;
     # np.square (beta * beta) differs in the last bit for about 1 beta in 1,000.
@@ -273,11 +284,9 @@ def sinr_imperfect_csit(
     error_realization is the (K, N) estimation error; zero rows recover
     the perfect-CSIT values exactly (same code path).
     """
-    geometries, beta, power, rows = _kernel_args(
-        precoders, np.asarray(error_realization)[np.newaxis]
+    beta, power, workspace, invariants = _prepared(
+        *_kernel_args(precoders, np.asarray(error_realization)[np.newaxis])
     )
-    workspace = {}
-    invariants = _row_invariants(geometries, rows, precoders.common_power > 0, workspace)
     private, _, common, saturated = _set_sinrs(
         invariants, slice(None), beta, power, sigma_n2, workspace
     )
@@ -318,10 +327,12 @@ def rates_from_sinr(report: SinrReport) -> RateReport:
     )
 
 
-def _checked_sets(geometries: Sequence[Geometry], beta, power, rows: np.ndarray) -> tuple:
-    """beta and power as float arrays, after checking that they are both
-    (R, T) with R = len(rows), T >= 1, and that geometries gives each row
-    one record."""
+def _prepared(geometries: Sequence[Geometry], beta, power, rows: np.ndarray,
+              max_sets: int | None = None, workspace: dict | None = None) -> tuple:
+    """beta and power as float arrays, once they are both (R, T) with R =
+    len(rows), T >= 1, and geometries gives each row one record;
+    workspace, or if None the _layout of a call that rates them in runs
+    of at most max_sets sets; and the rows' invariants in it."""
     beta, power = np.asarray(beta, dtype=float), np.asarray(power, dtype=float)
     if not beta.size:
         raise EmptyGridError("no precoder sets to rate")
@@ -334,20 +345,25 @@ def _checked_sets(geometries: Sequence[Geometry], beta, power, rows: np.ndarray)
         raise DimensionMismatchError(
             f"{len(geometries)} geometry records for {len(rows)} rows; each row needs one"
         )
-    return beta, power
+    n_users, run = len(geometries[0].rx_gain), min(max_sets or beta.size, beta.size)
+    common = len(rows) * np.count_nonzero((power > 0).any(axis=0))
+    if workspace is None:
+        workspace = _layout(len(rows), rows.shape[1] // n_users, n_users, run, min(run, common))
+    return beta, power, workspace, _row_invariants(geometries, rows, common > 0, workspace)
 
 
 def _runs(
     rows: _RowInvariants, beta: np.ndarray, power: np.ndarray, sigma_n2: float,
-    max_sets: int | None, workspace: dict,
+    max_sets: int | None, workspace: dict, parts: bool = False,
 ):
     """Rate the (R, T) sets beta, power, set (r, t) over row r of rows,
     in runs of at most max_sets sets (all at once if None): whole rows,
     or equal parts of one row that holds more. Yields each run's (slice
-    of the (R, T) sets, its (R', T', M) private rates summed over users,
-    the columns with P > 0 on some row, their (R', C, M) worst-user
-    common rates or None). Raises SaturatedSinrError, with the (R, T)
-    mask of the saturated sets, once every run is rated."""
+    of the (R, T) sets, its (R', T', M) sum rates, the columns with P >
+    0 on some row, their (R', C, M) worst-user common rates or None, and
+    with parts its (R', T') private rates summed over M), the arrays in
+    workspace. Raises SaturatedSinrError, with the (R, T) mask of the
+    saturated sets, once every run is rated."""
     n_rows, n_sets = beta.shape
     max_sets = max_sets or beta.size
     # Runs of equal size: no more runs, and no larger arrays, than needed.
@@ -360,17 +376,27 @@ def _runs(
             private, common_at, common, saturated[part] = _set_sinrs(
                 rows, part[0], beta[part], power[part], sigma_n2, workspace
             )
-            # The per-user reductions run over the K user slices: numpy's
-            # per-row reduction overhead over a short last axis costs more
-            # than the SINRs. The sum adds in user order, which is np.sum's
-            # order for K <= 7 (from 8 users on it sums pairwise, a rounding
-            # apart).
+            # The per-user reductions run over the K user slices, cheaper
+            # than numpy's over a short last axis, and sum in user order:
+            # np.sum's for K <= 7 (pairwise from 8 users on, a rounding apart).
             private += 1.0
             rates = np.log2(private, out=private)
-            totals = rates[..., 0].copy()
+            # Each sum is written over an array already read: the totals over
+            # the numerators, the worst-user rates over the rates, and
+            # totals[:, common_at] + common over the common SINRs (np.take's
+            # mode "raise" would buffer it).
+            totals = _buffer(workspace, "numerator", rates.shape[:-1])
+            totals[...] = rates[..., 0]
             for k in range(1, rates.shape[-1]):
                 totals += rates[..., k]
-            yield part, totals, common_at, None if common is None else _worst_user_rate(common)
+            private_sums = totals.sum(axis=-1) if parts else None
+            if common is not None:
+                common = _worst_user_rate(common, _buffer(workspace, "private", common.shape[:-1]))
+                total = _buffer(workspace, "common", common.shape)
+                np.take(totals, common_at, axis=1, out=total, mode="clip")
+                total += common
+                totals[:, common_at] = total
+            yield part, totals, common_at, common, private_sums
     if saturated.any():
         raise _saturation("an SINR", saturated)
 
@@ -403,15 +429,9 @@ def stacked_sum_rate_table(
             were real. Raised once every run is rated; its saturated is
             the (R, T) mask of the saturated sets.
     """
-    beta, power = _checked_sets(geometries, beta, power, rows)
-    workspace = {}
-    invariants = _row_invariants(geometries, rows, bool(np.any(power > 0)), workspace)
+    beta, power, workspace, invariants = _prepared(geometries, beta, power, rows)
     table = np.empty((*beta.shape, invariants.cross.shape[1]))
-    for part, totals, common_at, common in _runs(
-        invariants, beta, power, sigma_n2, None, workspace
-    ):
-        if common is not None:
-            totals[:, common_at] += common
+    for part, totals, *_ in _runs(invariants, beta, power, sigma_n2, None, workspace):
         table[part] = totals
     return table
 
@@ -451,11 +471,9 @@ def stacked_split_search(
     as a base scheme's one), or whose sets one run holds (beta.size <=
     max_sets, or max_sets None), takes one pass with no extra arrays: a
     coarse pass would pay a run's fixed cost twice. The sets are rated
-    in runs of at most max_sets (all at once if None), and workspace is
-    a dict that the caller keeps from call to call: the kernel keeps its
-    large temporaries there and reuses them, instead of allocating them
-    anew (glibc hands a freed heap back to the OS, and every call would
-    fault its pages in again).
+    in runs of at most max_sets (all at once if None) in workspace, a
+    _layout at least the call's (made for the call if None), which a
+    caller may keep from call to call.
 
     Raises:
         EmptyGridError, DimensionMismatchError: as stacked_sum_rate_table.
@@ -467,9 +485,8 @@ def stacked_split_search(
             rated in the first pass, so each run's mask is True
             somewhere exactly where the full grid's is.
     """
-    beta, power = _checked_sets(geometries, beta, power, rows)
-    workspace = {} if workspace is None else workspace
-    invariants = _row_invariants(geometries, rows, bool(np.any(power > 0)), workspace)
+    beta, power, workspace, invariants = _prepared(geometries, beta, power, rows, max_sets,
+                                                   workspace)
     n_sets = beta.shape[1]
     starts = np.cumsum([0, *lengths[:-1]])
     # The plan, in Python over a row's few grids: the coarse columns of
@@ -525,16 +542,14 @@ def _mean_rates(
     if parts:
         private_means, common_means = np.empty(beta.shape), np.zeros(beta.shape)
     try:
-        for part, totals, common_at, common in _runs(
-            rows, beta, power, sigma_n2, max_sets, workspace
+        for part, totals, common_at, common, private_sums in _runs(
+            rows, beta, power, sigma_n2, max_sets, workspace, parts
         ):
             # np.mean's own sum and division, without its per-call overhead.
             if parts:
-                private_means[part] = totals.sum(axis=-1) / n_draws
-            if common is not None:
-                if parts:
+                private_means[part] = private_sums / n_draws
+                if common is not None:
                     common_means[part][:, common_at] = common.sum(axis=-1) / n_draws
-                totals[:, common_at] += common
             means[part] = totals.sum(axis=-1) / n_draws
     except SaturatedSinrError as exc:
         saturated = np.zeros(shape, dtype=bool)
@@ -549,13 +564,13 @@ def _equal_step(n: int, most: int) -> int:
     return math.ceil(n / math.ceil(n / most))
 
 
-def _worst_user_rate(common: np.ndarray) -> np.ndarray:
-    """(..., M) common rates log2(1 + min_k c_k) of (..., M, K) common
-    SINRs. 1 + x and log2 are monotone, so this has the bits of the
-    least user rate min_k log2(1 + c_k), for one logarithm per
-    realization instead of K. The minimum runs over the user slices,
-    like the sums above."""
-    worst = common[..., 0].copy()
+def _worst_user_rate(common: np.ndarray, worst: np.ndarray) -> np.ndarray:
+    """The (..., M) common rates log2(1 + min_k c_k) of (..., M, K)
+    common SINRs, written to worst. 1 + x and log2 are monotone, so this
+    has the bits of the least user rate min_k log2(1 + c_k), for one
+    logarithm per realization instead of K. The minimum runs over the
+    user slices, like the sums above."""
+    worst[...] = common[..., 0]
     for k in range(1, common.shape[-1]):
         np.minimum(worst, common[..., k], out=worst)
     worst += 1.0

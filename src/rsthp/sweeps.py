@@ -9,38 +9,30 @@ sees the same channels and the same error draws (common random
 numbers), and a sweep is a pure function of its config.
 
 The unit of work is a block of consecutive channels: a channel's best
-split and average sum rate in a cell depend on that channel's draws
-alone, and a cell is the mean over its channels (the ergodic sum rate
-as a mean of per-channel sample averages), so channels stack freely.
-Each cell's plan (_cell) fixes its split grid and error variance once;
-_block_plan alone sizes the engine, from the config: a block's
-channels (as many as its stacked realizations and its builds allow), the
-slots stacked at once and one kernel run. _rate_channels
-rates every planned cell on a range of channels by that plan, and
-raises the lowest failing channel's first failing cell's error in
-output order; working_set_bytes charges the same plan. run_sweep
-(serially, or one contiguous run of channels per pool worker) and
-ergodic_sum_rate both rate through _rate_channels and join each cell's
-values in channel order.
+split and average sum rate in a cell depend on its draws alone, and a
+cell is the mean over its channels, so channels stack freely. Each
+cell's plan (_cell) fixes its split grid and error variance once;
+_block_plan alone sizes the engine from the config (a block's channels,
+the slots stacked at once, one kernel run). _rate_channels allocates the
+plan's work arrays once, rates every planned cell on a range of channels
+in them, and raises the lowest failing channel's first failing cell's
+error in output order; working_set_bytes charges the same arrays.
+run_sweep (serially, or one contiguous run of channels per pool worker)
+and ergodic_sum_rate both rate through _rate_channels and join each
+cell's values in channel order.
 
-_rate_block makes each channel's unit error draws once and rescales
-them into each slot's row. The one per-process store, linalg's, holds
-the factors of the current block's channels from one stacked pass
-(linalg.factor_stack), with each channel's geometry record per base
-scheme and its common-stream direction, so the build of every split and
-grid point is two scalars and a reference to its record.
-The eight schemes share three geometry records (zf, cthp, and dthp with
-zf-dpc: SchemeTag.record); the cells that share one are searched on
-every channel of a block in one kernel call (rates.stacked_split_search),
-which rates each split grid coarse to fine and skips, exactly, the
-splits that a bound rules out.
-A channel's rows are its slots: one per x point, or a single one when
-every cell has the same error variance. Each row h_est + E is one
-channel at one slot, on that channel's record, and holds the beta and
-P of every split of the slot's cells, so every row holds the same
-schemes and beta and P are (rows, sets) arrays. Each cell's best split
-and average get the bits of optimize_power_split, the reference search
-that rates one cell split by split.
+_rate_block draws each channel's unit errors once and rescales them into
+each slot's row. linalg's store holds the factors of the block's
+channels from one stacked pass, with each channel's geometry record per
+base scheme and its common-stream direction, so a build is two scalars
+and a reference to its record. The eight schemes share three records
+(SchemeTag.record); the cells that share one are searched on every
+channel of a block in one kernel call (rates.stacked_split_search),
+which skips, exactly, the splits that a bound rules out. A channel's
+rows are its slots: one per x point, or one when every cell has the same
+error variance; each holds the beta and P of every split of the slot's
+cells, so beta and P are (rows, sets) arrays. Each cell's best split and
+average get the bits of optimize_power_split, the reference search.
 SweepConfig.validate rejects a config whose estimated working set
 exceeds MEMORY_BUDGET_BYTES (512 MiB).
 """
@@ -54,6 +46,7 @@ from functools import partial
 import numpy as np
 
 from .channel import (
+    _passes,
     CHANNEL_STREAM,
     ErrorRegime,
     complex_gaussian,
@@ -69,7 +62,7 @@ from .exceptions import (
 )
 from . import linalg
 from .precoding import ALL_SCHEME_TAGS, SchemeTag, build_precoders
-from .rates import _buffer, stacked_split_search, sum_rate_samples
+from .rates import _buffer, _layout, stacked_split_search, sum_rate_samples
 
 # 95% normal-approximation confidence multiplier for the ESR halfwidth.
 _CI_FACTOR = 1.96
@@ -101,22 +94,13 @@ _ROW_BYTES = 128 + 8
 # as many builds (cells x splits x channels).
 _BLOCK_VALUES = 2**15
 
-# Bytes the kernel holds per value of a run beyond G0 and its per-user
-# sums, its workspace buffers included; tracemalloc measured at most
-# 48 B (rate-splitting sets, K = 1, M = 1,000, 2 or 6 rows of 10 or 30
-# sets; 30 B at K = 4).
-_KERNEL_BYTES = 48
-
-# Bytes _rate_channels keeps per build of a block (its beta and P, as
-# Python floats while its channel is built and in float64 arrays after,
-# its share of a kernel call's per-set arrays and indices and of the
-# best-split search) and per cell on each channel of a block (its plan's
-# entries and indices). tracemalloc measured at most 118 B per build
-# (400 one-user rs-linear cells on one channel, M = 1 or 3, 5 or 20
-# splits, K = N = 1 to 4) and 81 B per one-build cell (K = N = 1, a
-# variance per cell, 32 channels a block).
+# Bytes _rate_channels keeps per build of a block, the Python objects of
+# the per-build path (a build_precoders call per cell, split and channel):
+# its beta and P, its share of a call's per-set arrays and of its cell's
+# plan. tracemalloc measured at most 118 B per build (400 one-user
+# rs-linear cells, M = 1 or 3, 5 or 20 splits, K = N = 1 to 4) and 81 B
+# per one-build cell.
 _BUILD_BYTES = 128
-_CELL_BYTES = 48
 
 
 def default_power_split_grid() -> tuple[float, ...]:
@@ -324,38 +308,28 @@ def check_memory(what: str, need: int, flag: str) -> None:
 
 def working_set_bytes(config: SweepConfig, n_channels: int) -> int:
     """Estimated peak bytes of one process that rates every cell of
-    config on n_channels channels, read from its _BlockPlan: one block
-    of B channels, each stacking V slots at a time, with M realizations
-    a slot, K users, N antennas and a build per (cell, split). It charges
-    - 16 B per complex value of: one channel's unit error draws (M K N,
-      when drawn); numpy's buffer for adding h_est to a slot's row
-      (np.getbufsize() values, or M K N if fewer); each channel's factors and
-      geometry records from the block's stacked factorization (14 K N;
-      tracemalloc measured 13.5 K N at K = N = 16, the pass's
-      temporaries included); the block's stacked realizations (B V M K
-      N) and their gains G0 with per-user sums and the g^2 tile (B V M K
-      (K + 4); tracemalloc measured 56 B a row value beyond G0, K = 1 to
-      4, M = 1,000);
-    - _BUILD_BYTES per build of the block, and _KERNEL_BYTES per value
-      of one kernel run (run_values, or every build's M K if fewer);
-    - _CELL_BYTES per cell on each channel of the block, _RESULT_BYTES
-      per (cell, channel) and _ROW_BYTES per channel.
-    Under perfect CSIT nothing is drawn and a slot's row is h_est alone
-    (M = 1).
-    """
+    config on n_channels channels, from its _BlockPlan (M realizations a
+    slot, K users, N antennas): the work arrays, which _rate_channels
+    allocates from the same list (_work_arrays); while they are held, a
+    channel's unit error draws (M K N complex values, unless its one
+    slot's row holds them) with one pass of them in flight (_passes),
+    and numpy's two buffers for a kernel product over G0's diagonal (a
+    complex value per user and stacked realization, np.getbufsize() at
+    most, each); per block channel 14 K N complex values of factors and
+    records (tracemalloc measured 13.5 K N at K = N = 16, the stacked
+    pass's temporaries included) and _BUILD_BYTES per build;
+    _RESULT_BYTES per (cell, channel) and _ROW_BYTES per channel. Under
+    perfect CSIT nothing is drawn, M = 1."""
     cells = _sweep_cells(config)
     plan = _block_plan(config, cells)
     k, n, m, channels = config.n_users, config.n_tx, plan.m, plan.channels
-    ensemble = 0 if plan.slots == (None,) else m * k * n
-    complex_values = (
-        ensemble + min(ensemble, np.getbufsize()) + 14 * k * n * channels
-        + channels * plan.stacked_slots * m * k * (n + k + 4)
-    )
-    builds = channels * sum(len(grid) for _, _, _, grid, _ in cells)
+    work = _work_arrays(config, plan,
+                        lambda shape, dtype: math.prod(shape) * np.dtype(dtype).itemsize)
+    drawn = 0 if plan.slots == (None,) else (
+        16 * m * k * n * (len(plan.slots) > 1) + _passes(k, n, m)[1])
     return (
-        16 * complex_values + _BUILD_BYTES * builds
-        + _KERNEL_BYTES * min(plan.run_values, builds * m * k)
-        + _CELL_BYTES * len(cells) * channels
+        sum(work.values()) + drawn + 2 * min(work["rows"] // n, 16 * np.getbufsize())
+        + channels * (16 * 14 * k * n + _BUILD_BYTES * sum(len(cell[3]) for cell in cells))
         + (_RESULT_BYTES * len(cells) + _ROW_BYTES) * n_channels
     )
 
@@ -449,19 +423,19 @@ def _sweep_cells(config: SweepConfig) -> list[tuple]:
 class _BlockPlan:
     """How _rate_channels stacks a sweep's cells, and every size that
     working_set_bytes charges: M realizations per slot (1 under perfect
-    CSIT); the error variance of each slot of a channel (None is perfect
-    CSIT), a slot being one x point, or all of them when every cell has
-    the same variance; each geometry record's cells (by SchemeTag.record)
-    as a (slots, cells per slot) array of cell indices, each slot's in
-    output order; the values (sets x M x K) and the sets of one kernel
-    run; the channels of one block; and the slots each channel stacks at
-    a time."""
+    CSIT); the error variance of each slot (None is perfect CSIT), a
+    slot being one x point, or all of them when every cell has the same
+    variance; each geometry record's cells (SchemeTag.record) as a
+    (slots, cells per slot) array of cell indices in output order; the
+    sets of one kernel run, at most a call's, and the most of them with
+    a common stream; the channels of a block; and the slots each
+    channel stacks at a time."""
 
     m: int
     slots: tuple[float | None, ...]
     records: dict[str, np.ndarray]
-    run_values: int
     max_sets: int
+    common_sets: int
     channels: int
     stacked_slots: int
 
@@ -471,15 +445,12 @@ def _block_plan(config: SweepConfig, cells: list[tuple]) -> _BlockPlan:
     engine. Every scheme has a cell at every x point, so each slot holds
     the same schemes, and a record's sets are the same on every row of a
     kernel call. A kernel run holds up to max(T x M x K, _BLOCK_VALUES)
-    values, one split search at least, so cells and channels with few
-    draws share a run; the kernel cuts a call's sets into such runs,
-    whole rows or equal parts of one. A block holds as many consecutive
+    values, one split search at least, or a call's sets if fewer, whole
+    rows or equal parts of one. A block holds as many consecutive
     channels as keep its stacked h_est + E within _BLOCK_VALUES complex
     values and its builds (cells x splits) within _BLOCK_VALUES // 4, at
-    least 1, at most n_channels, never more for more workers: the builds'
-    cap keeps the default sweeps' estimates under 4 MiB. A channel stacks
-    as many slots at a time as _BLOCK_VALUES complex values hold, at
-    least 1."""
+    least 1, at most n_channels. A channel stacks as many slots at a
+    time as _BLOCK_VALUES complex values hold, at least 1."""
     n_users, n_tx = config.n_users, config.n_tx
     _, x_values, _, grids, variances = zip(*cells)
     shared = len(set(variances)) == 1
@@ -492,16 +463,27 @@ def _block_plan(config: SweepConfig, cells: list[tuple]) -> _BlockPlan:
         by_slot[slot_of[keys[index]]].append(index)
     m = 1 if slots == (None,) else config.n_error_samples
     run_values = max(max(map(len, grids)) * m * n_users, _BLOCK_VALUES)
-    channels = min(
+    channels = max(1, min(
         _BLOCK_VALUES // (len(slots) * m * n_users * n_tx),
         _BLOCK_VALUES // 4 // sum(map(len, grids)),
         config.n_channels,
-    )
-    return _BlockPlan(
-        m, slots, {record: np.array(by_slot) for record, by_slot in members.items()},
-        run_values, run_values // (m * n_users), max(1, channels),
-        min(len(slots), max(1, _BLOCK_VALUES // (m * n_users * n_tx))),
-    )
+    ))
+    stacked_slots = min(len(slots), max(1, _BLOCK_VALUES // (m * n_users * n_tx)))
+    # A record's call holds its slot's splits on every row; those above 0 have a common stream.
+    splits = [[t for i in by_slot[0] for t in grids[i]] for by_slot in members.values()]
+    rows = channels * stacked_slots
+    max_sets = min(run_values // (m * n_users), rows * max(map(len, splits)))
+    common_sets = min(max_sets, rows * max(sum(t > 0.0 for t in row) for row in splits))
+    return _BlockPlan(m, slots, {record: np.array(by_slot) for record, by_slot in members.items()},
+                      max_sets, common_sets, channels, stacked_slots)
+
+
+def _work_arrays(config: SweepConfig, plan: _BlockPlan, make=np.empty) -> dict:
+    """The work arrays of _rate_channels, make(shape, dtype) by name: one
+    stack of a block's realizations h_est + E and rates._layout's."""
+    rows, m_k = plan.channels * plan.stacked_slots, plan.m * config.n_users
+    return {"rows": make((rows, m_k, config.n_tx), complex),
+            **_layout(rows, plan.m, config.n_users, plan.max_sets, plan.common_sets, make)}
 
 
 def _rate_channels(
@@ -512,40 +494,32 @@ def _rate_channels(
     channel order.
 
     Each cell searches its plan's split grid at its plan's error
-    variance (see _cell). The channels are rated in blocks of
-    consecutive channels (_block_plan). Each channel of a block is drawn
-    once up front, and the block's channels are factored in one stacked
-    pass (linalg.factor_stack), kept in linalg's store with the geometry
-    records that the block's first build derives for all its channels.
-    Then every build of the block is made, channel by channel
-    (_build_channel), and only its beta and P are kept, with its
-    channel's records. The realizations
-    h_est + E of each channel's slots (its unit draws, drawn once and
-    rescaled to each slot's variance; h_est alone under perfect CSIT)
-    are stacked, stacked_slots slots at a time. The cells that share a
-    geometry record (zf with rs-linear, cthp with cthp-rs, dthp with
-    zf-dpc and their RS schemes) on every channel of the block are
-    searched in one stacked_split_search call per stack of slots: row
-    (channel, slot) holds the splits of the slot's cells, and the call
-    returns each cell's first best split and its average.
+    variance (see _cell). The plan's work arrays (_work_arrays) are
+    allocated once, before the first block of consecutive channels
+    (_block_plan), and every block is rated in them. A block's channels
+    are drawn up front and factored in one stacked pass
+    (linalg.factor_stack), and every build is made channel by channel
+    (_build_channel), keeping only its beta and P. The realizations
+    h_est + E of each channel's slots (its unit draws rescaled to each
+    slot's variance; h_est alone under perfect CSIT) are stacked,
+    stacked_slots slots at a time, and the cells that share a geometry
+    record (SchemeTag.record) are searched on every channel of the block
+    in one stacked_split_search call per stack: row (channel, slot)
+    holds the splits of the slot's cells.
 
-    An error of channel c's draw stops the block's draws, and an error
-    of its builds (a channel that is not finite, zero or rank deficient
-    fails its first build) stops the block's builds; the channels below
-    c are rated, and raise first if one saturates, and no channel above
-    c is built. A SaturatedSinrError names the lowest saturated
-    channel's first saturated cell in output order, with its grid point,
-    from one (channels, cells) mask per block (_rate_block). In a pool
-    worker, lowest_failure is the pool's shared lowest failing channel:
-    each channel is drawn only if no lower one has failed, else the rows
-    so far are returned (the run raises the lower error), and a failure
-    here lowers it.
+    An error of channel c's draw or builds (a channel that is not
+    finite, zero or rank deficient fails its first build) stops the
+    block's draws or builds; the channels below c are rated, and raise
+    first if one saturates. A SaturatedSinrError names the lowest
+    saturated channel's first saturated cell in output order, with its
+    grid point (_rate_block). In a pool worker, lowest_failure is the
+    pool's shared lowest failing channel: each channel is drawn only if
+    no lower one has failed, else the rows so far are returned (the run
+    raises the lower error), and a failure here lowers it.
     """
     plan = _block_plan(config, cells)
-    # The kernel's temporaries and the stacked realizations, kept from
-    # call to call: fresh ones per block would hand their pages back to
-    # the OS and fault them in again.
-    workspace = {}
+    # Once for all blocks: fresh arrays would fault their pages in again.
+    workspace = _work_arrays(config, plan)
     rows = []
     for start in range(0, len(channels), plan.channels):
         block = channels[start:start + plan.channels]
@@ -632,7 +606,7 @@ def _rate_block(
     for start in range(0, len(plan.slots), step):
         variances = plan.slots[start:start + step]
         n_rows = len(variances)
-        rows = _buffer(workspace, "rows", (len(built) * n_rows, m * n_users, n_tx), complex)
+        rows = _buffer(workspace, "rows", (len(built) * n_rows, m * n_users, n_tx))
         for b, (channel_index, records) in enumerate(zip(block, built)):
             # Every record holds the channel's h_est.
             h_est = next(iter(records.values()))[0].h_est
@@ -642,8 +616,10 @@ def _rate_block(
             if start == 0:
                 # Only a one-channel block spans several stacks (_block_plan), so the
                 # first stack's draws serve the rest; free the previous channel's first.
+                # A lone slot's row holds the draws, rescaled in place.
                 unit = None
-                unit = unit_error_draws(n_users, n_tx, m, config.master_seed, channel_index)
+                row = rows[b].reshape(m, n_users, n_tx) if len(plan.slots) == 1 else None
+                unit = unit_error_draws(n_users, n_tx, m, config.master_seed, channel_index, row)
             for v, variance in enumerate(variances):
                 row = rows[b * n_rows + v].reshape(m, n_users, n_tx)
                 np.multiply(unit, math.sqrt(variance / 2.0), out=row)

@@ -159,6 +159,16 @@ class TestUnitDrawCache:
         got = draw_error_ensemble(2, 3, 0.2, n_samples, seed=5, channel_index=1)
         assert got.tobytes() == self.reference(0.2, n_samples, 5, 1, 2, 3).tobytes()
 
+    def test_bit_identical_across_short_passes_and_into_out(self):
+        # Many antennas draw fewer realizations a pass than a seed block
+        # (256 at K = N = 8, one at K N > 2**14) with the same bits, and
+        # out receives the draws. At variance 2 the reference is unscaled.
+        for n_users, n_tx, n_samples in ((8, 8, 300), (1, 20_000, 3)):
+            out = np.empty((n_samples, n_users, n_tx), dtype=complex)
+            got = unit_error_draws(n_users, n_tx, n_samples, 5, 1, out)
+            want = self.reference(2.0, n_samples, 5, 1, n_users, n_tx)
+            assert got is out and got.tobytes() == want.tobytes()
+
     def test_negative_key_parts_raise_and_no_draws_are_empty(self):
         for seed, c in ((-1, 0), (0, -1), (-(2**40), 3)):
             with pytest.raises(ValueError, match="non-negative"):

@@ -694,7 +694,7 @@ class TestConsoleScript:
 def test_snapshot_runs_are_cli_commands():
     # tools/snapshot_outputs.py runs its list through main; each entry
     # must stay a command the parser takes, under a name of its own,
-    # the runs that must fail included.
+    # the runs that must fail and the budget limits' commands included.
     path = Path(__file__).resolve().parents[1] / "tools" / "snapshot_outputs.py"
     spec = importlib.util.spec_from_file_location("snapshot_outputs", path)
     snapshot = importlib.util.module_from_spec(spec)
@@ -702,6 +702,7 @@ def test_snapshot_runs_are_cli_commands():
     runs = (*snapshot.RUNS, *snapshot.FAILING_RUNS)
     names = [name for name, _ in runs]
     assert len(set(names)) == len(names)
-    for _, argv in runs:
+    budget = [[arg.replace("{}", "1") for arg in argv] for _, argv in snapshot.BUDGET_LIMITS]
+    for argv in [argv for _, argv in runs] + budget:
         out = ["--out", "x.csv"] if argv[0].startswith("sweep-") else []
         assert build_parser().parse_args([*argv, *out]).handler

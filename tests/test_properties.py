@@ -42,7 +42,7 @@ from rsthp import (  # noqa: E402
     snr_db_to_power,
     sum_rate_samples,
 )
-from rsthp import channel, linalg, sweeps  # noqa: E402
+from rsthp import linalg, sweeps  # noqa: E402
 from rsthp.channel import (  # noqa: E402
     CHANNEL_STREAM,
     ERROR_STREAM,
@@ -54,6 +54,7 @@ from rsthp.cli import MAX_RANGE_POINTS, main, parse_grid  # noqa: E402
 from rsthp.exceptions import SaturatedSinrError  # noqa: E402
 from rsthp.precoding import ALL_SCHEME_TAGS  # noqa: E402
 from rsthp.rates import (  # noqa: E402
+    _layout,
     _mean_rates,
     _row_invariants,
     stacked_split_search,
@@ -392,7 +393,7 @@ def test_mean_private_rates_fall_and_common_rates_rise_along_a_grid():
         beta = np.array([[ps.beta for ps in row] for row in builds])
         power = np.array([[ps.common_power for ps in row] for row in builds])
         rows = np.repeat((h_est + errors).reshape(1, -1, n_tx), len(builds), axis=0)
-        workspace = {}
+        workspace = _layout(len(rows), len(errors), n_users, beta.size, beta.size)
         invariants = _row_invariants(geometries, rows, True, workspace)
         _, private, common = _mean_rates(
             invariants, beta, power, SIGMA_N2, None, workspace, slice(None), parts=True
@@ -666,24 +667,26 @@ MEMORY_ALLOWANCE = 32 * 2**10
                       error_variance_grid=(0.05, 0.1, 0.2, 0.3, 0.4, 0.5)), 0))
 def test_rating_a_channel_stays_within_its_memory_estimate(config_channel):
     # The estimate that SweepConfig.validate holds to the budget bounds
-    # what rating one block of channels allocates, its error draws and
-    # the block's rows included. tracemalloc sees numpy's buffers but
-    # not BLAS workspace or the allocator's slack, so it is a lower
-    # bound on the RSS a process grows by.
+    # what rating one full block of channels and the first channel of
+    # the next allocates: its error draws and the block's rows included,
+    # and the next block's draws and builds, made while the work arrays
+    # are held. tracemalloc sees numpy's buffers but not BLAS workspace
+    # or the allocator's slack, so it is a lower bound on the RSS a
+    # process grows by.
     config, channel_index = config_channel
     cells = _sweep_cells(config)
-    block = range(channel_index, channel_index + _block_plan(config, cells).channels)
-    # A first call makes numpy's one-time allocations. The block's
-    # factorization then replaces that channel's in linalg's store.
-    _rate_channels(config, cells, range(block.stop, block.stop + 1))
-    channel._stream_state.cache_clear()
+    channels = range(channel_index, channel_index + _block_plan(config, cells).channels + 1)
+    # A first call, on a channel past them, makes numpy's one-time
+    # allocations. The block's factorization then replaces that
+    # channel's in linalg's store.
+    _rate_channels(config, cells, range(channels.stop, channels.stop + 1))
     tracemalloc.start()
     try:
-        _rate_channels(config, cells, block)
+        _rate_channels(config, cells, channels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= working_set_bytes(config, len(block)) + MEMORY_ALLOWANCE
+    assert peak <= working_set_bytes(config, len(channels)) + MEMORY_ALLOWANCE
 
 
 @st.composite

@@ -36,6 +36,7 @@ from rsthp.rates import (
     SINR_CAP,
     SinrReport,
     _cap,
+    _layout,
     _row_invariants,
     _set_sinrs,
     estimate_sinr_monte_carlo,
@@ -318,10 +319,10 @@ class TestSumRateTable:
             for scheme in ALL_SCHEME_TAGS:
                 sets = self.table_sets(h, scheme)
                 geometries, beta, power = kernel_args(sets)
-                workspace = {}
+                with_common = bool(np.any(power > 0))
+                workspace = _layout(1, len(errors), n, beta.size, beta.size * with_common)
                 invariants = _row_invariants(
-                    geometries, stacked_rows(sets[0], errors), bool(np.any(power > 0)),
-                    workspace,
+                    geometries, stacked_rows(sets[0], errors), with_common, workspace
                 )
                 private, common_at, common, _ = _set_sinrs(
                     invariants, slice(None), beta, power, 1.0, workspace
@@ -384,7 +385,8 @@ class TestSumRateTable:
             st.sampled_from(pool), min_size=int(np.prod(shape)),
             max_size=int(np.prod(shape))))).reshape(shape)
         want = np.log2(1.0 + common).min(axis=2)
-        assert rates._worst_user_rate(common).tobytes() == want.tobytes()
+        got = rates._worst_user_rate(common, np.empty(shape[:2]))
+        assert got.tobytes() == want.tobytes()
 
     def test_rejects_mixed_or_empty_tables(self):
         # One table rates one private geometry on one channel: dthp and

@@ -301,6 +301,50 @@ class TestSweepConfig:
 
         assert estimate(ErrorRegime.snr_scaled(1e-17)) == estimate(ErrorRegime.snr_scaled(0.6))
 
+    def test_rating_allocates_its_work_arrays_once_at_the_layout(self, monkeypatch):
+        # Rating 15 channels in three blocks of 5 (zf, K = 2, N = 32, 100
+        # draws) allocates the work arrays once, at the layout, before
+        # the first channel is drawn; every block is searched in those
+        # same arrays, the first fills the realization stack, and the
+        # kernel's arrays hold the bytes that working_set_bytes charges
+        # for them.
+        cfg = SweepConfig(schemes=(parse_scheme_tag("zf"),), n_users=2, n_tx=32,
+                          snr_grid_db=(15.0,), error_regime=FIXED, n_channels=15)
+        layout, draw, search = sweeps._layout, sweeps.draw_channel, sweeps.stacked_split_search
+        events, layouts, calls = [], [], []
+
+        def allocating(*args):
+            events.append("layout")
+            layouts.append(layout(*args))
+            return layouts[-1]
+
+        def drawing(*args):
+            events.append("draw")
+            return draw(*args)
+
+        def searching(*args):
+            calls.append((args[3], dict(args[-1])))
+            return search(*args)
+
+        monkeypatch.setattr(sweeps, "_layout", allocating)
+        monkeypatch.setattr(sweeps, "draw_channel", drawing)
+        monkeypatch.setattr(sweeps, "stacked_split_search", searching)
+        sweeps._rate_channels(cfg, sweeps._sweep_cells(cfg), range(15))
+        assert events == ["layout"] + ["draw"] * 15
+        (arrays,) = layouts
+        assert len(calls) == 3
+        for rows, workspace in calls:
+            assert workspace.keys() == {"rows", *arrays}
+            assert all(workspace[name] is array for name, array in arrays.items())
+            assert workspace["rows"] is calls[0][1]["rows"]
+            assert rows.nbytes == workspace["rows"].nbytes and np.shares_memory(
+                rows, workspace["rows"])
+        monkeypatch.setattr(sweeps, "_layout", layout)
+        charged = sweeps.working_set_bytes(cfg, 15)
+        monkeypatch.setattr(sweeps, "_layout", lambda *args: {})
+        charged -= sweeps.working_set_bytes(cfg, 15)
+        assert charged == sum(array.nbytes for array in arrays.values())
+
     def test_validate_counts_every_cells_results(self):
         # The default 56 cells keep about 100 B per channel each, so a
         # million channels need gigabytes though the caches hold one.
@@ -617,18 +661,20 @@ class TestRunSweep:
 
     def test_kernel_blocks_hold_at_most_the_charged_values(self, monkeypatch):
         # The kernel rates its sets in runs of at most max(T M K,
-        # _BLOCK_VALUES) values, and a variance block stacks error
-        # slots while their realizations hold at most max(M K N,
-        # _BLOCK_VALUES) complex values: the sizes of the block plan,
-        # which working_set_bytes charges. With many draws a geometry's
-        # sets take several runs of one kernel call, and each slot its
-        # own slot block. Two-split grids have no gap to search, so the
-        # kernel rates every set once, in one pass.
-        calls, runs = [], []
+        # _BLOCK_VALUES) values, or of every set of a block's largest
+        # call if fewer, and a variance block stacks error slots while
+        # their realizations hold at most max(M K N, _BLOCK_VALUES)
+        # complex values: the sizes of the work arrays that the sweep
+        # allocates and working_set_bytes charges. With many draws a
+        # geometry's sets take several runs of one kernel call, and each
+        # slot its own slot block. Two-split grids have no gap to search,
+        # so the kernel rates every set once, in one pass.
+        calls, runs, workspaces = [], [], []
         search, sinrs = sweeps.stacked_split_search, rates._set_sinrs
 
         def recording(geometries, beta, power, rows, *args, **kwargs):
             calls.append(rows.size)
+            workspaces.append(args[-1])
             return search(geometries, beta, power, rows, *args, **kwargs)
 
         def recording_run(invariants, at, beta, *args):
@@ -645,8 +691,8 @@ class TestRunSweep:
         # draws the three variances' 3 x 160 complex values stack into
         # one slot block, and its 3 rows of 6 sets into one run.
         for n_samples, n_calls, n_runs, n_variances in ((5000, 3, 9, 1), (10, 1, 1, 3)):
-            calls.clear()
-            runs.clear()
+            for recorded in (calls, runs, workspaces):
+                recorded.clear()
             cfg = small_config(
                 schemes=schemes, n_channels=1, n_error_samples=n_samples,
                 error_regime=PERFECT, error_variance_grid=variances, power_split_grid=(0.0, 0.5),
@@ -655,10 +701,13 @@ class TestRunSweep:
             m_k, m_k_n = n_samples * 4, n_samples * 4 * 4
             assert (len(calls), len(runs)) == (n_calls, n_runs)
             plan = sweeps._block_plan(cfg, sweeps._sweep_cells(cfg))
-            assert plan.run_values == max(len(cfg.power_split_grid) * m_k, sweeps._BLOCK_VALUES)
-            assert max(runs) <= plan.run_values
-            assert plan.max_sets * m_k <= plan.run_values
-            assert max(calls) <= max(m_k_n, sweeps._BLOCK_VALUES)
+            run_values = max(len(cfg.power_split_grid) * m_k, sweeps._BLOCK_VALUES)
+            # A run's SINRs are a view of the one "private" work array.
+            run_array = workspaces[0]["private"].size
+            assert run_array == min(run_values // m_k, n_variances * 6) * m_k
+            assert max(runs) <= run_array
+            assert plan.max_sets * m_k == run_array <= run_values
+            assert max(calls) <= workspaces[0]["rows"].size <= max(m_k_n, sweeps._BLOCK_VALUES)
             assert plan.stacked_slots == n_variances
             assert max(calls) == n_variances * m_k_n
             assert sum(runs) == 6 * len(variances) * m_k

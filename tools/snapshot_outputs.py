@@ -10,7 +10,10 @@ each cell's per-channel average sum rates and splits (the values the
 README's output contract bounds, each written with repr) go to
 OUTDIR/<name>.per_channel.json; a check command's stdout goes to
 OUTDIR/<name>.txt. A run of FAILING_RUNS must exit 2: its exit code and
-its stderr go to OUTDIR/<name>.err. Outputs depend only
+its stderr go to OUTDIR/<name>.err. OUTDIR/budget.json holds the
+largest value of each of BUDGET_LIMITS that the memory budget admits,
+found by bisection with each run stopped where its work would start,
+so no sweep runs. Outputs depend only
 on the arguments (and RSTHP_SEED, which sets the default seed), so with
 a copy of this script in each of two checkouts
 
@@ -86,6 +89,65 @@ FAILING_RUNS = (
 )
 
 
+# (name, argv with "{}" for the value): the limits the 512 MiB memory
+# budget (working_set_bytes) sets on the default fixed-error sweep and on
+# the SINR cross-check (at one sample, whose own budget then holds).
+_DEFAULT_ERROR_SWEEP = ["sweep-snr", "--error-variance", "0.2"]
+BUDGET_LIMITS = (
+    ("sweep-snr --error-variance 0.2: --error-samples",
+     [*_DEFAULT_ERROR_SWEEP, "--error-samples", "{}"]),
+    ("sweep-snr --error-variance 0.2: --users = --tx-antennas",
+     [*_DEFAULT_ERROR_SWEEP, "--users", "{}", "--tx-antennas", "{}"]),
+    ("sweep-snr --error-variance 0.2: --channels", [*_DEFAULT_ERROR_SWEEP, "--channels", "{}"]),
+    ("cross-check-sinr: --users = --tx-antennas",
+     ["cross-check-sinr", "--users", "{}", "--tx-antennas", "{}", "--samples", "1"]),
+)
+
+
+class _Admitted(Exception):
+    """Raised where an admitted run would start its work."""
+
+
+def _admitted(argv: list[str], out_path: Path) -> bool:
+    """Whether rsthp argv passes its checks, the memory budget's among
+    them: it reaches its first channel draw or sweep instead of exiting
+    2 with the budget's error."""
+    def admit(*args, **kwargs):
+        raise _Admitted
+
+    saved = cli.run_sweep, cli.draw_channel
+    cli.run_sweep = cli.draw_channel = admit
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(stderr):
+            code = cli.main([*argv, "--out", str(out_path)] if argv[0].startswith("sweep-")
+                            else argv)
+    except _Admitted:
+        return True
+    finally:
+        cli.run_sweep, cli.draw_channel = saved
+    if code != 2 or "MiB budget" not in stderr.getvalue():
+        raise SystemExit(f"rsthp {' '.join(argv)} exited {code}: {stderr.getvalue()}")
+    return False
+
+
+def budget(out_path: Path) -> dict:
+    """The largest admitted value of each of BUDGET_LIMITS, by name."""
+    limits = {}
+    for name, argv in BUDGET_LIMITS:
+        def admitted(value):
+            return _admitted([arg.replace("{}", str(value)) for arg in argv], out_path)
+
+        low, high = 1, 2
+        while admitted(high):
+            low, high = high, 2 * high
+        while high - low > 1:
+            middle = (low + high) // 2
+            low, high = (middle, high) if admitted(middle) else (low, middle)
+        limits[name] = low
+    return limits
+
+
 def _per_channel(result) -> str:
     """Each cell's per-channel values of a SweepResult, as JSON text."""
     cells = [
@@ -134,6 +196,8 @@ def snapshot(out_dir: Path) -> None:
                 (out_dir / f"{name}.txt").write_text(stdout.getvalue(), encoding="utf-8")
     finally:
         cli.run_sweep = run_sweep
+    (out_dir / "budget.json").write_text(
+        json.dumps(budget(out_dir / "budget.csv"), indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
