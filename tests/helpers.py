@@ -1,13 +1,14 @@
 """Helpers that several test modules share: a seeded complex Gaussian
-matrix, a count of the factorizations made and what a matrix gets from
-them, the per-split rate oracle and the rate kernel's arguments for
-builds on one channel."""
+matrix, records of calls and factorizations and what a matrix gets from
+them, the per-split rate oracle, the kernel's arguments for builds on
+one channel, and an in-process pool for sweeps."""
 
 import dataclasses
 
 import numpy as np
+import pytest
 
-from rsthp import SchemeTag, build_precoders, linalg
+from rsthp import SchemeTag, build_precoders, linalg, run_sweep, sweeps
 from rsthp.exceptions import SimulatorError
 
 
@@ -34,6 +35,19 @@ def count_factorizations(monkeypatch):
 
     monkeypatch.setattr(linalg, "factor_stack", counting)
     return stacks
+
+
+def recorded_calls(monkeypatch, owner, name):
+    """Wrap owner.name, which its callers call with positional arguments
+    only, and return the list of each call's argument tuple."""
+    calls, inner = [], getattr(owner, name)
+
+    def recording(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
 
 
 def factored_outcomes(a):
@@ -94,3 +108,44 @@ def kernel_args(builds, n_rows=1):
         np.array([[ps.beta for ps in builds]] * n_rows),
         np.array([[ps.common_power for ps in builds]] * n_rows),
     )
+
+
+def recording_pool(monkeypatch, runs=None, rate=lambda task, run: task(run)):
+    """Replace run_sweep's process pool by one that runs its tasks in
+    this process; returns the list of pools made, each recording its
+    max_workers, tasks and chunksize. Given runs of channels, the pool
+    rates those in turn in place of its tasks, each as a serial run does
+    (no shared failure index), and rate(task, run) rates each run."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            self.max_workers = max_workers
+            pools.append(self)
+            if runs is None:
+                initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            self.tasks, self.chunksize = list(tasks), chunksize
+            return (rate(fn, run) for run in (self.tasks if runs is None else runs))
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+    # The pool's initializer sets the worker's failure index here.
+    monkeypatch.setattr(sweeps, "_lowest_failure", None)
+    return pools
+
+
+def sweep_runs(config, runs, rate=lambda task, run: task(run)):
+    """run_sweep(config)'s result with its channels rated in the given
+    runs, in turn, by recording_pool; a one-channel config gets a second
+    channel, so that the sweep takes its pool."""
+    with pytest.MonkeyPatch.context() as patch:
+        recording_pool(patch, runs, rate)
+        return run_sweep(dataclasses.replace(config, n_channels=max(2, config.n_channels)),
+                         n_jobs=2)

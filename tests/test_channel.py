@@ -11,7 +11,7 @@ from rsthp import (
     draw_error_ensemble,
     stream_rng,
 )
-from rsthp.channel import ERROR_STREAM, _SEED_BLOCK, _error_states, unit_error_draws
+from rsthp.channel import ERROR_STREAM, _error_states, unit_error_draws
 from rsthp.exceptions import DimensionMismatchError, InvalidVarianceError
 from rsthp.sweeps import average_sum_rate, draw_channel, ergodic_sum_rate
 
@@ -155,7 +155,8 @@ class TestUnitDrawCache:
                 assert got.tobytes() == want.tobytes()
 
     def test_bit_identical_across_seed_blocks(self):
-        n_samples = _SEED_BLOCK + 3
+        # Past the 1,024 realizations whose keys one pass hashes at most.
+        n_samples = 1024 + 3
         got = draw_error_ensemble(2, 3, 0.2, n_samples, seed=5, channel_index=1)
         assert got.tobytes() == self.reference(0.2, n_samples, 5, 1, 2, 3).tobytes()
 

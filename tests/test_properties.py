@@ -35,6 +35,7 @@ from rsthp import (  # noqa: E402
     SimulatorError,
     build_precoders,
     draw_error_ensemble,
+    parse_scheme_tag,
     rates_from_sinr,
     run_sweep,
     sinr_imperfect_csit,
@@ -62,15 +63,12 @@ from rsthp.rates import (  # noqa: E402
 )
 from rsthp.sweeps import (  # noqa: E402
     SIGMA_N2,
-    _block_plan,
-    _rate_channels,
-    _sweep_cells,
     draw_channel,
     optimize_power_split,
     working_set_bytes,
 )
 # pytest puts tests/ on sys.path.
-from helpers import factored_outcomes, split_reference  # noqa: E402
+from helpers import factored_outcomes, recorded_calls, split_reference, sweep_runs  # noqa: E402
 
 N_DRAWS = 3
 BASES = ("zf", "cthp", "dthp", "zf-dpc")
@@ -255,29 +253,64 @@ def sweep_channels(draw):
     return config, draw(st.integers(0, 1000))
 
 
-def cell_reference(config, cell, channel_index):
-    """optimize_power_split for one planned cell of a sweep on one
-    channel, after checking the cell's split grid and error variance
-    against those the config gives it."""
-    scheme, x_value, e_tr, grid, variance = cell
-    assert grid == (config.power_split_grid if scheme.rs else (0.0,))
+def output_cells(config):
+    """Each cell's (scheme tag, x value) in a sweep's output order: by
+    tag, then by x value."""
+    points = config.error_variance_grid or config.snr_grid_db
+    return sorted((scheme.tag, float(x)) for scheme in config.schemes for x in points)
+
+
+def cell_reference(config, tag, x_value, channel_index):
+    """optimize_power_split for one cell of a sweep on one channel, over
+    the split grid and at the error variance that the config gives it:
+    the config's grid for a rate-splitting scheme and (0.0,) otherwise;
+    the point's own variance at the one SNR of a variance sweep, else
+    the regime's at the SNR point, and no draws under perfect CSIT."""
+    scheme = parse_scheme_tag(tag)
+    grid = config.power_split_grid if scheme.rs else (0.0,)
     if config.error_variance_grid:
-        assert variance == x_value
+        e_tr, variance = snr_db_to_power(config.snr_grid_db[0]), x_value
     else:
-        regime = config.error_regime
-        assert variance == (None if regime.is_perfect else regime.variance_at(e_tr))
-    n_users, n_tx = config.n_users, config.n_tx
+        e_tr, regime = snr_db_to_power(x_value), config.error_regime
+        variance = None if regime.is_perfect else regime.variance_at(e_tr)
+    n_users, n_tx, seed = config.n_users, config.n_tx, config.master_seed
     if variance is None:
         errors = np.zeros((1, n_users, n_tx), dtype=complex)
     else:
-        errors = draw_error_ensemble(
-            n_users, n_tx, variance, config.n_error_samples, config.master_seed,
-            channel_index,
-        )
-    return optimize_power_split(
-        draw_channel(config.master_seed, channel_index, n_users, n_tx), scheme,
-        e_tr, config.power_loss, grid, errors,
-    )
+        errors = draw_error_ensemble(n_users, n_tx, variance, config.n_error_samples, seed,
+                                     channel_index)
+    return optimize_power_split(draw_channel(seed, channel_index, n_users, n_tx), scheme, e_tr,
+                                config.power_loss, grid, errors)
+
+
+def references(config, channels):
+    """cell_reference's split and average of each channel and cell in
+    output order, as the shape and bits of a (channels, cells, 2) array;
+    or, if one saturates, the message of the error that rating the
+    channels raises: the lowest saturated channel's first saturated cell
+    in output order."""
+    values = []
+    for c in channels:
+        for tag, x_value in output_cells(config):
+            try:
+                values.append(cell_reference(config, tag, x_value, c))
+            except SaturatedSinrError as exc:
+                return f"{exc} at {config.x_kind}={x_value:g} on channel {c}"
+    values = np.reshape(values, (len(channels), -1, 2))
+    return values.shape, values.tobytes()
+
+
+def rated(config, runs):
+    """What references gives, from the sweep whose pool rates the given
+    runs of channels (sweep_runs), once its cells are in output order."""
+    try:
+        cells = sweep_runs(config, runs).cells
+    except SaturatedSinrError as exc:
+        return str(exc)
+    assert [(cell.scheme_tag, cell.x_value) for cell in cells] == output_cells(config)
+    values = np.transpose([[cell.per_channel_split, cell.per_channel_asr] for cell in cells],
+                          (2, 0, 1))
+    return values.shape, values.tobytes()
 
 
 @PROPERTY_SETTINGS
@@ -285,12 +318,10 @@ def cell_reference(config, cell, channel_index):
 def test_each_channel_column_is_its_cells_own_split_search(config_channel):
     # The sweep stacks the cells that share a geometry and a variance
     # into one kernel call; each cell keeps the bits and the split of
-    # its own search.
+    # its own search, in output order.
     config, channel_index = config_channel
-    cells = _sweep_cells(config)
-    (row,) = _rate_channels(config, cells, range(channel_index, channel_index + 1))
-    for cell, column in zip(cells, row.T):
-        assert tuple(column.tolist()) == cell_reference(config, cell, channel_index)
+    runs = [range(channel_index, channel_index + 1)]
+    assert rated(config, runs) == references(config, [channel_index])
 
 
 @st.composite
@@ -357,10 +388,9 @@ def test_the_split_search_finds_each_channels_first_best_split(config):
     def one_set_runs(geometries, beta, power, rows, sigma_n2, lengths, max_sets, workspace):
         return search(geometries, beta, power, rows, sigma_n2, lengths, 1, workspace)
 
-    cells = _sweep_cells(config)
     try:
-        expected = [[cell_reference(config, cell, c) for c in range(config.n_channels)]
-                    for cell in cells]
+        expected = [[cell_reference(config, *cell, c) for c in range(config.n_channels)]
+                    for cell in output_cells(config)]
     except SaturatedSinrError:
         expected = None
     for kernel in (search, one_set_runs):
@@ -427,67 +457,43 @@ def test_a_saturated_channel_names_its_first_failing_cell(config_channel, log_ca
     # block the sweep rates first and whichever set its kernel call
     # flags first.
     config, channel_index = config_channel
-    cells = _sweep_cells(config)
+    runs = [range(channel_index, channel_index + 1)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("rsthp.rates.SINR_CAP", 10.0**log_cap)
-        expected = None
-        for cell in cells:
-            try:
-                cell_reference(config, cell, channel_index)
-            except SaturatedSinrError as exc:
-                expected = (f"{exc} at {config.x_kind}={cell[1]:g} "
-                            f"on channel {channel_index}")
-                break
-        channels = range(channel_index, channel_index + 1)
-        if expected is None:
-            _rate_channels(config, cells, channels)
-        else:
-            with pytest.raises(SaturatedSinrError) as raised:
-                _rate_channels(config, cells, channels)
-            assert str(raised.value) == expected
+        assert rated(config, runs) == references(config, [channel_index])
 
 
 def test_the_spanning_stacks_example_fails_first_on_its_later_stack(monkeypatch):
     # The example above reaches the failure that spans stacks of slots
     # only while its channel stacks fewer slots than it has, and its
     # first failing cell in output order sits on a later stack than
-    # another failing cell.
+    # another failing cell. Each SNR point's variance is its own slot,
+    # and a kernel call's rows on the one channel are a stack's slots.
     config, channel_index = SPANNING_STACKS
-    cells = _sweep_cells(config)
-    plan = _block_plan(config, cells)
-    assert plan.stacked_slots < len(plan.slots)
-    stack_of = {i: slot // plan.stacked_slots for members in plan.records.values()
-                for slot, row in enumerate(members) for i in row}
+    calls = recorded_calls(monkeypatch, sweeps, "stacked_split_search")
+    sweep_runs(config, [range(channel_index, channel_index + 1)])
+    (slots_a_stack,) = {len(call[3]) for call in calls}
+    assert slots_a_stack < len(config.snr_grid_db)
     monkeypatch.setattr("rsthp.rates.SINR_CAP", 10.0**1.04)
     failing_stacks = []
-    for i, cell in enumerate(cells):
+    for tag, x_value in output_cells(config):
         try:
-            cell_reference(config, cell, channel_index)
+            cell_reference(config, tag, x_value, channel_index)
         except SaturatedSinrError:
-            failing_stacks.append(stack_of[i])
+            failing_stacks.append(config.snr_grid_db.index(x_value) // slots_a_stack)
     assert failing_stacks[0] > min(failing_stacks)
 
 
 @st.composite
 def channel_partitions(draw):
-    """A small valid SweepConfig over 2 to 6 channels, a cut of its
-    channels into consecutive pieces, and a _BLOCK_VALUES that gives
-    blocks of one channel, a few or all of them."""
+    """A small valid SweepConfig over 2 to 6 channels and a cut of its
+    channels into consecutive pieces."""
     config, _ = draw(sweep_channels())
     config = replace(config, n_channels=draw(st.integers(2, 6)))
     cuts = draw(st.sets(st.integers(1, config.n_channels - 1)))
     bounds = [0, *sorted(cuts), config.n_channels]
     pieces = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    return config, pieces, draw(st.sampled_from((16, 256, 2**15)))
-
-
-def rate_in_pieces(config, cells, pieces):
-    """The rows of each piece in turn, as a serial run rates them, or the
-    message of the first piece's error."""
-    try:
-        return [row for piece in pieces for row in _rate_channels(config, cells, piece)]
-    except SaturatedSinrError as exc:
-        return str(exc)
+    return config, pieces
 
 
 @PROPERTY_SETTINGS
@@ -496,28 +502,38 @@ def rate_in_pieces(config, cells, pieces):
 # and channel 1 at cthp, its first: the block must raise channel 0's.
 @example((SweepConfig(schemes=(SchemeTag("zf"), SchemeTag("cthp")), n_users=2, n_tx=2,
                       snr_grid_db=(30.0,), n_channels=3, master_seed=0),
-          [range(0, 1), range(1, 3)], 2**15), 2.75)
+          [range(0, 1), range(1, 3)]), 2.75)
+# 180 draws of 8 x 8 errors: a channel's realizations at three variances
+# exceed a block's 2**15 complex values, so a run holds blocks of one
+# channel and each channel stacks two slots, then one.
+@example((SweepConfig(schemes=(SchemeTag("zf"), SchemeTag("dthp", rs=True)), n_users=8,
+                      n_tx=8, n_channels=3, snr_grid_db=(20.0,), n_error_samples=180,
+                      error_variance_grid=(0.1, 0.2, 0.3), power_split_grid=(0.0, 0.5),
+                      master_seed=1), [range(0, 2), range(2, 3)]), 2.5)
+# 200 draws at one variance: a block holds two channels of the five.
+@example((SweepConfig(schemes=(SchemeTag("cthp"), SchemeTag("zf-dpc", rs=True)), n_users=8,
+                      n_tx=8, n_channels=5, snr_grid_db=(10.0,), n_error_samples=200,
+                      error_regime=ErrorRegime.fixed_variance(0.2), power_split_grid=(0.0, 0.5),
+                      master_seed=2), [range(0, 3), range(3, 5)]), 3.5)
 def test_rating_channels_in_pieces_gives_the_rows_of_one_call(case, log_cap):
-    # A block's rows do not depend on which channels share it: any cut
-    # of the channels gives the rows of one call over all of them, bit
-    # for bit, and under a cap of 1 to 1e4 (some cells saturate, some
-    # do not) the error of rating one channel at a time, the lowest
-    # failing channel's first failing cell in output order.
-    config, pieces, block_values = case
-    cells = _sweep_cells(config)
-    one_each = [range(c, c + 1) for c in range(config.n_channels)]
+    # A block's rows do not depend on which channels share it: a run of
+    # all channels and any cut of them into runs (as n_jobs cuts them)
+    # give each channel the bits of each cell's own split search, and
+    # under a cap of 1 to 1e4 (some cells saturate, some do not) the
+    # error of the lowest failing channel's first failing cell in
+    # output order. Where no cell saturates under the cap, the default
+    # cap gives the same values.
+    config, pieces = case
+    channels, partitions = range(config.n_channels), {(range(config.n_channels),), tuple(pieces)}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("rsthp.sweeps._BLOCK_VALUES", block_values)
-        for cap in (None, 10.0**log_cap):
-            if cap is not None:
-                patch.setattr("rsthp.rates.SINR_CAP", cap)
-            expected = rate_in_pieces(config, cells, one_each)
-            for partition in ([range(config.n_channels)], pieces):
-                got = rate_in_pieces(config, cells, partition)
-                if isinstance(expected, str):
-                    assert got == expected
-                else:
-                    assert [row.tobytes() for row in got] == [row.tobytes() for row in expected]
+        patch.setattr("rsthp.rates.SINR_CAP", 10.0**log_cap)
+        expected = references(config, channels)
+        for partition in partitions:
+            assert rated(config, partition) == expected
+    if isinstance(expected, str):
+        expected = references(config, channels)
+    for partition in partitions:
+        assert rated(config, partition) == expected
 
 
 @st.composite
@@ -660,7 +676,7 @@ MEMORY_ALLOWANCE = 32 * 2**10
 @example((SweepConfig(error_regime=ErrorRegime.snr_scaled(0.0)), 0))
 # Perfect CSIT, all 8 schemes at two SNRs: a block holds 48 of the 50 channels.
 @example((SweepConfig(snr_grid_db=(0.0, 30.0)), 0))
-# Six variances of 3,000 draws: a channel's slots exceed _BLOCK_VALUES
+# Six variances of 3,000 draws: a channel's slots exceed a block's 2**15
 # complex values, and each takes its own slot block.
 @example((SweepConfig(schemes=(SchemeTag("zf"), SchemeTag("dthp", rs=True)),
                       n_error_samples=3000, snr_grid_db=(15.0,),
@@ -672,21 +688,40 @@ def test_rating_a_channel_stays_within_its_memory_estimate(config_channel):
     # and the next block's draws and builds, made while the work arrays
     # are held. tracemalloc sees numpy's buffers but not BLAS workspace
     # or the allocator's slack, so it is a lower bound on the RSS a
-    # process grows by.
+    # process grows by. The pool rates the channels in one run
+    # (sweep_runs, which rates a one-channel config as two), and only
+    # its task is traced: numpy's one-time allocations count too.
     config, channel_index = config_channel
-    cells = _sweep_cells(config)
-    channels = range(channel_index, channel_index + _block_plan(config, cells).channels + 1)
-    # A first call, on a channel past them, makes numpy's one-time
-    # allocations. The block's factorization then replaces that
-    # channel's in linalg's store.
-    _rate_channels(config, cells, range(channels.stop, channels.stop + 1))
-    tracemalloc.start()
-    try:
-        _rate_channels(config, cells, channels)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= working_set_bytes(config, len(channels)) + MEMORY_ALLOWANCE
+    config = replace(config, n_channels=max(2, config.n_channels))
+    channels = range(channel_index, channel_index + first_block(config) + 1)
+    peaks = []
+
+    def traced(task, run):
+        tracemalloc.start()
+        try:
+            return task(run)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    sweep_runs(config, [channels], traced)
+    assert peaks[0] <= working_set_bytes(config, len(channels)) + MEMORY_ALLOWANCE
+
+
+class Stop(Exception):
+    """Ends a sweep where a patched function raises it."""
+
+
+def first_block(config):
+    """The channels of run_sweep(config)'s first block, those that its
+    first factorization stacks; the sweep stops there."""
+    def stop(stack):
+        raise Stop(len(stack))
+
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(Stop) as stopped:
+        patch.setattr(linalg, "factor_stack", stop)
+        run_sweep(config)
+    return stopped.value.args[0]
 
 
 @st.composite

@@ -38,12 +38,13 @@ from rsthp.sweeps import (
     optimize_power_split,
 )
 
-from helpers import count_factorizations
+from helpers import count_factorizations, recorded_calls, recording_pool
 
 FIXED = ErrorRegime.fixed_variance(0.2)
 PERFECT = ErrorRegime.perfect()
 NO_ERROR = np.zeros((1, 4, 4), dtype=complex)
 NO_DRAWS = draw_error_ensemble(4, 4, 0.2, 0, 1, 0)
+DTHP_RS = SchemeTag("dthp", rs=True)
 
 
 def channel_for(seed, index):
@@ -67,13 +68,9 @@ def small_config(**overrides):
 class TestAverageSumRate:
     def test_zero_variance_matches_perfect(self):
         h = channel_for(8, 0)
-        degenerate = average_sum_rate(
-            h, SchemeTag("dthp"), 31.0, 0.75, 0.0,
-            draw_error_ensemble(4, 4, 0.0, 100, seed=8),
-        )
-        perfect = average_sum_rate(
-            h, SchemeTag("dthp"), 31.0, 0.75, 0.0, NO_ERROR
-        )
+        degenerate = average_sum_rate(h, SchemeTag("dthp"), 31.0, 0.75, 0.0,
+                                      draw_error_ensemble(4, 4, 0.0, 100, seed=8))
+        perfect = average_sum_rate(h, SchemeTag("dthp"), 31.0, 0.75, 0.0, NO_ERROR)
         assert abs(degenerate - perfect) < 1e-12
 
     def test_empty_ensemble_is_rejected(self):
@@ -87,12 +84,8 @@ class TestOptimizePowerSplit:
     def test_degenerate_grid(self):
         h = channel_for(10, 0)
         errors = draw_error_ensemble(4, 4, 0.2, 20, seed=10)
-        split, asr = optimize_power_split(
-            h, SchemeTag("dthp", rs=True), 31.0, 0.75, (0.0,), errors
-        )
-        base = average_sum_rate(
-            h, SchemeTag("dthp", rs=True), 31.0, 0.75, 0.0, errors
-        )
+        split, asr = optimize_power_split(h, DTHP_RS, 31.0, 0.75, (0.0,), errors)
+        base = average_sum_rate(h, DTHP_RS, 31.0, 0.75, 0.0, errors)
         assert split == 0.0
         assert abs(asr - base) < 1e-12
 
@@ -100,15 +93,8 @@ class TestOptimizePowerSplit:
         h = channel_for(11, 0)
         grid = default_power_split_grid()
         errors = draw_error_ensemble(4, 4, 0.2, 30, seed=11, channel_index=0)
-        split, asr = optimize_power_split(
-            h, SchemeTag("dthp", rs=True), 31.0, 0.75, grid, errors
-        )
-        values = [
-            average_sum_rate(
-                h, SchemeTag("dthp", rs=True), 31.0, 0.75, t, errors
-            )
-            for t in grid
-        ]
+        split, asr = optimize_power_split(h, DTHP_RS, 31.0, 0.75, grid, errors)
+        values = [average_sum_rate(h, DTHP_RS, 31.0, 0.75, t, errors) for t in grid]
         best = int(np.argmax(values))
         assert split == grid[best]
         assert asr == values[best]
@@ -116,15 +102,10 @@ class TestOptimizePowerSplit:
     def test_never_below_zero_split(self):
         for seed in range(6):
             h = channel_for(seed + 100, 0)
-            errors = draw_error_ensemble(4, 4, 0.3, 20, seed=seed + 100,
-                                         channel_index=0)
-            _, asr = optimize_power_split(
-                h, SchemeTag("zf", rs=True), 31.0, 0.75,
-                default_power_split_grid(), errors,
-            )
-            base = average_sum_rate(
-                h, SchemeTag("zf", rs=True), 31.0, 0.75, 0.0, errors
-            )
+            errors = draw_error_ensemble(4, 4, 0.3, 20, seed=seed + 100, channel_index=0)
+            _, asr = optimize_power_split(h, SchemeTag("zf", rs=True), 31.0, 0.75,
+                                          default_power_split_grid(), errors)
+            base = average_sum_rate(h, SchemeTag("zf", rs=True), 31.0, 0.75, 0.0, errors)
             assert asr >= base - 1e-12
 
     def test_perfect_csit_prefers_small_split(self):
@@ -132,41 +113,31 @@ class TestOptimizePowerSplit:
         # multiplexing gain, so little power should go to the common one.
         for seed in range(5):
             h = channel_for(seed + 200, 0)
-            split, _ = optimize_power_split(
-                h, SchemeTag("dthp", rs=True), snr_db_to_power(30.0), 0.75,
-                default_power_split_grid(), NO_ERROR,
-            )
+            split, _ = optimize_power_split(h, DTHP_RS, snr_db_to_power(30.0), 0.75,
+                                            default_power_split_grid(), NO_ERROR)
             assert split <= 0.2
 
     def test_rejects_misuse(self):
         h = channel_for(12, 0)
         with pytest.raises(EmptyGridError):
-            optimize_power_split(
-                h, SchemeTag("dthp", rs=True), 31.0, 0.75, (), NO_ERROR
-            )
+            optimize_power_split(h, DTHP_RS, 31.0, 0.75, (), NO_ERROR)
         with pytest.raises(SchemeMismatchError):
-            optimize_power_split(
-                h, SchemeTag("dthp"), 31.0, 0.75, (0.0, 0.1), NO_ERROR
-            )
+            optimize_power_split(h, SchemeTag("dthp"), 31.0, 0.75, (0.0, 0.1), NO_ERROR)
         # The first of equal maxima is the smaller split only on an
         # ascending grid without repeats.
         for grid in ((0.1, 0.0), (0.0, 0.1, 0.1)):
             with pytest.raises(ValueError, match="must ascend"):
-                optimize_power_split(
-                    h, SchemeTag("dthp", rs=True), 31.0, 0.75, grid, NO_ERROR
-                )
+                optimize_power_split(h, DTHP_RS, 31.0, 0.75, grid, NO_ERROR)
 
     def test_empty_ensemble_is_rejected(self):
         # Every split would average to NaN and the search return no split.
         with pytest.raises(DimensionMismatchError):
-            optimize_power_split(channel_for(12, 0), SchemeTag("dthp", rs=True),
-                                 10.0, 0.75, (0.0, 0.5), NO_DRAWS)
+            optimize_power_split(channel_for(12, 0), DTHP_RS, 10.0, 0.75, (0.0, 0.5), NO_DRAWS)
 
     def test_saturation_at_one_split_aborts_the_search(self, monkeypatch):
         # A cap between the two splits' largest SINRs saturates one split
         # only; the search must not average the other split's rate in.
-        seed, snr_db, grid = 13, 30.0, (0.0, 0.5)
-        scheme = SchemeTag("dthp", rs=True)
+        seed, snr_db, grid, scheme = 13, 30.0, (0.0, 0.5), DTHP_RS
         e_tr = snr_db_to_power(snr_db)
         h = channel_for(seed, 0)
         sets = [build_precoders(h, scheme, e_tr, 0.75, t) for t in grid]
@@ -193,24 +164,15 @@ class TestOptimizePowerSplit:
 class TestSweepConfig:
     def test_x_kind(self):
         assert small_config().x_kind == "snr_db"
-        assert small_config(
-            error_regime=ErrorRegime.snr_scaled(0.6)
-        ).x_kind == "snr_db_alpha"
-        assert small_config(
-            error_variance_grid=(0.1, 0.2), snr_grid_db=(15.0,)
-        ).x_kind == "error_variance"
+        assert small_config(error_regime=ErrorRegime.snr_scaled(0.6)).x_kind == "snr_db_alpha"
+        assert small_config(error_variance_grid=(0.1, 0.2), snr_grid_db=(15.0,)).x_kind == (
+            "error_variance")
 
     def test_validate_rejects_bad_grids(self):
-        with pytest.raises(EmptyGridError):
-            small_config(schemes=()).validate()
-        with pytest.raises(EmptyGridError):
-            small_config(power_split_grid=()).validate()
-        with pytest.raises(EmptyGridError):
-            small_config(snr_grid_db=()).validate()
-        with pytest.raises(EmptyGridError):
-            small_config(
-                error_variance_grid=(0.1,), snr_grid_db=(10.0, 15.0)
-            ).validate()
+        for bad in (dict(schemes=()), dict(power_split_grid=()), dict(snr_grid_db=()),
+                    dict(error_variance_grid=(0.1,), snr_grid_db=(10.0, 15.0))):
+            with pytest.raises(EmptyGridError):
+                small_config(**bad).validate()
 
     def test_validate_rejects_out_of_range_values(self):
         nan = float("nan")
@@ -310,28 +272,26 @@ class TestSweepConfig:
         # for them.
         cfg = SweepConfig(schemes=(parse_scheme_tag("zf"),), n_users=2, n_tx=32,
                           snr_grid_db=(15.0,), error_regime=FIXED, n_channels=15)
-        layout, draw, search = sweeps._layout, sweeps.draw_channel, sweeps.stacked_split_search
-        events, layouts, calls = [], [], []
+        layout, search = sweeps._layout, sweeps.stacked_split_search
+        layouts, calls = [], []
+        draws = recorded_calls(monkeypatch, sweeps, "draw_channel")
 
         def allocating(*args):
-            events.append("layout")
-            layouts.append(layout(*args))
-            return layouts[-1]
-
-        def drawing(*args):
-            events.append("draw")
-            return draw(*args)
+            arrays = layout(*args)
+            # The allocation, not validate's count of the estimate's bytes.
+            if args[-1] is np.empty:
+                layouts.append((len(draws), arrays))
+            return arrays
 
         def searching(*args):
             calls.append((args[3], dict(args[-1])))
             return search(*args)
 
         monkeypatch.setattr(sweeps, "_layout", allocating)
-        monkeypatch.setattr(sweeps, "draw_channel", drawing)
         monkeypatch.setattr(sweeps, "stacked_split_search", searching)
-        sweeps._rate_channels(cfg, sweeps._sweep_cells(cfg), range(15))
-        assert events == ["layout"] + ["draw"] * 15
-        (arrays,) = layouts
+        run_sweep(cfg)
+        ((drawn_before, arrays),) = layouts
+        assert (drawn_before, len(draws)) == (0, 15)
         assert len(calls) == 3
         for rows, workspace in calls:
             assert workspace.keys() == {"rows", *arrays}
@@ -373,24 +333,16 @@ class TestErgodicSumRate:
 
     def test_single_channel_is_plain_average(self):
         cfg = small_config(n_channels=1)
-        cell = ergodic_sum_rate(
-            cfg, SchemeTag("zf"), snr_db_to_power(15.0), FIXED, 15.0
-        )
+        cell = ergodic_sum_rate(cfg, SchemeTag("zf"), snr_db_to_power(15.0), FIXED, 15.0)
         h = channel_for(cfg.master_seed, 0)
-        errors = draw_error_ensemble(
-            4, 4, 0.2, cfg.n_error_samples, cfg.master_seed, channel_index=0
-        )
-        asr = average_sum_rate(
-            h, SchemeTag("zf"), snr_db_to_power(15.0), 0.75, 0.0, errors
-        )
+        errors = draw_error_ensemble(4, 4, 0.2, cfg.n_error_samples, cfg.master_seed, 0)
+        asr = average_sum_rate(h, SchemeTag("zf"), snr_db_to_power(15.0), 0.75, 0.0, errors)
         assert cell.esr == asr
         assert cell.ci_halfwidth == 0.0
 
     def test_ci_matches_sample_std(self):
         cfg = small_config(n_channels=8)
-        cell = ergodic_sum_rate(
-            cfg, SchemeTag("zf"), snr_db_to_power(15.0), FIXED, 15.0
-        )
+        cell = ergodic_sum_rate(cfg, SchemeTag("zf"), snr_db_to_power(15.0), FIXED, 15.0)
         asr = np.array(cell.per_channel_asr)
         assert abs(cell.esr - float(np.mean(asr))) < 1e-12
         expected = 1.96 * float(np.std(asr, ddof=1)) / np.sqrt(8)
@@ -399,16 +351,9 @@ class TestErgodicSumRate:
     def test_perfect_regime_uses_one_realization(self):
         # No error averaging under perfect CSIT: n_error_samples must
         # not affect the result.
-        a = ergodic_sum_rate(
-            small_config(error_regime=PERFECT, n_error_samples=3),
-            SchemeTag("dthp"), 31.0, PERFECT, 15.0,
-        )
-        b = ergodic_sum_rate(
-            small_config(error_regime=PERFECT, n_error_samples=300),
-            SchemeTag("dthp"), 31.0, PERFECT, 15.0,
-        )
+        a, b = (ergodic_sum_rate(small_config(error_regime=PERFECT, n_error_samples=m),
+                                 SchemeTag("dthp"), 31.0, PERFECT, 15.0) for m in (3, 300))
         assert a.esr == b.esr
-
 
     @pytest.mark.parametrize("overrides", [
         dict(error_regime=PERFECT),
@@ -433,8 +378,7 @@ class TestErgodicSumRate:
 class TestRunSweep:
     def test_deterministic_repeat(self):
         cfg = small_config(snr_grid_db=(10.0, 15.0))
-        first = run_sweep(cfg)
-        second = run_sweep(cfg)
+        first, second = run_sweep(cfg), run_sweep(cfg)
         assert first.cells == second.cells
         assert first.config.x_kind == "snr_db"
 
@@ -456,12 +400,8 @@ class TestRunSweep:
         assert run_sweep(one, n_jobs=4).cells == run_sweep(one).cells
 
     def test_variance_sweep_axis(self):
-        cfg = small_config(
-            error_variance_grid=(0.1, 0.3),
-            snr_grid_db=(15.0,),
-            schemes=(parse_scheme_tag("zf"),),
-            error_regime=PERFECT,
-        )
+        cfg = small_config(error_variance_grid=(0.1, 0.3), snr_grid_db=(15.0,),
+                           schemes=(parse_scheme_tag("zf"),), error_regime=PERFECT)
         result = run_sweep(cfg)
         assert [c.x_value for c in result.cells] == [0.1, 0.3]
         assert result.config.x_kind == "error_variance"
@@ -486,17 +426,12 @@ class TestRunSweep:
         # Every scheme sees the same channels and the same error draws,
         # so per-channel ASR differences are paired comparisons.
         cfg = small_config(snr_grid_db=(15.0,))
-        result = run_sweep(cfg)
-        by_tag = {c.scheme_tag: c for c in result.cells}
+        by_tag = {c.scheme_tag: c for c in run_sweep(cfg).cells}
         e_tr = snr_db_to_power(15.0)
         for c in range(cfg.n_channels):
             h = channel_for(cfg.master_seed, c)
-            errors = draw_error_ensemble(
-                4, 4, 0.2, cfg.n_error_samples, cfg.master_seed, channel_index=c
-            )
-            recomputed = average_sum_rate(
-                h, SchemeTag("zf"), e_tr, 0.75, 0.0, errors
-            )
+            errors = draw_error_ensemble(4, 4, 0.2, cfg.n_error_samples, cfg.master_seed, c)
+            recomputed = average_sum_rate(h, SchemeTag("zf"), e_tr, 0.75, 0.0, errors)
             assert by_tag["zf"].per_channel_asr[c] == recomputed
 
     def test_a_sweep_keeps_no_error_draws_after_it_returns(self):
@@ -515,19 +450,13 @@ class TestRunSweep:
     def test_each_error_draw_is_made_once(self, monkeypatch):
         # Every cell rescales the same unit draws: one error-stream
         # key per (channel, realization), not one per cell.
-        keys = []
-        states = channel._error_states
-
-        def counting(seed, channel_index, start, stop):
-            keys.extend((seed, channel_index, m) for m in range(start, stop))
-            return states(seed, channel_index, start, stop)
-
-        monkeypatch.setattr(channel, "_error_states", counting)
+        calls = recorded_calls(monkeypatch, channel, "_error_states")
         n_channels, n_samples = 3, 4
         run_sweep(small_config(
             error_regime=PERFECT, error_variance_grid=(0.1, 0.2, 0.3),
             n_channels=n_channels, n_error_samples=n_samples,
         ))
+        keys = [(seed, c, m) for seed, c, start, stop in calls for m in range(start, stop)]
         assert len(keys) == n_channels * n_samples
         assert len(set(keys)) == len(keys)
 
@@ -535,17 +464,15 @@ class TestRunSweep:
         # Every base, split and SNR reads the same factored geometry: one
         # factorization of the block, which holds each channel once.
         stacks = count_factorizations(monkeypatch)
-        n_channels = 3
         cfg = small_config(
             schemes=tuple(parse_scheme_tag(t) for t in ("zf", "rs-linear", "cthp-rs", "dthp")),
-            snr_grid_db=(10.0, 20.0), n_channels=n_channels,
+            snr_grid_db=(10.0, 20.0), n_channels=3,
         )
         run_sweep(cfg)
         assert [[h.tobytes() for h in stack] for stack in stacks] == [
-            [channel_for(cfg.master_seed, c).tobytes() for c in range(n_channels)]
-        ]
+            [channel_for(cfg.master_seed, c).tobytes() for c in range(3)]]
 
-    def test_each_channel_is_built_and_drawn_once_by_one_entry_caches(self, monkeypatch):
+    def test_each_channel_is_factored_and_its_errors_drawn_once(self, monkeypatch):
         # Two cells over 130 channels: the store (one block's factors)
         # and each channel's unit error draws, made once by the engine,
         # serve every cell. One factorization (LQ and direction) and one
@@ -572,14 +499,7 @@ class TestRunSweep:
         # No set of a base scheme has a common stream, so a base-only
         # sweep asks for no direction; its one SVD per block is the
         # block's factorization.
-        calls = []
-        direction = precoding.dominant_right_singular_vector
-
-        def counting(h):
-            calls.append(h)
-            return direction(h)
-
-        monkeypatch.setattr(precoding, "dominant_right_singular_vector", counting)
+        calls = recorded_calls(monkeypatch, precoding, "dominant_right_singular_vector")
         stacks = count_factorizations(monkeypatch)
         run_sweep(small_config(
             schemes=tuple(parse_scheme_tag(t) for t in ("zf", "cthp", "dthp", "zf-dpc")),
@@ -595,16 +515,7 @@ class TestRunSweep:
         # stacked: never one call per channel, cell, split or variance.
         # Each row of the call names its own channel's record and holds
         # the same number of sets.
-        calls = []
-        search = sweeps.stacked_split_search
-
-        def counting(geometries, beta, power, rows, *args, **kwargs):
-            calls.append((beta.size, len(rows)))
-            assert beta.shape == power.shape == (len(rows), beta.size // len(rows))
-            assert len({id(g) for g in geometries}) == n_channels
-            return search(geometries, beta, power, rows, *args, **kwargs)
-
-        monkeypatch.setattr(sweeps, "stacked_split_search", counting)
+        calls = recorded_calls(monkeypatch, sweeps, "stacked_split_search")
         n_channels = 3
         for regime in (PERFECT, ErrorRegime.snr_scaled(0.6)):
             calls.clear()
@@ -620,22 +531,20 @@ class TestRunSweep:
             # and 3 x 2 x 10 x 4 x 4 values stack all in one block.
             n_rows = n_channels * (1 if regime.is_perfect else 2)
             blocks = [(2 * (1 + n_splits), n_rows), (2, n_rows), (2 * (n_splits + 1), n_rows)]
-            assert sorted(calls) == sorted((n_channels * sets, rows) for sets, rows in blocks)
+            for geometries, beta, power, rows, *_ in calls:
+                assert beta.shape == power.shape == (len(rows), beta.size // len(rows))
+                assert len({id(g) for g in geometries}) == n_channels
+            assert sorted((call[1].size, len(call[3])) for call in calls) == sorted(
+                (n_channels * sets, rows) for sets, rows in blocks)
 
     def test_a_block_holds_the_channels_that_fit_its_caps(self, monkeypatch):
         # A block takes consecutive channels of a worker's run while
-        # their stacked h_est + E fit _BLOCK_VALUES complex values and
-        # their builds _BLOCK_VALUES // 4; more workers cut shorter runs,
-        # never other blocks.
-        rows = []
-        search = sweeps.stacked_split_search
-
-        def recording(geometries, beta, power, stacked, *args, **kwargs):
-            rows.append(len(stacked))
-            return search(geometries, beta, power, stacked, *args, **kwargs)
-
-        monkeypatch.setattr(sweeps, "stacked_split_search", recording)
-        self.recording_pool(monkeypatch)
+        # their stacked h_est + E fit 2**15 complex values and their
+        # builds 2**13; more workers cut shorter runs, never other
+        # blocks. Each block is one factorization's stack.
+        calls = recorded_calls(monkeypatch, sweeps, "stacked_split_search")
+        recording_pool(monkeypatch)
+        stacks = count_factorizations(monkeypatch)
         zf = (parse_scheme_tag("zf"),)
         # 1000 draws x 4 x 4 = 16000 complex values a channel: 2 fit.
         # Perfect CSIT stacks one 16-value realization, and 50 fit. All
@@ -647,42 +556,31 @@ class TestRunSweep:
                                       snr_grid_db=(0.0, 30.0), n_channels=50,
                                       power_split_grid=default_power_split_grid()), 48)):
             cfg = small_config(**overrides)
-            plan = sweeps._block_plan(cfg, sweeps._sweep_cells(cfg))
-            assert plan.channels == size
+            records = {scheme.record for scheme in cfg.schemes}
             for n_jobs in (1, 2):
-                rows.clear()
+                calls.clear()
+                stacks.clear()
                 run_sweep(cfg, n_jobs=n_jobs)
                 run = math.ceil(cfg.n_channels / n_jobs)
                 runs = [min(run, cfg.n_channels - start)
                         for start in range(0, cfg.n_channels, run)]
+                blocks = [min(size, n - start) for n in runs for start in range(0, n, size)]
+                assert [len(stack) for stack in stacks] == blocks
                 # One call per geometry record on each block.
-                assert rows == [min(size, n - start) for n in runs
-                                for start in range(0, n, size) for _ in plan.records]
+                assert [len(call[3]) for call in calls] == [b for b in blocks for _ in records]
 
     def test_kernel_blocks_hold_at_most_the_charged_values(self, monkeypatch):
-        # The kernel rates its sets in runs of at most max(T M K,
-        # _BLOCK_VALUES) values, or of every set of a block's largest
-        # call if fewer, and a variance block stacks error slots while
-        # their realizations hold at most max(M K N, _BLOCK_VALUES)
-        # complex values: the sizes of the work arrays that the sweep
-        # allocates and working_set_bytes charges. With many draws a
+        # The kernel rates its sets in runs of at most max(T M K, 2**15)
+        # values, or of every set of a block's largest call if fewer, and
+        # a variance block stacks error slots while their realizations
+        # hold at most max(M K N, 2**15) complex values: the sizes of the
+        # work arrays that the sweep allocates and working_set_bytes
+        # charges, and passes with each call. With many draws a
         # geometry's sets take several runs of one kernel call, and each
         # slot its own slot block. Two-split grids have no gap to search,
         # so the kernel rates every set once, in one pass.
-        calls, runs, workspaces = [], [], []
-        search, sinrs = sweeps.stacked_split_search, rates._set_sinrs
-
-        def recording(geometries, beta, power, rows, *args, **kwargs):
-            calls.append(rows.size)
-            workspaces.append(args[-1])
-            return search(geometries, beta, power, rows, *args, **kwargs)
-
-        def recording_run(invariants, at, beta, *args):
-            runs.append(beta.size * invariants.signal[0].size)
-            return sinrs(invariants, at, beta, *args)
-
-        monkeypatch.setattr(sweeps, "stacked_split_search", recording)
-        monkeypatch.setattr(rates, "_set_sinrs", recording_run)
+        calls = recorded_calls(monkeypatch, sweeps, "stacked_split_search")
+        runs = recorded_calls(monkeypatch, rates, "_set_sinrs")
         schemes = tuple(parse_scheme_tag(t) for t in ("dthp", "zf-dpc", "dthp-rs", "zf-dpc-rs"))
         variances = (0.1, 0.2, 0.3)
         # 1 + 1 + 2 + 2 sets of one geometry per variance: at 5000 draws
@@ -690,8 +588,10 @@ class TestRunSweep:
         # equal parts) and each variance takes its own slot block; at 10
         # draws the three variances' 3 x 160 complex values stack into
         # one slot block, and its 3 rows of 6 sets into one run.
-        for n_samples, n_calls, n_runs, n_variances in ((5000, 3, 9, 1), (10, 1, 1, 3)):
-            for recorded in (calls, runs, workspaces):
+        for n_samples, n_calls, n_runs, n_variances, run_sets in (
+            (5000, 3, 9, 1, 2), (10, 1, 1, 3, 18)
+        ):
+            for recorded in (calls, runs):
                 recorded.clear()
             cfg = small_config(
                 schemes=schemes, n_channels=1, n_error_samples=n_samples,
@@ -700,17 +600,17 @@ class TestRunSweep:
             run_sweep(cfg)
             m_k, m_k_n = n_samples * 4, n_samples * 4 * 4
             assert (len(calls), len(runs)) == (n_calls, n_runs)
-            plan = sweeps._block_plan(cfg, sweeps._sweep_cells(cfg))
-            run_values = max(len(cfg.power_split_grid) * m_k, sweeps._BLOCK_VALUES)
+            workspace = calls[0][-1]
+            assert all(call[-2] == run_sets and call[-1] is workspace for call in calls)
             # A run's SINRs are a view of the one "private" work array.
-            run_array = workspaces[0]["private"].size
-            assert run_array == min(run_values // m_k, n_variances * 6) * m_k
-            assert max(runs) <= run_array
-            assert plan.max_sets * m_k == run_array <= run_values
-            assert max(calls) <= workspaces[0]["rows"].size <= max(m_k_n, sweeps._BLOCK_VALUES)
-            assert plan.stacked_slots == n_variances
-            assert max(calls) == n_variances * m_k_n
-            assert sum(runs) == 6 * len(variances) * m_k
+            run_array = workspace["private"].size
+            assert run_array == run_sets * m_k
+            run_sizes = [beta.size * invariants.signal[0].size for invariants, _, beta, *_ in runs]
+            assert max(run_sizes) <= run_array
+            assert {len(call[3]) for call in calls} == {n_variances}
+            assert max(call[3].size for call in calls) == workspace["rows"].size
+            assert workspace["rows"].size == n_variances * m_k_n
+            assert sum(run_sizes) == 6 * len(variances) * m_k
 
     @pytest.mark.parametrize("overrides", [
         dict(error_regime=PERFECT),
@@ -721,7 +621,7 @@ class TestRunSweep:
         dict(error_regime=PERFECT, snr_grid_db=(15.0,), n_error_samples=3000, n_channels=2,
              error_variance_grid=(0.05, 0.1, 0.2, 0.3, 0.4, 0.5)),
     ])
-    def test_rs_cells_at_split_zero_are_their_base_cells(self, overrides):
+    def test_rs_cells_at_split_zero_are_their_base_cells(self, overrides, monkeypatch):
         # Criterion 3 through the block engine: at split 0 a
         # rate-splitting build has no common stream, so each RS cell,
         # rated in one kernel call with its base cell, has the base
@@ -730,11 +630,13 @@ class TestRunSweep:
             "schemes": precoding.ALL_SCHEME_TAGS, "snr_grid_db": (0.0, 15.0, 30.0),
             "power_split_grid": (0.0,), **overrides,
         })
-        plan = sweeps._block_plan(cfg, sweeps._sweep_cells(cfg))
-        if cfg.error_variance_grid:
-            assert plan.stacked_slots < len(plan.slots)
-            assert plan.max_sets < plan.records["dthp"].shape[1]
+        calls = recorded_calls(monkeypatch, sweeps, "stacked_split_search")
         cells = {(cell.scheme_tag, cell.x_value): cell for cell in run_sweep(cfg).cells}
+        if cfg.error_variance_grid:
+            # Each call's rows hold fewer slots than a channel has, and
+            # the dthp record's 4 sets a row take more than one run.
+            assert max(len(call[3]) for call in calls) < len(cfg.error_variance_grid)
+            assert any(call[6] < sum(call[5]) == 4 for call in calls)
         n_rs = 0
         for (tag, x_value), cell in cells.items():
             scheme = parse_scheme_tag(tag)
@@ -751,20 +653,9 @@ class TestRunSweep:
         # sweeps.build_precoders per (cell, split, channel) and one
         # common-stream direction per nonzero split. The config spans
         # all three private geometries and two error variances.
-        counts = {"draws": 0, "builds": 0, "directions": 0}
-        stream, build = sweeps.stream_rng, sweeps.build_precoders
-        direction = precoding.dominant_right_singular_vector
-
-        def counting(name, inner):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return inner(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(sweeps, "stream_rng", counting("draws", stream))
-        monkeypatch.setattr(sweeps, "build_precoders", counting("builds", build))
-        monkeypatch.setattr(precoding, "dominant_right_singular_vector",
-                            counting("directions", direction))
+        draws = recorded_calls(monkeypatch, sweeps, "stream_rng")
+        builds = recorded_calls(monkeypatch, sweeps, "build_precoders")
+        directions = recorded_calls(monkeypatch, precoding, "dominant_right_singular_vector")
         schemes = tuple(parse_scheme_tag(t) for t in
                         ("zf", "rs-linear", "cthp-rs", "dthp", "zf-dpc-rs"))
         cfg = small_config(
@@ -774,46 +665,17 @@ class TestRunSweep:
         run_sweep(cfg)
         n_points, n_splits, n_rs = 2, len(cfg.power_split_grid), 3
         n_cells = len(schemes) * n_points
-        assert counts == {
-            "draws": n_cells * cfg.n_channels,
-            "builds": n_points * (n_rs * n_splits + 2) * cfg.n_channels,
-            "directions": n_points * n_rs * (n_splits - 1) * cfg.n_channels,
-        }
-
-    @staticmethod
-    def recording_pool(monkeypatch):
-        """Replace the process pool by one that runs its tasks in this
-        process; returns the list of pools made, each recording its
-        max_workers, tasks and chunksize."""
-        pools = []
-
-        class RecordingPool:
-            def __init__(self, max_workers, initializer=None, initargs=()):
-                self.max_workers = max_workers
-                pools.append(self)
-                if initializer is not None:
-                    initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                self.tasks, self.chunksize = list(tasks), chunksize
-                return map(fn, self.tasks)
-
-        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
-        # The pool's initializer sets the worker's failure index here.
-        monkeypatch.setattr(sweeps, "_lowest_failure", None)
-        return pools
+        assert (len(draws), len(builds), len(directions)) == (
+            n_cells * cfg.n_channels,
+            n_points * (n_rs * n_splits + 2) * cfg.n_channels,
+            n_points * n_rs * (n_splits - 1) * cfg.n_channels,
+        )
 
     def test_pool_never_outnumbers_channels(self, monkeypatch):
         # Workers split the channels, so the pool never has more of them
         # than the sweep has channels: the pool starts all max_workers at
         # its first submit, and a worker per job beyond that would idle.
-        pools = self.recording_pool(monkeypatch)
+        pools = recording_pool(monkeypatch)
         cfg = small_config(snr_grid_db=(10.0, 15.0))  # 4 channels
         serial = run_sweep(cfg)
         for n_jobs in (500, 3):
@@ -828,7 +690,7 @@ class TestRunSweep:
         # Each worker gets one contiguous run of channels as one task:
         # every channel in order, without gaps or overlaps, in runs of
         # ceil(n_channels / n_workers), no more runs than workers.
-        pools = self.recording_pool(monkeypatch)
+        pools = recording_pool(monkeypatch)
         for n_channels, n_jobs, n_runs in ((7, 3, 3), (5, 2, 2), (4, 4, 4),
                                            (50, 2, 2), (130, 2, 2)):
             run_sweep(small_config(n_channels=n_channels), n_jobs=n_jobs)
@@ -954,24 +816,16 @@ class TestRunSweep:
         # channel drawn; a build error on channel 0 stops the block's
         # builds, so channel 1 is drawn up front but neither built nor
         # rated.
-        keys = []
-        stream = sweeps.stream_rng
-
-        def counting(seed, *key):
-            keys.append(key)
-            return stream(seed, *key)
-
-        monkeypatch.setattr(sweeps, "stream_rng", counting)
         cfg = small_config(n_channels=4, n_error_samples=1000)
         with monkeypatch.context() as patch:
+            keys = recorded_calls(patch, sweeps, "stream_rng")
             patch.setattr(rates, "SINR_CAP", 1e-3)
             with pytest.raises(SaturatedSinrError, match="^dthp-rs: .* on channel 0$"):
                 run_sweep(cfg)
-        assert set(keys) == {(channel.CHANNEL_STREAM, 0), (channel.CHANNEL_STREAM, 1)}
+        assert {key[1:] for key in keys} == {(channel.CHANNEL_STREAM, c) for c in (0, 1)}
 
-        drawn, built, rated = [], [], []
-        draw, build = sweeps.draw_channel, sweeps.build_precoders
-        search = sweeps.stacked_split_search
+        drawn = []
+        draw = sweeps.draw_channel
 
         def zero_channel_0(seed, channel_index, *shape):
             drawn.append(channel_index)
@@ -979,21 +833,13 @@ class TestRunSweep:
                 return np.zeros(shape, dtype=complex)
             return draw(seed, channel_index, *shape)
 
-        def building(h_est, *args):
-            built.append(h_est.tobytes())
-            return build(h_est, *args)
-
-        def rating(*args):
-            rated.append(args)
-            return search(*args)
-
         monkeypatch.setattr(sweeps, "draw_channel", zero_channel_0)
-        monkeypatch.setattr(sweeps, "build_precoders", building)
-        monkeypatch.setattr(sweeps, "stacked_split_search", rating)
+        built = recorded_calls(monkeypatch, sweeps, "build_precoders")
+        rated = recorded_calls(monkeypatch, sweeps, "stacked_split_search")
         with pytest.raises(ZeroMatrixError):
             run_sweep(cfg)
         assert drawn == [0, 1]
-        assert built == [np.zeros((4, 4), dtype=complex).tobytes()]
+        assert [call[0].tobytes() for call in built] == [np.zeros((4, 4), dtype=complex).tobytes()]
         assert rated == []
 
     def test_a_failing_channel_in_a_block_is_raised_after_the_channels_below_it(
@@ -1003,33 +849,24 @@ class TestRunSweep:
         # factorization keeps its failure, channels 0 and 1 are built and
         # rated, channel 2's first build raises its ZeroMatrixError, and
         # channel 3, drawn up front, is never built.
-        draw, build = sweeps.draw_channel, sweeps.build_precoders
-        search = sweeps.stacked_split_search
+        draw = sweeps.draw_channel
         cfg = small_config(n_channels=4)
         below = [channel_for(cfg.master_seed, c).tobytes() for c in (0, 1)]
         zero = np.zeros((4, 4), dtype=complex)
-        built, rated = [], []
 
         def zero_channel_2(seed, channel_index, *shape):
             return zero.copy() if channel_index == 2 else draw(seed, channel_index, *shape)
 
-        def building(h_est, *args):
-            built.append(h_est.tobytes())
-            return build(h_est, *args)
-
-        def rating(geometries, *args):
-            rated.append([g.h_est.tobytes() for g in geometries])
-            return search(geometries, *args)
-
         monkeypatch.setattr(sweeps, "draw_channel", zero_channel_2)
-        monkeypatch.setattr(sweeps, "build_precoders", building)
-        monkeypatch.setattr(sweeps, "stacked_split_search", rating)
+        built = recorded_calls(monkeypatch, sweeps, "build_precoders")
+        rated = recorded_calls(monkeypatch, sweeps, "stacked_split_search")
         stacks = count_factorizations(monkeypatch)
         with pytest.raises(ZeroMatrixError, match="^pseudo_inverse: matrix is identically zero$"):
             run_sweep(cfg)
         assert [len(stack) for stack in stacks] == [4]
+        built = [call[0].tobytes() for call in built]
         assert set(built[:-1]) == set(below) and built[-1] == zero.tobytes()
-        assert rated and all(channels == below for channels in rated)
+        assert rated and all([g.h_est.tobytes() for g in call[0]] == below for call in rated)
 
     def test_validates_before_running(self):
         with pytest.raises(EmptyGridError):
