@@ -17,11 +17,13 @@ Realization m of channel c is drawn from the generator that
 stream_rng(seed, ERROR_STREAM, c, m) would build, without building one
 SeedSequence per realization. NumPy freezes the SeedSequence hash (NEP
 19): 32-bit multiply, xor and shift rounds over the key's 32-bit words.
-_error_states runs those rounds for a whole range of m at once and
-yields each key's generate_state(4, np.uint64); PCG64 seeds itself
-from that row as it would from the SeedSequence. stream_rng stays the
-single-key path, with the last key's state cached, and the tests hold
-the range path to it bit for bit.
+_error_states runs those rounds for the keys of a range of channels and
+a range of m at once and yields each key's generate_state(4, np.uint64);
+PCG64 seeds itself from that row as it would from the SeedSequence.
+unit_error_draws_by_channel hashes the keys of several channels in one
+pass, so a sweep pays the hash's numpy calls once per block of channels.
+stream_rng stays the single-key path, with the last key's state cached,
+and the tests hold the range path to it bit for bit.
 """
 
 import math
@@ -41,8 +43,8 @@ NOISE_STREAM = 7
 
 _REGIME_KINDS = ("perfect", "fixed-variance", "snr-scaled")
 
-# Realizations whose generator states are hashed (and drawn) in one
-# numpy pass at most (_passes): it bounds those temporaries whatever M is.
+# Keys whose generator states are hashed (and drawn) in one numpy pass
+# at most (_passes): it bounds those temporaries whatever M is.
 _SEED_BLOCK = 1024
 
 # NumPy's SeedSequence constants (numpy/random/bit_generator.pyx).
@@ -168,26 +170,54 @@ def unit_error_draws(
     written into the parts: the bits of real + 1j * imag, as
     complex_gaussian forms them, but for a part drawn as exactly -0.0.
     """
-    step, _ = _passes(n_users, n_tx, n_error_samples)
     unit = np.empty((n_error_samples, n_users, n_tx), dtype=complex) if out is None else out
-    scratch = np.empty((step, 2, n_users, n_tx))
-    for start in range(0, n_error_samples, step):
-        stop = min(start + step, n_error_samples)
-        states = _error_states(seed, channel_index, start, stop)
-        block = scratch[: len(states)]
-        for parts, state in zip(block, states):
-            rng = np.random.Generator(np.random.PCG64(_HashedSeed(state)))
-            rng.standard_normal(out=parts)
-        out = unit[start : start + len(states)]
-        out.real, out.imag = block[:, 0], block[:, 1]
+    channels = range(channel_index, channel_index + 1)
+    for _ in unit_error_draws_by_channel(n_users, n_tx, n_error_samples, seed, channels,
+                                         unit[np.newaxis]):
+        pass
     return unit
 
 
-def _passes(n_users: int, n_tx: int, n_error_samples: int) -> tuple[int, int]:
-    """Realizations of one pass of unit_error_draws (at most _SEED_BLOCK
-    and 2**15 float64 draws) and the most it holds beside its result:
-    2 K N float64 draws and 25 uint64 words of hashed states each."""
-    step = max(1, min(_SEED_BLOCK, n_error_samples, 2**14 // (n_users * n_tx)))
+def unit_error_draws_by_channel(
+    n_users: int, n_tx: int, n_error_samples: int, seed: int, channels: range, out=None
+):
+    """Yield the (M, K, N) unit draws of each channel of channels in turn,
+    with the bits of unit_error_draws: written into out[i] for the i-th
+    channel, or else into one array that every channel reuses, so that a
+    channel's draws last until the next channel's are asked for.
+
+    A pass (_passes) hashes and draws as many whole channels' keys as it
+    holds, or a run of one channel's realizations when it holds fewer
+    than M; each channel is written out of the pass's draws as it is
+    yielded.
+    """
+    m = n_error_samples
+    step, _ = _passes(n_users, n_tx, len(channels) * m)
+    unit = np.empty((m, n_users, n_tx), dtype=complex) if out is None else None
+    scratch = np.empty((step, 2, n_users, n_tx))
+    per_pass = max(1, step // max(m, 1))
+    for first in range(0, len(channels), per_pass):
+        group = channels[first:first + per_pass]
+        # One pass of no realizations yields each channel's empty draws.
+        for start in range(0, max(m, 1), step):
+            stop = min(start + step, m)
+            states = _error_states(seed, group, start, stop)
+            drawn = scratch[: len(states)]
+            for parts, state in zip(drawn, states):
+                rng = np.random.Generator(np.random.PCG64(_HashedSeed(state)))
+                rng.standard_normal(out=parts)
+            for i, parts in enumerate(drawn.reshape(len(group), stop - start, *drawn.shape[1:])):
+                draws = unit if out is None else out[first + i]
+                draws[start:stop].real, draws[start:stop].imag = parts[:, 0], parts[:, 1]
+                if stop == m:
+                    yield draws
+
+
+def _passes(n_users: int, n_tx: int, n_keys: int) -> tuple[int, int]:
+    """Keys of one pass of unit_error_draws_by_channel over n_keys (at most
+    _SEED_BLOCK and 2**15 float64 draws) and the most it holds beside its
+    result: 2 K N float64 draws and 25 uint64 words of hashed states each."""
+    step = max(1, min(_SEED_BLOCK, n_keys, 2**14 // (n_users * n_tx)))
     return step, 8 * step * (2 * n_users * n_tx + 25)
 
 
@@ -202,23 +232,29 @@ class _HashedSeed(ISeedSequence):
         return self.state
 
 
-def _error_states(seed: int, channel_index: int, start: int, stop: int) -> np.ndarray:
-    """(stop - start, 4) uint64 rows: row i is
-    SeedSequence((seed, ERROR_STREAM, channel_index, start + i))
-    .generate_state(4, np.uint64), hashed for every m in one pass.
+def _error_states(seed: int, channels: range, start: int, stop: int) -> np.ndarray:
+    """(len(channels) * (stop - start), 4) uint64 rows, channel by channel:
+    row i * (stop - start) + j is
+    SeedSequence((seed, ERROR_STREAM, channels[i], start + j))
+    .generate_state(4, np.uint64), hashed for every key in one pass.
 
     Raises:
         ValueError: a negative seed or channel index, as SeedSequence
-            raises, or a realization index outside [0, 2**32), where m
-            is one 32-bit word.
+            raises, a realization index outside [0, 2**32), where m is
+            one 32-bit word, or, where channels holds several, a channel
+            index outside [0, 2**32), where c is one 32-bit word too.
     """
     if start < 0 or stop > 1 << 32:
         raise ValueError(f"realization indices must lie in [0, 2**32), got [{start}, {stop})")
-    m = np.arange(start, stop, dtype=np.uint64)
-    # Each key word but m's is the same in every row and stays an int.
-    entropy = (
-        _uint32_words(seed) + _uint32_words(ERROR_STREAM) + _uint32_words(channel_index) + [m]
-    )
+    if len(channels) > 1 and not 0 <= channels[0] <= channels[-1] < 1 << 32:
+        raise ValueError(f"channel indices of several channels must lie in [0, 2**32), "
+                         f"got {channels}")
+    m = np.tile(np.arange(start, stop, dtype=np.uint64), len(channels))
+    # Each key word but m's, and c's for several channels, is the same in
+    # every row and stays an int.
+    c = (_uint32_words(channels[0]) if len(channels) == 1
+         else [np.repeat(np.array(channels, dtype=np.uint64), stop - start)])
+    entropy = _uint32_words(seed) + _uint32_words(ERROR_STREAM) + c + [m]
     hash_const = _INIT_A
 
     def hashmix(value):

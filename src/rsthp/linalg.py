@@ -124,6 +124,9 @@ def factor_stack(a) -> FactoredStack:
     if a.ndim != 3:
         raise DimensionMismatchError(f"factor_stack expects a 3-D array, got ndim={a.ndim}")
     a.flags.writeable = False
+    # The store this stack replaces is let go first, so that a caller that
+    # keeps none of its records never holds two stacks' factors at once.
+    _store = None
     n_users, n_tx = a.shape[1:]
     finite = np.isfinite(a).all(axis=(1, 2))
     nonzero = finite & a.any(axis=(1, 2))
@@ -245,7 +248,7 @@ def dominant_right_singular_vector(a) -> np.ndarray:
     non-negligible magnitude real positive; a unit vector in C^N has a
     component of magnitude at least 1/sqrt(N), so an anchor always
     exists. It is read from the SVD of the stack that holds a (see
-    factored), so the directions of a factored block of channels cost
+    factored), so the directions of a factored chunk of channels cost
     no SVD of their own; each call returns a fresh copy.
 
     Args:

@@ -16,7 +16,7 @@ pseudo-inverse and one LQ factorization of the channel estimate: cTHP
 and dTHP differ only in where the diagonal scaling sits, and ZF-DPC
 shares dTHP's record (SchemeTag.record). They are computed for a whole
 stack of channels at once, from linalg's factors of the stack that
-holds the channel (a sweep's block, or the channel alone), and kept with
+holds the channel (a sweep's chunk, or the channel alone), and kept with
 those factors in linalg's store (_records). A build of the split search
 is its two scalars, the private scale beta and the common stream's
 power P, on a reference to its channel's geometry record; the rate
@@ -220,7 +220,7 @@ def build_precoders(
             f"scheme {scheme.tag} has no common stream, power_split must be 0"
         )
 
-    # The records of the stack that holds h_est: a sweep's block, or h_est
+    # The records of the stack that holds h_est: a sweep's chunk, or h_est
     # factored alone. A bad channel raises its error, named after
     # pseudo_inverse, on every call.
     stack, c = factored(h_est, "pseudo_inverse")

@@ -8,24 +8,29 @@ position in a loop. Every scheme, power split, and grid point therefore
 sees the same channels and the same error draws (common random
 numbers), and a sweep is a pure function of its config.
 
-The unit of work is a block of consecutive channels: a channel's best
+The units of work are runs of consecutive channels: a channel's best
 split and average sum rate in a cell depend on its draws alone, and a
-cell is the mean over its channels, so channels stack freely. Each
-cell's plan (_cell) fixes its split grid and error variance once;
-_block_plan alone sizes the engine from the config (a block's channels,
-the slots stacked at once, one kernel run). _rate_channels allocates the
-plan's work arrays once, rates every planned cell on a range of channels
-in them, and raises the lowest failing channel's first failing cell's
-error in output order; working_set_bytes charges the same arrays.
-run_sweep (serially, or one contiguous run of channels per pool worker)
-and ergodic_sum_rate both rate through _rate_channels and join each
-cell's values in channel order.
+cell is the mean over its channels, so channels stack freely. A chunk
+of channels is drawn and factored at once, and rated a block of its
+channels at a time. A channel that fails its draw ends its chunk's
+draws, one that fails a build ends its block's builds, and no block
+after a failing one is rated. Each cell's plan (_cell) fixes its split
+grid and error variance once; _block_plan alone sizes the engine from
+the config (a chunk's channels, a block's, the slots stacked at once,
+one kernel run). _rate_channels allocates the plan's work arrays once,
+rates every planned cell on a range of channels in them, and raises
+the lowest failing channel's first failing cell's error in output
+order; working_set_bytes charges the same arrays. run_sweep (serially,
+or one contiguous run of channels per pool worker) and ergodic_sum_rate
+both rate through _rate_channels and join each cell's values in
+channel order.
 
-_rate_block draws each channel's unit errors once and rescales them into
-each slot's row. linalg's store holds the factors of the block's
-channels from one stacked pass, with each channel's geometry record per
-base scheme and its common-stream direction, so a build is two scalars
-and a reference to its record. The eight schemes share three records
+linalg's store holds the factors of the chunk's channels from one
+stacked pass, with each channel's geometry record per base scheme and
+its common-stream direction, so a build is two scalars and a reference
+to its record. _rate_block hashes the error keys of its block's
+channels together, draws each channel's unit errors once and rescales
+them into each slot's row. The eight schemes share three records
 (SchemeTag.record); the cells that share one are searched on every
 channel of a block in one kernel call (rates.stacked_split_search),
 which skips, exactly, the splits that a bound rules out. A channel's
@@ -49,10 +54,9 @@ from .channel import (
     _passes,
     CHANNEL_STREAM,
     ErrorRegime,
-    complex_gaussian,
     draw_error_ensemble,  # no caller here: bench/layers.py patches this name
     stream_rng,
-    unit_error_draws,
+    unit_error_draws_by_channel,
 )
 from .exceptions import (
     DimensionMismatchError,
@@ -84,6 +88,13 @@ _RESULT_BYTES = 2 * (8 + 8 + 32)
 # Bytes each channel's row keeps beyond its values: the array's header
 # (128 B) and its list slot.
 _ROW_BYTES = 128 + 8
+
+# Bytes each channel of a chunk keeps beside its 14 K N complex values of
+# factors and records: its draw's array and store index entry, its geometry
+# records and their views of the stacked arrays. tracemalloc measured 2.1 to
+# 2.3 KB a channel beyond 13.8 K N complex values (K = N = 1 to 16, chunks of
+# 13 to 50 channels).
+_CHANNEL_BYTES = 2304
 
 # Values one run of a kernel call rates (sets x M x K) and complex values one
 # block of channels and slots stacks, unless one split search or ensemble is
@@ -130,10 +141,18 @@ def draw_channel(
     seed: int, channel_index: int, n_users: int, n_tx: int
 ) -> np.ndarray:
     """(K, N) channel estimate number channel_index, keyed by
-    (seed, channel_index) alone; entries are i.i.d. CN(0, 1)."""
-    return complex_gaussian(
-        stream_rng(seed, CHANNEL_STREAM, channel_index), (n_users, n_tx)
-    )
+    (seed, channel_index) alone; entries are i.i.d. CN(0, 1).
+
+    One (2, K, N) standard_normal fill, the stream order of two (K, N)
+    draws, gives the real then the imaginary parts, each scaled by the
+    square root of 1/2: the bits of complex_gaussian(stream_rng(seed,
+    CHANNEL_STREAM, channel_index), (K, N)), but for a part drawn as
+    exactly -0.0."""
+    parts = stream_rng(seed, CHANNEL_STREAM, channel_index).standard_normal((2, n_users, n_tx))
+    parts *= math.sqrt(0.5)
+    h_est = np.empty((n_users, n_tx), dtype=complex)
+    h_est.real, h_est.imag = parts
+    return h_est
 
 
 def check_dimensions(n_users: int, n_tx: int) -> None:
@@ -312,24 +331,26 @@ def working_set_bytes(config: SweepConfig, n_channels: int) -> int:
     slot, K users, N antennas): the work arrays, which _rate_channels
     allocates from the same list (_work_arrays); while they are held, a
     channel's unit error draws (M K N complex values, unless its one
-    slot's row holds them) with one pass of them in flight (_passes),
-    and numpy's two buffers for a kernel product over G0's diagonal (a
-    complex value per user and stacked realization, np.getbufsize() at
-    most, each); per block channel 14 K N complex values of factors and
-    records (tracemalloc measured 13.5 K N at K = N = 16, the stacked
-    pass's temporaries included) and _BUILD_BYTES per build;
+    slot's row holds them) with one pass of the block's draws in flight
+    (_passes), and numpy's two buffers for a kernel product over G0's
+    diagonal (a complex value per user and stacked realization,
+    np.getbufsize() at most, each); per chunk channel 14 K N complex
+    values of factors and records (tracemalloc measured 13.5 K N at
+    K = N = 16, the stacked pass's temporaries included) and
+    _CHANNEL_BYTES; per block channel _BUILD_BYTES per build;
     _RESULT_BYTES per (cell, channel) and _ROW_BYTES per channel. Under
     perfect CSIT nothing is drawn, M = 1."""
     cells = _sweep_cells(config)
     plan = _block_plan(config, cells)
-    k, n, m, channels = config.n_users, config.n_tx, plan.m, plan.channels
+    k, n, m = config.n_users, config.n_tx, plan.m
     work = _work_arrays(config, plan,
                         lambda shape, dtype: math.prod(shape) * np.dtype(dtype).itemsize)
     drawn = 0 if plan.slots == (None,) else (
-        16 * m * k * n * (len(plan.slots) > 1) + _passes(k, n, m)[1])
+        16 * m * k * n * (len(plan.slots) > 1) + _passes(k, n, plan.channels * m)[1])
     return (
         sum(work.values()) + drawn + 2 * min(work["rows"] // n, 16 * np.getbufsize())
-        + channels * (16 * 14 * k * n + _BUILD_BYTES * sum(len(cell[3]) for cell in cells))
+        + plan.chunk * (16 * 14 * k * n + _CHANNEL_BYTES)
+        + plan.channels * _BUILD_BYTES * sum(len(cell[3]) for cell in cells)
         + (_RESULT_BYTES * len(cells) + _ROW_BYTES) * n_channels
     )
 
@@ -428,14 +449,16 @@ class _BlockPlan:
     variance; each geometry record's cells (SchemeTag.record) as a
     (slots, cells per slot) array of cell indices in output order; the
     sets of one kernel run, at most a call's, and the most of them with
-    a common stream; the channels of a block; and the slots each
-    channel stacks at a time."""
+    a common stream; the channels of a chunk, drawn and factored at
+    once; the channels of a block, built and rated at once; and the
+    slots each channel stacks at a time."""
 
     m: int
     slots: tuple[float | None, ...]
     records: dict[str, np.ndarray]
     max_sets: int
     common_sets: int
+    chunk: int
     channels: int
     stacked_slots: int
 
@@ -446,11 +469,14 @@ def _block_plan(config: SweepConfig, cells: list[tuple]) -> _BlockPlan:
     the same schemes, and a record's sets are the same on every row of a
     kernel call. A kernel run holds up to max(T x M x K, _BLOCK_VALUES)
     values, one split search at least, or a call's sets if fewer, whole
-    rows or equal parts of one. A block holds as many consecutive
-    channels as keep its stacked h_est + E within _BLOCK_VALUES complex
+    rows or equal parts of one. A chunk holds as many consecutive
+    channels as keep its stacked estimates within _BLOCK_VALUES complex
     values and its builds (cells x splits) within _BLOCK_VALUES // 4, at
-    least 1, at most n_channels. A channel stacks as many slots at a
-    time as _BLOCK_VALUES complex values hold, at least 1."""
+    least 1, at most n_channels: the block of the same cells under
+    perfect CSIT. A block holds as many consecutive channels of a chunk
+    as keep its stacked h_est + E within _BLOCK_VALUES complex values,
+    at least 1. A channel stacks as many slots at a time as
+    _BLOCK_VALUES complex values hold, at least 1."""
     n_users, n_tx = config.n_users, config.n_tx
     _, x_values, _, grids, variances = zip(*cells)
     shared = len(set(variances)) == 1
@@ -463,11 +489,12 @@ def _block_plan(config: SweepConfig, cells: list[tuple]) -> _BlockPlan:
         by_slot[slot_of[keys[index]]].append(index)
     m = 1 if slots == (None,) else config.n_error_samples
     run_values = max(max(map(len, grids)) * m * n_users, _BLOCK_VALUES)
-    channels = max(1, min(
-        _BLOCK_VALUES // (len(slots) * m * n_users * n_tx),
+    chunk = max(1, min(
+        _BLOCK_VALUES // (n_users * n_tx),
         _BLOCK_VALUES // 4 // sum(map(len, grids)),
         config.n_channels,
     ))
+    channels = max(1, min(_BLOCK_VALUES // (len(slots) * m * n_users * n_tx), chunk))
     stacked_slots = min(len(slots), max(1, _BLOCK_VALUES // (m * n_users * n_tx)))
     # A record's call holds its slot's splits on every row; those above 0 have a common stream.
     splits = [[t for i in by_slot[0] for t in grids[i]] for by_slot in members.values()]
@@ -475,7 +502,7 @@ def _block_plan(config: SweepConfig, cells: list[tuple]) -> _BlockPlan:
     max_sets = min(run_values // (m * n_users), rows * max(map(len, splits)))
     common_sets = min(max_sets, rows * max(sum(t > 0.0 for t in row) for row in splits))
     return _BlockPlan(m, slots, {record: np.array(by_slot) for record, by_slot in members.items()},
-                      max_sets, common_sets, channels, stacked_slots)
+                      max_sets, common_sets, chunk, channels, stacked_slots)
 
 
 def _work_arrays(config: SweepConfig, plan: _BlockPlan, make=np.empty) -> dict:
@@ -495,37 +522,43 @@ def _rate_channels(
 
     Each cell searches its plan's split grid at its plan's error
     variance (see _cell). The plan's work arrays (_work_arrays) are
-    allocated once, before the first block of consecutive channels
-    (_block_plan), and every block is rated in them. A block's channels
+    allocated once, before the first chunk of consecutive channels
+    (_block_plan), and every block is rated in them. A chunk's channels
     are drawn up front and factored in one stacked pass
-    (linalg.factor_stack), and every build is made channel by channel
-    (_build_channel), keeping only its beta and P. The realizations
-    h_est + E of each channel's slots (its unit draws rescaled to each
-    slot's variance; h_est alone under perfect CSIT) are stacked,
-    stacked_slots slots at a time, and the cells that share a geometry
-    record (SchemeTag.record) are searched on every channel of the block
-    in one stacked_split_search call per stack: row (channel, slot)
-    holds the splits of the slot's cells.
+    (linalg.factor_stack); the chunk is then rated block by block. Every
+    build of a block is made channel by channel (_build_channel),
+    keeping only its beta and P. The realizations h_est + E of each
+    channel's slots (its unit draws, hashed for the whole block at once,
+    rescaled to each slot's variance; h_est alone under perfect CSIT)
+    are stacked, stacked_slots slots at a time, and the cells that share
+    a geometry record (SchemeTag.record) are searched on every channel
+    of the block in one stacked_split_search call per stack: row
+    (channel, slot) holds the splits of the slot's cells.
 
-    An error of channel c's draw or builds (a channel that is not
-    finite, zero or rank deficient fails its first build) stops the
-    block's draws or builds; the channels below c are rated, and raise
-    first if one saturates. A SaturatedSinrError names the lowest
-    saturated channel's first saturated cell in output order, with its
-    grid point (_rate_block). In a pool worker, lowest_failure is the
-    pool's shared lowest failing channel: each channel is drawn only if
-    no lower one has failed, else the rows so far are returned (the run
-    raises the lower error), and a failure here lowers it.
+    An error of channel c's draw stops the chunk's draws, and an error
+    of its builds (a channel that is not finite, zero or rank deficient
+    fails its first build) the block's builds; the channels below c are
+    rated, and raise first if one saturates, and no later block is
+    rated. A SaturatedSinrError names the lowest saturated channel's
+    first saturated cell in output order, with its grid point
+    (_rate_block). In a pool worker, lowest_failure is the pool's shared
+    lowest failing channel: a channel is drawn, and a block rated, only
+    if no lower channel has failed, else the rows so far are returned
+    (the run raises the lower error), and a failure here lowers it.
     """
     plan = _block_plan(config, cells)
     # Once for all blocks: fresh arrays would fault their pages in again.
     workspace = _work_arrays(config, plan)
+
+    def past_failure(channel_index):
+        return lowest_failure is not None and channel_index > lowest_failure.value
+
     rows = []
-    for start in range(0, len(channels), plan.channels):
-        block = channels[start:start + plan.channels]
-        drawn, built, failure = [], [], None
-        for channel_index in block:
-            if lowest_failure is not None and channel_index > lowest_failure.value:
+    for start in range(0, len(channels), plan.chunk):
+        chunk = channels[start:start + plan.chunk]
+        drawn, failure = [], None
+        for channel_index in chunk:
+            if past_failure(channel_index):
                 return rows
             try:
                 drawn.append(draw_channel(
@@ -535,24 +568,34 @@ def _rate_channels(
                 failure = channel_index, exc
                 break
         if drawn:
-            # Every build of the block reads its channel's slice.
+            # Every build of the chunk reads its channel's slice.
             linalg.factor_stack(np.stack(drawn))
-        for channel_index, h_est in zip(block, drawn):
-            try:
-                built.append(_build_channel(config, cells, plan, channel_index, h_est))
-            except Exception as exc:
-                failure = channel_index, exc
+        for first in range(0, len(drawn), plan.channels):
+            block = chunk[first:first + plan.channels]
+            if past_failure(block[0]):
+                return rows
+            built = []
+            for channel_index, h_est in zip(block, drawn[first:]):
+                try:
+                    built.append(_build_channel(config, cells, plan, channel_index, h_est))
+                except Exception as exc:
+                    failure = channel_index, exc
+                    break
+            rated, saturated = (
+                _rate_block(config, cells, plan, block, built, workspace) if built else ([], None)
+            )
+            # A block short of channels ends at a failing draw or build.
+            if saturated or len(built) < len(block):
+                failure = saturated or failure
                 break
-        rated, saturated = (
-            _rate_block(config, cells, plan, block, built, workspace) if built else ([], None)
-        )
-        failure = saturated or failure
+            rows += rated
+        # The chunk's records go with its store when the next is factored.
+        built = None
         if failure is not None:
             if lowest_failure is not None:
                 with lowest_failure.get_lock():
                     lowest_failure.value = min(lowest_failure.value, failure[0])
             raise failure[1]
-        rows += rated
     return rows
 
 
@@ -571,7 +614,7 @@ def _build_channel(
         for i in members.flat:
             scheme, _, e_tr, grid, _ = cells[i]
             # One channel draw per cell, the first cell's made before the
-            # block was factored, and one build per (cell, split): the
+            # chunk was factored, and one build per (cell, split): the
             # calls bench/tests/test_tracer.py pins.
             if h_est is None:
                 h_est = draw_channel(config.master_seed, channel_index, config.n_users,
@@ -607,23 +650,28 @@ def _rate_block(
         variances = plan.slots[start:start + step]
         n_rows = len(variances)
         rows = _buffer(workspace, "rows", (len(built) * n_rows, m * n_users, n_tx))
-        for b, (channel_index, records) in enumerate(zip(block, built)):
-            # Every record holds the channel's h_est.
-            h_est = next(iter(records.values()))[0].h_est
-            if plan.slots == (None,):
-                rows[b] = h_est
-                continue
+        # Every record holds its channel's h_est.
+        h_ests = [next(iter(records.values()))[0].h_est for records in built]
+        if plan.slots == (None,):
+            rows[:] = h_ests
+        else:
             if start == 0:
-                # Only a one-channel block spans several stacks (_block_plan), so the
-                # first stack's draws serve the rest; free the previous channel's first.
-                # A lone slot's row holds the draws, rescaled in place.
-                unit = None
-                row = rows[b].reshape(m, n_users, n_tx) if len(plan.slots) == 1 else None
-                unit = unit_error_draws(n_users, n_tx, m, config.master_seed, channel_index, row)
-            for v, variance in enumerate(variances):
-                row = rows[b * n_rows + v].reshape(m, n_users, n_tx)
-                np.multiply(unit, math.sqrt(variance / 2.0), out=row)
-                row += h_est
+                # The block's error keys are hashed together. A lone slot's row
+                # holds its channel's draws, rescaled in place.
+                lone = rows.reshape(len(built), m, n_users, n_tx) if len(plan.slots) == 1 else None
+                units = unit_error_draws_by_channel(
+                    n_users, n_tx, m, config.master_seed, block[:len(built)], lone
+                )
+            else:
+                # Only a one-channel block spans several stacks (_block_plan), so
+                # the first stack's draws serve the rest.
+                units = [unit]
+            # The draws come first, so zip runs them out and frees their pass.
+            for b, (unit, h_est) in enumerate(zip(units, h_ests)):
+                for v, variance in enumerate(variances):
+                    row = rows[b * n_rows + v].reshape(m, n_users, n_tx)
+                    np.multiply(unit, math.sqrt(variance / 2.0), out=row)
+                    row += h_est
         for record, members in plan.records.items():
             members = members[start:start + step]
             # Row (b, v) is channel b of the block at slot v, and its sets
@@ -673,11 +721,12 @@ def _rate_run(config: SweepConfig, cells: list[tuple], channels: range) -> list[
 def run_sweep(config: SweepConfig, n_jobs: int = 1) -> SweepResult:
     """Evaluate every (scheme, grid point) cell of a sweep.
 
-    Every cell is built on geometry records factored for a block of
-    channels at once, and rated on that block (_rate_channels).
-    min(n_jobs, n_channels) workers each take one contiguous run of
-    channels as one task; blocks are cut from the start of each run, in
-    sizes that do not depend on n_jobs. One worker is this process
+    Every cell is built on geometry records factored for a chunk of
+    channels at once, and rated a block of the chunk's channels at a
+    time (_rate_channels). min(n_jobs, n_channels) workers each take one
+    contiguous run of channels as one task; chunks are cut from the
+    start of each run and blocks from the start of each chunk, in sizes
+    that do not depend on n_jobs. One worker is this process
     itself; more are the processes of a pool, which rate every channel
     while this process only joins their rows. Each cell joins its
     per-channel values in channel order, so the output is bit-identical

@@ -178,7 +178,7 @@ class TestUnitDrawCache:
         assert empty.shape == (0, 3, 4)
         for start, stop in ((-1, 2), (2**32 - 1, 2**32 + 1)):
             with pytest.raises(ValueError, match="realization indices"):
-                _error_states(1, 2, start, stop)
+                _error_states(1, range(2, 3), start, stop)
 
     def test_returned_array_is_fresh_and_writable(self):
         first = draw_error_ensemble(4, 4, 0.2, 5, seed=3, channel_index=2)

@@ -7,8 +7,9 @@ acceptance suite's seed. Further properties check the stacked rate
 kernel against single builds and the memory estimate of rating one
 channel against tracemalloc. The last check the CLI's start:step:stop
 grid ranges, the range-hashed and cached seeds against SeedSequence,
-and the exit contract of the sweep commands and cross-check-sinr on
-argv drawn from their flag grammar.
+the one-fill channel draw against complex_gaussian, and the exit
+contract of the sweep commands and cross-check-sinr on argv drawn from
+their flag grammar.
 """
 
 import contextlib
@@ -34,6 +35,7 @@ from rsthp import (  # noqa: E402
     SweepConfig,
     SimulatorError,
     build_precoders,
+    complex_gaussian,
     draw_error_ensemble,
     parse_scheme_tag,
     rates_from_sinr,
@@ -674,7 +676,10 @@ MEMORY_ALLOWANCE = 32 * 2**10
 # SNR-scaled errors at alpha = 0: every SNR point has the same variance,
 # and the estimate charges the one stacked variance the engine rates.
 @example((SweepConfig(error_regime=ErrorRegime.snr_scaled(0.0)), 0))
-# Perfect CSIT, all 8 schemes at two SNRs: a block holds 48 of the 50 channels.
+# One 1 x 1 zf cell under perfect CSIT: a chunk of all 50 channels, whose
+# Python objects outweigh their factors and every other charge.
+@example((SweepConfig(schemes=(SchemeTag("zf"),), n_users=1, n_tx=1, snr_grid_db=(15.0,)), 0))
+# Perfect CSIT, all 8 schemes at two SNRs: a chunk holds 48 of the 50 channels.
 @example((SweepConfig(snr_grid_db=(0.0, 30.0)), 0))
 # Six variances of 3,000 draws: a channel's slots exceed a block's 2**15
 # complex values, and each takes its own slot block.
@@ -683,18 +688,22 @@ MEMORY_ALLOWANCE = 32 * 2**10
                       error_variance_grid=(0.05, 0.1, 0.2, 0.3, 0.4, 0.5)), 0))
 def test_rating_a_channel_stays_within_its_memory_estimate(config_channel):
     # The estimate that SweepConfig.validate holds to the budget bounds
-    # what rating one full block of channels and the first channel of
-    # the next allocates: its error draws and the block's rows included,
-    # and the next block's draws and builds, made while the work arrays
-    # are held. tracemalloc sees numpy's buffers but not BLAS workspace
-    # or the allocator's slack, so it is a lower bound on the RSS a
-    # process grows by. The pool rates the channels in one run
-    # (sweep_runs, which rates a one-channel config as two), and only
-    # its task is traced: numpy's one-time allocations count too.
+    # what rating one full chunk of channels and the first channel of
+    # the next allocates: its error draws and its blocks' rows included,
+    # and the next chunk's draws and builds, made while the work arrays
+    # are held. A chunk of more than two blocks is rated up to its third
+    # block's error draws, where the sweep stops: every later block of
+    # the chunk allocates what the second did, beside the same factors.
+    # tracemalloc sees numpy's buffers but not BLAS workspace or the
+    # allocator's slack, so it is a lower bound on the RSS a process
+    # grows by. The pool rates the channels in one run (sweep_runs,
+    # which rates a one-channel config as two), and only its task is
+    # traced: numpy's one-time allocations count too.
     config, channel_index = config_channel
     config = replace(config, n_channels=max(2, config.n_channels))
-    channels = range(channel_index, channel_index + first_block(config) + 1)
-    peaks = []
+    channels = range(channel_index, channel_index + first_chunk(config) + 1)
+    peaks, blocks = [], []
+    draws = sweeps.unit_error_draws_by_channel
 
     def traced(task, run):
         tracemalloc.start()
@@ -704,7 +713,15 @@ def test_rating_a_channel_stays_within_its_memory_estimate(config_channel):
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
 
-    sweep_runs(config, [channels], traced)
+    def two_blocks_a_chunk(*args):
+        blocks.append(args[4])
+        if len(blocks) == 3 and blocks[-1][-1] < channels[-1]:
+            raise Stop
+        return draws(*args)
+
+    with pytest.MonkeyPatch.context() as patch, contextlib.suppress(Stop):
+        patch.setattr(sweeps, "unit_error_draws_by_channel", two_blocks_a_chunk)
+        sweep_runs(config, [channels], traced)
     assert peaks[0] <= working_set_bytes(config, len(channels)) + MEMORY_ALLOWANCE
 
 
@@ -712,8 +729,8 @@ class Stop(Exception):
     """Ends a sweep where a patched function raises it."""
 
 
-def first_block(config):
-    """The channels of run_sweep(config)'s first block, those that its
+def first_chunk(config):
+    """The channels of run_sweep(config)'s first chunk, those that its
     first factorization stacks; the sweep stops there."""
     def stop(stack):
         raise Stop(len(stack))
@@ -783,22 +800,51 @@ WORD_EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96)
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(
     st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**96)),
-    st.integers(0, 2**40),
+    st.one_of(st.integers(0, 2**40), st.integers(2**32 - 8, 2**32 - 1)),
+    st.integers(1, 4),
     st.one_of(st.integers(0, 3000), st.integers(2**32 - 40, 2**32)),
     st.integers(0, 40),
 )
-def test_error_states_are_seed_sequence_states(seed, channel_index, start, length):
-    # Realization indices run up to the last one-word m, 2**32 - 1.
+def test_error_states_are_seed_sequence_states(seed, first, n_channels, start, length):
+    # Realization indices run up to the last one-word m, 2**32 - 1, and
+    # so do the channel indices of a range of several channels; one
+    # channel may have any index. Rows go channel by channel.
     length = min(length, 2**32 - start)
-    got = _error_states(seed, channel_index, start, start + length)
+    if n_channels > 1:
+        first = min(first, 2**32 - n_channels)
+    channels = range(first, first + n_channels)
+    got = _error_states(seed, channels, start, start + length)
     want = [
-        np.random.SeedSequence((seed, ERROR_STREAM, channel_index, m))
-        .generate_state(4, np.uint64)
-        for m in range(start, start + length)
+        np.random.SeedSequence((seed, ERROR_STREAM, c, m)).generate_state(4, np.uint64)
+        for c in channels for m in range(start, start + length)
     ]
     assert got.dtype == np.uint64
-    assert got.shape == (length, 4)
-    assert np.array_equal(got, np.reshape(want, (length, 4)))
+    assert got.shape == (n_channels * length, 4)
+    assert np.array_equal(got, np.reshape(want, (n_channels * length, 4)))
+    for bad_start, bad_stop in ((-1, length), (2**32 - 1, 2**32 + 1)):
+        with pytest.raises(ValueError, match="realization indices"):
+            _error_states(seed, channels, bad_start, bad_stop)
+    if n_channels > 1:
+        with pytest.raises(ValueError, match="channel indices"):
+            _error_states(seed, range(2**32 - 1, 2**32 - 1 + n_channels), start, start + length)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**96)),
+    st.one_of(st.integers(0, 2**40), st.integers(2**32 - 2, 2**32 + 2)),
+    st.integers(1, 8),
+    st.integers(0, 7),
+)
+def test_a_channel_draw_is_a_complex_gaussian_draw(seed, channel_index, n_users, extra):
+    # draw_channel fills its real and imaginary parts from one draw; it
+    # keeps the bits of the documented definition, two (K, N) draws on
+    # the channel's stream formed as complex_gaussian forms them.
+    n_tx = min(8, n_users + extra)
+    want = complex_gaussian(stream_rng(seed, CHANNEL_STREAM, channel_index), (n_users, n_tx))
+    got = draw_channel(seed, channel_index, n_users, n_tx)
+    assert got.shape == (n_users, n_tx) and got.dtype == complex
+    assert got.tobytes() == want.tobytes()
 
 
 ANY_FLOAT = st.one_of(

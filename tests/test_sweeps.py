@@ -447,6 +447,23 @@ class TestRunSweep:
             tracemalloc.stop()
         assert kept < 2**18
 
+    def test_a_sweep_holds_one_chunks_factors_at_a_time(self):
+        # 16 x 16 zf channels under perfect CSIT stack 128 to a chunk,
+        # whose factors and records take about 7.6 MB. A second chunk
+        # is factored once the first one's store is let go, so rating
+        # two chunks peaks where rating one does, plus their results.
+        peaks = []
+        for n_channels in (128, 256):
+            cfg = SweepConfig(schemes=(parse_scheme_tag("zf"),), n_users=16, n_tx=16,
+                              snr_grid_db=(15.0,), n_channels=n_channels)
+            tracemalloc.start()
+            try:
+                run_sweep(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2**20
+
     def test_each_error_draw_is_made_once(self, monkeypatch):
         # Every cell rescales the same unit draws: one error-stream
         # key per (channel, realization), not one per cell.
@@ -456,7 +473,8 @@ class TestRunSweep:
             error_regime=PERFECT, error_variance_grid=(0.1, 0.2, 0.3),
             n_channels=n_channels, n_error_samples=n_samples,
         ))
-        keys = [(seed, c, m) for seed, c, start, stop in calls for m in range(start, stop)]
+        keys = [(seed, c, m) for seed, channels, start, stop in calls
+                for c in channels for m in range(start, stop)]
         assert len(keys) == n_channels * n_samples
         assert len(set(keys)) == len(keys)
 
@@ -473,16 +491,16 @@ class TestRunSweep:
             [channel_for(cfg.master_seed, c).tobytes() for c in range(3)]]
 
     def test_each_channel_is_factored_and_its_errors_drawn_once(self, monkeypatch):
-        # Two cells over 130 channels: the store (one block's factors)
+        # Two cells over 130 channels: the store (one chunk's factors)
         # and each channel's unit error draws, made once by the engine,
         # serve every cell. One factorization (LQ and direction) and one
         # error draw per channel and realization.
         error_keys = []
         states = channel._error_states
 
-        def counting_states(seed, channel_index, start, stop):
-            error_keys.extend((channel_index, m) for m in range(start, stop))
-            return states(seed, channel_index, start, stop)
+        def counting_states(seed, channels, start, stop):
+            error_keys.extend((c, m) for c in channels for m in range(start, stop))
+            return states(seed, channels, start, stop)
 
         stacks = count_factorizations(monkeypatch)
         monkeypatch.setattr(channel, "_error_states", counting_states)
@@ -538,23 +556,27 @@ class TestRunSweep:
                 (n_channels * sets, rows) for sets, rows in blocks)
 
     def test_a_block_holds_the_channels_that_fit_its_caps(self, monkeypatch):
-        # A block takes consecutive channels of a worker's run while
-        # their stacked h_est + E fit 2**15 complex values and their
-        # builds 2**13; more workers cut shorter runs, never other
-        # blocks. Each block is one factorization's stack.
+        # A chunk takes consecutive channels of a worker's run while
+        # their estimates fit 2**15 complex values and their builds
+        # 2**13, and a block consecutive channels of a chunk while their
+        # stacked h_est + E fit 2**15 complex values; more workers cut
+        # shorter runs, never other chunks or blocks. Each chunk is one
+        # factorization's stack.
         calls = recorded_calls(monkeypatch, sweeps, "stacked_split_search")
         recording_pool(monkeypatch)
         stacks = count_factorizations(monkeypatch)
         zf = (parse_scheme_tag("zf"),)
-        # 1000 draws x 4 x 4 = 16000 complex values a channel: 2 fit.
-        # Perfect CSIT stacks one 16-value realization, and 50 fit. All
-        # 8 schemes at two SNRs make 2 x (4 + 4 x 20) = 168 builds a
-        # channel: 48 fit in 8192.
-        for overrides, size in ((dict(schemes=zf, n_error_samples=1000, n_channels=5), 2),
-                                (dict(schemes=zf, error_regime=PERFECT, n_channels=50), 50),
-                                (dict(schemes=precoding.ALL_SCHEME_TAGS, error_regime=PERFECT,
-                                      snr_grid_db=(0.0, 30.0), n_channels=50,
-                                      power_split_grid=default_power_split_grid()), 48)):
+        # 1000 draws x 4 x 4 = 16000 complex values a channel: 2 fit a
+        # block, and the 5 channels one chunk. Perfect CSIT stacks one
+        # 16-value realization, and 50 fit. All 8 schemes at two SNRs
+        # make 2 x (4 + 4 x 20) = 168 builds a channel: 48 fit in 8192.
+        for overrides, chunk, size in (
+            (dict(schemes=zf, n_error_samples=1000, n_channels=5), 5, 2),
+            (dict(schemes=zf, error_regime=PERFECT, n_channels=50), 50, 50),
+            (dict(schemes=precoding.ALL_SCHEME_TAGS, error_regime=PERFECT,
+                  snr_grid_db=(0.0, 30.0), n_channels=50,
+                  power_split_grid=default_power_split_grid()), 48, 48),
+        ):
             cfg = small_config(**overrides)
             records = {scheme.record for scheme in cfg.schemes}
             for n_jobs in (1, 2):
@@ -564,10 +586,38 @@ class TestRunSweep:
                 run = math.ceil(cfg.n_channels / n_jobs)
                 runs = [min(run, cfg.n_channels - start)
                         for start in range(0, cfg.n_channels, run)]
-                blocks = [min(size, n - start) for n in runs for start in range(0, n, size)]
-                assert [len(stack) for stack in stacks] == blocks
+                chunks = [min(chunk, n - start) for n in runs for start in range(0, n, chunk)]
+                blocks = [min(size, n - start) for n in chunks for start in range(0, n, size)]
+                assert [len(stack) for stack in stacks] == chunks
                 # One call per geometry record on each block.
                 assert [len(call[3]) for call in calls] == [b for b in blocks for _ in records]
+
+    def test_the_base_variance_sweep_factors_one_chunk_and_hashes_each_block_once(
+        self, monkeypatch
+    ):
+        # The benchmark's base-variance config: 6 slots of 100 draws x
+        # 4 x 4 fill a block with 3 channels, and 24 builds a channel
+        # let the 50 channels' estimates stack in one chunk. So one
+        # factorization of 50 channels, and each (channel, m) error key
+        # hashed once, in one pass a block: 17 passes. Each of two
+        # workers factors its run of 25 channels once.
+        cfg = SweepConfig(
+            schemes=tuple(parse_scheme_tag(t) for t in ("zf", "cthp", "dthp", "zf-dpc")),
+            snr_grid_db=(15.0,), error_variance_grid=(0.05, 0.1, 0.2, 0.3, 0.4, 0.5),
+            n_channels=50, n_error_samples=100,
+        )
+        passes = recorded_calls(monkeypatch, channel, "_error_states")
+        stacks = count_factorizations(monkeypatch)
+        run_sweep(cfg)
+        assert [len(stack) for stack in stacks] == [50]
+        keys = [(c, m) for _, channels, start, stop in passes
+                for c in channels for m in range(start, stop)]
+        assert sorted(keys) == [(c, m) for c in range(50) for m in range(100)]
+        assert len(passes) <= 17
+        recording_pool(monkeypatch)
+        stacks.clear()
+        run_sweep(cfg, n_jobs=2)
+        assert [len(stack) for stack in stacks] == [25, 25]
 
     def test_kernel_blocks_hold_at_most_the_charged_values(self, monkeypatch):
         # The kernel rates its sets in runs of at most max(T M K, 2**15)
@@ -767,6 +817,42 @@ class TestRunSweep:
             run_sweep(small_config(n_channels=n_channels), n_jobs=2)
         assert [c for c in range(n_channels) if rated[c]] == [0, started]
 
+    def test_parallel_failure_rates_no_block_above_it(self, monkeypatch):
+        # Two workers take channels 0-3 and 4-7, each run one chunk and
+        # one block. The second worker draws its whole chunk before
+        # channel 0 fails, then checks the shared failure again before
+        # its block and builds none of it. Forked workers inherit the
+        # patched draw_channel and build_precoders.
+        n_channels, seed = 8, 12345
+        drawn, built = multiprocessing.Array("b", n_channels), multiprocessing.Array("b", n_channels)
+        index = {channel_for(seed, c).tobytes(): c for c in range(n_channels)}
+        draw, build = sweeps.draw_channel, sweeps.build_precoders
+
+        def wait_for(condition):
+            deadline = time.monotonic() + 60.0
+            while not condition() and time.monotonic() < deadline:
+                time.sleep(0.001)
+
+        def recording_draw(seed, channel_index, *args):
+            drawn[channel_index] = 1
+            if channel_index == 0:
+                wait_for(lambda: drawn[n_channels - 1])
+                raise SaturatedSinrError("zf: an SINR failed on channel 0")
+            if channel_index == n_channels - 1:
+                wait_for(lambda: sweeps._lowest_failure.value == 0)
+            return draw(seed, channel_index, *args)
+
+        def recording_build(h_est, *args):
+            built[index[h_est.tobytes()]] = 1
+            return build(h_est, *args)
+
+        monkeypatch.setattr(sweeps, "draw_channel", recording_draw)
+        monkeypatch.setattr(sweeps, "build_precoders", recording_build)
+        with pytest.raises(SaturatedSinrError, match="on channel 0$"):
+            run_sweep(small_config(n_channels=n_channels, master_seed=seed), n_jobs=2)
+        assert [c for c in range(n_channels) if drawn[c]] == [0, 4, 5, 6, 7]
+        assert not any(built)
+
     def test_failure_is_the_first_failing_cell_in_a_later_block(self, monkeypatch):
         # Cells dthp, zf, zf-dpc: the dthp geometry's block (dthp and
         # zf-dpc) is rated before zf's. A cap above dthp's SINRs and
@@ -810,19 +896,20 @@ class TestRunSweep:
 
     def test_serial_failure_draws_no_later_channel(self, monkeypatch):
         # A serial run stops at its first failing block. At 1000 draws a
-        # block holds 2 channels. Every SINR passes a cap of 1e-3, so
-        # channel 0's first cell fails, and channel 1, drawn and built
-        # with it before the kernel rates the block, is the only later
-        # channel drawn; a build error on channel 0 stops the block's
-        # builds, so channel 1 is drawn up front but neither built nor
-        # rated.
+        # block holds 2 channels, and the chunk that is drawn and
+        # factored up front all 4. Every SINR passes a cap of 1e-3, so
+        # channel 0's first cell fails, and channels 1 to 3, drawn with
+        # it before the kernel rates its block, are the only later
+        # channels drawn; a build error on channel 0 stops the block's
+        # builds, so channels 1 to 3 are drawn up front but neither built
+        # nor rated.
         cfg = small_config(n_channels=4, n_error_samples=1000)
         with monkeypatch.context() as patch:
             keys = recorded_calls(patch, sweeps, "stream_rng")
             patch.setattr(rates, "SINR_CAP", 1e-3)
             with pytest.raises(SaturatedSinrError, match="^dthp-rs: .* on channel 0$"):
                 run_sweep(cfg)
-        assert {key[1:] for key in keys} == {(channel.CHANNEL_STREAM, c) for c in (0, 1)}
+        assert {key[1:] for key in keys} == {(channel.CHANNEL_STREAM, c) for c in range(4)}
 
         drawn = []
         draw = sweeps.draw_channel
@@ -838,7 +925,7 @@ class TestRunSweep:
         rated = recorded_calls(monkeypatch, sweeps, "stacked_split_search")
         with pytest.raises(ZeroMatrixError):
             run_sweep(cfg)
-        assert drawn == [0, 1]
+        assert drawn == [0, 1, 2, 3]
         assert [call[0].tobytes() for call in built] == [np.zeros((4, 4), dtype=complex).tobytes()]
         assert rated == []
 

@@ -22,7 +22,7 @@ a copy of this script in each of two checkouts
     diff -r /tmp/before /tmp/after
 
 prints nothing when the two give every output the same bytes. The runs
-take a few seconds; four of them start a pool of two workers.
+take a few seconds; five of them start a pool of two workers.
 """
 
 import contextlib
@@ -38,8 +38,9 @@ from rsthp import cli  # noqa: E402
 # (name, argv): the sweeps' default grids at perfect CSIT and at a
 # fixed error, at one and two workers; two users on five antennas, and
 # one user on three (1 x 1 inverses, (C, 3, 1) QRs), where every other
-# run has K = N = 4; the error-variance sweep by default and with its
-# slots sub-blocked; SNR-scaled errors whose points hold distinct
+# run has K = N = 4; the error-variance sweep by default, at two workers
+# (each factors its 25 channels in chunks of 16) and with its slots
+# sub-blocked; SNR-scaled errors whose points hold distinct
 # variances, one variance, and two; the SINR cross-check of every
 # rate-splitting structure; and the modulo chain's self-checks, whose
 # residuals and power-loss estimate read the channel and noise draws, at
@@ -53,6 +54,7 @@ RUNS = (
                          "--error-variance", "0.1", "--channels", "20"]),
     ("sweep-snr-k1-n3", ["sweep-snr", "--users", "1", "--tx-antennas", "3"]),
     ("sweep-error-variance", ["sweep-error-variance"]),
+    ("sweep-error-variance-jobs2", ["sweep-error-variance", "--jobs", "2"]),
     ("sweep-error-variance-m3000",
      ["sweep-error-variance", "--error-samples", "3000", "--channels", "4"]),
     ("sweep-alpha-0.6", ["sweep-alpha", "--alpha", "0.6"]),
