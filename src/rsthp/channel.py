@@ -8,10 +8,11 @@ reading more realizations never shifts the channel, and realization m
 is the same no matter how many are requested. The channel draw itself
 lives in the sweep layer.
 
-A channel's error ensemble is drawn at unit variance by
-unit_error_draws and scaled afterwards: draw_error_ensemble scales it
-to one variance, and a sweep draws it once per channel and scales it to
-every variance it rates. Nothing is kept between calls.
+Error ensembles are drawn at unit variance by unit_error_draws, one
+array for a range of channels, and scaled afterwards:
+draw_error_ensemble scales one channel's to one variance, and a sweep
+scales a block's to every variance it rates. Nothing is kept between
+calls.
 
 Realization m of channel c is drawn from the generator that
 stream_rng(seed, ERROR_STREAM, c, m) would build, without building one
@@ -20,8 +21,8 @@ SeedSequence per realization. NumPy freezes the SeedSequence hash (NEP
 _error_states runs those rounds for the keys of a range of channels and
 a range of m at once and yields each key's generate_state(4, np.uint64);
 PCG64 seeds itself from that row as it would from the SeedSequence.
-unit_error_draws_by_channel hashes the keys of several channels in one
-pass, so a sweep pays the hash's numpy calls once per block of channels.
+unit_error_draws hashes the keys of several channels in one pass, so a
+sweep pays the hash's numpy calls once per block of channels.
 stream_rng stays the single-key path, with the last key's state cached,
 and the tests hold the range path to it bit for bit.
 """
@@ -72,15 +73,20 @@ def _stream_state(entropy: tuple[int, ...]) -> np.ndarray:
 def complex_gaussian(
     rng: np.random.Generator, shape, variance: float = 1.0
 ) -> np.ndarray:
-    """Circularly symmetric complex Gaussian array, E|x|^2 = variance.
-
-    Drawn at unit variance and scaled afterwards, so changing the
-    variance rescales a fixed realization instead of producing new
-    randomness. That keeps error draws common across a variance grid.
-    """
+    """Circularly symmetric complex Gaussian array of an int or tuple
+    shape, E|x|^2 = variance, from one (2, *shape) standard_normal fill of
+    the real then the imaginary parts. Drawn at unit variance and scaled
+    afterwards (the complex array times the real sqrt(variance / 2), which
+    signs its zeros at variance 0 too), so changing the variance rescales
+    a fixed realization instead of producing new randomness. That keeps
+    error draws common across a variance grid."""
     _check_variance(variance)
-    real = rng.standard_normal(shape)
-    return np.sqrt(variance / 2.0) * (real + 1j * rng.standard_normal(shape))
+    # A plain tuple: np.broadcast_shapes would cost more than the fill.
+    parts = rng.standard_normal((2, shape) if isinstance(shape, int) else (2, *shape))
+    draws = np.empty(parts.shape[1:], dtype=complex)
+    draws.real, draws.imag = parts[0], parts[1]
+    draws *= math.sqrt(variance / 2.0)
+    return draws
 
 
 def _check_variance(variance: float) -> None:
@@ -155,50 +161,29 @@ def draw_error_ensemble(
     the generator stream_rng(seed, ERROR_STREAM, channel_index, m).
     """
     _check_variance(sigma_e2)
-    errors = unit_error_draws(n_users, n_tx, n_error_samples, seed, channel_index)
-    errors *= np.sqrt(sigma_e2 / 2.0)
+    channels = range(channel_index, channel_index + 1)
+    errors = unit_error_draws(n_users, n_tx, n_error_samples, seed, channels)[0]
+    errors *= math.sqrt(sigma_e2 / 2.0)
     return errors
 
 
 def unit_error_draws(
-    n_users: int, n_tx: int, n_error_samples: int, seed: int, channel_index: int = 0, out=None
-) -> np.ndarray:
-    """Fresh (M, K, N) unit draws of one channel's error ensemble, or out.
-
-    Each realization's real then imaginary parts come from one
-    standard_normal call, the stream order of two (K, N) draws, and are
-    written into the parts: the bits of real + 1j * imag, as
-    complex_gaussian forms them, but for a part drawn as exactly -0.0.
-    """
-    unit = np.empty((n_error_samples, n_users, n_tx), dtype=complex) if out is None else out
-    channels = range(channel_index, channel_index + 1)
-    for _ in unit_error_draws_by_channel(n_users, n_tx, n_error_samples, seed, channels,
-                                         unit[np.newaxis]):
-        pass
-    return unit
-
-
-def unit_error_draws_by_channel(
     n_users: int, n_tx: int, n_error_samples: int, seed: int, channels: range, out=None
-):
-    """Yield the (M, K, N) unit draws of each channel of channels in turn,
-    with the bits of unit_error_draws: written into out[i] for the i-th
-    channel, or else into one array that every channel reuses, so that a
-    channel's draws last until the next channel's are asked for.
-
-    A pass (_passes) hashes and draws as many whole channels' keys as it
-    holds, or a run of one channel's realizations when it holds fewer
-    than M; each channel is written out of the pass's draws as it is
-    yielded.
-    """
+) -> np.ndarray:
+    """(len(channels), M, K, N) unit draws of the channels' error
+    ensembles, in a fresh array or in out: slice [i, m] is
+    complex_gaussian's fill on stream_rng(seed, ERROR_STREAM,
+    channels[i], m), unscaled. A pass (_passes) hashes and draws as many
+    whole channels' keys as it holds, or a run of one channel's
+    realizations when it holds fewer than M."""
     m = n_error_samples
+    draws = np.empty((len(channels), m, n_users, n_tx), dtype=complex) if out is None else out
     step, _ = _passes(n_users, n_tx, len(channels) * m)
-    unit = np.empty((m, n_users, n_tx), dtype=complex) if out is None else None
     scratch = np.empty((step, 2, n_users, n_tx))
     per_pass = max(1, step // max(m, 1))
     for first in range(0, len(channels), per_pass):
         group = channels[first:first + per_pass]
-        # One pass of no realizations yields each channel's empty draws.
+        # A pass of no realizations still checks the keys.
         for start in range(0, max(m, 1), step):
             stop = min(start + step, m)
             states = _error_states(seed, group, start, stop)
@@ -206,15 +191,14 @@ def unit_error_draws_by_channel(
             for parts, state in zip(drawn, states):
                 rng = np.random.Generator(np.random.PCG64(_HashedSeed(state)))
                 rng.standard_normal(out=parts)
-            for i, parts in enumerate(drawn.reshape(len(group), stop - start, *drawn.shape[1:])):
-                draws = unit if out is None else out[first + i]
-                draws[start:stop].real, draws[start:stop].imag = parts[:, 0], parts[:, 1]
-                if stop == m:
-                    yield draws
+            parts = drawn.reshape(len(group), stop - start, *drawn.shape[1:])
+            target = draws[first:first + len(group), start:stop]
+            target.real, target.imag = parts[:, :, 0], parts[:, :, 1]
+    return draws
 
 
 def _passes(n_users: int, n_tx: int, n_keys: int) -> tuple[int, int]:
-    """Keys of one pass of unit_error_draws_by_channel over n_keys (at most
+    """Keys of one pass of unit_error_draws over n_keys (at most
     _SEED_BLOCK and 2**15 float64 draws) and the most it holds beside its
     result: 2 K N float64 draws and 25 uint64 words of hashed states each."""
     step = max(1, min(_SEED_BLOCK, n_keys, 2**14 // (n_users * n_tx)))

@@ -120,13 +120,14 @@ def factor_stack(a) -> FactoredStack:
     FactoredStack.check raises its error when it is asked for.
     """
     global _store
+    # The store this stack replaces is let go before the stack is copied, so
+    # that a caller that keeps none of its records never holds the old factors
+    # beside the new stack. A call that raises leaves no store.
+    _store = None
     a = np.array(a, dtype=complex)
     if a.ndim != 3:
         raise DimensionMismatchError(f"factor_stack expects a 3-D array, got ndim={a.ndim}")
     a.flags.writeable = False
-    # The store this stack replaces is let go first, so that a caller that
-    # keeps none of its records never holds two stacks' factors at once.
-    _store = None
     n_users, n_tx = a.shape[1:]
     finite = np.isfinite(a).all(axis=(1, 2))
     nonzero = finite & a.any(axis=(1, 2))

@@ -25,6 +25,7 @@ kernel reads the record and those scalars, not the build.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,10 +63,10 @@ class SchemeTag:
             return "rs-linear" if self.rs else "zf"
         return f"{self.base}-rs" if self.rs else self.base
 
-    @property
+    @cached_property
     def record(self) -> str:
         """The base whose geometry record this scheme's builds share on a
-        channel: zf-dpc shares dthp's, every other base has its own."""
+        channel (zf-dpc shares dthp's); cached, as every build reads it."""
         return "dthp" if self.base == "zf-dpc" else self.base
 
     @property
@@ -226,7 +227,7 @@ def build_precoders(
     stack, c = factored(h_est, "pseudo_inverse")
     if stack.records is None:
         stack.records = _records(stack)
-    geometry = stack.records[c][scheme.base]
+    geometry = stack.records[c][scheme.record]
     # beta and P in Python floats: numpy scalars would give the same bits
     # at several times the cost per operation.
     common_power, e_private = 0.0, e_tr
@@ -247,8 +248,8 @@ def build_precoders(
 
 def _records(stack: FactoredStack) -> list[dict[str, Geometry]]:
     """Each channel's geometry records on a factored (C, K, N) stack, by
-    base (zf-dpc maps to dthp's record, SchemeTag.record), computed for
-    the whole stack at once: all four bases' geometries come from its
+    SchemeTag.record (zf-dpc builds on dthp's), computed for the whole
+    stack at once: all four bases' geometries come from its
     pseudo-inverses and LQ factors, and every array is a read-only slice
     of a stacked one. A slice that failed its checks gets records that
     mean nothing; build_precoders raises before handing them out."""
@@ -275,12 +276,10 @@ def _records(stack: FactoredStack) -> list[dict[str, Geometry]]:
     records = []
     for c in range(len(h_est)):
         h, d, g, zf = h_est[c], direction[c], g_diag[c], zf_map[c]
-        dthp = Geometry(h, q_map[c], b_left[c], dthp_private[c], n_users, g, g, d)
         records.append({
             "zf": Geometry(h, zf, None, zf, n_users, ones, None, d),
             "cthp": Geometry(h, cthp_map[c], b_right[c], cthp_private[c], cthp_power[c],
                              ones, g, d),
-            "dthp": dthp,
-            "zf-dpc": dthp,
+            "dthp": Geometry(h, q_map[c], b_left[c], dthp_private[c], n_users, g, g, d),
         })
     return records

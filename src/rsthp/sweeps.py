@@ -25,14 +25,14 @@ or one contiguous run of channels per pool worker) and ergodic_sum_rate
 both rate through _rate_channels and join each cell's values in
 channel order.
 
-linalg's store holds the factors of the chunk's channels from one
-stacked pass, with each channel's geometry record per base scheme and
-its common-stream direction, so a build is two scalars and a reference
-to its record. _rate_block hashes the error keys of its block's
-channels together, draws each channel's unit errors once and rescales
-them into each slot's row. The eight schemes share three records
-(SchemeTag.record); the cells that share one are searched on every
-channel of a block in one kernel call (rates.stacked_split_search),
+linalg's store holds the factors of the chunk's channels, drawn into
+one array, from one stacked pass, with each channel's geometry record
+per base scheme and its common-stream direction, so a build is two
+scalars and a reference to its record. _rate_block draws its block's
+unit errors as one array and fills each slot's rows for all its
+channels with one rescale and one add. The eight schemes share three
+records (SchemeTag.record); the cells that share one are searched on
+every channel of a block in one kernel call (rates.stacked_split_search),
 which skips, exactly, the splits that a bound rules out. A channel's
 rows are its slots: one per x point, or one when every cell has the same
 error variance; each holds the beta and P of every split of the slot's
@@ -54,9 +54,10 @@ from .channel import (
     _passes,
     CHANNEL_STREAM,
     ErrorRegime,
+    complex_gaussian,
     draw_error_ensemble,  # no caller here: bench/layers.py patches this name
     stream_rng,
-    unit_error_draws_by_channel,
+    unit_error_draws,
 )
 from .exceptions import (
     DimensionMismatchError,
@@ -90,10 +91,10 @@ _RESULT_BYTES = 2 * (8 + 8 + 32)
 _ROW_BYTES = 128 + 8
 
 # Bytes each channel of a chunk keeps beside its 14 K N complex values of
-# factors and records: its draw's array and store index entry, its geometry
-# records and their views of the stacked arrays. tracemalloc measured 2.1 to
-# 2.3 KB a channel beyond 13.8 K N complex values (K = N = 1 to 16, chunks of
-# 13 to 50 channels).
+# draw, factors and records: its store index entry, its geometry records and
+# their views of the stacked arrays. tracemalloc measured 2.1 to 2.3 KB a
+# channel beyond 13.8 K N complex values (K = N = 1 to 16, chunks of 13 to 50
+# channels) when each draw had its own array, 0.1 to 0.2 KB more than now.
 _CHANNEL_BYTES = 2304
 
 # Values one run of a kernel call rates (sets x M x K) and complex values one
@@ -141,18 +142,9 @@ def draw_channel(
     seed: int, channel_index: int, n_users: int, n_tx: int
 ) -> np.ndarray:
     """(K, N) channel estimate number channel_index, keyed by
-    (seed, channel_index) alone; entries are i.i.d. CN(0, 1).
-
-    One (2, K, N) standard_normal fill, the stream order of two (K, N)
-    draws, gives the real then the imaginary parts, each scaled by the
-    square root of 1/2: the bits of complex_gaussian(stream_rng(seed,
-    CHANNEL_STREAM, channel_index), (K, N)), but for a part drawn as
-    exactly -0.0."""
-    parts = stream_rng(seed, CHANNEL_STREAM, channel_index).standard_normal((2, n_users, n_tx))
-    parts *= math.sqrt(0.5)
-    h_est = np.empty((n_users, n_tx), dtype=complex)
-    h_est.real, h_est.imag = parts
-    return h_est
+    (seed, channel_index) alone: complex_gaussian, i.i.d. CN(0, 1), from
+    this module's stream_rng, where bench/layers.py counts channel draws."""
+    return complex_gaussian(stream_rng(seed, CHANNEL_STREAM, channel_index), (n_users, n_tx))
 
 
 def check_dimensions(n_users: int, n_tx: int) -> None:
@@ -330,13 +322,13 @@ def working_set_bytes(config: SweepConfig, n_channels: int) -> int:
     config on n_channels channels, from its _BlockPlan (M realizations a
     slot, K users, N antennas): the work arrays, which _rate_channels
     allocates from the same list (_work_arrays); while they are held, a
-    channel's unit error draws (M K N complex values, unless its one
-    slot's row holds them) with one pass of the block's draws in flight
-    (_passes), and numpy's two buffers for a kernel product over G0's
-    diagonal (a complex value per user and stacked realization,
-    np.getbufsize() at most, each); per chunk channel 14 K N complex
-    values of factors and records (tracemalloc measured 13.5 K N at
-    K = N = 16, the stacked pass's temporaries included) and
+    block's unit error draws (M K N complex values per block channel,
+    unless a lone slot's rows hold them) with one pass of the block's
+    draws in flight (_passes), and numpy's two buffers for a kernel
+    product over G0's diagonal (a complex value per user and stacked
+    realization, np.getbufsize() at most, each); per chunk channel 14 K N
+    complex values of its draw, factors and records (tracemalloc measured
+    13.5 K N at K = N = 16, the stacked pass's temporaries included) and
     _CHANNEL_BYTES; per block channel _BUILD_BYTES per build;
     _RESULT_BYTES per (cell, channel) and _ROW_BYTES per channel. Under
     perfect CSIT nothing is drawn, M = 1."""
@@ -346,7 +338,8 @@ def working_set_bytes(config: SweepConfig, n_channels: int) -> int:
     work = _work_arrays(config, plan,
                         lambda shape, dtype: math.prod(shape) * np.dtype(dtype).itemsize)
     drawn = 0 if plan.slots == (None,) else (
-        16 * m * k * n * (len(plan.slots) > 1) + _passes(k, n, plan.channels * m)[1])
+        16 * plan.channels * m * k * n * (len(plan.slots) > 1)
+        + _passes(k, n, plan.channels * m)[1])
     return (
         sum(work.values()) + drawn + 2 * min(work["rows"] // n, 16 * np.getbufsize())
         + plan.chunk * (16 * 14 * k * n + _CHANNEL_BYTES)
@@ -524,16 +517,16 @@ def _rate_channels(
     variance (see _cell). The plan's work arrays (_work_arrays) are
     allocated once, before the first chunk of consecutive channels
     (_block_plan), and every block is rated in them. A chunk's channels
-    are drawn up front and factored in one stacked pass
-    (linalg.factor_stack); the chunk is then rated block by block. Every
-    build of a block is made channel by channel (_build_channel),
-    keeping only its beta and P. The realizations h_est + E of each
-    channel's slots (its unit draws, hashed for the whole block at once,
-    rescaled to each slot's variance; h_est alone under perfect CSIT)
-    are stacked, stacked_slots slots at a time, and the cells that share
-    a geometry record (SchemeTag.record) are searched on every channel
-    of the block in one stacked_split_search call per stack: row
-    (channel, slot) holds the splits of the slot's cells.
+    are drawn up front into one (chunk, K, N) array, also allocated
+    once, factored in one stacked pass (linalg.factor_stack) and rated
+    block by block. Every build of a block is made channel by channel
+    (_build_channel), keeping only its beta and P. The realizations
+    h_est + E of each channel's slots (see _rate_block; h_est alone
+    under perfect CSIT) are stacked, stacked_slots slots at a time, and
+    the cells that share a geometry record (SchemeTag.record) are
+    searched on every channel of the block in one stacked_split_search
+    call per stack: row (channel, slot) holds the splits of the slot's
+    cells.
 
     An error of channel c's draw stops the chunk's draws, and an error
     of its builds (a channel that is not finite, zero or rank deficient
@@ -549,6 +542,7 @@ def _rate_channels(
     plan = _block_plan(config, cells)
     # Once for all blocks: fresh arrays would fault their pages in again.
     workspace = _work_arrays(config, plan)
+    h_ests = np.empty((plan.chunk, config.n_users, config.n_tx), dtype=complex)
 
     def past_failure(channel_index):
         return lowest_failure is not None and channel_index > lowest_failure.value
@@ -556,34 +550,34 @@ def _rate_channels(
     rows = []
     for start in range(0, len(channels), plan.chunk):
         chunk = channels[start:start + plan.chunk]
-        drawn, failure = [], None
-        for channel_index in chunk:
+        drawn, failure = len(chunk), None
+        for i, channel_index in enumerate(chunk):
             if past_failure(channel_index):
                 return rows
             try:
-                drawn.append(draw_channel(
+                h_ests[i] = draw_channel(
                     config.master_seed, channel_index, config.n_users, config.n_tx
-                ))
+                )
             except Exception as exc:
-                failure = channel_index, exc
+                drawn, failure = i, (channel_index, exc)
                 break
         if drawn:
             # Every build of the chunk reads its channel's slice.
-            linalg.factor_stack(np.stack(drawn))
-        for first in range(0, len(drawn), plan.channels):
+            linalg.factor_stack(h_ests[:drawn])
+        for first in range(0, drawn, plan.channels):
             block = chunk[first:first + plan.channels]
             if past_failure(block[0]):
                 return rows
             built = []
-            for channel_index, h_est in zip(block, drawn[first:]):
+            for channel_index, h_est in zip(block, h_ests[first:drawn]):
                 try:
                     built.append(_build_channel(config, cells, plan, channel_index, h_est))
                 except Exception as exc:
                     failure = channel_index, exc
                     break
-            rated, saturated = (
-                _rate_block(config, cells, plan, block, built, workspace) if built else ([], None)
-            )
+            rated, saturated = _rate_block(
+                config, cells, plan, block, built, h_ests[first:first + len(built)], workspace
+            ) if built else ([], None)
             # A block short of channels ends at a failing draw or build.
             if saturated or len(built) < len(block):
                 failure = saturated or failure
@@ -631,16 +625,17 @@ def _build_channel(
 
 def _rate_block(
     config: SweepConfig, cells: list[tuple], plan: _BlockPlan, block: range, built: list,
-    workspace: dict,
+    h_ests: np.ndarray, workspace: dict,
 ) -> tuple[list[np.ndarray], tuple | None]:
     """(the rows of the channels of block from their _build_channel
-    records built, None), or ([], (channel, SaturatedSinrError)) of the
-    lowest saturated channel's first saturated cell in output order: the
-    first True, in row-major order, of one (channels, cells) mask that
-    ORs each kernel call's saturated sets cell by cell. A split that the
-    search skips saturates only where a rated split of its cell does
-    (stacked_split_search), so the mask is the full grid's. The workspace's
-    "rows" holds the realizations of each stack of slots in turn."""
+    records built and estimates h_ests, None), or ([], (channel,
+    SaturatedSinrError)) of the lowest saturated channel's first
+    saturated cell in output order: the first True, in row-major order,
+    of one (channels, cells) mask that ORs each kernel call's saturated
+    sets cell by cell. A split that the search skips saturates only where
+    a rated split of its cell does (stacked_split_search), so the mask is
+    the full grid's. The workspace's "rows" holds each stack of slots'
+    realizations in turn: the block's unit draws, rescaled, plus h_ests."""
     n_users, n_tx, m = config.n_users, config.n_tx, plan.m
     _, _, _, grids, _ = zip(*cells)
     out = np.empty((len(built), 2, len(cells)))
@@ -650,28 +645,19 @@ def _rate_block(
         variances = plan.slots[start:start + step]
         n_rows = len(variances)
         rows = _buffer(workspace, "rows", (len(built) * n_rows, m * n_users, n_tx))
-        # Every record holds its channel's h_est.
-        h_ests = [next(iter(records.values()))[0].h_est for records in built]
         if plan.slots == (None,):
             rows[:] = h_ests
         else:
+            by_slot = rows.reshape(len(built), n_rows, m, n_users, n_tx)
             if start == 0:
-                # The block's error keys are hashed together. A lone slot's row
-                # holds its channel's draws, rescaled in place.
-                lone = rows.reshape(len(built), m, n_users, n_tx) if len(plan.slots) == 1 else None
-                units = unit_error_draws_by_channel(
-                    n_users, n_tx, m, config.master_seed, block[:len(built)], lone
-                )
-            else:
-                # Only a one-channel block spans several stacks (_block_plan), so
-                # the first stack's draws serve the rest.
-                units = [unit]
-            # The draws come first, so zip runs them out and frees their pass.
-            for b, (unit, h_est) in enumerate(zip(units, h_ests)):
-                for v, variance in enumerate(variances):
-                    row = rows[b * n_rows + v].reshape(m, n_users, n_tx)
-                    np.multiply(unit, math.sqrt(variance / 2.0), out=row)
-                    row += h_est
+                # The block's error keys are hashed together, once for every
+                # stack. A lone slot's rows hold the draws, rescaled in place.
+                units = unit_error_draws(n_users, n_tx, m, config.master_seed,
+                                         block[:len(built)],
+                                         by_slot[:, 0] if len(plan.slots) == 1 else None)
+            for v, variance in enumerate(variances):
+                np.multiply(units, math.sqrt(variance / 2.0), out=by_slot[:, v])
+                by_slot[:, v] += h_ests[:, np.newaxis]
         for record, members in plan.records.items():
             members = members[start:start + step]
             # Row (b, v) is channel b of the block at slot v, and its sets

@@ -1,7 +1,8 @@
 """Helpers that several test modules share: a seeded complex Gaussian
 matrix, records of calls and factorizations and what a matrix gets from
 them, the per-split rate oracle, the kernel's arguments for builds on
-one channel, and an in-process pool for sweeps."""
+one channel, an in-process pool for sweeps, and the bytes a traced
+sweep may hold beyond its memory estimate."""
 
 import dataclasses
 
@@ -10,6 +11,10 @@ import pytest
 
 from rsthp import SchemeTag, build_precoders, linalg, run_sweep, sweeps
 from rsthp.exceptions import SimulatorError
+
+# Bytes beyond the estimate (working_set_bytes) that rating one channel
+# may hold: the interpreter's own objects (frames, lists, ints), a few KiB.
+MEMORY_ALLOWANCE = 32 * 2**10
 
 
 def random_channel(seed, shape=(4, 4)):

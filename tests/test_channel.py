@@ -162,13 +162,22 @@ class TestUnitDrawCache:
 
     def test_bit_identical_across_short_passes_and_into_out(self):
         # Many antennas draw fewer realizations a pass than a seed block
-        # (256 at K = N = 8, one at K N > 2**14) with the same bits, and
-        # out receives the draws. At variance 2 the reference is unscaled.
-        for n_users, n_tx, n_samples in ((8, 8, 300), (1, 20_000, 3)):
-            out = np.empty((n_samples, n_users, n_tx), dtype=complex)
-            got = unit_error_draws(n_users, n_tx, n_samples, 5, 1, out)
-            want = self.reference(2.0, n_samples, 5, 1, n_users, n_tx)
-            assert got is out and got.tobytes() == want.tobytes()
+        # (256 at K = N = 8, one at K N > 2**14), so a pass holds part of
+        # one channel, and few draws let a pass hold several whole
+        # channels (5 of 7 draws at K = N = 4), with the same bits; a lone
+        # channel may have a two-word index. Each channel's slice is its
+        # ensemble, in a fresh array or in out, which is returned. At
+        # variance 2 the reference is unscaled.
+        for n_users, n_tx, n_samples, channels in (
+            (8, 8, 300, range(1, 2)), (1, 20_000, 3, range(1, 2)), (8, 8, 300, range(1, 4)),
+            (4, 4, 7, range(0, 5)), (3, 5, 4, range(2**33, 2**33 + 1)),
+        ):
+            want = [self.reference(2.0, n_samples, 5, c, n_users, n_tx) for c in channels]
+            shape = (len(channels), n_samples, n_users, n_tx)
+            for out in (None, np.empty(shape, dtype=complex)):
+                got = unit_error_draws(n_users, n_tx, n_samples, 5, channels, out)
+                assert got.shape == shape and (out is None or got is out)
+                assert [draws.tobytes() for draws in got] == [w.tobytes() for w in want]
 
     def test_negative_key_parts_raise_and_no_draws_are_empty(self):
         for seed, c in ((-1, 0), (0, -1), (-(2**40), 3)):
@@ -188,10 +197,11 @@ class TestUnitDrawCache:
         second = draw_error_ensemble(4, 4, 0.2, 5, seed=3, channel_index=2)
         assert (second == expected).all()
         assert second is not first
-        unit = unit_error_draws(4, 4, 5, 3, 2)
+        unit = unit_error_draws(4, 4, 5, 3, range(2, 3))
         assert unit.flags.writeable
         unit[...] = 99.0
-        assert (np.sqrt(0.2 / 2.0) * unit_error_draws(4, 4, 5, 3, 2) == expected).all()
+        unit = unit_error_draws(4, 4, 5, 3, range(2, 3))[0]
+        assert (np.sqrt(0.2 / 2.0) * unit == expected).all()
 
     def test_prefix_and_scaling_on_a_warm_cache(self):
         # Each key is read twice in a row, and both reads agree.
@@ -206,7 +216,7 @@ class TestUnitDrawCache:
         np.testing.assert_array_equal(draws["long"][:50], draws["short"])
         np.testing.assert_allclose(draws["large"], 2.0 * draws["small"], atol=1e-15)
         np.testing.assert_array_equal(
-            unit_error_draws(4, 4, 5, 3) * np.sqrt(0.1 / 2.0), draws["small"]
+            unit_error_draws(4, 4, 5, 3, range(1))[0] * np.sqrt(0.1 / 2.0), draws["small"]
         )
 
     def test_bad_variance_rejected_after_caching(self):

@@ -7,7 +7,7 @@ acceptance suite's seed. Further properties check the stacked rate
 kernel against single builds and the memory estimate of rating one
 channel against tracemalloc. The last check the CLI's start:step:stop
 grid ranges, the range-hashed and cached seeds against SeedSequence,
-the one-fill channel draw against complex_gaussian, and the exit
+complex_gaussian's one fill against its two-draw definition, and the exit
 contract of the sweep commands and cross-check-sinr on argv drawn from
 their flag grammar.
 """
@@ -70,7 +70,13 @@ from rsthp.sweeps import (  # noqa: E402
     working_set_bytes,
 )
 # pytest puts tests/ on sys.path.
-from helpers import factored_outcomes, recorded_calls, split_reference, sweep_runs  # noqa: E402
+from helpers import (  # noqa: E402
+    MEMORY_ALLOWANCE,
+    factored_outcomes,
+    recorded_calls,
+    split_reference,
+    sweep_runs,
+)
 
 N_DRAWS = 3
 BASES = ("zf", "cthp", "dthp", "zf-dpc")
@@ -656,11 +662,6 @@ def test_each_slice_of_a_factored_stack_is_its_matrix_factored_alone(stack):
     assert stacked == alone
 
 
-# Bytes beyond the estimate that rating one channel may hold: the
-# interpreter's own objects (frames, lists, ints), a few KiB.
-MEMORY_ALLOWANCE = 32 * 2**10
-
-
 @PROPERTY_SETTINGS
 @given(sweep_channels())
 @example((SweepConfig(n_users=16, n_tx=16, n_error_samples=300,
@@ -703,7 +704,7 @@ def test_rating_a_channel_stays_within_its_memory_estimate(config_channel):
     config = replace(config, n_channels=max(2, config.n_channels))
     channels = range(channel_index, channel_index + first_chunk(config) + 1)
     peaks, blocks = [], []
-    draws = sweeps.unit_error_draws_by_channel
+    draws = sweeps.unit_error_draws
 
     def traced(task, run):
         tracemalloc.start()
@@ -720,7 +721,7 @@ def test_rating_a_channel_stays_within_its_memory_estimate(config_channel):
         return draws(*args)
 
     with pytest.MonkeyPatch.context() as patch, contextlib.suppress(Stop):
-        patch.setattr(sweeps, "unit_error_draws_by_channel", two_blocks_a_chunk)
+        patch.setattr(sweeps, "unit_error_draws", two_blocks_a_chunk)
         sweep_runs(config, [channels], traced)
     assert peaks[0] <= working_set_bytes(config, len(channels)) + MEMORY_ALLOWANCE
 
@@ -835,16 +836,27 @@ def test_error_states_are_seed_sequence_states(seed, first, n_channels, start, l
     st.one_of(st.integers(0, 2**40), st.integers(2**32 - 2, 2**32 + 2)),
     st.integers(1, 8),
     st.integers(0, 7),
+    st.sampled_from(("matrix", "vector", "int")),
+    st.sampled_from((0.0, 31.0**-0.6, 1.0)),
 )
-def test_a_channel_draw_is_a_complex_gaussian_draw(seed, channel_index, n_users, extra):
-    # draw_channel fills its real and imaginary parts from one draw; it
-    # keeps the bits of the documented definition, two (K, N) draws on
-    # the channel's stream formed as complex_gaussian forms them.
+def test_a_channel_draw_is_a_complex_gaussian_draw(
+    seed, channel_index, n_users, extra, form, variance
+):
+    # complex_gaussian fills its real and imaginary parts from one draw;
+    # it keeps the bits of the definition it replaced, two draws of the
+    # shape on a twin generator, joined as real + 1j * imag and scaled
+    # by sqrt(variance / 2), the signs of zeros included at variance 0.
+    # draw_channel is its unit-variance (K, N) draw on the channel's
+    # stream.
     n_tx = min(8, n_users + extra)
-    want = complex_gaussian(stream_rng(seed, CHANNEL_STREAM, channel_index), (n_users, n_tx))
-    got = draw_channel(seed, channel_index, n_users, n_tx)
-    assert got.shape == (n_users, n_tx) and got.dtype == complex
+    shape = {"matrix": (n_users, n_tx), "vector": (n_tx,), "int": n_tx}[form]
+    g, h = (stream_rng(seed, CHANNEL_STREAM, channel_index) for _ in range(2))
+    want = np.sqrt(variance / 2) * (h.standard_normal(shape) + 1j * h.standard_normal(shape))
+    got = complex_gaussian(g, shape, variance)
+    assert got.shape == want.shape and got.dtype == complex
     assert got.tobytes() == want.tobytes()
+    if form == "matrix" and variance == 1.0:
+        assert draw_channel(seed, channel_index, n_users, n_tx).tobytes() == want.tobytes()
 
 
 ANY_FLOAT = st.one_of(

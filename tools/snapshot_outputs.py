@@ -92,8 +92,10 @@ FAILING_RUNS = (
 
 
 # (name, argv with "{}" for the value): the limits the 512 MiB memory
-# budget (working_set_bytes) sets on the default fixed-error sweep and on
-# the SINR cross-check (at one sample, whose own budget then holds).
+# budget (working_set_bytes) sets on the default fixed-error sweep, on
+# the default error-variance sweep, whose six variances rate one block's
+# unit draws from one array, and on the SINR cross-check (at one sample,
+# whose own budget then holds).
 _DEFAULT_ERROR_SWEEP = ["sweep-snr", "--error-variance", "0.2"]
 BUDGET_LIMITS = (
     ("sweep-snr --error-variance 0.2: --error-samples",
@@ -101,6 +103,8 @@ BUDGET_LIMITS = (
     ("sweep-snr --error-variance 0.2: --users = --tx-antennas",
      [*_DEFAULT_ERROR_SWEEP, "--users", "{}", "--tx-antennas", "{}"]),
     ("sweep-snr --error-variance 0.2: --channels", [*_DEFAULT_ERROR_SWEEP, "--channels", "{}"]),
+    ("sweep-error-variance: --error-samples", ["sweep-error-variance", "--error-samples", "{}"]),
+    ("sweep-error-variance: --channels", ["sweep-error-variance", "--channels", "{}"]),
     ("cross-check-sinr: --users = --tx-antennas",
      ["cross-check-sinr", "--users", "{}", "--tx-antennas", "{}", "--samples", "1"]),
 )
